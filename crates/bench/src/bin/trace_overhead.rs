@@ -6,7 +6,7 @@
 //! the batch top-k hot path — by running the same workload three ways:
 //!
 //! * `nop`   — `distance_first_topk` (the `NopSink` default);
-//! * `stats` — `distance_first_topk_traced` with a `StatsSink`, i.e. what
+//! * `stats` — the same iterator built with a `StatsSink`, i.e. what
 //!   the facade (`distance_first` / `batch_topk`) now runs on every query;
 //! * `vec`   — a `VecSink` storing every event (the `ir2 trace` path).
 //!
@@ -21,7 +21,25 @@ use std::time::Instant;
 
 use ir2_bench::{build_db, workload};
 use ir2_datagen::DatasetSpec;
-use ir2tree::irtree::{distance_first_topk, distance_first_topk_traced, StatsSink, VecSink};
+use ir2tree::irtree::{
+    collect_topk, distance_first_topk, DistanceFirstIter, SigPayload, StatsSink, TraceSink, VecSink,
+};
+use ir2tree::model::{DistanceFirstQuery, ObjectSource, SpatialObject};
+use ir2tree::rtree::RTree;
+use ir2tree::storage::BlockDevice;
+
+/// `distance_first_topk` with every step reported to `sink`.
+fn topk_with_sink<D: BlockDevice, P: SigPayload, S: TraceSink>(
+    tree: &RTree<2, D, P>,
+    store: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+    sink: S,
+) -> Vec<(SpatialObject<2>, f64)> {
+    let mut iter =
+        DistanceFirstIter::with_region_sink(tree, store, q.point.into(), q.keywords.clone(), sink);
+    let (outcome, _) = collect_topk(&mut iter, q.k).expect("query");
+    outcome.into_results()
+}
 
 struct Args {
     scale: f64,
@@ -91,14 +109,14 @@ fn main() {
     let stats = measure(&mut || {
         for q in &queries {
             let mut sink = StatsSink::new();
-            let (r, _) = distance_first_topk_traced(tree, store, q, &mut sink).expect("query");
+            let r = topk_with_sink(tree, store, q, &mut sink);
             std::hint::black_box((r, sink.stats.sig_tests));
         }
     });
     let vec = measure(&mut || {
         for q in &queries {
             let mut sink = VecSink::new();
-            let (r, _) = distance_first_topk_traced(tree, store, q, &mut sink).expect("query");
+            let r = topk_with_sink(tree, store, q, &mut sink);
             std::hint::black_box((r, sink.events.len()));
         }
     });

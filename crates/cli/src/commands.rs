@@ -285,13 +285,6 @@ pub fn query(args: &[String], out: &mut impl Write) -> CliResult {
     let limits = parse_limits(&f)?;
 
     let report = if let Some(area) = f.optional("area") {
-        if !limits.is_unlimited() {
-            return Err(
-                "--deadline-ms / --io-budget apply to point queries; area queries do not \
-                 support execution limits yet"
-                    .into(),
-            );
-        }
         let (a, b) = parse_area(area)?;
         let region: QueryRegion<2> = Rect::from_corners(Point::new(a), Point::new(b)).into();
         say!(
@@ -299,7 +292,7 @@ pub fn query(args: &[String], out: &mut impl Write) -> CliResult {
             "top-{k} {keywords:?} in/near area {a:?}..{b:?} via {}:",
             alg.label()
         );
-        db.distance_first_region(alg, region, &keywords, k)
+        db.distance_first_region(alg, region, &keywords, k, limits)
             .map_err(io_err)?
     } else {
         let at = parse_point(f.required("at")?)?;

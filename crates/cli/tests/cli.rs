@@ -272,22 +272,52 @@ fn full_pipeline() {
     let s = stdout(&starved);
     assert!(s.contains("truncated=4"), "{s}");
 
-    // Limits are rejected on area queries rather than silently ignored.
-    let area_limited = ir2(
-        &dir,
-        &[
+    // Limits compose with area queries: a budget truncates to an exact
+    // prefix of the unlimited answer, under the same banner. (The small
+    // area keeps result distances distinct, so the prefix is literal.)
+    let area_query = |budget: Option<&str>| {
+        let mut args = vec![
             "query",
             "--db",
             "db",
             "--area",
-            "-20,-20,20,20",
+            "0,0,0.5,0.5",
             "--keywords",
             "ba",
-            "--io-budget",
-            "5",
-        ],
+            "--k",
+            "4",
+        ];
+        args.extend(budget.iter().flat_map(|b| ["--io-budget", b]));
+        let out = ir2(&dir, &args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = stdout(&out);
+        let hits: Vec<String> = text
+            .lines()
+            .filter(|l| l.starts_with("  #"))
+            .map(str::to_owned)
+            .collect();
+        (text, hits)
+    };
+    let (full_text, full_hits) = area_query(None);
+    assert!(!full_text.contains("truncated"), "{full_text}");
+    assert_eq!(full_hits.len(), 4, "{full_text}");
+    let (starved_text, starved_hits) = area_query(Some("1"));
+    assert!(
+        starved_text.contains("truncated by io_budget"),
+        "{starved_text}"
     );
-    assert!(!area_limited.status.success());
+    assert!(starved_hits.is_empty(), "{starved_text}");
+    let (cut_text, cut_hits) = area_query(Some("6"));
+    assert!(cut_text.contains("truncated by io_budget"), "{cut_text}");
+    assert!(
+        !cut_hits.is_empty() && cut_hits.len() < full_hits.len(),
+        "{cut_text}"
+    );
+    assert_eq!(cut_hits[..], full_hits[..cut_hits.len()], "{cut_text}");
 
     // Area query and ranked query.
     let area = ir2(

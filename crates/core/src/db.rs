@@ -7,17 +7,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ir2_geo::Rect;
-use ir2_invindex::{iio_topk, iio_topk_limited, InvertedIndex};
+use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
-    distance_first_region_topk_prefetched_traced, distance_first_topk_prefetched_limited_traced,
-    distance_first_topk_prefetched_traced, general_topk_prefetched, insert_object,
-    rtree_baseline_topk_prefetched_limited_traced, rtree_baseline_topk_prefetched_traced,
-    GeneralQuery, Ir2Payload, MirPayload, SearchCounters, StatsSink, TraceSink, TraceStats,
+    collect_topk, general_topk_with, insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload,
+    LimitedTopk, MirPayload, NopSink, RtreeBaselineIter, ScoredResult, SearchCounters, SigPayload,
+    StatsSink, TraceSink, TraceStats,
 };
 use ir2_model::{
-    DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, QueryLimits, SpatialObject,
+    normalize_keywords, DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore,
+    QueryLimits, QueryRegion, SpatialObject,
 };
-use ir2_rtree::{NodeCache, RTree, RTreeConfig, UnitPayload};
+use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::{
     BlockDevice, FileDevice, Histogram, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry,
@@ -77,9 +77,10 @@ impl<D> DeviceSet<D> {
         ]
     }
 
-    /// The six devices as role-named references, in [`file_names`]
-    /// (Self::file_names) order — for code that iterates a set (replica
-    /// verification, scrubbing) rather than addressing roles by field.
+    /// The six devices as role-named references, in
+    /// [`file_names`](Self::file_names) order — for code that iterates a
+    /// set (replica verification, scrubbing) rather than addressing roles
+    /// by field.
     pub fn as_refs(&self) -> [(&'static str, &D); 6] {
         [
             ("objects", &self.objects),
@@ -286,6 +287,40 @@ pub(crate) fn run_batch_isolated<Q: Sync, R: Send + Sync>(
         .into_iter()
         .map(|s| s.into_inner().expect("every query ran"))
         .collect()
+}
+
+/// Which of the two I/O attribution mechanisms fills a report. They model
+/// the disk arm differently, so the same query's random/sequential split —
+/// and with it the simulated time — depends on which one measured it.
+#[derive(Clone, Copy)]
+enum Attribution {
+    /// Before/after difference of the devices' shared counters: accesses
+    /// are classified against the arm position earlier queries left
+    /// behind. What the single-query entry points report.
+    Delta,
+    /// A thread-local [`IoScope`]: only this thread's accesses, classified
+    /// against a per-query arm position — deterministic under concurrency.
+    /// What the limited and batch entry points report.
+    Scoped,
+}
+
+/// What [`SpatialKeywordDb::measure`] observed of one query.
+struct Measured {
+    index_io: IoSnapshot,
+    object_io: IoSnapshot,
+    io: IoSnapshot,
+    object_loads: u64,
+    simulated: Duration,
+    wall: Duration,
+    retries: u64,
+    backoff: Duration,
+}
+
+fn needs_signature_tree(what: &str, alg: Algorithm) -> StorageError {
+    StorageError::Corrupt(format!(
+        "{what} are implemented on the signature trees, not {}",
+        alg.label()
+    ))
 }
 
 /// A spatial keyword database: the object file plus all four access
@@ -829,9 +864,14 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
     ) -> Result<QueryReport> {
-        let mut sink = StatsSink::new();
-        let mut report = self.distance_first_traced(alg, query, &mut sink)?;
-        report.pruning = sink.into_stats();
+        let report = self.measured_topk(
+            alg,
+            query.point.into(),
+            query.keywords.clone(),
+            query.k,
+            QueryLimits::none(),
+            Attribution::Delta,
+        )?;
         self.publish_query_metrics(alg, &report);
         Ok(report)
     }
@@ -865,123 +905,192 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         &self,
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
-        mut sink: S,
+        sink: S,
     ) -> Result<QueryReport> {
-        let idx_stats = self.stats_of(alg);
-        let idx_before = idx_stats.snapshot();
-        let obj_before = self.io.objects.snapshot();
-        let loads_before = self.objects.loads();
-        let t0 = Instant::now();
-
-        let p = self.config.prefetch;
-        let (results, counters) = match alg {
-            Algorithm::RTree => rtree_baseline_topk_prefetched_traced(
-                &self.rtree,
-                self.objects.as_ref(),
-                query,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Ir2 => distance_first_topk_prefetched_traced(
-                &self.ir2,
-                self.objects.as_ref(),
-                query,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Mir2 => distance_first_topk_prefetched_traced(
-                &self.mir2,
-                self.objects.as_ref(),
-                query,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Iio => (
-                iio_topk(&self.inverted, &self.vocab, self.objects.as_ref(), query)?,
-                SearchCounters::default(),
-            ),
-        };
-
-        let wall = t0.elapsed();
-        let index_io = idx_stats.snapshot() - idx_before;
-        let object_io = self.io.objects.snapshot() - obj_before;
-        let io = index_io + object_io;
-        Ok(QueryReport {
-            results,
-            index_io,
-            object_io,
-            io,
-            object_loads: self.objects.loads() - loads_before,
-            counters,
-            pruning: TraceStats::default(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            outcome: None,
-            retries: 0,
-            backoff: Duration::ZERO,
-        })
+        self.run_topk(
+            alg,
+            query.point.into(),
+            query.keywords.clone(),
+            query.k,
+            QueryLimits::none(),
+            Attribution::Delta,
+            sink,
+        )
     }
 
-    /// One distance-first query with per-thread I/O attribution: everything
-    /// the query reads is tallied in an [`IoScope`] (deterministic under
-    /// concurrency) and loads are counted through a query-local
-    /// [`CountingSource`], so the returned report is identical whether the
-    /// query runs alone or inside a concurrent batch. A [`RetryScope`]
-    /// likewise attributes this query's transient-fault recoveries and
-    /// backoff sleep to its report.
+    /// One distance-first query with per-thread I/O attribution
+    /// ([`Attribution::Scoped`]), so the returned report is identical
+    /// whether the query runs alone or inside a concurrent batch.
     fn scoped_distance_first(
         &self,
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
         limits: QueryLimits,
     ) -> Result<QueryReport> {
-        let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
+        self.measured_topk(
+            alg,
+            query.point.into(),
+            query.keywords.clone(),
+            query.k,
+            limits,
+            Attribution::Scoped,
+        )
+    }
+
+    /// [`run_topk`](Self::run_topk) with the pruning statistics folded
+    /// into the report through a [`StatsSink`].
+    fn measured_topk(
+        &self,
+        alg: Algorithm,
+        region: QueryRegion<2>,
+        keywords: Vec<String>,
+        k: usize,
+        limits: QueryLimits,
+        attribution: Attribution,
+    ) -> Result<QueryReport> {
         let mut sink = StatsSink::new();
-        let scope = IoScope::enter();
-        let retry_scope = RetryScope::enter();
+        let mut report = self.run_topk(alg, region, keywords, k, limits, attribution, &mut sink)?;
+        report.pruning = sink.into_stats();
+        Ok(report)
+    }
+
+    /// Runs `run` and measures it on behalf of a report: I/O by the chosen
+    /// [`Attribution`], object loads through a query-local
+    /// [`CountingSource`] (the store's own counter is shared by every
+    /// concurrent query), transient-fault recoveries through a
+    /// [`RetryScope`] — entered here and nowhere else in the facade, since
+    /// scopes do not nest — and wall time.
+    fn measure<R>(
+        &self,
+        alg: Algorithm,
+        attribution: Attribution,
+        run: impl FnOnce(&CountingSource<'_, 2>) -> Result<R>,
+    ) -> Result<(R, Measured)> {
+        let (index, objects) = (self.stats_of(alg), &self.io.objects);
+        let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
+        let before = (index.snapshot(), objects.snapshot());
+        let scope = matches!(attribution, Attribution::Scoped).then(IoScope::enter);
+        let retry = RetryScope::enter();
         let t0 = Instant::now();
-        let p = self.config.prefetch;
-        let out = match alg {
-            Algorithm::RTree => rtree_baseline_topk_prefetched_limited_traced(
-                &self.rtree,
-                &src,
-                query,
-                limits,
-                p,
-                &mut sink,
-            ),
-            Algorithm::Ir2 => distance_first_topk_prefetched_limited_traced(
-                &self.ir2, &src, query, limits, p, &mut sink,
-            ),
-            Algorithm::Mir2 => distance_first_topk_prefetched_limited_traced(
-                &self.mir2, &src, query, limits, p, &mut sink,
-            ),
-            Algorithm::Iio => iio_topk_limited(&self.inverted, &self.vocab, &src, query, limits)
-                .map(|r| (r, SearchCounters::default())),
-        };
+        let out = run(&src);
         let wall = t0.elapsed();
-        let retry_stats = retry_scope.finish();
-        let scoped = scope.finish();
-        let (exec, counters) = out?;
-        let outcome = exec.truncation();
-        let results = exec.into_results();
-        let index_io = scoped.for_stats(self.stats_of(alg));
-        let object_io = scoped.for_stats(&self.io.objects);
+        let retry = retry.finish();
+        let (index_io, object_io) = match scope {
+            Some(scope) => {
+                let scoped = scope.finish();
+                (scoped.for_stats(index), scoped.for_stats(objects))
+            }
+            None => (index.snapshot() - before.0, objects.snapshot() - before.1),
+        };
         let io = index_io + object_io;
-        Ok(QueryReport {
-            results,
+        let measured = Measured {
             index_io,
             object_io,
             io,
             object_loads: src.loads(),
-            counters,
-            pruning: sink.into_stats(),
             simulated: self.config.cost_model.time(io),
             wall,
-            outcome,
-            retries: retry_stats.retries,
-            backoff: retry_stats.backoff,
+            retries: retry.retries,
+            backoff: retry.backoff,
+        };
+        Ok((out?, measured))
+    }
+
+    /// The one distance-first plan: measure a search, assemble the report.
+    /// Every public distance-first entry point is this call with its own
+    /// region, limits, attribution and sink; `keywords` are already
+    /// normalized. The report's `pruning` is left empty — the caller owns
+    /// the sink.
+    #[allow(clippy::too_many_arguments)]
+    fn run_topk<S: TraceSink>(
+        &self,
+        alg: Algorithm,
+        region: QueryRegion<2>,
+        keywords: Vec<String>,
+        k: usize,
+        limits: QueryLimits,
+        attribution: Attribution,
+        sink: S,
+    ) -> Result<QueryReport> {
+        let ((exec, counters), m) = self.measure(alg, attribution, |src| {
+            self.search_topk(alg, src, region, keywords, k, limits, sink)
+        })?;
+        Ok(QueryReport {
+            outcome: exec.truncation(),
+            results: exec.into_results(),
+            index_io: m.index_io,
+            object_io: m.object_io,
+            io: m.io,
+            object_loads: m.object_loads,
+            counters,
+            pruning: TraceStats::default(),
+            simulated: m.simulated,
+            wall: m.wall,
+            retries: m.retries,
+            backoff: m.backoff,
         })
+    }
+
+    /// The one place a distance-first search is opened for `alg`: the
+    /// tree's iterator under `limits`, reporting to `sink`, inside
+    /// [`with_frontier_prefetch`] at the configured worker count, drained
+    /// by [`collect_topk`]. IIO is non-incremental and answers directly.
+    /// Area regions need a signature tree (the plain NN iterator and the
+    /// inverted index are point-anchored).
+    #[allow(clippy::too_many_arguments)]
+    fn search_topk<S: TraceSink>(
+        &self,
+        alg: Algorithm,
+        src: &CountingSource<'_, 2>,
+        region: QueryRegion<2>,
+        keywords: Vec<String>,
+        k: usize,
+        limits: QueryLimits,
+        sink: S,
+    ) -> Result<LimitedTopk<2>> {
+        #[allow(clippy::too_many_arguments)]
+        fn on_sig_tree<D: BlockDevice, P: SigPayload + Sync, S: TraceSink>(
+            tree: &RTree<2, D, P>,
+            workers: usize,
+            src: &CountingSource<'_, 2>,
+            region: QueryRegion<2>,
+            keywords: Vec<String>,
+            k: usize,
+            limits: QueryLimits,
+            sink: S,
+        ) -> Result<LimitedTopk<2>> {
+            with_frontier_prefetch(tree, workers, |pf| {
+                let mut iter =
+                    DistanceFirstIter::with_region_sink(tree, src, region, keywords, sink)
+                        .limited(limits)
+                        .prefetching(pf);
+                collect_topk(&mut iter, k)
+            })
+        }
+        let p = self.config.prefetch;
+        match (alg, region) {
+            (Algorithm::Ir2, _) => {
+                on_sig_tree(&self.ir2, p, src, region, keywords, k, limits, sink)
+            }
+            (Algorithm::Mir2, _) => {
+                on_sig_tree(&self.mir2, p, src, region, keywords, k, limits, sink)
+            }
+            (Algorithm::RTree, QueryRegion::Point(point)) => {
+                with_frontier_prefetch(&self.rtree, p, |pf| {
+                    let mut iter =
+                        RtreeBaselineIter::with_sink(&self.rtree, src, point, keywords, sink)
+                            .limited(limits)
+                            .prefetching(pf);
+                    collect_topk(&mut iter, k)
+                })
+            }
+            (Algorithm::Iio, QueryRegion::Point(point)) => {
+                let query = DistanceFirstQuery { point, keywords, k };
+                iio_topk_limited(&self.inverted, &self.vocab, src, &query, limits)
+                    .map(|r| (r, SearchCounters::default()))
+            }
+            (other, QueryRegion::Area(_)) => Err(needs_signature_tree("region queries", other)),
+        }
     }
 
     /// Answers a batch of distance-first queries concurrently on `threads`
@@ -1075,44 +1184,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         threads: usize,
     ) -> Result<Vec<GeneralReport>> {
         run_batch(queries, threads, |query| {
-            let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
-            let scope = IoScope::enter();
-            let t0 = Instant::now();
-            let out = match alg {
-                Algorithm::Ir2 => general_topk_prefetched(
-                    &self.ir2,
-                    &src,
-                    &self.vocab,
-                    scorer,
-                    rank,
-                    query,
-                    self.config.prefetch,
-                ),
-                Algorithm::Mir2 => general_topk_prefetched(
-                    &self.mir2,
-                    &src,
-                    &self.vocab,
-                    scorer,
-                    rank,
-                    query,
-                    self.config.prefetch,
-                ),
-                other => Err(StorageError::Corrupt(format!(
-                    "general ranked queries need a signature tree, not {}",
-                    other.label()
-                ))),
-            };
-            let wall = t0.elapsed();
-            let scoped = scope.finish();
-            let results = out?;
-            let io = scoped.for_stats(self.stats_of(alg)) + scoped.for_stats(&self.io.objects);
-            Ok(GeneralReport {
-                results,
-                io,
-                object_loads: src.loads(),
-                simulated: self.config.cost_model.time(io),
-                wall,
-            })
+            self.run_general(alg, query, scorer, rank, Attribution::Scoped)
         })
     }
 
@@ -1150,68 +1222,22 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
 
     /// Answers a distance-first top-k query anchored at an arbitrary
     /// region (the paper's "an area could be used instead" of the query
-    /// point) on the IR²- or MIR²-Tree. Objects inside an area region come
-    /// out at distance zero, then in increasing distance from its boundary.
+    /// point) under `limits` ([`QueryLimits::none`] to run to completion;
+    /// a tripped limit truncates exactly as in
+    /// [`distance_first_limited`](SpatialKeywordDb::distance_first_limited)).
+    /// Objects inside an area region come out at distance zero, then in
+    /// increasing distance from its boundary. Area regions are answered by
+    /// the IR²- or MIR²-Tree only.
     pub fn distance_first_region(
         &self,
         alg: Algorithm,
-        region: ir2_model::QueryRegion<2>,
+        region: QueryRegion<2>,
         keywords: &[String],
         k: usize,
+        limits: QueryLimits,
     ) -> Result<QueryReport> {
-        let idx_stats = self.stats_of(alg);
-        let idx_before = idx_stats.snapshot();
-        let obj_before = self.io.objects.snapshot();
-        let loads_before = self.objects.loads();
-        let mut sink = StatsSink::new();
-        let t0 = Instant::now();
-
-        let p = self.config.prefetch;
-        let (results, counters) = match alg {
-            Algorithm::Ir2 => distance_first_region_topk_prefetched_traced(
-                &self.ir2,
-                self.objects.as_ref(),
-                region,
-                keywords,
-                k,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Mir2 => distance_first_region_topk_prefetched_traced(
-                &self.mir2,
-                self.objects.as_ref(),
-                region,
-                keywords,
-                k,
-                p,
-                &mut sink,
-            )?,
-            other => {
-                return Err(StorageError::Corrupt(format!(
-                    "region queries are implemented on the signature trees, not {}",
-                    other.label()
-                )))
-            }
-        };
-
-        let wall = t0.elapsed();
-        let index_io = idx_stats.snapshot() - idx_before;
-        let object_io = self.io.objects.snapshot() - obj_before;
-        let io = index_io + object_io;
-        let report = QueryReport {
-            results,
-            index_io,
-            object_io,
-            io,
-            object_loads: self.objects.loads() - loads_before,
-            counters,
-            pruning: sink.into_stats(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            outcome: None,
-            retries: 0,
-            backoff: Duration::ZERO,
-        };
+        let keywords = normalize_keywords(keywords);
+        let report = self.measured_topk(alg, region, keywords, k, limits, Attribution::Delta)?;
         self.publish_query_metrics(alg, &report);
         Ok(report)
     }
@@ -1238,12 +1264,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
                 window,
                 keywords,
             )?,
-            other => {
-                return Err(StorageError::Corrupt(format!(
-                    "window keyword queries are implemented on the signature trees, not {}",
-                    other.label()
-                )))
-            }
+            other => return Err(needs_signature_tree("window keyword queries", other)),
         };
         Ok(hits)
     }
@@ -1261,47 +1282,48 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         scorer: &dyn IrScorer,
         rank: &dyn RankingFn,
     ) -> Result<GeneralReport> {
-        let idx_stats = self.stats_of(alg);
-        let idx_before = idx_stats.snapshot();
-        let obj_before = self.io.objects.snapshot();
-        let loads_before = self.objects.loads();
-        let t0 = Instant::now();
+        self.run_general(alg, query, scorer, rank, Attribution::Delta)
+    }
 
-        let results = match alg {
-            Algorithm::Ir2 => general_topk_prefetched(
-                &self.ir2,
-                self.objects.as_ref(),
-                &self.vocab,
-                scorer,
-                rank,
-                query,
-                self.config.prefetch,
-            )?,
-            Algorithm::Mir2 => general_topk_prefetched(
-                &self.mir2,
-                self.objects.as_ref(),
-                &self.vocab,
-                scorer,
-                rank,
-                query,
-                self.config.prefetch,
-            )?,
-            other => {
-                return Err(StorageError::Corrupt(format!(
-                    "general ranked queries need a signature tree, not {}",
-                    other.label()
-                )))
-            }
-        };
-
-        let wall = t0.elapsed();
-        let io = (idx_stats.snapshot() - idx_before) + (self.io.objects.snapshot() - obj_before);
+    /// The one general-ranked plan, the analog of
+    /// [`run_topk`](Self::run_topk): measure [`general_topk_with`] on
+    /// `alg`'s signature tree inside [`with_frontier_prefetch`], assemble
+    /// the report.
+    fn run_general(
+        &self,
+        alg: Algorithm,
+        query: &GeneralQuery<2>,
+        scorer: &dyn IrScorer,
+        rank: &dyn RankingFn,
+        attribution: Attribution,
+    ) -> Result<GeneralReport> {
+        fn on_sig_tree<D: BlockDevice, P: SigPayload + Sync>(
+            tree: &RTree<2, D, P>,
+            workers: usize,
+            src: &CountingSource<'_, 2>,
+            vocab: &Vocabulary,
+            scorer: &dyn IrScorer,
+            rank: &dyn RankingFn,
+            query: &GeneralQuery<2>,
+        ) -> Result<Vec<ScoredResult<2>>> {
+            with_frontier_prefetch(tree, workers, |pf| {
+                let limits = QueryLimits::none();
+                general_topk_with(tree, src, vocab, scorer, rank, query, limits, NopSink, &pf)
+            })
+            .map(ExecOutcome::into_results)
+        }
+        let (p, v) = (self.config.prefetch, &self.vocab);
+        let (results, m) = self.measure(alg, attribution, |src| match alg {
+            Algorithm::Ir2 => on_sig_tree(&self.ir2, p, src, v, scorer, rank, query),
+            Algorithm::Mir2 => on_sig_tree(&self.mir2, p, src, v, scorer, rank, query),
+            other => Err(needs_signature_tree("general ranked queries", other)),
+        })?;
         Ok(GeneralReport {
             results,
-            io,
-            object_loads: self.objects.loads() - loads_before,
-            simulated: self.config.cost_model.time(io),
-            wall,
+            io: m.io,
+            object_loads: m.object_loads,
+            simulated: m.simulated,
+            wall: m.wall,
         })
     }
 

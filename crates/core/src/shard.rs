@@ -63,7 +63,9 @@ use std::time::{Duration, Instant};
 
 use ir2_geo::{OrderedF64, Rect};
 use ir2_invindex::iio_topk_limited;
-use ir2_irtree::{BoundedStep, DistanceFirstIter, RtreeBaselineIter, SearchCounters, TraceStats};
+use ir2_irtree::{
+    BoundedSearch, BoundedStep, DistanceFirstIter, RtreeBaselineIter, SearchCounters, TraceStats,
+};
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
@@ -281,76 +283,40 @@ fn split_limits(limits: &QueryLimits, s: usize) -> Vec<QueryLimits> {
 // Per-shard iterator plumbing.
 // ---------------------------------------------------------------------
 
-/// One shard's incremental distance-first iterator, algorithm-erased. IIO
-/// is not here: it is non-incremental and merges per-shard *results*.
-enum ShardIter<'a, D: BlockDevice + 'static> {
-    RTree(RtreeBaselineIter<'a, 2, ir2_storage::TrackedDevice<D>>),
-    Ir2(DistanceFirstIter<'a, 2, ir2_storage::TrackedDevice<D>, ir2_irtree::Ir2Payload>),
-    Mir2(DistanceFirstIter<'a, 2, ir2_storage::TrackedDevice<D>, ir2_irtree::MirPayload<2>>),
-}
+/// One shard's incremental distance-first search, algorithm-erased behind
+/// the [`BoundedSearch`] stepping contract (boxed once per open, never per
+/// step). IIO is not here: it is non-incremental and merges per-shard
+/// *results*.
+///
+/// The merge passes [`next_within`](BoundedSearch::next_within) the
+/// tightest bound it holds — the next-best shard's bound or the current
+/// k-th distance — so a shard never descends toward a result the merge
+/// would discard.
+type ShardIter<'a> = Box<dyn BoundedSearch<2> + 'a>;
 
-impl<'a, D: BlockDevice + 'static> ShardIter<'a, D> {
-    fn open(
-        shard: &'a SpatialKeywordDb<D>,
-        src: &'a CountingSource<'a, 2>,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: QueryLimits,
-    ) -> Self {
-        match alg {
-            Algorithm::RTree => {
-                Self::RTree(RtreeBaselineIter::new(shard.rtree(), src, query).limited(limits))
-            }
-            Algorithm::Ir2 => Self::Ir2(
-                DistanceFirstIter::new(shard.ir2_tree(), src, query.clone()).limited(limits),
-            ),
-            Algorithm::Mir2 => Self::Mir2(
-                DistanceFirstIter::new(shard.mir2_tree(), src, query.clone()).limited(limits),
-            ),
-            Algorithm::Iio => unreachable!("IIO merges per-shard results, not iterators"),
+fn open_shard_iter<'a, D: BlockDevice + 'static>(
+    shard: &'a SpatialKeywordDb<D>,
+    src: &'a CountingSource<'a, 2>,
+    alg: Algorithm,
+    query: &DistanceFirstQuery<2>,
+    limits: QueryLimits,
+) -> ShardIter<'a> {
+    match alg {
+        Algorithm::RTree => {
+            Box::new(RtreeBaselineIter::new(shard.rtree(), src, query).limited(limits))
         }
-    }
-
-    /// Bounded step: advance only while the shard's frontier head is ≤
-    /// `limit` (see [`DistanceFirstIter::next_within`]). The merge passes
-    /// the tightest bound it holds — the next-best shard's bound or the
-    /// current k-th distance — so a shard never descends toward a result
-    /// the merge would discard.
-    fn next_hit_within(&mut self, limit: f64) -> Result<BoundedStep<2>> {
-        match self {
-            Self::RTree(it) => it.next_within(limit),
-            Self::Ir2(it) => it.next_within(limit),
-            Self::Mir2(it) => it.next_within(limit),
+        Algorithm::Ir2 => {
+            Box::new(DistanceFirstIter::new(shard.ir2_tree(), src, query.clone()).limited(limits))
         }
-    }
-
-    fn frontier_bound(&self) -> Option<f64> {
-        match self {
-            Self::RTree(it) => it.frontier_bound(),
-            Self::Ir2(it) => it.frontier_bound(),
-            Self::Mir2(it) => it.frontier_bound(),
+        Algorithm::Mir2 => {
+            Box::new(DistanceFirstIter::new(shard.mir2_tree(), src, query.clone()).limited(limits))
         }
-    }
-
-    fn counters(&self) -> SearchCounters {
-        match self {
-            Self::RTree(it) => it.counters(),
-            Self::Ir2(it) => it.counters(),
-            Self::Mir2(it) => it.counters(),
-        }
-    }
-
-    fn truncation(&self) -> Option<TruncateReason> {
-        match self {
-            Self::RTree(it) => it.truncation(),
-            Self::Ir2(it) => it.truncation(),
-            Self::Mir2(it) => it.truncation(),
-        }
+        Algorithm::Iio => unreachable!("IIO merges per-shard results, not iterators"),
     }
 }
 
-struct ShardCursor<'a, D: BlockDevice + 'static> {
-    iter: ShardIter<'a, D>,
+struct ShardCursor<'a> {
+    iter: ShardIter<'a>,
     /// MINDIST from the query to the shard's bounding rect — a constant
     /// lower bound that holds before any I/O (a far shard with an empty
     /// frontier key of 0.0 is still known to be far).
@@ -367,7 +333,7 @@ struct ShardCursor<'a, D: BlockDevice + 'static> {
     stepped: bool,
 }
 
-impl<D: BlockDevice + 'static> ShardCursor<'_, D> {
+impl ShardCursor<'_> {
     /// Lower bound on every result this shard can still emit; `None` once
     /// the shard is finished.
     fn bound(&self) -> Option<f64> {
@@ -928,11 +894,11 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     }
 
     /// [`distance_first`](ShardedDb::distance_first) under execution
-    /// limits, split across shards by [the documented
-    /// semantics](self#limits): shared deadline, divided I/O budget,
-    /// per-shard frontier cap. On truncation the report's results are the
-    /// exact top-m prefix within the smallest truncated shard's cut
-    /// radius — every reported result provably beats everything unseen.
+    /// limits, split across shards: shared deadline, I/O budget divided
+    /// evenly (each live shard's slice floored at 1), per-shard frontier
+    /// cap. On truncation the report's results are the exact top-m prefix
+    /// within the smallest truncated shard's cut radius — every reported
+    /// result provably beats everything unseen.
     pub fn distance_first_limited(
         &self,
         alg: Algorithm,
@@ -978,9 +944,9 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// drains feed one deduplicating top-k, and at least one complete
     /// drain per shard is guaranteed (a primary failure falls back to the
     /// secondary, so this also subsumes failover). Unlimited execution
-    /// only, like [`distance_first_parallel`]
-    /// (ShardedDb::distance_first_parallel); single-replica shards drain
-    /// unhedged.
+    /// only, like
+    /// [`distance_first_parallel`](ShardedDb::distance_first_parallel);
+    /// single-replica shards drain unhedged.
     pub fn distance_first_hedged(
         &self,
         alg: Algorithm,
@@ -993,10 +959,11 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         self.gather_parallel(alg, query, self.shards.len(), Some(hedge))
     }
 
-    /// The parallel gather engine behind [`distance_first_parallel`]
-    /// (ShardedDb::distance_first_parallel) and [`distance_first_hedged`]
-    /// (ShardedDb::distance_first_hedged): one worker per shard drains
-    /// into a shared branch-and-bound top-k (a worker stops as soon as its
+    /// The parallel gather engine behind
+    /// [`distance_first_parallel`](ShardedDb::distance_first_parallel) and
+    /// [`distance_first_hedged`](ShardedDb::distance_first_hedged): one
+    /// worker per shard drains into a shared branch-and-bound top-k (a
+    /// worker stops as soon as its
     /// shard's bound exceeds the current k-th distance, which only shrinks
     /// — so every stop is final and the gathered superset contains the
     /// exact top-k). Each worker fails over across its shard's replicas
@@ -1208,7 +1175,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         let retry = RetryScope::enter();
         let run = (|| {
             let src = CountingSource::new(rep.object_store() as &dyn ObjectSource<2>);
-            let mut iter = ShardIter::open(rep, &src, alg, query, QueryLimits::none());
+            let mut iter = open_shard_iter(rep, &src, alg, query, QueryLimits::none());
             let mut stepped = false;
             let mut complete = true;
             while let Some(b) = iter.frontier_bound().map(|fb| fb.max(rect_bound)) {
@@ -1232,7 +1199,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                         f64::INFINITY
                     }
                 };
-                match iter.next_hit_within(limit)? {
+                match iter.next_within(limit)? {
                     BoundedStep::Hit(obj, d) => {
                         lock_top_k(shared)?.insert(obj, d);
                     }
@@ -1388,11 +1355,11 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     .collect()
             })
             .collect();
-        let mut cursors: Vec<ShardCursor<'_, D>> = Vec::with_capacity(s);
+        let mut cursors: Vec<ShardCursor<'_>> = Vec::with_capacity(s);
         for (i, set) in self.shards.iter().enumerate() {
             let m = set.primary_index();
             cursors.push(ShardCursor {
-                iter: ShardIter::open(set.get(m), &sources[i][m], alg, query, per_shard[i]),
+                iter: open_shard_iter(set.get(m), &sources[i][m], alg, query, per_shard[i]),
                 rect_bound: self.bounds[i]
                     .map(|r| r.min_dist(&query.point))
                     .unwrap_or(f64::INFINITY),
@@ -1413,7 +1380,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             .map(|(i, c)| Reverse((OrderedF64(c.rect_bound), i)))
             .collect();
 
-        let finish = |cursor: &mut ShardCursor<'_, D>,
+        let finish = |cursor: &mut ShardCursor<'_>,
                       truncs: &mut Vec<(usize, TruncateReason, f64)>,
                       i: usize| {
             cursor.done = true;
@@ -1454,7 +1421,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             } else {
                 rival
             };
-            match cursors[i].iter.next_hit_within(limit) {
+            match cursors[i].iter.next_within(limit) {
                 Err(e) => {
                     // Replica failure: fail over to the next replica with
                     // the slice that survives, or give up if the shard is
@@ -1474,7 +1441,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     sum_counters(&mut cursors[i].prior, dead);
                     let mut lim = per_shard[i];
                     lim.io_budget = lim.io_budget.map(|b| b.saturating_sub(consumed).max(1));
-                    cursors[i].iter = ShardIter::open(set.get(m), &sources[i][m], alg, query, lim);
+                    cursors[i].iter = open_shard_iter(set.get(m), &sources[i][m], alg, query, lim);
                     cursors[i].replica = m;
                     cursors[i].tried.push(m);
                     order.push(Reverse((OrderedF64(cursors[i].rect_bound), i)));
@@ -1695,9 +1662,9 @@ impl ShardedDb<FileDevice> {
     }
 
     /// Creates a replicated sharded database under `dir`. With `replicas
-    /// == 1` the layout is exactly [`create_in_dir`]
-    /// (ShardedDb::create_in_dir)'s (`shard-NNN/` device dirs, no replica
-    /// level, no `replicas` manifest line). With more, each shard is built
+    /// == 1` the layout is exactly
+    /// [`create_in_dir`](ShardedDb::create_in_dir)'s (`shard-NNN/` device
+    /// dirs, no replica level, no `replicas` manifest line). With more, each shard is built
     /// once into `shard-NNN/replica-0/`, then copied file-by-file to
     /// `replica-1..R-1` and **byte-verified** block-for-block against
     /// replica 0. The manifest is written last either way: a crash at any

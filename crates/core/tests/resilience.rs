@@ -106,6 +106,54 @@ fn thousand_query_batch_survives_one_in_eight_faults() {
     assert!(prom.contains("query_retries_total"), "{prom}");
 }
 
+/// Retries are attributed on every path, not only the limited one: two
+/// identically built databases (same fault phase on every device) answer
+/// the same query through `distance_first` and through
+/// `distance_first_limited` under no limits, and report the same nonzero
+/// retry count. The unlimited path used to hard-code zero.
+#[test]
+fn unlimited_path_reports_retries_like_the_limited_path() {
+    let build = || {
+        let devices = DeviceSet::in_memory()
+            .map(|_, d| FlakyDevice::every_kth(d, 5))
+            .map(|_, d| RetryDevice::new(d));
+        SpatialKeywordDb::build(devices, town(400), small_config()).unwrap()
+    };
+    let (plain_db, limited_db) = (build(), build());
+    let q = DistanceFirstQuery::new([7.3, 3.1], &["coffee"], 20);
+    for alg in Algorithm::ALL {
+        let plain = plain_db.distance_first(alg, &q).unwrap();
+        let limited = limited_db
+            .distance_first_limited(alg, &q, QueryLimits::none())
+            .unwrap();
+        assert_eq!(
+            ids(&plain.results),
+            ids(&limited.results),
+            "{}",
+            alg.label()
+        );
+        assert_eq!(plain.io.total(), limited.io.total(), "{}", alg.label());
+        assert!(
+            plain.retries > 0,
+            "{}: 1-in-5 faults must retry",
+            alg.label()
+        );
+        assert_eq!(plain.retries, limited.retries, "{}", alg.label());
+        assert!(plain.backoff > Duration::ZERO, "{}", alg.label());
+    }
+    // Region queries share the assembler, so they report retries too.
+    let region = plain_db
+        .distance_first_region(
+            Algorithm::Ir2,
+            q.point.into(),
+            &q.keywords,
+            q.k,
+            QueryLimits::none(),
+        )
+        .unwrap();
+    assert!(region.retries > 0);
+}
+
 // ----------------------------------------------------------------------
 // Execution limits: truncation is exact-prefix degradation, not an error.
 // ----------------------------------------------------------------------
@@ -162,11 +210,12 @@ fn io_budget_sweep_yields_exact_prefixes_for_all_algorithms() {
     }
 }
 
-/// The same property for the general (ranked) algorithm, which the facade
-/// reaches through `general_topk_limited`.
+/// The same property for the general (ranked) algorithm, through its
+/// full-form entry `general_topk_with`.
 #[test]
 fn general_algorithm_truncates_to_exact_prefixes() {
-    use ir2tree::irtree::{general_topk, general_topk_limited, GeneralQuery};
+    use ir2tree::irtree::{general_topk, general_topk_with, GeneralQuery, NopSink};
+    use ir2tree::rtree::PrefetchQueue;
     use ir2tree::text::LinearRank;
 
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(300), small_config()).unwrap();
@@ -187,7 +236,7 @@ fn general_algorithm_truncates_to_exact_prefixes() {
     let full_ids: Vec<u64> = full.iter().map(|r| r.object.id).collect();
     let mut saw_truncation = false;
     for budget in 0..=400u64 {
-        let out = general_topk_limited(
+        let out = general_topk_with(
             db.ir2_tree(),
             db.object_store(),
             db.vocab(),
@@ -195,6 +244,8 @@ fn general_algorithm_truncates_to_exact_prefixes() {
             &rank,
             &q,
             QueryLimits::none().with_io_budget(budget),
+            NopSink,
+            &PrefetchQueue::disabled(),
         )
         .unwrap();
         saw_truncation |= out.is_truncated();

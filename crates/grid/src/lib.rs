@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! Grid-based spatio-textual index — the related-work baseline.
 //!
-//! The paper's related-work section discusses Vaid et al. [VJJS05], who
+//! The paper's related-work section discusses Vaid et al. \[VJJS05\], who
 //! answer spatial keyword queries with "a grid-based distribution of the
 //! spatial objects" combined with a text index, and contrasts that family
 //! with the IR²-Tree's single integrated structure. This crate implements

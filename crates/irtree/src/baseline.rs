@@ -1,14 +1,14 @@
 //! The R-Tree baseline algorithm (Section 5.1).
 
+use ir2_geo::Point;
 use ir2_model::{
-    DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject,
-    TruncateReason,
+    DistanceFirstQuery, ObjPtr, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
-use ir2_rtree::{with_frontier_prefetch, NnIter, PrefetchQueue, RTree, UnitPayload};
+use ir2_rtree::{NnIter, PrefetchQueue, RTree, UnitPayload};
 use ir2_storage::{BlockDevice, Result};
 
+use crate::search::{collect_topk, BoundedSearch, BoundedStep, SearchCounters};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
-use crate::{BoundedStep, LimitedTopk, SearchCounters};
 
 /// Incremental form of the paper's first baseline: plain Hjaltason–Samet
 /// nearest neighbor over an unaugmented R-Tree, loading **every** candidate
@@ -36,7 +36,7 @@ impl<'a, const N: usize, D: BlockDevice> RtreeBaselineIter<'a, N, D> {
         objects: &'a dyn ObjectSource<N>,
         query: &DistanceFirstQuery<N>,
     ) -> Self {
-        Self::with_sink(tree, objects, query, NopSink)
+        Self::with_sink(tree, objects, query.point, query.keywords.clone(), NopSink)
     }
 }
 
@@ -45,17 +45,20 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
     /// to `sink`. The baseline has no signatures and its node visits
     /// happen inside the plain NN iterator, so the trace records
     /// [`TraceEvent::ObjectFetched`] only — which is exactly its cost
-    /// story: the march of candidate loads.
+    /// story: the march of candidate loads. `keywords` must already be
+    /// normalized, as in
+    /// [`DistanceFirstIter::with_region_sink`](crate::DistanceFirstIter::with_region_sink).
     pub fn with_sink(
         tree: &'a RTree<N, D, UnitPayload>,
         objects: &'a dyn ObjectSource<N>,
-        query: &DistanceFirstQuery<N>,
+        point: Point<N>,
+        keywords: Vec<String>,
         sink: S,
     ) -> Self {
         Self {
-            nn: tree.nearest(query.point),
+            nn: tree.nearest(point),
             objects,
-            keywords: query.keywords.clone(),
+            keywords,
             counters: SearchCounters::default(),
             limits: QueryLimits::none(),
             truncated: None,
@@ -155,12 +158,25 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
             self.counters.false_positives += 1;
         }
     }
+}
 
-    fn step(&mut self) -> Result<Option<(SpatialObject<N>, f64)>> {
-        Ok(match self.next_within(f64::INFINITY)? {
-            BoundedStep::Hit(obj, d) => Some((obj, d)),
-            _ => None,
-        })
+impl<const N: usize, D: BlockDevice, S: TraceSink> BoundedSearch<N>
+    for RtreeBaselineIter<'_, N, D, S>
+{
+    fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
+        RtreeBaselineIter::next_within(self, limit)
+    }
+
+    fn frontier_bound(&self) -> Option<f64> {
+        RtreeBaselineIter::frontier_bound(self)
+    }
+
+    fn counters(&self) -> SearchCounters {
+        RtreeBaselineIter::counters(self)
+    }
+
+    fn truncation(&self) -> Option<TruncateReason> {
+        RtreeBaselineIter::truncation(self)
     }
 }
 
@@ -168,36 +184,10 @@ impl<const N: usize, D: BlockDevice, S: TraceSink> Iterator for RtreeBaselineIte
     type Item = Result<(SpatialObject<N>, f64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.step().transpose()
+        self.next_within(f64::INFINITY)
+            .map(BoundedStep::into_hit)
+            .transpose()
     }
-}
-
-/// Collects up to `k` results from a baseline iterator, then drains and
-/// reorders ties at the k-th distance into the workspace-wide canonical
-/// `(distance, id)` order (the bound is inclusive and the stream is
-/// non-decreasing, so the drain touches only the tied group).
-fn collect_k_baseline<const N: usize, D: BlockDevice, S: TraceSink>(
-    iter: &mut RtreeBaselineIter<'_, N, D, S>,
-    k: usize,
-) -> Result<Vec<(SpatialObject<N>, f64)>> {
-    let mut out = Vec::with_capacity(k.min(1024));
-    while out.len() < k {
-        match iter.step()? {
-            Some(hit) => out.push(hit),
-            None => break,
-        }
-    }
-    if out.len() == k && k > 0 && iter.truncation().is_none() {
-        let kth = out[k - 1].1;
-        while let BoundedStep::Hit(obj, d) = iter.next_within(kth)? {
-            out.push((obj, d));
-        }
-    }
-    // Unconditional: interior equal-distance groups emit in traversal
-    // order even when the stream exhausts below `k` (fuzzer-caught).
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-    out.truncate(k);
-    Ok(out)
 }
 
 /// Answers a distance-first top-k spatial keyword query with the R-Tree
@@ -208,99 +198,7 @@ pub fn rtree_baseline_topk<const N: usize, D: BlockDevice>(
     objects: &dyn ObjectSource<N>,
     query: &DistanceFirstQuery<N>,
 ) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    rtree_baseline_topk_traced(tree, objects, query, NopSink)
-}
-
-/// [`rtree_baseline_topk`] with every object fetch reported to `sink`.
-pub fn rtree_baseline_topk_traced<const N: usize, D: BlockDevice, S: TraceSink>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink);
-    let out = collect_k_baseline(&mut iter, query.k)?;
-    Ok((out, iter.counters()))
-}
-
-/// [`rtree_baseline_topk`] under execution limits; a tripped limit yields
-/// [`ExecOutcome::Truncated`] whose results are the exact top-m prefix of
-/// the full answer (candidates emerge in distance order).
-pub fn rtree_baseline_topk_limited<const N: usize, D: BlockDevice>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-) -> Result<LimitedTopk<N>> {
-    rtree_baseline_topk_limited_traced(tree, objects, query, limits, NopSink)
-}
-
-/// [`rtree_baseline_topk_limited`] with every object fetch reported to
-/// `sink`.
-pub fn rtree_baseline_topk_limited_traced<const N: usize, D: BlockDevice, S: TraceSink>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    sink: S,
-) -> Result<LimitedTopk<N>> {
-    let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink).limited(limits);
-    let out = collect_k_baseline(&mut iter, query.k)?;
-    let counters = iter.counters();
-    let outcome = match iter.truncation() {
-        Some(reason) => ExecOutcome::Truncated {
-            reason,
-            results_so_far: out,
-        },
-        None => ExecOutcome::Complete(out),
-    };
-    Ok((outcome, counters))
-}
-
-/// [`rtree_baseline_topk_traced`] with speculative frontier prefetch (see
-/// [`with_frontier_prefetch`]); results are byte-identical, and with
-/// `workers == 0` or no node cache this *is* the unprefetched call.
-pub fn rtree_baseline_topk_prefetched_traced<const N: usize, D: BlockDevice, S: TraceSink>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    workers: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink).prefetching(pf);
-        let out = collect_k_baseline(&mut iter, query.k)?;
-        Ok((out, iter.counters()))
-    })
-}
-
-/// [`rtree_baseline_topk_limited_traced`] with speculative frontier
-/// prefetch; see [`rtree_baseline_topk_prefetched_traced`].
-pub fn rtree_baseline_topk_prefetched_limited_traced<
-    const N: usize,
-    D: BlockDevice,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    workers: usize,
-    sink: S,
-) -> Result<LimitedTopk<N>> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink)
-            .limited(limits)
-            .prefetching(pf);
-        let out = collect_k_baseline(&mut iter, query.k)?;
-        let counters = iter.counters();
-        let outcome = match iter.truncation() {
-            Some(reason) => ExecOutcome::Truncated {
-                reason,
-                results_so_far: out,
-            },
-            None => ExecOutcome::Complete(out),
-        };
-        Ok((outcome, counters))
-    })
+    let mut iter = RtreeBaselineIter::new(tree, objects, query);
+    let (outcome, counters) = collect_topk(&mut iter, query.k)?;
+    Ok((outcome.into_results(), counters))
 }

@@ -7,64 +7,16 @@ use std::collections::HashMap;
 
 use ir2_geo::OrderedF64;
 use ir2_model::{
-    DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, QueryRegion, SpatialObject,
-    TruncateReason,
+    normalize_keywords, DistanceFirstQuery, ObjPtr, ObjectSource, QueryLimits, QueryRegion,
+    SpatialObject, TruncateReason,
 };
-use ir2_rtree::{with_frontier_prefetch, PrefetchQueue, RTree};
+use ir2_rtree::{PrefetchQueue, RTree};
 use ir2_sigfile::{EntryMask, Signature, SignatureBlock};
 use ir2_storage::{BlockDevice, Result};
 
+use crate::search::{collect_topk, BoundedSearch, BoundedStep, SearchCounters};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
-
-/// Counters the incremental search maintains, matching the metrics the
-/// paper's figures report per query.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SearchCounters {
-    /// Tree nodes read from disk.
-    pub nodes_read: u64,
-    /// Entries (node or object) pruned by a failed signature match.
-    pub pruned_by_signature: u64,
-    /// Candidate objects loaded and checked against the keywords.
-    pub candidates_checked: u64,
-    /// Candidates whose text did not actually contain all keywords —
-    /// signature false positives (line 21 of `IR2TopK` caught them).
-    pub false_positives: u64,
-    /// Of [`nodes_read`](SearchCounters::nodes_read), visits served from
-    /// the tree's decoded-node cache (no device I/O, no CRC verification,
-    /// no entry decode). Always 0 without an attached cache. `nodes_read`
-    /// keeps counting *visits* either way, so I/O budgets are deterministic
-    /// regardless of cache state.
-    pub cache_hits: u64,
-    /// Of [`nodes_read`](SearchCounters::nodes_read), visits that had to
-    /// decode the node (device read + CRC + entry decode) — including every
-    /// visit on a tree with no cache attached. The conservation identity
-    /// `nodes_read == cache_hits + cache_misses` holds for every report;
-    /// prefetch workers decode out-of-band into the cache's *global* stats
-    /// and never touch these per-query counters, so the identity is exact
-    /// under prefetch too.
-    pub cache_misses: u64,
-}
-
-/// What a limit-aware top-k run returns: the complete-or-truncated
-/// results plus the search counters of the run.
-pub type LimitedTopk<const N: usize> = (ExecOutcome<Vec<(SpatialObject<N>, f64)>>, SearchCounters);
-
-/// Outcome of one bounded best-first step
-/// ([`DistanceFirstIter::next_within`] /
-/// [`RtreeBaselineIter::next_within`](crate::RtreeBaselineIter::next_within)).
-#[derive(Debug)]
-pub enum BoundedStep<const N: usize> {
-    /// A verified result at distance ≤ the step's limit.
-    Hit(SpatialObject<N>, f64),
-    /// The frontier minimum now exceeds the limit: every remaining result
-    /// is farther than the limit, and no work beyond it was performed.
-    /// `frontier_bound()` holds the new, tighter bound.
-    Pending,
-    /// The frontier is drained — or an execution limit truncated the
-    /// search (`truncation()` tells which).
-    Done,
-}
 
 #[derive(PartialEq, Eq)]
 enum Item {
@@ -131,32 +83,38 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload> DistanceFirstIter<'a, N,
         objects: &'a dyn ObjectSource<N>,
         query: DistanceFirstQuery<N>,
     ) -> Self {
-        Self::with_region(
+        Self::with_region_sink(
             tree,
             objects,
             QueryRegion::Point(query.point),
             query.keywords,
+            NopSink,
         )
     }
 
     /// Starts an incremental search anchored at an arbitrary region — the
     /// paper's "an area could be used instead" of the query point. Results
     /// inside an area region come out at distance zero, then in increasing
-    /// distance from the area's boundary.
-    pub fn with_region(
+    /// distance from the area's boundary. Keywords are normalized like
+    /// [`DistanceFirstQuery::new`] does.
+    pub fn with_region<W: AsRef<str>>(
         tree: &'a RTree<N, D, P>,
         objects: &'a dyn ObjectSource<N>,
         region: QueryRegion<N>,
-        keywords: Vec<String>,
+        keywords: &[W],
     ) -> Self {
-        Self::with_region_sink(tree, objects, region, keywords, NopSink)
+        Self::with_region_sink(tree, objects, region, normalize_keywords(keywords), NopSink)
     }
 }
 
 impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     DistanceFirstIter<'a, N, D, P, S>
 {
-    /// Starts an incremental search that reports every step to `sink`.
+    /// Starts an incremental search that reports every step to `sink`
+    /// (pass `&mut sink` to keep ownership — sinks are usable by
+    /// reference). This is the full-form constructor the others delegate
+    /// to: `keywords` are taken as given, so they must already be
+    /// normalized ([`normalize_keywords`]; a [`DistanceFirstQuery`]'s are).
     pub fn with_region_sink(
         tree: &'a RTree<N, D, P>,
         objects: &'a dyn ObjectSource<N>,
@@ -196,7 +154,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     }
 
     /// Attaches a frontier-prefetch queue (see
-    /// [`with_frontier_prefetch`]): each node expansion nominates up to
+    /// [`with_frontier_prefetch`](ir2_rtree::with_frontier_prefetch)): each node expansion nominates up to
     /// `queue.width()` signature-passing child nodes for background decode
     /// into the tree's node cache. Results and rank order are unaffected.
     pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
@@ -359,14 +317,23 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     }
 }
 
-impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
-    DistanceFirstIter<'_, N, D, P, S>
+impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> BoundedSearch<N>
+    for DistanceFirstIter<'_, N, D, P, S>
 {
-    fn step(&mut self) -> Result<Option<(SpatialObject<N>, f64)>> {
-        Ok(match self.next_within(f64::INFINITY)? {
-            BoundedStep::Hit(obj, d) => Some((obj, d)),
-            _ => None,
-        })
+    fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
+        DistanceFirstIter::next_within(self, limit)
+    }
+
+    fn frontier_bound(&self) -> Option<f64> {
+        DistanceFirstIter::frontier_bound(self)
+    }
+
+    fn counters(&self) -> SearchCounters {
+        DistanceFirstIter::counters(self)
+    }
+
+    fn truncation(&self) -> Option<TruncateReason> {
+        DistanceFirstIter::truncation(self)
     }
 }
 
@@ -376,7 +343,9 @@ impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> Iterator
     type Item = Result<(SpatialObject<N>, f64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.step().transpose()
+        self.next_within(f64::INFINITY)
+            .map(BoundedStep::into_hit)
+            .transpose()
     }
 }
 
@@ -413,285 +382,7 @@ pub fn distance_first_topk<const N: usize, D: BlockDevice, P: SigPayload>(
     objects: &dyn ObjectSource<N>,
     query: &DistanceFirstQuery<N>,
 ) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let iter = DistanceFirstIter::new(tree, objects, query.clone());
-    collect_k(iter, query.k)
-}
-
-/// [`distance_first_topk`] with every execution step reported to `sink`
-/// (pass `&mut sink` to keep ownership — sinks are usable by reference).
-pub fn distance_first_topk_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let iter = DistanceFirstIter::with_region_sink(
-        tree,
-        objects,
-        QueryRegion::Point(query.point),
-        query.keywords.clone(),
-        sink,
-    );
-    collect_k(iter, query.k)
-}
-
-/// Distance-first top-k anchored at an arbitrary [`QueryRegion`] (point or
-/// area). Keywords are normalized like [`DistanceFirstQuery::new`] does.
-pub fn distance_first_region_topk<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    distance_first_region_topk_traced(tree, objects, region, keywords, k, NopSink)
-}
-
-/// [`distance_first_region_topk`] with every step reported to `sink`.
-pub fn distance_first_region_topk_traced<
-    const N: usize,
-    D: BlockDevice,
-    P: SigPayload,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let mut kws: Vec<String> = keywords
-        .iter()
-        .flat_map(|w| ir2_text::tokenize(w).collect::<Vec<_>>())
-        .collect();
-    kws.sort_unstable();
-    kws.dedup();
-    let iter = DistanceFirstIter::with_region_sink(tree, objects, region, kws, sink);
-    collect_k(iter, k)
-}
-
-/// [`distance_first_topk`] under execution limits. A tripped limit yields
-/// [`ExecOutcome::Truncated`] whose `results_so_far` is the exact top-m
-/// prefix of the full answer (never an error).
-pub fn distance_first_topk_limited<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-) -> Result<LimitedTopk<N>> {
-    let iter = DistanceFirstIter::new(tree, objects, query.clone()).limited(limits);
-    collect_k_limited(iter, query.k)
-}
-
-/// [`distance_first_topk_limited`] with every step reported to `sink`.
-pub fn distance_first_topk_limited_traced<
-    const N: usize,
-    D: BlockDevice,
-    P: SigPayload,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    sink: S,
-) -> Result<LimitedTopk<N>> {
-    let iter = DistanceFirstIter::with_region_sink(
-        tree,
-        objects,
-        QueryRegion::Point(query.point),
-        query.keywords.clone(),
-        sink,
-    )
-    .limited(limits);
-    collect_k_limited(iter, query.k)
-}
-
-/// [`distance_first_region_topk_traced`] under execution limits.
-pub fn distance_first_region_topk_limited_traced<
-    const N: usize,
-    D: BlockDevice,
-    P: SigPayload,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-    limits: QueryLimits,
-    sink: S,
-) -> Result<LimitedTopk<N>> {
-    let mut kws: Vec<String> = keywords
-        .iter()
-        .flat_map(|w| ir2_text::tokenize(w).collect::<Vec<_>>())
-        .collect();
-    kws.sort_unstable();
-    kws.dedup();
-    let iter =
-        DistanceFirstIter::with_region_sink(tree, objects, region, kws, sink).limited(limits);
-    collect_k_limited(iter, k)
-}
-
-/// [`distance_first_topk_traced`] with speculative frontier prefetch: up
-/// to `workers` background threads decode upcoming frontier nodes into the
-/// tree's node cache while the traversal works. Results are byte-identical
-/// to the unprefetched call; with `workers == 0` or no attached node cache
-/// this *is* the unprefetched call (nothing is spawned).
-pub fn distance_first_topk_prefetched_traced<const N: usize, D, P, S>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    workers: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)>
-where
-    D: BlockDevice,
-    P: SigPayload + Sync,
-    S: TraceSink,
-{
-    with_frontier_prefetch(tree, workers, |pf| {
-        let iter = DistanceFirstIter::with_region_sink(
-            tree,
-            objects,
-            QueryRegion::Point(query.point),
-            query.keywords.clone(),
-            sink,
-        )
-        .prefetching(pf);
-        collect_k(iter, query.k)
-    })
-}
-
-/// [`distance_first_topk_limited_traced`] with speculative frontier
-/// prefetch; see [`distance_first_topk_prefetched_traced`].
-pub fn distance_first_topk_prefetched_limited_traced<const N: usize, D, P, S>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    workers: usize,
-    sink: S,
-) -> Result<LimitedTopk<N>>
-where
-    D: BlockDevice,
-    P: SigPayload + Sync,
-    S: TraceSink,
-{
-    with_frontier_prefetch(tree, workers, |pf| {
-        let iter = DistanceFirstIter::with_region_sink(
-            tree,
-            objects,
-            QueryRegion::Point(query.point),
-            query.keywords.clone(),
-            sink,
-        )
-        .limited(limits)
-        .prefetching(pf);
-        collect_k_limited(iter, query.k)
-    })
-}
-
-/// [`distance_first_region_topk_traced`] with speculative frontier
-/// prefetch; see [`distance_first_topk_prefetched_traced`].
-pub fn distance_first_region_topk_prefetched_traced<const N: usize, D, P, S>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-    workers: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)>
-where
-    D: BlockDevice,
-    P: SigPayload + Sync,
-    S: TraceSink,
-{
-    let mut kws: Vec<String> = keywords
-        .iter()
-        .flat_map(|w| ir2_text::tokenize(w).collect::<Vec<_>>())
-        .collect();
-    kws.sort_unstable();
-    kws.dedup();
-    with_frontier_prefetch(tree, workers, |pf| {
-        let iter =
-            DistanceFirstIter::with_region_sink(tree, objects, region, kws, sink).prefetching(pf);
-        collect_k(iter, k)
-    })
-}
-
-/// Canonicalizes a distance-ordered result list to the workspace-wide
-/// `(distance, id)` tie order. Two distinct situations need it:
-///
-/// - the stream produced `k` results: every further result *at the k-th
-///   distance* must first be drained (the bound is inclusive and the
-///   stream is non-decreasing, so `next_within` touches only the tied
-///   group) so the cut keeps the id-smallest tied members;
-/// - the stream exhausted below `k`: no drain is needed, but *interior*
-///   equal-distance groups still sit in traversal order — the
-///   differential fuzzer caught exactly this against the brute-force
-///   oracle (`ir2 fuzz`, seed 42 iter 1: k past the match count left
-///   tied pairs swapped).
-///
-/// Both end with the same full `(distance, id)` sort, so every collector
-/// calls this unconditionally before returning.
-fn canonicalize_ties<const N: usize>(out: &mut Vec<(SpatialObject<N>, f64)>, k: usize) {
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-    out.truncate(k);
-}
-
-fn collect_k<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    mut iter: DistanceFirstIter<'_, N, D, P, S>,
-    k: usize,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let mut out = Vec::with_capacity(k.min(1024));
-    while out.len() < k {
-        match iter.step()? {
-            Some(hit) => out.push(hit),
-            None => break,
-        }
-    }
-    if out.len() == k && k > 0 {
-        let kth = out[k - 1].1;
-        while let BoundedStep::Hit(obj, d) = iter.next_within(kth)? {
-            out.push((obj, d));
-        }
-    }
-    canonicalize_ties(&mut out, k);
-    Ok((out, iter.counters()))
-}
-
-fn collect_k_limited<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    mut iter: DistanceFirstIter<'_, N, D, P, S>,
-    k: usize,
-) -> Result<LimitedTopk<N>> {
-    let mut out = Vec::with_capacity(k.min(1024));
-    while out.len() < k {
-        match iter.step()? {
-            Some(hit) => out.push(hit),
-            None => break,
-        }
-    }
-    if out.len() == k && k > 0 && iter.truncation().is_none() {
-        // The tie drain runs under the same limits as the search proper; a
-        // budget that trips mid-drain reports `Truncated` (the tied tail
-        // could not be canonicalized, so the choice of tied members is not
-        // guaranteed to be the `(distance, id)`-smallest).
-        let kth = out[k - 1].1;
-        while let BoundedStep::Hit(obj, d) = iter.next_within(kth)? {
-            out.push((obj, d));
-        }
-    }
-    canonicalize_ties(&mut out, k);
-    let counters = iter.counters();
-    let outcome = match iter.truncation() {
-        Some(reason) => ExecOutcome::Truncated {
-            reason,
-            results_so_far: out,
-        },
-        None => ExecOutcome::Complete(out),
-    };
-    Ok((outcome, counters))
+    let mut iter = DistanceFirstIter::new(tree, objects, query.clone());
+    let (outcome, counters) = collect_topk(&mut iter, query.k)?;
+    Ok((outcome.into_results(), counters))
 }

@@ -5,11 +5,13 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
 use ir2_geo::{OrderedF64, Point};
-use ir2_model::{ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject};
-use ir2_rtree::{with_frontier_prefetch, PrefetchQueue, RTree};
+use ir2_model::{
+    normalize_keywords, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject,
+};
+use ir2_rtree::{PrefetchQueue, RTree};
 use ir2_sigfile::{EntryMask, Signature, SignatureBlock};
 use ir2_storage::{BlockDevice, Result};
-use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
+use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
 
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
@@ -34,15 +36,9 @@ pub struct GeneralQuery<const N: usize> {
 impl<const N: usize> GeneralQuery<N> {
     /// Builds a query with normalized, deduplicated keywords.
     pub fn new<S: AsRef<str>>(point: impl Into<Point<N>>, keywords: &[S], k: usize) -> Self {
-        let mut kws: Vec<String> = keywords
-            .iter()
-            .flat_map(|w| tokenize(w.as_ref()).collect::<Vec<_>>())
-            .collect();
-        kws.sort_unstable();
-        kws.dedup();
         Self {
             point: point.into(),
-            keywords: kws,
+            keywords: normalize_keywords(keywords),
             k,
             require_match: true,
         }
@@ -101,25 +97,7 @@ pub fn general_topk<const N: usize, D: BlockDevice, P: SigPayload>(
     rank: &dyn RankingFn,
     query: &GeneralQuery<N>,
 ) -> Result<Vec<ScoredResult<N>>> {
-    general_topk_traced(tree, objects, vocab, scorer, rank, query, NopSink)
-}
-
-/// [`general_topk`] with every step reported to `sink`. Signature tests
-/// are recorded per *keyword* probe (the general algorithm tests each
-/// query keyword's signature individually to find the matched subset), and
-/// a visited node's `mindist` field carries its pop priority — the score
-/// upper bound `Upper(v)`, infinite for the root — since the traversal is
-/// ordered by score, not distance.
-pub fn general_topk_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    sink: S,
-) -> Result<Vec<ScoredResult<N>>> {
-    general_topk_limited_traced(
+    general_topk_with(
         tree,
         objects,
         vocab,
@@ -127,82 +105,29 @@ pub fn general_topk_traced<const N: usize, D: BlockDevice, P: SigPayload, S: Tra
         rank,
         query,
         QueryLimits::none(),
-        sink,
+        NopSink,
+        &PrefetchQueue::disabled(),
     )
     .map(ExecOutcome::into_results)
 }
 
-/// [`general_topk`] under execution limits.
-pub fn general_topk_limited<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    limits: QueryLimits,
-) -> Result<ExecOutcome<Vec<ScoredResult<N>>>> {
-    general_topk_limited_traced(tree, objects, vocab, scorer, rank, query, limits, NopSink)
-}
-
-/// [`general_topk_traced`] under execution limits, checked cooperatively
-/// before each heap pop. Results are emitted only when their actual score
-/// dominates every remaining upper bound, i.e. in final rank order — so a
-/// truncated run's results are the exact top-m prefix of the full answer.
+/// The full form of [`general_topk`]: execution limits, a trace sink and a
+/// frontier-prefetch queue (hand it the queue of
+/// [`with_frontier_prefetch`](ir2_rtree::with_frontier_prefetch); results
+/// are byte-identical with prefetch on or off).
+///
+/// Limits are checked cooperatively before each heap pop. Results are
+/// emitted only when their actual score dominates every remaining upper
+/// bound, i.e. in final rank order — so a truncated run's results are the
+/// exact top-m prefix of the full answer.
+///
+/// Signature tests are recorded per *keyword* probe (the general algorithm
+/// tests each query keyword's signature individually to find the matched
+/// subset), and a visited node's `mindist` field carries its pop priority
+/// — the score upper bound `Upper(v)`, infinite for the root — since the
+/// traversal is ordered by score, not distance.
 #[allow(clippy::too_many_arguments)]
-pub fn general_topk_limited_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    limits: QueryLimits,
-    sink: S,
-) -> Result<ExecOutcome<Vec<ScoredResult<N>>>> {
-    general_impl(
-        tree,
-        objects,
-        vocab,
-        scorer,
-        rank,
-        query,
-        limits,
-        sink,
-        &PrefetchQueue::disabled(),
-    )
-}
-
-/// [`general_topk`] with speculative frontier prefetch (see
-/// [`with_frontier_prefetch`]); results are byte-identical, and with
-/// `workers == 0` or no node cache this *is* the unprefetched call.
-pub fn general_topk_prefetched<const N: usize, D: BlockDevice, P: SigPayload + Sync>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    workers: usize,
-) -> Result<Vec<ScoredResult<N>>> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        general_impl(
-            tree,
-            objects,
-            vocab,
-            scorer,
-            rank,
-            query,
-            QueryLimits::none(),
-            NopSink,
-            &pf,
-        )
-        .map(ExecOutcome::into_results)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn general_impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
+pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
     tree: &RTree<N, D, P>,
     objects: &dyn ObjectSource<N>,
     vocab: &Vocabulary,

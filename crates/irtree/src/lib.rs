@@ -29,10 +29,30 @@
 //! Both query algorithms "can also operate on MIR²-Trees with no
 //! modification" — they are generic over the payload via [`SigPayload`].
 //!
-//! Every algorithm additionally accepts a [`TraceSink`] (`*_traced`
-//! variants) that receives one [`TraceEvent`] per node visit, signature
-//! test, and object fetch; the default [`NopSink`] makes the untraced
-//! paths compile to the uninstrumented code.
+//! # One query plan
+//!
+//! The three functions above are shorthands. A search is configured in
+//! one way only — on the iterator, each axis by one call:
+//!
+//! * **anchor**: [`DistanceFirstIter::new`] (a point query) or
+//!   [`DistanceFirstIter::with_region`] (a point or an area);
+//! * **sink**: the `*_sink` constructors take a [`TraceSink`] that
+//!   receives one [`TraceEvent`] per node visit, signature test and object
+//!   fetch; the default [`NopSink`] makes the untraced paths compile to
+//!   the uninstrumented code;
+//! * **limits**: `.limited(QueryLimits)` — a tripped limit stops the
+//!   iterator with the exact top-m prefix emitted;
+//! * **prefetch**: `.prefetching(queue)` inside
+//!   [`with_frontier_prefetch`](ir2_rtree::with_frontier_prefetch).
+//!
+//! Both iterators implement [`BoundedSearch`] — `next_within`,
+//! `frontier_bound`, `counters`, `truncation` — the stepping contract the
+//! sharded merge pulls on, and [`collect_topk`] is the one k-collector
+//! over it (canonical `(distance, id)` ties; `Complete` or `Truncated`).
+//! Every combination of region × sink × limits × prefetch is therefore
+//! the same code path, property-tested cell by cell in `tests/props.rs`.
+//! The general algorithm is not incremental; its full form with the same
+//! three knobs is [`general_topk_with`].
 
 mod baseline;
 mod diagnostics;
@@ -40,28 +60,17 @@ mod distance_first;
 mod general;
 mod objects;
 mod payloads;
+mod search;
 pub mod trace;
 mod window;
 
-pub use baseline::{
-    rtree_baseline_topk, rtree_baseline_topk_limited, rtree_baseline_topk_limited_traced,
-    rtree_baseline_topk_prefetched_limited_traced, rtree_baseline_topk_prefetched_traced,
-    rtree_baseline_topk_traced, RtreeBaselineIter,
-};
+pub use baseline::{rtree_baseline_topk, RtreeBaselineIter};
 pub use diagnostics::{density_profile, LevelDensity};
-pub use distance_first::{
-    distance_first_region_topk, distance_first_region_topk_limited_traced,
-    distance_first_region_topk_prefetched_traced, distance_first_region_topk_traced,
-    distance_first_topk, distance_first_topk_limited, distance_first_topk_limited_traced,
-    distance_first_topk_prefetched_limited_traced, distance_first_topk_prefetched_traced,
-    distance_first_topk_traced, BoundedStep, DistanceFirstIter, LimitedTopk, SearchCounters,
-};
-pub use general::{
-    general_topk, general_topk_limited, general_topk_limited_traced, general_topk_prefetched,
-    general_topk_traced, GeneralQuery, ScoredResult,
-};
+pub use distance_first::{distance_first_topk, DistanceFirstIter};
+pub use general::{general_topk, general_topk_with, GeneralQuery, ScoredResult};
 pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};
+pub use search::{collect_topk, BoundedSearch, BoundedStep, LimitedTopk, SearchCounters};
 pub use trace::{LevelPruning, NopSink, StatsSink, TraceEvent, TraceSink, TraceStats, VecSink};
 pub use window::keyword_window_query;
 

@@ -1,0 +1,141 @@
+//! The stepping contract shared by the incremental distance-first
+//! searches, and the one top-k collector built on it.
+
+use ir2_model::{ExecOutcome, SpatialObject, TruncateReason};
+use ir2_storage::Result;
+
+/// Counters the incremental search maintains, matching the metrics the
+/// paper's figures report per query.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Tree nodes read from disk.
+    pub nodes_read: u64,
+    /// Entries (node or object) pruned by a failed signature match.
+    pub pruned_by_signature: u64,
+    /// Candidate objects loaded and checked against the keywords.
+    pub candidates_checked: u64,
+    /// Candidates whose text did not actually contain all keywords —
+    /// signature false positives (line 21 of `IR2TopK` caught them).
+    pub false_positives: u64,
+    /// Of [`nodes_read`](SearchCounters::nodes_read), visits served from
+    /// the tree's decoded-node cache (no device I/O, no CRC verification,
+    /// no entry decode). Always 0 without an attached cache. `nodes_read`
+    /// keeps counting *visits* either way, so I/O budgets are deterministic
+    /// regardless of cache state.
+    pub cache_hits: u64,
+    /// Of [`nodes_read`](SearchCounters::nodes_read), visits that had to
+    /// decode the node (device read + CRC + entry decode) — including every
+    /// visit on a tree with no cache attached. The conservation identity
+    /// `nodes_read == cache_hits + cache_misses` holds for every report;
+    /// prefetch workers decode out-of-band into the cache's *global* stats
+    /// and never touch these per-query counters, so the identity is exact
+    /// under prefetch too.
+    pub cache_misses: u64,
+}
+
+/// What [`collect_topk`] returns: the complete-or-truncated results plus
+/// the search counters of the run.
+pub type LimitedTopk<const N: usize> = (ExecOutcome<Vec<(SpatialObject<N>, f64)>>, SearchCounters);
+
+/// Outcome of one bounded best-first step ([`BoundedSearch::next_within`]).
+#[derive(Debug)]
+pub enum BoundedStep<const N: usize> {
+    /// A verified result at distance ≤ the step's limit.
+    Hit(SpatialObject<N>, f64),
+    /// The frontier minimum now exceeds the limit: every remaining result
+    /// is farther than the limit, and no work beyond it was performed.
+    /// `frontier_bound()` holds the new, tighter bound.
+    Pending,
+    /// The frontier is drained — or an execution limit truncated the
+    /// search (`truncation()` tells which).
+    Done,
+}
+
+impl<const N: usize> BoundedStep<N> {
+    /// The verified result of a [`Hit`](BoundedStep::Hit), `None` otherwise.
+    pub fn into_hit(self) -> Option<(SpatialObject<N>, f64)> {
+        match self {
+            Self::Hit(obj, d) => Some((obj, d)),
+            Self::Pending | Self::Done => None,
+        }
+    }
+}
+
+/// An incremental distance-first search that emits verified results in
+/// non-decreasing distance and can be advanced under a distance bound —
+/// what [`collect_topk`] and the scatter-gather shard merge are written
+/// against. [`DistanceFirstIter`](crate::DistanceFirstIter) and
+/// [`RtreeBaselineIter`](crate::RtreeBaselineIter) implement it; region,
+/// sink, limits and prefetch are chosen when the iterator is built, so
+/// every combination of them runs through the same four calls.
+pub trait BoundedSearch<const N: usize> {
+    /// Advances to the next verified result, performing no work beyond
+    /// `limit`; the search resumes where it stopped when called again with
+    /// a larger limit.
+    fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>>;
+
+    /// Lower bound on the distance of every result still to come; `None`
+    /// once the frontier is drained.
+    fn frontier_bound(&self) -> Option<f64>;
+
+    /// The search counters so far.
+    fn counters(&self) -> SearchCounters;
+
+    /// Which execution limit stopped the search, if one did.
+    fn truncation(&self) -> Option<TruncateReason>;
+}
+
+/// Collects the top `k` results of `search` in the workspace-wide canonical
+/// `(distance, id)` order. A search stopped by its limits yields
+/// [`ExecOutcome::Truncated`] whose results are the exact top-m prefix of
+/// the full answer; an unlimited search never sets
+/// [`truncation`](BoundedSearch::truncation), so it always comes back
+/// [`ExecOutcome::Complete`].
+///
+/// Two distinct situations need the canonicalizing sort:
+///
+/// - the stream produced `k` results: every further result *at the k-th
+///   distance* must first be drained (the bound is inclusive and the
+///   stream is non-decreasing, so `next_within` touches only the tied
+///   group) so the cut keeps the id-smallest tied members;
+/// - the stream exhausted below `k`: no drain is needed, but *interior*
+///   equal-distance groups still sit in traversal order — the
+///   differential fuzzer caught exactly this against the brute-force
+///   oracle (`ir2 fuzz`, seed 42 iter 1: k past the match count left
+///   tied pairs swapped).
+///
+/// Both end with the same full `(distance, id)` sort, so it runs
+/// unconditionally.
+pub fn collect_topk<const N: usize>(
+    search: &mut (impl BoundedSearch<N> + ?Sized),
+    k: usize,
+) -> Result<LimitedTopk<N>> {
+    let mut out = Vec::with_capacity(k.min(1024));
+    while out.len() < k {
+        match search.next_within(f64::INFINITY)?.into_hit() {
+            Some(hit) => out.push(hit),
+            None => break,
+        }
+    }
+    if out.len() == k && k > 0 && search.truncation().is_none() {
+        // The tie drain runs under the same limits as the search proper; a
+        // budget that trips mid-drain reports `Truncated` (the tied tail
+        // could not be canonicalized, so the choice of tied members is not
+        // guaranteed to be the `(distance, id)`-smallest).
+        let kth = out[k - 1].1;
+        while let BoundedStep::Hit(obj, d) = search.next_within(kth)? {
+            out.push((obj, d));
+        }
+    }
+    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
+    out.truncate(k);
+    let counters = search.counters();
+    let outcome = match search.truncation() {
+        Some(reason) => ExecOutcome::Truncated {
+            reason,
+            results_so_far: out,
+        },
+        None => ExecOutcome::Complete(out),
+    };
+    Ok((outcome, counters))
+}

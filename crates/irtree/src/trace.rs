@@ -20,7 +20,7 @@
 //! pruned_by_signature`) — an equivalence the core crate's observability
 //! integration test asserts bit-for-bit against `IoScope` attribution.
 
-use crate::distance_first::SearchCounters;
+use crate::search::SearchCounters;
 
 /// One step of a spatial-keyword query's execution.
 ///

@@ -6,11 +6,11 @@
 use std::sync::Arc;
 
 use ir2_irtree::{
-    delete_object, distance_first_topk, distance_first_topk_prefetched_traced, general_topk,
-    general_topk_prefetched, insert_object, GeneralQuery, Ir2Payload, NopSink,
+    collect_topk, delete_object, distance_first_topk, general_topk, general_topk_with,
+    insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, NopSink, SearchCounters,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
-use ir2_rtree::{NodeCache, RTree, RTreeConfig};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, SpatialObject};
+use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
 use ir2_storage::MemDevice;
 use ir2_text::{tokenize, LinearRank, SaturatingTfIdf, Vocabulary};
@@ -52,6 +52,20 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         ],
         1..24,
     )
+}
+
+/// `distance_first_topk` with `workers` frontier-prefetch threads.
+fn prefetched_topk(
+    tree: &RTree<2, MemDevice, Ir2Payload>,
+    store: &ObjectStore<2, MemDevice>,
+    q: &DistanceFirstQuery<2>,
+    workers: usize,
+) -> (Vec<(SpatialObject<2>, f64)>, SearchCounters) {
+    with_frontier_prefetch(tree, workers, |pf| {
+        let mut iter = DistanceFirstIter::new(tree, store, q.clone()).prefetching(pf);
+        let (outcome, counters) = collect_topk(&mut iter, q.k).unwrap();
+        (outcome.into_results(), counters)
+    })
 }
 
 struct Fixture {
@@ -137,10 +151,8 @@ proptest! {
             let q = DistanceFirstQuery::new(p, &[WORDS[w]], 8);
             // Cold pass and warm repeat on the cached tree; single pass on
             // the ground-truth tree.
-            let (warm1, c1) = distance_first_topk_prefetched_traced(
-                &fx.warm, fx.store.as_ref(), &q, workers, NopSink).unwrap();
-            let (warm2, c2) = distance_first_topk_prefetched_traced(
-                &fx.warm, fx.store.as_ref(), &q, workers, NopSink).unwrap();
+            let (warm1, c1) = prefetched_topk(&fx.warm, &fx.store, &q, workers);
+            let (warm2, c2) = prefetched_topk(&fx.warm, &fx.store, &q, workers);
             let (cold, _) = distance_first_topk(&fx.cold, fx.store.as_ref(), &q).unwrap();
             assert_identical(&warm1, &cold);
             assert_identical(&warm2, &cold);
@@ -196,8 +208,11 @@ proptest! {
         let cold = general_topk(
             &fx.cold, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q).unwrap();
         for _pass in 0..2 {
-            let warm = general_topk_prefetched(
-                &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q, workers).unwrap();
+            let warm = with_frontier_prefetch(&fx.warm, workers, |pf| {
+                general_topk_with(
+                    &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q,
+                    QueryLimits::none(), NopSink, &pf)
+            }).unwrap().into_results();
             prop_assert_eq!(warm.len(), cold.len());
             for (w, c) in warm.iter().zip(cold.iter()) {
                 prop_assert_eq!(w.object.id, c.object.id);
@@ -223,11 +238,9 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
     let fx = build_fixture(&docs, 42);
     let q = DistanceFirstQuery::new([2.0, 2.0], &[WORDS[1]], 30);
 
-    let (_, cold_pass) =
-        distance_first_topk_prefetched_traced(&fx.warm, fx.store.as_ref(), &q, 0, NopSink).unwrap();
+    let (_, cold_pass) = prefetched_topk(&fx.warm, &fx.store, &q, 0);
     assert_eq!(cold_pass.cache_hits, 0, "first pass fills the cache");
-    let (before, warm_pass) =
-        distance_first_topk_prefetched_traced(&fx.warm, fx.store.as_ref(), &q, 0, NopSink).unwrap();
+    let (before, warm_pass) = prefetched_topk(&fx.warm, &fx.store, &q, 0);
     assert_eq!(
         warm_pass.cache_hits, warm_pass.nodes_read,
         "repeat pass is fully cache-served"
@@ -239,8 +252,7 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
     fx.store.flush().unwrap();
     insert_object(&fx.warm, ptr, &obj).unwrap();
 
-    let (after, post) =
-        distance_first_topk_prefetched_traced(&fx.warm, fx.store.as_ref(), &q, 0, NopSink).unwrap();
+    let (after, post) = prefetched_topk(&fx.warm, &fx.store, &q, 0);
     assert_eq!(
         post.cache_hits, 0,
         "mutation epoch evicts every cached node"

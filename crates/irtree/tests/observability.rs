@@ -9,13 +9,26 @@
 use std::sync::Arc;
 
 use ir2_irtree::{
-    density_profile, distance_first_topk, distance_first_topk_traced, insert_object, Ir2Payload,
-    MirPayload, StatsSink,
+    collect_topk, density_profile, distance_first_topk, insert_object, DistanceFirstIter,
+    Ir2Payload, MirPayload, SearchCounters, SigPayload, StatsSink, TraceSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjectSource, ObjectStore, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::MemDevice;
+
+/// `distance_first_topk` with every step reported to `sink`.
+fn distance_first_topk_traced<P: SigPayload, S: TraceSink>(
+    tree: &RTree<2, MemDevice, P>,
+    store: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+    sink: S,
+) -> ir2_storage::Result<(Vec<(SpatialObject<2>, f64)>, SearchCounters)> {
+    let mut iter =
+        DistanceFirstIter::with_region_sink(tree, store, q.point.into(), q.keywords.clone(), sink);
+    let (outcome, counters) = collect_topk(&mut iter, q.k)?;
+    Ok((outcome.into_results(), counters))
+}
 
 /// Distinct grid point per object id, so "query from the object's own
 /// position with one of its words" has a unique distance-0 answer.

@@ -4,13 +4,14 @@
 
 use std::sync::Arc;
 
-use ir2_geo::Point;
+use ir2_geo::{Point, Rect};
 use ir2_irtree::{
-    delete_object, distance_first_topk, general_topk, insert_object, GeneralQuery, Ir2Payload,
-    MirPayload,
+    collect_topk, delete_object, distance_first_topk, general_topk, insert_object,
+    DistanceFirstIter, GeneralQuery, Ir2Payload, LimitedTopk, MirPayload, NopSink, StatsSink,
+    TraceSink,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
-use ir2_rtree::{RTree, RTreeConfig};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
+use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::MemDevice;
 use ir2_text::{tokenize, IrScorer, LinearRank, RankingFn, SaturatingTfIdf, Vocabulary};
@@ -432,5 +433,125 @@ proptest! {
         assert_distance_first_matches(&got_ir2, &want, &q.keywords);
         let (got_mir2, _) = distance_first_topk(&mir2, db.store.as_ref(), &q).unwrap();
         assert_distance_first_matches(&got_mir2, &want, &q.keywords);
+    }
+}
+
+/// One cell of the plan matrix: the iterator built for `region` with
+/// `sink`, `limits` and `workers` prefetch threads, drained by the one
+/// collector.
+#[allow(clippy::too_many_arguments)]
+fn run_plan<S: TraceSink>(
+    tree: &RTree<2, MemDevice, Ir2Payload>,
+    store: &ObjectStore<2, MemDevice>,
+    region: QueryRegion<2>,
+    keywords: &[&str],
+    k: usize,
+    limits: QueryLimits,
+    workers: usize,
+    sink: S,
+) -> LimitedTopk<2> {
+    with_frontier_prefetch(tree, workers, |pf| {
+        let keywords = ir2_model::normalize_keywords(keywords);
+        let mut iter = DistanceFirstIter::with_region_sink(tree, store, region, keywords, sink)
+            .limited(limits)
+            .prefetching(pf);
+        collect_topk(&mut iter, k).unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every way of configuring a search is the same search: each cell of
+    /// {point, area} × {no limits, generous limits, small I/O budget} ×
+    /// {no prefetch, 2 workers over a node cache} × {`NopSink`,
+    /// `StatsSink`} returns the plain run's results — or, when the budget
+    /// truncates it, a tie-aware exact prefix of the full ranking — with
+    /// the node-visit conservation identity intact.
+    #[test]
+    fn every_plan_cell_matches_the_plain_run(
+        docs in arb_docs(),
+        qpoint in prop::array::uniform2(-60.0f64..60.0),
+        extent in prop::array::uniform2(0.0f64..40.0),
+        kw in prop::collection::vec(0..WORDS.len(), 0..3),
+        (k, budget) in (1usize..10, 0u64..40),
+        seed in 0u64..500,
+    ) {
+        let db = build_db(&docs);
+        let cold = ir2_of(&db, 2, seed);
+        let mut cached = ir2_of(&db, 2, seed);
+        cached.set_node_cache(Arc::new(NodeCache::new(64)));
+        let store = db.store.as_ref();
+        let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
+        let corner = [qpoint[0] + extent[0], qpoint[1] + extent[1]];
+        let regions = [
+            QueryRegion::Point(Point::new(qpoint)),
+            QueryRegion::Area(Rect::from_corners(Point::new(qpoint), Point::new(corner))),
+        ];
+        let generous = QueryLimits::none()
+            .with_io_budget(1 << 40)
+            .with_max_heap_size(1 << 30)
+            .with_deadline(std::time::Duration::from_secs(3600));
+        let limit_sets = [
+            QueryLimits::none(),
+            generous,
+            QueryLimits::none().with_io_budget(budget),
+        ];
+        let hits = |r: &[(SpatialObject<2>, f64)]| -> Vec<(u64, u64)> {
+            r.iter().map(|(o, d)| (o.id, d.to_bits())).collect()
+        };
+
+        for region in regions {
+            // The plain run, and the full ranking it is a prefix of.
+            let none = QueryLimits::none();
+            let (full, _) = run_plan(&cold, store, region, &kws, docs.len(), none, 0, NopSink);
+            let full = hits(full.results());
+            let (plain, plain_counters) = run_plan(&cold, store, region, &kws, k, none, 0, NopSink);
+            prop_assert!(!plain.is_truncated());
+            let plain = hits(plain.results());
+            prop_assert_eq!(&plain[..], &full[..k.min(full.len())]);
+
+            for limits in limit_sets {
+                for (tree, workers) in [(&cold, 0), (&cached, 2)] {
+                    let mut stats = StatsSink::new();
+                    let cells = [
+                        run_plan(tree, store, region, &kws, k, limits, workers, NopSink),
+                        run_plan(tree, store, region, &kws, k, limits, workers, &mut stats),
+                    ];
+                    prop_assert!(stats.stats.matches_counters(&cells[1].1));
+                    for (outcome, c) in &cells {
+                        prop_assert_eq!(c.nodes_read, c.cache_hits + c.cache_misses);
+                        let got = hits(outcome.results());
+                        if !outcome.is_truncated() {
+                            prop_assert_eq!(&got, &plain);
+                            // The cache changes where bytes come from,
+                            // never what the search visits.
+                            prop_assert_eq!(c.nodes_read, plain_counters.nodes_read);
+                            prop_assert_eq!(c.candidates_checked, plain_counters.candidates_checked);
+                            prop_assert_eq!(c.pruned_by_signature, plain_counters.pruned_by_signature);
+                            continue;
+                        }
+                        prop_assert!(limits.io_budget == Some(budget), "only the small budget truncates");
+                        prop_assert!(got.len() <= plain.len());
+                        // Distances are a prefix of the ranking; ids below
+                        // the boundary distance are canonical, ids tied at
+                        // it need only belong to the full tie group (a
+                        // budget that trips mid-drain cannot canonicalize
+                        // the cut group's membership).
+                        let boundary = got.last().map(|&(_, d)| d);
+                        let mut seen = std::collections::HashSet::new();
+                        for (i, &(id, d)) in got.iter().enumerate() {
+                            prop_assert_eq!(d, full[i].1);
+                            prop_assert!(seen.insert(id), "duplicate id {}", id);
+                            if Some(d) != boundary {
+                                prop_assert_eq!(id, full[i].0);
+                            } else {
+                                prop_assert!(full.contains(&(id, d)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

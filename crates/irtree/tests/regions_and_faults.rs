@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use ir2_geo::{Point, Rect};
-use ir2_irtree::{distance_first_region_topk, insert_object, DistanceFirstIter, Ir2Payload};
+use ir2_irtree::{collect_topk, insert_object, DistanceFirstIter, Ir2Payload};
 use ir2_model::{ObjectSource, ObjectStore, QueryRegion, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
@@ -39,13 +39,24 @@ fn grid_db() -> (
     (store, tree, objs)
 }
 
+/// Unlimited top-k anchored at `region`, through the region constructor.
+fn region_topk(
+    tree: &RTree<2, MemDevice, Ir2Payload>,
+    store: &ObjectStore<2, MemDevice>,
+    region: QueryRegion<2>,
+    keywords: &[&str],
+    k: usize,
+) -> Vec<(SpatialObject<2>, f64)> {
+    let mut iter = DistanceFirstIter::with_region(tree, store, region, keywords);
+    collect_topk(&mut iter, k).unwrap().0.into_results()
+}
+
 #[test]
 fn area_query_returns_contained_objects_first() {
     let (store, tree, objs) = grid_db();
     let area = Rect::from_corners(Point::new([1.5, 1.5]), Point::new([3.5, 3.5]));
     let region = QueryRegion::Area(area);
-    let (hits, _) =
-        distance_first_region_topk(&tree, store.as_ref(), region, &["cafe".into()], 50).unwrap();
+    let hits = region_topk(&tree, &store, region, &["cafe"], 50);
 
     // Every "cafe" object inside the area must be reported at distance 0,
     // before anything outside.
@@ -84,22 +95,14 @@ fn area_query_returns_contained_objects_first() {
 fn area_query_equals_point_query_for_degenerate_area() {
     let (store, tree, _) = grid_db();
     let p = Point::new([4.2, 2.9]);
-    let (by_area, _) = distance_first_region_topk(
+    let by_area = region_topk(
         &tree,
-        store.as_ref(),
+        &store,
         QueryRegion::Area(Rect::from_point(p)),
-        &["cafe".into()],
+        &["cafe"],
         10,
-    )
-    .unwrap();
-    let (by_point, _) = distance_first_region_topk(
-        &tree,
-        store.as_ref(),
-        QueryRegion::Point(p),
-        &["cafe".into()],
-        10,
-    )
-    .unwrap();
+    );
+    let by_point = region_topk(&tree, &store, QueryRegion::Point(p), &["cafe"], 10);
     let da: Vec<f64> = by_area.iter().map(|(_, d)| *d).collect();
     let dp: Vec<f64> = by_point.iter().map(|(_, d)| *d).collect();
     assert_eq!(da.len(), dp.len());

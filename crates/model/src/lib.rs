@@ -27,7 +27,7 @@ pub mod tsv;
 
 pub use limits::{ExecOutcome, QueryLimits, TruncateReason};
 pub use object::SpatialObject;
-pub use query::DistanceFirstQuery;
+pub use query::{normalize_keywords, DistanceFirstQuery};
 pub use region::QueryRegion;
 pub use store::{ObjectSource, ObjectStore};
 

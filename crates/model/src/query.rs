@@ -3,6 +3,18 @@
 use ir2_geo::Point;
 use ir2_text::tokenize;
 
+/// Normalizes query keywords the way every query type in the workspace
+/// expects them: each keyword goes through the tokenizer applied to
+/// documents (so "Internet" matches "internet", and a keyword that
+/// tokenizes to several tokens contributes each of them), then the tokens
+/// are sorted and deduplicated.
+pub fn normalize_keywords<S: AsRef<str>>(keywords: &[S]) -> Vec<String> {
+    let mut kws: Vec<String> = keywords.iter().flat_map(|w| tokenize(w.as_ref())).collect();
+    kws.sort_unstable();
+    kws.dedup();
+    kws
+}
+
 /// A distance-first top-k spatial keyword query (Section 2):
 /// "the `k` objects that contain all of `w₁, …, wₘ` and are closest to
 /// `Q.p`" — a top-k spatial query combined with a conjunctive Boolean
@@ -18,20 +30,11 @@ pub struct DistanceFirstQuery<const N: usize> {
 }
 
 impl<const N: usize> DistanceFirstQuery<N> {
-    /// Builds a query, normalizing each keyword through the same tokenizer
-    /// applied to documents (so "Internet" matches "internet"). A keyword
-    /// that tokenizes to several tokens contributes each of them; duplicate
-    /// keywords are collapsed.
+    /// Builds a query with [`normalize_keywords`]-normalized keywords.
     pub fn new<S: AsRef<str>>(point: impl Into<Point<N>>, keywords: &[S], k: usize) -> Self {
-        let mut kws: Vec<String> = keywords
-            .iter()
-            .flat_map(|w| tokenize(w.as_ref()).collect::<Vec<_>>())
-            .collect();
-        kws.sort_unstable();
-        kws.dedup();
         Self {
             point: point.into(),
-            keywords: kws,
+            keywords: normalize_keywords(keywords),
             k,
         }
     }

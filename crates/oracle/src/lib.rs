@@ -9,7 +9,7 @@
 //! canonical `(distance, id)`-ordered result list. This crate checks
 //! that claim mechanically:
 //!
-//! - [`reference`] is a brute-force engine: a linear scan with an
+//! - [`mod@reference`] is a brute-force engine: a linear scan with an
 //!   independent keyword matcher, sorted by the canonical order. It is
 //!   the ground truth every engine is compared against, byte-for-byte
 //!   (`f64::to_bits` on distances — every engine derives distances from

@@ -7,7 +7,7 @@ use crate::node::{NODE_HEADER_LEN, REF_LEN};
 
 /// Node splitting algorithm.
 ///
-/// Guttman [Gut84] proposed three; the paper "uses the standard Quadratic
+/// Guttman \[Gut84\] proposed three; the paper "uses the standard Quadratic
 /// Split technique", which is the default here. The linear variant is
 /// kept for the split-strategy ablation: O(M) per split instead of O(M²),
 /// at the cost of worse node overlap and therefore more query I/O.

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! Disk-resident R-Tree [Gut84] with per-entry payload augmentation.
+//! Disk-resident R-Tree \[Gut84\] with per-entry payload augmentation.
 //!
 //! This crate is both the paper's **R-Tree baseline** and the skeleton of
 //! the **IR²-Tree**: Section 4 defines the IR²-Tree's Insert/Delete as
@@ -13,12 +13,12 @@
 //! Implemented faithfully to the paper's choices:
 //!
 //! * **ChooseLeaf / AdjustTree / quadratic split** — "we use the standard
-//!   Quadratic Split technique [Gut84]"; AdjustTree also maintains payloads
+//!   Quadratic Split technique \[Gut84\]"; AdjustTree also maintains payloads
 //!   ("if a new bit is set to 1 in a node N, then it must also be set to 1
 //!   for N's ancestors").
 //! * **FindLeaf / CondenseTree** for deletion, with payload recomputation
 //!   on shrink (bits cannot be unset incrementally).
-//! * **Incremental nearest neighbor** [HS99] (Figure 3 of the paper) via a
+//! * **Incremental nearest neighbor** \[HS99\] (Figure 3 of the paper) via a
 //!   best-first priority queue on MINDIST — see [`RTree::nearest`].
 //! * **Disk residency**: each node occupies a fixed extent of 4096-byte
 //!   blocks on the tree's own [`BlockDevice`](ir2_storage::BlockDevice);

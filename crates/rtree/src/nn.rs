@@ -1,4 +1,4 @@
-//! Incremental nearest neighbor (Hjaltason & Samet [HS99]) — the paper's
+//! Incremental nearest neighbor (Hjaltason & Samet \[HS99\]) — the paper's
 //! Figure 3.
 
 use std::cmp::Reverse;

@@ -662,7 +662,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         Ok(())
     }
 
-    /// Quadratic split [Gut84]: distributes an overflowing node's entries
+    /// Quadratic split \[Gut84\]: distributes an overflowing node's entries
     /// into two *fresh* nodes (the overflowing extent is staged as freed),
     /// writes both, and returns the parent entries that describe them
     /// (with freshly computed summaries).

@@ -2,7 +2,7 @@
 #![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! Signature files: the superimposed-coding substrate of the IR²-Tree.
 //!
-//! Faloutsos and Christodoulakis [FC84] introduced *signature files* as a
+//! Faloutsos and Christodoulakis \[FC84\] introduced *signature files* as a
 //! text access method: each word hashes to a fixed number of bit positions
 //! in a fixed-length bit vector; a document's signature is the bitwise OR
 //! (superimposition) of its words' signatures. A query word *may* occur in
@@ -17,7 +17,7 @@
 //!
 //! * [`Signature`] — the bit vector with superimposition and containment;
 //! * [`SignatureScheme`] — term hashing plus the optimal-length design
-//!   rules ([`optimal_bits`], [`optimal_params`], the paper's [MC94]
+//!   rules ([`optimal_bits`], [`optimal_params`], the paper's \[MC94\]
 //!   citation) and the analytic false-positive model
 //!   ([`expected_false_positive`]);
 //! * [`MultiLevelScheme`] — per-level lengths for the MIR²-Tree

@@ -3,7 +3,7 @@
 
 use crate::Signature;
 
-/// A superimposed-coding scheme [FC84]: every term sets `k` (pseudo-random,
+/// A superimposed-coding scheme \[FC84\]: every term sets `k` (pseudo-random,
 /// term-determined) bits in a signature of `bits` bits; a document's
 /// signature is the OR of its terms' signatures.
 ///
@@ -138,7 +138,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Optimal signature length in **bits** for a block of `distinct_terms`
 /// terms with `k` bits per term.
 ///
-/// Superimposed-coding analysis ([FC84], and the design formulas of [MC94]
+/// Superimposed-coding analysis (\[FC84\], and the design formulas of \[MC94\]
 /// that the paper cites) shows the false-drop probability
 /// `(1 − e^(−kD/m))^k` is minimized when half the bits are set, i.e. when
 /// `m · ln 2 = k · D`. Hence `m = ⌈k·D / ln 2⌉`.

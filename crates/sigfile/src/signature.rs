@@ -132,8 +132,8 @@ impl Signature {
 
     /// The backing 64-bit words (little-endian bit order; bits beyond
     /// [`bits`](Signature::bits) in the last word are always zero). This is
-    /// the representation the batched kernels in [`crate::block`] operate
-    /// on.
+    /// the representation the batched
+    /// [`SignatureBlock`](crate::SignatureBlock) kernels operate on.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words

@@ -2,7 +2,7 @@
 //! The Sequential Signature File (SSF) — the ancestor of the IR²-Tree's
 //! text filter, as a standalone baseline.
 //!
-//! Faloutsos and Christodoulakis [FC84] introduced signature files as a
+//! Faloutsos and Christodoulakis \[FC84\] introduced signature files as a
 //! *sequential* access method: all document signatures are stored back to
 //! back; a query scans every signature (pure sequential I/O, a fraction of
 //! the documents' size), collects the documents whose signatures contain

@@ -2,7 +2,8 @@
 //! registry with snapshot/delta and Prometheus-style text export.
 //!
 //! The paper's whole evaluation is *counting* — random vs. sequential
-//! block accesses, signature false positives, object loads. [`IoStats`]
+//! block accesses, signature false positives, object loads.
+//! [`IoStats`](crate::IoStats)
 //! and [`IoScope`](crate::IoScope) already attribute block accesses;
 //! [`MetricsRegistry`] generalizes that machinery so any layer (pool,
 //! trees, query algorithms, batch engine) can publish named counters and

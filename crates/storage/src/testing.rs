@@ -360,7 +360,7 @@ struct KillState {
 /// A remote kill switch for a replica's devices.
 ///
 /// One `KillSwitch` wraps any number of devices (typically the six devices
-/// of one replica's [`DeviceSet`]); they share an operation counter and die
+/// of one replica's `DeviceSet`); they share an operation counter and die
 /// together, like [`CrashPoint`] — but the death is commanded, not fixed at
 /// construction: [`kill`](KillSwitch::kill) fails every operation from now
 /// on, [`kill_after`](KillSwitch::kill_after) arms a death at a chosen

@@ -11,7 +11,7 @@
 //!    filter `∀w ∈ Q.t : w ∈ T.t`, and the false-positive check of
 //!    `IR2TopK` line 21. See [`TokenSet`].
 //! 3. **Relevance ranking** — `IRscore(T.t, Q.t)` for the general top-k
-//!    query, a tf-idf family function [Sin01], plus the *upper bound* the
+//!    query, a tf-idf family function \[Sin01\], plus the *upper bound* the
 //!    IR²-Tree computes from a node signature (the "imaginary object …
 //!    tf = 1" of Section 5.3). See [`IrScorer`] and [`SaturatingTfIdf`].
 //! 4. **Combining functions** — `f(distance(T.p, Q.p), IRscore(T.t, Q.t))`,

@@ -28,7 +28,7 @@ pub trait IrScorer: Send + Sync {
 
 /// tf-idf with saturating term frequency: `Σ_t idf(t) · tf/(1 + tf)`.
 ///
-/// This is tf-idf in the style of [Sin01]/BM25 with the tf component
+/// This is tf-idf in the style of \[Sin01\]/BM25 with the tf component
 /// saturating at 1 (`k₁ = 1`, no length normalization). The saturation is
 /// what makes the paper's "imaginary object with tf = 1" construction a
 /// *sound* bound: each matched term contributes at most `idf(t) · 1`, and a

@@ -98,7 +98,7 @@ impl Vocabulary {
 
     /// Inverse document frequency: `ln(1 + N/df)`.
     ///
-    /// This is the standard smoothed idf [Sin01]; for a term with df = 0
+    /// This is the standard smoothed idf \[Sin01\]; for a term with df = 0
     /// (interned but never in a document) it degenerates gracefully to the
     /// maximum weight `ln(1 + N)`.
     pub fn idf(&self, id: TermId) -> f64 {

@@ -4,7 +4,7 @@
 
 use ir2_datagen::{figure1_hotels, DatasetSpec};
 use ir2tree::model::{DistanceFirstQuery, SpatialObject};
-use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
+use ir2tree::{Algorithm, DbConfig, DeviceSet, QueryLimits, SpatialKeywordDb};
 
 fn build_sample(
     n: usize,
@@ -240,7 +240,7 @@ fn facade_area_queries_work() {
     let area = Rect::from_corners(Point::new([-20.0, -20.0]), Point::new([20.0, 20.0]));
     let kw = vec![spec.keyword_of_rank(3)];
     let rep = db
-        .distance_first_region(Algorithm::Ir2, area.into(), &kw, 20)
+        .distance_first_region(Algorithm::Ir2, area.into(), &kw, 20, QueryLimits::none())
         .unwrap();
     // Matches inside the area come first, at distance zero.
     let mut saw_positive = false;
@@ -255,7 +255,7 @@ fn facade_area_queries_work() {
     }
     // The baseline algorithms reject region queries explicitly.
     assert!(db
-        .distance_first_region(Algorithm::Iio, area.into(), &kw, 5)
+        .distance_first_region(Algorithm::Iio, area.into(), &kw, 5, QueryLimits::none())
         .is_err());
 }
 
