@@ -371,28 +371,28 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         }
     }
 
+    /// Reads and checksum-verifies the extent of the node at `id` (one
+    /// random block access plus sequential ones for multi-block nodes),
+    /// returning its concatenated block payloads and the payload size of its
+    /// level. The first block says how many follow; all of them are read
+    /// straight into the one buffer.
+    fn read_node_bytes(&self, id: NodeId) -> Result<(Vec<u8>, usize)> {
+        let mut buf = Vec::new();
+        extent::read_extent_sealed_into(&self.dev, id, 1, &mut buf)?;
+        let (level, _count, nblocks) = Node::<N>::decode_header(&buf).map_err(|e| match e {
+            StorageError::Corrupt(msg) => StorageError::Corrupt(format!("node {id}: {msg}")),
+            other => other,
+        })?;
+        if nblocks > 1 {
+            extent::read_extent_sealed_into(&self.dev, id + 1, nblocks as u32 - 1, &mut buf)?;
+        }
+        Ok((buf, self.ops.entry_size(level)))
+    }
+
     /// Reads the node at `id` (one random block access plus sequential ones
     /// for multi-block nodes), verifying every block's checksum.
     pub fn read_node(&self, id: NodeId) -> Result<Node<N>> {
-        let mut first = ir2_storage::zeroed_block();
-        extent::read_sealed_block(&self.dev, id, &mut first)?;
-        let (level, _count, nblocks) =
-            Node::<N>::decode_header(&first[..PAGE_PAYLOAD]).map_err(|e| match e {
-                StorageError::Corrupt(msg) => StorageError::Corrupt(format!("node {id}: {msg}")),
-                other => other,
-            })?;
-        let payload_size = self.ops.entry_size(level);
-        if nblocks <= 1 {
-            return Node::decode(id, &first[..PAGE_PAYLOAD], payload_size);
-        }
-        let mut buf = vec![0u8; nblocks as usize * PAGE_PAYLOAD];
-        buf[..PAGE_PAYLOAD].copy_from_slice(&first[..PAGE_PAYLOAD]);
-        extent::read_extent_sealed_into(
-            &self.dev,
-            id + 1,
-            nblocks as u32 - 1,
-            &mut buf[PAGE_PAYLOAD..],
-        )?;
+        let (buf, payload_size) = self.read_node_bytes(id)?;
         Node::decode(id, &buf, payload_size)
     }
 
@@ -402,25 +402,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// Query paths (nearest neighbor, window search, cached traversals)
     /// use this; mutations keep the owned [`Node`] form.
     pub fn read_node_buf(&self, id: NodeId) -> Result<NodeBuf<N>> {
-        let mut first = ir2_storage::zeroed_block();
-        extent::read_sealed_block(&self.dev, id, &mut first)?;
-        let (level, _count, nblocks) =
-            Node::<N>::decode_header(&first[..PAGE_PAYLOAD]).map_err(|e| match e {
-                StorageError::Corrupt(msg) => StorageError::Corrupt(format!("node {id}: {msg}")),
-                other => other,
-            })?;
-        let payload_size = self.ops.entry_size(level);
-        if nblocks <= 1 {
-            return NodeBuf::decode(id, first[..PAGE_PAYLOAD].to_vec(), payload_size);
-        }
-        let mut buf = vec![0u8; nblocks as usize * PAGE_PAYLOAD];
-        buf[..PAGE_PAYLOAD].copy_from_slice(&first[..PAGE_PAYLOAD]);
-        extent::read_extent_sealed_into(
-            &self.dev,
-            id + 1,
-            nblocks as u32 - 1,
-            &mut buf[PAGE_PAYLOAD..],
-        )?;
+        let (buf, payload_size) = self.read_node_bytes(id)?;
         NodeBuf::decode(id, buf, payload_size)
     }
 

@@ -3,11 +3,15 @@
 //! during a delete workload must leave the tree consistent — the committed
 //! prefix of deletes applied, the failed one fully rolled back, structural
 //! invariants intact, and every surviving object still findable.
+//!
+//! And over node reads: a multi-block node is read block by block into one
+//! buffer, so a corrupt or unreadable block anywhere in its extent must fail
+//! the read as a whole and say which block it was.
 
 use ir2_geo::{Point, Rect};
 use ir2_rtree::{RTree, RTreeConfig, UnitPayload};
 use ir2_storage::testing::FlakyDevice;
-use ir2_storage::MemDevice;
+use ir2_storage::{BlockDevice, MemDevice, StorageError};
 
 const N: usize = 24;
 
@@ -90,4 +94,67 @@ fn failed_delete_can_be_retried() {
     assert!(tree.delete(5, &all[5]).unwrap());
     assert_eq!(tree.len(), N as u64 - 1);
     tree.check_invariants(|_, _, _| true).unwrap();
+}
+
+/// A tree whose root is a single three-block leaf: 300 entries of 40 bytes
+/// need 12 008 node bytes, and a sealed block carries 4088.
+fn three_block_root() -> (RTree<2, FlakyDevice<MemDevice>, UnitPayload>, u64) {
+    let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+    let tree = RTree::create(dev, RTreeConfig::with_max(300), UnitPayload).unwrap();
+    for (i, r) in rects().iter().enumerate() {
+        tree.insert(i as u64, *r, &[]).unwrap();
+    }
+    let root = tree.root().unwrap();
+    assert_eq!(tree.node_blocks(0), 3);
+    assert_eq!(tree.read_node(root).unwrap().entries.len(), N);
+    (tree, root)
+}
+
+/// Every block of a multi-block node is verified where it lands in the
+/// node's buffer: a flipped byte in block `j` fails both read paths with an
+/// error naming block `id + j`.
+#[test]
+fn flipped_byte_in_any_block_of_a_node_names_that_block() {
+    let (tree, root) = three_block_root();
+    for j in 0..3u64 {
+        let mut raw = ir2_storage::zeroed_block();
+        tree.device().read_block(root + j, &mut raw).unwrap();
+        raw[2000] ^= 0x04;
+        tree.device().write_block(root + j, &raw).unwrap();
+        let errors = [
+            tree.read_node(root).map(drop).unwrap_err(),
+            tree.read_node_buf(root).map(drop).unwrap_err(),
+        ];
+        for e in errors {
+            match e {
+                StorageError::Corrupt(msg) => assert!(
+                    msg.starts_with(&format!("block {}: ", root + j)),
+                    "flip in block {j} of node {root}: {msg}"
+                ),
+                other => panic!("flip in block {j}: {other:?}"),
+            }
+        }
+        raw[2000] ^= 0x04;
+        tree.device().write_block(root + j, &raw).unwrap();
+    }
+    assert_eq!(tree.read_node_buf(root).unwrap().len(), N);
+}
+
+/// A device failure after any number of the node's blocks fails the whole
+/// read — no node decoded from a partly read extent — and the next read,
+/// with the device restored, sees the full node.
+#[test]
+fn read_failing_mid_node_returns_no_node() {
+    let (tree, root) = three_block_root();
+    for reads_allowed in 0..3 {
+        tree.device().refill(reads_allowed);
+        assert!(matches!(tree.read_node(root), Err(StorageError::Io { .. })));
+        tree.device().refill(reads_allowed);
+        assert!(matches!(
+            tree.read_node_buf(root),
+            Err(StorageError::Io { .. })
+        ));
+    }
+    tree.device().refill(u64::MAX);
+    assert_eq!(tree.read_node_buf(root).unwrap().len(), N);
 }

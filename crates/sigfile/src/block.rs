@@ -75,25 +75,24 @@ fn tail_mask(bits: usize) -> u64 {
     }
 }
 
-/// Assembles little-endian bytes into words, masking the tail word so bits
-/// beyond `bits` are zero even if the input bytes carry garbage padding.
-fn words_from_bytes(bits: usize, bytes: &[u8], out: &mut [u64]) {
+/// Appends little-endian bytes to `out` as words, masking the tail word so
+/// bits beyond `bits` are zero even if the input bytes carry garbage padding.
+fn words_from_bytes(bits: usize, bytes: &[u8], out: &mut Vec<u64>) {
     debug_assert_eq!(bytes.len(), bits.div_ceil(8), "payload length mismatch");
-    debug_assert_eq!(out.len(), bits.div_ceil(64));
     let mut chunks = bytes.chunks_exact(8);
-    let mut w = 0usize;
-    for c in &mut chunks {
-        out[w] = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        w += 1;
-    }
+    out.extend(
+        chunks
+            .by_ref()
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+    );
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
-        out[w] = u64::from_le_bytes(last);
+        out.push(u64::from_le_bytes(last));
     }
-    if let Some(last) = out.last_mut() {
-        *last &= tail_mask(bits);
+    if bits % 64 != 0 {
+        *out.last_mut().expect("tail word just written") &= tail_mask(bits);
     }
 }
 
@@ -124,13 +123,12 @@ impl SignatureBlock {
     pub fn from_payloads<'a>(bits: usize, payloads: impl IntoIterator<Item = &'a [u8]>) -> Self {
         let wps = bits.div_ceil(64);
         let byte_len = bits.div_ceil(8);
-        let mut words: Vec<u64> = Vec::new();
+        let payloads = payloads.into_iter();
+        let mut words: Vec<u64> = Vec::with_capacity(payloads.size_hint().0 * wps);
         let mut count = 0usize;
         for p in payloads {
             assert_eq!(p.len(), byte_len, "signature payload length mismatch");
-            let start = words.len();
-            words.resize(start + wps, 0);
-            words_from_bytes(bits, p, &mut words[start..]);
+            words_from_bytes(bits, p, &mut words);
             count += 1;
         }
         Self {

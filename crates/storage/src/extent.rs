@@ -8,7 +8,7 @@
 //! underneath, these helpers produce exactly that accounting because they
 //! touch blocks in ascending id order.
 
-use crate::page::{self, PAGE_PAYLOAD};
+use crate::page::{self, PAGE_PAYLOAD, PAGE_TRAILER_LEN};
 use crate::{BlockDevice, BlockId, Result, StorageError, BLOCK_SIZE};
 
 /// Number of blocks needed to hold `bytes` bytes (at least 1).
@@ -25,46 +25,41 @@ pub fn sealed_blocks_for(bytes: usize) -> u32 {
     (bytes.max(1)).div_ceil(PAGE_PAYLOAD) as u32
 }
 
-/// Reads and checksum-verifies one sealed block, leaving the trailer in
-/// `buf` (callers use `buf[..PAGE_PAYLOAD]`).
-pub fn read_sealed_block(
-    dev: &impl BlockDevice,
-    id: BlockId,
-    buf: &mut [u8; BLOCK_SIZE],
-) -> Result<()> {
-    dev.read_block(id, buf)?;
-    page::verify(buf).map_err(|e| StorageError::Corrupt(format!("block {id}: {e}")))
-}
-
 /// Reads a sealed extent, verifying every block's checksum, and returns the
 /// concatenated payloads (`nblocks * PAGE_PAYLOAD` bytes).
 pub fn read_extent_sealed(dev: &impl BlockDevice, first: BlockId, nblocks: u32) -> Result<Vec<u8>> {
-    let mut out = vec![0u8; nblocks as usize * PAGE_PAYLOAD];
+    let mut out = Vec::new();
     read_extent_sealed_into(dev, first, nblocks, &mut out)?;
     Ok(out)
 }
 
-/// Reads a sealed extent into a caller-provided payload buffer of at least
-/// `nblocks * PAGE_PAYLOAD` bytes.
+/// Appends the payloads of a sealed extent (`nblocks * PAGE_PAYLOAD` bytes)
+/// to `buf`, verifying every block's checksum.
 ///
-/// # Panics
-/// Panics if `buf` is shorter than `nblocks * PAGE_PAYLOAD`.
+/// Each block is read straight into its final position and verified there:
+/// its trailer lands where the next block's payload starts and is overwritten
+/// by that block's read, and the last trailer is cut off at the end. On an
+/// error `buf` is left as it was, so no partly read extent is ever visible.
 pub fn read_extent_sealed_into(
     dev: &impl BlockDevice,
     first: BlockId,
     nblocks: u32,
-    buf: &mut [u8],
+    buf: &mut Vec<u8>,
 ) -> Result<()> {
-    assert!(
-        buf.len() >= nblocks as usize * PAGE_PAYLOAD,
-        "sealed extent buffer too small"
-    );
-    let mut block = [0u8; BLOCK_SIZE];
-    for i in 0..nblocks as usize {
-        read_sealed_block(dev, first + i as u64, &mut block)?;
-        buf[i * PAGE_PAYLOAD..(i + 1) * PAGE_PAYLOAD].copy_from_slice(&block[..PAGE_PAYLOAD]);
-    }
-    Ok(())
+    let base = buf.len();
+    let payloads = nblocks as usize * PAGE_PAYLOAD;
+    buf.resize(base + payloads + PAGE_TRAILER_LEN, 0);
+    let read = (0..nblocks as usize).try_for_each(|i| {
+        let at = base + i * PAGE_PAYLOAD;
+        let id = first + i as u64;
+        let block: &mut [u8; BLOCK_SIZE] = (&mut buf[at..at + BLOCK_SIZE])
+            .try_into()
+            .expect("exact block slice");
+        dev.read_block(id, block)?;
+        page::verify(block).map_err(|e| StorageError::Corrupt(format!("block {id}: {e}")))
+    });
+    buf.truncate(if read.is_ok() { base + payloads } else { base });
+    read
 }
 
 /// Writes `data` over the extent starting at `first` as sealed blocks,
@@ -162,6 +157,7 @@ pub fn append_extent(dev: &impl BlockDevice, data: &[u8]) -> Result<(BlockId, u3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::FlakyDevice;
     use crate::{MemDevice, TrackedDevice};
 
     #[test]
@@ -215,27 +211,94 @@ mod tests {
         assert!(back[data.len()..].iter().all(|&b| b == 0));
     }
 
+    /// The sealed-extent read as it was before blocks were read in place:
+    /// device -> bounce block -> verify -> copy into a pre-zeroed buffer.
+    fn read_extent_sealed_bounce(
+        dev: &impl BlockDevice,
+        first: BlockId,
+        nblocks: u32,
+    ) -> Result<Vec<u8>> {
+        let mut out = vec![0u8; nblocks as usize * PAGE_PAYLOAD];
+        let mut block = [0u8; BLOCK_SIZE];
+        for i in 0..nblocks as usize {
+            let id = first + i as u64;
+            dev.read_block(id, &mut block)?;
+            page::verify(&block).map_err(|e| StorageError::Corrupt(format!("block {id}: {e}")))?;
+            out[i * PAGE_PAYLOAD..(i + 1) * PAGE_PAYLOAD].copy_from_slice(&block[..PAGE_PAYLOAD]);
+        }
+        Ok(out)
+    }
+
+    /// A sealed extent of `nblocks` blocks whose every payload byte differs
+    /// from its neighbours', behind one unrelated block.
+    fn patterned_extent(dev: &impl BlockDevice, nblocks: usize) -> (BlockId, u32) {
+        dev.allocate(1).unwrap();
+        let data: Vec<u8> = (0..nblocks * PAGE_PAYLOAD - 5)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        append_extent_sealed(dev, &data).unwrap()
+    }
+
+    #[test]
+    fn in_place_read_equals_the_bounce_buffer_read() {
+        for nblocks in [1, 2, 6] {
+            let dev = MemDevice::new();
+            let (first, n) = patterned_extent(&dev, nblocks);
+            assert_eq!(n as usize, nblocks);
+            let want = read_extent_sealed_bounce(&dev, first, n).unwrap();
+            let got = read_extent_sealed(&dev, first, n).unwrap();
+            assert_eq!(got, want, "{nblocks}-block extent");
+
+            // Appending after bytes already in the buffer leaves them alone.
+            let mut buf = b"head".to_vec();
+            read_extent_sealed_into(&dev, first, n, &mut buf).unwrap();
+            assert_eq!(&buf[..4], b"head");
+            assert_eq!(&buf[4..], &want[..]);
+        }
+    }
+
     #[test]
     fn sealed_read_detects_flipped_byte_in_any_block() {
         let dev = MemDevice::new();
-        let data = vec![0xABu8; 2 * PAGE_PAYLOAD];
-        let (first, n) = append_extent_sealed(&dev, &data).unwrap();
+        let (first, n) = patterned_extent(&dev, 6);
         for victim in 0..n as u64 {
             let mut raw = crate::zeroed_block();
             dev.read_block(first + victim, &mut raw).unwrap();
             raw[100] ^= 0x01;
             dev.write_block(first + victim, &raw).unwrap();
-            assert!(
-                matches!(
-                    read_extent_sealed(&dev, first, n),
-                    Err(StorageError::Corrupt(_))
+            let mut buf = b"head".to_vec();
+            match read_extent_sealed_into(&dev, first, n, &mut buf) {
+                Err(StorageError::Corrupt(msg)) => assert!(
+                    msg.starts_with(&format!("block {}: ", first + victim)),
+                    "flip in block {victim} must name it: {msg}"
                 ),
-                "flip in block {victim} must fail the read"
-            );
+                other => panic!("flip in block {victim} must fail the read: {other:?}"),
+            }
+            assert_eq!(buf, b"head", "a failed read leaves the buffer as it was");
             raw[100] ^= 0x01; // restore for the next iteration
             dev.write_block(first + victim, &raw).unwrap();
         }
         read_extent_sealed(&dev, first, n).unwrap();
+    }
+
+    #[test]
+    fn read_failing_mid_extent_leaves_the_buffer_as_it_was() {
+        let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+        let (first, n) = patterned_extent(&dev, 6);
+        for reads_allowed in 0..n as u64 {
+            dev.refill(reads_allowed);
+            let mut buf = b"head".to_vec();
+            assert!(matches!(
+                read_extent_sealed_into(&dev, first, n, &mut buf),
+                Err(StorageError::Io { .. })
+            ));
+            assert_eq!(buf, b"head", "failure after {reads_allowed} blocks");
+        }
+        dev.refill(n as u64);
+        assert_eq!(
+            read_extent_sealed(&dev, first, n).unwrap().len(),
+            n as usize * PAGE_PAYLOAD
+        );
     }
 
     #[test]
