@@ -1,5 +1,5 @@
 //! Containment-kernel speedup guard: scalar per-entry tests vs the
-//! columnar `SignatureBlock` kernels, at the paper's signature lengths.
+//! bit-sliced `SignatureBlock` kernel, at the paper's signature lengths.
 //!
 //! Two micro scenarios per length (8 B Restaurants, 189 B Hotels):
 //!

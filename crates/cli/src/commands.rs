@@ -886,9 +886,8 @@ pub fn stats(args: &[String], out: &mut impl Write) -> CliResult {
     );
     say!(out, "avg blocks/object:  {:.2}", s.avg_blocks_per_object);
     say!(out, "tree fanout:        {}", db.tree_config().max_entries);
-    // Per-level signature weight, sourced from the columnar block
-    // representation — the paper's false-positive driver is exactly how
-    // many 1s superimposition has accumulated per level.
+    // Per-level signature weight — the paper's false-positive driver is
+    // exactly how many 1s superimposition has accumulated per level.
     for (label, profile) in [
         ("ir2", density_profile(db.ir2_tree()).map_err(io_err)?),
         ("mir2", density_profile(db.mir2_tree()).map_err(io_err)?),

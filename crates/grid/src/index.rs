@@ -209,7 +209,7 @@ impl<D: BlockDevice> GridIndex<D> {
                     }
                     counters.candidates_checked += 1;
                     let obj = objects.load(ObjPtr(ptr))?;
-                    if !obj.token_set().contains_all(&query.keywords) {
+                    if !obj.contains_all(&query.keywords) {
                         counters.false_positives += 1;
                         continue;
                     }

@@ -146,7 +146,7 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
             };
             self.counters.candidates_checked += 1;
             let obj = self.objects.load(ObjPtr(nn.child))?;
-            let matched = obj.token_set().contains_all(&self.keywords);
+            let matched = obj.contains_all(&self.keywords);
             self.sink.record(&TraceEvent::ObjectFetched {
                 ptr: nn.child,
                 distance: nn.dist,

@@ -10,7 +10,6 @@
 //! the bench harness prints these profiles side by side.
 
 use ir2_rtree::RTree;
-use ir2_sigfile::SignatureBlock;
 use ir2_storage::{BlockDevice, Result};
 
 use crate::SigPayload;
@@ -37,9 +36,8 @@ pub struct LevelDensity {
 }
 
 /// Walks the whole tree and reports per-level signature densities, leaves
-/// first. Each node's payloads are assembled into a columnar
-/// [`SignatureBlock`] and summed with its popcount kernels — the same
-/// representation the query engines prune with.
+/// first, counting the set bits of each entry's payload where it lies on
+/// the page (padding bits of the last byte excluded).
 pub fn density_profile<const N: usize, D: BlockDevice, P: SigPayload>(
     tree: &RTree<N, D, P>,
 ) -> Result<Vec<LevelDensity>> {
@@ -56,9 +54,17 @@ pub fn density_profile<const N: usize, D: BlockDevice, P: SigPayload>(
             sums.resize(lvl + 1, (0, 0));
         }
         let bits = tree.ops().scheme_at(node.level()).bits();
-        let block = SignatureBlock::from_payloads(bits, node.payloads());
-        sums[lvl].0 += block.len() as u64;
-        sums[lvl].1 += block.set_bits_total();
+        let live_in_last_byte = match bits % 8 {
+            0 => 0xFF,
+            r => (1u8 << r) - 1,
+        };
+        sums[lvl].0 += node.len() as u64;
+        for payload in node.payloads() {
+            if let Some((last, body)) = payload.split_last() {
+                sums[lvl].1 += u64::from((last & live_in_last_byte).count_ones());
+                sums[lvl].1 += body.iter().map(|b| u64::from(b.count_ones())).sum::<u64>();
+            }
+        }
         if !node.is_leaf() {
             stack.extend(node.children());
         }

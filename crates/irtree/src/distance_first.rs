@@ -11,10 +11,12 @@ use ir2_model::{
     SpatialObject, TruncateReason,
 };
 use ir2_rtree::{PrefetchQueue, RTree};
-use ir2_sigfile::{EntryMask, Signature, SignatureBlock};
+use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::search::{collect_topk, BoundedSearch, BoundedStep, SearchCounters};
+use crate::search::{
+    collect_topk, signature_mask_into, BoundedSearch, BoundedStep, SearchCounters,
+};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
 
@@ -58,9 +60,8 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: SigPayload, S: TraceSink 
     limits: QueryLimits,
     truncated: Option<TruncateReason>,
     prefetch: PrefetchQueue,
-    /// Reusable per-node containment bitmask: the batched kernel writes
-    /// every entry's verdict here in one pass, so steady-state pruning
-    /// allocates nothing.
+    /// Reusable per-node containment bitmask: every entry's verdict is
+    /// written here in one pass, so steady-state pruning allocates nothing.
     mask: EntryMask,
     sink: S,
 }
@@ -228,7 +229,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                     // positives are possible).
                     self.counters.candidates_checked += 1;
                     let obj = self.objects.load(ObjPtr(child))?;
-                    let matched = obj.token_set().contains_all(&self.keywords);
+                    let matched = obj.contains_all(&self.keywords);
                     self.sink.record(&TraceEvent::ObjectFetched {
                         ptr: child,
                         distance: dist.0,
@@ -274,16 +275,9 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                     let qsig = query_sigs
                         .entry(node.level())
                         .or_insert_with(|| scheme.sign_terms(keywords.iter().map(String::as_str)));
-                    // Entry signatures are assembled into one columnar
-                    // block per cached node image, shared by every later
-                    // warm visit (and by the general algorithm, which uses
-                    // the same decoration type).
-                    let esigs: &SignatureBlock = node.decorations(|n| {
-                        SignatureBlock::from_payloads(scheme.bits(), n.payloads())
-                    });
-                    // One batched kernel pass computes every entry's
-                    // containment verdict into the reusable bitmask.
-                    esigs.matches_mask_into(qsig, mask);
+                    // Every entry's containment verdict, into the reusable
+                    // bitmask.
+                    signature_mask_into(&node, qsig, mask);
                     let mut speculate = prefetch.width();
                     for i in 0..node.len() {
                         // "if s matches w": drop entries whose signature

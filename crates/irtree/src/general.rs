@@ -9,10 +9,11 @@ use ir2_model::{
     normalize_keywords, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject,
 };
 use ir2_rtree::{PrefetchQueue, RTree};
-use ir2_sigfile::{EntryMask, Signature, SignatureBlock};
+use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
 
+use crate::search::signature_mask_into;
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
 
@@ -149,9 +150,9 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
 
     // Per-level, per-keyword query signatures, built lazily.
     let mut keyword_sigs: HashMap<u16, Vec<Signature>> = HashMap::new();
-    // One reusable containment bitmask per keyword: the batched kernel
-    // fills each in a single pass over a node's signature block, so
-    // steady-state per-keyword pruning allocates nothing.
+    // One reusable containment bitmask per keyword, filled in a single pass
+    // over a node's signatures, so steady-state per-keyword pruning
+    // allocates nothing.
     let mut keyword_masks: Vec<EntryMask> = (0..term_ids.len()).map(|_| EntryMask::new()).collect();
 
     let mut heap: BinaryHeap<(OrderedF64, std::cmp::Reverse<u64>, u64)> = BinaryHeap::new();
@@ -264,17 +265,11 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                         .map(|t| ops.scheme_at(level).sign_term(t))
                         .collect()
                 });
-                let bits = ops.scheme_at(level).bits();
-                // Entry signatures are assembled into one columnar block
-                // per cached node image and shared with
-                // `DistanceFirstIter` (same decoration type, same value —
-                // see `CachedNode::decorations`).
-                let esigs: &SignatureBlock =
-                    node.decorations(|n| SignatureBlock::from_payloads(bits, n.payloads()));
-                // One batched kernel pass per keyword fills that keyword's
-                // reusable bitmask with every entry's verdict.
+                // One pass per keyword fills that keyword's reusable
+                // bitmask with every entry's verdict (a cached node's block
+                // is shared with `DistanceFirstIter`).
                 for (s, m) in sigs.iter().zip(keyword_masks.iter_mut()) {
-                    esigs.matches_mask_into(s, m);
+                    signature_mask_into(&node, s, m);
                 }
                 let mut speculate = prefetch.width();
                 for i in 0..node.len() {

@@ -2,6 +2,8 @@
 //! searches, and the one top-k collector built on it.
 
 use ir2_model::{ExecOutcome, SpatialObject, TruncateReason};
+use ir2_rtree::CachedNode;
+use ir2_sigfile::{payloads_mask_into, EntryMask, Signature, SignatureBlock};
 use ir2_storage::Result;
 
 /// Counters the incremental search maintains, matching the metrics the
@@ -31,6 +33,46 @@ pub struct SearchCounters {
     /// and never touch these per-query counters, so the identity is exact
     /// under prefetch too.
     pub cache_misses: u64,
+}
+
+/// Cache hits a node image must have served before its bit-sliced
+/// [`SignatureBlock`] is built.
+///
+/// Transposing a Hotels-sized node (≈ 100 entries × 1 512 bits) costs
+/// 8–13 µs, five to eight times an in-place pass over it, and a block pass
+/// saves ≈ 1.5 µs per later visit — but an image's life ends at the next
+/// commit, which nothing here can foresee. Building on the first hit moved
+/// the p99 of a tree that commits every hundred queries by +31 %: its
+/// leaves see about eleven visits per commit, and the transposes of a
+/// thousand of them land in single queries (EXPERIMENTS.md, "Why the block
+/// waits for 24 hits", has the sweep over this constant). Two dozen hits
+/// are reuse no such tree shows below its top levels, and cost a
+/// read-mostly tree ≈ 35 µs of in-place passes per node, once.
+pub const BLOCK_AFTER_HITS: u32 = 24;
+
+/// "if s matches w" for every entry of a visited node at once: bit `i` of
+/// `out` says whether entry `i`'s signature contains `query` (the query
+/// signature of the node's level).
+///
+/// An image that has been served from the node cache
+/// [`BLOCK_AFTER_HITS`] times is read again and again: its payloads are
+/// transposed into a bit-sliced [`SignatureBlock`] once, kept on the image,
+/// and this and every later visit ANDs a handful of its columns. Until then
+/// — on every visit of a tree without a cache, where an image never counts
+/// a hit, and on the first visits after a commit emptied the cache — the
+/// entries are tested where they lie on the page and nothing is built. Both
+/// give the same mask.
+pub(crate) fn signature_mask_into<const N: usize>(
+    node: &CachedNode<N>,
+    query: &Signature,
+    out: &mut EntryMask,
+) {
+    if node.hits() >= BLOCK_AFTER_HITS {
+        node.decorations(|n| SignatureBlock::from_payloads(query.bits(), n.payloads()))
+            .matches_mask_into(query, out);
+    } else {
+        payloads_mask_into(node.payloads(), query, out);
+    }
 }
 
 /// What [`collect_topk`] returns: the complete-or-truncated results plus

@@ -63,7 +63,7 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
             if node.is_leaf() {
                 counters.candidates_checked += 1;
                 let obj = objects.load(ObjPtr(node.child(i)))?;
-                if obj.token_set().contains_all(&kws) {
+                if obj.contains_all(&kws) {
                     out.push(obj);
                 } else {
                     counters.false_positives += 1;

@@ -8,9 +8,10 @@ use std::sync::Arc;
 use ir2_irtree::{
     collect_topk, delete_object, distance_first_topk, general_topk, general_topk_with,
     insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, NopSink, SearchCounters,
+    TraceEvent, VecSink, BLOCK_AFTER_HITS,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, SpatialObject};
-use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
+use ir2_rtree::{with_frontier_prefetch, NodeCache, PrefetchQueue, RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
 use ir2_storage::MemDevice;
 use ir2_text::{tokenize, LinearRank, SaturatingTfIdf, Vocabulary};
@@ -262,4 +263,133 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
         "post-mutation query must see the new object"
     );
     assert_eq!(after.len(), before.len() + 1);
+}
+
+/// The ids of the nodes a traced run visited.
+fn visited(sink: &VecSink) -> Vec<u64> {
+    sink.events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::NodeVisited { node, .. } => Some(*node),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The two ways a visited node's entries are tested — in place until its
+/// image has served [`BLOCK_AFTER_HITS`] cache hits, through the bit-sliced
+/// block built then — are the same search: every query answered with no
+/// cache, by a cached tree on its first pass (all misses), on its next
+/// passes (hits, still in place) and on the pass that reaches the threshold
+/// (hits, through blocks) gives bit-identical results, identical trace
+/// statistics and identical counters apart from `cache_hits`/`cache_misses`.
+/// No visited image carries a block before that last pass; every one does
+/// after it.
+#[test]
+fn in_place_and_block_masks_run_the_same_search() {
+    let docs: Vec<Doc> = (0..90)
+        .map(|i| Doc {
+            point: [f64::from(i % 10) * 1.5, f64::from(i / 10)],
+            words: vec![i as usize % WORDS.len(), (i as usize * 7 + 3) % WORDS.len()],
+        })
+        .collect();
+    let fx = build_fixture(&docs, 7);
+    let cache = fx.warm.node_cache().expect("the warm tree has a cache");
+    let decorated = |ids: &[u64]| -> Vec<bool> {
+        ids.iter()
+            .map(|&id| {
+                cache
+                    .get(id)
+                    .expect("visited node is cached")
+                    .is_decorated()
+            })
+            .collect()
+    };
+    let points = [[0.0, 0.0], [7.0, 4.0], [13.5, 8.0], [-3.0, 11.0]];
+    let level = |c: SearchCounters| SearchCounters {
+        cache_hits: 0,
+        cache_misses: 0,
+        ..c
+    };
+
+    let distance_first = |tree, q: &DistanceFirstQuery<2>| {
+        let mut iter = DistanceFirstIter::with_region_sink(
+            tree,
+            fx.store.as_ref(),
+            QueryRegion::Point(q.point),
+            q.keywords.clone(),
+            VecSink::new(),
+        );
+        let (outcome, counters) = collect_topk(&mut iter, q.k).unwrap();
+        (outcome.into_results(), counters, iter.into_sink())
+    };
+    for (qi, point) in points.iter().enumerate() {
+        for kws in [
+            &[WORDS[qi]][..],
+            &[WORDS[qi], WORDS[(qi * 7 + 3) % 10]],
+            &[],
+        ] {
+            let q = DistanceFirstQuery::new(*point, kws, 6);
+            let (plain, pc, psink) = distance_first(&fx.cold, &q);
+            assert_eq!((pc.cache_hits, pc.cache_misses), (0, pc.nodes_read));
+            assert!(pc.nodes_read > 1, "the query descends");
+
+            cache.bump_epoch();
+            // Pass `p` is the `p`-th hit on every image the query visits:
+            // `cache.get` in `decorated` reads the cache, not the tree, so it
+            // counts no hit on the image.
+            for pass in 0..=BLOCK_AFTER_HITS {
+                let (got, c, sink) = distance_first(&fx.warm, &q);
+                let hits = if pass == 0 { 0 } else { c.nodes_read };
+                assert_eq!((c.cache_hits, c.cache_misses), (hits, c.nodes_read - hits));
+                assert_identical(&got, &plain);
+                assert_eq!(level(c), level(pc), "pass {pass}");
+                assert_eq!(sink.stats(), psink.stats(), "pass {pass}");
+                let built = decorated(&visited(&sink));
+                let want = pass == BLOCK_AFTER_HITS;
+                assert!(built.iter().all(|&b| b == want), "pass {pass}: {built:?}");
+            }
+        }
+    }
+
+    let scorer = SaturatingTfIdf;
+    let rank = LinearRank {
+        ir_weight: 1.0,
+        dist_weight: 0.02,
+    };
+    let general = |tree, q: &GeneralQuery<2>| {
+        let mut sink = VecSink::new();
+        let results = general_topk_with(
+            tree,
+            fx.store.as_ref(),
+            &fx.vocab,
+            &scorer,
+            &rank,
+            q,
+            QueryLimits::none(),
+            &mut sink,
+            &PrefetchQueue::disabled(),
+        )
+        .unwrap()
+        .into_results();
+        let bits: Vec<(u64, u64, u64)> = results
+            .iter()
+            .map(|r| (r.object.id, r.distance.to_bits(), r.score.to_bits()))
+            .collect();
+        (bits, sink)
+    };
+    for (qi, point) in points.iter().enumerate() {
+        let q = GeneralQuery::new(*point, &[WORDS[qi], WORDS[qi + 4], WORDS[qi + 5]], 5);
+        let (plain, psink) = general(&fx.cold, &q);
+        assert!(!plain.is_empty() && visited(&psink).len() > 1);
+        cache.bump_epoch();
+        for pass in 0..=BLOCK_AFTER_HITS {
+            let (got, sink) = general(&fx.warm, &q);
+            assert_eq!(got, plain, "pass {pass}");
+            assert_eq!(sink.stats(), psink.stats(), "pass {pass}");
+            let built = decorated(&visited(&sink));
+            let want = pass == BLOCK_AFTER_HITS;
+            assert!(built.iter().all(|&b| b == want), "pass {pass}: {built:?}");
+        }
+    }
 }

@@ -2,7 +2,7 @@
 
 use ir2_geo::Point;
 use ir2_storage::{Result, StorageError};
-use ir2_text::{TokenCounts, TokenSet};
+use ir2_text::{text_contains_all, TokenCounts, TokenSet};
 
 /// A spatial object `T = (T.p, T.t)` with an application-level id.
 ///
@@ -32,6 +32,13 @@ impl<const N: usize> SpatialObject<N> {
     /// The object's distinct-token set (for conjunctive keyword checks).
     pub fn token_set(&self) -> TokenSet {
         TokenSet::from_text(&self.text)
+    }
+
+    /// The conjunctive keyword check `∀w ∈ keywords : w ∈ T.t`, without
+    /// building the token set ([`text_contains_all`]; `keywords` must be
+    /// lower-cased, as a query's are).
+    pub fn contains_all<S: AsRef<str>>(&self, keywords: &[S]) -> bool {
+        text_contains_all(&self.text, keywords)
     }
 
     /// The object's token counts (for IR scoring).

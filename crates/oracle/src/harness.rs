@@ -513,6 +513,19 @@ impl Checker {
 
         const TREE_ALGS: [Algorithm; 3] = [Algorithm::RTree, Algorithm::Ir2, Algorithm::Mir2];
 
+        // A node image gets its bit-sliced signature block only after it
+        // has served `BLOCK_AFTER_HITS` cache hits. Run the query stream
+        // that often first (answers unchecked — the sweep below checks
+        // them), so the warm variants prune through blocks on every node
+        // they visit; the cold variants cover the in-place path.
+        for _ in 0..ir2tree::irtree::BLOCK_AFTER_HITS {
+            for q in &sc.queries {
+                for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+                    let _ = warm.distance_first(alg, q);
+                }
+            }
+        }
+
         for (qi, q) in sc.queries.iter().enumerate() {
             let full = reference_ranking(&live, q);
             let expect = &full[..q.k.min(full.len())];

@@ -9,18 +9,20 @@
 //! the cold decode allocates nothing per entry. The wrapper additionally
 //! carries a lazily-built, type-erased decoration slot so higher layers
 //! (the IR²-Tree) can attach derived per-node data — e.g. entry payloads
-//! assembled into a columnar `SignatureBlock` — and have it cached with
+//! transposed into a bit-sliced `SignatureBlock` — and have it cached with
 //! the same lifetime and invalidation as the node itself.
 
 use std::any::Any;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use ir2_storage::DecodedCache;
 
 use crate::node::NodeBuf;
 
-/// A decoded node plus one lazily-initialized decoration.
+/// A decoded node plus one lazily-initialized decoration and a count of
+/// the cache hits the image has served.
 ///
 /// Dereferences to the wrapped [`NodeBuf`], so cached and uncached code
 /// paths read entries identically. The decoration slot is written at most
@@ -30,6 +32,7 @@ use crate::node::NodeBuf;
 pub struct CachedNode<const N: usize> {
     node: NodeBuf<N>,
     deco: OnceLock<Box<dyn Any + Send + Sync>>,
+    hits: AtomicU32,
 }
 
 impl<const N: usize> CachedNode<N> {
@@ -38,6 +41,7 @@ impl<const N: usize> CachedNode<N> {
         Self {
             node,
             deco: OnceLock::new(),
+            hits: AtomicU32::new(0),
         }
     }
 
@@ -61,6 +65,24 @@ impl<const N: usize> CachedNode<N> {
             .downcast_ref::<T>()
             .expect("conflicting decoration types on one cached node")
     }
+
+    /// How many times this image has been served from the node cache (0
+    /// for an image that never went through one). A decoration that costs
+    /// more to build than one visit saves can wait for this to show reuse.
+    pub fn hits(&self) -> u32 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Records one more cache hit on this image. A statistic: it orders
+    /// nothing, so `Relaxed`.
+    pub(crate) fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// True once a decoration has been built for this node image.
+    pub fn is_decorated(&self) -> bool {
+        self.deco.get().is_some()
+    }
 }
 
 impl<const N: usize> Deref for CachedNode<N> {
@@ -75,7 +97,7 @@ impl<const N: usize> std::fmt::Debug for CachedNode<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedNode")
             .field("node", &self.node)
-            .field("decorated", &self.deco.get().is_some())
+            .field("decorated", &self.is_decorated())
             .finish()
     }
 }
@@ -124,6 +146,12 @@ mod tests {
         });
         assert_eq!(again, &vec![0xAB, 0xCD], "second build must not run");
         assert_eq!(builds, 1);
+        assert!(c.is_decorated());
+        let fresh = CachedNode::new(leaf());
+        assert!(!fresh.is_decorated());
+        assert_eq!(fresh.hits(), 0);
+        fresh.count_hit();
+        assert_eq!(fresh.hits(), 1);
     }
 
     #[test]

@@ -442,6 +442,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             return Ok((Arc::new(CachedNode::new(self.read_node_buf(id)?)), false));
         };
         if let Some(node) = cache.get(id) {
+            node.count_hit();
             return Ok((node, true));
         }
         let snapshot = cache.epoch();
@@ -1311,6 +1312,11 @@ mod tests {
             warm_it.nodes_read(),
             "second identical traversal should be fully warm"
         );
+        // An image counts the hits it serves: none for the read that
+        // decoded it, one for the warm traversal, one for this read.
+        let (root, hit) = tree.read_node_cached(tree.root().unwrap()).unwrap();
+        assert!(hit);
+        assert_eq!(root.hits(), 2);
 
         // A committed mutation bumps the epoch: the next traversal re-reads
         // nodes (no stale images) and sees the new object.

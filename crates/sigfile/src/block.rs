@@ -1,20 +1,21 @@
-//! Columnar signature storage and batched containment kernels.
+//! Bit-sliced signature blocks and the containment kernels.
 //!
 //! The IR²-Tree's textual pruning power rests on one inner loop: "s
 //! matches w" containment tests over superimposed-coding signatures. A
-//! per-entry `Vec<Signature>` pays a pointer chase and an iterator setup
-//! per test; a [`SignatureBlock`] instead packs all of a node's (or an SSF
-//! page's) entry signatures into one contiguous 64-bit-word buffer and
-//! tests them with chunked word loops that the compiler can autovectorize.
+//! node's signatures can be tested where they lie on the page, one entry at
+//! a time ([`payloads_mask_into`]), or — for a node that is read again —
+//! through a [`SignatureBlock`], the bit-sliced organisation of the
+//! signature-file literature \[FC84\]: one bitmap over the node's entries per
+//! signature *bit*, so a query ANDs together only the bitmaps of the few
+//! bits it sets instead of fetching every entry's whole row.
 //!
 //! Exactness contract: every kernel in this module computes *precisely*
 //! the per-entry scalar result ([`Signature::contains`]) — same bits, same
-//! answers, no tolerance. Bit lengths that are not multiples of 64 are
-//! handled by masking the tail word at load time, so the padding bits can
-//! never flip a verdict. The [`ScalarKernelGuard`] toggle forces every
-//! dispatching call site back onto the per-entry scalar path, which is how
-//! the differential fuzzer (`ir2 fuzz`) pins kernel == scalar across all
-//! engines and scenarios.
+//! answers, no tolerance. A block has no column for a position at or beyond
+//! `bits`, so garbage in a payload's padding bits cannot flip a verdict. The
+//! [`ScalarKernelGuard`] toggle forces every dispatching call site back onto
+//! the per-entry scalar path, which is how the differential fuzzer
+//! (`ir2 fuzz`) pins kernel == scalar across all engines and scenarios.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -65,51 +66,71 @@ impl Drop for ScalarKernelGuard {
     }
 }
 
-/// Mask selecting the live bits of the last word of a `bits`-bit
-/// signature (`!0` when `bits` is a multiple of 64).
+/// Up to eight little-endian bytes as a word, zero-extended — the last
+/// chunk of a payload whose length is not a multiple of eight is short.
 #[inline]
-fn tail_mask(bits: usize) -> u64 {
-    match bits % 64 {
-        0 => !0u64,
-        r => (1u64 << r) - 1,
+fn le_word(chunk: &[u8]) -> u64 {
+    match chunk.first_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => {
+            let mut last = [0u8; 8];
+            last[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(last)
+        }
     }
 }
 
-/// Appends little-endian bytes to `out` as words, masking the tail word so
-/// bits beyond `bits` are zero even if the input bytes carry garbage padding.
-fn words_from_bytes(bits: usize, bytes: &[u8], out: &mut Vec<u64>) {
-    debug_assert_eq!(bytes.len(), bits.div_ceil(8), "payload length mismatch");
-    let mut chunks = bytes.chunks_exact(8);
-    out.extend(
-        chunks
-            .by_ref()
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-    );
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        out.push(u64::from_le_bytes(last));
-    }
-    if bits % 64 != 0 {
-        *out.last_mut().expect("tail word just written") &= tail_mask(bits);
+/// Transposes a 64×64 bit matrix in place: afterwards bit `r` of `m[c]` is
+/// what bit `c` of `m[r]` was. Six rounds of block swaps — the off-diagonal
+/// 32×32 blocks, then the 16×16 ones inside each quadrant, … down to single
+/// bits — each a masked exchange between row `k` and row `k + width`.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut low = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        for rows in m.chunks_exact_mut(2 * width) {
+            let (upper, lower) = rows.split_at_mut(width);
+            for (a, b) in upper.iter_mut().zip(lower) {
+                let t = ((*a >> width) ^ *b) & low;
+                *a ^= t << width;
+                *b ^= t;
+            }
+        }
+        width >>= 1;
+        low ^= low << width;
     }
 }
 
-/// All entry signatures of one node (or one SSF page) in a single
-/// contiguous word buffer, row-major: entry `i` occupies words
-/// `[i·w, (i+1)·w)` where `w = bits.div_ceil(64)`.
+/// Positions of the set bits of a little-endian word slice, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        std::iter::successors((w != 0).then_some(w), |&rest| {
+            let next = rest & (rest - 1);
+            (next != 0).then_some(next)
+        })
+        .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
+    })
+}
+
+/// All entry signatures of one node, bit-sliced: column `b` is a bitmap
+/// over the entries — bit `i % 64` of `words[b · stride + i / 64]` is bit
+/// `b` of entry `i`, `stride = count.div_ceil(64)` — and only columns
+/// `b < bits` exist.
 ///
-/// The batched kernels ([`matches_mask`](SignatureBlock::matches_mask),
-/// [`superimpose_all`](SignatureBlock::superimpose_all)) walk that buffer
-/// with unrolled word loops — no per-entry heap indirection, no bounds
-/// checks in the hot path after the initial slice — and return bit-exact
-/// scalar results.
+/// [`matches_mask_into`](SignatureBlock::matches_mask_into) ANDs the columns
+/// of the query's set bits: a 1 512-bit Hotels query with three keywords
+/// reads at most twelve 16-byte columns of a 100-entry node, where a
+/// row-major block fetched a cache line from each of the hundred 192-byte
+/// rows. Building the block is a bit-matrix transpose of the page's
+/// payloads, dearer than copying them, so callers build one only for a node
+/// that has shown it is read again and again (`ir2-irtree` waits for a node
+/// image to serve a number of cache hits) and test the others in place with
+/// [`payloads_mask_into`].
 #[derive(Clone, Debug)]
 pub struct SignatureBlock {
     bits: usize,
-    words_per_sig: usize,
     count: usize,
+    stride: usize,
     words: Box<[u64]>,
 }
 
@@ -121,42 +142,64 @@ impl SignatureBlock {
     /// # Panics
     /// Panics if any payload has the wrong length.
     pub fn from_payloads<'a>(bits: usize, payloads: impl IntoIterator<Item = &'a [u8]>) -> Self {
-        let wps = bits.div_ceil(64);
         let byte_len = bits.div_ceil(8);
-        let payloads = payloads.into_iter();
-        let mut words: Vec<u64> = Vec::with_capacity(payloads.size_hint().0 * wps);
-        let mut count = 0usize;
-        for p in payloads {
+        let rows: Vec<&[u8]> = payloads.into_iter().collect();
+        for p in &rows {
             assert_eq!(p.len(), byte_len, "signature payload length mismatch");
-            words_from_bytes(bits, p, &mut words);
-            count += 1;
         }
-        Self {
-            bits,
-            words_per_sig: wps,
-            count,
-            words: words.into_boxed_slice(),
-        }
+        Self::transposed(bits, &rows, |p| p.chunks(8).map(le_word))
     }
 
-    /// Builds a block from decoded signatures.
+    /// Builds a block from decoded signatures (the same layout
+    /// [`from_payloads`](SignatureBlock::from_payloads) gives their
+    /// serialized form).
     ///
     /// # Panics
     /// Panics if any signature's length differs from `bits`.
     pub fn from_signatures<'a>(bits: usize, sigs: impl IntoIterator<Item = &'a Signature>) -> Self {
-        let wps = bits.div_ceil(64);
-        let mut words: Vec<u64> = Vec::new();
-        let mut count = 0usize;
-        for s in sigs {
+        let rows: Vec<&Signature> = sigs.into_iter().collect();
+        for s in &rows {
             assert_eq!(s.bits(), bits, "signature length mismatch");
-            words.extend_from_slice(s.words());
-            count += 1;
         }
-        debug_assert_eq!(words.len(), count * wps);
+        Self::transposed(bits, &rows, |s| s.words().iter().copied())
+    }
+
+    /// The build both constructors share. Sixty-four entries at a time, word
+    /// `j` of every entry goes into row `entry` of the `j`-th 64×64 bit
+    /// matrix; each matrix is transposed, and its rows — now one bitmap per
+    /// signature bit — are stored as columns `64j..64j + 64`. Rows at or
+    /// beyond `bits` have no column to go to, which is where the padding
+    /// bits of the last payload byte are dropped.
+    fn transposed<R, W: Iterator<Item = u64>>(
+        bits: usize,
+        rows: &[R],
+        words_of: impl Fn(&R) -> W,
+    ) -> Self {
+        let stride = rows.len().div_ceil(64);
+        let mut words = vec![0u64; bits * stride];
+        let mut matrices = vec![[0u64; 64]; bits.div_ceil(64)];
+        for (g, group) in rows.chunks(64).enumerate() {
+            for (r, row) in group.iter().enumerate() {
+                for (m, word) in matrices.iter_mut().zip(words_of(row)) {
+                    m[r] = word;
+                }
+            }
+            for (j, m) in matrices.iter_mut().enumerate() {
+                transpose64(m);
+                for (column, &bitmap) in words[64 * j * stride..]
+                    .chunks_exact_mut(stride)
+                    .zip(m.iter())
+                {
+                    column[g] = bitmap;
+                }
+                // The next group may be shorter: leave no row behind.
+                *m = [0u64; 64];
+            }
+        }
         Self {
             bits,
-            words_per_sig: wps,
-            count,
+            count: rows.len(),
+            stride,
             words: words.into_boxed_slice(),
         }
     }
@@ -176,35 +219,43 @@ impl SignatureBlock {
         self.bits
     }
 
-    /// Words per signature row (`bits.div_ceil(64)`).
-    pub fn words_per_sig(&self) -> usize {
-        self.words_per_sig
+    /// The bitmap of signature bit `b` over the entries.
+    #[inline]
+    fn column(&self, b: usize) -> &[u64] {
+        &self.words[b * self.stride..(b + 1) * self.stride]
     }
 
+    /// Bit `b` of entry `i`.
     #[inline]
-    fn row(&self, i: usize) -> &[u64] {
-        &self.words[i * self.words_per_sig..(i + 1) * self.words_per_sig]
+    fn bit(&self, b: usize, i: usize) -> bool {
+        assert!(
+            i < self.count,
+            "entry index {i} out of range {}",
+            self.count
+        );
+        self.column(b)[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Per-entry scalar containment — the reference the batched kernels
-    /// are differentially tested against (`row & query == query`).
-    #[inline]
+    /// Per-entry scalar containment — the reference the batched kernel is
+    /// differentially tested against: every bit the query sets is set in
+    /// entry `i`.
     pub fn contains_at(&self, i: usize, query: &Signature) -> bool {
         assert_eq!(self.bits, query.bits(), "signature length mismatch");
-        self.row(i)
-            .iter()
-            .zip(query.words())
-            .all(|(s, q)| s & q == *q)
+        ones(query.words()).all(|b| self.bit(b, i))
     }
 
     /// Decodes entry `i` back into an owned [`Signature`].
     pub fn signature_at(&self, i: usize) -> Signature {
-        Signature::from_words(self.bits, self.row(i).to_vec())
+        let mut sig = Signature::zero(self.bits);
+        for b in (0..self.bits).filter(|&b| self.bit(b, i)) {
+            sig.set(b);
+        }
+        sig
     }
 
     /// Number of set bits in entry `i`.
     pub fn count_ones_at(&self, i: usize) -> u32 {
-        self.row(i).iter().map(|w| w.count_ones()).sum()
+        (0..self.bits).filter(|&b| self.bit(b, i)).count() as u32
     }
 
     /// Total set bits across all entries (the stats line's raw sum).
@@ -223,16 +274,16 @@ impl SignatureBlock {
     }
 
     /// Superimposes (ORs) every entry into one signature — the parent
-    /// summary of the paper's AdjustTree, computed in one pass over the
-    /// columnar buffer.
+    /// summary of the paper's AdjustTree: bit `b` is set iff column `b` is
+    /// not empty.
     pub fn superimpose_all(&self) -> Signature {
-        let mut acc = vec![0u64; self.words_per_sig];
-        for i in 0..self.count {
-            for (a, w) in acc.iter_mut().zip(self.row(i)) {
-                *a |= w;
+        let mut sig = Signature::zero(self.bits);
+        for b in 0..self.bits {
+            if self.column(b).iter().any(|&w| w != 0) {
+                sig.set(b);
             }
         }
-        Signature::from_words(self.bits, acc)
+        sig
     }
 
     /// Batched containment: returns the bitmask of entries whose signature
@@ -246,92 +297,33 @@ impl SignatureBlock {
     }
 
     /// Batched containment into a caller-owned mask (no allocation once
-    /// the mask has grown to the block's size). Dispatches to the word
-    /// kernel, or to the per-entry scalar path under [`ScalarKernelGuard`].
+    /// the mask has grown to the block's size): start from "every entry
+    /// matches" and AND in the column of each bit the query sets, stopping
+    /// once no entry is left. One loop for every signature width; an empty
+    /// query (or a 0-bit scheme) ANDs nothing and matches everything. Under
+    /// [`ScalarKernelGuard`] the verdicts come from
+    /// [`contains_at`](SignatureBlock::contains_at) instead.
     ///
     /// # Panics
     /// Panics if `query.bits() != self.bits()`.
     pub fn matches_mask_into(&self, query: &Signature, out: &mut EntryMask) {
         assert_eq!(self.bits, query.bits(), "signature length mismatch");
-        out.reset(self.count);
         if scalar_kernels_forced() {
+            out.clear();
             for i in 0..self.count {
-                if self.contains_at(i, query) {
-                    out.set(i);
-                }
+                out.push(self.contains_at(i, query));
             }
             return;
         }
-        self.kernel_mask_into(query, out);
-    }
-
-    /// The batched word kernel. One dispatch on the row width, then tight
-    /// chunked loops that keep the verdict accumulator in a register:
-    /// single-word rows fold 64 verdicts into one mask word per store;
-    /// wider rows screen on the first word (where a superimposed-coding
-    /// mismatch almost always shows) before the unrolled full-row test.
-    fn kernel_mask_into(&self, query: &Signature, out: &mut EntryMask) {
-        let q = query.words();
-        match self.words_per_sig {
-            // 0-bit scheme: every signature (vacuously) contains the
-            // empty query.
-            0 => {
-                for i in 0..self.count {
-                    out.set(i);
-                }
+        out.reset_all_set(self.count);
+        for b in ones(query.words()) {
+            let mut live = 0u64;
+            for (verdicts, bitmap) in out.words.iter_mut().zip(self.column(b)) {
+                *verdicts &= bitmap;
+                live |= *verdicts;
             }
-            // ≤ 64-bit signatures (the paper's 8 B Restaurants scheme):
-            // one word per entry; 64 verdicts accumulate in a register and
-            // store once per mask word — no per-entry memory traffic.
-            1 => {
-                let qw = q[0];
-                for (wi, chunk) in self.words.chunks(64).enumerate() {
-                    // Four independent accumulators break the or-chain
-                    // dependency so verdict bits retire in parallel; one
-                    // store per 64 entries, no per-entry memory traffic.
-                    let mut acc = [0u64; 4];
-                    let mut quads = chunk.chunks_exact(4);
-                    let mut b = 0u32;
-                    for quad in &mut quads {
-                        acc[0] |= u64::from((quad[0] & qw) ^ qw == 0) << b;
-                        acc[1] |= u64::from((quad[1] & qw) ^ qw == 0) << (b + 1);
-                        acc[2] |= u64::from((quad[2] & qw) ^ qw == 0) << (b + 2);
-                        acc[3] |= u64::from((quad[3] & qw) ^ qw == 0) << (b + 3);
-                        b += 4;
-                    }
-                    let mut m = acc[0] | acc[1] | acc[2] | acc[3];
-                    for &w in quads.remainder() {
-                        m |= u64::from((w & qw) ^ qw == 0) << b;
-                        b += 1;
-                    }
-                    out.words[wi] = m;
-                }
-            }
-            wps => {
-                // Screen on the first word that actually carries query
-                // bits — all-zero query words trivially pass containment,
-                // so a sparse long query (a few probes in dozens of
-                // words) would otherwise defeat a word-0 screen. A row
-                // that misses a query bit in the screen word (the common
-                // case for a non-matching entry) costs one load.
-                let Some(si) = q.iter().position(|&w| w != 0) else {
-                    // Empty query: every signature matches vacuously.
-                    for i in 0..self.count {
-                        out.set(i);
-                    }
-                    return;
-                };
-                let sw = q[si];
-                for i in 0..self.count {
-                    let base = i * wps;
-                    if (self.words[base + si] & sw) ^ sw != 0 {
-                        continue;
-                    }
-                    // Words before `si` carry no query bits; test the rest.
-                    if contains_words(&self.words[base + si..base + wps], &q[si..]) {
-                        out.set(i);
-                    }
-                }
+            if live == 0 {
+                return;
             }
         }
     }
@@ -344,70 +336,35 @@ impl SignatureBlock {
 #[inline]
 fn contains_words(row: &[u64], q: &[u64]) -> bool {
     debug_assert_eq!(row.len(), q.len());
-    #[cfg(feature = "portable-simd")]
-    {
-        return simd::contains_words(row, q);
+    let mut j = 0usize;
+    let n = row.len();
+    while j + 4 <= n {
+        let acc = ((row[j] & q[j]) ^ q[j])
+            | ((row[j + 1] & q[j + 1]) ^ q[j + 1])
+            | ((row[j + 2] & q[j + 2]) ^ q[j + 2])
+            | ((row[j + 3] & q[j + 3]) ^ q[j + 3]);
+        if acc != 0 {
+            return false;
+        }
+        j += 4;
     }
-    #[cfg(not(feature = "portable-simd"))]
-    {
-        let mut j = 0usize;
-        let n = row.len();
-        while j + 4 <= n {
-            let acc = ((row[j] & q[j]) ^ q[j])
-                | ((row[j + 1] & q[j + 1]) ^ q[j + 1])
-                | ((row[j + 2] & q[j + 2]) ^ q[j + 2])
-                | ((row[j + 3] & q[j + 3]) ^ q[j + 3]);
-            if acc != 0 {
-                return false;
-            }
-            j += 4;
-        }
-        let mut acc = 0u64;
-        while j < n {
-            acc |= (row[j] & q[j]) ^ q[j];
-            j += 1;
-        }
-        acc == 0
+    let mut acc = 0u64;
+    while j < n {
+        acc |= (row[j] & q[j]) ^ q[j];
+        j += 1;
     }
-}
-
-/// Explicit-SIMD variant of the chunked kernel, compiled only when the
-/// off-by-default `portable-simd` feature is enabled (requires a nightly
-/// toolchain for `std::simd`); stable builds use the unrolled u64 loops
-/// above, which autovectorize on current compilers.
-#[cfg(feature = "portable-simd")]
-mod simd {
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::u64x4;
-
-    #[inline]
-    pub(super) fn contains_words(row: &[u64], q: &[u64]) -> bool {
-        let mut j = 0usize;
-        let n = row.len();
-        while j + 4 <= n {
-            let s = u64x4::from_slice(&row[j..j + 4]);
-            let qq = u64x4::from_slice(&q[j..j + 4]);
-            if !(s & qq).simd_eq(qq).all() {
-                return false;
-            }
-            j += 4;
-        }
-        let mut acc = 0u64;
-        while j < n {
-            acc |= (row[j] & q[j]) ^ q[j];
-            j += 1;
-        }
-        acc == 0
-    }
+    acc == 0
 }
 
 /// Zero-copy containment against a serialized signature (the exact bytes
 /// [`Signature::write_bytes`] produces, e.g. an SSF page entry or a tree
-/// node payload): words are assembled with chunked little-endian loads and
-/// tested in place — no per-entry `Signature` decode, no heap traffic.
+/// node payload): words are assembled with little-endian loads and tested
+/// in place, stopping at the first one that lacks a query bit — no per-entry
+/// `Signature` decode, no heap traffic, and for the common non-matching
+/// entry no more of the payload read than that word's cache line.
 ///
 /// Exact because serialization is little-endian words truncated to
-/// `byte_len` and both sides keep bits beyond `bits` at zero.
+/// `byte_len` and the query keeps bits beyond `bits` at zero.
 ///
 /// # Panics
 /// Panics if `sig_bytes.len() != query.byte_len()`.
@@ -417,23 +374,11 @@ pub fn bytes_contain(sig_bytes: &[u8], query: &Signature) -> bool {
         query.byte_len(),
         "signature payload length mismatch"
     );
-    let q = query.words();
-    let mut chunks = sig_bytes.chunks_exact(8);
-    let mut acc = 0u64;
-    let mut j = 0usize;
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        acc |= (w & q[j]) ^ q[j];
-        j += 1;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        let w = u64::from_le_bytes(last);
-        acc |= (w & q[j]) ^ q[j];
-    }
-    acc == 0
+    // A zero query word asks nothing: its payload bytes are not read.
+    sig_bytes
+        .chunks(8)
+        .zip(query.words())
+        .all(|(chunk, &q)| q == 0 || le_word(chunk) & q == q)
 }
 
 /// Dispatching containment over a serialized payload: the zero-copy byte
@@ -445,6 +390,25 @@ pub fn payload_contains(sig_bytes: &[u8], query: &Signature) -> bool {
         Signature::from_bytes(query.bits(), sig_bytes).contains(query)
     } else {
         bytes_contain(sig_bytes, query)
+    }
+}
+
+/// The containment mask of a node tested where it lies: `out` gets one
+/// verdict per payload, in order, from [`payload_contains`] — the same mask
+/// a [`SignatureBlock`] of these payloads would give, with nothing built
+/// and (once `out` has grown) nothing allocated. This is the path for a node
+/// that is not known to be read again.
+///
+/// # Panics
+/// Panics if a payload's length is not `query.byte_len()`.
+pub fn payloads_mask_into<'a>(
+    payloads: impl IntoIterator<Item = &'a [u8]>,
+    query: &Signature,
+    out: &mut EntryMask,
+) {
+    out.clear();
+    for p in payloads {
+        out.push(payload_contains(p, query));
     }
 }
 
@@ -461,10 +425,10 @@ pub fn kernel_contains(sig: &Signature, query: &Signature) -> bool {
     }
 }
 
-/// A bitmask over a block's entries: bit `i` is the containment verdict of
+/// A bitmask over a node's entries: bit `i` is the containment verdict of
 /// entry `i`. Reused across node visits via
-/// [`SignatureBlock::matches_mask_into`] so steady-state pruning allocates
-/// nothing.
+/// [`SignatureBlock::matches_mask_into`] / [`payloads_mask_into`] so
+/// steady-state pruning allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct EntryMask {
     words: Vec<u64>,
@@ -477,17 +441,32 @@ impl EntryMask {
         Self::default()
     }
 
-    /// Resizes to `len` entries, all unset. Keeps capacity.
-    fn reset(&mut self, len: usize) {
-        let need = len.div_ceil(64);
+    /// Empties the mask, keeping its capacity.
+    fn clear(&mut self) {
         self.words.clear();
-        self.words.resize(need, 0);
+        self.len = 0;
+    }
+
+    /// Resizes to `len` entries, all set (bits beyond `len` stay clear, so
+    /// [`count_ones`](EntryMask::count_ones) counts entries only). Keeps
+    /// capacity.
+    fn reset_all_set(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), !0);
+        if len % 64 != 0 {
+            *self.words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
+        }
         self.len = len;
     }
 
+    /// Appends one verdict.
     #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
+    fn push(&mut self, verdict: bool) {
+        if self.len % 64 == 0 {
+            self.words.push(0);
+        }
+        self.words[self.len / 64] |= u64::from(verdict) << (self.len % 64);
+        self.len += 1;
     }
 
     /// Verdict for entry `i`.
@@ -517,13 +496,7 @@ impl EntryMask {
 
     /// Iterates the indices of matching entries in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors(if w == 0 { None } else { Some(w) }, |&rest| {
-                let next = rest & (rest - 1);
-                (next != 0).then_some(next)
-            })
-            .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
-        })
+        ones(&self.words)
     }
 }
 
@@ -553,6 +526,39 @@ mod tests {
             })
             .collect();
         SignatureBlock::from_payloads(bits, payloads.iter().map(Vec::as_slice))
+    }
+
+    /// A matrix with no symmetry a wrong transpose could hide behind.
+    fn scrambled_matrix() -> [u64; 64] {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        std::array::from_fn(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+    }
+
+    #[test]
+    fn transpose64_equals_a_naive_bit_loop() {
+        let m = scrambled_matrix();
+        let mut fast = m;
+        transpose64(&mut fast);
+        for (c, &column) in fast.iter().enumerate() {
+            for (r, &row) in m.iter().enumerate() {
+                assert_eq!(column >> r & 1, row >> c & 1, "row {r} column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_is_an_involution() {
+        let m = scrambled_matrix();
+        let mut twice = m;
+        transpose64(&mut twice);
+        assert_ne!(twice, m);
+        transpose64(&mut twice);
+        assert_eq!(twice, m);
     }
 
     #[test]

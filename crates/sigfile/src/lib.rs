@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! Signature files: the superimposed-coding substrate of the IR²-Tree.
 //!
 //! Faloutsos and Christodoulakis \[FC84\] introduced *signature files* as a
@@ -22,11 +21,14 @@
 //!   ([`expected_false_positive`]);
 //! * [`MultiLevelScheme`] — per-level lengths for the MIR²-Tree
 //!   (multi-level superimposed coding [CS89, DR83]);
-//! * [`SignatureBlock`] — columnar per-node signature storage with batched,
-//!   bit-exact containment kernels ([`SignatureBlock::matches_mask`]) and
-//!   zero-copy byte-level tests ([`bytes_contain`]), plus the
-//!   [`ScalarKernelGuard`] toggle the differential fuzzer uses to pin
-//!   kernel == scalar.
+//! * [`SignatureBlock`] — a node's signatures bit-sliced (one bitmap over
+//!   the entries per signature bit, built by 64×64 bit-matrix transposes),
+//!   whose one bit-exact containment kernel
+//!   ([`SignatureBlock::matches_mask_into`]) ANDs the bitmaps of the bits
+//!   the query sets; [`payloads_mask_into`] / [`bytes_contain`], which give
+//!   the same verdicts from the page bytes with nothing built, for a node
+//!   that is read once; and the [`ScalarKernelGuard`] toggle the
+//!   differential fuzzer uses to pin kernel == scalar.
 
 mod block;
 mod multilevel;
@@ -34,8 +36,8 @@ mod scheme;
 mod signature;
 
 pub use block::{
-    bytes_contain, force_scalar_kernels, kernel_contains, payload_contains, scalar_kernels_forced,
-    EntryMask, ScalarKernelGuard, SignatureBlock,
+    bytes_contain, force_scalar_kernels, kernel_contains, payload_contains, payloads_mask_into,
+    scalar_kernels_forced, EntryMask, ScalarKernelGuard, SignatureBlock,
 };
 pub use multilevel::MultiLevelScheme;
 pub use scheme::{expected_false_positive, optimal_bits, optimal_params, SignatureScheme};

@@ -1,10 +1,12 @@
-//! Property tests pinning the batched containment kernels to the per-entry
-//! scalar reference (`Signature::contains`) — including bit lengths not
-//! divisible by 64 (tail-word masking) and empty/zero-bit signatures.
+//! Property tests pinning the containment kernels — the bit-sliced block's
+//! and the in-place one's — to the per-entry scalar reference
+//! (`Signature::contains`), including entry counts around the 64-entry
+//! bitmap word, bit lengths not divisible by 64 or 8 (padding bits never
+//! become a column) and empty/zero-bit signatures.
 
 use ir2_sigfile::{
-    bytes_contain, kernel_contains, EntryMask, ScalarKernelGuard, Signature, SignatureBlock,
-    SignatureScheme,
+    bytes_contain, kernel_contains, payloads_mask_into, EntryMask, ScalarKernelGuard, Signature,
+    SignatureBlock, SignatureScheme,
 };
 use proptest::prelude::*;
 
@@ -28,7 +30,100 @@ fn arb_bits() -> impl Strategy<Value = usize> {
     ]
 }
 
+fn xorshift(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
+
 proptest! {
+    /// The three ways to a node's containment mask agree bit for bit, with
+    /// and without the scalar guard: the bit-sliced block (built from
+    /// payloads and from signatures), the in-place pass over the payload
+    /// bytes, and `Signature::contains` per entry — at entry counts on both
+    /// sides of the bitmap word and with garbage in the padding bits of
+    /// every payload's last byte. The row accessors read the same
+    /// signatures back out of the columns.
+    #[test]
+    fn bit_sliced_block_equals_scalar_and_in_place(
+        count in prop::sample::select(vec![0usize, 1, 63, 64, 65, 127, 128, 129]),
+        bits in prop::sample::select(vec![0usize, 1, 8, 63, 64, 65, 100, 1512]),
+        seed in 1u64..u64::MAX,
+        garbage in any::<u8>(),
+        query_bits in 0usize..7,
+        query_from_entry in any::<bool>(),
+    ) {
+        let mut x = seed;
+        let sigs: Vec<Signature> = (0..count)
+            .map(|i| {
+                let mut s = Signature::zero(bits);
+                // Sparse, half-full and saturated rows side by side.
+                let sets = [bits / 8, bits / 2, 4 * bits][i % 3];
+                for _ in 0..sets {
+                    s.set((xorshift(&mut x) % bits as u64) as usize);
+                }
+                s
+            })
+            .collect();
+        let payloads: Vec<Vec<u8>> = sigs
+            .iter()
+            .map(|s| {
+                let mut b = vec![0u8; s.byte_len()];
+                s.write_bytes(&mut b);
+                if bits % 8 != 0 {
+                    *b.last_mut().unwrap() |= garbage << (bits % 8);
+                }
+                b
+            })
+            .collect();
+        let mut query = Signature::zero(bits);
+        if bits > 0 {
+            for _ in 0..query_bits {
+                let b = (xorshift(&mut x) % bits as u64) as usize;
+                // Bits of a stored row make matches likely; free bits, rare.
+                if !query_from_entry || sigs.first().is_some_and(|s| s.get(b)) {
+                    query.set(b);
+                }
+            }
+        }
+        let want: Vec<bool> = sigs.iter().map(|s| s.contains(&query)).collect();
+
+        let from_payloads =
+            SignatureBlock::from_payloads(bits, payloads.iter().map(Vec::as_slice));
+        let from_signatures = SignatureBlock::from_signatures(bits, sigs.iter());
+        let mut mask = EntryMask::new();
+        for forced in [false, true] {
+            let _guard = forced.then(ScalarKernelGuard::new);
+            for block in [&from_payloads, &from_signatures] {
+                block.matches_mask_into(&query, &mut mask);
+                prop_assert_eq!(mask.len(), count);
+                let got: Vec<bool> = (0..count).map(|i| mask.get(i)).collect();
+                prop_assert_eq!(&got, &want, "block, forced {}", forced);
+                prop_assert_eq!(mask.count_ones(), want.iter().filter(|&&m| m).count());
+            }
+            payloads_mask_into(payloads.iter().map(Vec::as_slice), &query, &mut mask);
+            prop_assert_eq!(mask.len(), count);
+            let got: Vec<bool> = (0..count).map(|i| mask.get(i)).collect();
+            prop_assert_eq!(&got, &want, "in place, forced {}", forced);
+            prop_assert_eq!(mask.count_ones(), want.iter().filter(|&&m| m).count());
+        }
+
+        let mut union = Signature::zero(bits);
+        for (i, s) in sigs.iter().enumerate() {
+            prop_assert_eq!(&from_payloads.signature_at(i), s, "padding must not surface");
+            prop_assert_eq!(from_payloads.count_ones_at(i), s.count_ones());
+            prop_assert_eq!(from_payloads.contains_at(i, &query), want[i]);
+            union.or_assign(s);
+        }
+        prop_assert_eq!(from_payloads.superimpose_all(), union);
+        prop_assert_eq!(
+            from_payloads.set_bits_total(),
+            sigs.iter().map(|s| u64::from(s.count_ones())).sum::<u64>()
+        );
+        prop_assert_eq!(from_signatures.set_bits_total(), from_payloads.set_bits_total());
+    }
+
     #[test]
     fn matches_mask_equals_scalar_contains(
         bits in arb_bits(),

@@ -195,7 +195,7 @@ impl<D: BlockDevice> SignatureFile<D> {
         for ptr in candidates {
             counters.candidates_checked += 1;
             let obj = objects.load(ptr)?;
-            if !obj.token_set().contains_all(&query.keywords) {
+            if !obj.contains_all(&query.keywords) {
                 counters.false_positives += 1;
                 continue;
             }

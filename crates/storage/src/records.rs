@@ -228,15 +228,17 @@ impl<D: BlockDevice> RecordFile<D> {
     pub fn get(&self, ptr: RecordPtr) -> Result<Vec<u8>> {
         // Ensure every byte of the file is durable before reading blocks:
         // a record may begin in the durable region yet end inside the tail.
-        {
+        // The file is append-only, so the length seen here still bounds the
+        // record below: one lock per load.
+        let file_len = {
             let mut s = self.state.lock();
             self.flush_locked(&mut s)?;
-            if ptr.0 + LEN_PREFIX as u64 > s.len {
-                return Err(StorageError::Corrupt(format!(
-                    "record pointer {ptr:?} beyond end of file ({})",
-                    s.len
-                )));
-            }
+            s.len
+        };
+        if ptr.0 + LEN_PREFIX as u64 > file_len {
+            return Err(StorageError::Corrupt(format!(
+                "record pointer {ptr:?} beyond end of file ({file_len})"
+            )));
         }
 
         let first_block = ptr.0 / BLOCK_SIZE as u64;
@@ -251,7 +253,7 @@ impl<D: BlockDevice> RecordFile<D> {
                 "record pointer {ptr:?} points at padding"
             )));
         }
-        if ptr.0 + (LEN_PREFIX + len) as u64 > self.state.lock().len {
+        if ptr.0 + (LEN_PREFIX + len) as u64 > file_len {
             return Err(StorageError::Corrupt(format!(
                 "record at {ptr:?} claims length {len} beyond end of file"
             )));

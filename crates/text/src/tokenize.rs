@@ -9,9 +9,63 @@ use std::collections::{HashMap, HashSet};
 /// `internet` matches both "Internet" (H₁, H₇) and "internet" (H₆).
 /// Unicode alphanumerics are kept; everything else separates tokens.
 pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
+    alphanumeric_runs(text).map(|s| s.to_lowercase())
+}
+
+/// The maximal alphanumeric runs of `text`, case untouched.
+fn alphanumeric_runs(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|s| !s.is_empty())
-        .map(|s| s.to_lowercase())
+}
+
+/// The conjunctive keyword predicate straight off the document text:
+/// `∀w ∈ keywords : w ∈ tokenize(text)`, with the verdict of
+/// `TokenSet::from_text(text).contains_all(keywords)` and no allocation for
+/// ASCII text. This is the candidate check of `IR2TopK` line 21, which runs
+/// once per fetched object — mostly on signature false positives.
+///
+/// Tokens stream out of the split [`tokenize`] uses; an ASCII token is
+/// compared byte-wise against its lower-cased self, a non-ASCII token goes
+/// through `to_lowercase()` like `tokenize` does. Keywords still missing are
+/// a 64-bit mask (longer lists are checked 64 at a time), so the scan stops
+/// at the token that completes the match.
+///
+/// ```
+/// use ir2_text::text_contains_all;
+/// let text = "wireless Internet, pool, golf course";
+/// assert!(text_contains_all(text, &["internet", "pool"]));
+/// assert!(!text_contains_all(text, &["internet", "spa"]));
+/// ```
+pub fn text_contains_all<S: AsRef<str>>(text: &str, keywords: &[S]) -> bool {
+    keywords.chunks(64).all(|chunk| {
+        let mut missing = u64::MAX >> (64 - chunk.len());
+        for tok in alphanumeric_runs(text) {
+            let lowered = (!tok.is_ascii()).then(|| tok.to_lowercase());
+            let mut rest = missing;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let w = chunk[i].as_ref();
+                let same = match &lowered {
+                    Some(lowered) => lowered == w,
+                    None => {
+                        tok.len() == w.len()
+                            && tok
+                                .bytes()
+                                .zip(w.bytes())
+                                .all(|(t, k)| t.to_ascii_lowercase() == k)
+                    }
+                };
+                if same {
+                    missing &= !(1 << i);
+                }
+            }
+            if missing == 0 {
+                return true;
+            }
+        }
+        false
+    })
 }
 
 /// The set of distinct tokens of a document.
@@ -133,6 +187,46 @@ mod tests {
     fn empty_keyword_list_is_vacuously_true() {
         let t = TokenSet::from_text("anything");
         assert!(t.contains_all::<&str>(&[]));
+    }
+
+    #[test]
+    fn streaming_check_gives_the_token_sets_verdicts() {
+        let text = "Internet, airport transportation, pool — Café İstanbul ΟΔΟΣ";
+        let set = TokenSet::from_text(text);
+        for kws in [
+            &["internet", "pool"][..],
+            &["internet", "spa"],
+            &["café"],
+            &["cafe"],
+            &["i̇stanbul"],
+            &["istanbul"],
+            &["οδος"], // final sigma, as `to_lowercase` writes it
+            &["οδοσ"],
+            &["Internet"], // keywords are taken as given, not lower-cased
+            &["pool", "pool"],
+            &[""],
+            &[],
+        ] {
+            assert_eq!(
+                text_contains_all(text, kws),
+                set.contains_all(kws),
+                "{kws:?}"
+            );
+        }
+        assert!(text_contains_all(text, &["i̇stanbul", "οδος", "café"]));
+        assert!(!text_contains_all("", &["pool"]));
+    }
+
+    #[test]
+    fn long_keyword_lists_are_checked_64_at_a_time() {
+        let words: Vec<String> = (0..130).map(|i| format!("w{i}")).collect();
+        let text = words.join(" ");
+        assert!(text_contains_all(&text, &words));
+        for missing in [0, 63, 64, 129] {
+            let mut kws = words.clone();
+            kws[missing] = "absent".into();
+            assert!(!text_contains_all(&text, &kws), "keyword {missing}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! general IR²-Tree algorithm's correctness rests on.
 
 use ir2_text::{
-    tokenize, DecayRank, IrScorer, LinearRank, RankingFn, SaturatingTfIdf, TokenCounts, TokenSet,
-    Vocabulary,
+    text_contains_all, tokenize, DecayRank, IrScorer, LinearRank, RankingFn, SaturatingTfIdf,
+    TokenCounts, TokenSet, Vocabulary,
 };
 use proptest::prelude::*;
 
@@ -94,6 +94,43 @@ proptest! {
         let set = TokenSet::from_text(&text);
         let naive = query.iter().all(|w| doc.iter().any(|t| t == w));
         prop_assert_eq!(set.contains_all(&query), naive);
+    }
+
+    /// The streaming check gives `TokenSet`'s verdict on text that mixes
+    /// ASCII in both cases with characters whose lower-casing is not a byte
+    /// operation: 'İ' (lower-cases to two chars), 'Σ'/'ς' (final-sigma
+    /// rule), 'ß', 'é', CJK. Keywords come from the text's own tokens
+    /// (matches), from a token upper-cased (a keyword that is not
+    /// lower-case matches nothing) and from outside the text.
+    #[test]
+    fn text_contains_all_agrees_with_token_set(
+        chars in prop::collection::vec(
+            prop::sample::select(
+                "abcXYZ019 ,.;-!İΣςσßéÉ東京".chars().collect::<Vec<char>>()),
+            0..60),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+        outside in prop::collection::vec(
+            prop::sample::select(vec!["absent", "i̇", "σ", "ς", "ss", "é", "ABC", "", "a b"]),
+            0..2),
+        shout in any::<bool>(),
+    ) {
+        let text: String = chars.into_iter().collect();
+        let tokens: Vec<String> = tokenize(&text).collect();
+        let mut keywords: Vec<String> = outside.iter().map(|w| w.to_string()).collect();
+        if !tokens.is_empty() {
+            keywords.extend(picks.iter().map(|p| tokens[p.index(tokens.len())].clone()));
+        }
+        if shout {
+            if let Some(last) = keywords.last_mut() {
+                *last = last.to_uppercase();
+            }
+        }
+        prop_assert_eq!(
+            text_contains_all(&text, &keywords),
+            TokenSet::from_text(&text).contains_all(&keywords),
+            "text {:?} keywords {:?}", text, keywords
+        );
+        prop_assert!(text_contains_all::<&str>(&text, &[]), "no keywords is vacuously true");
     }
 
     /// Vocabulary serialization round-trips.
