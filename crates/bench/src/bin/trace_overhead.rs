@@ -7,7 +7,7 @@
 //!
 //! * `nop`   — `distance_first_topk` (the `NopSink` default);
 //! * `stats` — the same iterator built with a `StatsSink`, i.e. what
-//!   the facade (`distance_first` / `batch_topk`) now runs on every query;
+//!   the facade (`run` / `run_batch`) runs on every query;
 //! * `vec`   — a `VecSink` storing every event (the `ir2 trace` path).
 //!
 //! The `stats` overhead versus `nop` is the number EXPERIMENTS.md records;

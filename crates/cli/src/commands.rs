@@ -11,8 +11,9 @@ use ir2tree::model::{tsv, DistanceFirstQuery, QueryRegion};
 use ir2tree::storage::{FileDevice, MetricsRegistry};
 use ir2tree::text::{LinearRank, SaturatingTfIdf};
 use ir2tree::{
-    scrub_dir, shard_layout, sharded_manifest, Algorithm, DbConfig, DeviceSet, IndexSizes,
+    scrub_dir, shard_layout, sharded_manifest, Algorithm, DbConfig, DeviceSet, Gather, IndexSizes,
     QueryError, QueryLimits, QueryReport, RetryDevice, RetryPolicy, ShardedDb, SpatialKeywordDb,
+    TopkRequest,
 };
 
 use crate::args::{parse_area, parse_point, Flags};
@@ -128,55 +129,100 @@ pub fn build(args: &[String], out: &mut impl Write) -> CliResult {
     Ok(())
 }
 
-/// Opens a database with every device wrapped in a [`RetryDevice`]:
-/// transient I/O faults (interrupted/timed-out reads) are absorbed by
-/// jittered exponential backoff, and blocks that keep failing permanently
-/// are quarantined. The retry layer shares the database's metrics
-/// registry, so `ir2 stats --prometheus` exposes per-device retry and
-/// quarantine counters next to the query metrics.
-fn open_db(f: &Flags) -> Result<SpatialKeywordDb<RetryDevice<FileDevice>>, String> {
-    let dir = f.required("db")?;
-    if sharded_manifest(dir).map_err(io_err)?.is_some() {
-        return Err(format!(
-            "{dir} is a sharded database; this command supports monolithic databases only \
-             (query, batch, stats, and check handle sharded directories automatically)"
-        ));
+type Device = RetryDevice<FileDevice>;
+
+/// What `--db` names: a monolithic directory or a sharded one (it has a
+/// `SHARDS` manifest). `query` and `batch` send the same request to
+/// either.
+enum Engine {
+    Mono(Box<SpatialKeywordDb<Device>>),
+    Sharded(ShardedDb<Device>),
+}
+
+impl Engine {
+    fn run(&self, req: &TopkRequest) -> Result<QueryReport, String> {
+        match self {
+            Engine::Mono(db) => db.run(req),
+            Engine::Sharded(db) => db.run(req),
+        }
+        .map_err(io_err)
     }
+
+    fn run_batch(
+        &self,
+        reqs: &[TopkRequest],
+        threads: usize,
+    ) -> Vec<Result<QueryReport, QueryError>> {
+        match self {
+            Engine::Mono(db) => db.run_batch(reqs, threads),
+            Engine::Sharded(db) => db.run_batch(reqs, threads),
+        }
+    }
+
+    /// The banner's " over S shards" (nothing on a monolithic database).
+    fn over_shards(&self) -> String {
+        match self {
+            Engine::Mono(_) => String::new(),
+            Engine::Sharded(db) => format!(" over {} shards", db.shard_count()),
+        }
+    }
+}
+
+/// Opens `--db` with every device wrapped in a [`RetryDevice`]: transient
+/// I/O faults (interrupted/timed-out reads) are absorbed by jittered
+/// exponential backoff, and blocks that keep failing permanently are
+/// quarantined. The retry layer shares one metrics registry with the
+/// database (across shards, per device role), so `ir2 stats --prometheus`
+/// exposes retry and quarantine counters next to the query metrics.
+///
+/// `--node-cache` and `--prefetch` override the persisted cache
+/// configuration for this process. Shards keep the configuration they
+/// were built with, so on a sharded directory the flags are refused, not
+/// ignored.
+fn open_engine(f: &Flags) -> Result<Engine, String> {
+    let dir = f.required("db")?;
+    let override_of = |flag: &str| -> Result<Option<usize>, String> {
+        f.optional(flag)
+            .map(|v| v.parse().map_err(|e| format!("bad --{flag}: {e}")))
+            .transpose()
+    };
+    let (node_cache, prefetch) = (override_of("node-cache")?, override_of("prefetch")?);
     let registry = Arc::new(MetricsRegistry::new());
-    let devices = DeviceSet::open_dir(dir)
-        .map_err(io_err)?
-        .map(|name, d| RetryDevice::with_metrics(d, RetryPolicy::default(), &registry, name));
+    let wrap = |name, d| RetryDevice::with_metrics(d, RetryPolicy::default(), &registry, name);
+    if sharded_manifest(dir).map_err(io_err)?.is_some() {
+        let given = [("node-cache", node_cache), ("prefetch", prefetch)];
+        if let Some((flag, _)) = given.iter().find(|(_, v)| v.is_some()) {
+            return Err(format!(
+                "--{flag} cannot override a sharded database: every shard of {dir} keeps the \
+                 cache configuration it was built with"
+            ));
+        }
+        return ShardedDb::open_dir_mapped(dir, wrap)
+            .map(Engine::Sharded)
+            .map_err(io_err);
+    }
+    let devices = DeviceSet::open_dir(dir).map_err(io_err)?.map(wrap);
     let mut db = SpatialKeywordDb::open_with_registry(devices, registry).map_err(io_err)?;
-    // Query-time overrides of the persisted cache configuration, for this
-    // process only.
-    if let Some(n) = f.optional("node-cache") {
-        let n: usize = n.parse().map_err(|e| format!("bad --node-cache: {e}"))?;
+    if let Some(n) = node_cache {
         db.configure_node_cache(n);
     }
-    if let Some(p) = f.optional("prefetch") {
-        let p: usize = p.parse().map_err(|e| format!("bad --prefetch: {e}"))?;
+    if let Some(p) = prefetch {
         db.configure_prefetch(p);
     }
-    Ok(db)
+    Ok(Engine::Mono(Box::new(db)))
 }
 
-/// True when `--db` names a sharded directory (has a `SHARDS` manifest).
-fn is_sharded(f: &Flags) -> Result<bool, String> {
-    Ok(sharded_manifest(f.required("db")?)
-        .map_err(io_err)?
-        .is_some())
-}
-
-/// Opens a sharded database with every shard device wrapped in a
-/// [`RetryDevice`] (one shared registry: retry and quarantine counters
-/// aggregate across shards, per device role).
-fn open_sharded(f: &Flags) -> Result<ShardedDb<RetryDevice<FileDevice>>, String> {
-    let dir = f.required("db")?;
-    let registry = Arc::new(MetricsRegistry::new());
-    ShardedDb::open_dir_mapped(dir, |name, d| {
-        RetryDevice::with_metrics(d, RetryPolicy::default(), &registry, name)
-    })
-    .map_err(io_err)
+/// [`open_engine`] for the commands that read one database's own
+/// structures (`ranked`, `trace`).
+fn open_db(f: &Flags) -> Result<SpatialKeywordDb<Device>, String> {
+    match open_engine(f)? {
+        Engine::Mono(db) => Ok(*db),
+        Engine::Sharded(_) => Err(format!(
+            "{} is a sharded database; this command supports monolithic databases only \
+             (query, batch, stats, and check handle sharded directories automatically)",
+            f.required("db")?
+        )),
+    }
 }
 
 /// Parses the shared execution-limit flags (`--deadline-ms`,
@@ -271,91 +317,47 @@ fn parse_alg(f: &Flags) -> Result<Algorithm, String> {
 
 /// `ir2 query` — distance-first top-k (point- or area-anchored). Sharded
 /// directories are detected automatically and answered by the exact
-/// scatter-gather merge (`--threads` > 1 drains shards in parallel).
+/// scatter-gather merge (`--threads` > 1 drains shards in parallel,
+/// `--hedge-ms` races a second replica; under `--deadline-ms` /
+/// `--io-budget` the merge is sequential whatever `--threads` says).
 pub fn query(args: &[String], out: &mut impl Write) -> CliResult {
     let f = Flags::parse(args)?;
-    if is_sharded(&f)? {
-        return query_sharded(&f, out);
-    }
-    let db = open_db(&f)?;
+    let engine = open_engine(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
     let alg = parse_alg(&f)?;
-
     let limits = parse_limits(&f)?;
+    let threads: usize = f.get_or("threads", 1)?;
+    let gather = match parse_hedge(&f)? {
+        Some(delay) => Gather::Hedged(delay),
+        None if threads > 1 && limits.is_unlimited() => Gather::Parallel(threads),
+        None => Gather::Sequential,
+    };
 
-    let report = if let Some(area) = f.optional("area") {
+    let (region, anchor): (QueryRegion<2>, String) = if let Some(area) = f.optional("area") {
         let (a, b) = parse_area(area)?;
-        let region: QueryRegion<2> = Rect::from_corners(Point::new(a), Point::new(b)).into();
-        say!(
-            out,
-            "top-{k} {keywords:?} in/near area {a:?}..{b:?} via {}:",
-            alg.label()
-        );
-        db.distance_first_region(alg, region, &keywords, k, limits)
-            .map_err(io_err)?
+        let rect = Rect::from_corners(Point::new(a), Point::new(b));
+        (rect.into(), format!("in/near area {a:?}..{b:?}"))
     } else {
         let at = parse_point(f.required("at")?)?;
-        say!(out, "top-{k} {keywords:?} near {at:?} via {}:", alg.label());
-        let q = DistanceFirstQuery::new(at, &keywords, k);
-        if limits.is_unlimited() {
-            db.distance_first(alg, &q).map_err(io_err)?
-        } else {
-            db.distance_first_limited(alg, &q, limits).map_err(io_err)?
-        }
+        (Point::new(at).into(), format!("near {at:?}"))
     };
-    print_report(out, &report)?;
-    Ok(())
-}
-
-/// The sharded arm of `ir2 query`.
-fn query_sharded(f: &Flags, out: &mut impl Write) -> CliResult {
-    if f.optional("area").is_some() {
-        return Err(
-            "--area queries are not supported on sharded databases yet; \
-             point queries (--at) are"
-                .into(),
-        );
-    }
-    let db = open_sharded(f)?;
-    let keywords = keywords_of(f)?;
-    let k: usize = f.get_or("k", 10)?;
-    let alg = parse_alg(f)?;
-    let limits = parse_limits(f)?;
-    let hedge = parse_hedge(f)?;
-    let threads: usize = f.get_or("threads", 1)?;
-    let at = parse_point(f.required("at")?)?;
-    if hedge.is_some() && !limits.is_unlimited() {
-        return Err(
-            "--hedge-ms and --deadline-ms/--io-budget are mutually exclusive: hedged \
-             drains are unlimited (like --threads), limited execution uses the \
-             deterministic sequential merge"
-                .into(),
-        );
-    }
+    let replicas = match &engine {
+        Engine::Sharded(db) if db.replica_count() > 1 => {
+            format!(" × {} replicas", db.replica_count())
+        }
+        _ => String::new(),
+    };
     say!(
         out,
-        "top-{k} {keywords:?} near {at:?} via {} over {} shards{}:",
+        "top-{k} {keywords:?} {anchor} via {}{}{replicas}:",
         alg.label(),
-        db.shard_count(),
-        if db.replica_count() > 1 {
-            format!(" × {} replicas", db.replica_count())
-        } else {
-            String::new()
-        }
+        engine.over_shards()
     );
-    let q = DistanceFirstQuery::new(at, &keywords, k);
-    let report = if let Some(delay) = hedge {
-        db.distance_first_hedged(alg, &q, delay).map_err(io_err)?
-    } else if !limits.is_unlimited() {
-        db.distance_first_limited(alg, &q, limits).map_err(io_err)?
-    } else if threads > 1 {
-        db.distance_first_parallel(alg, &q, threads)
-            .map_err(io_err)?
-    } else {
-        db.distance_first(alg, &q).map_err(io_err)?
-    };
-    print_report(out, &report)?;
+    let req = TopkRequest::new(alg, region, &keywords, k)
+        .limited(limits)
+        .gathered(gather);
+    print_report(out, &engine.run(&req)?)?;
     Ok(())
 }
 
@@ -398,52 +400,31 @@ pub fn batch(args: &[String], out: &mut impl Write) -> CliResult {
     let queries = parse_batch_file(f.required("queries")?, k)?;
     let limits = parse_limits(&f)?;
     let hedge = parse_hedge(&f)?;
+    let engine = open_engine(&f)?;
 
-    let sharded = is_sharded(&f)?;
-    if hedge.is_some() && !sharded {
-        return Err("--hedge-ms requires a sharded database".into());
-    }
-    if hedge.is_some() && !limits.is_unlimited() {
-        return Err("--hedge-ms and --deadline-ms/--io-budget are mutually exclusive".into());
-    }
-    let outcomes: Vec<Result<QueryReport, QueryError>>;
-    let wall;
-    if sharded {
-        let db = open_sharded(&f)?;
-        say!(
-            out,
-            "batch of {} top-{k} queries via {} on {threads} threads over {} shards{}:",
-            queries.len(),
-            alg.label(),
-            db.shard_count(),
-            if let Some(delay) = hedge {
-                format!(" (hedging after {} ms)", delay.as_millis())
-            } else {
-                String::new()
-            }
-        );
-        let t0 = std::time::Instant::now();
-        outcomes = if let Some(delay) = hedge {
-            queries
-                .iter()
-                .map(|q| db.distance_first_hedged(alg, q, delay).map_err(Into::into))
-                .collect()
-        } else {
-            db.batch_topk_isolated(alg, &queries, threads, limits)
-        };
-        wall = t0.elapsed();
-    } else {
-        let db = open_db(&f)?;
-        say!(
-            out,
-            "batch of {} top-{k} queries via {} on {threads} threads:",
-            queries.len(),
-            alg.label()
-        );
-        let t0 = std::time::Instant::now();
-        outcomes = db.batch_topk_isolated(alg, &queries, threads, limits);
-        wall = t0.elapsed();
-    }
+    say!(
+        out,
+        "batch of {} top-{k} queries via {} on {threads} threads{}{}:",
+        queries.len(),
+        alg.label(),
+        engine.over_shards(),
+        match hedge {
+            Some(delay) => format!(" (hedging after {} ms)", delay.as_millis()),
+            None => String::new(),
+        }
+    );
+    let gather = hedge.map_or(Gather::Sequential, Gather::Hedged);
+    let reqs: Vec<TopkRequest> = queries
+        .iter()
+        .map(|q| {
+            TopkRequest::from_query(alg, q)
+                .limited(limits)
+                .gathered(gather)
+        })
+        .collect();
+    let t0 = std::time::Instant::now();
+    let outcomes = engine.run_batch(&reqs, threads);
+    let wall = t0.elapsed();
     let (mut ok, mut truncated, mut failed) = (0u64, 0u64, 0u64);
     let (mut total_io, mut retries) = (0u64, 0u64);
     for (i, (q, outcome)) in queries.iter().zip(&outcomes).enumerate() {
@@ -849,28 +830,29 @@ fn check_one(dir: &std::path::Path, out: &mut impl Write) -> Result<bool, String
 /// totals of this process; query counters accumulate as queries run).
 pub fn stats(args: &[String], out: &mut impl Write) -> CliResult {
     let f = Flags::parse(args)?;
-    if is_sharded(&f)? {
-        let db = open_sharded(&f)?;
-        if f.switch("prometheus") {
-            write!(out, "{}", db.metrics_prometheus()).map_err(io_err)?;
+    let db = match open_engine(&f)? {
+        Engine::Mono(db) => db,
+        Engine::Sharded(db) => {
+            if f.switch("prometheus") {
+                write!(out, "{}", db.metrics_prometheus()).map_err(io_err)?;
+                return Ok(());
+            }
+            say!(out, "shards:             {}", db.shard_count());
+            say!(out, "replicas:           {}", db.replica_count());
+            say!(out, "objects:            {}", db.total_objects());
+            for (i, shard) in db.shards().enumerate() {
+                let s = shard.build_stats();
+                say!(
+                    out,
+                    "  shard {i:>3}: {} objects, {} words, {:.1} MB object file",
+                    s.objects,
+                    s.unique_words,
+                    s.object_file_bytes as f64 / 1_048_576.0
+                );
+            }
             return Ok(());
         }
-        say!(out, "shards:             {}", db.shard_count());
-        say!(out, "replicas:           {}", db.replica_count());
-        say!(out, "objects:            {}", db.total_objects());
-        for (i, shard) in db.shards().enumerate() {
-            let s = shard.build_stats();
-            say!(
-                out,
-                "  shard {i:>3}: {} objects, {} words, {:.1} MB object file",
-                s.objects,
-                s.unique_words,
-                s.object_file_bytes as f64 / 1_048_576.0
-            );
-        }
-        return Ok(());
-    }
-    let db = open_db(&f)?;
+    };
     if f.switch("prometheus") {
         write!(out, "{}", db.metrics_prometheus()).map_err(io_err)?;
         return Ok(());

@@ -480,6 +480,118 @@ fn replicated_pipeline() {
     );
     assert!(!conflict.status.success());
 
+    std::fs::write(
+        dir.join("q.txt"),
+        "0,0 ba\n5,5 ce\n-10,10 ba ce\n20,-30 da\n3,3 ba bo\n",
+    )
+    .unwrap();
+
+    // The cache overrides cannot reach the shards: refused by name, not
+    // silently dropped.
+    for flag in ["--node-cache", "--prefetch"] {
+        for command in ["query", "batch"] {
+            let out = ir2(
+                &dir,
+                &[
+                    command,
+                    "--db",
+                    "db",
+                    "--at",
+                    "0,0",
+                    "--keywords",
+                    "ba",
+                    "--queries",
+                    "q.txt",
+                    flag,
+                    "4",
+                ],
+            );
+            assert!(!out.status.success(), "{command} {flag}");
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(err.contains(flag), "{command} {flag}: {err}");
+        }
+    }
+
+    // A hedged batch runs on the batch engine like any other: the
+    // per-query lines do not depend on the worker count.
+    let hedged_batch = |threads: &str| {
+        let out = ir2(
+            &dir,
+            &[
+                "batch",
+                "--db",
+                "db",
+                "--queries",
+                "q.txt",
+                "--k",
+                "3",
+                "--hedge-ms",
+                "0",
+                "--threads",
+                threads,
+            ],
+        );
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // Which replica's reads a raced drain is charged depends on the
+        // race; the answers do not.
+        stdout(&out)
+            .lines()
+            .filter(|l| l.starts_with("  [") && l.contains(" hits ("))
+            .map(|l| l.split("; ").next().unwrap().to_owned())
+            .collect::<Vec<_>>()
+    };
+    let one = hedged_batch("1");
+    assert_eq!(one.len(), 5, "{one:?}");
+    assert_eq!(one, hedged_batch("4"));
+
+    // Area queries are answered on a sharded directory, and equal the
+    // monolithic answer.
+    let mono = ir2(
+        &dir,
+        &[
+            "build",
+            "--tsv",
+            "pois.tsv",
+            "--db",
+            "mono",
+            "--sig-bytes",
+            "8",
+        ],
+    );
+    assert!(mono.status.success());
+    let area = |db: &str, extra: &[&str]| {
+        let mut args = vec![
+            "query",
+            "--db",
+            db,
+            "--area",
+            "-5,-5,5,5",
+            "--keywords",
+            "ba",
+            "--k",
+            "6",
+        ];
+        args.extend(extra);
+        let out = ir2(&dir, &args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = stdout(&out);
+        assert!(text.contains("in/near area"), "{text}");
+        result_lines(&text)
+    };
+    let expect = area("mono", &[]);
+    assert_eq!(expect.len(), 6);
+    assert_eq!(expect, area("db", &[]));
+    assert_eq!(expect, area("db", &["--alg", "mir2", "--threads", "3"]));
+    assert_eq!(expect, area("db", &["--hedge-ms", "0"]));
+
     // A fresh build scrubs clean.
     let scrub = ir2(&dir, &["scrub", "--db", "db"]);
     assert!(

@@ -9,24 +9,27 @@ use std::time::{Duration, Instant};
 use ir2_geo::Rect;
 use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
-    collect_topk, general_topk_with, insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload,
-    LimitedTopk, MirPayload, NopSink, RtreeBaselineIter, ScoredResult, SearchCounters, SigPayload,
-    StatsSink, TraceSink, TraceStats,
+    collect_topk, general_topk_with, insert_object, BoundedSearch, DistanceFirstIter, GeneralQuery,
+    Ir2Payload, MirPayload, NopSink, RtreeBaselineIter, SearchCounters, StatsSink, TraceSink,
+    TraceStats,
 };
 use ir2_model::{
-    normalize_keywords, DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore,
-    QueryLimits, QueryRegion, SpatialObject,
+    DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
+    SpatialObject,
 };
-use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig, UnitPayload};
+use ir2_rtree::{
+    with_frontier_prefetch, NodeCache, PrefetchQueue, RTree, RTreeConfig, UnitPayload,
+};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::{
-    BlockDevice, FileDevice, Histogram, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry,
-    Result, RetryScope, ShadowPair, StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
+    BlockDevice, FileDevice, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry, Result,
+    RetryScope, ShadowPair, StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
 };
 use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
 
 use crate::report::QueryError;
-use crate::{Algorithm, BatchReport, BuildStats, DbConfig, GeneralReport, IndexSizes, QueryReport};
+use crate::request::needs_signature_tree;
+use crate::{Algorithm, BuildStats, DbConfig, GeneralReport, IndexSizes, QueryReport, TopkRequest};
 
 /// One block device per structure (so sizes and I/O are attributable), plus
 /// a catalog device holding the cross-structure metadata.
@@ -182,7 +185,7 @@ impl<const N: usize> ObjectSource<N> for CountingSource<'_, N> {
 /// claims the next unclaimed index) and returns per-query outputs in input
 /// order. The first query error aborts the claiming of further work and is
 /// returned after in-flight queries finish.
-pub(crate) fn run_batch<Q: Sync, R: Send + Sync>(
+pub(crate) fn fan_out<Q: Sync, R: Send + Sync>(
     queries: &[Q],
     threads: usize,
     run: impl Fn(&Q) -> Result<R> + Sync,
@@ -243,13 +246,13 @@ pub(crate) fn run_batch<Q: Sync, R: Send + Sync>(
         .collect()
 }
 
-/// [`run_batch`] with per-query fault isolation: a query that errors — or
+/// [`fan_out`] with per-query fault isolation: a query that errors — or
 /// *panics* — produces its own [`QueryError`] slot and the batch marches
 /// on; siblings are never aborted and the shared structures stay usable
 /// (the buffer pool's locks come from `parking_lot`, which does not
 /// poison, and the thread-local I/O and retry scopes clear themselves on
 /// unwind).
-pub(crate) fn run_batch_isolated<Q: Sync, R: Send + Sync>(
+pub(crate) fn fan_out_isolated<Q: Sync, R: Send + Sync>(
     queries: &[Q],
     threads: usize,
     run: impl Fn(&Q) -> std::result::Result<R, QueryError> + Sync,
@@ -291,16 +294,20 @@ pub(crate) fn run_batch_isolated<Q: Sync, R: Send + Sync>(
 
 /// Which of the two I/O attribution mechanisms fills a report. They model
 /// the disk arm differently, so the same query's random/sequential split —
-/// and with it the simulated time — depends on which one measured it.
+/// and with it the simulated time — depends on which one measured it. They
+/// are not unified on [`IoScope`] because a scope costs two hash-map
+/// updates per block access, and a cold full-scale query reads a thousand
+/// blocks in half a millisecond.
 #[derive(Clone, Copy)]
 enum Attribution {
     /// Before/after difference of the devices' shared counters: accesses
     /// are classified against the arm position earlier queries left
-    /// behind. What the single-query entry points report.
+    /// behind. What a single `run`, `run_traced` or `general_ranked`
+    /// reports.
     Delta,
     /// A thread-local [`IoScope`]: only this thread's accesses, classified
     /// against a per-query arm position — deterministic under concurrency.
-    /// What the limited and batch entry points report.
+    /// What a `run_batch` or `batch_general_topk` worker reports.
     Scoped,
 }
 
@@ -314,13 +321,6 @@ struct Measured {
     wall: Duration,
     retries: u64,
     backoff: Duration,
-}
-
-fn needs_signature_tree(what: &str, alg: Algorithm) -> StorageError {
-    StorageError::Corrupt(format!(
-        "{what} are implemented on the signature trees, not {}",
-        alg.label()
-    ))
 }
 
 /// A spatial keyword database: the object file plus all four access
@@ -853,103 +853,112 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
-    /// Answers a distance-first top-k spatial keyword query with the chosen
-    /// algorithm, reporting results plus the I/O metrics the paper plots.
+    /// Answers one distance-first top-k request, reporting results plus
+    /// the I/O metrics the paper plots. Every field of `req` is honoured
+    /// (`Parallel` gathers like `Sequential`: there is one frontier); the
+    /// combinations [`TopkRequest`] lists are refused before anything is
+    /// read.
     ///
-    /// Pruning statistics are collected through a [`StatsSink`] and the
-    /// query is published to the [`metrics`](SpatialKeywordDb::metrics)
-    /// registry.
+    /// A single `run` reports as its I/O what the devices' counters moved
+    /// by, which is exact when nothing else queries this database
+    /// meanwhile — concurrent callers use
+    /// [`run_batch`](SpatialKeywordDb::run_batch). Pruning statistics are
+    /// collected through a [`StatsSink`] and the query is published to the
+    /// [`metrics`](SpatialKeywordDb::metrics) registry.
+    pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
+        let report = self.run_measured(req, Attribution::Delta)?;
+        self.publish_query_metrics(req.alg, &report);
+        Ok(report)
+    }
+
+    /// [`run`](SpatialKeywordDb::run) with every execution step streamed
+    /// to `sink` — the engine behind `ir2 trace`.
+    ///
+    /// The returned report's `pruning` field is left empty (the caller
+    /// holds the sink and can derive richer statistics from it), and the
+    /// query is *not* published to the metrics registry.
+    pub fn run_traced<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
+        self.run_topk(req, Attribution::Delta, sink)
+    }
+
+    /// Answers `reqs` concurrently on `threads` worker threads (the index
+    /// structures support any number of concurrent readers; the buffer
+    /// pool, when present, is sharded so readers of different blocks do
+    /// not serialize) and returns one entry per request, in input order.
+    ///
+    /// Each report's I/O is *correctly attributed to that request* even
+    /// though requests interleave on the shared devices: every request
+    /// runs entirely on one worker inside an [`IoScope`], which tallies
+    /// only that thread's accesses against a per-request disk-arm
+    /// position. A request's report here is therefore the same whatever
+    /// `threads` is (results byte-identical; I/O identical up to the
+    /// buffer pool's interleaving-dependent cache hits, i.e. exactly
+    /// identical in the paper's uncached configuration).
+    ///
+    /// A request that errors or panics yields an `Err(`[`QueryError`]`)`
+    /// in its own slot and **nothing else**: siblings run to completion,
+    /// the shared buffer pool and index structures remain usable (their
+    /// locks do not poison), and later queries are unaffected. A request
+    /// that trips a limit is *not* a failure — its report carries the
+    /// truncation outcome and the exact top-m prefix it reached. Give
+    /// every request the same [`QueryLimits::with_deadline`] value for a
+    /// **batch-wide** deadline: the instant is resolved when the limits
+    /// are built, so the whole batch races one wall-clock point.
+    pub fn run_batch(
+        &self,
+        reqs: &[TopkRequest],
+        threads: usize,
+    ) -> Vec<std::result::Result<QueryReport, QueryError>> {
+        let outcomes = fan_out_isolated(reqs, threads, |req| {
+            self.run_measured(req, Attribution::Scoped)
+                .map_err(Into::into)
+        });
+        // Metrics are folded in *after* the concurrent phase: workers touch
+        // only their thread-local sinks, so the shared registry sees no
+        // query-path contention.
+        for (req, out) in reqs.iter().zip(&outcomes) {
+            match out {
+                Ok(r) => self.publish_query_metrics(req.alg, r),
+                Err(e) => self.metrics.add_counter(
+                    &format!(
+                        "batch_query_failures_total{{alg=\"{}\",kind=\"{}\"}}",
+                        req.alg.key(),
+                        e.kind()
+                    ),
+                    1,
+                ),
+            }
+        }
+        outcomes
+    }
+
+    /// [`run`](SpatialKeywordDb::run) of the plain request `query` stands
+    /// for: unlimited, anchored at its point.
     pub fn distance_first(
         &self,
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
     ) -> Result<QueryReport> {
-        let report = self.measured_topk(
-            alg,
-            query.point.into(),
-            query.keywords.clone(),
-            query.k,
-            QueryLimits::none(),
-            Attribution::Delta,
-        )?;
-        self.publish_query_metrics(alg, &report);
-        Ok(report)
+        self.run(&TopkRequest::from_query(alg, query))
     }
 
-    /// [`distance_first`](SpatialKeywordDb::distance_first) under
-    /// execution limits: a deadline, an I/O budget, and/or a frontier cap,
-    /// checked cooperatively between traversal steps. A tripped limit is
-    /// **not** an error — the report comes back with
-    /// [`outcome`](QueryReport::outcome) set and its results are the exact
-    /// top-m prefix of the full answer (Hjaltason–Samet emission order;
-    /// empty for IIO, which is non-incremental and degrades
-    /// all-or-nothing).
-    pub fn distance_first_limited(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: QueryLimits,
-    ) -> Result<QueryReport> {
-        let report = self.scoped_distance_first(alg, query, limits)?;
-        self.publish_query_metrics(alg, &report);
-        Ok(report)
-    }
-
-    /// [`distance_first`](SpatialKeywordDb::distance_first) with every
-    /// execution step streamed to `sink` — the engine behind `ir2 trace`.
-    ///
-    /// The returned report's `pruning` field is left empty (the caller
-    /// holds the sink and can derive richer statistics from it), and the
-    /// query is *not* published to the metrics registry.
+    /// [`run_traced`](SpatialKeywordDb::run_traced) of the plain request
+    /// `query` stands for.
     pub fn distance_first_traced<S: TraceSink>(
         &self,
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
         sink: S,
     ) -> Result<QueryReport> {
-        self.run_topk(
-            alg,
-            query.point.into(),
-            query.keywords.clone(),
-            query.k,
-            QueryLimits::none(),
-            Attribution::Delta,
-            sink,
-        )
-    }
-
-    /// One distance-first query with per-thread I/O attribution
-    /// ([`Attribution::Scoped`]), so the returned report is identical
-    /// whether the query runs alone or inside a concurrent batch.
-    fn scoped_distance_first(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: QueryLimits,
-    ) -> Result<QueryReport> {
-        self.measured_topk(
-            alg,
-            query.point.into(),
-            query.keywords.clone(),
-            query.k,
-            limits,
-            Attribution::Scoped,
-        )
+        self.run_traced(&TopkRequest::from_query(alg, query), sink)
     }
 
     /// [`run_topk`](Self::run_topk) with the pruning statistics folded
-    /// into the report through a [`StatsSink`].
-    fn measured_topk(
-        &self,
-        alg: Algorithm,
-        region: QueryRegion<2>,
-        keywords: Vec<String>,
-        k: usize,
-        limits: QueryLimits,
-        attribution: Attribution,
-    ) -> Result<QueryReport> {
+    /// into the report through a [`StatsSink`] — what `run` and a
+    /// `run_batch` worker share.
+    fn run_measured(&self, req: &TopkRequest, attribution: Attribution) -> Result<QueryReport> {
         let mut sink = StatsSink::new();
-        let mut report = self.run_topk(alg, region, keywords, k, limits, attribution, &mut sink)?;
+        let mut report = self.run_topk(req, attribution, &mut sink)?;
         report.pruning = sink.into_stats();
         Ok(report)
     }
@@ -967,7 +976,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         run: impl FnOnce(&CountingSource<'_, 2>) -> Result<R>,
     ) -> Result<(R, Measured)> {
         let (index, objects) = (self.stats_of(alg), &self.io.objects);
-        let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
+        let src = self.counting_source();
         let before = (index.snapshot(), objects.snapshot());
         let scope = matches!(attribution, Attribution::Scoped).then(IoScope::enter);
         let retry = RetryScope::enter();
@@ -996,24 +1005,29 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         Ok((out?, measured))
     }
 
-    /// The one distance-first plan: measure a search, assemble the report.
-    /// Every public distance-first entry point is this call with its own
-    /// region, limits, attribution and sink; `keywords` are already
-    /// normalized. The report's `pruning` is left empty — the caller owns
-    /// the sink.
-    #[allow(clippy::too_many_arguments)]
+    /// The one distance-first plan: check the request, measure its search,
+    /// assemble the report. IIO is not incremental and answers directly;
+    /// every other algorithm is the [`open_search`](Self::open_search)
+    /// iterator, fed by [`with_prefetch`](Self::with_prefetch) and drained
+    /// by [`collect_topk`]. The report's `pruning` is left empty — the
+    /// caller owns the sink.
     fn run_topk<S: TraceSink>(
         &self,
-        alg: Algorithm,
-        region: QueryRegion<2>,
-        keywords: Vec<String>,
-        k: usize,
-        limits: QueryLimits,
+        req: &TopkRequest,
         attribution: Attribution,
         sink: S,
     ) -> Result<QueryReport> {
-        let ((exec, counters), m) = self.measure(alg, attribution, |src| {
-            self.search_topk(alg, src, region, keywords, k, limits, sink)
+        req.check(false)?;
+        let ((exec, counters), m) = self.measure(req.alg, attribution, |src| {
+            if req.alg == Algorithm::Iio {
+                return self
+                    .iio_topk(src, req, req.limits)
+                    .map(|r| (r, SearchCounters::default()));
+            }
+            self.with_prefetch(req.alg, |pf| {
+                let mut search = self.open_search(src, req, req.limits, sink, pf)?;
+                collect_topk(&mut *search, req.k)
+            })
         })?;
         Ok(QueryReport {
             outcome: exec.truncation(),
@@ -1031,149 +1045,87 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         })
     }
 
-    /// The one place a distance-first search is opened for `alg`: the
-    /// tree's iterator under `limits`, reporting to `sink`, inside
-    /// [`with_frontier_prefetch`] at the configured worker count, drained
-    /// by [`collect_topk`]. IIO is non-incremental and answers directly.
-    /// Area regions need a signature tree (the plain NN iterator and the
-    /// inverted index are point-anchored).
-    #[allow(clippy::too_many_arguments)]
-    fn search_topk<S: TraceSink>(
-        &self,
-        alg: Algorithm,
-        src: &CountingSource<'_, 2>,
-        region: QueryRegion<2>,
-        keywords: Vec<String>,
-        k: usize,
+    /// A load counter over this database's object file, for one query (or
+    /// one shard's share of one).
+    pub(crate) fn counting_source(&self) -> CountingSource<'_, 2> {
+        CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>)
+    }
+
+    /// Runs `f` with the frontier-prefetch queue of `alg`'s tree at the
+    /// configured worker count (disabled for IIO, which has no tree).
+    fn with_prefetch<R>(&self, alg: Algorithm, f: impl FnOnce(PrefetchQueue) -> R) -> R {
+        let workers = self.config.prefetch;
+        match alg {
+            Algorithm::RTree => with_frontier_prefetch(&self.rtree, workers, f),
+            Algorithm::Ir2 => with_frontier_prefetch(&self.ir2, workers, f),
+            Algorithm::Mir2 => with_frontier_prefetch(&self.mir2, workers, f),
+            Algorithm::Iio => f(PrefetchQueue::disabled()),
+        }
+    }
+
+    /// The one place an incremental distance-first search is opened:
+    /// `req.alg`'s iterator over `req.region` and `req.keywords`, loading
+    /// objects through `src`, under `limits` (a shard's slice of
+    /// `req.limits`, or all of them), reporting to `sink`, nominating
+    /// frontier nodes to `prefetch`. The monolithic plan and every shard
+    /// cursor of the scatter-gather merge are this call.
+    pub(crate) fn open_search<'a, S: TraceSink + 'a>(
+        &'a self,
+        src: &'a CountingSource<'a, 2>,
+        req: &TopkRequest,
         limits: QueryLimits,
         sink: S,
-    ) -> Result<LimitedTopk<2>> {
-        #[allow(clippy::too_many_arguments)]
-        fn on_sig_tree<D: BlockDevice, P: SigPayload + Sync, S: TraceSink>(
-            tree: &RTree<2, D, P>,
-            workers: usize,
-            src: &CountingSource<'_, 2>,
-            region: QueryRegion<2>,
-            keywords: Vec<String>,
-            k: usize,
-            limits: QueryLimits,
-            sink: S,
-        ) -> Result<LimitedTopk<2>> {
-            with_frontier_prefetch(tree, workers, |pf| {
-                let mut iter =
-                    DistanceFirstIter::with_region_sink(tree, src, region, keywords, sink)
-                        .limited(limits)
-                        .prefetching(pf);
-                collect_topk(&mut iter, k)
-            })
-        }
-        let p = self.config.prefetch;
-        match (alg, region) {
-            (Algorithm::Ir2, _) => {
-                on_sig_tree(&self.ir2, p, src, region, keywords, k, limits, sink)
+        prefetch: PrefetchQueue,
+    ) -> Result<Box<dyn BoundedSearch<2> + 'a>> {
+        let keywords = req.keywords.clone();
+        Ok(match (req.alg, req.region) {
+            (Algorithm::Ir2, region) => Box::new(
+                DistanceFirstIter::with_region_sink(&self.ir2, src, region, keywords, sink)
+                    .limited(limits)
+                    .prefetching(prefetch),
+            ),
+            (Algorithm::Mir2, region) => Box::new(
+                DistanceFirstIter::with_region_sink(&self.mir2, src, region, keywords, sink)
+                    .limited(limits)
+                    .prefetching(prefetch),
+            ),
+            (Algorithm::RTree, QueryRegion::Point(point)) => Box::new(
+                RtreeBaselineIter::with_sink(&self.rtree, src, point, keywords, sink)
+                    .limited(limits)
+                    .prefetching(prefetch),
+            ),
+            (Algorithm::Iio, QueryRegion::Point(_)) => {
+                unreachable!("IIO is not incremental: both engines answer it with iio_topk")
             }
-            (Algorithm::Mir2, _) => {
-                on_sig_tree(&self.mir2, p, src, region, keywords, k, limits, sink)
+            (other, QueryRegion::Area(_)) => {
+                return Err(needs_signature_tree("region queries", other))
             }
-            (Algorithm::RTree, QueryRegion::Point(point)) => {
-                with_frontier_prefetch(&self.rtree, p, |pf| {
-                    let mut iter =
-                        RtreeBaselineIter::with_sink(&self.rtree, src, point, keywords, sink)
-                            .limited(limits)
-                            .prefetching(pf);
-                    collect_topk(&mut iter, k)
-                })
-            }
-            (Algorithm::Iio, QueryRegion::Point(point)) => {
-                let query = DistanceFirstQuery { point, keywords, k };
-                iio_topk_limited(&self.inverted, &self.vocab, src, &query, limits)
-                    .map(|r| (r, SearchCounters::default()))
-            }
-            (other, QueryRegion::Area(_)) => Err(needs_signature_tree("region queries", other)),
-        }
+        })
     }
 
-    /// Answers a batch of distance-first queries concurrently on `threads`
-    /// worker threads (the index structures support any number of
-    /// concurrent readers; the buffer pool, when present, is sharded so
-    /// readers of different blocks do not serialize).
-    ///
-    /// Returns one full [`QueryReport`] per query, in input order. Each
-    /// report's I/O delta is *correctly attributed to that query* even
-    /// though queries interleave on the shared devices: every query runs
-    /// entirely on one worker thread inside an [`IoScope`], which tallies
-    /// only that thread's accesses against a per-thread disk-arm position.
-    /// Consequently a query's report here matches what
-    /// [`distance_first`](SpatialKeywordDb::distance_first) reports for the
-    /// same query run alone (results byte-identical; I/O identical up to
-    /// the buffer pool's interleaving-dependent cache hits, i.e. exactly
-    /// identical in the paper's uncached configuration).
-    pub fn batch_topk(
+    /// IIO's answer to `req` under `limits`: all of it or, truncated,
+    /// nothing. [`TopkRequest::check`] has refused area regions.
+    pub(crate) fn iio_topk(
         &self,
-        alg: Algorithm,
-        queries: &[DistanceFirstQuery<2>],
-        threads: usize,
-    ) -> Result<Vec<QueryReport>> {
-        let reports = run_batch(queries, threads, |q| {
-            self.scoped_distance_first(alg, q, QueryLimits::none())
-        })?;
-        // Metrics are folded in *after* the concurrent phase: workers touch
-        // only their thread-local sinks, so the shared registry sees no
-        // query-path contention.
-        for r in &reports {
-            self.publish_query_metrics(alg, r);
-        }
-        Ok(reports)
-    }
-
-    /// [`batch_topk`](SpatialKeywordDb::batch_topk) with per-query fault
-    /// isolation and execution limits — the resilient batch engine.
-    ///
-    /// Each query runs under `limits` (construct with a
-    /// [`QueryLimits::with_deadline`] to impose a **batch-wide** deadline:
-    /// the deadline instant is resolved once, before the workers start, so
-    /// every query in the batch races the same wall-clock point). A query
-    /// that trips a limit is *not* a failure — its report carries the
-    /// truncation outcome and the exact top-m prefix it reached.
-    ///
-    /// A query that errors or panics yields an `Err(`[`QueryError`]`)` in
-    /// its own slot and **nothing else**: siblings run to completion, the
-    /// shared buffer pool and index structures remain usable (their locks
-    /// do not poison), and subsequent queries on this database are
-    /// unaffected. Returns one entry per query, in input order.
-    pub fn batch_topk_isolated(
-        &self,
-        alg: Algorithm,
-        queries: &[DistanceFirstQuery<2>],
-        threads: usize,
+        src: &CountingSource<'_, 2>,
+        req: &TopkRequest,
         limits: QueryLimits,
-    ) -> Vec<std::result::Result<QueryReport, QueryError>> {
-        let outcomes = run_batch_isolated(queries, threads, |q| {
-            self.scoped_distance_first(alg, q, limits)
-                .map_err(Into::into)
-        });
-        // Metrics fold in after the concurrent phase, like `batch_topk`.
-        let key = alg.key();
-        for out in &outcomes {
-            match out {
-                Ok(r) => self.publish_query_metrics(alg, r),
-                Err(QueryError::Storage(_)) => self.metrics.add_counter(
-                    &format!("batch_query_failures_total{{alg=\"{key}\",kind=\"storage\"}}"),
-                    1,
-                ),
-                Err(QueryError::Panic(_)) => self.metrics.add_counter(
-                    &format!("batch_query_failures_total{{alg=\"{key}\",kind=\"panic\"}}"),
-                    1,
-                ),
-            }
-        }
-        outcomes
+    ) -> Result<ExecOutcome<Vec<(SpatialObject<2>, f64)>>> {
+        let QueryRegion::Point(point) = req.region else {
+            return Err(needs_signature_tree("region queries", req.alg));
+        };
+        let query = DistanceFirstQuery {
+            point,
+            keywords: req.keywords.clone(),
+            k: req.k,
+        };
+        iio_topk_limited(&self.inverted, &self.vocab, src, &query, limits)
     }
 
     /// Answers a batch of general (ranked) top-k queries concurrently, with
-    /// the same per-query I/O attribution as
-    /// [`batch_topk`](SpatialKeywordDb::batch_topk). Signature-tree
-    /// algorithms only, like
+    /// the per-query I/O attribution of
+    /// [`run_batch`](SpatialKeywordDb::run_batch) (the first error ends the
+    /// batch). Signature-tree algorithms only, like
     /// [`general_ranked`](SpatialKeywordDb::general_ranked).
     pub fn batch_general_topk(
         &self,
@@ -1183,63 +1135,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         rank: &dyn RankingFn,
         threads: usize,
     ) -> Result<Vec<GeneralReport>> {
-        run_batch(queries, threads, |query| {
+        fan_out(queries, threads, |query| {
             self.run_general(alg, query, scorer, rank, Attribution::Scoped)
         })
-    }
-
-    /// Answers a batch of distance-first queries concurrently and folds the
-    /// per-query reports of [`batch_topk`](SpatialKeywordDb::batch_topk)
-    /// into one aggregate [`BatchReport`] (results in input order, I/O
-    /// summed over queries).
-    pub fn batch_distance_first(
-        &self,
-        alg: Algorithm,
-        queries: &[DistanceFirstQuery<2>],
-        threads: usize,
-    ) -> Result<BatchReport> {
-        let t0 = Instant::now();
-        let reports = self.batch_topk(alg, queries, threads)?;
-        let io: IoSnapshot = reports.iter().map(|r| r.io).sum();
-        let io_hist = Histogram::new();
-        let loads_hist = Histogram::new();
-        let mut pruning = TraceStats::default();
-        for r in &reports {
-            io_hist.observe(r.io.total());
-            loads_hist.observe(r.object_loads);
-            pruning.merge(&r.pruning);
-        }
-        Ok(BatchReport {
-            results: reports.into_iter().map(|r| r.results).collect(),
-            io,
-            io_per_query: io_hist.summary(),
-            loads_per_query: loads_hist.summary(),
-            pruning,
-            simulated: self.config.cost_model.time(io),
-            wall: t0.elapsed(),
-        })
-    }
-
-    /// Answers a distance-first top-k query anchored at an arbitrary
-    /// region (the paper's "an area could be used instead" of the query
-    /// point) under `limits` ([`QueryLimits::none`] to run to completion;
-    /// a tripped limit truncates exactly as in
-    /// [`distance_first_limited`](SpatialKeywordDb::distance_first_limited)).
-    /// Objects inside an area region come out at distance zero, then in
-    /// increasing distance from its boundary. Area regions are answered by
-    /// the IR²- or MIR²-Tree only.
-    pub fn distance_first_region(
-        &self,
-        alg: Algorithm,
-        region: QueryRegion<2>,
-        keywords: &[String],
-        k: usize,
-        limits: QueryLimits,
-    ) -> Result<QueryReport> {
-        let keywords = normalize_keywords(keywords);
-        let report = self.measured_topk(alg, region, keywords, k, limits, Attribution::Delta)?;
-        self.publish_query_metrics(alg, &report);
-        Ok(report)
     }
 
     /// Boolean keyword query within a window (Section 2's `Ans(Q_w)`
@@ -1287,8 +1185,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
 
     /// The one general-ranked plan, the analog of
     /// [`run_topk`](Self::run_topk): measure [`general_topk_with`] on
-    /// `alg`'s signature tree inside [`with_frontier_prefetch`], assemble
-    /// the report.
+    /// `alg`'s signature tree inside [`with_prefetch`](Self::with_prefetch),
+    /// assemble the report.
     fn run_general(
         &self,
         alg: Algorithm,
@@ -1297,26 +1195,18 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         rank: &dyn RankingFn,
         attribution: Attribution,
     ) -> Result<GeneralReport> {
-        fn on_sig_tree<D: BlockDevice, P: SigPayload + Sync>(
-            tree: &RTree<2, D, P>,
-            workers: usize,
-            src: &CountingSource<'_, 2>,
-            vocab: &Vocabulary,
-            scorer: &dyn IrScorer,
-            rank: &dyn RankingFn,
-            query: &GeneralQuery<2>,
-        ) -> Result<Vec<ScoredResult<2>>> {
-            with_frontier_prefetch(tree, workers, |pf| {
-                let limits = QueryLimits::none();
-                general_topk_with(tree, src, vocab, scorer, rank, query, limits, NopSink, &pf)
+        let (limits, vocab) = (QueryLimits::none(), &self.vocab);
+        let (results, m) = self.measure(alg, attribution, |src| {
+            self.with_prefetch(alg, |pf| match alg {
+                Algorithm::Ir2 => general_topk_with(
+                    &self.ir2, src, vocab, scorer, rank, query, limits, NopSink, &pf,
+                ),
+                Algorithm::Mir2 => general_topk_with(
+                    &self.mir2, src, vocab, scorer, rank, query, limits, NopSink, &pf,
+                ),
+                other => Err(needs_signature_tree("general ranked queries", other)),
             })
             .map(ExecOutcome::into_results)
-        }
-        let (p, v) = (self.config.prefetch, &self.vocab);
-        let (results, m) = self.measure(alg, attribution, |src| match alg {
-            Algorithm::Ir2 => on_sig_tree(&self.ir2, p, src, v, scorer, rank, query),
-            Algorithm::Mir2 => on_sig_tree(&self.mir2, p, src, v, scorer, rank, query),
-            other => Err(needs_signature_tree("general ranked queries", other)),
         })?;
         Ok(GeneralReport {
             results,
@@ -1507,11 +1397,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     }
 
     /// The live metrics registry: cumulative query counters and per-query
-    /// histograms, fed by every
-    /// [`distance_first`](SpatialKeywordDb::distance_first) /
-    /// [`batch_topk`](SpatialKeywordDb::batch_topk) /
-    /// [`distance_first_region`](SpatialKeywordDb::distance_first_region)
-    /// call. Snapshot/delta and Prometheus export live on the registry.
+    /// histograms, fed by every [`run`](SpatialKeywordDb::run) and
+    /// [`run_batch`](SpatialKeywordDb::run_batch) request.
+    /// Snapshot/delta and Prometheus export live on the registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use ir2_irtree::{ScoredResult, SearchCounters, TraceStats};
 use ir2_model::{SpatialObject, TruncateReason};
-use ir2_storage::{HistogramSummary, IoSnapshot, StorageError};
+use ir2_storage::{IoSnapshot, StorageError};
 
 /// Which access method answers a query — the four contenders of Section 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,9 +68,11 @@ pub struct QueryReport {
     /// Traversal counters (nodes read, signature prunes, false positives).
     pub counters: SearchCounters,
     /// Trace-derived pruning statistics: per-level signature tallies, heap
-    /// growth, entry scans. Always collected (the folding sink is cheap);
-    /// definitionally consistent with `counters` — see
-    /// [`TraceStats::matches_counters`].
+    /// growth, entry scans; definitionally consistent with `counters` —
+    /// see [`TraceStats::matches_counters`]. The monolithic engine
+    /// collects them on every query. [`ShardedDb`](crate::ShardedDb)
+    /// leaves them empty: one event per signature test cost its
+    /// false-positive-bound Restaurants workload 9 % of its throughput.
     pub pruning: TraceStats,
     /// Simulated disk time under the configured cost model — the
     /// hardware-independent stand-in for the paper's execution time.
@@ -89,15 +91,26 @@ pub struct QueryReport {
     pub backoff: Duration,
 }
 
-/// Why one query in a fault-isolated batch
-/// ([`SpatialKeywordDb::batch_topk_isolated`](crate::SpatialKeywordDb::batch_topk_isolated))
-/// failed. Failures are per-query: siblings in the batch are unaffected.
+/// Why one request of a
+/// [`run_batch`](crate::SpatialKeywordDb::run_batch) failed. Failures are
+/// per-request: siblings in the batch are unaffected.
 #[derive(Debug)]
 pub enum QueryError {
     /// The storage layer returned an error retries could not absorb.
     Storage(StorageError),
     /// The query panicked; carries the panic payload's message.
     Panic(String),
+}
+
+impl QueryError {
+    /// `"storage"` or `"panic"` — the `kind` label of the engines'
+    /// failure counters.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            QueryError::Storage(_) => "storage",
+            QueryError::Panic(_) => "panic",
+        }
+    }
 }
 
 impl fmt::Display for QueryError {
@@ -136,29 +149,6 @@ pub struct GeneralReport {
     /// Simulated disk time.
     pub simulated: Duration,
     /// Wall-clock time.
-    pub wall: Duration,
-}
-
-/// The outcome of a concurrent batch of distance-first queries.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-query results, in input order.
-    pub results: Vec<Vec<(SpatialObject<2>, f64)>>,
-    /// Aggregate block accesses of the whole batch (per-query attribution
-    /// is meaningless under concurrency).
-    pub io: IoSnapshot,
-    /// Distribution of per-query **total block accesses** across the
-    /// batch (each query's count observed once, thread-locally attributed
-    /// via `IoScope`).
-    pub io_per_query: HistogramSummary,
-    /// Distribution of per-query **object loads** across the batch.
-    pub loads_per_query: HistogramSummary,
-    /// Trace-derived pruning statistics summed over all queries in the
-    /// batch (folded after the concurrent phase — no contention).
-    pub pruning: TraceStats,
-    /// Simulated disk time for the aggregate I/O.
-    pub simulated: Duration,
-    /// Wall-clock time of the batch.
     pub wall: Duration,
 }
 

@@ -46,13 +46,12 @@
 //! by object id) and the truncation cut-radius machinery already makes
 //! partial traversals honest.
 //!
-//! Hedged reads ([`ShardedDb::distance_first_hedged`]) cut tail latency
-//! under *stalls* rather than faults: each shard's drain starts on the
-//! primary replica, and if it has not completed after the hedge delay a
-//! second replica drains the same shard concurrently; the first complete
-//! drain wins and the loser is cancelled cooperatively at its next bounded
-//! step. Both drains insert into the shared top-k, which is sound for the
-//! same dedup reason.
+//! Hedged reads ([`Gather::Hedged`]) cut tail latency under *stalls* rather
+//! than faults: each shard's drain starts on the primary replica, and if it
+//! has not completed after the hedge delay a second replica drains the same
+//! shard concurrently; the first complete drain wins and the loser is
+//! cancelled cooperatively at its next bounded step. Both drains insert
+//! into the shared top-k, which is sound for the same dedup reason.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -62,21 +61,19 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ir2_geo::{OrderedF64, Rect};
-use ir2_invindex::iio_topk_limited;
-use ir2_irtree::{
-    BoundedSearch, BoundedStep, DistanceFirstIter, RtreeBaselineIter, SearchCounters, TraceStats,
-};
+use ir2_irtree::{BoundedSearch, BoundedStep, NopSink, SearchCounters, TraceStats};
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
+use ir2_rtree::PrefetchQueue;
 use ir2_storage::{
     BlockDevice, FileDevice, IoScope, IoSnapshot, MemDevice, MetricsRegistry, Result, RetryScope,
     StorageError,
 };
 
-use crate::db::{run_batch, run_batch_isolated, CountingSource};
+use crate::db::{fan_out, fan_out_isolated, CountingSource};
 use crate::report::QueryError;
-use crate::{Algorithm, DbConfig, DeviceSet, QueryReport, SpatialKeywordDb};
+use crate::{Algorithm, DbConfig, DeviceSet, Gather, QueryReport, SpatialKeywordDb, TopkRequest};
 
 /// Name of the manifest file marking a directory as a sharded database.
 pub const SHARD_MANIFEST: &str = "SHARDS";
@@ -283,41 +280,16 @@ fn split_limits(limits: &QueryLimits, s: usize) -> Vec<QueryLimits> {
 // Per-shard iterator plumbing.
 // ---------------------------------------------------------------------
 
-/// One shard's incremental distance-first search, algorithm-erased behind
-/// the [`BoundedSearch`] stepping contract (boxed once per open, never per
-/// step). IIO is not here: it is non-incremental and merges per-shard
-/// *results*.
-///
-/// The merge passes [`next_within`](BoundedSearch::next_within) the
-/// tightest bound it holds — the next-best shard's bound or the current
-/// k-th distance — so a shard never descends toward a result the merge
-/// would discard.
-type ShardIter<'a> = Box<dyn BoundedSearch<2> + 'a>;
-
-fn open_shard_iter<'a, D: BlockDevice + 'static>(
-    shard: &'a SpatialKeywordDb<D>,
-    src: &'a CountingSource<'a, 2>,
-    alg: Algorithm,
-    query: &DistanceFirstQuery<2>,
-    limits: QueryLimits,
-) -> ShardIter<'a> {
-    match alg {
-        Algorithm::RTree => {
-            Box::new(RtreeBaselineIter::new(shard.rtree(), src, query).limited(limits))
-        }
-        Algorithm::Ir2 => {
-            Box::new(DistanceFirstIter::new(shard.ir2_tree(), src, query.clone()).limited(limits))
-        }
-        Algorithm::Mir2 => {
-            Box::new(DistanceFirstIter::new(shard.mir2_tree(), src, query.clone()).limited(limits))
-        }
-        Algorithm::Iio => unreachable!("IIO merges per-shard results, not iterators"),
-    }
-}
-
+/// One shard's place in the sequential merge. Its search is
+/// [`SpatialKeywordDb::open_search`] on the replica currently serving it
+/// (boxed once per open, never per step; IIO is not here — it is not
+/// incremental and merges per-shard *results*). The merge passes
+/// [`next_within`](BoundedSearch::next_within) the tightest bound it holds
+/// — the next-best shard's bound or the current k-th distance — so a shard
+/// never descends toward a result the merge would discard.
 struct ShardCursor<'a> {
-    iter: ShardIter<'a>,
-    /// MINDIST from the query to the shard's bounding rect — a constant
+    iter: Box<dyn BoundedSearch<2> + 'a>,
+    /// MINDIST from the query region to the shard's bounding rect — a constant
     /// lower bound that holds before any I/O (a far shard with an empty
     /// frontier key of 0.0 is still known to be far).
     rect_bound: f64,
@@ -881,137 +853,145 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     // Queries.
     // ------------------------------------------------------------------
 
-    /// Answers a distance-first top-k query by the exact sequential
-    /// scatter-gather merge. The answer equals the monolithic answer on
-    /// the same objects (canonical `(distance, id)` order; see the type
-    /// docs for the tie caveat).
+    /// Answers one distance-first top-k request by an exact scatter-gather
+    /// merge, gathered as [`req.gather`](TopkRequest::gather) says. Every
+    /// gather returns the monolithic answer on the same objects (canonical
+    /// `(distance, id)` order); the combinations [`TopkRequest`] lists are
+    /// refused before anything is read.
+    ///
+    /// Under [`QueryLimits`] (sequential gather only) the limits are split
+    /// across shards: shared deadline, I/O budget divided evenly (each
+    /// live shard's slice floored at 1), per-shard frontier cap. On
+    /// truncation the report's results are the exact top-m prefix within
+    /// the smallest truncated shard's cut radius — every reported result
+    /// provably beats everything unseen.
+    ///
+    /// I/O is attributed through [`IoScope`]s whatever the gather (the
+    /// sequential merge runs on the calling thread, gather workers each
+    /// scope their own drain), so concurrent callers get exact reports
+    /// from `run` as well as from [`run_batch`](ShardedDb::run_batch).
+    pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
+        let (report, stepped) = self.execute(req)?;
+        self.publish(req.alg, &report, &stepped);
+        Ok(report)
+    }
+
+    /// Answers `reqs` on `threads` workers (each request runs its whole
+    /// gather from one worker, like [`SpatialKeywordDb::run_batch`]):
+    /// one entry per request, in input order, with exact per-request I/O
+    /// attribution. A request that errors or panics fills only its own
+    /// slot.
+    pub fn run_batch(
+        &self,
+        reqs: &[TopkRequest],
+        threads: usize,
+    ) -> Vec<std::result::Result<QueryReport, QueryError>> {
+        let outs = fan_out_isolated(reqs, threads, |req| self.execute(req).map_err(Into::into));
+        // Metrics fold in after the concurrent phase.
+        reqs.iter()
+            .zip(outs)
+            .map(|(req, out)| {
+                let key = req.alg.key();
+                match out {
+                    Ok((report, stepped)) => {
+                        self.publish(req.alg, &report, &stepped);
+                        Ok(report)
+                    }
+                    Err(e) => {
+                        self.metrics.add_counter(
+                            &format!(
+                                "sharded_query_failures_total{{alg=\"{key}\",kind=\"{}\"}}",
+                                e.kind()
+                            ),
+                            1,
+                        );
+                        Err(e)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// [`run`](ShardedDb::run) of the plain request `query` stands for:
+    /// unlimited, anchored at its point, gathered sequentially.
     pub fn distance_first(
         &self,
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
     ) -> Result<QueryReport> {
-        self.distance_first_limited(alg, query, QueryLimits::none())
+        self.run(&TopkRequest::from_query(alg, query))
     }
 
-    /// [`distance_first`](ShardedDb::distance_first) under execution
-    /// limits, split across shards: shared deadline, I/O budget divided
-    /// evenly (each live shard's slice floored at 1), per-shard frontier
-    /// cap. On truncation the report's results are the exact top-m prefix
-    /// within the smallest truncated shard's cut radius — every reported
-    /// result provably beats everything unseen.
-    pub fn distance_first_limited(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: QueryLimits,
-    ) -> Result<QueryReport> {
-        let (report, stepped) = self.scoped_topk(alg, query, limits)?;
-        self.publish(alg, &report, &stepped);
-        Ok(report)
-    }
-
-    /// [`distance_first`](ShardedDb::distance_first) with parallel shard
-    /// workers: up to `threads` scoped workers drain shard frontiers
-    /// concurrently under a shared branch-and-bound threshold (a worker
-    /// stops as soon as its shard's bound exceeds the current k-th
-    /// distance, which only shrinks — so every stop is final and the
-    /// gathered superset contains the exact top-k). The answer is
-    /// identical to the sequential merge; the point is single-query
-    /// latency when shards sit on independent devices. Unlimited
-    /// execution only — under [`QueryLimits`] use
-    /// [`distance_first_limited`](ShardedDb::distance_first_limited),
-    /// whose sequential schedule makes truncation deterministic.
-    pub fn distance_first_parallel(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        threads: usize,
-    ) -> Result<QueryReport> {
-        if alg == Algorithm::Iio || query.k == 0 || (self.shards.len() == 1 && threads <= 1) {
-            return self.distance_first(alg, query);
+    /// One request, checked, gathered and fully attributed, not yet
+    /// published: the report plus which shards did any work. IIO merges
+    /// results, `k == 0` touches nothing and one shard on one worker has
+    /// nothing to overlap, so those gather sequentially whatever was
+    /// asked.
+    fn execute(&self, req: &TopkRequest) -> Result<(QueryReport, Vec<bool>)> {
+        req.check(true)?;
+        let sequential_anyway = req.alg == Algorithm::Iio || req.k == 0;
+        match req.gather {
+            Gather::Parallel(threads)
+                if !sequential_anyway && (self.shards.len() > 1 || threads > 1) =>
+            {
+                self.gather_parallel(req, threads, None)
+            }
+            Gather::Hedged(delay) if !sequential_anyway => {
+                self.gather_parallel(req, self.shards.len(), Some(delay))
+            }
+            _ => self.gather_sequential(req),
         }
-        self.gather_parallel(alg, query, threads, None)
     }
 
-    /// [`distance_first`](ShardedDb::distance_first) with **hedged** shard
-    /// pulls: each shard's drain starts on its primary replica, and if it
-    /// has not completed after `hedge`, a second replica drains the same
-    /// shard concurrently — the first *complete* drain wins and the loser
-    /// is cancelled cooperatively at its next bounded step (the same
-    /// per-step check cadence `QueryLimits` uses). Under stall-prone
-    /// devices this converts a stuck shard pull from p99 latency into one
-    /// hedge delay. The answer is exactly the sequential merge's: both
-    /// drains feed one deduplicating top-k, and at least one complete
-    /// drain per shard is guaranteed (a primary failure falls back to the
-    /// secondary, so this also subsumes failover). Unlimited execution
-    /// only, like
-    /// [`distance_first_parallel`](ShardedDb::distance_first_parallel);
-    /// single-replica shards drain unhedged.
-    pub fn distance_first_hedged(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        hedge: Duration,
-    ) -> Result<QueryReport> {
-        if alg == Algorithm::Iio || query.k == 0 {
-            return self.distance_first(alg, query);
-        }
-        self.gather_parallel(alg, query, self.shards.len(), Some(hedge))
+    /// MINDIST from the request's region to shard `i`'s bounding rect — a
+    /// lower bound on everything the shard holds, known before any I/O.
+    fn rect_bound(&self, i: usize, req: &TopkRequest) -> f64 {
+        self.bounds[i].map_or(f64::INFINITY, |r| req.region.min_dist(&r))
     }
 
-    /// The parallel gather engine behind
-    /// [`distance_first_parallel`](ShardedDb::distance_first_parallel) and
-    /// [`distance_first_hedged`](ShardedDb::distance_first_hedged): one
-    /// worker per shard drains into a shared branch-and-bound top-k (a
-    /// worker stops as soon as its
-    /// shard's bound exceeds the current k-th distance, which only shrinks
-    /// — so every stop is final and the gathered superset contains the
-    /// exact top-k). Each worker fails over across its shard's replicas
-    /// on storage errors; with `hedge` set it also races a second replica
-    /// after the delay.
+    /// The parallel gather engine behind [`Gather::Parallel`] and
+    /// [`Gather::Hedged`]: one worker per shard drains into a shared
+    /// branch-and-bound top-k (a worker stops as soon as its shard's bound
+    /// exceeds the current k-th distance, which only shrinks — so every
+    /// stop is final and the gathered superset contains the exact top-k).
+    /// Each worker fails over across its shard's replicas on storage
+    /// errors; with `hedge` set it also races a second replica after the
+    /// delay.
     fn gather_parallel(
         &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
+        req: &TopkRequest,
         threads: usize,
         hedge: Option<Duration>,
-    ) -> Result<QueryReport> {
+    ) -> Result<(QueryReport, Vec<bool>)> {
         let t0 = Instant::now();
-        let shared = Mutex::new(TopK::new(query.k));
+        let shared = Mutex::new(TopK::new(req.k));
         let idxs: Vec<usize> = (0..self.shards.len()).collect();
-        let outs = run_batch(&idxs, threads, |&i| match hedge {
+        let outs = fan_out(&idxs, threads, |&i| match hedge {
             Some(delay) if self.shards[i].len() > 1 => {
-                self.drain_shard_hedged(i, alg, query, &shared, delay)
+                self.drain_shard_hedged(i, req, &shared, delay)
             }
-            _ => self.drain_shard_failover(i, alg, query, &shared),
+            _ => self.drain_shard_failover(i, req, &shared),
         })?;
         let mut merged = Merged::empty(self.shards.len());
-        let results = shared
+        merged.results = shared
             .into_inner()
             .map_err(|_| poisoned_top_k())?
             .into_sorted();
-        let (mut index_io, mut object_io) = (IoSnapshot::default(), IoSnapshot::default());
-        let (mut retries, mut backoff) = (0u64, Duration::ZERO);
+        let mut total = DrainOut::default();
         for (i, w) in outs.iter().enumerate() {
-            index_io = index_io + w.index_io;
-            object_io = object_io + w.object_io;
-            merged.object_loads += w.loads;
             merged.stepped[i] = w.stepped;
-            sum_counters(&mut merged.counters, w.counters);
-            retries += w.retries;
-            backoff += w.backoff;
+            total.add(w);
         }
-        let report = self.assemble(
-            results,
-            index_io,
-            object_io,
-            &merged,
-            retries,
-            backoff,
+        merged.object_loads = total.loads;
+        merged.counters = total.counters;
+        Ok(self.assemble(
+            merged,
+            total.index_io,
+            total.object_io,
+            total.retries,
+            total.backoff,
             t0.elapsed(),
-        );
-        self.publish(alg, &report, &merged.stepped);
-        Ok(report)
+        ))
     }
 
     /// Drains shard `i` for the parallel gather, failing over across its
@@ -1021,8 +1001,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     fn drain_shard_failover(
         &self,
         i: usize,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
+        req: &TopkRequest,
         shared: &Mutex<TopK>,
     ) -> Result<DrainOut> {
         let set = &self.shards[i];
@@ -1031,7 +1010,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         let mut agg = DrainOut::default();
         loop {
             tried.push(m);
-            match self.drain_replica(i, m, alg, query, shared, None) {
+            match self.drain_replica(i, m, req, shared, None) {
                 Ok(out) => {
                     agg.add(&out);
                     return Ok(agg);
@@ -1059,8 +1038,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     fn drain_shard_hedged(
         &self,
         i: usize,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
+        req: &TopkRequest,
         shared: &Mutex<TopK>,
         delay: Duration,
     ) -> Result<DrainOut> {
@@ -1078,7 +1056,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                 let tx = tx; // moved: a panic here disconnects the channel
                 let (cancel, winner) = (&cancel, &winner);
                 move || {
-                    let out = self.drain_replica(i, primary, alg, query, shared, Some(cancel));
+                    let out = self.drain_replica(i, primary, req, shared, Some(cancel));
                     if matches!(&out, Ok(o) if o.complete) {
                         let _ = winner.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire);
                     }
@@ -1102,14 +1080,14 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     // Primary *failed* (not merely slow): plain failover.
                     set.mark_failed(primary);
                     self.metrics.add_counter("replica_failovers_total", 1);
-                    let out = self.drain_replica(i, secondary, alg, query, shared, None)?;
+                    let out = self.drain_replica(i, secondary, req, shared, None)?;
                     agg.add(&out);
                     Ok(())
                 }
                 None => {
                     // Hedge fires: drain the secondary on this thread.
                     self.metrics.add_counter("replica_hedges_total", 1);
-                    let sec = self.drain_replica(i, secondary, alg, query, shared, None);
+                    let sec = self.drain_replica(i, secondary, req, shared, None);
                     if matches!(&sec, Ok(o) if o.complete)
                         && winner
                             .compare_exchange(0, 2, Ordering::AcqRel, Ordering::Acquire)
@@ -1162,20 +1140,18 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         &self,
         i: usize,
         m: usize,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
+        req: &TopkRequest,
         shared: &Mutex<TopK>,
         cancel: Option<&AtomicBool>,
     ) -> Result<DrainOut> {
         let rep = self.shards[i].get(m);
-        let rect_bound = self.bounds[i]
-            .map(|r| r.min_dist(&query.point))
-            .unwrap_or(f64::INFINITY);
+        let rect_bound = self.rect_bound(i, req);
         let scope = IoScope::enter();
         let retry = RetryScope::enter();
         let run = (|| {
-            let src = CountingSource::new(rep.object_store() as &dyn ObjectSource<2>);
-            let mut iter = open_shard_iter(rep, &src, alg, query, QueryLimits::none());
+            let src = rep.counting_source();
+            let (limits, no_prefetch) = (QueryLimits::none(), PrefetchQueue::disabled());
+            let mut iter = rep.open_search(&src, req, limits, NopSink, no_prefetch)?;
             let mut stepped = false;
             let mut complete = true;
             while let Some(b) = iter.frontier_bound().map(|fb| fb.max(rect_bound)) {
@@ -1216,7 +1192,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         let retry_stats = retry.finish();
         let scoped = scope.finish();
         run.map(|(counters, loads, stepped, complete)| DrainOut {
-            index_io: scoped.for_stats(rep.stats_of(alg)),
+            index_io: scoped.for_stats(rep.stats_of(req.alg)),
             object_io: scoped.for_stats(rep.objects_io_stats()),
             counters,
             loads,
@@ -1227,101 +1203,37 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         })
     }
 
-    /// Answers a batch of queries on `threads` workers (each query runs
-    /// its full sequential merge on one worker, like
-    /// [`SpatialKeywordDb::batch_topk`]); reports come back in input order
-    /// with exact per-query I/O attribution.
-    pub fn batch_topk(
-        &self,
-        alg: Algorithm,
-        queries: &[DistanceFirstQuery<2>],
-        threads: usize,
-    ) -> Result<Vec<QueryReport>> {
-        let outs = run_batch(queries, threads, |q| {
-            self.scoped_topk(alg, q, QueryLimits::none())
-        })?;
-        let mut reports = Vec::with_capacity(outs.len());
-        for (report, stepped) in outs {
-            self.publish(alg, &report, &stepped);
-            reports.push(report);
-        }
-        Ok(reports)
-    }
-
-    /// [`batch_topk`](ShardedDb::batch_topk) with per-query fault
-    /// isolation and execution limits, mirroring
-    /// [`SpatialKeywordDb::batch_topk_isolated`].
-    pub fn batch_topk_isolated(
-        &self,
-        alg: Algorithm,
-        queries: &[DistanceFirstQuery<2>],
-        threads: usize,
-        limits: QueryLimits,
-    ) -> Vec<std::result::Result<QueryReport, QueryError>> {
-        let outs = run_batch_isolated(queries, threads, |q| {
-            self.scoped_topk(alg, q, limits).map_err(Into::into)
-        });
-        let key = alg.key();
-        outs.into_iter()
-            .map(|out| match out {
-                Ok((report, stepped)) => {
-                    self.publish(alg, &report, &stepped);
-                    Ok(report)
-                }
-                Err(e) => {
-                    let kind = match &e {
-                        QueryError::Storage(_) => "storage",
-                        QueryError::Panic(_) => "panic",
-                    };
-                    self.metrics.add_counter(
-                        &format!("sharded_query_failures_total{{alg=\"{key}\",kind=\"{kind}\"}}"),
-                        1,
-                    );
-                    Err(e)
-                }
-            })
-            .collect()
-    }
-
-    /// One query, fully attributed: I/O through an [`IoScope`] on the
-    /// calling thread, loads through per-shard [`CountingSource`]s, retry
-    /// accounting through a [`RetryScope`] — folded into one report.
-    fn scoped_topk(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: QueryLimits,
-    ) -> Result<(QueryReport, Vec<bool>)> {
+    /// The sequential gather, fully attributed: I/O through an
+    /// [`IoScope`] on the calling thread, loads through per-replica
+    /// [`CountingSource`]s, retry accounting through a [`RetryScope`] —
+    /// folded into one report.
+    fn gather_sequential(&self, req: &TopkRequest) -> Result<(QueryReport, Vec<bool>)> {
         let t0 = Instant::now();
         let scope = IoScope::enter();
         let retry = RetryScope::enter();
-        let merged = if alg == Algorithm::Iio {
-            self.merge_iio(query, &limits)
+        let merged = if req.alg == Algorithm::Iio {
+            self.merge_iio(req)
         } else {
-            self.merge_sequential(alg, query, &limits)
+            self.merge_sequential(req)
         };
         let retry_stats = retry.finish();
         let scoped = scope.finish();
-        let mut merged = merged?;
+        let merged = merged?;
         let (mut index_io, mut object_io) = (IoSnapshot::default(), IoSnapshot::default());
         for set in &self.shards {
             for rep in set.replicas() {
-                index_io = index_io + scoped.for_stats(rep.stats_of(alg));
+                index_io = index_io + scoped.for_stats(rep.stats_of(req.alg));
                 object_io = object_io + scoped.for_stats(rep.objects_io_stats());
             }
         }
-        let results = std::mem::take(&mut merged.results);
-        let stepped = std::mem::take(&mut merged.stepped);
-        let report = self.assemble(
-            results,
+        Ok(self.assemble(
+            merged,
             index_io,
             object_io,
-            &merged,
             retry_stats.retries,
             retry_stats.backoff,
             t0.elapsed(),
-        );
-        Ok((report, stepped))
+        ))
     }
 
     /// The exact sequential merge (module docs): a global heap of shards
@@ -1332,18 +1244,13 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// limit slice (unchanged absolute deadline; I/O-budget slice less
     /// what the dead attempts consumed), and the deduplicating top-k makes
     /// the restart's re-emissions harmless.
-    fn merge_sequential(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: &QueryLimits,
-    ) -> Result<Merged> {
+    fn merge_sequential(&self, req: &TopkRequest) -> Result<Merged> {
         let s = self.shards.len();
         let mut merged = Merged::empty(s);
-        if query.k == 0 {
+        if req.k == 0 {
             return Ok(merged);
         }
-        let per_shard = split_limits(limits, s);
+        let per_shard = split_limits(&req.limits, s);
         // One counting source per replica: a failover restart attributes
         // its object loads to the replica actually serving them.
         let sources: Vec<Vec<CountingSource<'_, 2>>> = self
@@ -1351,18 +1258,22 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             .iter()
             .map(|set| {
                 set.replicas()
-                    .map(|rep| CountingSource::new(rep.object_store() as &dyn ObjectSource<2>))
+                    .map(SpatialKeywordDb::counting_source)
                     .collect()
             })
             .collect();
+        let open = |i: usize, m: usize, limits: QueryLimits| {
+            let no_prefetch = PrefetchQueue::disabled();
+            self.shards[i]
+                .get(m)
+                .open_search(&sources[i][m], req, limits, NopSink, no_prefetch)
+        };
         let mut cursors: Vec<ShardCursor<'_>> = Vec::with_capacity(s);
         for (i, set) in self.shards.iter().enumerate() {
             let m = set.primary_index();
             cursors.push(ShardCursor {
-                iter: open_shard_iter(set.get(m), &sources[i][m], alg, query, per_shard[i]),
-                rect_bound: self.bounds[i]
-                    .map(|r| r.min_dist(&query.point))
-                    .unwrap_or(f64::INFINITY),
+                iter: open(i, m, per_shard[i])?,
+                rect_bound: self.rect_bound(i, req),
                 replica: m,
                 tried: vec![m],
                 prior: SearchCounters::default(),
@@ -1371,7 +1282,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             });
         }
 
-        let mut topk = TopK::new(query.k);
+        let mut topk = TopK::new(req.k);
         // (shard index, reason, cut radius) per truncated shard.
         let mut truncs: Vec<(usize, TruncateReason, f64)> = Vec::new();
         let mut order: BinaryHeap<Reverse<(OrderedF64, usize)>> = cursors
@@ -1441,7 +1352,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     sum_counters(&mut cursors[i].prior, dead);
                     let mut lim = per_shard[i];
                     lim.io_budget = lim.io_budget.map(|b| b.saturating_sub(consumed).max(1));
-                    cursors[i].iter = open_shard_iter(set.get(m), &sources[i][m], alg, query, lim);
+                    cursors[i].iter = open(i, m, lim)?;
                     cursors[i].replica = m;
                     cursors[i].tried.push(m);
                     order.push(Reverse((OrderedF64(cursors[i].rect_bound), i)));
@@ -1496,11 +1407,11 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// is the documented fetch-k-from-every-shard over-read (each shard
     /// computes its own top-k, the union is re-ranked). Degrades
     /// all-or-nothing under limits, like the monolithic IIO.
-    fn merge_iio(&self, query: &DistanceFirstQuery<2>, limits: &QueryLimits) -> Result<Merged> {
+    fn merge_iio(&self, req: &TopkRequest) -> Result<Merged> {
         let s = self.shards.len();
         let mut merged = Merged::empty(s);
-        let per_shard = split_limits(limits, s);
-        let mut topk = TopK::new(query.k);
+        let per_shard = split_limits(&req.limits, s);
+        let mut topk = TopK::new(req.k);
         for (i, set) in self.shards.iter().enumerate() {
             // IIO is all-or-nothing per shard, so failover retries the
             // whole shard computation on the next replica with the full
@@ -1510,9 +1421,8 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             let out = loop {
                 tried.push(m);
                 let rep = set.get(m);
-                let src = CountingSource::new(rep.object_store() as &dyn ObjectSource<2>);
-                let attempt =
-                    iio_topk_limited(rep.inverted_index(), rep.vocab(), &src, query, per_shard[i]);
+                let src = rep.counting_source();
+                let attempt = rep.iio_topk(&src, req, per_shard[i]);
                 merged.object_loads += src.loads();
                 match attempt {
                     Ok(out) => break out,
@@ -1548,20 +1458,20 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         Ok(merged)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// One merge's outcome as the engine hands it on: the report, and
+    /// which shards did any work.
     fn assemble(
         &self,
-        results: Vec<(SpatialObject<2>, f64)>,
+        merged: Merged,
         index_io: IoSnapshot,
         object_io: IoSnapshot,
-        merged: &Merged,
         retries: u64,
         backoff: Duration,
         wall: Duration,
-    ) -> QueryReport {
+    ) -> (QueryReport, Vec<bool>) {
         let io = index_io + object_io;
-        QueryReport {
-            results,
+        let report = QueryReport {
+            results: merged.results,
             index_io,
             object_io,
             io,
@@ -1573,7 +1483,8 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             outcome: merged.outcome,
             retries,
             backoff,
-        }
+        };
+        (report, merged.stepped)
     }
 
     /// Folds one finished query into the sharded registry: engine-level

@@ -1,9 +1,18 @@
 //! End-to-end tests of the database facade: all four algorithms over one
 //! store, I/O accounting, persistence, maintenance.
 
-use ir2tree::model::{DistanceFirstQuery, SpatialObject};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+use ir2tree::geo::{Point, Rect};
+use ir2tree::model::{DistanceFirstQuery, QueryRegion, SpatialObject};
+use ir2tree::storage::{MemDevice, StorageError};
 use ir2tree::text::{DecayRank, SaturatingTfIdf};
-use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
+use ir2tree::{
+    Algorithm, DbConfig, DeviceSet, Gather, QueryError, QueryLimits, QueryReport, ShardedDb,
+    SpatialKeywordDb, TopkRequest,
+};
+use proptest::prelude::*;
 
 fn small_config() -> DbConfig {
     DbConfig {
@@ -277,4 +286,172 @@ fn k_zero_and_oversized_k() {
     let rep = db.distance_first(Algorithm::Ir2, &qbig).unwrap();
     // 2 of 6 themes contain "coffee": 10 objects.
     assert_eq!(rep.results.len(), 10);
+}
+
+// ----------------------------------------------------------------------
+// One request, two engines: every cell of the request matrix.
+// ----------------------------------------------------------------------
+
+type Outcome = Result<QueryReport, QueryError>;
+
+/// What the cell test needs of an engine: its name, whether it is
+/// sharded, `run` and `run_batch`.
+struct Engine<'a> {
+    name: &'static str,
+    sharded: bool,
+    run: &'a dyn Fn(&TopkRequest) -> Outcome,
+    run_batch: &'a dyn Fn(&[TopkRequest], usize) -> Vec<Outcome>,
+}
+
+fn hits(r: &[(SpatialObject<2>, f64)]) -> Vec<(u64, u64)> {
+    r.iter().map(|(o, d)| (o.id, d.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The facade-level twin of `irtree/tests/props.rs::
+    /// every_plan_cell_matches_the_plain_run`: every legal `TopkRequest`
+    /// cell — {point, area} × {unlimited, I/O budget} × {`Sequential`,
+    /// `Parallel`, `Hedged`} — on the monolithic engine and on a 3-shard ×
+    /// 2-replica one returns the plain run's ids and distance bits (a
+    /// tie-aware exact prefix of the full ranking when the budget
+    /// truncates it; nothing for IIO), with trace statistics that agree
+    /// with the counters where there are any (the sharded engine traces
+    /// into a `NopSink`); every illegal cell is refused with
+    /// `StorageError::Unsupported`, never a panic; and `run_batch` fills
+    /// each slot with what `run` returns for that cell.
+    #[test]
+    fn every_request_cell_matches_the_plain_run(
+        at in prop::array::uniform2(-3.0f64..28.0),
+        extent in prop::array::uniform2(0.0f64..6.0),
+        kw in 0usize..4,
+        (k, budget) in (1usize..12, 0u64..60),
+        alg in 0usize..4,
+    ) {
+        const N: usize = 300;
+        static MONO: OnceLock<SpatialKeywordDb<MemDevice>> = OnceLock::new();
+        static SHARDED: OnceLock<ShardedDb<Arc<MemDevice>>> = OnceLock::new();
+        let mono = MONO.get_or_init(|| {
+            SpatialKeywordDb::build(DeviceSet::in_memory(), town(N), small_config()).unwrap()
+        });
+        let sharded = SHARDED.get_or_init(|| {
+            let groups = (0..3)
+                .map(|_| (0..2).map(|_| DeviceSet::in_memory().map(|_, d| Arc::new(d))).collect())
+                .collect();
+            ShardedDb::build_replicated(groups, town(N), small_config()).unwrap()
+        });
+        let engines = [
+            Engine {
+                name: "monolithic",
+                sharded: false,
+                run: &|req| mono.run(req).map_err(Into::into),
+                run_batch: &|reqs, threads| mono.run_batch(reqs, threads),
+            },
+            Engine {
+                name: "3 shards x 2 replicas",
+                sharded: true,
+                run: &|req| sharded.run(req).map_err(Into::into),
+                run_batch: &|reqs, threads| sharded.run_batch(reqs, threads),
+            },
+        ];
+
+        let alg = Algorithm::ALL[alg];
+        let kws: [&[&str]; 4] = [&["coffee"], &["coffee", "wifi"], &["pool"], &["sunday", "open"]];
+        let corner = [at[0] + extent[0], at[1] + extent[1]];
+        let regions = [
+            QueryRegion::Point(Point::new(at)),
+            QueryRegion::Area(Rect::from_corners(Point::new(at), Point::new(corner))),
+        ];
+        let limit_sets = [QueryLimits::none(), QueryLimits::none().with_io_budget(budget)];
+        let gathers = [
+            Gather::Sequential,
+            Gather::Parallel(3),
+            Gather::Hedged(Duration::ZERO),
+        ];
+
+        for region in regions {
+            let on_signature_tree = matches!(alg, Algorithm::Ir2 | Algorithm::Mir2);
+            let area_refused = matches!(region, QueryRegion::Area(_)) && !on_signature_tree;
+            // The plain run and the full ranking it is a prefix of, from
+            // an algorithm that answers either region.
+            let truth_alg = if area_refused { Algorithm::Ir2 } else { alg };
+            let plain = hits(&mono.run(&TopkRequest::new(truth_alg, region, kws[kw], k)).unwrap().results);
+            let full = hits(&mono.run(&TopkRequest::new(truth_alg, region, kws[kw], N)).unwrap().results);
+            prop_assert_eq!(&plain[..], &full[..k.min(full.len())]);
+
+            let cells: Vec<TopkRequest> = limit_sets
+                .iter()
+                .flat_map(|&limits| gathers.iter().map(move |&gather| (limits, gather)))
+                .map(|(limits, gather)| {
+                    TopkRequest::new(alg, region, kws[kw], k).limited(limits).gathered(gather)
+                })
+                .collect();
+
+            for engine in &engines {
+                let mut solo = Vec::new();
+                for req in &cells {
+                    let ctx = format!("{} {:?} on {}", alg.label(), req, engine.name);
+                    let legal = !area_refused
+                        && (req.gather == Gather::Sequential
+                            || (req.limits.is_unlimited()
+                                && (engine.sharded || !matches!(req.gather, Gather::Hedged(_)))));
+                    let out = (engine.run)(req);
+                    match &out {
+                        Err(e) => {
+                            prop_assert!(!legal, "{}: {}", ctx, e);
+                            prop_assert!(
+                                matches!(e, QueryError::Storage(StorageError::Unsupported(_))),
+                                "{}: {}", ctx, e
+                            );
+                        }
+                        Ok(rep) => {
+                            prop_assert!(legal, "{}: answered an illegal cell", ctx);
+                            prop_assert!(
+                                engine.sharded || rep.pruning.matches_counters(&rep.counters),
+                                "{}", ctx
+                            );
+                            let got = hits(&rep.results);
+                            if rep.outcome.is_none() {
+                                prop_assert_eq!(&got, &plain, "{}", ctx);
+                            } else {
+                                prop_assert!(!req.limits.is_unlimited(), "{}", ctx);
+                                prop_assert!(got.len() <= plain.len(), "{}", ctx);
+                                prop_assert!(alg != Algorithm::Iio || got.is_empty(), "{}", ctx);
+                                // Ids below the boundary distance are
+                                // canonical; ids tied at it need only
+                                // belong to the full tie group.
+                                let boundary = got.last().map(|&(_, d)| d);
+                                let mut seen = std::collections::HashSet::new();
+                                for (i, &(id, d)) in got.iter().enumerate() {
+                                    prop_assert_eq!(d, full[i].1, "{}", ctx);
+                                    prop_assert!(seen.insert(id), "{}: duplicate id {}", ctx, id);
+                                    if Some(d) != boundary {
+                                        prop_assert_eq!(id, full[i].0, "{}", ctx);
+                                    } else {
+                                        prop_assert!(full.contains(&(id, d)), "{}", ctx);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    solo.push(out);
+                }
+                // The batch engine is `run`, slot by slot.
+                let batch = (engine.run_batch)(&cells, 3);
+                prop_assert_eq!(batch.len(), cells.len());
+                for ((req, alone), slot) in cells.iter().zip(&solo).zip(&batch) {
+                    let ctx = format!("{} {:?} on {} (batch)", alg.label(), req, engine.name);
+                    match (alone, slot) {
+                        (Ok(a), Ok(b)) => {
+                            prop_assert_eq!(hits(&a.results), hits(&b.results), "{}", ctx);
+                            prop_assert_eq!(a.outcome, b.outcome, "{}", ctx);
+                        }
+                        (Err(_), Err(QueryError::Storage(StorageError::Unsupported(_)))) => {}
+                        _ => prop_assert!(false, "{}: run and run_batch disagree", ctx),
+                    }
+                }
+            }
+        }
+    }
 }

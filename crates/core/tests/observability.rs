@@ -5,7 +5,8 @@
 
 use ir2tree::model::DistanceFirstQuery;
 use ir2tree::model::SpatialObject;
-use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
+use ir2tree::storage::MemDevice;
+use ir2tree::{Algorithm, DbConfig, DeviceSet, QueryReport, SpatialKeywordDb, TopkRequest};
 
 fn small_config() -> DbConfig {
     DbConfig {
@@ -30,6 +31,23 @@ fn town(n: usize) -> Vec<SpatialObject<2>> {
             let y = (i / 25) as f64;
             SpatialObject::new(i as u64, [x, y], themes[i % themes.len()])
         })
+        .collect()
+}
+
+/// The batch engine's report for every query, none failed.
+fn run_batch(
+    db: &SpatialKeywordDb<MemDevice>,
+    alg: Algorithm,
+    queries: &[DistanceFirstQuery<2>],
+    threads: usize,
+) -> Vec<QueryReport> {
+    let reqs: Vec<TopkRequest> = queries
+        .iter()
+        .map(|q| TopkRequest::from_query(alg, q))
+        .collect();
+    db.run_batch(&reqs, threads)
+        .into_iter()
+        .map(|r| r.expect("no query fails on healthy devices"))
         .collect()
 }
 
@@ -66,7 +84,7 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
             .iter()
             .map(|q| db.distance_first(alg, q).unwrap())
             .collect();
-        let batch = db.batch_topk(alg, &qs, 4).unwrap();
+        let batch = run_batch(&db, alg, &qs, 4);
         assert_eq!(solo.len(), batch.len());
 
         for (i, (s, b)) in solo.iter().zip(&batch).enumerate() {
@@ -103,39 +121,6 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
 }
 
 #[test]
-fn batch_report_histograms_summarize_the_per_query_reports() {
-    let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();
-    db.reset_io();
-    let qs = queries();
-
-    let per_query = db.batch_topk(Algorithm::Ir2, &qs, 3).unwrap();
-    let batch = db.batch_distance_first(Algorithm::Ir2, &qs, 3).unwrap();
-
-    assert_eq!(batch.io_per_query.count, qs.len() as u64);
-    assert_eq!(batch.loads_per_query.count, qs.len() as u64);
-    assert_eq!(
-        batch.io_per_query.sum,
-        per_query.iter().map(|r| r.io.total()).sum::<u64>()
-    );
-    assert_eq!(
-        batch.loads_per_query.sum,
-        per_query.iter().map(|r| r.object_loads).sum::<u64>()
-    );
-    assert!(batch.io_per_query.max >= batch.io_per_query.mean() as u64);
-    assert!(batch.io_per_query.mean().is_finite());
-
-    let mut merged_tests = 0u64;
-    let mut merged_fetched = 0u64;
-    for r in &per_query {
-        merged_tests += r.pruning.sig_tests;
-        merged_fetched += r.pruning.objects_fetched;
-    }
-    assert_eq!(batch.pruning.sig_tests, merged_tests);
-    assert_eq!(batch.pruning.objects_fetched, merged_fetched);
-    assert!(batch.pruning.sig_tests > 0, "IR2 queries test signatures");
-}
-
-#[test]
 fn metrics_registry_aggregates_query_counters_exactly() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();
     db.reset_io();
@@ -146,7 +131,7 @@ fn metrics_registry_aggregates_query_counters_exactly() {
         .iter()
         .map(|q| db.distance_first(Algorithm::Mir2, q).unwrap())
         .collect();
-    let _batch = db.batch_topk(Algorithm::Mir2, &qs, 4).unwrap();
+    let _batch = run_batch(&db, Algorithm::Mir2, &qs, 4);
 
     let delta = db.metrics().snapshot().delta(&before);
     // Solo pass + batch pass: every query counted exactly once each.

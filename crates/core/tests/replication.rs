@@ -11,8 +11,8 @@ use ir2tree::model::{DistanceFirstQuery, SpatialObject};
 use ir2tree::storage::testing::KillSwitch;
 use ir2tree::storage::MemDevice;
 use ir2tree::{
-    scrub_dir, shard_layout, Algorithm, DbConfig, DeviceSet, QueryLimits, RetryDevice, ShardedDb,
-    SpatialKeywordDb,
+    scrub_dir, shard_layout, Algorithm, DbConfig, DeviceSet, Gather, RetryDevice, ShardedDb,
+    SpatialKeywordDb, TopkRequest,
 };
 use proptest::prelude::*;
 
@@ -166,7 +166,11 @@ fn all_replicas_dead_shard_fails_per_slot_without_poisoning_siblings() {
             )
         })
         .collect();
-    let outcomes = db.batch_topk_isolated(Algorithm::Ir2, &queries, 4, QueryLimits::none());
+    let reqs: Vec<TopkRequest> = queries
+        .iter()
+        .map(|q| TopkRequest::from_query(Algorithm::Ir2, q))
+        .collect();
+    let outcomes = db.run_batch(&reqs, 4);
     assert_eq!(outcomes.len(), queries.len());
     let failed = outcomes.iter().filter(|o| o.is_err()).count();
     assert!(failed > 0, "a dead shard must surface as per-slot errors");
@@ -196,14 +200,12 @@ fn hedged_reads_match_unhedged_bit_for_bit() {
         let q = DistanceFirstQuery::new([350.0 - i as f64 * 60.0, 420.0], &kw, 9);
         let plain = db.distance_first(Algorithm::Ir2, &q).unwrap();
         // Zero delay: the hedge fires on effectively every shard pull.
-        let eager = db
-            .distance_first_hedged(Algorithm::Ir2, &q, Duration::ZERO)
-            .unwrap();
+        let hedged =
+            |delay| TopkRequest::from_query(Algorithm::Ir2, &q).gathered(Gather::Hedged(delay));
+        let eager = db.run(&hedged(Duration::ZERO)).unwrap();
         assert!(same_results(&plain.results, &eager.results), "eager q{i}");
         // Generous delay: the hedge never fires.
-        let lazy = db
-            .distance_first_hedged(Algorithm::Ir2, &q, Duration::from_secs(5))
-            .unwrap();
+        let lazy = db.run(&hedged(Duration::from_secs(5))).unwrap();
         assert!(same_results(&plain.results, &lazy.results), "lazy q{i}");
     }
     let text = db.metrics_prometheus();
@@ -219,8 +221,9 @@ fn hedged_survives_a_dead_primary() {
     for ks in &kills {
         ks[0].kill();
     }
+    let hedge = Gather::Hedged(Duration::from_millis(1));
     let after = db
-        .distance_first_hedged(Algorithm::Ir2, &q, Duration::from_millis(1))
+        .run(&TopkRequest::from_query(Algorithm::Ir2, &q).gathered(hedge))
         .unwrap();
     assert!(same_results(&before.results, &after.results));
 }

@@ -13,7 +13,7 @@ use ir2tree::storage::{BlockDevice, BlockId, MemDevice, MetricsRegistry, Result,
 use ir2tree::text::SaturatingTfIdf;
 use ir2tree::{
     Algorithm, DbConfig, DeviceSet, QueryError, QueryLimits, RetryDevice, RetryPolicy,
-    SpatialKeywordDb, TruncateReason,
+    SpatialKeywordDb, TopkRequest, TruncateReason,
 };
 use proptest::prelude::*;
 
@@ -58,6 +58,18 @@ fn queries(n: usize, k: usize) -> Vec<DistanceFirstQuery<2>> {
 // Retries: intermittent faults are absorbed, never surfaced.
 // ----------------------------------------------------------------------
 
+/// One `limits`-bound request per query, all on `alg`.
+fn requests(
+    alg: Algorithm,
+    queries: &[DistanceFirstQuery<2>],
+    limits: QueryLimits,
+) -> Vec<TopkRequest> {
+    queries
+        .iter()
+        .map(|q| TopkRequest::from_query(alg, q).limited(limits))
+        .collect()
+}
+
 /// The acceptance scenario: every device fails every 8th operation with a
 /// transient fault, and a 1000-query concurrent batch completes with zero
 /// failures — every fault recovered by retry.
@@ -76,7 +88,7 @@ fn thousand_query_batch_survives_one_in_eight_faults() {
     .expect("build recovers from intermittent faults too");
 
     let qs = queries(1000, 5);
-    let outcomes = db.batch_topk_isolated(Algorithm::Ir2, &qs, 4, QueryLimits::none());
+    let outcomes = db.run_batch(&requests(Algorithm::Ir2, &qs, QueryLimits::none()), 4);
     assert_eq!(outcomes.len(), 1000);
     let mut retries = 0u64;
     for (i, out) in outcomes.iter().enumerate() {
@@ -106,11 +118,11 @@ fn thousand_query_batch_survives_one_in_eight_faults() {
     assert!(prom.contains("query_retries_total"), "{prom}");
 }
 
-/// Retries are attributed on every path, not only the limited one: two
+/// Retries are attributed on every path, not only the scoped one: two
 /// identically built databases (same fault phase on every device) answer
-/// the same query through `distance_first` and through
-/// `distance_first_limited` under no limits, and report the same nonzero
-/// retry count. The unlimited path used to hard-code zero.
+/// the same query through a single `run` (counter-delta attribution) and
+/// through a one-request `run_batch` (`IoScope` attribution), and report
+/// the same nonzero retry count. The delta path used to hard-code zero.
 #[test]
 fn unlimited_path_reports_retries_like_the_limited_path() {
     let build = || {
@@ -124,7 +136,8 @@ fn unlimited_path_reports_retries_like_the_limited_path() {
     for alg in Algorithm::ALL {
         let plain = plain_db.distance_first(alg, &q).unwrap();
         let limited = limited_db
-            .distance_first_limited(alg, &q, QueryLimits::none())
+            .run_batch(&[TopkRequest::from_query(alg, &q)], 1)
+            .remove(0)
             .unwrap();
         assert_eq!(
             ids(&plain.results),
@@ -141,15 +154,10 @@ fn unlimited_path_reports_retries_like_the_limited_path() {
         assert_eq!(plain.retries, limited.retries, "{}", alg.label());
         assert!(plain.backoff > Duration::ZERO, "{}", alg.label());
     }
-    // Region queries share the assembler, so they report retries too.
+    // Area requests share the assembler, so they report retries too.
+    let area = ir2tree::geo::Rect::from_point(q.point);
     let region = plain_db
-        .distance_first_region(
-            Algorithm::Ir2,
-            q.point.into(),
-            &q.keywords,
-            q.k,
-            QueryLimits::none(),
-        )
+        .run(&TopkRequest::new(Algorithm::Ir2, area, &q.keywords, q.k))
         .unwrap();
     assert!(region.retries > 0);
 }
@@ -160,6 +168,10 @@ fn unlimited_path_reports_retries_like_the_limited_path() {
 
 fn ids(results: &[(SpatialObject<2>, f64)]) -> Vec<u64> {
     results.iter().map(|(o, _)| o.id).collect()
+}
+
+fn budgeted(blocks: u64) -> QueryLimits {
+    QueryLimits::none().with_io_budget(blocks)
 }
 
 /// Sweeping the I/O budget from 0 up to (beyond) the full query cost must
@@ -176,7 +188,7 @@ fn io_budget_sweep_yields_exact_prefixes_for_all_algorithms() {
         let mut saw_completion = false;
         for budget in 0..=400u64 {
             let limited = db
-                .distance_first_limited(alg, &q, QueryLimits::none().with_io_budget(budget))
+                .run(&TopkRequest::from_query(alg, &q).limited(budgeted(budget)))
                 .unwrap();
             let got = ids(&limited.results);
             match limited.outcome {
@@ -261,9 +273,10 @@ fn general_algorithm_truncates_to_exact_prefixes() {
 fn expired_deadline_truncates_without_error() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(200), small_config()).unwrap();
     let q = DistanceFirstQuery::new([3.0, 3.0], &["coffee"], 5);
+    let expired = QueryLimits::none().with_deadline(Duration::ZERO);
     for alg in Algorithm::ALL {
         let r = db
-            .distance_first_limited(alg, &q, QueryLimits::none().with_deadline(Duration::ZERO))
+            .run(&TopkRequest::from_query(alg, &q).limited(expired))
             .unwrap();
         assert_eq!(r.outcome, Some(TruncateReason::Deadline), "{}", alg.label());
         assert!(r.results.is_empty(), "{}", alg.label());
@@ -272,12 +285,7 @@ fn expired_deadline_truncates_without_error() {
     // Batch-wide: the deadline instant is resolved once, so every query in
     // the batch is past it. All truncated, none failed.
     let qs = queries(40, 5);
-    let outcomes = db.batch_topk_isolated(
-        Algorithm::Ir2,
-        &qs,
-        4,
-        QueryLimits::none().with_deadline(Duration::ZERO),
-    );
+    let outcomes = db.run_batch(&requests(Algorithm::Ir2, &qs, expired), 4);
     for out in &outcomes {
         let r = out.as_ref().expect("truncation is not a failure");
         assert_eq!(r.outcome, Some(TruncateReason::Deadline));
@@ -294,12 +302,9 @@ fn heap_cap_truncates_with_prefix_results() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(300), small_config()).unwrap();
     let q = DistanceFirstQuery::new([7.3, 3.1], &["coffee"], 8);
     let full = db.distance_first(Algorithm::Ir2, &q).unwrap();
+    let capped = QueryLimits::none().with_max_heap_size(1);
     let r = db
-        .distance_first_limited(
-            Algorithm::Ir2,
-            &q,
-            QueryLimits::none().with_max_heap_size(1),
-        )
+        .run(&TopkRequest::from_query(Algorithm::Ir2, &q).limited(capped))
         .unwrap();
     assert_eq!(r.outcome, Some(TruncateReason::HeapLimit));
     let got = ids(&r.results);
@@ -331,7 +336,7 @@ proptest! {
         let q = DistanceFirstQuery::new([x, y], kws[kw_idx], k);
         let full = db.distance_first(alg, &q).unwrap();
         let limited = db
-            .distance_first_limited(alg, &q, QueryLimits::none().with_io_budget(budget))
+            .run(&TopkRequest::from_query(alg, &q).limited(budgeted(budget)))
             .unwrap();
         let full_ids = ids(&full.results);
         let got = ids(&limited.results);
@@ -420,7 +425,7 @@ fn panicking_query_is_isolated_and_pool_stays_usable() {
 
     armed.store(true, Ordering::Relaxed);
     let qs = queries(120, 5);
-    let outcomes = db.batch_topk_isolated(Algorithm::Ir2, &qs, 4, QueryLimits::none());
+    let outcomes = db.run_batch(&requests(Algorithm::Ir2, &qs, QueryLimits::none()), 4);
     armed.store(false, Ordering::Relaxed);
 
     assert_eq!(outcomes.len(), 120);
@@ -463,7 +468,7 @@ fn permanent_faults_fill_slots_and_database_recovers() {
         h.refill(0);
     }
     let qs = queries(30, 5);
-    let outcomes = db.batch_topk_isolated(Algorithm::Ir2, &qs, 4, QueryLimits::none());
+    let outcomes = db.run_batch(&requests(Algorithm::Ir2, &qs, QueryLimits::none()), 4);
     assert_eq!(outcomes.len(), 30, "one slot per query, batch never aborts");
     let storage_errs = outcomes
         .iter()

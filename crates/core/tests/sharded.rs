@@ -4,9 +4,13 @@
 //! same objects — and under execution limits its truncated answer must be
 //! an exact prefix of the full one.
 
+use ir2tree::geo::{Point, Rect};
 use ir2tree::model::{DistanceFirstQuery, SpatialObject};
-use ir2tree::storage::MemDevice;
-use ir2tree::{sharded_manifest, Algorithm, DbConfig, DeviceSet, ShardedDb, SpatialKeywordDb};
+use ir2tree::storage::{MemDevice, StorageError};
+use ir2tree::{
+    sharded_manifest, Algorithm, DbConfig, DeviceSet, Gather, QueryLimits, ShardedDb,
+    SpatialKeywordDb, TopkRequest,
+};
 use proptest::prelude::*;
 
 const WORDS: [&str; 10] = [
@@ -134,7 +138,10 @@ fn parallel_workers_match_the_sequential_merge() {
             let q = DistanceFirstQuery::new([640.7 - i as f64 * 13.3, 128.1], &kw, 11);
             let seq = db.distance_first(Algorithm::Ir2, &q).unwrap();
             let par = db
-                .distance_first_parallel(Algorithm::Ir2, &q, threads)
+                .run(
+                    &TopkRequest::from_query(Algorithm::Ir2, &q)
+                        .gathered(Gather::Parallel(threads)),
+                )
                 .unwrap();
             assert_eq!(seq.results.len(), par.results.len(), "threads={threads}");
             for ((a, da), (b, db_)) in seq.results.iter().zip(par.results.iter()) {
@@ -158,9 +165,14 @@ fn batch_matches_individual_queries_in_input_order() {
             )
         })
         .collect();
-    let batch = db.batch_topk(Algorithm::Mir2, &queries, 4).unwrap();
+    let reqs: Vec<TopkRequest> = queries
+        .iter()
+        .map(|q| TopkRequest::from_query(Algorithm::Mir2, q))
+        .collect();
+    let batch = db.run_batch(&reqs, 4);
     assert_eq!(batch.len(), queries.len());
     for (q, rep) in queries.iter().zip(&batch) {
+        let rep = rep.as_ref().unwrap();
         let solo = db.distance_first(Algorithm::Mir2, q).unwrap();
         assert_eq!(solo.results.len(), rep.results.len());
         for ((a, da), (b, db_)) in solo.results.iter().zip(rep.results.iter()) {
@@ -179,9 +191,9 @@ fn truncated_answers_are_exact_prefixes() {
     assert!(full.outcome.is_none());
     let mut seen_truncation = false;
     for budget in [4u64, 8, 16, 64, 256] {
-        let limits = ir2tree::QueryLimits::none().with_io_budget(budget);
+        let limits = QueryLimits::none().with_io_budget(budget);
         let rep = db
-            .distance_first_limited(Algorithm::Ir2, &q, limits)
+            .run(&TopkRequest::from_query(Algorithm::Ir2, &q).limited(limits))
             .unwrap();
         if rep.outcome.is_some() {
             seen_truncation = true;
@@ -213,7 +225,9 @@ fn k_zero_and_empty_shards_behave() {
         assert!(rep.outcome.is_none(), "{}", alg.label());
     }
     // Parallel path too.
-    let rep = db.distance_first_parallel(Algorithm::Ir2, &q0, 4).unwrap();
+    let rep = db
+        .run(&TopkRequest::from_query(Algorithm::Ir2, &q0).gathered(Gather::Parallel(4)))
+        .unwrap();
     assert!(rep.results.is_empty());
     // Oversized k returns every match, exactly once.
     let qbig = DistanceFirstQuery::new([10.0, 10.0], &["pool"], 10_000);
@@ -357,13 +371,68 @@ proptest! {
                     prop_assert!((da - db_).abs() < 1e-9, "s={} {}", s, alg.label());
                 }
                 // The parallel worker path must agree bit-for-bit too.
-                let par = db.distance_first_parallel(alg, &q, 4).unwrap().results;
+                let par = db
+                    .run(&TopkRequest::from_query(alg, &q).gathered(Gather::Parallel(4)))
+                    .unwrap()
+                    .results;
                 prop_assert_eq!(par.len(), got.len());
                 for ((a, da), (b, db_)) in par.iter().zip(got.iter()) {
                     prop_assert_eq!(a.id, b.id);
                     prop_assert_eq!(da.to_bits(), db_.to_bits());
                 }
             }
+        }
+    }
+
+    /// The paper's "an area could be used instead": anchored at a random
+    /// rectangle, the sharded answer at S ∈ {1, 2, 4} is the monolithic
+    /// one — ids and distance bits — on both signature trees, and under
+    /// an I/O budget it is a prefix of it.
+    #[test]
+    fn sharded_area_topk_equals_monolithic(
+        docs in prop::collection::vec(arb_doc(), 8..50),
+        corners in (prop::array::uniform2(-600.0f64..600.0), prop::array::uniform2(0.0f64..400.0)),
+        kw in 0usize..WORDS.len(),
+        k in 1usize..12,
+        budget in 1u64..40,
+    ) {
+        let objects: Vec<SpatialObject<2>> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let text = d.words.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" ");
+                SpatialObject::new(i as u64, d.point, text)
+            })
+            .collect();
+        let (lo, extent) = corners;
+        let area = Rect::from_corners(
+            Point::new(lo),
+            Point::new([lo[0] + extent[0], lo[1] + extent[1]]),
+        );
+        let mono = SpatialKeywordDb::build(
+            DeviceSet::in_memory(), objects.clone(), small_config()).unwrap();
+        let key = |r: &[(SpatialObject<2>, f64)]| -> Vec<(u64, u64)> {
+            r.iter().map(|(o, d)| (o.id, d.to_bits())).collect()
+        };
+        for s in [1usize, 2, 4] {
+            let db = sharded(objects.clone(), s);
+            for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+                let req = TopkRequest::new(alg, area, &[WORDS[kw]], k);
+                let truth = key(&mono.run(&req).unwrap().results);
+                for gather in [Gather::Sequential, Gather::Parallel(3)] {
+                    let got = db.run(&req.clone().gathered(gather)).unwrap();
+                    prop_assert_eq!(&key(&got.results), &truth, "s={} {} {:?}", s, alg.label(), gather);
+                }
+                let cut = db
+                    .run(&req.clone().limited(QueryLimits::none().with_io_budget(budget)))
+                    .unwrap();
+                let got = key(&cut.results);
+                prop_assert!(got.len() <= truth.len());
+                prop_assert_eq!(&got[..], &truth[..got.len()], "s={} {} budget", s, alg.label());
+            }
+            // The point-anchored structures refuse an area on every engine.
+            let refused = db.run(&TopkRequest::new(Algorithm::RTree, area, &[WORDS[kw]], k));
+            prop_assert!(matches!(refused, Err(StorageError::Unsupported(_))));
         }
     }
 }

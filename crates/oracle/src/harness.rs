@@ -14,7 +14,7 @@ use ir2tree::storage::{MemDevice, StorageError};
 use ir2tree::text::tokenize;
 use ir2tree::{
     Algorithm, DbConfig, DeviceSet, QueryLimits, QueryReport, RetryDevice, ShardedDb,
-    SpatialKeywordDb,
+    SpatialKeywordDb, TopkRequest,
 };
 
 use crate::minimize;
@@ -709,7 +709,7 @@ impl Checker {
             for alg in [Algorithm::RTree, Algorithm::Ir2] {
                 for budget in [0u64, 1, 8] {
                     let limits = QueryLimits::none().with_io_budget(budget);
-                    match cold.distance_first_limited(alg, q, limits) {
+                    match cold.run(&TopkRequest::from_query(alg, q).limited(limits)) {
                         Ok(rep) => {
                             self.conservation(&format!("{}(budget:{budget})", alg.key()), q, &rep)?;
                             self.truncated_prefix(
@@ -736,7 +736,7 @@ impl Checker {
             // with no results — except k == 0, which completes trivially
             // before the first cooperative limit check.
             let limits = QueryLimits::none().with_deadline(Duration::ZERO);
-            match cold.distance_first_limited(Algorithm::Ir2, q, limits) {
+            match cold.run(&TopkRequest::from_query(Algorithm::Ir2, q).limited(limits)) {
                 Ok(rep) => {
                     self.checks += 1;
                     if (rep.outcome.is_none() && q.k > 0) || !rep.results.is_empty() {
@@ -763,11 +763,8 @@ impl Checker {
             // IIO degrades all-or-nothing under limits.
             if !q.keywords.is_empty() {
                 self.checks += 1;
-                match cold.distance_first_limited(
-                    Algorithm::Iio,
-                    q,
-                    QueryLimits::none().with_io_budget(1),
-                ) {
+                let starved = QueryLimits::none().with_io_budget(1);
+                match cold.run(&TopkRequest::from_query(Algorithm::Iio, q).limited(starved)) {
                     Ok(rep) => {
                         let ok = if rep.outcome.is_some() {
                             rep.results.is_empty()

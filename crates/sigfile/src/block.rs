@@ -40,8 +40,7 @@ pub fn scalar_kernels_forced() -> bool {
 }
 
 /// RAII scope forcing the scalar fallback; restores the previous state on
-/// drop. Used by the oracle harness's `scalar-kernel` engine variants and
-/// the `sig_kernel` bench.
+/// drop. Used by the oracle harness's `scalar-kernel` engine variants.
 pub struct ScalarKernelGuard {
     prev: bool,
 }

@@ -64,6 +64,10 @@ pub enum StorageError {
     },
     /// On-disk bytes that do not parse as the expected structure.
     Corrupt(String),
+    /// A request the structure or engine it was sent to cannot execute —
+    /// refused before any block was read, so nothing is wrong with the
+    /// data and retrying elsewhere would be refused the same way.
+    Unsupported(String),
 }
 
 impl StorageError {
@@ -125,6 +129,7 @@ impl fmt::Display for StorageError {
                 "block {block} quarantined after {failures} consecutive permanent failures"
             ),
             Self::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
+            Self::Unsupported(msg) => write!(f, "unsupported request: {msg}"),
         }
     }
 }
@@ -168,6 +173,7 @@ mod tests {
         let hard = StorageError::io(IoOp::Read, Some(3), io::Error::other("dead disk"));
         assert!(!hard.is_transient());
         assert!(!StorageError::Corrupt("x".into()).is_transient());
+        assert!(!StorageError::Unsupported("x".into()).is_transient());
         assert!(!StorageError::OutOfBounds { block: 0, len: 0 }.is_transient());
         assert!(!StorageError::Quarantined {
             block: 0,

@@ -17,7 +17,7 @@
 //! mutex, selected by `block_id % N`. Concurrent readers touching different
 //! blocks therefore take different locks instead of serializing on one —
 //! the property the concurrent batch query engine
-//! (`SpatialKeywordDb::batch_topk`) relies on. Adjacent block ids land in
+//! (`SpatialKeywordDb::run_batch`) relies on. Adjacent block ids land in
 //! different shards, so a sequential scan round-robins the locks rather
 //! than hammering one.
 //!

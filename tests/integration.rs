@@ -4,7 +4,8 @@
 
 use ir2_datagen::{figure1_hotels, DatasetSpec};
 use ir2tree::model::{DistanceFirstQuery, SpatialObject};
-use ir2tree::{Algorithm, DbConfig, DeviceSet, QueryLimits, SpatialKeywordDb};
+use ir2tree::storage::MemDevice;
+use ir2tree::{Algorithm, DbConfig, DeviceSet, QueryReport, SpatialKeywordDb, TopkRequest};
 
 fn build_sample(
     n: usize,
@@ -240,7 +241,7 @@ fn facade_area_queries_work() {
     let area = Rect::from_corners(Point::new([-20.0, -20.0]), Point::new([20.0, 20.0]));
     let kw = vec![spec.keyword_of_rank(3)];
     let rep = db
-        .distance_first_region(Algorithm::Ir2, area.into(), &kw, 20, QueryLimits::none())
+        .run(&TopkRequest::new(Algorithm::Ir2, area, &kw, 20))
         .unwrap();
     // Matches inside the area come first, at distance zero.
     let mut saw_positive = false;
@@ -255,8 +256,25 @@ fn facade_area_queries_work() {
     }
     // The baseline algorithms reject region queries explicitly.
     assert!(db
-        .distance_first_region(Algorithm::Iio, area.into(), &kw, 5, QueryLimits::none())
+        .run(&TopkRequest::new(Algorithm::Iio, area, &kw, 5))
         .is_err());
+}
+
+/// The batch engine's report for every query, none failed.
+fn run_batch(
+    db: &SpatialKeywordDb<MemDevice>,
+    alg: Algorithm,
+    queries: &[DistanceFirstQuery<2>],
+    threads: usize,
+) -> Vec<QueryReport> {
+    let reqs: Vec<TopkRequest> = queries
+        .iter()
+        .map(|q| TopkRequest::from_query(alg, q))
+        .collect();
+    db.run_batch(&reqs, threads)
+        .into_iter()
+        .map(|r| r.expect("no query fails on healthy devices"))
+        .collect()
 }
 
 #[test]
@@ -272,12 +290,12 @@ fn batch_queries_match_sequential_queries() {
         })
         .collect();
     for alg in Algorithm::ALL {
-        let batch = db.batch_distance_first(alg, &queries, 4).unwrap();
-        assert_eq!(batch.results.len(), queries.len());
-        assert!(batch.io.total() > 0);
-        for (q, got) in queries.iter().zip(&batch.results) {
+        let batch = run_batch(&db, alg, &queries, 4);
+        assert_eq!(batch.len(), queries.len());
+        assert!(batch.iter().map(|r| r.io.total()).sum::<u64>() > 0);
+        for (q, got) in queries.iter().zip(&batch) {
             let seq = db.distance_first(alg, q).unwrap();
-            let gd: Vec<f64> = got.iter().map(|(_, d)| *d).collect();
+            let gd: Vec<f64> = got.results.iter().map(|(_, d)| *d).collect();
             let sd: Vec<f64> = seq.results.iter().map(|(_, d)| *d).collect();
             assert_eq!(gd.len(), sd.len(), "{}", alg.label());
             for (a, b) in gd.iter().zip(sd.iter()) {
@@ -300,11 +318,11 @@ fn batch_topk_attribution_matches_sequential() {
         })
         .collect();
     for alg in Algorithm::ALL {
-        let batch = db.batch_topk(alg, &queries, 4).unwrap();
+        let batch = run_batch(&db, alg, &queries, 4);
         assert_eq!(batch.len(), queries.len());
         // Same workload on 1 thread: per-query attribution must be fully
         // deterministic, i.e. independent of interleaving.
-        let solo = db.batch_topk(alg, &queries, 1).unwrap();
+        let solo = run_batch(&db, alg, &queries, 1);
         for (q, (got, alone)) in queries.iter().zip(batch.iter().zip(&solo)) {
             let seq = db.distance_first(alg, q).unwrap();
             // Results byte-identical to the sequential path.
