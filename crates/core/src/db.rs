@@ -408,11 +408,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             let mut terms: Vec<String> = tokenize(&obj.text).collect();
             terms.sort_unstable();
             terms.dedup();
-            vocab.add_document(terms.iter().map(String::as_str));
-            let ids: Vec<TermId> = terms
-                .iter()
-                .map(|t| vocab.term_id(t).expect("just interned"))
-                .collect();
+            let ids = vocab.add_document(terms.iter().map(String::as_str));
             distinct_total += ids.len() as u64;
             meta.push((ptr, obj.point, ids));
         }
@@ -472,9 +468,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
 
         let sign_leaf = |scheme: &SignatureScheme, ids: &[TermId]| -> Vec<u8> {
-            let sig = scheme.sign_terms(ids.iter().map(|&t| vocab.name(t)));
             let mut out = vec![0u8; scheme.byte_len()];
-            sig.write_bytes(&mut out);
+            scheme.sign_into(&mut out, ids.iter().map(|&t| vocab.name(t)));
             out
         };
         if config.bulk_load {

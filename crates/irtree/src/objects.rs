@@ -16,10 +16,8 @@ fn leaf_signature<const N: usize, D: BlockDevice, P: SigPayload>(
     obj: &SpatialObject<N>,
 ) -> Vec<u8> {
     let scheme = tree.ops().leaf_scheme();
-    let terms: Vec<String> = tokenize(&obj.text).collect();
-    let sig = scheme.sign_terms(terms.iter().map(String::as_str));
     let mut out = vec![0u8; scheme.byte_len()];
-    sig.write_bytes(&mut out);
+    scheme.sign_into(&mut out, tokenize(&obj.text));
     out
 }
 

@@ -19,9 +19,21 @@ pub trait SigPayload: PayloadOps {
     }
 }
 
+/// `acc |= other`, eight bytes at a time.
 fn or_bytes(acc: &mut [u8], other: &[u8]) {
-    debug_assert_eq!(acc.len(), other.len(), "signature payload length mismatch");
-    for (a, b) in acc.iter_mut().zip(other.iter()) {
+    assert_eq!(acc.len(), other.len(), "signature payload length mismatch");
+    let mut acc_words = acc.chunks_exact_mut(8);
+    let mut other_words = other.chunks_exact(8);
+    for (a, b) in acc_words.by_ref().zip(other_words.by_ref()) {
+        let word = u64::from_ne_bytes((&*a).try_into().expect("8 bytes"))
+            | u64::from_ne_bytes(b.try_into().expect("8 bytes"));
+        a.copy_from_slice(&word.to_ne_bytes());
+    }
+    for (a, b) in acc_words
+        .into_remainder()
+        .iter_mut()
+        .zip(other_words.remainder())
+    {
         *a |= b;
     }
 }
@@ -132,21 +144,27 @@ impl<const N: usize> MirPayload<N> {
         &self.schemes
     }
 
-    fn sign_object_at(&self, child: u64, level: u16) -> Vec<u8> {
-        let scheme = self.schemes.scheme(level);
-        let mut out = vec![0u8; scheme.byte_len()];
-        // Object loads may fail only on a corrupt store; signatures must
-        // stay conservative (all-ones) rather than lose bits, so a failed
-        // load yields a signature that can never cause a false negative.
+    /// Re-accesses object `child` and superimposes its signature under
+    /// `level`'s scheme onto `acc`, in place. Returns whether the object
+    /// loaded.
+    ///
+    /// Object loads may fail only on a corrupt store; signatures must stay
+    /// conservative rather than lose bits, so a failed load leaves `acc`
+    /// all-ones — a summary that can never cause a false negative, and
+    /// that no further object can add to.
+    fn sign_object_into(&self, child: u64, level: u16, acc: &mut [u8]) -> bool {
         match self.objects.load(ObjPtr(child)) {
             Ok(obj) => {
-                let terms: Vec<String> = tokenize(&obj.text).collect();
-                let sig = scheme.sign_terms(terms.iter().map(String::as_str));
-                sig.write_bytes(&mut out);
+                self.schemes
+                    .scheme(level)
+                    .sign_into(acc, tokenize(&obj.text));
+                true
             }
-            Err(_) => out.fill(0xFF),
+            Err(_) => {
+                acc.fill(0xFF);
+                false
+            }
         }
-        out
     }
 }
 
@@ -187,10 +205,11 @@ impl<const N: usize> PayloadOps for MirPayload<N> {
         parent_level: u16,
         objects: &mut dyn Iterator<Item = u64>,
     ) -> Vec<u8> {
-        let scheme = self.schemes.scheme(parent_level);
-        let mut acc = vec![0u8; scheme.byte_len()];
+        let mut acc = vec![0u8; self.entry_size(parent_level)];
         for child in objects {
-            or_bytes(&mut acc, &self.sign_object_at(child, parent_level));
+            if !self.sign_object_into(child, parent_level, &mut acc) {
+                break;
+            }
         }
         acc
     }
@@ -199,7 +218,9 @@ impl<const N: usize> PayloadOps for MirPayload<N> {
         if self.schemes.scheme(node_level) == self.schemes.scheme(0) {
             return leaf_payload.to_vec();
         }
-        self.sign_object_at(child, node_level)
+        let mut out = vec![0u8; self.entry_size(node_level)];
+        self.sign_object_into(child, node_level, &mut out);
+        out
     }
 
     fn strict_maintenance(&self) -> bool {
@@ -279,7 +300,7 @@ mod tests {
     #[test]
     fn mir_lift_matches_summarize_for_single_object() {
         let (ops, ptrs) = mir_fixture();
-        let leaf = ops.sign_object_at(ptrs[0], 0);
+        let leaf = ops.summarize_objects(0, &mut std::iter::once(ptrs[0]));
         for level in 0..4u16 {
             let lifted = ops.lift_object(ptrs[0], &leaf, level);
             let summed = ops.summarize_objects(level, &mut std::iter::once(ptrs[0]));
@@ -292,8 +313,50 @@ mod tests {
         let (ops, _) = mir_fixture();
         // A dangling pointer must produce an all-ones signature, never a
         // false negative.
-        let sig = ops.sign_object_at(999_999, 1);
+        let sig = ops.lift_object(999_999, &[0u8; 4], 1);
         assert!(sig.iter().all(|&b| b == 0xFF));
+    }
+
+    #[test]
+    fn mir_summary_is_the_or_of_per_object_signatures_at_every_level() {
+        let (ops, ptrs) = mir_fixture();
+        let texts = ["internet pool", "spa sauna", "golf pets"];
+        for level in 0..4u16 {
+            let scheme = *ops.scheme_at(level);
+            let mut union = scheme.empty();
+            for text in texts {
+                union.or_assign(&scheme.sign_terms(text.split(' ')));
+            }
+            let mut expected = vec![0u8; scheme.byte_len()];
+            union.write_bytes(&mut expected);
+            let sum = ops.summarize_objects(level, &mut ptrs.clone().into_iter());
+            assert_eq!(sum, expected, "level {level}");
+        }
+    }
+
+    #[test]
+    fn mir_summary_stays_all_ones_after_one_failed_load() {
+        let (ops, ptrs) = mir_fixture();
+        for level in 0..4u16 {
+            for at in 0..=ptrs.len() {
+                let mut objects = ptrs.clone();
+                objects.insert(at, 999_999);
+                let sum = ops.summarize_objects(level, &mut objects.into_iter());
+                assert!(sum.iter().all(|&b| b == 0xFF), "level {level}, bad at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn or_bytes_matches_the_byte_loop_at_every_length() {
+        for len in 0..40usize {
+            let a: Vec<u8> = (0..len).map(|i| (i * 37 + 5) as u8).collect();
+            let b: Vec<u8> = (0..len).map(|i| (i * 101 + 9) as u8).collect();
+            let expected: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x | y).collect();
+            let mut acc = a.clone();
+            or_bytes(&mut acc, &b);
+            assert_eq!(acc, expected, "len {len}");
+        }
     }
 
     #[test]

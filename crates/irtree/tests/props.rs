@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use ir2_geo::{Point, Rect};
 use ir2_irtree::{
-    collect_topk, delete_object, distance_first_topk, general_topk, insert_object,
-    DistanceFirstIter, GeneralQuery, Ir2Payload, LimitedTopk, MirPayload, NopSink, StatsSink,
-    TraceSink,
+    bulk_load_objects, collect_topk, delete_object, distance_first_topk, general_topk,
+    insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, LimitedTopk, MirPayload, NopSink,
+    StatsSink, TraceSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
 use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig};
@@ -395,6 +395,34 @@ proptest! {
         let n = survivors.len() as u64;
         prop_assert_eq!(ir2.check_invariants(exact).unwrap(), n);
         prop_assert_eq!(mir2.check_invariants(contains).unwrap(), n);
+    }
+
+    /// Every MIR²-Tree entry is *exactly* the superimposition of its
+    /// subtree's objects under its own level's scheme, whether the tree was
+    /// packed by the bulk loader (summaries signed from the run of items a
+    /// node was packed from) or grown by insertion (lifted signatures
+    /// merged on the way up, summaries re-derived on splits). Equality, not
+    /// containment: a build that set one bit too many would pass every
+    /// query test and fail here.
+    #[test]
+    fn mir2_summaries_are_exact_bulk_loaded_and_grown(docs in arb_docs(), seed in 0u64..500) {
+        let db = build_db(&docs);
+        let exact = |_l: u16, parent: &[u8], summary: &[u8]| parent == summary;
+        let n = docs.len() as u64;
+
+        let grown = mir2_of(&db, 2, seed);
+        prop_assert_eq!(grown.check_invariants(exact).unwrap(), n);
+
+        let schemes = MultiLevelScheme::new(2, 3, seed, 4, 3.0, WORDS.len());
+        let packed = RTree::create(
+            MemDevice::new(),
+            RTreeConfig::with_max(4),
+            MirPayload::new(schemes, Arc::clone(&db.store) as Arc<dyn ir2_model::ObjectSource<2>>),
+        )
+        .unwrap();
+        bulk_load_objects(&packed, db.objects.iter().cloned()).unwrap();
+        // Packing leaves an under-full tail, so the fill check is off.
+        prop_assert_eq!(packed.check_invariants_with(false, exact).unwrap(), n);
     }
 
     /// Delete + reinsert round-trips query results: after removing a random

@@ -40,28 +40,33 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         let n = items.len();
         str_tile(&mut items, 0, cap);
 
-        // Build the leaf level.
+        // Build the leaf level. Every node is packed full except the last
+        // of its level, so the subtree under the `j`-th node of a level is
+        // the `j`-th run of `cap^(level+1)` items: a node is summarized from
+        // the run it was packed from, never read back.
         let mut level_entries: Vec<Entry<N>> = Vec::with_capacity(n.div_ceil(cap));
-        for chunk in items.chunks(cap) {
+        for run in items.chunks(cap) {
             let id = self.alloc_node(0)?;
             let node = Node {
                 id,
                 level: 0,
-                entries: chunk
+                entries: run
                     .iter()
                     .map(|(c, r, p)| Entry::new(*c, *r, p.clone()))
                     .collect(),
             };
             self.write_node(&node)?;
-            level_entries.push(Entry::new(id, node.mbr(), self.summary_of_node(&node)?));
+            level_entries.push(Entry::new(id, node.mbr(), self.summary_of_run(&node, run)));
         }
 
         // Build internal levels until one node remains.
         let mut level = 0u16;
+        let mut span = cap;
         while level_entries.len() > 1 {
             level += 1;
+            span *= cap;
             let mut next: Vec<Entry<N>> = Vec::with_capacity(level_entries.len().div_ceil(cap));
-            for chunk in level_entries.chunks(cap) {
+            for (chunk, run) in level_entries.chunks(cap).zip(items.chunks(span)) {
                 let id = self.alloc_node(level)?;
                 let node = Node {
                     id,
@@ -69,7 +74,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
                     entries: chunk.to_vec(),
                 };
                 self.write_node(&node)?;
-                next.push(Entry::new(id, node.mbr(), self.summary_of_node(&node)?));
+                next.push(Entry::new(id, node.mbr(), self.summary_of_run(&node, run)));
             }
             level_entries = next;
         }
@@ -77,6 +82,18 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         let root_id = level_entries[0].child;
         self.set_meta_after_bulk(root_id, level + 1, n as u64);
         Ok(())
+    }
+
+    /// The parent-entry payload of the freshly packed `node`, whose subtree
+    /// holds exactly the objects of `run`: folded from the node's entry
+    /// payloads where the payload scheme allows it, signed from the run's
+    /// objects otherwise — what `summary_of_node` computes, minus reading
+    /// the just-written subtree back to list those objects.
+    fn summary_of_run(&self, node: &Node<N>, run: &[Item<N>]) -> Vec<u8> {
+        self.fold_summary(node).unwrap_or_else(|| {
+            self.ops()
+                .summarize_objects(node.level + 1, &mut run.iter().map(|(c, _, _)| *c))
+        })
     }
 }
 

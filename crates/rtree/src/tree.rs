@@ -58,6 +58,14 @@ impl MutCtx {
             allocated: Vec::new(),
         }
     }
+
+    /// Where in `allocated` the extent at `id` is, if this op allocated it.
+    /// Such an extent is referenced by no committed tree image: the op may
+    /// overwrite it, or hand it back to the allocator, without waiting for
+    /// its commit.
+    fn own_extent(&self, id: NodeId) -> Option<usize> {
+        self.allocated.iter().position(|(a, _)| *a == id)
+    }
 }
 
 /// A height-balanced, disk-resident R-Tree over `N`-dimensional rectangles,
@@ -343,9 +351,17 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Stages a node extent as freed; it reaches the pending list only if
-    /// the mutation commits.
+    /// the mutation commits. An extent this same mutation allocated goes
+    /// straight back to the allocator, where rollback would have put it.
     fn stage_free(&self, ctx: &mut MutCtx, id: NodeId, level: u16) {
-        ctx.freed.push((id, self.node_blocks(level)));
+        match ctx.own_extent(id) {
+            Some(i) => {
+                let (id, nblocks) = ctx.allocated.swap_remove(i);
+                let mut free = self.free.lock();
+                free.reusable.entry(nblocks).or_default().push(id);
+            }
+            None => ctx.freed.push((id, self.node_blocks(level))),
+        }
     }
 
     /// Publishes a successful mutation: its metadata becomes the tree's,
@@ -471,10 +487,17 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// its previous extent as freed and updating `node.id`. Live on-disk
     /// nodes are therefore never overwritten mid-operation — a crash or
     /// I/O error leaves the last committed tree image fully intact.
+    ///
+    /// A node this same mutation already relocated is overwritten in place.
+    /// CondenseTree's orphan reinsertion walks the same root path once per
+    /// orphan; copying the root each time would allocate one root extent
+    /// per orphan while freeing none before commit.
     fn write_node_cow(&self, ctx: &mut MutCtx, node: &mut Node<N>) -> Result<()> {
-        let old = node.id;
-        node.id = self.alloc_node_ctx(ctx, node.level)?;
-        self.stage_free(ctx, old, node.level);
+        if ctx.own_extent(node.id).is_none() {
+            let old = node.id;
+            node.id = self.alloc_node_ctx(ctx, node.level)?;
+            self.stage_free(ctx, old, node.level);
+        }
         self.write_node(node)
     }
 
@@ -482,14 +505,20 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// the payload scheme allows it and a subtree-object recomputation
     /// otherwise (the MIR²-Tree's expensive path).
     pub(crate) fn summary_of_node(&self, node: &Node<N>) -> Result<Vec<u8>> {
-        let mut payloads = node.entries.iter().map(|e| e.payload.as_slice());
-        if let Some(summary) = self.ops.summarize_entries(node.level, &mut payloads) {
+        if let Some(summary) = self.fold_summary(node) {
             return Ok(summary);
         }
         let objects = self.collect_objects(node)?;
         Ok(self
             .ops
             .summarize_objects(node.level + 1, &mut objects.into_iter()))
+    }
+
+    /// The summary of `node` folded from its entries' payloads, where the
+    /// payload scheme allows that.
+    pub(crate) fn fold_summary(&self, node: &Node<N>) -> Option<Vec<u8>> {
+        let mut payloads = node.entries.iter().map(|e| e.payload.as_slice());
+        self.ops.summarize_entries(node.level, &mut payloads)
     }
 
     /// All object references in the subtree rooted at `node` (reads the

@@ -109,6 +109,26 @@ impl SignatureScheme {
         sig
     }
 
+    /// Superimposes the signature of `terms` onto the serialized signature
+    /// `acc`, in place: the bytes end up as `acc | b`, where `b` is what
+    /// `sign_terms(terms).write_bytes(..)` would produce — same
+    /// [`positions`](Self::positions) stream, same little-endian bit order —
+    /// without building a [`Signature`]. `acc` may be zeroed (a fresh
+    /// signature) or already hold other documents' bits (a node summary
+    /// being accumulated); this is the one signing kernel of the build and
+    /// maintenance paths.
+    ///
+    /// # Panics
+    /// Panics if `acc.len() != self.byte_len()`.
+    pub fn sign_into<S: AsRef<str>>(&self, acc: &mut [u8], terms: impl IntoIterator<Item = S>) {
+        assert_eq!(acc.len(), self.byte_len(), "signature buffer mismatch");
+        for term in terms {
+            for pos in self.positions(term.as_ref()) {
+                acc[pos / 8] |= 1 << (pos % 8);
+            }
+        }
+    }
+
     /// An empty (all-zero) signature of this scheme's length.
     pub fn empty(&self) -> Signature {
         Signature::zero(self.bits)

@@ -73,6 +73,36 @@ proptest! {
         prop_assert_eq!(Signature::from_bytes(sig.bits(), &buf), sig);
     }
 
+    /// The in-place signing kernel writes exactly the bytes
+    /// `sign_terms(..).write_bytes(..)` does, for any length (multiples of
+    /// 8 or 64 or neither) and any terms — mixed case, multi-byte UTF-8,
+    /// empty strings, repeats, none at all — and on an accumulator that
+    /// already holds bits it ORs them in and clears nothing.
+    #[test]
+    fn sign_into_equals_sign_terms_bytes(
+        bits in 1usize..700,
+        k in 1u32..8,
+        seed in any::<u64>(),
+        wild in prop::collection::vec(".{0,6}", 0..12),
+        repeats in prop::collection::vec("[aB漢é]{0,2}", 0..10),
+        held in arb_terms(),
+    ) {
+        let scheme = SignatureScheme::new(bits, k, seed);
+        let terms: Vec<&str> = wild.iter().chain(&repeats).map(String::as_str).collect();
+        let mut expected = vec![0u8; scheme.byte_len()];
+        scheme.sign_terms(terms.iter().copied()).write_bytes(&mut expected);
+
+        let mut fresh = vec![0u8; scheme.byte_len()];
+        scheme.sign_into(&mut fresh, &terms);
+        prop_assert_eq!(&fresh, &expected);
+
+        let mut acc = vec![0u8; scheme.byte_len()];
+        scheme.sign_terms(held.iter().map(String::as_str)).write_bytes(&mut acc);
+        let union: Vec<u8> = acc.iter().zip(&expected).map(|(a, e)| a | e).collect();
+        scheme.sign_into(&mut acc, &terms);
+        prop_assert_eq!(acc, union);
+    }
+
     /// Multi-level schemes preserve the no-false-negative guarantee at every
     /// level (each level is itself a valid scheme).
     #[test]

@@ -57,13 +57,12 @@ impl<D: BlockDevice> SignatureFile<D> {
         let mut block = ir2_storage::zeroed_block();
         let mut in_block = 0usize;
         let mut count = 0u64;
-        let mut sig_buf = vec![0u8; scheme.byte_len()];
         for (ptr, terms) in items {
-            let sig = scheme.sign_terms(terms.iter().map(String::as_str));
-            sig.write_bytes(&mut sig_buf);
             let off = in_block * entry_len;
             block[off..off + 8].copy_from_slice(&ptr.to_le_bytes());
-            block[off + 8..off + entry_len].copy_from_slice(&sig_buf);
+            // The block is zeroed between flushes, so signing in place
+            // writes exactly the entry's signature.
+            scheme.sign_into(&mut block[off + 8..off + entry_len], terms);
             in_block += 1;
             count += 1;
             if in_block == entries_per_block {

@@ -25,8 +25,10 @@
 //!   operation independently sleeps with a seeded probability, producing
 //!   the stalls that hedged reads cut.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use crate::{BlockDevice, BlockId, Result, StorageError, BLOCK_SIZE};
 
@@ -34,9 +36,14 @@ use crate::{BlockDevice, BlockId, Result, StorageError, BLOCK_SIZE};
 enum FaultMode {
     /// Every operation after the first `budget` fails *permanently*.
     Budget(AtomicU64),
-    /// Every `period`-th operation (the `period`-th, `2·period`-th, …)
-    /// fails with a *transient* error.
-    EveryKth { period: u64, ops: AtomicU64 },
+    /// Every `period`-th operation *of each calling thread* (its
+    /// `period`-th, `2·period`-th, …) fails with a *transient* error.
+    EveryKth {
+        period: u64,
+        /// Operations seen from all threads (where a thread's own count
+        /// starts when it first touches the device), and each thread's.
+        counts: Mutex<(u64, HashMap<ThreadId, u64>)>,
+    },
     /// Each operation fails with probability `p`, drawn from a seeded
     /// SplitMix64 stream, with a *transient* error.
     Probability { p: f64, state: AtomicU64 },
@@ -74,13 +81,21 @@ impl<D: BlockDevice> FlakyDevice<D> {
     /// lands on a fresh count and succeeds — the deterministic
     /// recoverable-fault workload. `period` must be ≥ 1; `period == 1`
     /// fails every operation.
+    ///
+    /// The period is counted per calling thread, so "a retry lands on a
+    /// fresh count" holds under concurrency too: with one shared count,
+    /// other threads' operations between a fault and its retries could put
+    /// every retry on a multiple of `period` again. A thread's count starts
+    /// at the number of operations the device has seen so far, so threads
+    /// that use the device one after another see the fault positions of a
+    /// single counter.
     pub fn every_kth(inner: D, period: u64) -> Self {
         assert!(period >= 1, "period must be at least 1");
         Self {
             inner,
             mode: FaultMode::EveryKth {
                 period,
-                ops: AtomicU64::new(0),
+                counts: Mutex::new((0, HashMap::new())),
             },
             injected: AtomicU64::new(0),
         }
@@ -160,9 +175,15 @@ impl<D: BlockDevice> FlakyDevice<D> {
                     }
                 }
             }
-            FaultMode::EveryKth { period, ops } => {
-                let n = ops.fetch_add(1, Ordering::Relaxed) + 1;
-                n % period == 0
+            FaultMode::EveryKth { period, counts } => {
+                let mut counts = counts.lock().expect("no panic while counting");
+                let (total, per_thread) = &mut *counts;
+                let n = per_thread
+                    .entry(std::thread::current().id())
+                    .or_insert(*total);
+                *total += 1;
+                *n += 1;
+                *n % period == 0
             }
             FaultMode::Probability { p, state } => {
                 let pos = state.fetch_add(1, Ordering::Relaxed);
@@ -582,6 +603,34 @@ mod tests {
         dev.read_block(0, &mut out).unwrap();
         assert_eq!(dev.faults_injected(), 1);
         assert_eq!(dev.remaining(), u64::MAX);
+    }
+
+    /// The interleaving that broke retries under one shared count: between
+    /// a thread's fault and its retry, another thread performs exactly
+    /// `period − 1` operations. The retry must still succeed — and a thread
+    /// that arrives later continues the count the device has seen, so
+    /// handing the device from thread to thread keeps one counter's fault
+    /// positions.
+    #[test]
+    fn every_kth_retry_succeeds_whatever_other_threads_do() {
+        let dev = FlakyDevice::every_kth(MemDevice::new(), 4);
+        dev.allocate(1).unwrap(); // op 1
+        let mut out = crate::zeroed_block();
+        dev.read_block(0, &mut out).unwrap(); // op 2
+        dev.read_block(0, &mut out).unwrap(); // op 3
+        assert!(dev.read_block(0, &mut out).is_err()); // op 4: fault
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Continues the device's count at 5, 6, 7: no fault.
+                let mut out = crate::zeroed_block();
+                for _ in 0..3 {
+                    dev.read_block(0, &mut out).unwrap();
+                }
+            });
+        });
+        // The device's 8th operation, but this thread's 5th.
+        dev.read_block(0, &mut out).unwrap();
+        assert_eq!(dev.faults_injected(), 1);
     }
 
     #[test]

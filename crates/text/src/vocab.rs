@@ -53,13 +53,21 @@ impl Vocabulary {
     }
 
     /// Registers one document given its *distinct* terms, interning new
-    /// terms and bumping document frequencies.
-    pub fn add_document<'a>(&mut self, distinct_terms: impl IntoIterator<Item = &'a str>) {
+    /// terms and bumping document frequencies. Returns the terms' ids, in
+    /// the order given — what a caller would otherwise look up again.
+    pub fn add_document<'a>(
+        &mut self,
+        distinct_terms: impl IntoIterator<Item = &'a str>,
+    ) -> Vec<TermId> {
         self.num_docs += 1;
-        for term in distinct_terms {
-            let id = self.intern(term);
-            self.df[id.0 as usize] += 1;
-        }
+        distinct_terms
+            .into_iter()
+            .map(|term| {
+                let id = self.intern(term);
+                self.df[id.0 as usize] += 1;
+                id
+            })
+            .collect()
     }
 
     /// Interns `term`, returning its id (existing or fresh with df = 0).
