@@ -10,17 +10,18 @@ ir2 — keyword search on spatial databases (IR²-Tree, ICDE 2008)
 USAGE:
   ir2 generate --preset <hotels|restaurants> [--count N] [--seed S] --out FILE.tsv
   ir2 build    --tsv FILE.tsv --db DIR [--sig-bytes N] [--capacity N] [--incremental]
-               [--node-cache NODES] [--prefetch WORKERS] [--shards N] [--replicas R]
+               [--seed S] [--node-cache NODES] [--shards N] [--replicas R]
   ir2 query    --db DIR --at LAT,LON --keywords \"w1 w2 …\" [--k N]
                [--alg <rtree|iio|ir2|mir2>] [--area LAT1,LON1,LAT2,LON2]
                [--deadline-ms MS] [--io-budget BLOCKS] [--threads N]
-               [--node-cache NODES] [--prefetch WORKERS] [--hedge-ms MS]
+               [--node-cache NODES] [--hedge-ms MS]
   ir2 batch    --db DIR --queries FILE [--threads N] [--k N]
                [--alg <rtree|iio|ir2|mir2>] [--deadline-ms MS] [--io-budget BLOCKS]
-               [--node-cache NODES] [--prefetch WORKERS] [--hedge-ms MS]
+               [--node-cache NODES] [--hedge-ms MS]
   ir2 ranked   --db DIR --at LAT,LON --keywords \"w1 w2 …\" [--k N] [--dist-weight W]
+               [--node-cache NODES]
   ir2 trace    --db DIR --at LAT,LON --keywords \"w1 w2 …\" [--k N]
-               [--alg <rtree|iio|ir2|mir2>] [--steps N]
+               [--alg <rtree|iio|ir2|mir2>] [--steps N] [--node-cache NODES]
   ir2 stats    --db DIR [--prometheus]
   ir2 check    --db DIR
   ir2 scrub    --db DIR [--repair]
@@ -31,14 +32,14 @@ Databases are directories of 4096-byte block-device files; every query
 reports its (simulated) disk I/O alongside the results. A batch query
 file holds one `LAT,LON keywords…` query per line (# comments allowed);
 the batch runs concurrently with exact per-query I/O attribution and
-per-query fault isolation. `--deadline-ms` (batch-wide) and
+per-query fault isolation. A flag a command does not list above is an
+error, never ignored. `--deadline-ms` (batch-wide) and
 `--io-budget` (per query) bound execution: a query that trips a limit
 is truncated, not failed — its results are the exact top-m prefix of
 the full answer. `--node-cache` keeps up to NODES decoded tree nodes
 per index (warm queries skip checksum + decode work; at build time the
-setting is persisted, at query time it overrides for that process) and
-`--prefetch` decodes up to WORKERS frontier nodes ahead of the
-traversal — results are byte-identical either way.
+setting is persisted, at query time it overrides for that process) —
+results are byte-identical either way.
 
 `ir2 build --shards N` tiles the objects spatially (STR order) into N
 fully independent shards under one directory; query, batch, stats, and
@@ -59,7 +60,7 @@ files from the reference and re-verifies them.
 
 `ir2 fuzz` runs the differential oracle harness: seeded random
 datasets, insert/delete streams, and queries are answered by every
-engine variant (all four algorithms — cold, warm-cached, prefetched,
+engine variant (all four algorithms — cold, warm-cached,
 fault-injected, incrementally mutated — plus 1/2/4-way sharding, the
 uniform grid, and the flat signature file) and compared byte-for-byte
 against a brute-force reference, along with metamorphic invariants
@@ -70,29 +71,41 @@ the exit status is non-zero. `--inject-bug` deliberately corrupts one
 engine's answers to prove the harness and the repro round trip work.";
 
 /// Parsed `--flag value` pairs.
+#[derive(Debug)]
 pub struct Flags {
     values: HashMap<String, String>,
     switches: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `--key value` pairs and bare `--switch`es.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses the arguments of `ir2 <cmd>`: `--key value` for every key in
+    /// `flags`, bare `--switch` for every key in `switches` (both
+    /// space-separated lists). Anything else is an error, so a misspelt or
+    /// retired flag is refused, not ignored.
+    pub fn parse(cmd: &str, args: &[String], flags: &str, switches: &str) -> Result<Self, String> {
+        let listed = |list: &str, key: &str| list.split_whitespace().any(|k| k == key);
         let mut values = HashMap::new();
-        let mut switches = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut given = Vec::new();
+        let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{arg}`"));
             };
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    values.insert(key.to_owned(), it.next().expect("peeked").clone());
-                }
-                _ => switches.push(key.to_owned()),
+            if listed(switches, key) {
+                given.push(key.to_owned());
+            } else if listed(flags, key) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => values.insert(key.to_owned(), v.clone()),
+                    _ => return Err(format!("flag --{key} needs a value")),
+                };
+            } else {
+                return Err(format!("unknown flag --{key} for `ir2 {cmd}`"));
             }
         }
-        Ok(Self { values, switches })
+        Ok(Self {
+            values,
+            switches: given,
+        })
     }
 
     /// A required string flag.
@@ -166,9 +179,13 @@ mod tests {
         s.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(s: &[&str]) -> Result<Flags, String> {
+        Flags::parse("build", &args(s), "db k", "incremental")
+    }
+
     #[test]
     fn parses_values_and_switches() {
-        let f = Flags::parse(&args(&["--db", "dir", "--k", "5", "--incremental"])).unwrap();
+        let f = parse(&["--db", "dir", "--k", "5", "--incremental"]).unwrap();
         assert_eq!(f.required("db").unwrap(), "dir");
         assert_eq!(f.get_or("k", 10usize).unwrap(), 5);
         assert!(f.switch("incremental"));
@@ -179,7 +196,19 @@ mod tests {
 
     #[test]
     fn rejects_positional_args() {
-        assert!(Flags::parse(&args(&["stray"])).is_err());
+        assert!(parse(&["stray"]).is_err());
+        assert!(parse(&["--incremental", "stray"]).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_missing_values() {
+        let err = parse(&["--db", "dir", "--kk", "5"]).unwrap_err();
+        assert_eq!(err, "unknown flag --kk for `ir2 build`");
+        assert_eq!(
+            parse(&["--k", "--incremental"]).unwrap_err(),
+            "flag --k needs a value"
+        );
+        assert_eq!(parse(&["--db"]).unwrap_err(), "flag --db needs a value");
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn io_err(e: impl std::fmt::Display) -> String {
 
 /// `ir2 generate` — synthesize a TSV dataset from a Table-1 preset.
 pub fn generate(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("generate", args, "preset out count seed", "")?;
     let preset = f.required("preset")?;
     let out_path = f.required("out")?;
     let mut spec = match preset {
@@ -66,13 +66,17 @@ fn db_config(f: &Flags) -> Result<DbConfig, String> {
         config.bulk_load = false;
     }
     config.node_cache = f.get_or("node-cache", 0usize)?;
-    config.prefetch = f.get_or("prefetch", 0usize)?;
     Ok(config)
 }
 
 /// `ir2 build` — import a TSV file into a new on-disk database directory.
 pub fn build(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        "build",
+        args,
+        "tsv db sig-bytes seed capacity node-cache shards replicas",
+        "incremental",
+    )?;
     let tsv_path = f.required("tsv")?;
     let db_dir = f.required("db")?;
     let config = db_config(&f)?;
@@ -175,26 +179,22 @@ impl Engine {
 /// database (across shards, per device role), so `ir2 stats --prometheus`
 /// exposes retry and quarantine counters next to the query metrics.
 ///
-/// `--node-cache` and `--prefetch` override the persisted cache
-/// configuration for this process. Shards keep the configuration they
-/// were built with, so on a sharded directory the flags are refused, not
-/// ignored.
+/// `--node-cache` overrides the persisted cache capacity for this
+/// process. Shards keep the configuration they were built with, so on a
+/// sharded directory the flag is refused, not ignored.
 fn open_engine(f: &Flags) -> Result<Engine, String> {
     let dir = f.required("db")?;
-    let override_of = |flag: &str| -> Result<Option<usize>, String> {
-        f.optional(flag)
-            .map(|v| v.parse().map_err(|e| format!("bad --{flag}: {e}")))
-            .transpose()
-    };
-    let (node_cache, prefetch) = (override_of("node-cache")?, override_of("prefetch")?);
+    let node_cache: Option<usize> = f
+        .optional("node-cache")
+        .map(|v| v.parse().map_err(|e| format!("bad --node-cache: {e}")))
+        .transpose()?;
     let registry = Arc::new(MetricsRegistry::new());
     let wrap = |name, d| RetryDevice::with_metrics(d, RetryPolicy::default(), &registry, name);
     if sharded_manifest(dir).map_err(io_err)?.is_some() {
-        let given = [("node-cache", node_cache), ("prefetch", prefetch)];
-        if let Some((flag, _)) = given.iter().find(|(_, v)| v.is_some()) {
+        if node_cache.is_some() {
             return Err(format!(
-                "--{flag} cannot override a sharded database: every shard of {dir} keeps the \
-                 cache configuration it was built with"
+                "--node-cache cannot override a sharded database: every shard of {dir} keeps \
+                 the cache configuration it was built with"
             ));
         }
         return ShardedDb::open_dir_mapped(dir, wrap)
@@ -205,9 +205,6 @@ fn open_engine(f: &Flags) -> Result<Engine, String> {
     let mut db = SpatialKeywordDb::open_with_registry(devices, registry).map_err(io_err)?;
     if let Some(n) = node_cache {
         db.configure_node_cache(n);
-    }
-    if let Some(p) = prefetch {
-        db.configure_prefetch(p);
     }
     Ok(Engine::Mono(Box::new(db)))
 }
@@ -321,7 +318,12 @@ fn parse_alg(f: &Flags) -> Result<Algorithm, String> {
 /// `--hedge-ms` races a second replica; under `--deadline-ms` /
 /// `--io-budget` the merge is sequential whatever `--threads` says).
 pub fn query(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        "query",
+        args,
+        "db at area keywords k alg deadline-ms io-budget threads node-cache hedge-ms",
+        "",
+    )?;
     let engine = open_engine(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
@@ -393,7 +395,12 @@ fn parse_batch_file(path: &str, k: usize) -> Result<Vec<DistanceFirstQuery<2>>, 
 /// only its own slot — siblings still complete — and makes the exit code
 /// nonzero.
 pub fn batch(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        "batch",
+        args,
+        "db queries threads k alg deadline-ms io-budget node-cache hedge-ms",
+        "",
+    )?;
     let alg = parse_alg(&f)?;
     let k: usize = f.get_or("k", 10)?;
     let threads: usize = f.get_or("threads", 4)?;
@@ -487,7 +494,12 @@ pub fn batch(args: &[String], out: &mut impl Write) -> CliResult {
 
 /// `ir2 ranked` — general top-k by f(distance, IRscore) on the IR²-Tree.
 pub fn ranked(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        "ranked",
+        args,
+        "db at keywords k dist-weight node-cache",
+        "",
+    )?;
     let db = open_db(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
@@ -536,7 +548,7 @@ pub fn ranked(args: &[String], out: &mut impl Write) -> CliResult {
 /// against the `density_profile` *prediction* (the paper's Section VI
 /// false-positive tables), then the usual result report.
 pub fn trace(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("trace", args, "db at keywords k alg steps node-cache", "")?;
     let db = open_db(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
@@ -648,7 +660,7 @@ pub fn trace(args: &[String], out: &mut impl Write) -> CliResult {
 /// CRCs), and walks all three trees validating page checksums, MBR
 /// containment, and signature containment. Nonzero exit on any corruption.
 pub fn check(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("check", args, "db", "")?;
     let dir = f.required("db")?;
     let root = std::path::Path::new(dir);
     if let Some(layout) = shard_layout(root).map_err(io_err)? {
@@ -712,7 +724,7 @@ pub fn check(args: &[String], out: &mut impl Write) -> CliResult {
 /// `--repair`) re-copies divergent files from the reference. Nonzero exit
 /// unless the directory is fully consistent after the pass.
 pub fn scrub(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("scrub", args, "db", "repair")?;
     let dir = f.required("db")?;
     let repair = f.switch("repair");
     let report = scrub_dir(dir, repair, None).map_err(io_err)?;
@@ -749,7 +761,12 @@ pub fn scrub(args: &[String], out: &mut impl Write) -> CliResult {
 /// queries. Exit status is non-zero when a divergence is found; the
 /// printed `repro:` line replays exactly that case.
 pub fn fuzz(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        "fuzz",
+        args,
+        "seed iters start-iter objects queries",
+        "inject-bug no-minimize",
+    )?;
     let opts = ir2_oracle::FuzzOptions {
         seed: f.get_or("seed", 42u64)?,
         iters: f.get_or("iters", 100u64)?,
@@ -829,7 +846,7 @@ fn check_one(dir: &std::path::Path, out: &mut impl Write) -> Result<bool, String
 /// exposition format instead (gauges carry the dataset and per-device I/O
 /// totals of this process; query counters accumulate as queries run).
 pub fn stats(args: &[String], out: &mut impl Write) -> CliResult {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("stats", args, "db", "prometheus")?;
     let db = match open_engine(&f)? {
         Engine::Mono(db) => db,
         Engine::Sharded(db) => {

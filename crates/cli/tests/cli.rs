@@ -486,30 +486,19 @@ fn replicated_pipeline() {
     )
     .unwrap();
 
-    // The cache overrides cannot reach the shards: refused by name, not
+    // The cache override cannot reach the shards: refused by name, not
     // silently dropped.
-    for flag in ["--node-cache", "--prefetch"] {
-        for command in ["query", "batch"] {
-            let out = ir2(
-                &dir,
-                &[
-                    command,
-                    "--db",
-                    "db",
-                    "--at",
-                    "0,0",
-                    "--keywords",
-                    "ba",
-                    "--queries",
-                    "q.txt",
-                    flag,
-                    "4",
-                ],
-            );
-            assert!(!out.status.success(), "{command} {flag}");
-            let err = String::from_utf8_lossy(&out.stderr).into_owned();
-            assert!(err.contains(flag), "{command} {flag}: {err}");
-        }
+    for command in [
+        &["query", "--at", "0,0", "--keywords", "ba"][..],
+        &["batch", "--queries", "q.txt"],
+    ] {
+        let out = ir2(
+            &dir,
+            &[command, &["--db", "db", "--node-cache", "4"]].concat(),
+        );
+        assert!(!out.status.success(), "{command:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("--node-cache cannot override"), "{err}");
     }
 
     // A hedged batch runs on the batch engine like any other: the
@@ -719,7 +708,26 @@ fn helpful_errors() {
     let q = ir2(&dir, &["stats", "--db", "nope"]);
     assert!(!q.status.success());
 
-    // Bad algorithm name.
+    // A flag the command does not know — misspelt, or retired like
+    // `--prefetch` — is refused by name before any file is opened (none
+    // of these paths exists).
+    for command in [
+        &["build", "--tsv", "nope.tsv", "--db", "nope"][..],
+        &["query", "--db", "nope", "--at", "0,0", "--keywords", "x"],
+        &["batch", "--db", "nope", "--queries", "nope.txt"],
+    ] {
+        for (flag, value) in [("--kk", "5"), ("--prefetch", "2")] {
+            let out = ir2(&dir, &[command, &[flag, value]].concat());
+            assert!(!out.status.success(), "{command:?} {flag}");
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            let want = format!("error: unknown flag {flag} for `ir2 {}`", command[0]);
+            assert_eq!(err.trim_end(), want);
+        }
+    }
+    assert!(
+        !dir.join("nope").exists(),
+        "build must not create the directory"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

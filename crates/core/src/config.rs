@@ -32,9 +32,6 @@ pub struct DbConfig {
     /// cache). Warm traversals then skip checksum verification and entry
     /// decoding; per-tree mutation epochs keep cached images fresh.
     pub node_cache: usize,
-    /// Frontier-prefetch worker threads per query (0 disables prefetch;
-    /// requires `node_cache > 0` to have any effect).
-    pub prefetch: usize,
 }
 
 impl Default for DbConfig {
@@ -49,7 +46,6 @@ impl Default for DbConfig {
             mir_strict: false,
             avg_words_hint: None,
             node_cache: 0,
-            prefetch: 0,
         }
     }
 }
@@ -97,13 +93,6 @@ impl DbConfig {
         self
     }
 
-    /// Sets the frontier-prefetch worker count, 0 to disable (builder
-    /// style).
-    pub fn with_prefetch(mut self, workers: usize) -> Self {
-        self.prefetch = workers;
-        self
-    }
-
     /// Serializes the configuration for the catalog.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(40);
@@ -119,7 +108,9 @@ impl DbConfig {
         );
         out.extend_from_slice(&self.avg_words_hint.unwrap_or(0.0).to_le_bytes());
         out.extend_from_slice(&(self.node_cache as u32).to_le_bytes());
-        out.extend_from_slice(&(self.prefetch as u32).to_le_bytes());
+        // Reserved (an older format's prefetch worker count): zeros, so
+        // the record keeps its 54-byte shape; `decode` ignores them.
+        out.extend_from_slice(&[0u8; 4]);
         out
     }
 
@@ -137,15 +128,12 @@ impl DbConfig {
         let rand_us = u64::from_le_bytes(buf[22..30].try_into().expect("8 bytes"));
         let seq_us = u64::from_le_bytes(buf[30..38].try_into().expect("8 bytes"));
         let hint = f64::from_le_bytes(buf[38..46].try_into().expect("8 bytes"));
-        // Cache knobs were appended later; records written before them
-        // decode to the old behavior (cache and prefetch off).
-        let read_u32_or0 = |at: usize| {
-            buf.get(at..at + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-                .unwrap_or(0)
-        };
-        let node_cache = read_u32_or0(46);
-        let prefetch = read_u32_or0(50);
+        // The cache knob was appended later; records written before it
+        // decode to the old behavior (cache off). Bytes 50..54 are
+        // reserved and ignored, whatever they hold.
+        let node_cache = buf.get(46..50).map_or(0, |b| {
+            u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize
+        });
         Ok(Self {
             capacity: (capacity != 0).then_some(capacity),
             sig_bytes,
@@ -159,7 +147,6 @@ impl DbConfig {
             },
             avg_words_hint: (hint != 0.0).then_some(hint),
             node_cache,
-            prefetch,
         })
     }
 }
@@ -179,23 +166,44 @@ mod tests {
         let cfg = DbConfig::hotels()
             .with_capacity(113)
             .with_incremental_build()
-            .with_node_cache(4096)
-            .with_prefetch(3);
+            .with_node_cache(4096);
         let back = DbConfig::decode(&cfg.encode()).unwrap();
         assert_eq!(back, cfg);
     }
 
     #[test]
+    fn record_written_with_a_prefetch_count_decodes_without_it() {
+        // What the parent of PR 21 wrote for
+        // `hotels().with_node_cache(4096)` with its prefetch knob at 3.
+        #[rustfmt::skip]
+        let old: [u8; 54] = [
+            0, 0, 0, 0,                         // capacity: derived
+            189, 0, 0, 0,                       // sig_bytes
+            4, 0, 0, 0,                         // sig_k
+            0xEE, 0xFF, 0xC0, 0, 0, 0, 0, 0,    // seed
+            1, 0,                               // bulk_load, mir_strict
+            0x40, 0x1F, 0, 0, 0, 0, 0, 0,       // random access, 8000 us
+            60, 0, 0, 0, 0, 0, 0, 0,            // sequential access, 60 us
+            0, 0, 0, 0, 0, 0, 0, 0,             // avg_words_hint: none
+            0, 0x10, 0, 0,                      // node_cache 4096
+            3, 0, 0, 0,                         // reserved (was prefetch)
+        ];
+        let cfg = DbConfig::decode(&old).unwrap();
+        assert_eq!(cfg, DbConfig::hotels().with_node_cache(4096));
+        let again = cfg.encode();
+        assert_eq!(again.len(), 54);
+        assert_eq!(again[..50], old[..50]);
+        assert_eq!(again[50..], [0u8; 4]);
+    }
+
+    #[test]
     fn decode_tolerates_records_without_cache_knobs() {
         // A record truncated at the pre-cache length (46 bytes) must still
-        // decode, with both knobs defaulting to off.
-        let cfg = DbConfig::restaurants()
-            .with_node_cache(512)
-            .with_prefetch(2);
+        // decode, with the cache defaulting to off.
+        let cfg = DbConfig::restaurants().with_node_cache(512);
         let old = &cfg.encode()[..46];
         let back = DbConfig::decode(old).unwrap();
         assert_eq!(back.node_cache, 0);
-        assert_eq!(back.prefetch, 0);
         assert_eq!(back.sig_bytes, cfg.sig_bytes);
     }
 

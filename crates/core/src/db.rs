@@ -17,9 +17,7 @@ use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
     SpatialObject,
 };
-use ir2_rtree::{
-    with_frontier_prefetch, NodeCache, PrefetchQueue, RTree, RTreeConfig, UnitPayload,
-};
+use ir2_rtree::{NodeCache, RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::{
     BlockDevice, FileDevice, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry, Result,
@@ -1003,9 +1001,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// The one distance-first plan: check the request, measure its search,
     /// assemble the report. IIO is not incremental and answers directly;
     /// every other algorithm is the [`open_search`](Self::open_search)
-    /// iterator, fed by [`with_prefetch`](Self::with_prefetch) and drained
-    /// by [`collect_topk`]. The report's `pruning` is left empty — the
-    /// caller owns the sink.
+    /// iterator drained by [`collect_topk`]. The report's `pruning` is
+    /// left empty — the caller owns the sink.
     fn run_topk<S: TraceSink>(
         &self,
         req: &TopkRequest,
@@ -1019,10 +1016,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
                     .iio_topk(src, req, req.limits)
                     .map(|r| (r, SearchCounters::default()));
             }
-            self.with_prefetch(req.alg, |pf| {
-                let mut search = self.open_search(src, req, req.limits, sink, pf)?;
-                collect_topk(&mut *search, req.k)
-            })
+            let mut search = self.open_search(src, req, req.limits, sink)?;
+            collect_topk(&mut *search, req.k)
         })?;
         Ok(QueryReport {
             outcome: exec.truncation(),
@@ -1046,48 +1041,32 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>)
     }
 
-    /// Runs `f` with the frontier-prefetch queue of `alg`'s tree at the
-    /// configured worker count (disabled for IIO, which has no tree).
-    fn with_prefetch<R>(&self, alg: Algorithm, f: impl FnOnce(PrefetchQueue) -> R) -> R {
-        let workers = self.config.prefetch;
-        match alg {
-            Algorithm::RTree => with_frontier_prefetch(&self.rtree, workers, f),
-            Algorithm::Ir2 => with_frontier_prefetch(&self.ir2, workers, f),
-            Algorithm::Mir2 => with_frontier_prefetch(&self.mir2, workers, f),
-            Algorithm::Iio => f(PrefetchQueue::disabled()),
-        }
-    }
-
     /// The one place an incremental distance-first search is opened:
     /// `req.alg`'s iterator over `req.region` and `req.keywords`, loading
     /// objects through `src`, under `limits` (a shard's slice of
-    /// `req.limits`, or all of them), reporting to `sink`, nominating
-    /// frontier nodes to `prefetch`. The monolithic plan and every shard
-    /// cursor of the scatter-gather merge are this call.
+    /// `req.limits`, or all of them), reporting to `sink`. The monolithic
+    /// plan and every shard cursor of the scatter-gather merge are this
+    /// call.
     pub(crate) fn open_search<'a, S: TraceSink + 'a>(
         &'a self,
         src: &'a CountingSource<'a, 2>,
         req: &TopkRequest,
         limits: QueryLimits,
         sink: S,
-        prefetch: PrefetchQueue,
     ) -> Result<Box<dyn BoundedSearch<2> + 'a>> {
         let keywords = req.keywords.clone();
         Ok(match (req.alg, req.region) {
             (Algorithm::Ir2, region) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.ir2, src, region, keywords, sink)
-                    .limited(limits)
-                    .prefetching(prefetch),
+                    .limited(limits),
             ),
             (Algorithm::Mir2, region) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.mir2, src, region, keywords, sink)
-                    .limited(limits)
-                    .prefetching(prefetch),
+                    .limited(limits),
             ),
             (Algorithm::RTree, QueryRegion::Point(point)) => Box::new(
                 RtreeBaselineIter::with_sink(&self.rtree, src, point, keywords, sink)
-                    .limited(limits)
-                    .prefetching(prefetch),
+                    .limited(limits),
             ),
             (Algorithm::Iio, QueryRegion::Point(_)) => {
                 unreachable!("IIO is not incremental: both engines answer it with iio_topk")
@@ -1180,8 +1159,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
 
     /// The one general-ranked plan, the analog of
     /// [`run_topk`](Self::run_topk): measure [`general_topk_with`] on
-    /// `alg`'s signature tree inside [`with_prefetch`](Self::with_prefetch),
-    /// assemble the report.
+    /// `alg`'s signature tree, assemble the report.
     fn run_general(
         &self,
         alg: Algorithm,
@@ -1192,15 +1170,15 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     ) -> Result<GeneralReport> {
         let (limits, vocab) = (QueryLimits::none(), &self.vocab);
         let (results, m) = self.measure(alg, attribution, |src| {
-            self.with_prefetch(alg, |pf| match alg {
-                Algorithm::Ir2 => general_topk_with(
-                    &self.ir2, src, vocab, scorer, rank, query, limits, NopSink, &pf,
-                ),
-                Algorithm::Mir2 => general_topk_with(
-                    &self.mir2, src, vocab, scorer, rank, query, limits, NopSink, &pf,
-                ),
+            match alg {
+                Algorithm::Ir2 => {
+                    general_topk_with(&self.ir2, src, vocab, scorer, rank, query, limits, NopSink)
+                }
+                Algorithm::Mir2 => {
+                    general_topk_with(&self.mir2, src, vocab, scorer, rank, query, limits, NopSink)
+                }
                 other => Err(needs_signature_tree("general ranked queries", other)),
-            })
+            }
             .map(ExecOutcome::into_results)
         })?;
         Ok(GeneralReport {
@@ -1452,17 +1430,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
-    /// Overrides the frontier-prefetch worker count at runtime (0
-    /// disables) — the hook behind the CLI's `--prefetch` override.
-    pub fn configure_prefetch(&mut self, workers: usize) {
-        self.config.prefetch = workers;
-    }
-
     /// Cumulative decoded-node cache `(tree, hits, misses)` per tree, in
     /// `("rtree", "ir2", "mir2")` order. Empty when the cache is disabled
-    /// (`DbConfig::node_cache == 0`). Unlike the per-query `cache_hits`
-    /// counter, these totals also include speculative prefetch-worker
-    /// lookups.
+    /// (`DbConfig::node_cache == 0`).
     pub fn node_cache_stats(&self) -> Vec<(&'static str, u64, u64)> {
         let mut out = Vec::new();
         if let Some(c) = self.rtree.node_cache() {

@@ -65,7 +65,6 @@ use ir2_irtree::{BoundedSearch, BoundedStep, NopSink, SearchCounters, TraceStats
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
-use ir2_rtree::PrefetchQueue;
 use ir2_storage::{
     BlockDevice, FileDevice, IoScope, IoSnapshot, MemDevice, MetricsRegistry, Result, RetryScope,
     StorageError,
@@ -1150,8 +1149,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         let retry = RetryScope::enter();
         let run = (|| {
             let src = rep.counting_source();
-            let (limits, no_prefetch) = (QueryLimits::none(), PrefetchQueue::disabled());
-            let mut iter = rep.open_search(&src, req, limits, NopSink, no_prefetch)?;
+            let mut iter = rep.open_search(&src, req, QueryLimits::none(), NopSink)?;
             let mut stepped = false;
             let mut complete = true;
             while let Some(b) = iter.frontier_bound().map(|fb| fb.max(rect_bound)) {
@@ -1263,10 +1261,9 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             })
             .collect();
         let open = |i: usize, m: usize, limits: QueryLimits| {
-            let no_prefetch = PrefetchQueue::disabled();
             self.shards[i]
                 .get(m)
-                .open_search(&sources[i][m], req, limits, NopSink, no_prefetch)
+                .open_search(&sources[i][m], req, limits, NopSink)
         };
         let mut cursors: Vec<ShardCursor<'_>> = Vec::with_capacity(s);
         for (i, set) in self.shards.iter().enumerate() {

@@ -78,11 +78,11 @@ fn deleting_under_a_dissolving_mir2_node_grows_the_device_by_a_few_paths() {
     let mut db = SpatialKeywordDb::build(DeviceSet::in_memory(), spec.generate(), config).unwrap();
     let tree = db.mir2_tree();
     assert_eq!(tree.height(), 3);
-    let root = tree.read_node(tree.root().unwrap()).unwrap();
-    let last = tree.read_node(root.entries.last().unwrap().child).unwrap();
-    assert_eq!(last.entries.len(), 4, "the under-full level-1 node");
-    let leaf = tree.read_node(last.entries[0].child).unwrap();
-    let victim = ObjPtr(leaf.entries[0].child);
+    let root = tree.read_node_buf(tree.root().unwrap()).unwrap();
+    let last = tree.read_node_buf(root.child(root.len() - 1)).unwrap();
+    assert_eq!(last.len(), 4, "the under-full level-1 node");
+    let leaf = tree.read_node_buf(last.child(0)).unwrap();
+    let victim = ObjPtr(leaf.child(0));
     let path_blocks: u64 = (0..3).map(|level| tree.node_blocks(level) as u64).sum();
     let orphans = 1_850 - 112 * 16 - 1;
 

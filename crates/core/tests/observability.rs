@@ -120,6 +120,43 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
     }
 }
 
+/// With a node cache attached, a batch report's `IoScope`-attributed block
+/// counts are everything the query caused: they equal what the tracked
+/// devices counted over that call, on the pass that fills the cache and on
+/// the pass it serves. (Nothing reads on the query's behalf from a thread
+/// the scope does not see.)
+#[test]
+fn scoped_batch_io_equals_the_device_deltas_over_a_node_cache() {
+    let config = small_config().with_node_cache(64);
+    let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), config).unwrap();
+    let device_totals = || {
+        let (objects, rtree, ir2, mir2, inverted) = db.io_totals();
+        let index = rtree.total() + ir2.total() + mir2.total() + inverted.total();
+        (index, objects.total())
+    };
+    for alg in Algorithm::ALL {
+        for warm in [false, true] {
+            let mut hits = 0;
+            for (i, q) in queries().iter().enumerate() {
+                let before = device_totals();
+                let report = run_batch(&db, alg, std::slice::from_ref(q), 1).remove(0);
+                let after = device_totals();
+                let ctx = format!("{} query {i}, warm pass: {warm}", alg.label());
+                assert_eq!(report.index_io.total(), after.0 - before.0, "{ctx}");
+                assert_eq!(report.object_io.total(), after.1 - before.1, "{ctx}");
+                hits += report.counters.cache_hits;
+            }
+            if warm && alg != Algorithm::Iio {
+                assert!(
+                    hits > 0,
+                    "{}: the warm pass must use the cache",
+                    alg.label()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn metrics_registry_aggregates_query_counters_exactly() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();

@@ -123,6 +123,7 @@ fn thousand_query_batch_survives_one_in_eight_faults() {
 /// the same query through a single `run` (counter-delta attribution) and
 /// through a one-request `run_batch` (`IoScope` attribution), and report
 /// the same nonzero retry count. The delta path used to hard-code zero.
+/// Over healthy devices the retry layer reports no retry on either path.
 #[test]
 fn unlimited_path_reports_retries_like_the_limited_path() {
     let build = || {
@@ -132,8 +133,19 @@ fn unlimited_path_reports_retries_like_the_limited_path() {
         SpatialKeywordDb::build(devices, town(400), small_config()).unwrap()
     };
     let (plain_db, limited_db) = (build(), build());
+    let clean_devices = DeviceSet::in_memory().map(|_, d| RetryDevice::new(d));
+    let clean_db = SpatialKeywordDb::build(clean_devices, town(400), small_config()).unwrap();
     let q = DistanceFirstQuery::new([7.3, 3.1], &["coffee"], 20);
     for alg in Algorithm::ALL {
+        let req = TopkRequest::from_query(alg, &q);
+        let clean = [
+            clean_db.run(&req).unwrap(),
+            clean_db.run_batch(&[req], 1).remove(0).unwrap(),
+        ];
+        for report in clean {
+            assert_eq!(report.retries, 0, "{}: clean path", alg.label());
+            assert_eq!(report.backoff, Duration::ZERO, "{}", alg.label());
+        }
         let plain = plain_db.distance_first(alg, &q).unwrap();
         let limited = limited_db
             .run_batch(&[TopkRequest::from_query(alg, &q)], 1)
@@ -227,7 +239,6 @@ fn io_budget_sweep_yields_exact_prefixes_for_all_algorithms() {
 #[test]
 fn general_algorithm_truncates_to_exact_prefixes() {
     use ir2tree::irtree::{general_topk, general_topk_with, GeneralQuery, NopSink};
-    use ir2tree::rtree::PrefetchQueue;
     use ir2tree::text::LinearRank;
 
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(300), small_config()).unwrap();
@@ -257,7 +268,6 @@ fn general_algorithm_truncates_to_exact_prefixes() {
             &q,
             QueryLimits::none().with_io_budget(budget),
             NopSink,
-            &PrefetchQueue::disabled(),
         )
         .unwrap();
         saw_truncation |= out.is_truncated();

@@ -4,7 +4,7 @@ use ir2_geo::Point;
 use ir2_model::{
     DistanceFirstQuery, ObjPtr, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
-use ir2_rtree::{NnIter, PrefetchQueue, RTree, UnitPayload};
+use ir2_rtree::{NnIter, RTree, UnitPayload};
 use ir2_storage::{BlockDevice, Result};
 
 use crate::search::{collect_topk, BoundedSearch, BoundedStep, SearchCounters};
@@ -70,13 +70,6 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
     /// [`DistanceFirstIter::limited`](crate::DistanceFirstIter::limited).
     pub fn limited(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Attaches a frontier-prefetch queue to the inner NN iterator; see
-    /// [`NnIter::prefetching`].
-    pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
-        self.nn = self.nn.prefetching(queue);
         self
     }
 

@@ -10,7 +10,7 @@ use ir2_model::{
     normalize_keywords, DistanceFirstQuery, ObjPtr, ObjectSource, QueryLimits, QueryRegion,
     SpatialObject, TruncateReason,
 };
-use ir2_rtree::{PrefetchQueue, RTree};
+use ir2_rtree::RTree;
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
@@ -59,7 +59,6 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: SigPayload, S: TraceSink 
     counters: SearchCounters,
     limits: QueryLimits,
     truncated: Option<TruncateReason>,
-    prefetch: PrefetchQueue,
     /// Reusable per-node containment bitmask: every entry's verdict is
     /// written here in one pass, so steady-state pruning allocates nothing.
     mask: EntryMask,
@@ -138,7 +137,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
             counters: SearchCounters::default(),
             limits: QueryLimits::none(),
             truncated: None,
-            prefetch: PrefetchQueue::disabled(),
             mask: EntryMask::new(),
             sink,
         }
@@ -151,15 +149,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     /// order.
     pub fn limited(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Attaches a frontier-prefetch queue (see
-    /// [`with_frontier_prefetch`](ir2_rtree::with_frontier_prefetch)): each node expansion nominates up to
-    /// `queue.width()` signature-passing child nodes for background decode
-    /// into the tree's node cache. Results and rank order are unaffected.
-    pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
-        self.prefetch = queue;
         self
     }
 
@@ -266,7 +255,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                         heap,
                         seq,
                         counters,
-                        prefetch,
                         mask,
                         sink,
                         ..
@@ -278,7 +266,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                     // Every entry's containment verdict, into the reusable
                     // bitmask.
                     signature_mask_into(&node, qsig, mask);
-                    let mut speculate = prefetch.width();
                     for i in 0..node.len() {
                         // "if s matches w": drop entries whose signature
                         // does not contain the query signature.
@@ -296,10 +283,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                         let item = if node.is_leaf() {
                             Item::Object(child)
                         } else {
-                            if speculate > 0 {
-                                prefetch.enqueue(child);
-                                speculate -= 1;
-                            }
                             Item::Node(child)
                         };
                         heap.push(Reverse((d, *seq, item)));

@@ -8,7 +8,7 @@ use ir2_geo::{OrderedF64, Point};
 use ir2_model::{
     normalize_keywords, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject,
 };
-use ir2_rtree::{PrefetchQueue, RTree};
+use ir2_rtree::RTree;
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
@@ -107,15 +107,11 @@ pub fn general_topk<const N: usize, D: BlockDevice, P: SigPayload>(
         query,
         QueryLimits::none(),
         NopSink,
-        &PrefetchQueue::disabled(),
     )
     .map(ExecOutcome::into_results)
 }
 
-/// The full form of [`general_topk`]: execution limits, a trace sink and a
-/// frontier-prefetch queue (hand it the queue of
-/// [`with_frontier_prefetch`](ir2_rtree::with_frontier_prefetch); results
-/// are byte-identical with prefetch on or off).
+/// The full form of [`general_topk`]: execution limits and a trace sink.
 ///
 /// Limits are checked cooperatively before each heap pop. Results are
 /// emitted only when their actual score dominates every remaining upper
@@ -137,7 +133,6 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
     query: &GeneralQuery<N>,
     limits: QueryLimits,
     mut sink: S,
-    prefetch: &PrefetchQueue,
 ) -> Result<ExecOutcome<Vec<ScoredResult<N>>>> {
     // Query terms present in the corpus (absent terms can never contribute
     // to any document's score).
@@ -271,7 +266,6 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                 for (s, m) in sigs.iter().zip(keyword_masks.iter_mut()) {
                     signature_mask_into(&node, s, m);
                 }
-                let mut speculate = prefetch.width();
                 for i in 0..node.len() {
                     let matched: Vec<TermId> = term_ids
                         .iter()
@@ -296,10 +290,6 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                     let item = if node.is_leaf() {
                         GItem::Candidate(child)
                     } else {
-                        if speculate > 0 {
-                            prefetch.enqueue(child);
-                            speculate -= 1;
-                        }
                         GItem::Node(child)
                     };
                     push(&mut heap, &mut items, &mut seq, child_upper, item);

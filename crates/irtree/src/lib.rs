@@ -41,18 +41,16 @@
 //!   fetch; the default [`NopSink`] makes the untraced paths compile to
 //!   the uninstrumented code;
 //! * **limits**: `.limited(QueryLimits)` — a tripped limit stops the
-//!   iterator with the exact top-m prefix emitted;
-//! * **prefetch**: `.prefetching(queue)` inside
-//!   [`with_frontier_prefetch`](ir2_rtree::with_frontier_prefetch).
+//!   iterator with the exact top-m prefix emitted.
 //!
 //! Both iterators implement [`BoundedSearch`] — `next_within`,
 //! `frontier_bound`, `counters`, `truncation` — the stepping contract the
 //! sharded merge pulls on, and [`collect_topk`] is the one k-collector
 //! over it (canonical `(distance, id)` ties; `Complete` or `Truncated`).
-//! Every combination of region × sink × limits × prefetch is therefore
-//! the same code path, property-tested cell by cell in `tests/props.rs`.
-//! The general algorithm is not incremental; its full form with the same
-//! three knobs is [`general_topk_with`].
+//! Every combination of region × sink × limits is therefore the same
+//! code path, property-tested cell by cell in `tests/props.rs`. The
+//! general algorithm is not incremental; its full form with a sink and
+//! limits is [`general_topk_with`].
 
 mod baseline;
 mod diagnostics;

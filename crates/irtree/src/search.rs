@@ -28,10 +28,7 @@ pub struct SearchCounters {
     /// Of [`nodes_read`](SearchCounters::nodes_read), visits that had to
     /// decode the node (device read + CRC + entry decode) — including every
     /// visit on a tree with no cache attached. The conservation identity
-    /// `nodes_read == cache_hits + cache_misses` holds for every report;
-    /// prefetch workers decode out-of-band into the cache's *global* stats
-    /// and never touch these per-query counters, so the identity is exact
-    /// under prefetch too.
+    /// `nodes_read == cache_hits + cache_misses` holds for every report.
     pub cache_misses: u64,
 }
 
@@ -108,8 +105,8 @@ impl<const N: usize> BoundedStep<N> {
 /// what [`collect_topk`] and the scatter-gather shard merge are written
 /// against. [`DistanceFirstIter`](crate::DistanceFirstIter) and
 /// [`RtreeBaselineIter`](crate::RtreeBaselineIter) implement it; region,
-/// sink, limits and prefetch are chosen when the iterator is built, so
-/// every combination of them runs through the same four calls.
+/// sink and limits are chosen when the iterator is built, so every
+/// combination of them runs through the same four calls.
 pub trait BoundedSearch<const N: usize> {
     /// Advances to the next verified result, performing no work beyond
     /// `limit`; the search resumes where it stopped when called again with

@@ -1,17 +1,17 @@
-//! Property tests for the decoded-node cache and frontier prefetch: a
-//! cached (and prefetching) traversal must return **byte-identical**
-//! results to the uncached one, across arbitrary insert/delete/reinsert
-//! interleavings — the epoch invalidation may never serve a stale node.
+//! Property tests for the decoded-node cache: a cached traversal must
+//! return **byte-identical** results to the uncached one, across arbitrary
+//! insert/delete/reinsert interleavings — the epoch invalidation may never
+//! serve a stale node.
 
 use std::sync::Arc;
 
 use ir2_irtree::{
     collect_topk, delete_object, distance_first_topk, general_topk, general_topk_with,
-    insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, NopSink, SearchCounters,
-    TraceEvent, VecSink, BLOCK_AFTER_HITS,
+    insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, SearchCounters, TraceEvent,
+    VecSink, BLOCK_AFTER_HITS,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
-use ir2_rtree::{with_frontier_prefetch, NodeCache, PrefetchQueue, RTree, RTreeConfig};
+use ir2_rtree::{NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
 use ir2_storage::MemDevice;
 use ir2_text::{tokenize, LinearRank, SaturatingTfIdf, Vocabulary};
@@ -55,27 +55,24 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
-/// `distance_first_topk` with `workers` frontier-prefetch threads.
-fn prefetched_topk(
+/// `distance_first_topk` with the search's counters.
+fn counted_topk(
     tree: &RTree<2, MemDevice, Ir2Payload>,
     store: &ObjectStore<2, MemDevice>,
     q: &DistanceFirstQuery<2>,
-    workers: usize,
 ) -> (Vec<(SpatialObject<2>, f64)>, SearchCounters) {
-    with_frontier_prefetch(tree, workers, |pf| {
-        let mut iter = DistanceFirstIter::new(tree, store, q.clone()).prefetching(pf);
-        let (outcome, counters) = collect_topk(&mut iter, q.k).unwrap();
-        (outcome.into_results(), counters)
-    })
+    let mut iter = DistanceFirstIter::new(tree, store, q.clone());
+    let (outcome, counters) = collect_topk(&mut iter, q.k).unwrap();
+    (outcome.into_results(), counters)
 }
 
 struct Fixture {
     store: Arc<ObjectStore<2, MemDevice>>,
     objects: Vec<(ObjPtr, SpatialObject<2>)>,
     vocab: Vocabulary,
-    /// Cache + prefetch enabled.
+    /// Node cache attached.
     warm: RTree<2, MemDevice, Ir2Payload>,
-    /// No cache, no prefetch — ground truth.
+    /// No cache — ground truth.
     cold: RTree<2, MemDevice, Ir2Payload>,
 }
 
@@ -136,15 +133,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Under an arbitrary interleaving of deletes, reinserts, and queries,
-    /// the cached + prefetching tree answers every query byte-identically
-    /// to the uncached tree — including the *warm* repeat of each query,
+    /// the cached tree answers every query byte-identically to the
+    /// uncached tree — including the *warm* repeat of each query,
     /// which on the cached tree is served largely from decoded images.
     #[test]
-    fn cached_prefetched_topk_is_byte_identical_across_mutations(
+    fn cached_topk_is_byte_identical_across_mutations(
         docs in prop::collection::vec(arb_doc(), 5..40),
         steps in arb_steps(),
         seed in 0u64..500,
-        workers in 1usize..4,
     ) {
         let fx = build_fixture(&docs, seed);
         let mut present: Vec<bool> = vec![true; fx.objects.len()];
@@ -152,8 +148,8 @@ proptest! {
             let q = DistanceFirstQuery::new(p, &[WORDS[w]], 8);
             // Cold pass and warm repeat on the cached tree; single pass on
             // the ground-truth tree.
-            let (warm1, c1) = prefetched_topk(&fx.warm, &fx.store, &q, workers);
-            let (warm2, c2) = prefetched_topk(&fx.warm, &fx.store, &q, workers);
+            let (warm1, c1) = counted_topk(&fx.warm, &fx.store, &q);
+            let (warm2, c2) = counted_topk(&fx.warm, &fx.store, &q);
             let (cold, _) = distance_first_topk(&fx.cold, fx.store.as_ref(), &q).unwrap();
             assert_identical(&warm1, &cold);
             assert_identical(&warm2, &cold);
@@ -190,16 +186,15 @@ proptest! {
         }
     }
 
-    /// The general (ranked) algorithm under cache + prefetch matches its
+    /// The general (ranked) algorithm over a node cache matches its
     /// uncached self score-for-score.
     #[test]
-    fn cached_prefetched_general_topk_is_identical(
+    fn cached_general_topk_is_identical(
         docs in prop::collection::vec(arb_doc(), 5..40),
         qpoint in prop::array::uniform2(-60.0f64..60.0),
         kw in prop::collection::vec(0..WORDS.len(), 1..4),
         k in 1usize..8,
         seed in 0u64..500,
-        workers in 1usize..4,
     ) {
         let fx = build_fixture(&docs, seed);
         let scorer = SaturatingTfIdf;
@@ -209,11 +204,8 @@ proptest! {
         let cold = general_topk(
             &fx.cold, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q).unwrap();
         for _pass in 0..2 {
-            let warm = with_frontier_prefetch(&fx.warm, workers, |pf| {
-                general_topk_with(
-                    &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q,
-                    QueryLimits::none(), NopSink, &pf)
-            }).unwrap().into_results();
+            let warm = general_topk(
+                &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q).unwrap();
             prop_assert_eq!(warm.len(), cold.len());
             for (w, c) in warm.iter().zip(cold.iter()) {
                 prop_assert_eq!(w.object.id, c.object.id);
@@ -239,9 +231,9 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
     let fx = build_fixture(&docs, 42);
     let q = DistanceFirstQuery::new([2.0, 2.0], &[WORDS[1]], 30);
 
-    let (_, cold_pass) = prefetched_topk(&fx.warm, &fx.store, &q, 0);
+    let (_, cold_pass) = counted_topk(&fx.warm, &fx.store, &q);
     assert_eq!(cold_pass.cache_hits, 0, "first pass fills the cache");
-    let (before, warm_pass) = prefetched_topk(&fx.warm, &fx.store, &q, 0);
+    let (before, warm_pass) = counted_topk(&fx.warm, &fx.store, &q);
     assert_eq!(
         warm_pass.cache_hits, warm_pass.nodes_read,
         "repeat pass is fully cache-served"
@@ -253,7 +245,7 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
     fx.store.flush().unwrap();
     insert_object(&fx.warm, ptr, &obj).unwrap();
 
-    let (after, post) = prefetched_topk(&fx.warm, &fx.store, &q, 0);
+    let (after, post) = counted_topk(&fx.warm, &fx.store, &q);
     assert_eq!(
         post.cache_hits, 0,
         "mutation epoch evicts every cached node"
@@ -368,7 +360,6 @@ fn in_place_and_block_masks_run_the_same_search() {
             q,
             QueryLimits::none(),
             &mut sink,
-            &PrefetchQueue::disabled(),
         )
         .unwrap()
         .into_results();

@@ -70,7 +70,7 @@ fn mir2_stays_exact_when_inserts_outgrow_the_scheme_ladder() {
         .collect();
     store.flush().unwrap();
 
-    let root_level = tree.read_node(tree.root().unwrap()).unwrap().level;
+    let root_level = tree.read_node_buf(tree.root().unwrap()).unwrap().level();
     assert!(
         root_level as usize + 1 > ladder_levels,
         "tree height {} must exceed the ladder ({ladder_levels} levels) for \

@@ -11,7 +11,7 @@ use ir2_irtree::{
     StatsSink, TraceSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
-use ir2_rtree::{with_frontier_prefetch, NodeCache, RTree, RTreeConfig};
+use ir2_rtree::{NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::MemDevice;
 use ir2_text::{tokenize, IrScorer, LinearRank, RankingFn, SaturatingTfIdf, Vocabulary};
@@ -465,9 +465,7 @@ proptest! {
 }
 
 /// One cell of the plan matrix: the iterator built for `region` with
-/// `sink`, `limits` and `workers` prefetch threads, drained by the one
-/// collector.
-#[allow(clippy::too_many_arguments)]
+/// `sink` and `limits`, drained by the one collector.
 fn run_plan<S: TraceSink>(
     tree: &RTree<2, MemDevice, Ir2Payload>,
     store: &ObjectStore<2, MemDevice>,
@@ -475,16 +473,12 @@ fn run_plan<S: TraceSink>(
     keywords: &[&str],
     k: usize,
     limits: QueryLimits,
-    workers: usize,
     sink: S,
 ) -> LimitedTopk<2> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        let keywords = ir2_model::normalize_keywords(keywords);
-        let mut iter = DistanceFirstIter::with_region_sink(tree, store, region, keywords, sink)
-            .limited(limits)
-            .prefetching(pf);
-        collect_topk(&mut iter, k).unwrap()
-    })
+    let keywords = ir2_model::normalize_keywords(keywords);
+    let mut iter =
+        DistanceFirstIter::with_region_sink(tree, store, region, keywords, sink).limited(limits);
+    collect_topk(&mut iter, k).unwrap()
 }
 
 proptest! {
@@ -492,7 +486,7 @@ proptest! {
 
     /// Every way of configuring a search is the same search: each cell of
     /// {point, area} × {no limits, generous limits, small I/O budget} ×
-    /// {no prefetch, 2 workers over a node cache} × {`NopSink`,
+    /// {no cache, node cache} × {`NopSink`,
     /// `StatsSink`} returns the plain run's results — or, when the budget
     /// truncates it, a tie-aware exact prefix of the full ranking — with
     /// the node-visit conservation identity intact.
@@ -532,19 +526,19 @@ proptest! {
         for region in regions {
             // The plain run, and the full ranking it is a prefix of.
             let none = QueryLimits::none();
-            let (full, _) = run_plan(&cold, store, region, &kws, docs.len(), none, 0, NopSink);
+            let (full, _) = run_plan(&cold, store, region, &kws, docs.len(), none, NopSink);
             let full = hits(full.results());
-            let (plain, plain_counters) = run_plan(&cold, store, region, &kws, k, none, 0, NopSink);
+            let (plain, plain_counters) = run_plan(&cold, store, region, &kws, k, none, NopSink);
             prop_assert!(!plain.is_truncated());
             let plain = hits(plain.results());
             prop_assert_eq!(&plain[..], &full[..k.min(full.len())]);
 
             for limits in limit_sets {
-                for (tree, workers) in [(&cold, 0), (&cached, 2)] {
+                for tree in [&cold, &cached] {
                     let mut stats = StatsSink::new();
                     let cells = [
-                        run_plan(tree, store, region, &kws, k, limits, workers, NopSink),
-                        run_plan(tree, store, region, &kws, k, limits, workers, &mut stats),
+                        run_plan(tree, store, region, &kws, k, limits, NopSink),
+                        run_plan(tree, store, region, &kws, k, limits, &mut stats),
                     ];
                     prop_assert!(stats.stats.matches_counters(&cells[1].1));
                     for (outcome, c) in &cells {

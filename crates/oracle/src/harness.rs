@@ -381,7 +381,6 @@ impl Checker {
         };
         let warm_cfg = DbConfig {
             node_cache: 64,
-            prefetch: 2,
             ..cfg.clone()
         };
 
@@ -669,39 +668,6 @@ impl Checker {
                 expect,
                 ssf.topk(&store, q).map(|(r, _)| hits_of(&r)),
             )?;
-
-            // Kernel differential: every variant above runs the batched
-            // block / zero-copy containment kernels. Re-run a cold tree
-            // engine, a warm tree engine, the SSF scan, and the grid with
-            // the scalar per-entry path forced — answers must be
-            // bit-identical, pinning kernel == scalar across engines.
-            {
-                let _scalar = ir2tree::sigfile::ScalarKernelGuard::new();
-                self.check_report(
-                    "ir2(scalar-kernel)",
-                    q,
-                    expect,
-                    cold.distance_first(Algorithm::Ir2, q),
-                )?;
-                self.check_report(
-                    "mir2(scalar-kernel,warm)",
-                    q,
-                    expect,
-                    warm.distance_first(Algorithm::Mir2, q),
-                )?;
-                self.exact(
-                    "ssf(scalar-kernel)",
-                    q,
-                    expect,
-                    ssf.topk(&store, q).map(|(r, _)| hits_of(&r)),
-                )?;
-                self.exact(
-                    "grid(scalar-kernel)",
-                    q,
-                    expect,
-                    grid.topk(&store, q).map(|(r, _)| hits_of(&r)),
-                )?;
-            }
 
             // Execution limits: truncated answers are tie-aware prefixes
             // of the full ranking, and conservation holds in every

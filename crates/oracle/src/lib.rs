@@ -2,7 +2,7 @@
 //! Differential oracle harness for the spatial keyword engines.
 //!
 //! Every query path in the workspace — the facade's four algorithms over
-//! cold, warm (node cache + prefetch), flaky (fault-injected), and
+//! cold, warm (node cache 64), flaky (fault-injected), and
 //! incrementally mutated databases, the sharded scatter-gather merge at
 //! several shard counts, the uniform grid, and the flat signature file —
 //! claims to answer the same distance-first top-k query with the same

@@ -119,7 +119,7 @@ mod tests {
             Rect::from_point(Point::new([1.0, 2.0])),
             vec![0xAB, 0xCD],
         ));
-        NodeBuf::from_node(&n, 2)
+        NodeBuf::decode(n.id, n.encode(2, 1), 2).unwrap()
     }
 
     #[test]

@@ -39,15 +39,13 @@ mod config;
 mod nn;
 mod node;
 mod payload;
-mod prefetch;
 mod search;
 mod tree;
 
 pub use cached::{CachedNode, NodeCache};
 pub use config::{RTreeConfig, SplitStrategy};
 pub use nn::{NnIter, NnResult};
-pub use node::{Entry, Node, NodeBuf, NodeId};
+pub use node::{NodeBuf, NodeId};
 pub use payload::{PayloadOps, UnitPayload};
-pub use prefetch::{with_frontier_prefetch, PrefetchQueue};
 pub use search::TreeStats;
 pub use tree::RTree;

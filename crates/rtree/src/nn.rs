@@ -7,7 +7,6 @@ use std::collections::BinaryHeap;
 use ir2_geo::{OrderedF64, Point};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::prefetch::PrefetchQueue;
 use crate::{PayloadOps, RTree};
 
 /// One nearest-neighbor result: an object reference and its distance.
@@ -46,7 +45,6 @@ pub struct NnIter<'a, const N: usize, D, P> {
     nodes_read: u64,
     cache_hits: u64,
     cache_misses: u64,
-    prefetch: PrefetchQueue,
 }
 
 // Items only compare through (dist, seq), which are unique per entry.
@@ -76,7 +74,6 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             nodes_read: 0,
             cache_hits: 0,
             cache_misses: 0,
-            prefetch: PrefetchQueue::disabled(),
         }
     }
 }
@@ -100,15 +97,6 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
     /// `nodes_read == cache_hits + cache_misses` always holds.
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses
-    }
-
-    /// Attaches a frontier-prefetch queue (see
-    /// [`with_frontier_prefetch`](crate::with_frontier_prefetch)): on each
-    /// node expansion, up to `queue.width()` child nodes are nominated for
-    /// background decode into the tree's cache. Rank order is unaffected.
-    pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
-        self.prefetch = queue;
-        self
     }
 
     /// Current search-frontier (priority queue) size.
@@ -154,17 +142,12 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
                     self.nodes_read += 1;
                     self.cache_hits += u64::from(hit);
                     self.cache_misses += u64::from(!hit);
-                    let mut speculate = self.prefetch.width();
                     for i in 0..node.len() {
                         let child = node.child(i);
                         let d = OrderedF64(node.rect(i).min_dist(&self.query));
                         let item = if node.is_leaf() {
                             Item::Object(child)
                         } else {
-                            if speculate > 0 {
-                                self.prefetch.enqueue(child);
-                                speculate -= 1;
-                            }
                             Item::Node(child)
                         };
                         self.heap.push(Reverse((d, self.seq, item)));

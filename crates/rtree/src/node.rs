@@ -28,7 +28,7 @@ const VERSION: u8 = 1;
 
 /// One node entry: a child reference, its MBR, and its payload.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Entry<const N: usize> {
+pub(crate) struct Entry<const N: usize> {
     /// Object pointer (leaf) or child node id (internal).
     pub child: u64,
     /// Minimum bounding rectangle of the child.
@@ -51,7 +51,7 @@ impl<const N: usize> Entry<N> {
 
 /// An in-memory node image.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Node<const N: usize> {
+pub(crate) struct Node<const N: usize> {
     /// First block of the node's extent.
     pub id: NodeId,
     /// 0 for leaves; parents of level-`ℓ` nodes are level `ℓ + 1`.
@@ -165,11 +165,11 @@ impl<const N: usize> Node<N> {
 /// serves entries by offset — no per-entry `Vec<u8>` payload copies, no
 /// per-entry allocation at all.
 ///
-/// This is the read-path twin of [`Node`]: query traversals (nearest
+/// This is the one node form outside the crate: query traversals (nearest
 /// neighbor, window search, signature pruning) only ever need indexed
 /// access to `child`, `rect`, and a borrowed `payload` slice, which
-/// [`NodeBuf`] provides straight out of the arena. Mutations still go
-/// through the owned [`Node`] representation.
+/// [`NodeBuf`] provides straight out of the arena. Mutations go through
+/// the crate-private owned `Node`, decoded from the same bytes.
 #[derive(Debug, Clone)]
 pub struct NodeBuf<const N: usize> {
     id: NodeId,
@@ -182,7 +182,7 @@ pub struct NodeBuf<const N: usize> {
 
 impl<const N: usize> NodeBuf<N> {
     /// Takes ownership of a node's extent bytes and validates the header
-    /// and entry region, exactly like [`Node::decode`] — same error
+    /// and entry region, exactly like the owned `Node::decode` — same error
     /// messages, one allocation total (the buffer itself, which callers
     /// typically already hold).
     pub fn decode(id: NodeId, buf: Vec<u8>, payload_size: usize) -> Result<Self> {
@@ -203,12 +203,6 @@ impl<const N: usize> NodeBuf<N> {
             payload_size,
             buf: buf.into_boxed_slice(),
         })
-    }
-
-    /// Encodes an owned node into arena form (test and tooling helper).
-    pub fn from_node(node: &Node<N>, payload_size: usize) -> Self {
-        let bytes = node.encode(payload_size, 1);
-        Self::decode(node.id, bytes, payload_size).expect("encode produced a valid node")
     }
 
     /// First block of the node's extent.
@@ -303,22 +297,6 @@ impl<const N: usize> NodeBuf<N> {
         assert!(self.count > 0, "mbr of empty node");
         (1..self.count).fold(self.rect(0), |acc, i| acc.union(&self.rect(i)))
     }
-
-    /// Materializes an owned [`Node`] (copies every entry; off the hot
-    /// path by construction).
-    pub fn to_node(&self) -> Node<N> {
-        Node {
-            id: self.id,
-            level: self.level,
-            entries: (0..self.count)
-                .map(|i| Entry {
-                    child: self.child(i),
-                    rect: self.rect(i),
-                    payload: self.payload(i).to_vec(),
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -404,7 +382,6 @@ mod tests {
             assert_eq!(nb.payload(i), e.payload.as_slice());
         }
         assert_eq!(nb.mbr(), node.mbr());
-        assert_eq!(nb.to_node(), node);
         assert_eq!(
             nb.children().collect::<Vec<_>>(),
             node.entries.iter().map(|e| e.child).collect::<Vec<_>>()
@@ -424,16 +401,6 @@ mod tests {
         let mut bad_ver = bytes.clone();
         bad_ver[1] = 99;
         assert!(NodeBuf::<2>::decode(0, bad_ver, 0).is_err());
-    }
-
-    #[test]
-    fn nodebuf_from_node_roundtrips() {
-        let mut node = Node::<2>::new(3, 0);
-        node.entries
-            .push(Entry::new(7, rect(2.0, 2.0), vec![0xAB; 4]));
-        let nb = NodeBuf::from_node(&node, 4);
-        assert_eq!(nb.to_node(), node);
-        assert!(nb.is_leaf());
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl MutCtx {
 /// reference objects by an opaque `u64` (an `ObjPtr` in the full system).
 ///
 /// Concurrency: any number of concurrent readers ([`RTree::nearest`],
-/// [`RTree::read_node`]) xor one writer ([`RTree::insert`],
+/// [`RTree::read_node_buf`]) xor one writer ([`RTree::insert`],
 /// [`RTree::delete`]) — the usual index discipline; metadata is internally
 /// locked so mixing merely risks non-repeatable reads, not corruption.
 ///
@@ -407,16 +407,17 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 
     /// Reads the node at `id` (one random block access plus sequential ones
     /// for multi-block nodes), verifying every block's checksum.
-    pub fn read_node(&self, id: NodeId) -> Result<Node<N>> {
+    pub(crate) fn read_node(&self, id: NodeId) -> Result<Node<N>> {
         let (buf, payload_size) = self.read_node_bytes(id)?;
         Node::decode(id, &buf, payload_size)
     }
 
-    /// Reads the node at `id` into an arena-backed [`NodeBuf`] — the same
-    /// validation as [`read_node`](RTree::read_node) but zero per-entry
-    /// allocations: the extent buffer itself is the only heap traffic.
-    /// Query paths (nearest neighbor, window search, cached traversals)
-    /// use this; mutations keep the owned [`Node`] form.
+    /// Reads the node at `id` (one random block access plus sequential ones
+    /// for multi-block nodes) into an arena-backed [`NodeBuf`], verifying
+    /// every block's checksum. No per-entry allocation: the extent buffer
+    /// itself is the only heap traffic. Every query path (nearest neighbor,
+    /// window search, cached traversals) reads nodes in this form; the owned
+    /// form is the mutation path's and stays inside the crate.
     pub fn read_node_buf(&self, id: NodeId) -> Result<NodeBuf<N>> {
         let (buf, payload_size) = self.read_node_bytes(id)?;
         NodeBuf::decode(id, buf, payload_size)
@@ -448,7 +449,8 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 
     /// Reads the node at `id` through the decoded-node cache, returning the
     /// shared image and whether it was a cache hit. Without an attached
-    /// cache this is [`read_node`](RTree::read_node) plus an allocation.
+    /// cache this is [`read_node_buf`](RTree::read_node_buf) plus an
+    /// allocation.
     ///
     /// The epoch is snapshotted *before* the device read: if a mutation
     /// commits while the node is being decoded, the stale image is dropped
@@ -523,7 +525,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 
     /// All object references in the subtree rooted at `node` (reads the
     /// subtree's nodes — a real, tracked I/O cost).
-    pub fn collect_objects(&self, node: &Node<N>) -> Result<Vec<u64>> {
+    pub(crate) fn collect_objects(&self, node: &Node<N>) -> Result<Vec<u64>> {
         let mut out = Vec::new();
         self.collect_objects_into(node, &mut out)?;
         Ok(out)

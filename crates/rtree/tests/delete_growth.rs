@@ -64,14 +64,13 @@ fn a_delete_that_dissolves_an_internal_node_grows_the_device_by_a_few_paths() {
         [1, 2, 9]
     );
 
-    let root = tree.read_node(tree.root().unwrap()).unwrap();
-    let last = tree.read_node(root.entries.last().unwrap().child).unwrap();
-    assert_eq!(last.entries.len(), 2, "the under-full level-1 node");
-    let leaf = tree.read_node(last.entries[0].child).unwrap();
-    let victim = &leaf.entries[0];
+    let root = tree.read_node_buf(tree.root().unwrap()).unwrap();
+    let last = tree.read_node_buf(root.child(root.len() - 1)).unwrap();
+    assert_eq!(last.len(), 2, "the under-full level-1 node");
+    let leaf = tree.read_node_buf(last.child(0)).unwrap();
 
     let before = tree.size_bytes();
-    assert!(tree.delete(victim.child, &victim.rect).unwrap());
+    assert!(tree.delete(leaf.child(0), &leaf.rect(0)).unwrap());
     let grown = tree.size_bytes() - before;
 
     // 15 orphans went back in. Copying the root path per orphan costs

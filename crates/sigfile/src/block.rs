@@ -13,57 +13,10 @@
 //! the per-entry scalar result ([`Signature::contains`]) — same bits, same
 //! answers, no tolerance. A block has no column for a position at or beyond
 //! `bits`, so garbage in a payload's padding bits cannot flip a verdict. The
-//! [`ScalarKernelGuard`] toggle forces every dispatching call site back onto
-//! the per-entry scalar path, which is how the differential fuzzer
-//! (`ir2 fuzz`) pins kernel == scalar across all engines and scenarios.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! tests compute the scalar result themselves and compare every kernel
+//! with it.
 
 use crate::Signature;
-
-/// When set, dispatching kernel entry points ([`SignatureBlock::
-/// matches_mask_into`], [`kernel_contains`], [`payload_contains`]) take the
-/// per-entry scalar path instead of the batched word kernels. Both paths
-/// are exact, so flipping this can never change an answer — which is
-/// exactly the invariant the differential fuzzer checks.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the scalar fallback globally. Prefer
-/// [`ScalarKernelGuard`] for scoped use.
-pub fn force_scalar_kernels(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// True while the scalar fallback is forced.
-pub fn scalar_kernels_forced() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
-
-/// RAII scope forcing the scalar fallback; restores the previous state on
-/// drop. Used by the oracle harness's `scalar-kernel` engine variants.
-pub struct ScalarKernelGuard {
-    prev: bool,
-}
-
-impl ScalarKernelGuard {
-    /// Forces the scalar path until the guard drops.
-    pub fn new() -> Self {
-        let prev = FORCE_SCALAR.swap(true, Ordering::Relaxed);
-        Self { prev }
-    }
-}
-
-impl Default for ScalarKernelGuard {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ScalarKernelGuard {
-    fn drop(&mut self) {
-        FORCE_SCALAR.store(self.prev, Ordering::Relaxed);
-    }
-}
 
 /// Up to eight little-endian bytes as a word, zero-extended — the last
 /// chunk of a payload whose length is not a multiple of eight is short.
@@ -299,21 +252,12 @@ impl SignatureBlock {
     /// the mask has grown to the block's size): start from "every entry
     /// matches" and AND in the column of each bit the query sets, stopping
     /// once no entry is left. One loop for every signature width; an empty
-    /// query (or a 0-bit scheme) ANDs nothing and matches everything. Under
-    /// [`ScalarKernelGuard`] the verdicts come from
-    /// [`contains_at`](SignatureBlock::contains_at) instead.
+    /// query (or a 0-bit scheme) ANDs nothing and matches everything.
     ///
     /// # Panics
     /// Panics if `query.bits() != self.bits()`.
     pub fn matches_mask_into(&self, query: &Signature, out: &mut EntryMask) {
         assert_eq!(self.bits, query.bits(), "signature length mismatch");
-        if scalar_kernels_forced() {
-            out.clear();
-            for i in 0..self.count {
-                out.push(self.contains_at(i, query));
-            }
-            return;
-        }
         out.reset_all_set(self.count);
         for b in ones(query.words()) {
             let mut live = 0u64;
@@ -328,33 +272,6 @@ impl SignatureBlock {
     }
 }
 
-/// Containment over word slices: accumulate `(s & q) ^ q` (zero iff every
-/// query bit is present) in 4-word chunks, checking for a verdict once per
-/// chunk — branch-light enough to vectorize, yet it still exits early on
-/// the long 189 B signatures where a miss shows up in the first words.
-#[inline]
-fn contains_words(row: &[u64], q: &[u64]) -> bool {
-    debug_assert_eq!(row.len(), q.len());
-    let mut j = 0usize;
-    let n = row.len();
-    while j + 4 <= n {
-        let acc = ((row[j] & q[j]) ^ q[j])
-            | ((row[j + 1] & q[j + 1]) ^ q[j + 1])
-            | ((row[j + 2] & q[j + 2]) ^ q[j + 2])
-            | ((row[j + 3] & q[j + 3]) ^ q[j + 3]);
-        if acc != 0 {
-            return false;
-        }
-        j += 4;
-    }
-    let mut acc = 0u64;
-    while j < n {
-        acc |= (row[j] & q[j]) ^ q[j];
-        j += 1;
-    }
-    acc == 0
-}
-
 /// Zero-copy containment against a serialized signature (the exact bytes
 /// [`Signature::write_bytes`] produces, e.g. an SSF page entry or a tree
 /// node payload): words are assembled with little-endian loads and tested
@@ -367,7 +284,7 @@ fn contains_words(row: &[u64], q: &[u64]) -> bool {
 ///
 /// # Panics
 /// Panics if `sig_bytes.len() != query.byte_len()`.
-pub fn bytes_contain(sig_bytes: &[u8], query: &Signature) -> bool {
+pub fn payload_contains(sig_bytes: &[u8], query: &Signature) -> bool {
     assert_eq!(
         sig_bytes.len(),
         query.byte_len(),
@@ -378,18 +295,6 @@ pub fn bytes_contain(sig_bytes: &[u8], query: &Signature) -> bool {
         .chunks(8)
         .zip(query.words())
         .all(|(chunk, &q)| q == 0 || le_word(chunk) & q == q)
-}
-
-/// Dispatching containment over a serialized payload: the zero-copy byte
-/// kernel, or (under [`ScalarKernelGuard`]) a full per-entry decode plus
-/// scalar [`Signature::contains`] — the pre-kernel code path, kept callable
-/// so the differential fuzzer can pin the two.
-pub fn payload_contains(sig_bytes: &[u8], query: &Signature) -> bool {
-    if scalar_kernels_forced() {
-        Signature::from_bytes(query.bits(), sig_bytes).contains(query)
-    } else {
-        bytes_contain(sig_bytes, query)
-    }
 }
 
 /// The containment mask of a node tested where it lies: `out` gets one
@@ -411,17 +316,36 @@ pub fn payloads_mask_into<'a>(
     }
 }
 
-/// Dispatching signature-vs-signature containment: the branch-light word
-/// kernel, or the scalar short-circuit loop under [`ScalarKernelGuard`].
-/// Used by call sites that keep decoded [`Signature`]s (the grid index's
-/// cell summaries).
+/// Signature-vs-signature containment for call sites that keep decoded
+/// [`Signature`]s (the grid index's cell summaries): accumulate
+/// `(s & q) ^ q` (zero iff every query bit is present) in 4-word chunks,
+/// checking for a verdict once per chunk — branch-light enough to
+/// vectorize, yet it still exits early on the long 189 B signatures where a
+/// miss shows up in the first words.
+///
+/// # Panics
+/// Panics if `sig.bits() != query.bits()`.
 pub fn kernel_contains(sig: &Signature, query: &Signature) -> bool {
     assert_eq!(sig.bits(), query.bits(), "signature length mismatch");
-    if scalar_kernels_forced() {
-        sig.contains(query)
-    } else {
-        contains_words(sig.words(), query.words())
+    let (row, q) = (sig.words(), query.words());
+    let mut j = 0usize;
+    let n = row.len();
+    while j + 4 <= n {
+        let acc = ((row[j] & q[j]) ^ q[j])
+            | ((row[j + 1] & q[j + 1]) ^ q[j + 1])
+            | ((row[j + 2] & q[j + 2]) ^ q[j + 2])
+            | ((row[j + 3] & q[j + 3]) ^ q[j + 3]);
+        if acc != 0 {
+            return false;
+        }
+        j += 4;
     }
+    let mut acc = 0u64;
+    while j < n {
+        acc |= (row[j] & q[j]) ^ q[j];
+        j += 1;
+    }
+    acc == 0
 }
 
 /// A bitmask over a node's entries: bit `i` is the containment verdict of
@@ -635,24 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_guard_flips_dispatch_not_answers() {
-        let bits = 1512;
-        let sigs = doc_sigs(bits, 40);
-        let block = block_of(bits, &sigs);
-        let q = SignatureScheme::new(bits, 4, 9).sign_term("t5-0");
-        let fast = block.matches_mask(&q);
-        {
-            let _g = ScalarKernelGuard::new();
-            assert!(scalar_kernels_forced());
-            let slow = block.matches_mask(&q);
-            for i in 0..block.len() {
-                assert_eq!(fast.get(i), slow.get(i));
-            }
-        }
-        assert!(!scalar_kernels_forced(), "guard restores on drop");
-    }
-
-    #[test]
     fn bytes_contain_matches_decode_path() {
         for bits in [8usize, 100, 1512] {
             let scheme = SignatureScheme::new(bits, 4, 9);
@@ -663,11 +569,10 @@ mod tests {
                 for probe in [format!("d{i}a"), "absent".to_string()] {
                     let q = scheme.sign_term(&probe);
                     assert_eq!(
-                        bytes_contain(&buf, &q),
+                        payload_contains(&buf, &q),
                         Signature::from_bytes(bits, &buf).contains(&q),
                         "bits={bits} i={i} probe={probe}"
                     );
-                    assert_eq!(payload_contains(&buf, &q), bytes_contain(&buf, &q));
                     assert_eq!(kernel_contains(&s, &q), s.contains(&q));
                 }
             }

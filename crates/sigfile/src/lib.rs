@@ -25,20 +25,17 @@
 //!   the entries per signature bit, built by 64×64 bit-matrix transposes),
 //!   whose one bit-exact containment kernel
 //!   ([`SignatureBlock::matches_mask_into`]) ANDs the bitmaps of the bits
-//!   the query sets; [`payloads_mask_into`] / [`bytes_contain`], which give
-//!   the same verdicts from the page bytes with nothing built, for a node
-//!   that is read once; and the [`ScalarKernelGuard`] toggle the
-//!   differential fuzzer uses to pin kernel == scalar.
+//!   the query sets; and [`payloads_mask_into`] / [`payload_contains`],
+//!   which give the same verdicts from the page bytes with nothing built,
+//!   for a node that is read once. [`Signature::contains`] is the scalar
+//!   reference the tests pin every kernel to.
 
 mod block;
 mod multilevel;
 mod scheme;
 mod signature;
 
-pub use block::{
-    bytes_contain, force_scalar_kernels, kernel_contains, payload_contains, payloads_mask_into,
-    scalar_kernels_forced, EntryMask, ScalarKernelGuard, SignatureBlock,
-};
+pub use block::{kernel_contains, payload_contains, payloads_mask_into, EntryMask, SignatureBlock};
 pub use multilevel::MultiLevelScheme;
 pub use scheme::{expected_false_positive, optimal_bits, optimal_params, SignatureScheme};
 pub use signature::Signature;

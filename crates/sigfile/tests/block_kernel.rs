@@ -5,8 +5,8 @@
 //! become a column) and empty/zero-bit signatures.
 
 use ir2_sigfile::{
-    bytes_contain, kernel_contains, payloads_mask_into, EntryMask, ScalarKernelGuard, Signature,
-    SignatureBlock, SignatureScheme,
+    kernel_contains, payload_contains, payloads_mask_into, EntryMask, Signature, SignatureBlock,
+    SignatureScheme,
 };
 use proptest::prelude::*;
 
@@ -38,10 +38,10 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 proptest! {
-    /// The three ways to a node's containment mask agree bit for bit, with
-    /// and without the scalar guard: the bit-sliced block (built from
-    /// payloads and from signatures), the in-place pass over the payload
-    /// bytes, and `Signature::contains` per entry — at entry counts on both
+    /// The three ways to a node's containment mask agree bit for bit: the
+    /// bit-sliced block (built from payloads and from signatures), the
+    /// in-place pass over the payload bytes, and the scalar reference
+    /// `Signature::contains` per entry — at entry counts on both
     /// sides of the bitmap word and with garbage in the padding bits of
     /// every payload's last byte. The row accessors read the same
     /// signatures back out of the columns.
@@ -93,21 +93,18 @@ proptest! {
             SignatureBlock::from_payloads(bits, payloads.iter().map(Vec::as_slice));
         let from_signatures = SignatureBlock::from_signatures(bits, sigs.iter());
         let mut mask = EntryMask::new();
-        for forced in [false, true] {
-            let _guard = forced.then(ScalarKernelGuard::new);
-            for block in [&from_payloads, &from_signatures] {
-                block.matches_mask_into(&query, &mut mask);
-                prop_assert_eq!(mask.len(), count);
-                let got: Vec<bool> = (0..count).map(|i| mask.get(i)).collect();
-                prop_assert_eq!(&got, &want, "block, forced {}", forced);
-                prop_assert_eq!(mask.count_ones(), want.iter().filter(|&&m| m).count());
-            }
-            payloads_mask_into(payloads.iter().map(Vec::as_slice), &query, &mut mask);
+        for block in [&from_payloads, &from_signatures] {
+            block.matches_mask_into(&query, &mut mask);
             prop_assert_eq!(mask.len(), count);
             let got: Vec<bool> = (0..count).map(|i| mask.get(i)).collect();
-            prop_assert_eq!(&got, &want, "in place, forced {}", forced);
+            prop_assert_eq!(&got, &want, "block");
             prop_assert_eq!(mask.count_ones(), want.iter().filter(|&&m| m).count());
         }
+        payloads_mask_into(payloads.iter().map(Vec::as_slice), &query, &mut mask);
+        prop_assert_eq!(mask.len(), count);
+        let got: Vec<bool> = (0..count).map(|i| mask.get(i)).collect();
+        prop_assert_eq!(&got, &want, "in place");
+        prop_assert_eq!(mask.count_ones(), want.iter().filter(|&&m| m).count());
 
         let mut union = Signature::zero(bits);
         for (i, s) in sigs.iter().enumerate() {
@@ -168,11 +165,9 @@ proptest! {
         prop_assert_eq!(from_iter, from_get);
         prop_assert_eq!(mask.count_ones(), sigs.iter().filter(|s| s.contains(&query)).count());
 
-        // Forcing the scalar path never changes a verdict.
-        let _g = ScalarKernelGuard::new();
-        let slow = block.matches_mask(&query);
+        // The block's own per-entry scalar path gives the same verdicts.
         for i in 0..block.len() {
-            prop_assert_eq!(mask.get(i), slow.get(i));
+            prop_assert_eq!(mask.get(i), block.contains_at(i, &query));
         }
     }
 
@@ -235,10 +230,7 @@ proptest! {
         let mut buf = vec![0u8; sig.byte_len()];
         sig.write_bytes(&mut buf);
         let scalar = Signature::from_bytes(bits, &buf).contains(&q);
-        prop_assert_eq!(bytes_contain(&buf, &q), scalar);
-        prop_assert_eq!(kernel_contains(&sig, &q), scalar);
-        let _g = ScalarKernelGuard::new();
-        prop_assert_eq!(ir2_sigfile::payload_contains(&buf, &q), scalar);
+        prop_assert_eq!(payload_contains(&buf, &q), scalar);
         prop_assert_eq!(kernel_contains(&sig, &q), scalar);
     }
 }

@@ -155,10 +155,7 @@ impl<D: BlockDevice> SignatureFile<D> {
                 scanned += 1;
                 let off = e * entry_len;
                 // Zero-copy containment straight against the page-resident
-                // bytes — no per-signature heap decode. `payload_contains`
-                // falls back to decode-then-contains under the scalar
-                // kernel guard, which the differential fuzzer uses to pin
-                // both paths to identical answers.
+                // bytes — no per-signature heap decode.
                 if payload_contains(&block[off + 8..off + entry_len], query) {
                     let ptr = u64::from_le_bytes(block[off..off + 8].try_into().expect("8 bytes"));
                     f(ObjPtr(ptr));
