@@ -908,10 +908,11 @@ pub fn stats(args: &[String], out: &mut impl Write) -> CliResult {
     if cache.is_empty() {
         say!(out, "node cache:         off");
     } else {
-        for (tree, hits, misses) in cache {
+        for (tree, hits, misses, invalidated) in cache {
             say!(
                 out,
-                "node cache {tree:<8} {hits} hits / {misses} misses this process"
+                "node cache {tree:<8} {hits} hits / {misses} misses / \
+                 {invalidated} invalidated this process"
             );
         }
     }

@@ -30,7 +30,9 @@ pub struct DbConfig {
     pub avg_words_hint: Option<f64>,
     /// Decoded-node cache capacity per tree, in nodes (0 disables the
     /// cache). Warm traversals then skip checksum verification and entry
-    /// decoding; per-tree mutation epochs keep cached images fresh.
+    /// decoding, and test signatures through the bit-sliced block each
+    /// cached image holds; a commit invalidates the images of the nodes it
+    /// wrote and no others.
     pub node_cache: usize,
 }
 

@@ -1402,13 +1402,17 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             .set_gauge("db_objects", self.build_stats.objects as f64);
         self.metrics
             .set_gauge("db_vocabulary_terms", self.build_stats.unique_words as f64);
-        for (tree, hits, misses) in self.node_cache_stats() {
-            self.metrics
-                .set_gauge(&format!("node_cache_hits{{tree=\"{tree}\"}}"), hits as f64);
-            self.metrics.set_gauge(
-                &format!("node_cache_misses{{tree=\"{tree}\"}}"),
-                misses as f64,
-            );
+        for (tree, hits, misses, invalidated) in self.node_cache_stats() {
+            for (name, value) in [
+                ("hits", hits),
+                ("misses", misses),
+                ("invalidated", invalidated),
+            ] {
+                self.metrics.set_gauge(
+                    &format!("node_cache_{name}{{tree=\"{tree}\"}}"),
+                    value as f64,
+                );
+            }
         }
         self.metrics.export_prometheus()
     }
@@ -1430,24 +1434,24 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
-    /// Cumulative decoded-node cache `(tree, hits, misses)` per tree, in
-    /// `("rtree", "ir2", "mir2")` order. Empty when the cache is disabled
+    /// Cumulative decoded-node cache `(tree, hits, misses, invalidated)`
+    /// per tree, in `("rtree", "ir2", "mir2")` order; `invalidated` counts
+    /// the images commits removed — per commit, as many of the nodes it
+    /// wrote as were cached. Empty when the cache is disabled
     /// (`DbConfig::node_cache == 0`).
-    pub fn node_cache_stats(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut out = Vec::new();
-        if let Some(c) = self.rtree.node_cache() {
-            let (h, m) = c.hit_stats();
-            out.push(("rtree", h, m));
-        }
-        if let Some(c) = self.ir2.node_cache() {
-            let (h, m) = c.hit_stats();
-            out.push(("ir2", h, m));
-        }
-        if let Some(c) = self.mir2.node_cache() {
-            let (h, m) = c.hit_stats();
-            out.push(("mir2", h, m));
-        }
-        out
+    pub fn node_cache_stats(&self) -> Vec<(&'static str, u64, u64, u64)> {
+        [
+            ("rtree", self.rtree.node_cache()),
+            ("ir2", self.ir2.node_cache()),
+            ("mir2", self.mir2.node_cache()),
+        ]
+        .into_iter()
+        .filter_map(|(tree, cache)| {
+            let cache = cache?;
+            let (hits, misses) = cache.hit_stats();
+            Some((tree, hits, misses, cache.invalidated()))
+        })
+        .collect()
     }
 
     /// Total I/O since the counters were last reset, per structure:

@@ -166,6 +166,74 @@ fn insert_and_delete_maintain_all_trees() {
     assert!(!db.delete(ptr).unwrap(), "double delete reports absence");
 }
 
+/// A commit costs the node cache the nodes it wrote and no others: after an
+/// insert or a delete, a scan of the whole tree misses exactly the nodes
+/// the old tree did not have, is served every other one, and answers from
+/// the new tree. `save_catalog` between the commits hands the extents one
+/// commit freed to the next, so most of what is written lands on an id
+/// whose previous node is still cached — the reuse hazard — and a cached
+/// read of every node must give what the device holds.
+#[test]
+fn a_commit_invalidates_the_nodes_it_wrote_and_no_others() {
+    let config = small_config().with_node_cache(512);
+    let mut db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(200), config).unwrap();
+    let scan = DistanceFirstQuery::<2>::new([12.0, 4.0], &[] as &[&str], 1000);
+    let mut live = 200;
+    let mut ptrs = Vec::new();
+    for round in 0..10u64 {
+        let insert = round % 3 != 2;
+        db.distance_first(Algorithm::Ir2, &scan).unwrap();
+        let before = db.ir2_tree().node_ids().unwrap();
+        if insert {
+            let at = [round as f64 * 2.5, 3.5];
+            ptrs.push(
+                db.insert(&SpatialObject::new(1000 + round, at, "new coffee"))
+                    .unwrap(),
+            );
+            live += 1;
+        } else {
+            assert!(db.delete(ptrs.remove(0)).unwrap());
+            live -= 1;
+        }
+        let after = db.ir2_tree().node_ids().unwrap();
+        let written = after.iter().filter(|id| !before.contains(id)).count() as u64;
+        assert!(written >= 1, "round {round}: the root moved");
+
+        let rep = db.distance_first(Algorithm::Ir2, &scan).unwrap();
+        assert_eq!(rep.results.len(), live, "round {round}");
+        assert_eq!(rep.counters.nodes_read, after.len() as u64, "round {round}");
+        assert_eq!(rep.counters.cache_misses, written, "round {round}");
+        assert_eq!(rep.counters.cache_hits, after.len() as u64 - written);
+        assert!(
+            rep.counters.cache_hits > 0,
+            "round {round}: the cache survived"
+        );
+
+        for &id in &after {
+            let (image, hit) = db.ir2_tree().read_node_cached(id).unwrap();
+            assert!(hit, "round {round}: the scan cached node {id}");
+            let on_disk = db.ir2_tree().read_node_buf(id).unwrap();
+            assert!(
+                image.children().eq(on_disk.children()),
+                "round {round}: stale node {id}"
+            );
+            assert_eq!(image.level(), on_disk.level());
+        }
+        db.save_catalog().unwrap();
+    }
+    // An image is invalidated only when a commit writes an extent whose
+    // previous node is still cached: that is the reuse having happened.
+    let stats = db.node_cache_stats();
+    let (_, _, _, invalidated) = stats.iter().find(|s| s.0 == "ir2").unwrap();
+    assert!(
+        *invalidated > 0,
+        "no commit ever wrote over a cached extent"
+    );
+    assert!(db.metrics_prometheus().contains(&format!(
+        "node_cache_invalidated{{tree=\"ir2\"}} {invalidated}"
+    )));
+}
+
 #[test]
 fn incremental_build_matches_bulk_build() {
     let objs = town(180);

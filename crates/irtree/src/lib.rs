@@ -51,6 +51,19 @@
 //! code path, property-tested cell by cell in `tests/props.rs`. The
 //! general algorithm is not incremental; its full form with a sink and
 //! limits is [`general_topk_with`].
+//!
+//! # One signature form per node image
+//!
+//! Both algorithms test a visited node's entries in one call that fills
+//! an [`EntryMask`](ir2_sigfile::EntryMask). What it reads depends on the
+//! image [`RTree::read_node_cached`](ir2_rtree::RTree::read_node_cached)
+//! handed over, never on a setting: an image out of the tree's node cache
+//! holds the node's signatures only as the bit-sliced
+//! [`SignatureBlock`](ir2_sigfile::SignatureBlock) the payloads'
+//! [`slice_payloads`](ir2_rtree::PayloadOps::slice_payloads) built when
+//! the image was installed, and the visit ANDs a few of its columns; a
+//! tree without a cache hands over the page, and the entries are tested
+//! where they lie with nothing built. The masks are equal bit for bit.
 
 mod baseline;
 mod diagnostics;
@@ -68,9 +81,7 @@ pub use distance_first::{distance_first_topk, DistanceFirstIter};
 pub use general::{general_topk, general_topk_with, GeneralQuery, ScoredResult};
 pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};
-pub use search::{
-    collect_topk, BoundedSearch, BoundedStep, LimitedTopk, SearchCounters, BLOCK_AFTER_HITS,
-};
+pub use search::{collect_topk, BoundedSearch, BoundedStep, LimitedTopk, SearchCounters};
 pub use trace::{LevelPruning, NopSink, StatsSink, TraceEvent, TraceSink, TraceStats, VecSink};
 pub use window::keyword_window_query;
 

@@ -1,10 +1,11 @@
 //! Signature payload strategies for the augmented R-Tree.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use ir2_model::{ObjPtr, ObjectSource};
 use ir2_rtree::PayloadOps;
-use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
+use ir2_sigfile::{MultiLevelScheme, SignatureBlock, SignatureScheme};
 use ir2_text::tokenize;
 
 /// A [`PayloadOps`] whose payloads are signatures, exposing the per-level
@@ -17,6 +18,19 @@ pub trait SigPayload: PayloadOps {
     fn leaf_scheme(&self) -> &SignatureScheme {
         self.scheme_at(0)
     }
+}
+
+/// The sliced form of signature payloads: the node's signatures under
+/// `scheme`, bit-sliced. What both trees' [`PayloadOps::slice_payloads`]
+/// box and `signature_mask_into` reads back.
+fn signature_block(
+    scheme: &SignatureScheme,
+    entry_payloads: &mut dyn Iterator<Item = &[u8]>,
+) -> Option<Box<dyn Any + Send + Sync>> {
+    Some(Box::new(SignatureBlock::from_payloads(
+        scheme.bits(),
+        entry_payloads,
+    )))
 }
 
 /// `acc |= other`, eight bytes at a time.
@@ -95,6 +109,14 @@ impl PayloadOps for Ir2Payload {
 
     fn lift_object(&self, _child: u64, leaf_payload: &[u8], _node_level: u16) -> Vec<u8> {
         leaf_payload.to_vec()
+    }
+
+    fn slice_payloads(
+        &self,
+        _node_level: u16,
+        entry_payloads: &mut dyn Iterator<Item = &[u8]>,
+    ) -> Option<Box<dyn Any + Send + Sync>> {
+        signature_block(&self.scheme, entry_payloads)
     }
 }
 
@@ -225,6 +247,14 @@ impl<const N: usize> PayloadOps for MirPayload<N> {
 
     fn strict_maintenance(&self) -> bool {
         self.strict
+    }
+
+    fn slice_payloads(
+        &self,
+        node_level: u16,
+        entry_payloads: &mut dyn Iterator<Item = &[u8]>,
+    ) -> Option<Box<dyn Any + Send + Sync>> {
+        signature_block(self.schemes.scheme(node_level), entry_payloads)
     }
 }
 

@@ -32,43 +32,30 @@ pub struct SearchCounters {
     pub cache_misses: u64,
 }
 
-/// Cache hits a node image must have served before its bit-sliced
-/// [`SignatureBlock`] is built.
-///
-/// Transposing a Hotels-sized node (≈ 100 entries × 1 512 bits) costs
-/// 8–13 µs, five to eight times an in-place pass over it, and a block pass
-/// saves ≈ 1.5 µs per later visit — but an image's life ends at the next
-/// commit, which nothing here can foresee. Building on the first hit moved
-/// the p99 of a tree that commits every hundred queries by +31 %: its
-/// leaves see about eleven visits per commit, and the transposes of a
-/// thousand of them land in single queries (EXPERIMENTS.md, "Why the block
-/// waits for 24 hits", has the sweep over this constant). Two dozen hits
-/// are reuse no such tree shows below its top levels, and cost a
-/// read-mostly tree ≈ 35 µs of in-place passes per node, once.
-pub const BLOCK_AFTER_HITS: u32 = 24;
-
 /// "if s matches w" for every entry of a visited node at once: bit `i` of
 /// `out` says whether entry `i`'s signature contains `query` (the query
 /// signature of the node's level).
 ///
-/// An image that has been served from the node cache
-/// [`BLOCK_AFTER_HITS`] times is read again and again: its payloads are
-/// transposed into a bit-sliced [`SignatureBlock`] once, kept on the image,
-/// and this and every later visit ANDs a handful of its columns. Until then
-/// — on every visit of a tree without a cache, where an image never counts
-/// a hit, and on the first visits after a commit emptied the cache — the
-/// entries are tested where they lie on the page and nothing is built. Both
-/// give the same mask.
+/// An image out of the node cache holds its signatures as the bit-sliced
+/// [`SignatureBlock`] the tree built when it installed the image — a miss
+/// pays the transpose (8–13 µs for a Hotels-sized node) once, and the image
+/// then outlives every commit that does not rewrite its node — and a visit
+/// ANDs a handful of its columns. An image that kept its page (every visit
+/// of a tree without a cache) has its entries tested where they lie, and
+/// nothing is built. Both give the same mask.
 pub(crate) fn signature_mask_into<const N: usize>(
     node: &CachedNode<N>,
     query: &Signature,
     out: &mut EntryMask,
 ) {
-    if node.hits() >= BLOCK_AFTER_HITS {
-        node.decorations(|n| SignatureBlock::from_payloads(query.bits(), n.payloads()))
-            .matches_mask_into(query, out);
-    } else {
-        payloads_mask_into(node.payloads(), query, out);
+    match node.sliced::<SignatureBlock>() {
+        Some(block) => block.matches_mask_into(query, out),
+        None => {
+            let page = node
+                .page()
+                .expect("an image without a signature block kept its page");
+            payloads_mask_into(page.payloads(), query, out);
+        }
     }
 }
 
@@ -177,4 +164,104 @@ pub fn collect_topk<const N: usize>(
         None => ExecOutcome::Complete(out),
     };
     Ok((outcome, counters))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ir2_geo::{Point, Rect};
+    use ir2_model::ObjectStore;
+    use ir2_rtree::NodeBuf;
+    use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
+    use ir2_storage::{MemDevice, PAGE_PAYLOAD};
+
+    use super::*;
+    use crate::{Ir2Payload, MirPayload, SigPayload};
+
+    const WORDS: [&str; 12] = [
+        "internet", "pool", "spa", "pets", "golf", "sauna", "suite", "gym", "bar", "wifi", "view",
+        "quiet",
+    ];
+
+    /// The page of a node at `level` holding `payloads`, in the on-disk
+    /// layout (`rtree/src/node.rs`): an 8-byte header, then per entry a
+    /// child reference, a rectangle and the payload.
+    fn page(level: u16, payloads: &[Vec<u8>]) -> NodeBuf<2> {
+        let size = payloads.first().map_or(0, Vec::len);
+        let len = 8 + payloads.len() * (8 + Rect::<2>::ENCODED_LEN + size);
+        let nblocks = len.div_ceil(PAGE_PAYLOAD);
+        let mut buf = vec![0xB7, 1];
+        buf.extend_from_slice(&level.to_le_bytes());
+        buf.extend_from_slice(&(payloads.len() as u16).to_le_bytes());
+        buf.extend_from_slice(&(nblocks as u16).to_le_bytes());
+        for (i, p) in payloads.iter().enumerate() {
+            buf.extend_from_slice(&(i as u64).to_le_bytes());
+            let mut rect = [0u8; Rect::<2>::ENCODED_LEN];
+            Rect::from_point(Point::new([i as f64, 1.0])).encode(&mut rect);
+            buf.extend_from_slice(&rect);
+            buf.extend_from_slice(p);
+        }
+        buf.resize(nblocks * PAGE_PAYLOAD, 0);
+        NodeBuf::decode(9, buf, size).unwrap()
+    }
+
+    /// The mask of an image sliced when the cache installs it, the mask of
+    /// the page tested in place and `Signature::contains` entry by entry
+    /// agree — for the IR² scheme at odd bit lengths and for every level of
+    /// a MIR² ladder, at entry counts on both sides of the 64-entry word
+    /// boundary and at the full Hotels fanout.
+    #[test]
+    fn sliced_and_in_place_masks_agree_with_the_scalar_test() {
+        fn check<P: SigPayload>(ops: &P, levels: std::ops::Range<u16>) {
+            for level in levels {
+                let scheme = *ops.scheme_at(level);
+                assert_eq!(ops.entry_size(level), scheme.byte_len());
+                for count in [0usize, 1, 63, 64, 65, 102] {
+                    let payloads: Vec<Vec<u8>> = (0..count)
+                        .map(|i| {
+                            let mut bytes = vec![0u8; scheme.byte_len()];
+                            let terms = (0..1 + i % 4).map(|j| WORDS[(i * 5 + j * 7) % 12]);
+                            scheme.sign_into(&mut bytes, terms);
+                            bytes
+                        })
+                        .collect();
+                    let page = page(level, &payloads);
+                    let in_place = CachedNode::new(page.clone());
+                    let sliced = CachedNode::sliced_by(page, ops);
+                    let block = sliced
+                        .sliced::<SignatureBlock>()
+                        .expect("a signature payload slices into a block");
+                    assert_eq!((block.len(), block.bits()), (count, scheme.bits()));
+                    assert!(sliced.page().is_none(), "signatures are held once");
+
+                    let queries = [
+                        scheme.empty(),
+                        scheme.sign_term(WORDS[3]),
+                        scheme.sign_terms([WORDS[0], WORDS[7]]),
+                        scheme.sign_terms(WORDS),
+                    ];
+                    for query in &queries {
+                        let (mut a, mut b) = (EntryMask::new(), EntryMask::new());
+                        signature_mask_into(&in_place, query, &mut a);
+                        signature_mask_into(&sliced, query, &mut b);
+                        assert_eq!((a.len(), b.len()), (count, count));
+                        for (i, p) in payloads.iter().enumerate() {
+                            let scalar = Signature::from_bytes(scheme.bits(), p).contains(query);
+                            assert_eq!(a.get(i), scalar, "in place: level {level}, entry {i}");
+                            assert_eq!(b.get(i), scalar, "sliced: level {level}, entry {i}");
+                        }
+                    }
+                }
+            }
+        }
+
+        for bits in [61, 64, 77, 1511] {
+            check(&Ir2Payload::new(SignatureScheme::new(bits, 3, 5)), 0..2);
+        }
+        let schemes = MultiLevelScheme::new(4, 3, 7, 4, 2.0, 100);
+        let levels = schemes.num_levels() as u16 + 1;
+        let store = Arc::new(ObjectStore::<2, _>::create(MemDevice::new()));
+        check(&MirPayload::new(schemes, store), 0..levels);
+    }
 }

@@ -2,6 +2,7 @@
 //! generated scenario and checks every answer against the brute-force
 //! reference plus the metamorphic invariants.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
 
@@ -372,6 +373,64 @@ impl Checker {
         Ok(())
     }
 
+    /// One commit of the insert/delete tail on the warm `db`, whose live
+    /// set it turns into `now`. A scan that visits every IR² node runs
+    /// before and after: the commit must have cost the cache the nodes it
+    /// wrote and no others — a node of the new tree that the old tree had
+    /// too is a hit, every other one a miss, never a stale image — and the
+    /// answer is the reference's. The catalog is saved afterwards, so the
+    /// extents this commit freed are what the next one writes over.
+    /// Asserted, not counted: `checks` counts the query sweep.
+    fn tail_commit<T>(
+        &self,
+        db: &mut SpatialKeywordDb<MemDevice>,
+        now: &[SpatialObject<2>],
+        commit: impl FnOnce(&mut SpatialKeywordDb<MemDevice>) -> Result<T, StorageError>,
+    ) -> Result<T, Box<Divergence>> {
+        let fail = |e: StorageError| self.build_fail("mutated", &e);
+        let scan = DistanceFirstQuery::<2>::new([5.0, 5.0], &[] as &[&str], now.len() + 2);
+        db.distance_first(Algorithm::Ir2, &scan).map_err(fail)?;
+        let node_ids = |db: &SpatialKeywordDb<MemDevice>| {
+            let ids = db.ir2_tree().node_ids().map_err(fail)?;
+            Ok::<_, Box<Divergence>>(BTreeSet::from_iter(ids))
+        };
+        let before = node_ids(db)?;
+        let out = commit(db).map_err(fail)?;
+        let after = node_ids(db)?;
+        let rep = db.distance_first(Algorithm::Ir2, &scan).map_err(fail)?;
+        db.save_catalog().map_err(fail)?;
+
+        let kept = after.intersection(&before).count() as u64;
+        let c = &rep.counters;
+        if (c.cache_hits, c.cache_misses) != (kept, after.len() as u64 - kept) {
+            return Err(self.diverge(
+                "ir2(mutated)",
+                "commit-invalidates-what-it-wrote",
+                fmt_query(&scan),
+                format!(
+                    "cache_hits={kept} cache_misses={}",
+                    after.len() as u64 - kept
+                ),
+                format!(
+                    "cache_hits={} cache_misses={}",
+                    c.cache_hits, c.cache_misses
+                ),
+            ));
+        }
+        let expect = reference_ranking(now, &scan);
+        let got = hits_of(&rep.results);
+        if !same_hits(&expect, &got) {
+            return Err(self.diverge(
+                "ir2(mutated)",
+                "oracle-exact",
+                fmt_query(&scan),
+                fmt_hits(&expect),
+                fmt_hits(&got),
+            ));
+        }
+        Ok(out)
+    }
+
     fn run(&mut self, sc: &Scenario) -> Result<(), Box<Divergence>> {
         let live = sc.live();
         let cfg = DbConfig {
@@ -483,22 +542,25 @@ impl Checker {
         // The mutated database starts from `initial` and replays the
         // insert/delete tail. Its inverted index is stale by design
         // (IIO is the paper's static baseline), so only the three tree
-        // algorithms are compared on it.
+        // algorithms are compared on it. It is a warm engine whose cache
+        // holds its trees whole, so `tail_commit` can say exactly which
+        // images each commit may cost it.
+        let mutated_cfg = DbConfig {
+            node_cache: 4096,
+            ..cfg.clone()
+        };
         let mut mutated =
-            SpatialKeywordDb::build(DeviceSet::in_memory(), sc.initial.clone(), cfg.clone())
+            SpatialKeywordDb::build(DeviceSet::in_memory(), sc.initial.clone(), mutated_cfg)
                 .map_err(|e| self.build_fail("mutated", &e))?;
+        let mut now = sc.initial.clone();
         let mut ins_ptrs: Vec<ObjPtr> = Vec::new();
         for o in &sc.inserts {
-            ins_ptrs.push(
-                mutated
-                    .insert(o)
-                    .map_err(|e| self.build_fail("mutated", &e))?,
-            );
+            now.push(o.clone());
+            ins_ptrs.push(self.tail_commit(&mut mutated, &now, |db| db.insert(o))?);
         }
         for &i in &sc.delete_idx {
-            let found = mutated
-                .delete(ins_ptrs[i])
-                .map_err(|e| self.build_fail("mutated", &e))?;
+            now.retain(|o| o.id != sc.inserts[i].id);
+            let found = self.tail_commit(&mut mutated, &now, |db| db.delete(ins_ptrs[i]))?;
             if !found {
                 return Err(self.diverge(
                     "mutated",
@@ -512,19 +574,9 @@ impl Checker {
 
         const TREE_ALGS: [Algorithm; 3] = [Algorithm::RTree, Algorithm::Ir2, Algorithm::Mir2];
 
-        // A node image gets its bit-sliced signature block only after it
-        // has served `BLOCK_AFTER_HITS` cache hits. Run the query stream
-        // that often first (answers unchecked — the sweep below checks
-        // them), so the warm variants prune through blocks on every node
-        // they visit; the cold variants cover the in-place path.
-        for _ in 0..ir2tree::irtree::BLOCK_AFTER_HITS {
-            for q in &sc.queries {
-                for alg in [Algorithm::Ir2, Algorithm::Mir2] {
-                    let _ = warm.distance_first(alg, q);
-                }
-            }
-        }
-
+        // The warm variants prune through the bit-sliced block every
+        // cached image holds from its install on; the cold variants cover
+        // the in-place path.
         for (qi, q) in sc.queries.iter().enumerate() {
             let full = reference_ranking(&live, q);
             let expect = &full[..q.k.min(full.len())];

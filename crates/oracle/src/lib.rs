@@ -25,7 +25,9 @@
 //!   prefix of top-(k+1); truncated results are a tie-aware prefix of
 //!   the full ranking; counter conservation
 //!   `nodes_read == cache_hits + cache_misses` on every report; and
-//!   delete + reinsert leaves answers unchanged.
+//!   delete + reinsert leaves answers unchanged. Each commit of the
+//!   insert/delete tail must also have cost the mutated (warm) database's
+//!   node cache exactly the nodes it wrote.
 //! - A failing case is shrunk by the minimizer to the smallest
 //!   reproducing caps and reported as a one-line `ir2 fuzz …` repro
 //!   command (see [`Divergence::repro_command`]).

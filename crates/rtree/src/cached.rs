@@ -1,103 +1,180 @@
-//! Decoded-node caching: the [`CachedNode`] wrapper shared out of a
+//! Decoded-node caching: the [`CachedNode`] image shared out of a
 //! [`DecodedCache`], plus the node-cache type alias used by the tree.
 //!
 //! A warm traversal repeatedly pays three costs per visited node: the
 //! block reads, the per-block CRC verification, and the entry
 //! deserialization. Caching the *decoded* node behind an `Arc` eliminates
-//! all three on a hit. The wrapped image is an arena-backed [`NodeBuf`] —
-//! one allocation for the whole extent, entries served by offset — so even
-//! the cold decode allocates nothing per entry. The wrapper additionally
-//! carries a lazily-built, type-erased decoration slot so higher layers
-//! (the IR²-Tree) can attach derived per-node data — e.g. entry payloads
-//! transposed into a bit-sliced `SignatureBlock` — and have it cached with
-//! the same lifetime and invalidation as the node itself.
+//! all three on a hit.
+//!
+//! An image has one of two forms, and in either holds its entries'
+//! payloads **once**:
+//!
+//! * the **page** — an arena-backed [`NodeBuf`], entries served by offset,
+//!   payloads tested where they lie. What a tree without a cache hands
+//!   each visit (nothing is built for a node read once), and what a cache
+//!   keeps when the payload scheme has no sliced form (a plain R-Tree);
+//! * **sliced** — child references and rectangles decoded into one array,
+//!   and the payloads only in the form
+//!   [`PayloadOps::slice_payloads`] gave them (the IR²-Tree's bit-sliced
+//!   `SignatureBlock`). The page bytes are dropped: an image lives across
+//!   commits now, so nearly every one is read again and again, and one that
+//!   kept the page beside the block would carry every signature twice.
+//!
+//! A sliced image has no payload bytes to hand out, so the image type has
+//! no payload accessor at all: a caller asks for [`CachedNode::sliced`] and
+//! falls back to [`CachedNode::page`], and one of the two is always there.
 
 use std::any::Any;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
 
+use ir2_geo::Rect;
 use ir2_storage::DecodedCache;
 
-use crate::node::NodeBuf;
+use crate::node::{NodeBuf, NodeId};
+use crate::PayloadOps;
 
-/// A decoded node plus one lazily-initialized decoration and a count of
-/// the cache hits the image has served.
+/// A decoded node image: what [`RTree::read_node_cached`] returns and a
+/// [`NodeCache`] holds. See the module docs for its two forms.
 ///
-/// Dereferences to the wrapped [`NodeBuf`], so cached and uncached code
-/// paths read entries identically. The decoration slot is written at most
-/// once (first caller wins); all users of a given tree must therefore agree
-/// on a single decoration type — the slot is keyed by the node, not the
-/// type.
-pub struct CachedNode<const N: usize> {
-    node: NodeBuf<N>,
-    deco: OnceLock<Box<dyn Any + Send + Sync>>,
-    hits: AtomicU32,
+/// [`RTree::read_node_cached`]: crate::RTree::read_node_cached
+pub struct CachedNode<const N: usize>(Form<N>);
+
+enum Form<const N: usize> {
+    Page(NodeBuf<N>),
+    Sliced {
+        id: NodeId,
+        level: u16,
+        /// `(child, rect)` per entry, in entry order.
+        entries: Box<[(u64, Rect<N>)]>,
+        payloads: Box<dyn Any + Send + Sync>,
+    },
 }
 
 impl<const N: usize> CachedNode<N> {
-    /// Wraps a freshly decoded node.
-    pub fn new(node: NodeBuf<N>) -> Self {
-        Self {
-            node,
-            deco: OnceLock::new(),
-            hits: AtomicU32::new(0),
+    /// The page itself as the image; nothing is built.
+    pub fn new(page: NodeBuf<N>) -> Self {
+        Self(Form::Page(page))
+    }
+
+    /// The image a node cache keeps of `page`: sliced by `ops` when its
+    /// payloads have a sliced form, the page itself otherwise.
+    pub fn sliced_by<P: PayloadOps + ?Sized>(page: NodeBuf<N>, ops: &P) -> Self {
+        let payloads = ops.slice_payloads(page.level(), &mut page.payloads());
+        match payloads {
+            Some(payloads) => Self(Form::Sliced {
+                id: page.id(),
+                level: page.level(),
+                entries: (0..page.len())
+                    .map(|i| (page.child(i), page.rect(i)))
+                    .collect(),
+                payloads,
+            }),
+            None => Self::new(page),
         }
     }
 
-    /// The wrapped node image.
-    pub fn node(&self) -> &NodeBuf<N> {
-        &self.node
+    /// The page, for an image that kept it: payloads are tested in place.
+    pub fn page(&self) -> Option<&NodeBuf<N>> {
+        match &self.0 {
+            Form::Page(page) => Some(page),
+            Form::Sliced { .. } => None,
+        }
     }
 
-    /// Returns the decoration, building it on first access.
+    /// The sliced payloads, for an image that dropped its page. `T` is the
+    /// type the tree's [`PayloadOps::slice_payloads`] boxes; asking for
+    /// another gives `None`.
+    pub fn sliced<T: 'static>(&self) -> Option<&T> {
+        match &self.0 {
+            Form::Page(_) => None,
+            Form::Sliced { payloads, .. } => payloads.downcast_ref(),
+        }
+    }
+
+    /// First block of the node's extent.
+    #[inline]
+    pub fn id(&self) -> NodeId {
+        match &self.0 {
+            Form::Page(page) => page.id(),
+            Form::Sliced { id, .. } => *id,
+        }
+    }
+
+    /// 0 for leaves; parents of level-`ℓ` nodes are level `ℓ + 1`.
+    #[inline]
+    pub fn level(&self) -> u16 {
+        match &self.0 {
+            Form::Page(page) => page.level(),
+            Form::Sliced { level, .. } => *level,
+        }
+    }
+
+    /// True for leaf nodes.
+    #[inline]
+    pub fn is_leaf(&self) -> bool {
+        self.level() == 0
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Form::Page(page) => page.len(),
+            Form::Sliced { entries, .. } => entries.len(),
+        }
+    }
+
+    /// True if the node has no entries (only a never-written root).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Object pointer (leaf) or child node id (internal) of entry `i`.
     ///
     /// # Panics
-    /// Panics if a decoration of a *different* type was installed earlier —
-    /// a programming error, since the slot holds one value per node.
-    pub fn decorations<T, F>(&self, build: F) -> &T
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce(&NodeBuf<N>) -> T,
-    {
-        self.deco
-            .get_or_init(|| Box::new(build(&self.node)))
-            .downcast_ref::<T>()
-            .expect("conflicting decoration types on one cached node")
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn child(&self, i: usize) -> u64 {
+        match &self.0 {
+            Form::Page(page) => page.child(i),
+            Form::Sliced { entries, .. } => entries[i].0,
+        }
     }
 
-    /// How many times this image has been served from the node cache (0
-    /// for an image that never went through one). A decoration that costs
-    /// more to build than one visit saves can wait for this to show reuse.
-    pub fn hits(&self) -> u32 {
-        self.hits.load(Ordering::Relaxed)
+    /// MBR of entry `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn rect(&self, i: usize) -> Rect<N> {
+        match &self.0 {
+            Form::Page(page) => page.rect(i),
+            Form::Sliced { entries, .. } => entries[i].1,
+        }
     }
 
-    /// Records one more cache hit on this image. A statistic: it orders
-    /// nothing, so `Relaxed`.
-    pub(crate) fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Iterates all child references in entry order.
+    pub fn children(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len()).map(|i| self.child(i))
     }
 
-    /// True once a decoration has been built for this node image.
-    pub fn is_decorated(&self) -> bool {
-        self.deco.get().is_some()
-    }
-}
-
-impl<const N: usize> Deref for CachedNode<N> {
-    type Target = NodeBuf<N>;
-
-    fn deref(&self) -> &NodeBuf<N> {
-        &self.node
+    /// The bounding rectangle of all entries.
+    ///
+    /// # Panics
+    /// Panics if the node has no entries.
+    pub fn mbr(&self) -> Rect<N> {
+        assert!(!self.is_empty(), "mbr of empty node");
+        (1..self.len()).fold(self.rect(0), |acc, i| acc.union(&self.rect(i)))
     }
 }
 
 impl<const N: usize> std::fmt::Debug for CachedNode<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedNode")
-            .field("node", &self.node)
-            .field("decorated", &self.is_decorated())
+            .field("id", &self.id())
+            .field("level", &self.level())
+            .field("len", &self.len())
+            .field("sliced", &self.page().is_none())
             .finish()
     }
 }
@@ -109,56 +186,97 @@ pub type NodeCache<const N: usize> = DecodedCache<CachedNode<N>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Node;
-    use ir2_geo::{Point, Rect};
+    use crate::node::{Entry, Node};
+    use crate::UnitPayload;
+    use ir2_geo::Point;
 
-    fn leaf() -> NodeBuf<2> {
-        let mut n = Node::new(7, 0);
-        n.entries.push(crate::node::Entry::new(
-            1,
-            Rect::from_point(Point::new([1.0, 2.0])),
-            vec![0xAB, 0xCD],
-        ));
+    fn node(level: u16, count: u64) -> NodeBuf<2> {
+        let mut n = Node::new(7, level);
+        for i in 0..count {
+            n.entries.push(Entry::new(
+                100 + i,
+                Rect::from_point(Point::new([i as f64, 2.0])),
+                vec![0xAB, i as u8],
+            ));
+        }
         NodeBuf::decode(n.id, n.encode(2, 1), 2).unwrap()
     }
 
-    #[test]
-    fn derefs_to_the_node() {
-        let c = CachedNode::new(leaf());
-        assert!(c.is_leaf());
-        assert_eq!(c.id(), 7);
-        assert_eq!(c.node().len(), 1);
-        assert_eq!(c.payload(0), &[0xAB, 0xCD]);
+    /// Slices a node's payloads into an owned copy of each.
+    struct Copying;
+
+    impl PayloadOps for Copying {
+        fn entry_size(&self, _node_level: u16) -> usize {
+            2
+        }
+
+        fn merge(&self, _node_level: u16, _acc: &mut [u8], _other: &[u8]) {
+            unreachable!("not a maintenance test")
+        }
+
+        fn summarize_entries(
+            &self,
+            _node_level: u16,
+            _entry_payloads: &mut dyn Iterator<Item = &[u8]>,
+        ) -> Option<Vec<u8>> {
+            unreachable!("not a maintenance test")
+        }
+
+        fn summarize_objects(
+            &self,
+            _parent_level: u16,
+            _objects: &mut dyn Iterator<Item = u64>,
+        ) -> Vec<u8> {
+            unreachable!("not a maintenance test")
+        }
+
+        fn lift_object(&self, _child: u64, _leaf_payload: &[u8], _node_level: u16) -> Vec<u8> {
+            unreachable!("not a maintenance test")
+        }
+
+        fn slice_payloads(
+            &self,
+            node_level: u16,
+            entry_payloads: &mut dyn Iterator<Item = &[u8]>,
+        ) -> Option<Box<dyn Any + Send + Sync>> {
+            let copies: Vec<Vec<u8>> = entry_payloads.map(<[u8]>::to_vec).collect();
+            Some(Box::new((node_level, copies)))
+        }
     }
 
     #[test]
-    fn decoration_builds_once_and_is_shared() {
-        let c = CachedNode::new(leaf());
-        let mut builds = 0;
-        let first: &Vec<u8> = c.decorations(|n| {
-            builds += 1;
-            n.payload(0).to_vec()
-        });
-        assert_eq!(first, &vec![0xAB, 0xCD]);
-        let again: &Vec<u8> = c.decorations(|_| {
-            builds += 1;
-            vec![]
-        });
-        assert_eq!(again, &vec![0xAB, 0xCD], "second build must not run");
-        assert_eq!(builds, 1);
-        assert!(c.is_decorated());
-        let fresh = CachedNode::new(leaf());
-        assert!(!fresh.is_decorated());
-        assert_eq!(fresh.hits(), 0);
-        fresh.count_hit();
-        assert_eq!(fresh.hits(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "conflicting decoration types")]
-    fn conflicting_decoration_types_panic() {
-        let c = CachedNode::new(leaf());
-        let _: &u32 = c.decorations(|_| 5u32);
-        let _: &String = c.decorations(|_| String::new());
+    fn page_and_sliced_images_read_alike() {
+        for (level, count) in [(0, 1), (0, 5), (3, 4), (1, 0)] {
+            let page = node(level, count);
+            let plain = CachedNode::new(page.clone());
+            let kept = CachedNode::sliced_by(page.clone(), &UnitPayload);
+            let sliced = CachedNode::sliced_by(page.clone(), &Copying);
+            for image in [&plain, &kept, &sliced] {
+                assert_eq!(image.id(), 7);
+                assert_eq!(image.level(), level);
+                assert_eq!(image.is_leaf(), level == 0);
+                assert_eq!(image.len(), count as usize);
+                assert_eq!(image.is_empty(), count == 0);
+                for i in 0..page.len() {
+                    assert_eq!(image.child(i), page.child(i));
+                    assert_eq!(image.rect(i), page.rect(i));
+                }
+                assert!(image.children().eq(page.children()));
+                if count > 0 {
+                    assert_eq!(image.mbr(), page.mbr());
+                }
+            }
+            // A scheme with no sliced form keeps the page; the other drops
+            // it and holds the payloads in the sliced form alone.
+            for image in [&plain, &kept] {
+                assert_eq!(image.page().unwrap().payloads().count(), count as usize);
+                assert!(image.sliced::<(u16, Vec<Vec<u8>>)>().is_none());
+            }
+            assert!(sliced.page().is_none());
+            let (at, copies) = sliced.sliced::<(u16, Vec<Vec<u8>>)>().unwrap();
+            assert_eq!(*at, level, "sliced under the node's own level");
+            assert!(copies.iter().map(Vec::as_slice).eq(page.payloads()));
+            assert!(sliced.sliced::<u32>().is_none(), "not what was boxed");
+        }
     }
 }

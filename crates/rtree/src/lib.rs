@@ -31,7 +31,8 @@
 //! ([`RTree::bulk_load`]) used to build large experimental trees quickly,
 //! and an optional decoded-node cache ([`RTree::set_node_cache`]) that
 //! serves warm traversals without re-verifying checksums or re-decoding
-//! entries, invalidated by a per-tree mutation epoch.
+//! entries; a commit invalidates the images of the nodes it wrote and no
+//! others.
 
 mod bulk;
 mod cached;

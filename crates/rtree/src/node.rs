@@ -12,7 +12,7 @@
 //! entries hold child-node extent ids.
 
 use ir2_geo::Rect;
-use ir2_storage::{Result, StorageError};
+use ir2_storage::{Result, StorageError, PAGE_PAYLOAD};
 
 /// Identifier of a node: the first block of its extent.
 pub type NodeId = u64;
@@ -92,13 +92,25 @@ impl<const N: usize> Node<N> {
         REF_LEN + Rect::<N>::ENCODED_LEN + payload_size
     }
 
-    /// Serializes the node into a buffer of `nblocks × BLOCK_SIZE` bytes.
+    /// Serializes the node into the payload bytes of its whole extent —
+    /// `nblocks × PAGE_PAYLOAD`, zero past the last entry — which is what
+    /// gets sealed and written: the full extent every time, so stale
+    /// entries cannot resurface.
     ///
     /// `payload_size` is the tree's entry payload size at this node's
     /// level; every entry's payload must have exactly that length.
+    ///
+    /// # Panics
+    /// Panics if the entries do not fit in `nblocks` blocks.
     pub fn encode(&self, payload_size: usize, nblocks: u16) -> Vec<u8> {
         let entry_len = Self::entry_encoded_len(payload_size);
-        let mut out = vec![0u8; NODE_HEADER_LEN + self.entries.len() * entry_len];
+        let mut out = vec![0u8; nblocks as usize * PAGE_PAYLOAD];
+        assert!(
+            NODE_HEADER_LEN + self.entries.len() * entry_len <= out.len(),
+            "node {}: {} entries overflow {nblocks} blocks",
+            self.id,
+            self.entries.len()
+        );
         out[0] = MAGIC;
         out[1] = VERSION;
         out[2..4].copy_from_slice(&self.level.to_le_bytes());
@@ -355,7 +367,9 @@ mod tests {
         node.entries.push(Entry::new(1, rect(0.0, 0.0), vec![]));
         node.entries.push(Entry::new(2, rect(1.0, 1.0), vec![]));
         let bytes = node.encode(0, 1);
-        assert!(Node::<2>::decode(0, &bytes[..bytes.len() - 10], 0).is_err());
+        let need = NODE_HEADER_LEN + 2 * Node::<2>::entry_encoded_len(0);
+        assert!(Node::<2>::decode(0, &bytes[..need], 0).is_ok());
+        assert!(Node::<2>::decode(0, &bytes[..need - 10], 0).is_err());
     }
 
     #[test]
@@ -396,7 +410,8 @@ mod tests {
         node.entries.push(Entry::new(1, rect(0.0, 0.0), vec![]));
         node.entries.push(Entry::new(2, rect(1.0, 1.0), vec![]));
         let bytes = node.encode(0, 1);
-        let truncated = bytes[..bytes.len() - 10].to_vec();
+        let need = NODE_HEADER_LEN + 2 * Node::<2>::entry_encoded_len(0);
+        let truncated = bytes[..need - 10].to_vec();
         assert!(NodeBuf::<2>::decode(0, truncated, 0).is_err());
         let mut bad_ver = bytes.clone();
         bad_ver[1] = 99;

@@ -1,5 +1,7 @@
 //! Per-entry payload strategies.
 
+use std::any::Any;
+
 /// Strategy describing the extra bytes every tree entry carries and how
 /// they are maintained.
 ///
@@ -66,6 +68,26 @@ pub trait PayloadOps: Send + Sync {
     fn strict_maintenance(&self) -> bool {
         false
     }
+
+    /// The one form in which a node image held by the decoded-node cache
+    /// keeps the entry payloads of a node at `node_level` — for signature
+    /// payloads the bit-sliced block every visit is tested through. The
+    /// tree calls this once per cache miss, on the checksum-verified page,
+    /// and the image then drops the page's payload bytes: it holds its
+    /// signatures once. `None` (the default, and all a payload-free tree
+    /// needs) keeps the page itself as the image. Never called on a tree
+    /// without a cache, whose visits test payloads where they lie.
+    ///
+    /// Type-erased because this crate knows payloads only as bytes; the
+    /// layer that implements this is the one that reads it back
+    /// ([`CachedNode::sliced`](crate::CachedNode::sliced)).
+    fn slice_payloads(
+        &self,
+        _node_level: u16,
+        _entry_payloads: &mut dyn Iterator<Item = &[u8]>,
+    ) -> Option<Box<dyn Any + Send + Sync>> {
+        None
+    }
 }
 
 /// The zero-byte payload: turns the augmented tree into a plain R-Tree.
@@ -116,5 +138,6 @@ mod tests {
         assert_eq!(p.summarize_objects(1, &mut std::iter::empty()), vec![]);
         assert_eq!(p.lift_object(1, &[], 3), vec![]);
         assert!(!p.strict_maintenance());
+        assert!(p.slice_payloads(0, &mut std::iter::empty()).is_none());
     }
 }

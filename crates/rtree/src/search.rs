@@ -3,7 +3,7 @@
 use ir2_geo::Rect;
 use ir2_storage::{BlockDevice, Result};
 
-use crate::{PayloadOps, RTree};
+use crate::{NodeId, PayloadOps, RTree};
 
 /// Per-level occupancy statistics of a tree (diagnostics and tests).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -61,6 +61,22 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             true
         })?;
         Ok(out)
+    }
+
+    /// The id of every node of the tree, read past the node cache (which it
+    /// neither fills nor counts against) — what a test of that cache
+    /// compares before and after a commit to learn which nodes it wrote.
+    pub fn node_ids(&self) -> Result<Vec<NodeId>> {
+        let mut ids = Vec::new();
+        let mut stack: Vec<NodeId> = self.root().into_iter().collect();
+        while let Some(id) = stack.pop() {
+            ids.push(id);
+            let node = self.read_node_buf(id)?;
+            if !node.is_leaf() {
+                stack.extend(node.children());
+            }
+        }
+        Ok(ids)
     }
 
     /// Walks the whole tree and reports occupancy statistics.

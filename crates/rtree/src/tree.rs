@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ir2_geo::Rect;
-use ir2_storage::{extent, page, BlockDevice, Result, StorageError, PAGE_PAYLOAD};
+use ir2_storage::{extent, page, BlockDevice, Result, StorageError};
 use parking_lot::Mutex;
 
 use crate::cached::{CachedNode, NodeCache};
@@ -106,9 +106,9 @@ pub struct RTree<const N: usize, D, P> {
     meta: Mutex<Meta>,
     /// Freed node extents by extent size, reused before growing the device.
     free: Mutex<FreeLists>,
-    /// Optional decoded-node cache; its epoch is bumped whenever a mutation
-    /// commits, so cached images can never outlive the tree state that
-    /// produced them.
+    /// Optional decoded-node cache; every commit removes from it the
+    /// images of the extents the mutation wrote, so no image outlives the
+    /// bytes it was decoded from.
     node_cache: Option<Arc<NodeCache<N>>>,
 }
 
@@ -253,11 +253,6 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         for (nblocks, mut ids) in pending {
             free.reusable.entry(nblocks).or_default().append(&mut ids);
         }
-        drop(free);
-        // Belt and braces: recycled extents only become visible through a
-        // later committed mutation (which bumps), but advancing here keeps
-        // the invariant local and obvious.
-        self.bump_cache_epoch();
     }
 
     /// Current metadata as persisted by an external catalog:
@@ -365,8 +360,14 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Publishes a successful mutation: its metadata becomes the tree's,
-    /// its freed extents become pending, and the node-cache epoch advances
-    /// so decoded images of the pre-mutation tree stop being served.
+    /// its freed extents become pending, and the node cache drops the
+    /// images of the extents it **wrote** — `ctx.allocated`, every one of
+    /// which may be a recycled id whose previous life is still cached.
+    /// Those are the only stale images there can be: copy-on-write leaves
+    /// the bytes of every other committed extent alone, and an extent this
+    /// commit frees keeps its bytes until a later mutation reuses it, which
+    /// then lists it here. (Rollback and [`commit_frees`](Self::commit_frees)
+    /// therefore invalidate nothing.)
     fn commit_ctx(&self, ctx: MutCtx, meta: &mut Meta) {
         *meta = ctx.meta;
         let mut free = self.free.lock();
@@ -374,7 +375,9 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             free.pending.entry(nblocks).or_default().push(id);
         }
         drop(free);
-        self.bump_cache_epoch();
+        if let Some(cache) = &self.node_cache {
+            cache.invalidate(ctx.allocated.iter().map(|&(id, _)| id));
+        }
     }
 
     /// Discards a failed mutation: extents it allocated (which are the only
@@ -424,8 +427,8 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Attaches a decoded-node cache. Call at construction time, before the
-    /// tree is shared; mutations afterward invalidate it automatically via
-    /// the epoch.
+    /// tree is shared; each commit afterward invalidates exactly the nodes
+    /// it wrote.
     pub fn set_node_cache(&mut self, cache: Arc<NodeCache<N>>) {
         self.node_cache = Some(cache);
     }
@@ -440,31 +443,27 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         self.node_cache.as_ref()
     }
 
-    /// Advances the cache epoch (no-op without a cache).
-    fn bump_cache_epoch(&self) {
-        if let Some(cache) = &self.node_cache {
-            cache.bump_epoch();
-        }
-    }
-
     /// Reads the node at `id` through the decoded-node cache, returning the
     /// shared image and whether it was a cache hit. Without an attached
     /// cache this is [`read_node_buf`](RTree::read_node_buf) plus an
-    /// allocation.
+    /// allocation: the image is the page, and nothing is built for it.
     ///
-    /// The epoch is snapshotted *before* the device read: if a mutation
-    /// commits while the node is being decoded, the stale image is dropped
+    /// On a miss the image is put in the form the cache keeps
+    /// ([`CachedNode::sliced_by`] this tree's payload scheme) before it is
+    /// installed, so the visit that paid for the read already uses it. The
+    /// cache's epoch is snapshotted *before* the device read: if a mutation
+    /// commits while the node is being decoded, the image is dropped
     /// instead of installed.
     pub fn read_node_cached(&self, id: NodeId) -> Result<(Arc<CachedNode<N>>, bool)> {
         let Some(cache) = &self.node_cache else {
             return Ok((Arc::new(CachedNode::new(self.read_node_buf(id)?)), false));
         };
         if let Some(node) = cache.get(id) {
-            node.count_hit();
             return Ok((node, true));
         }
         let snapshot = cache.epoch();
-        let node = Arc::new(CachedNode::new(self.read_node_buf(id)?));
+        let page = self.read_node_buf(id)?;
+        let node = Arc::new(CachedNode::sliced_by(page, &self.ops));
         cache.insert(id, snapshot, Arc::clone(&node));
         Ok((node, false))
     }
@@ -477,11 +476,8 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             node.entries.len()
         );
         let nblocks = self.node_blocks(node.level);
-        let bytes = node.encode(self.ops.entry_size(node.level), nblocks);
-        // Always write the full extent so stale entries cannot resurface.
-        let mut padded = vec![0u8; nblocks as usize * PAGE_PAYLOAD];
-        padded[..bytes.len()].copy_from_slice(&bytes);
-        extent::write_extent_sealed(&self.dev, node.id, &padded)?;
+        let extent = node.encode(self.ops.entry_size(node.level), nblocks);
+        extent::write_extent_sealed(&self.dev, node.id, &extent)?;
         Ok(())
     }
 
@@ -550,7 +546,11 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         meta.height = height;
         meta.count = count;
         drop(meta);
-        self.bump_cache_epoch();
+        // Every extent the load wrote may be a recycled id; the tree was
+        // empty, so no reader is inside it and a plain wipe is enough.
+        if let Some(cache) = &self.node_cache {
+            cache.clear();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1343,24 +1343,80 @@ mod tests {
             warm_it.nodes_read(),
             "second identical traversal should be fully warm"
         );
-        // An image counts the hits it serves: none for the read that
-        // decoded it, one for the warm traversal, one for this read.
-        let (root, hit) = tree.read_node_cached(tree.root().unwrap()).unwrap();
-        assert!(hit);
-        assert_eq!(root.hits(), 2);
 
-        // A committed mutation bumps the epoch: the next traversal re-reads
-        // nodes (no stale images) and sees the new object.
+        // A committed mutation costs the cache the nodes it wrote — the
+        // ones the old tree did not have — and no others: the next
+        // traversal misses exactly those, is served every other node, and
+        // sees the new object.
+        let before = tree.node_ids().unwrap();
+        let cache = Arc::clone(tree.node_cache().unwrap());
+        assert_eq!(cache.invalidated(), 0, "fresh extents were never cached");
         tree.insert(1000, pt_rect(0.1, 0.1), &[]).unwrap();
+        let written = tree
+            .node_ids()
+            .unwrap()
+            .into_iter()
+            .filter(|id| !before.contains(id))
+            .count() as u64;
+        assert!(written >= u64::from(tree.height()), "the root path moved");
+
         let mut after_it = tree.nearest(q);
         let after: Vec<u64> = after_it.by_ref().map(|r| r.unwrap().child).collect();
         assert!(after.contains(&1000));
         assert_eq!(after.len(), cold.len() + 1);
-        assert_eq!(
-            after_it.cache_hits(),
-            0,
-            "post-mutation traversal must not serve pre-mutation images"
-        );
+        assert_eq!(after_it.cache_misses(), written);
+        assert_eq!(after_it.cache_hits(), after_it.nodes_read() - written);
+        assert!(after_it.cache_hits() > 0, "the commit kept the cache");
+    }
+
+    /// The reuse hazard: an extent freed by one commit keeps its cached
+    /// image (its bytes have not changed), becomes reusable at the next
+    /// flush, and is written over by a later commit — from which moment a
+    /// cached read of that id must return the new node.
+    #[test]
+    fn a_reused_extent_is_not_served_from_its_previous_life() {
+        let mut tree = small_tree();
+        tree.set_node_cache(Arc::new(NodeCache::new(256)));
+        for i in 0..40u64 {
+            tree.insert(i, pt_rect((i % 7) as f64, (i / 7) as f64), &[])
+                .unwrap();
+        }
+        tree.flush().unwrap();
+        let cache = Arc::clone(tree.node_cache().unwrap());
+        let q = Point::new([3.0, 3.0]);
+        let mut reused = 0;
+        for round in 0..12u64 {
+            // Every node of the current tree is cached...
+            assert!(tree.nearest(q).all(|r| r.is_ok()));
+            let before = tree.node_ids().unwrap();
+            // ...a delete frees its root path, whose images stay...
+            assert!(tree
+                .delete(round, &pt_rect((round % 7) as f64, (round / 7) as f64))
+                .unwrap());
+            let freed: Vec<NodeId> = {
+                let now = tree.node_ids().unwrap();
+                before.into_iter().filter(|id| !now.contains(id)).collect()
+            };
+            assert!(freed.iter().all(|&id| cache.get(id).is_some()));
+            // ...the flush hands the extents back, and the insert takes
+            // them again.
+            tree.flush().unwrap();
+            tree.insert(100 + round, pt_rect(round as f64 * 0.5, 6.5), &[])
+                .unwrap();
+            for id in tree.node_ids().unwrap() {
+                reused += u64::from(freed.contains(&id));
+                let (image, _) = tree.read_node_cached(id).unwrap();
+                let on_disk = tree.read_node(id).unwrap();
+                assert_eq!(image.level(), on_disk.level, "node {id}, round {round}");
+                assert!(
+                    image.children().eq(on_disk.entries.iter().map(|e| e.child)),
+                    "node {id}, round {round}: stale image"
+                );
+                assert_eq!(image.mbr(), on_disk.mbr(), "node {id}, round {round}");
+            }
+        }
+        assert!(reused > 0, "no freed extent was ever reused");
+        assert!(cache.invalidated() > 0);
     }
 
     #[test]

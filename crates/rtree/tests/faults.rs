@@ -7,9 +7,13 @@
 //! And over node reads: a multi-block node is read block by block into one
 //! buffer, so a corrupt or unreadable block anywhere in its extent must fail
 //! the read as a whole and say which block it was.
+//!
+//! And over the node cache: a mutation that fails invalidates nothing.
 
 use ir2_geo::{Point, Rect};
-use ir2_rtree::{RTree, RTreeConfig, UnitPayload};
+use std::sync::Arc;
+
+use ir2_rtree::{NodeCache, RTree, RTreeConfig, UnitPayload};
 use ir2_storage::testing::FlakyDevice;
 use ir2_storage::{BlockDevice, MemDevice, StorageError};
 
@@ -149,4 +153,59 @@ fn read_failing_mid_node_returns_no_node() {
     }
     tree.device().refill(u64::MAX);
     assert_eq!(tree.read_node_buf(root).unwrap().len(), N);
+}
+
+/// A mutation that fails part-way has written only extents no committed
+/// tree references, and publishes nothing — so it costs the node cache
+/// nothing either: at every failure point of an insert and of a delete,
+/// the next traversal is served the pre-mutation tree entirely from the
+/// images cached before it.
+#[test]
+fn failed_mutation_leaves_the_cache_serving_the_old_tree() {
+    let all = rects();
+    let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+    let mut tree = RTree::create(dev, RTreeConfig::with_max(4), UnitPayload).unwrap();
+    tree.set_node_cache(Arc::new(NodeCache::new(256)));
+    for (i, r) in all.iter().enumerate() {
+        tree.insert(i as u64, *r, &[]).unwrap();
+    }
+    let cache = Arc::clone(tree.node_cache().unwrap());
+    let q = Point::new([4.0, 4.0]);
+    let mut expect: Vec<u64> = tree.nearest(q).map(|r| r.unwrap().child).collect();
+    let mut invalidated = cache.invalidated();
+
+    let probe = Rect::from_point(Point::new([4.5, 4.5]));
+    type Tree = RTree<2, FlakyDevice<MemDevice>, UnitPayload>;
+    let mutations: [&dyn Fn(&Tree) -> bool; 2] = [&|t| t.insert(999, probe, &[]).is_ok(), &|t| {
+        t.delete(7, &all[7]).is_ok()
+    }];
+    for (m, mutate) in mutations.iter().enumerate() {
+        let mut failures = 0;
+        for budget in 0.. {
+            tree.device().refill(budget);
+            let done = mutate(&tree);
+            tree.device().refill(u64::MAX);
+            if done {
+                break;
+            }
+            failures += 1;
+            assert_eq!(
+                cache.invalidated(),
+                invalidated,
+                "mutation {m}, budget {budget}: a rollback invalidated something"
+            );
+            let mut it = tree.nearest(q);
+            let got: Vec<u64> = it.by_ref().map(|r| r.unwrap().child).collect();
+            assert_eq!(got, expect, "mutation {m}, budget {budget}");
+            assert_eq!(
+                it.cache_hits(),
+                it.nodes_read(),
+                "mutation {m}, budget {budget}"
+            );
+        }
+        assert!(failures > 3, "mutation {m} never failed");
+        // The mutation went through: take the new tree as the baseline.
+        expect = tree.nearest(q).map(|r| r.unwrap().child).collect();
+        invalidated = cache.invalidated();
+    }
 }

@@ -1,5 +1,5 @@
-//! Decoded-object cache: a sharded, epoch-invalidated LRU *above* the
-//! page layer.
+//! Decoded-object cache: a sharded LRU *above* the page layer, invalidated
+//! key by key.
 //!
 //! The [`BufferPool`](crate::BufferPool) caches raw 4096-byte blocks, so a
 //! pool hit still pays the warm-path tax: checksum verification of every
@@ -7,21 +7,36 @@
 //! On warm top-k workloads that decode cost dominates (the I/O the paper
 //! counts is already amortized). `DecodedCache<T>` closes the gap by
 //! caching the *decoded* value — an R-Tree node, its signatures already
-//! parsed — keyed by the extent's first [`BlockId`], behind `Arc` so warm
-//! readers share one allocation.
+//! bit-sliced — keyed by the extent's first [`BlockId`], behind `Arc` so
+//! warm readers share one allocation.
 //!
-//! # Epoch invalidation
+//! # Per-key invalidation
 //!
-//! The cache is invalidated wholesale by a monotonically increasing
-//! **mutation epoch**. Writers bump it at every commit point (CoW tree
-//! commits, `save_catalog`, free-list recycling); each shard remembers the
-//! epoch it last served and lazily wipes itself the first time it is
-//! touched under a newer one. Values decoded *before* a bump cannot leak
-//! in afterwards either: [`DecodedCache::insert`] takes the epoch snapshot
-//! the caller observed before reading the device and drops the insert if a
-//! bump intervened. Copy-on-write storage makes this sound: a published
-//! root only ever references extents written before its commit, so within
-//! one epoch a `BlockId` maps to exactly one byte image.
+//! Copy-on-write storage never changes the bytes of a committed extent:
+//! they stay what they are until the extent is freed *and handed out
+//! again*, and the mutation that reuses it writes it. So the only keys a
+//! commit can have made stale are the extents that commit **wrote**, and
+//! [`DecodedCache::invalidate`] takes exactly those; every other value
+//! stays resident across the commit. (An extent a commit merely freed
+//! keeps its bytes, so its value is not wrong, only unreferenced — and a
+//! reader still descending the previous tree image may re-install it at
+//! any time, which is why correctness cannot lean on removing it.)
+//!
+//! A value decoded *before* a commit must not slip in *after* the commit
+//! removed its key. The cache counts invalidations in an **epoch**:
+//! a reader snapshots it before reading the device and hands the snapshot
+//! to [`DecodedCache::insert`], which compares it *under the key's shard
+//! lock* and drops the value if any invalidation began in between.
+//! `invalidate` advances the epoch first and only then takes the shard
+//! locks, so for a stale value of key `K` either the insert's critical
+//! section comes first and the invalidation removes what it installed, or
+//! it comes second and — the shard lock ordering the two — sees the
+//! advanced epoch. The epoch is one counter for the whole cache, so a
+//! racing insert of an unrelated key is dropped too; that costs one
+//! re-decode and keeps the rule a single comparison.
+//!
+//! Lock order: a shard lock is a leaf — nothing else is acquired while one
+//! is held, and `invalidate` holds one shard lock at a time.
 //!
 //! # Sharding
 //!
@@ -58,9 +73,6 @@ struct ShardState<T> {
     head: usize,
     /// Least recently used slot index.
     tail: usize,
-    /// Epoch this shard last served; a newer global epoch wipes the shard
-    /// on first touch.
-    seen_epoch: u64,
 }
 
 impl<T> ShardState<T> {
@@ -70,17 +82,15 @@ impl<T> ShardState<T> {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
-            seen_epoch: 0,
         }
     }
 
-    /// Drops every entry and re-stamps the shard at `epoch`.
-    fn wipe(&mut self, epoch: u64) {
+    /// Drops every entry.
+    fn wipe(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.head = NIL;
         self.tail = NIL;
-        self.seen_epoch = epoch;
     }
 
     fn detach(&mut self, idx: usize) {
@@ -147,10 +157,34 @@ impl<T> ShardState<T> {
         self.map.insert(key, idx);
         self.push_front(idx);
     }
+
+    /// Drops the entry under `key`, if there is one, leaving the order of
+    /// the others as it was. The slab stays dense: the last slot moves into
+    /// the hole, and its neighbours and its map entry follow it.
+    fn remove(&mut self, key: BlockId) -> bool {
+        let Some(idx) = self.map.remove(&key) else {
+            return false;
+        };
+        self.detach(idx);
+        self.slots.swap_remove(idx);
+        if let Some(moved) = self.slots.get(idx) {
+            let (moved_key, prev, next) = (moved.key, moved.prev, moved.next);
+            match prev {
+                NIL => self.head = idx,
+                p => self.slots[p].next = idx,
+            }
+            match next {
+                NIL => self.tail = idx,
+                n => self.slots[n].prev = idx,
+            }
+            self.map.insert(moved_key, idx);
+        }
+        true
+    }
 }
 
 /// A sharded LRU cache of decoded values keyed by [`BlockId`], invalidated
-/// wholesale by a mutation epoch; see the module docs.
+/// key by key; see the module docs.
 ///
 /// `T` is the decoded representation (e.g. an R-Tree node with its parsed
 /// signatures). Values are shared out as `Arc<T>`, so a hit is one clone —
@@ -160,9 +194,12 @@ pub struct DecodedCache<T> {
     /// (empty when caching is disabled).
     shard_capacities: Box<[usize]>,
     shards: Box<[Mutex<ShardState<T>>]>,
+    /// Invalidations begun so far.
     epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Values removed by [`invalidate`](DecodedCache::invalidate).
+    invalidated: AtomicU64,
 }
 
 impl<T> DecodedCache<T> {
@@ -194,22 +231,41 @@ impl<T> DecodedCache<T> {
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            invalidated: AtomicU64::new(0),
         }
     }
 
-    /// The current mutation epoch. Snapshot it *before* reading the device
-    /// and pass the snapshot to [`insert`](Self::insert) so a commit that
-    /// lands mid-decode cannot publish a stale value.
+    fn shard_of(&self, key: BlockId) -> usize {
+        (key % self.shards.len() as u64) as usize
+    }
+
+    /// How many invalidations have begun. Snapshot it *before* reading the
+    /// device and pass the snapshot to [`insert`](Self::insert) so a commit
+    /// that lands mid-decode cannot publish a stale value.
+    ///
+    /// `Acquire`, pairing with the `Release` increment in
+    /// [`invalidate`](Self::invalidate); the comparison that decides an
+    /// insert is additionally ordered by the shard lock (module docs).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Bumps the mutation epoch, logically evicting every cached value.
-    /// Writers call this at each commit point; shards reclaim their memory
-    /// lazily on next touch.
-    pub fn bump_epoch(&self) {
+    /// Removes the values under `keys` — the extents a commit wrote — and
+    /// nothing else; LRU order and capacity of the rest are untouched.
+    /// Advances the epoch *before* taking any shard lock, so a value
+    /// decoded before this call can no longer be installed once its key
+    /// has been removed (module docs, "Per-key invalidation").
+    pub fn invalidate(&self, keys: impl IntoIterator<Item = BlockId>) {
+        if self.shards.is_empty() {
+            return;
+        }
         self.epoch.fetch_add(1, Ordering::Release);
+        let mut removed = 0;
+        for key in keys {
+            removed += u64::from(self.shards[self.shard_of(key)].lock().remove(key));
+        }
+        self.invalidated.fetch_add(removed, Ordering::Relaxed);
     }
 
     /// Looks up the decoded value for `key`, touching it in the LRU order.
@@ -219,12 +275,7 @@ impl<T> DecodedCache<T> {
         if self.shards.is_empty() {
             return None;
         }
-        let epoch = self.epoch();
-        let si = (key % self.shards.len() as u64) as usize;
-        let mut s = self.shards[si].lock();
-        if s.seen_epoch != epoch {
-            s.wipe(epoch);
-        }
+        let mut s = self.shards[self.shard_of(key)].lock();
         if let Some(&idx) = s.map.get(&key) {
             s.touch(idx);
             let value = Arc::clone(&s.slots[idx].value);
@@ -239,18 +290,19 @@ impl<T> DecodedCache<T> {
 
     /// Installs `value` under `key`, provided the epoch is still the
     /// `snapshot` the caller took before reading and decoding the bytes.
-    /// If a mutation committed in between, the value is silently dropped —
-    /// it may describe a recycled extent.
+    /// If an invalidation began in between, the value is silently dropped —
+    /// it may describe an extent that has been rewritten. The comparison
+    /// runs under the key's shard lock, which is what orders it against
+    /// the removal of `key`.
     pub fn insert(&self, key: BlockId, snapshot: u64, value: Arc<T>) {
-        if self.shards.is_empty() || snapshot != self.epoch() {
+        if self.shards.is_empty() {
             return;
         }
-        let si = (key % self.shards.len() as u64) as usize;
+        let si = self.shard_of(key);
         let mut s = self.shards[si].lock();
-        if s.seen_epoch != snapshot {
-            s.wipe(snapshot);
+        if snapshot == self.epoch() {
+            s.install(self.shard_capacities[si], key, value);
         }
-        s.install(self.shard_capacities[si], key, value);
     }
 
     /// Total slot capacity across shards — exactly the configured value.
@@ -258,9 +310,8 @@ impl<T> DecodedCache<T> {
         self.shard_capacities.iter().sum()
     }
 
-    /// Number of values currently resident (stale shards count until their
-    /// lazy wipe; [`len`](Self::len) is a memory gauge, not a validity
-    /// count).
+    /// Number of values currently resident, exactly: an invalidated or
+    /// evicted value is gone from the count the moment the call returns.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
@@ -271,11 +322,12 @@ impl<T> DecodedCache<T> {
     }
 
     /// Drops every cached value immediately (counters are kept; the epoch
-    /// is unchanged).
+    /// is unchanged, so this does not stop a concurrent reader installing
+    /// what it decoded before the call). For a tree no reader can be
+    /// inside: one being bulk loaded, which must be empty.
     pub fn clear(&self) {
-        let epoch = self.epoch();
         for shard in &self.shards {
-            shard.lock().wipe(epoch);
+            shard.lock().wipe();
         }
     }
 
@@ -285,6 +337,12 @@ impl<T> DecodedCache<T> {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Values removed by [`invalidate`](Self::invalidate) so far — per
+    /// commit, the part of its written set that was resident.
+    pub fn invalidated(&self) -> u64 {
+        self.invalidated.load(Ordering::Relaxed)
     }
 
     /// Fraction of lookups served from the cache, in `[0.0, 1.0]`; `0.0`
@@ -343,26 +401,75 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_evicts_everything() {
+    fn invalidate_drops_the_named_keys_and_nothing_else() {
         let cache: DecodedCache<u64> = DecodedCache::new(8);
-        cache.insert(1, cache.epoch(), Arc::new(10));
-        cache.insert(2, cache.epoch(), Arc::new(20));
-        assert!(cache.get(1).is_some());
-        cache.bump_epoch();
-        assert_eq!(cache.get(1), None, "stale value must not survive a bump");
+        for k in 1..=4 {
+            cache.insert(k, cache.epoch(), Arc::new(k * 10));
+        }
+        cache.invalidate([2, 4, 99]); // 99 was never resident
+        assert_eq!(cache.len(), 2, "len is exact");
+        assert_eq!(cache.invalidated(), 2, "only resident values count");
         assert_eq!(cache.get(2), None);
-        // Fresh inserts under the new epoch serve again.
-        cache.insert(1, cache.epoch(), Arc::new(11));
-        assert_eq!(cache.get(1).as_deref(), Some(&11));
+        assert_eq!(cache.get(4), None);
+        assert_eq!(cache.get(1).as_deref(), Some(&10));
+        assert_eq!(cache.get(3).as_deref(), Some(&30));
+        // The keys serve again once re-read under the new epoch.
+        cache.insert(2, cache.epoch(), Arc::new(21));
+        assert_eq!(cache.get(2).as_deref(), Some(&21));
+    }
+
+    /// Removing the LRU tail, the MRU head, a middle entry or the slab's
+    /// last slot leaves the others in their order and the capacity whole.
+    #[test]
+    fn invalidate_keeps_lru_order_and_capacity() {
+        for victim in 1..=4u64 {
+            // One shard, four slots. Keys land in slots 0..4 in key order;
+            // the touches make the LRU order (oldest first) 2, 4, 1, 3.
+            let cache: DecodedCache<u64> = DecodedCache::with_shards(4, 1);
+            for k in 1..=4 {
+                cache.insert(k, cache.epoch(), Arc::new(k));
+            }
+            assert!(cache.get(1).is_some());
+            assert!(cache.get(3).is_some());
+            cache.invalidate([victim]);
+            assert_eq!(cache.len(), 3, "victim {victim}");
+            let survivors: Vec<u64> = [2, 4, 1, 3].into_iter().filter(|&k| k != victim).collect();
+
+            // The freed slot is capacity again: one insert evicts nobody,
+            // the next evicts the oldest survivor.
+            cache.insert(5, cache.epoch(), Arc::new(5));
+            assert_eq!(cache.len(), 4, "victim {victim}");
+            cache.insert(6, cache.epoch(), Arc::new(6));
+            assert_eq!(cache.len(), 4, "victim {victim}");
+            assert_eq!(cache.get(survivors[0]), None, "victim {victim}");
+            for &k in &survivors[1..] {
+                assert_eq!(cache.get(k).as_deref(), Some(&k), "victim {victim}");
+            }
+            assert!(cache.get(5).is_some() && cache.get(6).is_some());
+            assert_eq!(cache.get(victim), None);
+        }
+    }
+
+    #[test]
+    fn invalidating_the_only_value_empties_the_shard() {
+        let cache: DecodedCache<u64> = DecodedCache::with_shards(1, 1);
+        cache.insert(7, cache.epoch(), Arc::new(7));
+        cache.invalidate([7]);
+        assert!(cache.is_empty());
+        cache.insert(8, cache.epoch(), Arc::new(8));
+        assert_eq!(cache.get(8).as_deref(), Some(&8));
     }
 
     #[test]
     fn stale_snapshot_insert_is_dropped() {
         let cache: DecodedCache<u64> = DecodedCache::new(8);
         let before = cache.epoch();
-        cache.bump_epoch(); // a commit lands while the caller was decoding
+        cache.invalidate([4]); // a commit lands while the caller was decoding
         cache.insert(4, before, Arc::new(40));
-        assert_eq!(cache.get(4), None, "pre-bump decode must not be cached");
+        assert_eq!(cache.get(4), None, "pre-commit decode must not be cached");
+        // One epoch for the whole cache: an unrelated key is dropped too.
+        cache.insert(5, before, Arc::new(50));
+        assert_eq!(cache.get(5), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Multi-threaded stress tests on the sharded [`BufferPool`]: counter
 //! integrity (no lost updates), write-through visibility, and the 1:1
 //! correspondence between pool misses and device reads, all under real
-//! contention from many reader/writer threads.
+//! contention from many reader/writer threads. And on the
+//! [`DecodedCache`]: a value decoded before a commit never outlives it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
-use ir2_storage::{BlockDevice, BufferPool, MemDevice, TrackedDevice, BLOCK_SIZE};
+use ir2_storage::{BlockDevice, BufferPool, DecodedCache, MemDevice, TrackedDevice, BLOCK_SIZE};
 
 const BLOCKS: u64 = 64;
 
@@ -131,4 +133,71 @@ fn contended_pool_full_capacity_all_hits_after_warmup() {
     assert_eq!(misses, 0, "resident working set must never miss");
     assert_eq!(hits, 8 * 1_000);
     assert_eq!(device_stats.snapshot().total(), 0);
+}
+
+/// The reader protocol of a cached tree (miss, snapshot the epoch, read the
+/// device, insert) racing the writer's (write the extent, then invalidate
+/// its key): once `invalidate` has returned, no `get` may see a value read
+/// before the write — whichever side of the key's removal the racing
+/// insert fell on.
+#[test]
+fn no_pre_commit_value_survives_its_invalidation() {
+    const KEY: u64 = 11;
+    const ROUNDS: u64 = 5_000;
+    let cache: DecodedCache<u64> = DecodedCache::new(8);
+    // What the "extent" under KEY currently holds.
+    let device = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    let mut stale = None;
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                let mut decodes = 0u32;
+                while !done.load(Ordering::Acquire) {
+                    if cache.get(KEY).is_none() {
+                        let snapshot = cache.epoch();
+                        let read = device.load(Ordering::Acquire);
+                        // "Decoding" takes a while, and not always the same
+                        // while: commits land inside it.
+                        decodes = decodes.wrapping_add(1);
+                        for _ in 0..decodes % 256 {
+                            std::hint::spin_loop();
+                        }
+                        cache.insert(KEY, snapshot, Arc::new(read));
+                    }
+                }
+            });
+        }
+        start.wait();
+        // The verdict is asserted outside the scope: a panic in here would
+        // leave the readers spinning and the scope waiting for them.
+        for round in 1..=ROUNDS {
+            device.store(round, Ordering::Release);
+            cache.invalidate([KEY]);
+            // Until the next store every reader decodes `round`, so that is
+            // what the first value a reader gets in must be — also when that
+            // reader was in the middle of a decode at the commit.
+            let seen = loop {
+                match cache.get(KEY) {
+                    Some(seen) => break *seen,
+                    None => std::hint::spin_loop(),
+                }
+            };
+            if seen != round {
+                stale = Some((round, seen));
+                break;
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert_eq!(
+        stale, None,
+        "(round, value): a pre-commit value outlived its invalidation"
+    );
+    assert!(
+        cache.invalidated() > 0,
+        "the readers never installed a value"
+    );
 }

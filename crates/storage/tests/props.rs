@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use ir2_storage::{BlockDevice, BufferPool, MemDevice, RecordFile, TrackedDevice, BLOCK_SIZE};
+use ir2_storage::{
+    BlockDevice, BufferPool, DecodedCache, MemDevice, RecordFile, TrackedDevice, BLOCK_SIZE,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -22,7 +24,81 @@ fn arb_ops(blocks: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Get(u64),
+    Insert(u64, u32),
+    Invalidate(Vec<u64>),
+}
+
+fn arb_cache_ops(keys: u64) -> impl Strategy<Value = Vec<CacheOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0..keys).prop_map(CacheOp::Get),
+            (0..keys, any::<u32>()).prop_map(|(k, v)| CacheOp::Insert(k, v)),
+            prop::collection::vec(0..keys, 0..3).prop_map(CacheOp::Invalidate),
+        ],
+        1..200,
+    )
+}
+
 proptest! {
+    /// The decoded cache is, shard by shard, an LRU map from which
+    /// `invalidate` removes exactly the named keys: every `get` agrees with
+    /// a model of per-shard MRU-first lists, so a removal that disturbed the
+    /// order of the survivors, lost a slot of capacity or left a dangling
+    /// link would surface as a wrong hit, miss or eviction later on.
+    #[test]
+    fn decoded_cache_matches_lru_model_under_invalidation(
+        ops in arb_cache_ops(14),
+        capacity in 1usize..9,
+        shards in 1usize..4,
+    ) {
+        let cache: DecodedCache<u32> = DecodedCache::with_shards(capacity, shards);
+        let nshards = shards.min(capacity);
+        let budget = |i: usize| capacity / nshards + usize::from(i < capacity % nshards);
+        let mut model: Vec<Vec<(u64, u32)>> = vec![Vec::new(); nshards];
+        let mut removed = 0;
+        for op in ops {
+            match op {
+                CacheOp::Get(k) => {
+                    let shard = &mut model[(k % nshards as u64) as usize];
+                    let want = shard.iter().position(|e| e.0 == k).map(|at| {
+                        let e = shard.remove(at);
+                        shard.insert(0, e);
+                        e.1
+                    });
+                    prop_assert_eq!(cache.get(k).as_deref().copied(), want, "get {}", k);
+                }
+                CacheOp::Insert(k, v) => {
+                    let si = (k % nshards as u64) as usize;
+                    let shard = &mut model[si];
+                    match shard.iter().position(|e| e.0 == k) {
+                        Some(at) => {
+                            shard.remove(at);
+                        }
+                        None if shard.len() == budget(si) => {
+                            shard.pop();
+                        }
+                        None => {}
+                    }
+                    shard.insert(0, (k, v));
+                    cache.insert(k, cache.epoch(), Arc::new(v));
+                }
+                CacheOp::Invalidate(keys) => {
+                    for shard in &mut model {
+                        let before = shard.len();
+                        shard.retain(|e| !keys.contains(&e.0));
+                        removed += (before - shard.len()) as u64;
+                    }
+                    cache.invalidate(keys);
+                }
+            }
+            prop_assert_eq!(cache.len(), model.iter().map(Vec::len).sum::<usize>());
+            prop_assert_eq!(cache.invalidated(), removed);
+        }
+    }
+
     /// A buffer pool of any capacity is observationally equivalent to the
     /// bare device: every read returns the latest write.
     #[test]
