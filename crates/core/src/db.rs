@@ -174,6 +174,16 @@ impl<const N: usize> ObjectSource<N> for CountingSource<'_, N> {
         self.inner.load(ptr)
     }
 
+    fn load_if_contains_all(
+        &self,
+        ptr: ObjPtr,
+        keywords: &[String],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<SpatialObject<N>>> {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.inner.load_if_contains_all(ptr, keywords, scratch)
+    }
+
     fn loads(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }

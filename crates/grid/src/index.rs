@@ -164,6 +164,7 @@ impl<D: BlockDevice> GridIndex<D> {
         let mut kept: std::collections::HashMap<u64, SpatialObject<2>> =
             std::collections::HashMap::new();
 
+        let mut scratch = Vec::new();
         let mut ring = 0isize;
         loop {
             // Termination: once k results are held and even the nearest
@@ -208,11 +209,12 @@ impl<D: BlockDevice> GridIndex<D> {
                         continue;
                     }
                     counters.candidates_checked += 1;
-                    let obj = objects.load(ObjPtr(ptr))?;
-                    if !obj.contains_all(&query.keywords) {
+                    let Some(obj) =
+                        objects.load_if_contains_all(ObjPtr(ptr), &query.keywords, &mut scratch)?
+                    else {
                         counters.false_positives += 1;
                         continue;
-                    }
+                    };
                     let id = obj.id;
                     kept.insert(id, obj);
                     heap.push((OrderedF64(d), id));

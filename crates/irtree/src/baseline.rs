@@ -26,6 +26,8 @@ pub struct RtreeBaselineIter<'a, const N: usize, D, S: TraceSink = NopSink> {
     counters: SearchCounters,
     limits: QueryLimits,
     truncated: Option<TruncateReason>,
+    /// Reusable buffer a candidate record that spans blocks is assembled in.
+    scratch: Vec<u8>,
     sink: S,
 }
 
@@ -62,6 +64,7 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
             counters: SearchCounters::default(),
             limits: QueryLimits::none(),
             truncated: None,
+            scratch: Vec::new(),
             sink,
         }
     }
@@ -138,14 +141,17 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
                 });
             };
             self.counters.candidates_checked += 1;
-            let obj = self.objects.load(ObjPtr(nn.child))?;
-            let matched = obj.contains_all(&self.keywords);
+            let verified = self.objects.load_if_contains_all(
+                ObjPtr(nn.child),
+                &self.keywords,
+                &mut self.scratch,
+            )?;
             self.sink.record(&TraceEvent::ObjectFetched {
                 ptr: nn.child,
                 distance: nn.dist,
-                matched,
+                matched: verified.is_some(),
             });
-            if matched {
+            if let Some(obj) = verified {
                 return Ok(BoundedStep::Hit(obj, nn.dist));
             }
             self.counters.false_positives += 1;

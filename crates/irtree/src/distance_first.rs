@@ -62,6 +62,9 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: SigPayload, S: TraceSink 
     /// Reusable per-node containment bitmask: every entry's verdict is
     /// written here in one pass, so steady-state pruning allocates nothing.
     mask: EntryMask,
+    /// Reusable buffer a candidate record that spans blocks is assembled
+    /// in; one that ends inside its first block is checked where it lies.
+    scratch: Vec<u8>,
     sink: S,
 }
 
@@ -138,6 +141,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
             limits: QueryLimits::none(),
             truncated: None,
             mask: EntryMask::new(),
+            scratch: Vec::new(),
             sink,
         }
     }
@@ -217,14 +221,17 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                     // Line 20-21 of IR2TopK: load and verify (false
                     // positives are possible).
                     self.counters.candidates_checked += 1;
-                    let obj = self.objects.load(ObjPtr(child))?;
-                    let matched = obj.contains_all(&self.keywords);
+                    let verified = self.objects.load_if_contains_all(
+                        ObjPtr(child),
+                        &self.keywords,
+                        &mut self.scratch,
+                    )?;
                     self.sink.record(&TraceEvent::ObjectFetched {
                         ptr: child,
                         distance: dist.0,
-                        matched,
+                        matched: verified.is_some(),
                     });
-                    if matched {
+                    if let Some(obj) = verified {
                         return Ok(BoundedStep::Hit(obj, dist.0));
                     }
                     self.counters.false_positives += 1;

@@ -41,6 +41,7 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
     };
     let mut query_sigs: HashMap<u16, Signature> = HashMap::new();
     let mut stack = vec![root];
+    let mut scratch = Vec::new();
     while let Some(id) = stack.pop() {
         // Arena-backed decode plus zero-copy byte containment: this
         // uncached path allocates nothing per entry (and no longer clones
@@ -62,11 +63,9 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
             }
             if node.is_leaf() {
                 counters.candidates_checked += 1;
-                let obj = objects.load(ObjPtr(node.child(i)))?;
-                if obj.contains_all(&kws) {
-                    out.push(obj);
-                } else {
-                    counters.false_positives += 1;
+                match objects.load_if_contains_all(ObjPtr(node.child(i)), &kws, &mut scratch)? {
+                    Some(obj) => out.push(obj),
+                    None => counters.false_positives += 1,
                 }
             } else {
                 stack.push(node.child(i));

@@ -2,7 +2,7 @@
 
 use ir2_geo::Point;
 use ir2_storage::{Result, StorageError};
-use ir2_text::{text_contains_all, TokenCounts, TokenSet};
+use ir2_text::{bytes_contain_all, text_contains_all, TokenCounts, TokenSet};
 
 /// A spatial object `T = (T.p, T.t)` with an application-level id.
 ///
@@ -70,10 +70,33 @@ impl<const N: usize> SpatialObject<N> {
         let id = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
         let point = Point::decode(&buf[8..8 + point_len]);
         let text = std::str::from_utf8(&buf[8 + point_len..])
-            .map_err(|e| StorageError::Corrupt(format!("object text not utf-8: {e}")))?
+            .map_err(text_not_utf8)?
             .to_owned();
         Ok(Self { id, point, text })
     }
+
+    /// [`decode`](Self::decode) for a candidate that is kept only if its
+    /// text contains all `keywords` (lower-cased, as a query's are): the
+    /// check runs on the record's bytes ([`bytes_contain_all`]) and the
+    /// object is built only on a match, so a signature false positive costs
+    /// no `String`. `Ok(None)` is exactly `decode` succeeding and
+    /// [`contains_all`](Self::contains_all) saying no; a record `decode`
+    /// would refuse is refused here with the same error, match or not.
+    pub fn decode_if_contains_all<S: AsRef<str>>(
+        buf: &[u8],
+        keywords: &[S],
+    ) -> Result<Option<Self>> {
+        match buf.get(8 + Point::<N>::ENCODED_LEN..) {
+            Some(text) if !bytes_contain_all(text, keywords).map_err(text_not_utf8)? => Ok(None),
+            // A match — or a record too short to have text, for `decode`
+            // to refuse.
+            _ => Self::decode(buf).map(Some),
+        }
+    }
+}
+
+fn text_not_utf8(e: std::str::Utf8Error) -> StorageError {
+    StorageError::Corrupt(format!("object text not utf-8: {e}"))
 }
 
 #[cfg(test)]

@@ -10,10 +10,7 @@ use crate::{ObjPtr, SpatialObject};
 /// `SpatialObject::decode` sees only bytes, so without this a corrupt
 /// record reports *what* is wrong but not *where* (the same pattern the
 /// R-Tree uses to prefix node errors with the node id).
-fn at_ptr<const N: usize>(
-    ptr: ObjPtr,
-    decoded: Result<SpatialObject<N>>,
-) -> Result<SpatialObject<N>> {
+fn at_ptr<T>(ptr: ObjPtr, decoded: Result<T>) -> Result<T> {
     decoded.map_err(|e| match e {
         StorageError::Corrupt(msg) => {
             StorageError::Corrupt(format!("object at offset {}: {msg}", ptr.0))
@@ -31,6 +28,28 @@ fn at_ptr<const N: usize>(
 pub trait ObjectSource<const N: usize>: Send + Sync {
     /// Loads the object at `ptr` (the paper's `LoadObject`).
     fn load(&self, ptr: ObjPtr) -> Result<SpatialObject<N>>;
+
+    /// `IR2TopK` lines 20–21 as one call: loads the candidate at `ptr` and
+    /// keeps it only if its text contains all `keywords` (lower-cased, as a
+    /// query's are). `Ok(None)` is a signature false positive.
+    ///
+    /// The verdict, the errors and the load count are exactly those of
+    /// [`load`](Self::load) followed by
+    /// [`contains_all`](SpatialObject::contains_all) — which is the default.
+    /// A source that holds records as bytes checks them where they lie and
+    /// builds no object on a miss; `scratch` is the buffer a record that
+    /// spans blocks is assembled in, owned by the search so that one
+    /// query's candidates share it.
+    fn load_if_contains_all(
+        &self,
+        ptr: ObjPtr,
+        keywords: &[String],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<SpatialObject<N>>> {
+        let _ = scratch;
+        let obj = self.load(ptr)?;
+        Ok(obj.contains_all(keywords).then_some(obj))
+    }
 
     /// Number of loads performed so far.
     fn loads(&self) -> u64;
@@ -116,7 +135,23 @@ impl<const N: usize, D: BlockDevice> ObjectStore<N, D> {
 impl<const N: usize, D: BlockDevice> ObjectSource<N> for ObjectStore<N, D> {
     fn load(&self, ptr: ObjPtr) -> Result<SpatialObject<N>> {
         self.loads.fetch_add(1, Ordering::Relaxed);
-        at_ptr(ptr, SpatialObject::decode(&self.file.get(ptr)?))
+        let decoded = self
+            .file
+            .read_with(ptr, &mut Vec::new(), SpatialObject::decode)?;
+        at_ptr(ptr, decoded)
+    }
+
+    fn load_if_contains_all(
+        &self,
+        ptr: ObjPtr,
+        keywords: &[String],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<SpatialObject<N>>> {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        let decoded = self.file.read_with(ptr, scratch, |record| {
+            SpatialObject::decode_if_contains_all(record, keywords)
+        })?;
+        at_ptr(ptr, decoded)
     }
 
     fn loads(&self) -> u64 {
@@ -127,7 +162,7 @@ impl<const N: usize, D: BlockDevice> ObjectSource<N> for ObjectStore<N, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir2_storage::{IoSnapshot, MemDevice, TrackedDevice};
+    use ir2_storage::{BlockDevice, IoSnapshot, MemDevice, TrackedDevice};
 
     fn sample(i: u64) -> SpatialObject<2> {
         SpatialObject::new(
@@ -194,6 +229,131 @@ mod tests {
         let msg = store.load(ptr).unwrap_err().to_string();
         assert!(msg.contains(&format!("offset {}", ptr.0)), "{msg}");
         assert!(msg.contains("too short"), "{msg}");
+    }
+
+    /// Only the required methods: `load_if_contains_all` is the default.
+    struct LoadOnly<'a>(&'a ObjectStore<2, std::sync::Arc<MemDevice>>);
+
+    impl ObjectSource<2> for LoadOnly<'_> {
+        fn load(&self, ptr: ObjPtr) -> Result<SpatialObject<2>> {
+            self.0.load(ptr)
+        }
+        fn loads(&self) -> u64 {
+            self.0.loads()
+        }
+    }
+
+    #[test]
+    fn the_verdict_call_is_load_then_contains_all() {
+        let dev = std::sync::Arc::new(MemDevice::new());
+        let store = ObjectStore::<2, _>::create(std::sync::Arc::clone(&dev));
+        let words = [
+            "pool",
+            "Spa",
+            "café",
+            "WIFI",
+            "bar24",
+            "İstanbul",
+            "golf-course",
+        ];
+        let ptrs: Vec<ObjPtr> = (0..120u64)
+            .map(|i| {
+                // Every third object is long enough to span blocks.
+                let n = if i % 3 == 0 { 900 } else { 1 + i as usize % 6 };
+                let text: Vec<&str> = (0..n).map(|j| words[(i as usize + j * j) % 7]).collect();
+                let obj = SpatialObject::new(i, [i as f64, 1.0], text.join(", "));
+                store.append(&obj).unwrap()
+            })
+            .collect();
+        let sweep: Vec<Vec<String>> = [
+            &[][..],
+            &["pool"],
+            &["spa", "wifi"],
+            &["café"],
+            &["cafe"],
+            &["i̇stanbul", "pool"],
+            &["golf", "course", "bar24"],
+            &["golf-course"],
+            &["Spa"],
+            &["absent", "pool"],
+        ]
+        .iter()
+        .map(|kws| kws.iter().map(|w| w.to_string()).collect())
+        .collect();
+
+        let mut scratch = Vec::new();
+        let mut kept = 0;
+        for &ptr in &ptrs {
+            for keywords in &sweep {
+                let before = store.loads();
+                let obj = store.load(ptr).unwrap();
+                assert_eq!(store.loads(), before + 1);
+                let expected = obj.contains_all(keywords).then_some(obj);
+                let verdict = store
+                    .load_if_contains_all(ptr, keywords, &mut scratch)
+                    .unwrap();
+                assert_eq!(store.loads(), before + 2, "a verdict is one load");
+                assert_eq!(verdict, expected, "{ptr:?} {keywords:?}");
+                let default = LoadOnly(&store)
+                    .load_if_contains_all(ptr, keywords, &mut scratch)
+                    .unwrap();
+                assert_eq!(default, expected, "{ptr:?} {keywords:?}");
+                kept += usize::from(expected.is_some());
+            }
+        }
+        assert!(kept > 100 && kept < ptrs.len() * sweep.len() - 100);
+    }
+
+    #[test]
+    fn a_corrupt_record_is_refused_alike_match_or_not() {
+        let dev = std::sync::Arc::new(MemDevice::new());
+        let file = RecordFile::create(std::sync::Arc::clone(&dev));
+        let good = SpatialObject::<2>::new(1, [0.0, 0.0], "pool spa");
+        let flipped = file.append(&good.encode()).unwrap();
+        // Text that stops being UTF-8 at its last byte, and one too short.
+        let mut torn = good.encode();
+        torn.push(0xFF);
+        let torn = file.append(&torn).unwrap();
+        let short = file.append(&[1, 2, 3]).unwrap();
+        file.append(&vec![b'x'; 2 * ir2_storage::BLOCK_SIZE])
+            .unwrap();
+        file.flush().unwrap();
+        // Flip one payload byte of the first record on the device.
+        let mut block = ir2_storage::zeroed_block();
+        dev.read_block(0, &mut block).unwrap();
+        block[ir2_storage::RECORD_HEADER_LEN + 30] ^= 0x20;
+        dev.write_block(0, &block).unwrap();
+        let (len, records) = file.state();
+        let store = ObjectStore::<2, _>::open(dev, len, records).unwrap();
+
+        let cases = [
+            (flipped, "failed its checksum"),
+            (torn, "not utf-8"),
+            (short, "too short"),
+            // No header begins in the last 7 bytes of a block; a wild
+            // pointer overflows nothing.
+            (
+                ObjPtr(ir2_storage::BLOCK_SIZE as u64 - 3),
+                "straddles a block boundary",
+            ),
+            (ObjPtr(u64::MAX), "beyond end of file"),
+        ];
+        for (ptr, what) in cases {
+            let loaded = store.load(ptr).unwrap_err().to_string();
+            assert!(loaded.contains(what), "{loaded}");
+            // "spa" would match the intact text, "golf" would not.
+            for keyword in ["spa", "golf"] {
+                let checked = store
+                    .load_if_contains_all(ptr, &[keyword.to_string()], &mut Vec::new())
+                    .unwrap_err()
+                    .to_string();
+                assert_eq!(checked, loaded);
+            }
+        }
+        for ptr in [torn, short] {
+            let msg = store.load(ptr).unwrap_err().to_string();
+            assert!(msg.contains(&format!("offset {}", ptr.0)), "{msg}");
+        }
     }
 
     #[test]

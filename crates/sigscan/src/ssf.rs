@@ -188,13 +188,14 @@ impl<D: BlockDevice> SignatureFile<D> {
         let mut heap: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(query.k + 1);
         let mut kept: std::collections::HashMap<u64, SpatialObject<2>> =
             std::collections::HashMap::new();
+        let mut scratch = Vec::new();
         for ptr in candidates {
             counters.candidates_checked += 1;
-            let obj = objects.load(ptr)?;
-            if !obj.contains_all(&query.keywords) {
+            let Some(obj) = objects.load_if_contains_all(ptr, &query.keywords, &mut scratch)?
+            else {
                 counters.false_positives += 1;
                 continue;
-            }
+            };
             let d = obj.point.distance(&query.point);
             // The bounded max-heap is keyed by the canonical `(distance,
             // id)` order every engine shares; keying by record pointer

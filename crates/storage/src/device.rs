@@ -18,6 +18,22 @@ pub trait BlockDevice: Send + Sync {
     /// Reads block `id` into `buf`.
     fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()>;
 
+    /// Reads block `id` and lends it to `f`: one block access, counted,
+    /// retried and faulted exactly like [`read_block`](Self::read_block),
+    /// without the caller owning a 4 KB buffer. `f` runs exactly once when
+    /// the read succeeds and never when it fails.
+    ///
+    /// The default reads into a buffer of its own, so every wrapper is
+    /// correct without knowing about this method. A device that holds the
+    /// block in memory lends its own bytes instead — [`MemDevice`] does,
+    /// under its read lock, so `f` must not write to the device it reads.
+    fn with_block(&self, id: BlockId, f: &mut dyn FnMut(&[u8; BLOCK_SIZE])) -> Result<()> {
+        let mut buf = [0u8; BLOCK_SIZE];
+        self.read_block(id, &mut buf)?;
+        f(&buf);
+        Ok(())
+    }
+
     /// Writes `data` as the full contents of block `id`.
     fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()>;
 
@@ -43,6 +59,9 @@ pub trait BlockDevice: Send + Sync {
 impl<D: BlockDevice + ?Sized, P: std::ops::Deref<Target = D> + Send + Sync> BlockDevice for P {
     fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
         (**self).read_block(id, buf)
+    }
+    fn with_block(&self, id: BlockId, f: &mut dyn FnMut(&[u8; BLOCK_SIZE])) -> Result<()> {
+        (**self).with_block(id, f)
     }
     fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
         (**self).write_block(id, data)
@@ -101,6 +120,15 @@ impl BlockDevice for MemDevice {
         let blocks = self.blocks.read();
         let off = self.check(id, blocks.len())?;
         buf.copy_from_slice(&blocks[off..off + BLOCK_SIZE]);
+        Ok(())
+    }
+
+    fn with_block(&self, id: BlockId, f: &mut dyn FnMut(&[u8; BLOCK_SIZE])) -> Result<()> {
+        let blocks = self.blocks.read();
+        let off = self.check(id, blocks.len())?;
+        f(blocks[off..off + BLOCK_SIZE]
+            .try_into()
+            .expect("a block-sized slice"));
         Ok(())
     }
 
@@ -364,6 +392,55 @@ mod tests {
         dev.allocate(1).unwrap();
         let mut buf = crate::zeroed_block();
         assert!(dev.read_block(0, &mut buf).is_ok());
+    }
+
+    /// A device that implements only what the trait requires, so
+    /// `with_block` is the trait's default.
+    struct Plain(MemDevice);
+
+    impl BlockDevice for Plain {
+        fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
+            self.0.read_block(id, buf)
+        }
+        fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
+            self.0.write_block(id, data)
+        }
+        fn allocate(&self, n: u64) -> Result<BlockId> {
+            self.0.allocate(n)
+        }
+        fn num_blocks(&self) -> u64 {
+            self.0.num_blocks()
+        }
+    }
+
+    #[test]
+    fn with_block_lends_what_read_block_reads() {
+        let devices: [Box<dyn BlockDevice>; 3] = [
+            Box::new(Plain(MemDevice::new())),
+            Box::new(MemDevice::new()),
+            Box::new(std::sync::Arc::new(MemDevice::new())),
+        ];
+        for dev in &devices {
+            let first = dev.allocate(2).unwrap();
+            let mut block = crate::zeroed_block();
+            block
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, b)| *b = (i % 251) as u8);
+            dev.write_block(first + 1, &block).unwrap();
+
+            let mut calls = 0;
+            dev.with_block(first + 1, &mut |lent| {
+                calls += 1;
+                assert_eq!(lent, &*block);
+            })
+            .unwrap();
+            assert_eq!(calls, 1, "lent exactly once on success");
+
+            let missing = dev.with_block(first + 2, &mut |_| calls += 1);
+            assert!(matches!(missing, Err(StorageError::OutOfBounds { .. })));
+            assert_eq!(calls, 1, "and never on an error");
+        }
     }
 
     #[test]

@@ -11,12 +11,19 @@
 //! Layout: records are packed back to back; each record is an 8-byte
 //! header — a 4-byte little-endian length followed by a CRC32 of the
 //! payload — then the payload itself. The checksum is verified on every
-//! [`get`](RecordFile::get) and [`scan`](RecordFile::scan), so a torn or
-//! bit-flipped record surfaces as [`StorageError::Corrupt`] instead of
-//! silently wrong object data. A header never straddles a block boundary
-//! (the writer pads with zero bytes instead), so a reader can always parse
-//! it from the first block it fetches. A zero length marks padding, which
-//! is unambiguous because empty records are rejected.
+//! [`read_with`](RecordFile::read_with) and [`scan`](RecordFile::scan), so
+//! a torn or bit-flipped record surfaces as [`StorageError::Corrupt`]
+//! instead of silently wrong object data. A header never straddles a block
+//! boundary (the writer pads with zero bytes instead), so a reader can
+//! always parse it from the first block it fetches — and a pointer into the
+//! last seven bytes of a block is corrupt by definition. A zero length
+//! marks padding, which is unambiguous because empty records are rejected.
+//!
+//! [`read_with`](RecordFile::read_with) is the one read of a record: it
+//! lends the payload to a closure, out of the device's block when the
+//! record ends inside its first block and out of the caller's reusable
+//! buffer when it runs on, so the reader of many records — a search
+//! checking candidates — allocates and copies nothing for the common one.
 
 use parking_lot::Mutex;
 
@@ -221,11 +228,25 @@ impl<D: BlockDevice> RecordFile<D> {
         Ok(())
     }
 
-    /// Loads the record at `ptr`.
+    /// Reads the record at `ptr` and lends its payload to `f` — the one
+    /// record read; [`get`](RecordFile::get) is this with `to_vec`.
+    ///
+    /// A record that ends inside its first block is lent straight out of
+    /// the device ([`BlockDevice::with_block`]): no buffer, no copy. A
+    /// longer one is assembled in `scratch`, which a caller issuing many
+    /// reads keeps, so steady state allocates nothing either way. `f` runs
+    /// while the device lends the block and must not write to the device.
+    /// Bounds and the payload's CRC are checked on every read, before `f`
+    /// sees a byte.
     ///
     /// Costs `ceil(record_end/4096) - floor(ptr/4096)` block accesses: one
     /// random, the rest sequential.
-    pub fn get(&self, ptr: RecordPtr) -> Result<Vec<u8>> {
+    pub fn read_with<R>(
+        &self,
+        ptr: RecordPtr,
+        scratch: &mut Vec<u8>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         // Ensure every byte of the file is durable before reading blocks:
         // a record may begin in the durable region yet end inside the tail.
         // The file is append-only, so the length seen here still bounds the
@@ -235,53 +256,75 @@ impl<D: BlockDevice> RecordFile<D> {
             self.flush_locked(&mut s)?;
             s.len
         };
-        if ptr.0 + LEN_PREFIX as u64 > file_len {
-            return Err(StorageError::Corrupt(format!(
-                "record pointer {ptr:?} beyond end of file ({file_len})"
-            )));
-        }
-
+        let payload_start = match ptr.0.checked_add(LEN_PREFIX as u64) {
+            Some(end) if end <= file_len => end,
+            _ => {
+                return Err(StorageError::Corrupt(format!(
+                    "record pointer {ptr:?} beyond end of file ({file_len})"
+                )))
+            }
+        };
         let first_block = ptr.0 / BLOCK_SIZE as u64;
         let off = (ptr.0 % BLOCK_SIZE as u64) as usize;
-        let mut block = crate::zeroed_block();
-        self.dev.read_block(first_block, &mut block)?;
-
-        let len = u32::from_le_bytes(block[off..off + 4].try_into().expect("4 bytes")) as usize;
-        let stored_crc = u32::from_le_bytes(block[off + 4..off + 8].try_into().expect("4 bytes"));
-        if len == 0 {
+        if off + LEN_PREFIX > BLOCK_SIZE {
+            // The writer pads instead; no valid pointer lands here.
             return Err(StorageError::Corrupt(format!(
-                "record pointer {ptr:?} points at padding"
-            )));
-        }
-        if ptr.0 + (LEN_PREFIX + len) as u64 > file_len {
-            return Err(StorageError::Corrupt(format!(
-                "record at {ptr:?} claims length {len} beyond end of file"
+                "record header at {ptr:?} straddles a block boundary"
             )));
         }
 
-        let mut out = Vec::with_capacity(len);
-        let avail = BLOCK_SIZE - off - LEN_PREFIX;
-        out.extend_from_slice(&block[off + LEN_PREFIX..off + LEN_PREFIX + avail.min(len)]);
+        let mut f = Some(f);
+        let mut first = None;
+        self.dev.with_block(first_block, &mut |block| {
+            let word =
+                |at: usize| u32::from_le_bytes(block[at..at + 4].try_into().expect("4 bytes"));
+            let (len, crc) = (word(off) as usize, word(off + 4));
+            let in_file = payload_start
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= file_len);
+            first = Some(if len == 0 {
+                Err(StorageError::Corrupt(format!(
+                    "record pointer {ptr:?} points at padding"
+                )))
+            } else if !in_file {
+                Err(StorageError::Corrupt(format!(
+                    "record at {ptr:?} claims length {len} beyond end of file"
+                )))
+            } else if let Some(payload) = block[off + LEN_PREFIX..].get(..len) {
+                let f = f.take().expect("with_block lends once");
+                verify(ptr, payload, crc).map(|()| FirstBlock::Whole(f(payload)))
+            } else {
+                scratch.clear();
+                scratch.extend_from_slice(&block[off + LEN_PREFIX..]);
+                Ok(FirstBlock::Head { len, crc })
+            });
+        })?;
+        let (len, crc) = match first.expect("with_block lends on success")? {
+            FirstBlock::Whole(r) => return Ok(r),
+            FirstBlock::Head { len, crc } => (len, crc),
+        };
         let mut next_block = first_block + 1;
-        while out.len() < len {
-            self.dev.read_block(next_block, &mut block)?;
-            let take = (len - out.len()).min(BLOCK_SIZE);
-            out.extend_from_slice(&block[..take]);
+        while scratch.len() < len {
+            let take = (len - scratch.len()).min(BLOCK_SIZE);
+            self.dev.with_block(next_block, &mut |block| {
+                scratch.extend_from_slice(&block[..take]);
+            })?;
             next_block += 1;
         }
-        if crc32(&out) != stored_crc {
-            return Err(StorageError::Corrupt(format!(
-                "record at {ptr:?} failed its checksum"
-            )));
-        }
-        Ok(out)
+        verify(ptr, scratch, crc)?;
+        Ok(f.take().expect("not called on a record's head")(scratch))
+    }
+
+    /// Loads the record at `ptr` into a `Vec` of its own.
+    pub fn get(&self, ptr: RecordPtr) -> Result<Vec<u8>> {
+        self.read_with(ptr, &mut Vec::new(), <[u8]>::to_vec)
     }
 
     /// Number of blocks the record at `ptr` spans (the paper's per-object
-    /// block cost), without reading the payload blocks.
+    /// block cost).
     pub fn record_blocks(&self, ptr: RecordPtr) -> Result<u32> {
-        let data = self.get(ptr)?; // small helper used in tests/reports only
-        let end = ptr.0 + (LEN_PREFIX + data.len()) as u64;
+        let len = self.read_with(ptr, &mut Vec::new(), <[u8]>::len)?;
+        let end = ptr.0 + (LEN_PREFIX + len) as u64;
         Ok((end.div_ceil(BLOCK_SIZE as u64) - ptr.0 / BLOCK_SIZE as u64) as u32)
     }
 
@@ -332,16 +375,30 @@ impl<D: BlockDevice> RecordFile<D> {
                 payload.extend_from_slice(&block[o..o + take]);
                 cursor += take as u64;
             }
-            if crc32(&payload) != rec_crc {
-                return Err(StorageError::Corrupt(format!(
-                    "record at {ptr:?} failed its checksum"
-                )));
-            }
+            verify(ptr, &payload, rec_crc)?;
             f(ptr, &payload)?;
             pos = cursor;
         }
         Ok(())
     }
+}
+
+/// What the first block of a record gave [`RecordFile::read_with`].
+enum FirstBlock<R> {
+    /// The record ended inside it: the caller's result on the lent bytes.
+    Whole(R),
+    /// The record runs on: its head is in `scratch`, this much is owed.
+    Head { len: usize, crc: u32 },
+}
+
+/// The checksum test of every read path.
+fn verify(ptr: RecordPtr, payload: &[u8], stored_crc: u32) -> Result<()> {
+    if crc32(payload) != stored_crc {
+        return Err(StorageError::Corrupt(format!(
+            "record at {ptr:?} failed its checksum"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -395,16 +452,71 @@ mod tests {
         let tracked = TrackedDevice::new(MemDevice::new());
         let stats = tracked.stats();
         let rf = RecordFile::create(tracked);
-        let big = vec![7u8; 2 * BLOCK_SIZE];
-        let p = rf.append(&big).unwrap();
+        // One record lent out of its block, one assembled from three.
+        let lent = rf.append(&[3u8; 100]).unwrap();
+        let assembled = rf.append(&vec![7u8; 2 * BLOCK_SIZE]).unwrap();
         rf.flush().unwrap();
-        stats.reset();
 
-        rf.get(p).unwrap();
-        let s = stats.snapshot();
-        assert_eq!(s.random_reads, 1);
-        assert_eq!(s.seq_reads, 2);
-        assert_eq!(s.random_writes + s.seq_writes, 0);
+        for (ptr, seq_reads) in [(lent, 0), (assembled, 2)] {
+            stats.reset();
+            let scope = crate::IoScope::enter();
+            rf.get(ptr).unwrap();
+            for s in [scope.finish().for_stats(&stats), stats.snapshot()] {
+                assert_eq!((s.random_reads, s.seq_reads), (1, seq_reads));
+                assert_eq!(s.random_writes + s.seq_writes, 0);
+            }
+        }
+    }
+
+    /// `read_with` lends what `append` took wherever the record lies, from
+    /// the device's own bytes when the record ends inside its first block
+    /// (`scratch` untouched) and from `scratch` when it runs on.
+    #[test]
+    fn read_with_lends_every_layout() {
+        let rf = RecordFile::create(MemDevice::new());
+        let mut records = Vec::new();
+        let mut append = |data: Vec<u8>, in_place: bool, blocks: u32| {
+            let ptr = rf.append(&data).unwrap();
+            records.push((ptr, data, in_place, blocks));
+            ptr
+        };
+        // Ends exactly at the first block's boundary.
+        append(vec![1; BLOCK_SIZE - LEN_PREFIX], true, 1);
+        // Spans two, three and four blocks.
+        append(vec![2; BLOCK_SIZE], false, 2);
+        append(vec![3; 2 * BLOCK_SIZE], false, 3);
+        append(vec![4; 3 * BLOCK_SIZE - 5], false, 4);
+        // Fill the current block to 5 bytes short of its end: the next
+        // header does not fit there and is pushed over the boundary.
+        let at = (rf.len_bytes() % BLOCK_SIZE as u64) as usize;
+        append(vec![5; BLOCK_SIZE - 5 - LEN_PREFIX - at], true, 1);
+        let padded = append(b"after the padding".to_vec(), true, 1);
+        assert_eq!(padded.0 % BLOCK_SIZE as u64, 0);
+        rf.flush().unwrap();
+        // In the tail, not yet on the device.
+        append(b"in the dirty tail".to_vec(), true, 1);
+
+        for (ptr, data, in_place, blocks) in &records {
+            let mut scratch = Vec::new();
+            let mut calls = 0;
+            let lent = rf
+                .read_with(*ptr, &mut scratch, |payload| {
+                    calls += 1;
+                    payload.to_vec()
+                })
+                .unwrap();
+            assert_eq!((&lent, calls), (data, 1), "{ptr:?}");
+            assert_eq!(scratch.is_empty(), *in_place, "{ptr:?}");
+            assert!(*in_place || scratch == *data, "{ptr:?}");
+            assert_eq!(&rf.get(*ptr).unwrap(), data);
+            assert_eq!(rf.record_blocks(*ptr).unwrap(), *blocks);
+        }
+        // One scratch serves every record, whatever it held before.
+        let mut scratch = vec![0xEE; 17];
+        for (ptr, data, ..) in records.iter().rev() {
+            let same = rf.read_with(*ptr, &mut scratch, |payload| payload == &data[..]);
+            assert!(same.unwrap(), "{ptr:?}");
+        }
     }
 
     #[test]
@@ -469,5 +581,19 @@ mod tests {
         // Pointer into the middle of a record: length bytes will be garbage
         // or padding; either way it must not panic.
         let _ = rf.get(RecordPtr(2));
+
+        // A header cannot begin in the last 7 bytes of a block (the writer
+        // pads), and offset arithmetic on a wild pointer must not overflow.
+        rf.append(&vec![9u8; 2 * BLOCK_SIZE]).unwrap();
+        let corrupt = |ptr: u64| match rf.get(RecordPtr(ptr)) {
+            Err(StorageError::Corrupt(msg)) => msg,
+            other => panic!("pointer {ptr}: {other:?}"),
+        };
+        for ptr in BLOCK_SIZE as u64 - 7..BLOCK_SIZE as u64 {
+            assert!(corrupt(ptr).contains("straddles a block boundary"));
+        }
+        for ptr in [u64::MAX, u64::MAX - LEN_PREFIX as u64, u64::MAX - 4096] {
+            assert!(corrupt(ptr).contains("beyond end of file"));
+        }
     }
 }

@@ -408,6 +408,54 @@ mod tests {
         );
     }
 
+    /// A borrowed read goes through whatever wraps the device: under
+    /// injected transient faults it is retried and counted exactly like
+    /// the `read_block` it replaces.
+    #[test]
+    fn a_borrowed_read_is_retried_and_counted_like_read_block() {
+        use crate::TrackedDevice;
+        let stack = || {
+            let flaky = FlakyDevice::every_kth(MemDevice::new(), 2);
+            let dev = TrackedDevice::new(RetryDevice::with_policy(flaky, fast_policy()));
+            let first = dev.allocate(4).unwrap();
+            for id in first..first + 4 {
+                dev.write_block(id, &[id as u8 + 1; BLOCK_SIZE]).unwrap();
+            }
+            dev.stats().reset();
+            dev
+        };
+        let (copied, lent) = (stack(), stack());
+        let faults = |dev: &TrackedDevice<RetryDevice<FlakyDevice<MemDevice>>>| {
+            dev.inner().inner().faults_injected()
+        };
+        let (faults_copied, faults_lent) = (faults(&copied), faults(&lent));
+
+        let scope = RetryScope::enter();
+        let mut buf = crate::zeroed_block();
+        for id in [2, 3, 0, 1] {
+            copied.read_block(id, &mut buf).unwrap();
+            assert_eq!(buf[0], id as u8 + 1);
+        }
+        let retries_copied = scope.finish().retries;
+
+        let scope = RetryScope::enter();
+        for id in [2, 3, 0, 1] {
+            let mut calls = 0;
+            lent.with_block(id, &mut |block| {
+                calls += 1;
+                assert_eq!(block, &[id as u8 + 1; BLOCK_SIZE]);
+            })
+            .unwrap();
+            assert_eq!(calls, 1);
+        }
+        let retries_lent = scope.finish().retries;
+
+        assert!(retries_lent > 0);
+        assert_eq!(retries_lent, retries_copied);
+        assert_eq!(faults(&lent) - faults_lent, faults(&copied) - faults_copied);
+        assert_eq!(lent.stats().snapshot(), copied.stats().snapshot());
+    }
+
     #[test]
     fn transient_exhaustion_surfaces_the_error() {
         // p = 1.0: every attempt fails transiently; retries run out.

@@ -11,7 +11,6 @@
 //! a seek and counts as random.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -172,16 +171,21 @@ impl std::iter::Sum for IoSnapshot {
 }
 
 thread_local! {
-    /// Per-thread attribution scope, keyed by `IoStats` instance address so
-    /// one scope can observe several devices (index, objects, ...) at once.
-    static ACTIVE_SCOPE: RefCell<Option<ScopeState>> = const { RefCell::new(None) };
+    /// Per-thread attribution scope: one tally per device seen, so one
+    /// scope can observe several devices (index, objects, ...) at once.
+    static ACTIVE_SCOPE: RefCell<Option<Vec<DeviceTally>>> = const { RefCell::new(None) };
 }
 
-struct ScopeState {
-    /// Accumulated per-device deltas, keyed by `IoStats` address.
-    counts: HashMap<usize, IoSnapshot>,
-    /// Per-device arm position as seen by *this thread only*.
-    last: HashMap<usize, BlockId>,
+/// What one scope has seen of one device. A scope sees a handful of
+/// devices (a query touches at most five), so the tallies are a `Vec`
+/// scanned linearly — no hashing on the path of every block access.
+#[derive(Debug, Clone, Copy)]
+struct DeviceTally {
+    /// The device's `IoStats` address: its identity within the scope.
+    stats_addr: usize,
+    /// Arm position as seen by *this thread only*.
+    last: BlockId,
+    counts: IoSnapshot,
 }
 
 /// Feeds one access into the current thread's scope, if one is active.
@@ -189,15 +193,26 @@ struct ScopeState {
 fn scope_record(stats_addr: usize, id: BlockId, write: bool) {
     ACTIVE_SCOPE.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let Some(state) = slot.as_mut() else { return };
-        let prev = state.last.insert(stats_addr, id);
-        let sequential = prev.is_some_and(|p| id == p.wrapping_add(1));
-        let snap = state.counts.entry(stats_addr).or_default();
+        let Some(tallies) = slot.as_mut() else { return };
+        let i = tallies
+            .iter()
+            .position(|t| t.stats_addr == stats_addr)
+            .unwrap_or_else(|| {
+                tallies.push(DeviceTally {
+                    stats_addr,
+                    last: NO_PREV,
+                    counts: IoSnapshot::default(),
+                });
+                tallies.len() - 1
+            });
+        let tally = &mut tallies[i];
+        let sequential = tally.last != NO_PREV && id == tally.last.wrapping_add(1);
+        tally.last = id;
         match (write, sequential) {
-            (false, false) => snap.random_reads += 1,
-            (false, true) => snap.seq_reads += 1,
-            (true, false) => snap.random_writes += 1,
-            (true, true) => snap.seq_writes += 1,
+            (false, false) => tally.counts.random_reads += 1,
+            (false, true) => tally.counts.seq_reads += 1,
+            (true, false) => tally.counts.random_writes += 1,
+            (true, true) => tally.counts.seq_writes += 1,
         }
     });
 }
@@ -244,10 +259,7 @@ impl IoScope {
         ACTIVE_SCOPE.with(|cell| {
             let mut slot = cell.borrow_mut();
             assert!(slot.is_none(), "IoScope does not nest");
-            *slot = Some(ScopeState {
-                counts: HashMap::new(),
-                last: HashMap::new(),
-            });
+            *slot = Some(Vec::new());
         });
         Self {
             _not_send: std::marker::PhantomData,
@@ -256,11 +268,10 @@ impl IoScope {
 
     /// Ends the scope and returns everything it observed.
     pub fn finish(self) -> ScopedIo {
-        let state = ACTIVE_SCOPE.with(|cell| cell.borrow_mut().take());
+        let tallies = ACTIVE_SCOPE.with(|cell| cell.borrow_mut().take());
         std::mem::forget(self); // Drop would otherwise clear an already-taken slot.
-        let state = state.expect("scope state present until finish");
         ScopedIo {
-            counts: state.counts,
+            tallies: tallies.expect("scope state present until finish"),
         }
     }
 }
@@ -274,22 +285,24 @@ impl Drop for IoScope {
 /// The I/O observed by one [`IoScope`], broken down per device.
 #[derive(Debug, Default, Clone)]
 pub struct ScopedIo {
-    counts: HashMap<usize, IoSnapshot>,
+    tallies: Vec<DeviceTally>,
 }
 
 impl ScopedIo {
     /// The delta attributed to the device whose counters are `stats`
     /// (zero if the scope never saw that device).
     pub fn for_stats(&self, stats: &IoStats) -> IoSnapshot {
-        self.counts
-            .get(&(stats as *const IoStats as usize))
-            .copied()
+        let stats_addr = stats as *const IoStats as usize;
+        self.tallies
+            .iter()
+            .find(|t| t.stats_addr == stats_addr)
+            .map(|t| t.counts)
             .unwrap_or_default()
     }
 
     /// Sum over every device the scope observed.
     pub fn total(&self) -> IoSnapshot {
-        self.counts.values().copied().sum()
+        self.tallies.iter().map(|t| t.counts).sum()
     }
 }
 
@@ -326,6 +339,11 @@ impl<D: BlockDevice> BlockDevice for TrackedDevice<D> {
     fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
         self.stats.record(id, false);
         self.inner.read_block(id, buf)
+    }
+
+    fn with_block(&self, id: BlockId, f: &mut dyn FnMut(&[u8; BLOCK_SIZE])) -> Result<()> {
+        self.stats.record(id, false);
+        self.inner.with_block(id, f)
     }
 
     fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {

@@ -3,11 +3,15 @@
 //! correspondence between pool misses and device reads, all under real
 //! contention from many reader/writer threads. And on the
 //! [`DecodedCache`]: a value decoded before a commit never outlives it.
+//! And on the [`RecordFile`]: readers racing the one appender.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use ir2_storage::{BlockDevice, BufferPool, DecodedCache, MemDevice, TrackedDevice, BLOCK_SIZE};
+use ir2_storage::{
+    BlockDevice, BufferPool, DecodedCache, MemDevice, RecordFile, RecordPtr, TrackedDevice,
+    BLOCK_SIZE,
+};
 
 const BLOCKS: u64 = 64;
 
@@ -200,4 +204,62 @@ fn no_pre_commit_value_survives_its_invalidation() {
         cache.invalidated() > 0,
         "the readers never installed a value"
     );
+}
+
+/// Readers race the appender over every pointer it has published — some
+/// long on the device (their block lent while the tail block is rewritten
+/// beside them), some still in the tail (flushed on demand). Each record's
+/// bytes are a function of its index, so a torn or stale read shows as a
+/// wrong payload and a half-published one as `Corrupt`.
+#[test]
+fn readers_racing_append_see_whole_records() {
+    const RECORDS: u64 = 4_000;
+    // Lengths cross block boundaries often: lent and assembled reads both.
+    let payload = |i: u64| vec![(i % 251) as u8 + 1; 1 + (i as usize * 37) % 1_500];
+    let file = RecordFile::create(MemDevice::new());
+    let published: Vec<AtomicU64> = (0..RECORDS).map(|_| AtomicU64::new(u64::MAX)).collect();
+    let count = AtomicU64::new(0);
+    let start = Barrier::new(3);
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for i in 0..RECORDS {
+                let ptr = file.append(&payload(i)).unwrap();
+                published[i as usize].store(ptr.0, Ordering::Relaxed);
+                // Publishes the pointer stored just above.
+                count.store(i + 1, Ordering::Release);
+            }
+        });
+        for reader in 0..2u64 {
+            let (file, published, count, start) = (&file, &published, &count, &start);
+            s.spawn(move || {
+                start.wait();
+                let mut scratch = Vec::new();
+                let mut x = 0x9E37_79B9_7F4A_7C15 ^ reader;
+                let mut reads = 0u64;
+                loop {
+                    let n = count.load(Ordering::Acquire);
+                    if n == 0 {
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    // Favour the newest records, where the race is.
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let i = n - 1 - (x >> 33) % n.min(8);
+                    let ptr = RecordPtr(published[i as usize].load(Ordering::Relaxed));
+                    let whole = file
+                        .read_with(ptr, &mut scratch, |bytes| bytes == &payload(i)[..])
+                        .unwrap_or_else(|e| panic!("record {i} of {n} at {ptr:?}: {e}"));
+                    assert!(whole, "record {i} of {n} at {ptr:?} read torn");
+                    reads += 1;
+                    if n == RECORDS && reads > RECORDS {
+                        break;
+                    }
+                }
+            });
+        }
+    });
 }

@@ -9,8 +9,9 @@
 //!    equal, so tokens are lower-cased alphanumeric runs). See [`tokenize`].
 //! 2. **Boolean containment** — the distance-first query's conjunctive
 //!    filter `∀w ∈ Q.t : w ∈ T.t`, and the false-positive check of
-//!    `IR2TopK` line 21. See [`text_contains_all`] (the query path: no
-//!    allocation per candidate) and [`TokenSet`].
+//!    `IR2TopK` line 21. See [`bytes_contain_all`] (the query path: the
+//!    verdict straight off a record's bytes, no allocation per candidate),
+//!    [`text_contains_all`] (the same on a `str`) and [`TokenSet`].
 //! 3. **Relevance ranking** — `IRscore(T.t, Q.t)` for the general top-k
 //!    query, a tf-idf family function \[Sin01\], plus the *upper bound* the
 //!    IR²-Tree computes from a node signature (the "imaginary object …
@@ -29,5 +30,5 @@ mod vocab;
 
 pub use rank::{DecayRank, LinearRank, RankingFn};
 pub use score::{IrScorer, SaturatingTfIdf};
-pub use tokenize::{text_contains_all, tokenize, TokenCounts, TokenSet};
+pub use tokenize::{bytes_contain_all, text_contains_all, tokenize, TokenCounts, TokenSet};
 pub use vocab::{TermId, VocabCorrupt, Vocabulary};

@@ -21,14 +21,9 @@ fn alphanumeric_runs(text: &str) -> impl Iterator<Item = &str> {
 /// The conjunctive keyword predicate straight off the document text:
 /// `∀w ∈ keywords : w ∈ tokenize(text)`, with the verdict of
 /// `TokenSet::from_text(text).contains_all(keywords)` and no allocation for
-/// ASCII text. This is the candidate check of `IR2TopK` line 21, which runs
-/// once per fetched object — mostly on signature false positives.
+/// ASCII text. `keywords` must be lower-cased, as a query's are.
 ///
-/// Tokens stream out of the split [`tokenize`] uses; an ASCII token is
-/// compared byte-wise against its lower-cased self, a non-ASCII token goes
-/// through `to_lowercase()` like `tokenize` does. Keywords still missing are
-/// a 64-bit mask (longer lists are checked 64 at a time), so the scan stops
-/// at the token that completes the match.
+/// This is [`bytes_contain_all`] on text already known to be UTF-8.
 ///
 /// ```
 /// use ir2_text::text_contains_all;
@@ -37,6 +32,75 @@ fn alphanumeric_runs(text: &str) -> impl Iterator<Item = &str> {
 /// assert!(!text_contains_all(text, &["internet", "spa"]));
 /// ```
 pub fn text_contains_all<S: AsRef<str>>(text: &str, keywords: &[S]) -> bool {
+    if text.is_ascii() {
+        ascii_contains_all(text.as_bytes(), keywords)
+    } else {
+        unicode_contains_all(text, keywords)
+    }
+}
+
+/// [`text_contains_all`] on bytes not yet known to be text — the candidate
+/// check of `IR2TopK` line 21, run where the record lies: once per fetched
+/// object, mostly on signature false positives, before anything is decoded.
+///
+/// ASCII bytes (the common record) are searched byte-wise with no
+/// allocation; `is_ascii` is then the whole UTF-8 check, because every
+/// ASCII byte string is valid UTF-8 and on it `char::is_alphanumeric` and
+/// `to_lowercase` are `u8::is_ascii_alphanumeric` and `to_ascii_lowercase`.
+/// Anything else is validated and goes through the `char`-wise tokenizer.
+/// Bytes that are not UTF-8 are an error, never `false`: a corrupt record
+/// is reported even when it would not have matched.
+///
+/// ```
+/// use ir2_text::bytes_contain_all;
+/// assert_eq!(bytes_contain_all(b"Internet, pool", &["pool"]), Ok(true));
+/// assert_eq!(bytes_contain_all("café".as_bytes(), &["cafe"]), Ok(false));
+/// assert!(bytes_contain_all(b"pool \xFF", &["spa"]).is_err());
+/// ```
+pub fn bytes_contain_all<S: AsRef<str>>(
+    text: &[u8],
+    keywords: &[S],
+) -> Result<bool, std::str::Utf8Error> {
+    if text.is_ascii() {
+        Ok(ascii_contains_all(text, keywords))
+    } else {
+        std::str::from_utf8(text).map(|text| unicode_contains_all(text, keywords))
+    }
+}
+
+/// `text` is ASCII, so its tokens are its maximal runs of ASCII
+/// alphanumerics, and a keyword is one of them exactly where it occurs,
+/// letter case aside, with no alphanumeric on either side. The text is
+/// searched for each keyword in turn — a false positive usually stops at
+/// its first — rather than cut into tokens: the byte loop branches on a
+/// token boundary only where a keyword's first byte matches.
+fn ascii_contains_all<S: AsRef<str>>(text: &[u8], keywords: &[S]) -> bool {
+    keywords.iter().all(|w| {
+        let w = w.as_ref().as_bytes();
+        let Some((&first, last_start)) = w.first().zip(text.len().checked_sub(w.len())) else {
+            return false; // no token is empty, or longer than the text
+        };
+        let is_boundary = |at: Option<&u8>| at.is_none_or(|b| !b.is_ascii_alphanumeric());
+        text[..=last_start].iter().enumerate().any(|(i, t)| {
+            t.to_ascii_lowercase() == first
+                && is_boundary(i.checked_sub(1).map(|before| &text[before]))
+                && is_boundary(text.get(i + w.len()))
+                // A token is lower-cased and all alphanumeric, so a keyword
+                // with a capital or a separator in it equals none.
+                && text[i..i + w.len()]
+                    .iter()
+                    .zip(w)
+                    .all(|(t, k)| t.is_ascii_alphanumeric() && t.to_ascii_lowercase() == *k)
+        })
+    })
+}
+
+/// Tokens stream out of the split [`tokenize`] uses; an ASCII token is
+/// compared byte-wise against its lower-cased self, a non-ASCII token goes
+/// through `to_lowercase()` like `tokenize`'s do. Keywords still missing are
+/// a 64-bit mask (longer lists are checked 64 at a time), so the scan stops
+/// at the token that completes the match.
+fn unicode_contains_all<S: AsRef<str>>(text: &str, keywords: &[S]) -> bool {
     keywords.chunks(64).all(|chunk| {
         let mut missing = u64::MAX >> (64 - chunk.len());
         for tok in alphanumeric_runs(text) {
@@ -204,6 +268,9 @@ mod tests {
             &["οδοσ"],
             &["Internet"], // keywords are taken as given, not lower-cased
             &["pool", "pool"],
+            &["airport transportation"], // in the text, but no one token
+            &["airport", "transportation"],
+            &["port"],
             &[""],
             &[],
         ] {

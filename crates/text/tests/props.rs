@@ -2,8 +2,8 @@
 //! general IR²-Tree algorithm's correctness rests on.
 
 use ir2_text::{
-    text_contains_all, tokenize, DecayRank, IrScorer, LinearRank, RankingFn, SaturatingTfIdf,
-    TokenCounts, TokenSet, Vocabulary,
+    bytes_contain_all, text_contains_all, tokenize, DecayRank, IrScorer, LinearRank, RankingFn,
+    SaturatingTfIdf, TokenCounts, TokenSet, Vocabulary,
 };
 use proptest::prelude::*;
 
@@ -145,5 +145,69 @@ proptest! {
             prop_assert_eq!(back.df(id), df);
             prop_assert!((back.idf(id) - vocab.idf(id)).abs() < 1e-12);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The check on a record's bytes gives the verdict of both checks on its
+    /// text — for ASCII text (searched byte-wise, `is_ascii` standing in for
+    /// the UTF-8 pass) and for text with characters whose lower-casing is
+    /// not a byte operation: 'İ', 'K' (KELVIN SIGN, lower-cases to ASCII
+    /// 'k'), 'ß', a combining acute, final sigma. Keyword lists are empty,
+    /// short, exactly one mask wide and wider; they mix the text's own
+    /// tokens with a token upper-cased, a token cut short or run on (a
+    /// keyword must equal a whole token), a stretch of the text that spans
+    /// separators, and words from outside. Text that
+    /// is empty or all separators is in range. Bytes that are not UTF-8 are
+    /// an error whatever the keywords — never a plain "no".
+    #[test]
+    fn bytes_contain_all_agrees_with_token_set(
+        ascii_only in any::<bool>(),
+        chars in prop::collection::vec(
+            prop::sample::select(
+                "abkXYZ019 ,.;-!_İKΣςσßéÉ\u{301}東".chars().collect::<Vec<char>>()),
+            0..60),
+        count in prop::sample::select(vec![0usize, 1, 2, 3, 64, 65, 130]),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 130),
+        outside in prop::collection::vec(
+            prop::sample::select(vec!["absent", "i̇", "k", "K", "ss", "é", "ABK", "", "a b", "a,"]),
+            0..2),
+        mangle in prop::sample::select(vec!["none", "shout", "cut", "run on", "span"]),
+    ) {
+        let text: String = chars.into_iter().filter(|c| !ascii_only || c.is_ascii()).collect();
+        let tokens: Vec<String> = tokenize(&text).collect();
+        let mut keywords: Vec<String> = outside.iter().map(|w| w.to_string()).collect();
+        if !tokens.is_empty() {
+            let own = count.saturating_sub(keywords.len());
+            keywords.extend(picks[..own].iter().map(|p| tokens[p.index(tokens.len())].clone()));
+        }
+        if let Some(last) = keywords.last_mut() {
+            match mangle {
+                "shout" => *last = last.to_uppercase(),
+                "cut" => { last.pop(); }
+                "run on" => last.push('a'),
+                // Several tokens and the separators between them.
+                "span" => {
+                    *last = text.trim_matches(|c: char| !c.is_alphanumeric()).to_lowercase()
+                }
+                _ => {}
+            }
+        }
+        let verdict = TokenSet::from_text(&text).contains_all(&keywords);
+        prop_assert_eq!(
+            bytes_contain_all(text.as_bytes(), &keywords), Ok(verdict),
+            "text {:?} keywords {:?}", text, keywords
+        );
+        prop_assert_eq!(
+            text_contains_all(&text, &keywords), verdict,
+            "text {:?} keywords {:?}", text, keywords
+        );
+
+        let mut torn = text.into_bytes();
+        torn.push(0xFF);
+        prop_assert!(bytes_contain_all(&torn, &keywords).is_err());
+        prop_assert!(bytes_contain_all::<&str>(&torn, &[]).is_err());
     }
 }
