@@ -3,7 +3,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 use ir2_geo::OrderedF64;
 use ir2_model::{
@@ -15,7 +14,7 @@ use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
 use crate::search::{
-    collect_topk, signature_mask_into, BoundedSearch, BoundedStep, SearchCounters,
+    collect_topk, level_entry, signature_mask_into, BoundedSearch, BoundedStep, SearchCounters,
 };
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
@@ -42,18 +41,19 @@ enum Item {
 /// IR²-Tree "facilitates both top-k spatial queries and top-k spatial
 /// keyword queries".
 ///
-/// The `S` parameter is a [`TraceSink`] receiving one event per node
-/// visit, signature test, and object fetch; the default [`NopSink`]
-/// monomorphizes every `record` call to an inlined empty body, so the
+/// The `S` parameter is a [`TraceSink`] receiving one event per node visit
+/// and object fetch, and one [`record_tests`](TraceSink::record_tests) call
+/// per node visit with that node's containment mask; the default
+/// [`NopSink`] monomorphizes every call to an inlined empty body, so the
 /// untraced iterator is byte-for-byte the pre-instrumentation code.
 pub struct DistanceFirstIter<'a, const N: usize, D, P: SigPayload, S: TraceSink = NopSink> {
     tree: &'a RTree<N, D, P>,
     objects: &'a dyn ObjectSource<N>,
     region: QueryRegion<N>,
     keywords: Vec<String>,
-    /// Query signature per node level, built lazily (levels differ only in
-    /// the MIR²-Tree).
-    query_sigs: HashMap<u16, Signature>,
+    /// Query signature per node level, indexed by level and built lazily
+    /// (levels differ only in the MIR²-Tree).
+    query_sigs: Vec<Option<Signature>>,
     heap: BinaryHeap<Reverse<(OrderedF64, u64, Item)>>,
     seq: u64,
     counters: SearchCounters,
@@ -134,7 +134,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
             objects,
             region,
             keywords,
-            query_sigs: HashMap::new(),
+            query_sigs: Vec::new(),
             heap,
             seq: 1,
             counters: SearchCounters::default(),
@@ -266,28 +266,26 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                         sink,
                         ..
                     } = self;
-                    let scheme = tree.ops().scheme_at(node.level());
-                    let qsig = query_sigs
-                        .entry(node.level())
-                        .or_insert_with(|| scheme.sign_terms(keywords.iter().map(String::as_str)));
+                    let level = node.level();
+                    let qsig = level_entry(query_sigs, level, || {
+                        tree.ops()
+                            .scheme_at(level)
+                            .sign_terms(keywords.iter().map(String::as_str))
+                    });
                     // Every entry's containment verdict, into the reusable
-                    // bitmask.
+                    // bitmask, reported to the sink and counted once per
+                    // node.
                     signature_mask_into(&node, qsig, mask);
-                    for i in 0..node.len() {
-                        // "if s matches w": drop entries whose signature
-                        // does not contain the query signature.
-                        let matched = mask.get(i);
-                        sink.record(&TraceEvent::SignatureTest {
-                            level: node.level(),
-                            matched,
-                        });
-                        if !matched {
-                            counters.pruned_by_signature += 1;
-                            continue;
-                        }
+                    sink.record_tests(level, mask);
+                    counters.pruned_by_signature += (mask.len() - mask.count_ones()) as u64;
+                    // "if s matches w": only entries whose signature
+                    // contains the query signature go on the frontier, in
+                    // entry order.
+                    let is_leaf = node.is_leaf();
+                    for i in mask.ones() {
                         let child = node.child(i);
                         let d = OrderedF64(region.min_dist(&node.rect(i)));
-                        let item = if node.is_leaf() {
+                        let item = if is_leaf {
                             Item::Object(child)
                         } else {
                             Item::Node(child)

@@ -13,7 +13,7 @@ use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
 
-use crate::search::signature_mask_into;
+use crate::search::{level_entry, signature_mask_into};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
 
@@ -143,12 +143,13 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
         .collect();
     let terms: Vec<&str> = term_ids.iter().map(|&t| vocab.name(t)).collect();
 
-    // Per-level, per-keyword query signatures, built lazily.
-    let mut keyword_sigs: HashMap<u16, Vec<Signature>> = HashMap::new();
+    // Per-keyword query signatures, indexed by level and built lazily.
+    let mut keyword_sigs: Vec<Option<Vec<Signature>>> = Vec::new();
     // One reusable containment bitmask per keyword, filled in a single pass
-    // over a node's signatures, so steady-state per-keyword pruning
-    // allocates nothing.
+    // over a node's signatures, and one reusable list of an entry's matched
+    // keywords, so steady-state per-keyword pruning allocates nothing.
     let mut keyword_masks: Vec<EntryMask> = (0..term_ids.len()).map(|_| EntryMask::new()).collect();
+    let mut matched: Vec<TermId> = Vec::with_capacity(term_ids.len());
 
     let mut heap: BinaryHeap<(OrderedF64, std::cmp::Reverse<u64>, u64)> = BinaryHeap::new();
     let mut items: HashMap<u64, GItem<N>> = HashMap::new();
@@ -254,7 +255,7 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                 // Borrowed for the whole entry loop — per-node signature
                 // clones would allocate on every node read (the bug fixed
                 // in `DistanceFirstIter::step`).
-                let sigs = keyword_sigs.entry(level).or_insert_with(|| {
+                let sigs = level_entry(&mut keyword_sigs, level, || {
                     terms
                         .iter()
                         .map(|t| ops.scheme_at(level).sign_term(t))
@@ -267,19 +268,18 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                     signature_mask_into(&node, s, m);
                 }
                 for i in 0..node.len() {
-                    let matched: Vec<TermId> = term_ids
-                        .iter()
-                        .zip(keyword_masks.iter())
-                        .filter(|(_, m)| {
-                            let hit = m.get(i);
-                            sink.record(&TraceEvent::SignatureTest {
-                                level,
-                                matched: hit,
-                            });
-                            hit
-                        })
-                        .map(|(&t, _)| t)
-                        .collect();
+                    // One event per (entry, keyword) probe, entry-major.
+                    matched.clear();
+                    for (&t, m) in term_ids.iter().zip(&keyword_masks) {
+                        let hit = m.get(i);
+                        sink.record(&TraceEvent::SignatureTest {
+                            level,
+                            matched: hit,
+                        });
+                        if hit {
+                            matched.push(t);
+                        }
+                    }
                     if matched.is_empty() && query.require_match {
                         continue;
                     }

@@ -37,9 +37,11 @@
 //! * **anchor**: [`DistanceFirstIter::new`] (a point query) or
 //!   [`DistanceFirstIter::with_region`] (a point or an area);
 //! * **sink**: the `*_sink` constructors take a [`TraceSink`] that
-//!   receives one [`TraceEvent`] per node visit, signature test and object
-//!   fetch; the default [`NopSink`] makes the untraced paths compile to
-//!   the uninstrumented code;
+//!   receives one [`TraceEvent`] per node visit and object fetch, and a
+//!   visited node's signature tests in one
+//!   [`record_tests`](TraceSink::record_tests) call; the default
+//!   [`NopSink`] makes the untraced paths compile to the uninstrumented
+//!   code;
 //! * **limits**: `.limited(QueryLimits)` — a tripped limit stops the
 //!   iterator with the exact top-m prefix emitted.
 //!

@@ -59,6 +59,21 @@ pub(crate) fn signature_mask_into<const N: usize>(
     }
 }
 
+/// The slot of a per-level table for `level`, filled by `make` on first
+/// use: the searches keep their query signatures this way, indexed by tree
+/// level (a handful of levels, probed once per node visit).
+pub(crate) fn level_entry<T>(
+    table: &mut Vec<Option<T>>,
+    level: u16,
+    make: impl FnOnce() -> T,
+) -> &mut T {
+    let level = usize::from(level);
+    if table.len() <= level {
+        table.resize_with(level + 1, || None);
+    }
+    table[level].get_or_insert_with(make)
+}
+
 /// What [`collect_topk`] returns: the complete-or-truncated results plus
 /// the search counters of the run.
 pub type LimitedTopk<const N: usize> = (ExecOutcome<Vec<(SpatialObject<N>, f64)>>, SearchCounters);

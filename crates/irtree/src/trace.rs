@@ -6,19 +6,28 @@
 //! full step logs) can be derived at query time instead of re-running the
 //! offline `diagnostics` walk:
 //!
-//! * [`NopSink`] — the default; every `record` call is an inlined empty
-//!   body, so the traced code monomorphizes to exactly the untraced code
-//!   (the `trace_overhead` bench guards this stays ≤ 5% on the batch
-//!   engine).
+//! * [`NopSink`] — the default; every call is an inlined empty body, so
+//!   the traced code monomorphizes to exactly the untraced code.
 //! * [`VecSink`] — keeps every event, for the `ir2 trace` step log.
 //! * [`StatsSink`] — folds events into [`TraceStats`] counters and
 //!   per-level pruning tallies without storing events.
+//!
+//! A visited node's signature tests arrive in one call,
+//! [`TraceSink::record_tests`], with the node's containment mask. Its
+//! default replays the mask as one [`TraceEvent::SignatureTest`] per entry
+//! in entry order, so a sink that overrides only `record` sees the same
+//! stream it would per entry; [`NopSink`] ignores the call and
+//! [`StatsSink`] tallies the whole node at once (`ir2bench --trace 1`
+//! reports what each costs as `core.facade_overhead_us` and
+//! `irtree.trace_overhead_pct`).
 //!
 //! The derived [`TraceStats`] are definitionally consistent with the
 //! algorithms' own `SearchCounters` (`nodes_visited == nodes_read`,
 //! `objects_fetched == candidates_checked`, `sig_tests − sig_matched ==
 //! pruned_by_signature`) — an equivalence the core crate's observability
 //! integration test asserts bit-for-bit against `IoScope` attribution.
+
+use ir2_sigfile::EntryMask;
 
 use crate::search::SearchCounters;
 
@@ -76,17 +85,42 @@ pub enum TraceEvent {
 /// tracing is opt-in per call and free when unused.
 pub trait TraceSink {
     /// Receives one event. Implementations must be cheap: this is called
-    /// on the query hot path (once per node, per signature test, per
-    /// object fetch).
+    /// on the query hot path (once per node visit and per object fetch,
+    /// and by the general algorithm once per keyword probe of an entry).
     fn record(&mut self, event: &TraceEvent);
+
+    /// Receives the signature tests of one visited node: bit `i` of `mask`
+    /// is entry `i`'s containment verdict against the query signature of
+    /// `level`, the node's own level.
+    ///
+    /// The default emits one [`TraceEvent::SignatureTest`] per entry, in
+    /// entry order, through [`record`](TraceSink::record) — the stream a
+    /// per-entry caller would produce. A sink that only counts should
+    /// override it with one tally per node, as [`StatsSink`] does; the
+    /// override must leave the sink as the default's events would.
+    #[inline]
+    fn record_tests(&mut self, level: u16, mask: &EntryMask) {
+        for i in 0..mask.len() {
+            self.record(&TraceEvent::SignatureTest {
+                level,
+                matched: mask.get(i),
+            });
+        }
+    }
 }
 
 /// Sinks are usable through mutable references, so a caller can keep
-/// ownership while lending the sink to an iterator.
+/// ownership while lending the sink to an iterator. Both calls forward, so
+/// a lent sink keeps its own `record_tests`.
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     #[inline]
     fn record(&mut self, event: &TraceEvent) {
         (**self).record(event);
+    }
+
+    #[inline]
+    fn record_tests(&mut self, level: u16, mask: &EntryMask) {
+        (**self).record_tests(level, mask);
     }
 }
 
@@ -99,6 +133,9 @@ pub struct NopSink;
 impl TraceSink for NopSink {
     #[inline(always)]
     fn record(&mut self, _event: &TraceEvent) {}
+
+    #[inline(always)]
+    fn record_tests(&mut self, _level: u16, _mask: &EntryMask) {}
 }
 
 /// Stores every event in order — the full step log behind `ir2 trace`.
@@ -155,6 +192,14 @@ impl TraceSink for StatsSink {
     #[inline]
     fn record(&mut self, event: &TraceEvent) {
         self.stats.absorb(event);
+    }
+
+    /// One tally for the whole node: its entries as tests, its set bits as
+    /// matches.
+    #[inline]
+    fn record_tests(&mut self, level: u16, mask: &EntryMask) {
+        self.stats
+            .tally_tests(level, mask.len() as u64, mask.count_ones() as u64);
     }
 }
 
@@ -214,16 +259,7 @@ impl TraceStats {
                 self.max_heap = self.max_heap.max(heap_size as u64);
             }
             TraceEvent::SignatureTest { level, matched } => {
-                self.sig_tests += 1;
-                let level = level as usize;
-                if self.per_level.len() <= level {
-                    self.per_level.resize(level + 1, LevelPruning::default());
-                }
-                self.per_level[level].tests += 1;
-                if matched {
-                    self.sig_matched += 1;
-                    self.per_level[level].matched += 1;
-                }
+                self.tally_tests(level, 1, u64::from(matched));
             }
             TraceEvent::ObjectFetched { matched, .. } => {
                 self.objects_fetched += 1;
@@ -232,6 +268,22 @@ impl TraceStats {
                 }
             }
         }
+    }
+
+    /// Adds `tests` signature tests at `level`, `matched` of which matched.
+    /// No tests leave `per_level` as it was.
+    fn tally_tests(&mut self, level: u16, tests: u64, matched: u64) {
+        if tests == 0 {
+            return;
+        }
+        self.sig_tests += tests;
+        self.sig_matched += matched;
+        let level = level as usize;
+        if self.per_level.len() <= level {
+            self.per_level.resize(level + 1, LevelPruning::default());
+        }
+        self.per_level[level].tests += tests;
+        self.per_level[level].matched += matched;
     }
 
     /// Entries pruned by signature mismatch (= `sig_tests − sig_matched`
@@ -286,6 +338,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir2_sigfile::{payloads_mask_into, Signature};
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -433,5 +486,85 @@ mod tests {
             matched: false,
         });
         assert_eq!(vs.events.len(), 2);
+    }
+
+    /// A mask whose entry `i` holds `verdicts[i]`, built the way a search
+    /// builds one: one-byte payloads tested against a one-bit query.
+    fn mask_of(verdicts: impl IntoIterator<Item = bool>) -> EntryMask {
+        let mut query = Signature::zero(8);
+        query.set(0);
+        let payloads: Vec<[u8; 1]> = verdicts.into_iter().map(|v| [u8::from(v)]).collect();
+        let mut mask = EntryMask::new();
+        payloads_mask_into(payloads.iter().map(|p| &p[..]), &query, &mut mask);
+        mask
+    }
+
+    /// Counts which of its two calls it received.
+    #[derive(Default)]
+    struct CallCounter {
+        records: usize,
+        tallies: usize,
+    }
+
+    impl TraceSink for CallCounter {
+        fn record(&mut self, _event: &TraceEvent) {
+            self.records += 1;
+        }
+
+        fn record_tests(&mut self, _level: u16, _mask: &EntryMask) {
+            self.tallies += 1;
+        }
+    }
+
+    /// `record_tests` through the generic bound a search sees, so a
+    /// reference wrapper goes through the blanket impl.
+    fn lend<S: TraceSink>(mut sink: S, level: u16, mask: &EntryMask) {
+        sink.record_tests(level, mask);
+    }
+
+    #[test]
+    fn a_node_tally_equals_absorbing_its_per_entry_events() {
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            let mask = mask_of((0..len).map(|i| i % 3 == 0 || i == 64));
+            for level in [0u16, 3] {
+                let ctx = format!("{len} entries at level {level}");
+                // The default: one event per entry, in entry order.
+                let mut events = VecSink::new();
+                events.record_tests(level, &mask);
+                let want: Vec<TraceEvent> = (0..len)
+                    .map(|i| TraceEvent::SignatureTest {
+                        level,
+                        matched: mask.get(i),
+                    })
+                    .collect();
+                assert_eq!(events.events, want, "{ctx}");
+                let folded = events.stats();
+
+                let mut direct = StatsSink::new();
+                direct.record_tests(level, &mask);
+                assert_eq!(direct.stats, folded, "{ctx}: direct");
+                let mut lent = StatsSink::new();
+                lend(&mut lent, level, &mask);
+                assert_eq!(lent.stats, folded, "{ctx}: &mut StatsSink");
+                let mut twice = StatsSink::new();
+                lend(&mut &mut twice, level, &mask);
+                assert_eq!(twice.stats, folded, "{ctx}: &mut &mut StatsSink");
+                let mut erased = StatsSink::new();
+                (&mut erased as &mut dyn TraceSink).record_tests(level, &mask);
+                assert_eq!(erased.stats, folded, "{ctx}: &mut dyn TraceSink");
+            }
+        }
+    }
+
+    #[test]
+    fn every_wrapper_reaches_the_override() {
+        let mask = mask_of([true, false, true]);
+        let mut counter = CallCounter::default();
+        counter.record_tests(0, &mask);
+        lend(&mut counter, 0, &mask);
+        lend(&mut &mut counter, 0, &mask);
+        (&mut counter as &mut dyn TraceSink).record_tests(0, &mask);
+        lend(&mut counter as &mut dyn TraceSink, 0, &mask);
+        assert_eq!((counter.tallies, counter.records), (5, 0));
     }
 }

@@ -5,8 +5,6 @@
 //! double pruning as the top-k algorithm: subtrees are skipped when their
 //! MBR misses the window *or* their signature lacks the query keywords.
 
-use std::collections::HashMap;
-
 use ir2_geo::Rect;
 use ir2_model::{ObjPtr, ObjectSource, SpatialObject};
 use ir2_rtree::RTree;
@@ -14,6 +12,7 @@ use ir2_sigfile::{payload_contains, Signature};
 use ir2_storage::{BlockDevice, Result};
 use ir2_text::tokenize;
 
+use crate::search::level_entry;
 use crate::{SearchCounters, SigPayload};
 
 /// Returns every object inside `window` whose text contains all
@@ -39,7 +38,7 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
     let Some(root) = tree.root() else {
         return Ok((out, counters));
     };
-    let mut query_sigs: HashMap<u16, Signature> = HashMap::new();
+    let mut query_sigs: Vec<Option<Signature>> = Vec::new();
     let mut stack = vec![root];
     let mut scratch = Vec::new();
     while let Some(id) = stack.pop() {
@@ -49,10 +48,12 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
         let node = tree.read_node_buf(id)?;
         counters.nodes_read += 1;
         counters.cache_misses += 1; // uncached read: every visit decodes
-        let scheme = tree.ops().scheme_at(node.level());
-        let qsig = query_sigs
-            .entry(node.level())
-            .or_insert_with(|| scheme.sign_terms(kws.iter().map(String::as_str)));
+        let level = node.level();
+        let qsig = level_entry(&mut query_sigs, level, || {
+            tree.ops()
+                .scheme_at(level)
+                .sign_terms(kws.iter().map(String::as_str))
+        });
         for i in 0..node.len() {
             if !window.intersects(&node.rect(i)) {
                 continue;

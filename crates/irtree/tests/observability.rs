@@ -5,15 +5,19 @@
 //! 2. Observed per-level signature false-positive rates (derived from a
 //!    query-time trace) validate the offline `density_profile` predictions
 //!    — the paper's Section VI false-positive story, measured live.
+//! 3. A visited node reports its signature tests in one call: the per-node
+//!    tally, the per-entry event stream and the untraced run tell the same
+//!    story, on both trees, with and without a node cache.
 
 use std::sync::Arc;
 
 use ir2_irtree::{
-    collect_topk, density_profile, distance_first_topk, insert_object, DistanceFirstIter,
-    Ir2Payload, MirPayload, SearchCounters, SigPayload, StatsSink, TraceSink,
+    bulk_load_objects, collect_topk, density_profile, distance_first_topk, insert_object,
+    DistanceFirstIter, Ir2Payload, MirPayload, SearchCounters, SigPayload, StatsSink, TraceEvent,
+    TraceSink, VecSink,
 };
-use ir2_model::{DistanceFirstQuery, ObjectSource, ObjectStore, SpatialObject};
-use ir2_rtree::{RTree, RTreeConfig};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, SpatialObject};
+use ir2_rtree::{NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::MemDevice;
 
@@ -211,4 +215,213 @@ fn nop_and_stats_sinks_agree_on_counters() {
         assert_eq!(a.1, b.1);
     }
     assert!(sink.stats.matches_counters(&traced_counters));
+}
+
+/// splitmix64: the query generator's seeded stream.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// 64 seeded queries over `object(_, 200)`'s vocabulary; the first has no
+/// keywords (plain nearest neighbours, every entry matches).
+fn seeded_queries() -> Vec<DistanceFirstQuery<2>> {
+    let mut state = 0x2008;
+    (0..64)
+        .map(|qi| {
+            let point = [
+                (next(&mut state) % 9_000) as f64 / 100.0,
+                (next(&mut state) % 9_000) as f64 / 100.0,
+            ];
+            let words = if qi == 0 { 0 } else { 1 + next(&mut state) % 3 };
+            let kws: Vec<String> = (0..words)
+                .map(|_| format!("w{}", next(&mut state) % 200))
+                .collect();
+            let k = 1 + (next(&mut state) % 10) as usize;
+            DistanceFirstQuery::new(point, &kws, k)
+        })
+        .collect()
+}
+
+/// FNV-1a over a trace's events, field by field.
+fn stream_digest(digest: &mut u64, events: &[TraceEvent]) {
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in events {
+        match *e {
+            TraceEvent::NodeVisited {
+                node,
+                level,
+                mindist,
+                entries,
+                heap_size,
+            } => {
+                eat(0);
+                eat(node);
+                eat(level.into());
+                eat(mindist.to_bits());
+                eat(entries as u64);
+                eat(heap_size as u64);
+            }
+            TraceEvent::SignatureTest { level, matched } => {
+                eat(1);
+                eat(level.into());
+                eat(matched.into());
+            }
+            TraceEvent::ObjectFetched {
+                ptr,
+                distance,
+                matched,
+            } => {
+                eat(2);
+                eat(ptr);
+                eat(distance.to_bits());
+                eat(matched.into());
+            }
+        }
+    }
+}
+
+/// Every `NodeVisited` is followed by exactly `entries` signature tests at
+/// its level, and no signature test appears anywhere else.
+fn assert_one_report_per_visit(events: &[TraceEvent], ctx: &str) {
+    let mut i = 0;
+    while i < events.len() {
+        match events[i] {
+            TraceEvent::NodeVisited { level, entries, .. } => {
+                let tests = &events[i + 1..(i + 1 + entries).min(events.len())];
+                assert_eq!(tests.len(), entries, "{ctx}: event {i} is cut short");
+                for (j, t) in tests.iter().enumerate() {
+                    assert!(
+                        matches!(*t, TraceEvent::SignatureTest { level: l, .. } if l == level),
+                        "{ctx}: entry {j} of the visit at event {i} is {t:?}"
+                    );
+                }
+                i += 1 + entries;
+            }
+            TraceEvent::SignatureTest { .. } => panic!("{ctx}: stray test at event {i}"),
+            TraceEvent::ObjectFetched { .. } => i += 1,
+        }
+    }
+}
+
+/// Runs every query untraced, through a `StatsSink` and through a
+/// `VecSink` on `tree`, asserts they agree, and returns the event streams.
+fn traced_streams<P: SigPayload>(
+    tree: &RTree<2, MemDevice, P>,
+    store: &dyn ObjectSource<2>,
+    queries: &[DistanceFirstQuery<2>],
+    name: &str,
+) -> Vec<Vec<TraceEvent>> {
+    let ids = |hits: &[(SpatialObject<2>, f64)]| -> Vec<(u64, u64)> {
+        hits.iter().map(|(o, d)| (o.id, d.to_bits())).collect()
+    };
+    queries
+        .iter()
+        .enumerate()
+        .map(|(qi, q)| {
+            let ctx = format!("{name} query {qi}");
+            // A first pass fills a cache, so every run below sees the same
+            // hits and misses.
+            distance_first_topk(tree, store, q).unwrap();
+            let (plain, plain_counters) = distance_first_topk(tree, store, q).unwrap();
+            let mut stats = StatsSink::new();
+            let (tallied, tallied_counters) =
+                distance_first_topk_traced(tree, store, q, &mut stats).unwrap();
+            let mut log = VecSink::new();
+            let (logged, logged_counters) =
+                distance_first_topk_traced(tree, store, q, &mut log).unwrap();
+
+            assert_eq!(ids(&tallied), ids(&plain), "{ctx}: StatsSink results");
+            assert_eq!(ids(&logged), ids(&plain), "{ctx}: VecSink results");
+            assert_eq!(
+                tallied_counters, plain_counters,
+                "{ctx}: StatsSink counters"
+            );
+            assert_eq!(logged_counters, plain_counters, "{ctx}: VecSink counters");
+            assert_eq!(stats.stats, log.stats(), "{ctx}: tally vs stream");
+            assert!(
+                stats.stats.matches_counters(&plain_counters),
+                "{ctx}: {:?} vs {plain_counters:?}",
+                stats.stats
+            );
+            assert!(stats.stats.nodes_visited > 0, "{ctx}: the query visits");
+            assert_one_report_per_visit(&log.events, &ctx);
+            log.events
+        })
+        .collect()
+}
+
+/// `items` bulk-loaded into a fanout-80 tree, with or without a node cache
+/// that holds all of it.
+fn packed<P: SigPayload>(
+    payload: P,
+    cached: bool,
+    items: &[(ObjPtr, SpatialObject<2>)],
+) -> RTree<2, MemDevice, P> {
+    let mut tree = RTree::create(MemDevice::new(), RTreeConfig::with_max(80), payload).unwrap();
+    if cached {
+        tree.set_node_cache(Arc::new(NodeCache::new(1_024)));
+    }
+    bulk_load_objects(&tree, items.iter().cloned()).unwrap();
+    tree
+}
+
+/// `DistanceFirstIter` hands a visited node's mask to the sink in one
+/// call. On IR² and MIR² trees, with and without a node cache, the
+/// `StatsSink` tally equals the folded `VecSink` stream, that stream has
+/// one test per entry right after each visit, and neither sink changes the
+/// results or counters of the untraced run. The streams of the uncached
+/// trees are pinned by digest: they are the per-entry loop's, event for
+/// event.
+#[test]
+fn a_visit_reports_its_tests_once_and_every_sink_agrees() {
+    let store = Arc::new(ObjectStore::<2, _>::create(MemDevice::new()));
+    let items: Vec<_> = (0..8_000u64)
+        .map(|i| {
+            let o = SpatialObject::new(i, [(i % 90) as f64, (i / 90) as f64], object(i, 200).text);
+            (store.append(&o).unwrap(), o)
+        })
+        .collect();
+    store.flush().unwrap();
+    let ir2 = |cached| {
+        let payload = Ir2Payload::new(SignatureScheme::from_bytes_len(8, 3, 11));
+        packed(payload, cached, &items)
+    };
+    let mir2 = |cached| {
+        let schemes = MultiLevelScheme::new(8, 3, 11, 80, 4.0, 200);
+        let source = Arc::clone(&store) as Arc<dyn ObjectSource<2>>;
+        packed(MirPayload::new(schemes, source), cached, &items)
+    };
+
+    let queries = seeded_queries();
+    assert!(queries[0].keywords.is_empty());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let (plain, warm) = (ir2(false), ir2(true));
+    assert_eq!(plain.height(), 3);
+    let streams = traced_streams(&plain, &*store, &queries, "IR²");
+    assert_eq!(
+        traced_streams(&warm, &*store, &queries, "IR², cached"),
+        streams
+    );
+    streams.iter().for_each(|s| stream_digest(&mut digest, s));
+    let (plain, warm) = (mir2(false), mir2(true));
+    let streams = traced_streams(&plain, &*store, &queries, "MIR²");
+    assert_eq!(
+        traced_streams(&warm, &*store, &queries, "MIR², cached"),
+        streams
+    );
+    streams.iter().for_each(|s| stream_digest(&mut digest, s));
+    // Taken with this test body on the commit before the per-node call,
+    // when the iterator recorded one event per entry.
+    assert_eq!(
+        digest, 0xcc75_fa9b_61c8_ffd5,
+        "event streams differ from the per-entry loop's"
+    );
 }

@@ -75,9 +75,9 @@ fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// row-major block fetched a cache line from each of the hundred 192-byte
 /// rows. Building the block is a bit-matrix transpose of the page's
 /// payloads, dearer than copying them, so callers build one only for a node
-/// that has shown it is read again and again (`ir2-irtree` waits for a node
-/// image to serve a number of cache hits) and test the others in place with
-/// [`payloads_mask_into`].
+/// that will be read again: `ir2-irtree` builds it when a node image is
+/// installed in the tree's node cache, and a tree without a cache tests its
+/// entries in place with [`payloads_mask_into`].
 #[derive(Clone, Debug)]
 pub struct SignatureBlock {
     bits: usize,
