@@ -35,28 +35,34 @@
 //! Every shard may be backed by R byte-identical replicas (`shard-NNN/
 //! replica-M/` directories; replicas are verified block-for-block at build
 //! time). At query time a [`ReplicaSet`] routes each shard's pull to a
-//! healthy replica; when a replica returns a [`StorageError`] (a dead
+//! healthy replica. A pull is one `ShardCursor`, and every gather steps
+//! the same cursor. When a replica returns a [`StorageError`] (a dead
 //! device, or its retry layer's circuit breaker tripping into
-//! `Quarantined`), the merge **fails over**: it re-issues that shard's
-//! bounded pull against the next replica, restarted from the root under
-//! the *surviving* limit slice — the deadline is an absolute instant so it
+//! `Quarantined`), the cursor **fails over** by itself: it restarts the
+//! shard's bounded pull from the root on the next replica, under the
+//! *surviving* limit slice — the deadline is an absolute instant so it
 //! carries over unchanged, and the shard's I/O-budget slice is reduced by
-//! what the dead attempt consumed. Results stay exact because a restart
-//! re-emits a superset of the dead attempt's hits ([`TopK`] deduplicates
-//! by object id) and the truncation cut-radius machinery already makes
-//! partial traversals honest.
+//! what the dead attempts consumed. Only a shard with no replica left to
+//! try fails the query. Results stay exact because a restart re-emits a
+//! superset of the dead attempt's hits ([`TopK`] deduplicates by object
+//! id) and the truncation cut-radius machinery already makes partial
+//! traversals honest. Whatever the gather, the report counts the I/O,
+//! object loads and counters of every attempt, the dead ones included.
 //!
 //! Hedged reads ([`Gather::Hedged`]) cut tail latency under *stalls* rather
 //! than faults: each shard's drain starts on the primary replica, and if it
-//! has not completed after the hedge delay a second replica drains the same
-//! shard concurrently; the first complete drain wins and the loser is
-//! cancelled cooperatively at its next bounded step. Both drains insert
-//! into the shared top-k, which is sound for the same dedup reason.
+//! has not completed after the hedge delay a second cursor, on another
+//! replica, drains the same shard concurrently; the first complete drain
+//! wins and the other stops at its next bounded step. Each cursor fails
+//! over like any other, so a hedged shard fails only when both drains
+//! fail. Both drains insert into the shared top-k, which is sound for the
+//! same dedup reason.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -276,51 +282,138 @@ fn split_limits(limits: &QueryLimits, s: usize) -> Vec<QueryLimits> {
 }
 
 // ---------------------------------------------------------------------
-// Per-shard iterator plumbing.
+// The shard cursor.
 // ---------------------------------------------------------------------
 
-/// One shard's place in the sequential merge. Its search is
-/// [`SpatialKeywordDb::open_search`] on the replica currently serving it
-/// (boxed once per open, never per step; IIO is not here — it is not
-/// incremental and merges per-shard *results*). The merge passes
-/// [`next_within`](BoundedSearch::next_within) the tightest bound it holds
-/// — the next-best shard's bound or the current k-th distance — so a shard
-/// never descends toward a result the merge would discard.
-struct ShardCursor<'a> {
-    iter: Box<dyn BoundedSearch<2> + 'a>,
+/// One shard's whole pull, on whichever of its replicas is serving it.
+/// Its search is [`SpatialKeywordDb::open_search`] on that replica (boxed
+/// once per open, never per step; IIO is not here — it is not incremental
+/// and merges per-shard *results*). Every gather steps shards through
+/// this cursor — the sequential merge, a parallel worker, and both sides
+/// of a hedge — so every gather fails over the same way. The caller
+/// passes [`step`](Self::step) the tightest bound it holds, so a shard
+/// never descends toward a result the gather would discard.
+struct ShardCursor<'a, D: BlockDevice + 'static> {
+    db: &'a ShardedDb<D>,
+    shard: usize,
+    req: &'a TopkRequest,
+    /// One load counter per replica of this shard, owned by the gather so
+    /// that the loads of an attempt that died stay counted.
+    sources: &'a [CountingSource<'a, 2>],
+    /// This shard's slice of the request's limits.
+    limits: QueryLimits,
     /// MINDIST from the query region to the shard's bounding rect — a constant
     /// lower bound that holds before any I/O (a far shard with an empty
     /// frontier key of 0.0 is still known to be far).
     rect_bound: f64,
-    /// Replica currently serving this shard's pull.
-    replica: usize,
-    /// Replicas already attempted (including the current one) — a
-    /// failover never retries a replica that failed this query.
+    iter: Box<dyn BoundedSearch<2> + 'a>,
+    /// Replicas attempted, the one serving now last — a failover never
+    /// retries a replica that failed this pull.
     tried: Vec<usize>,
-    /// Search counters accumulated by attempts that died mid-pull; the
-    /// live iterator's counters are added on top at the end.
+    /// Search counters of the attempts that died mid-pull.
     prior: SearchCounters,
-    done: bool,
     stepped: bool,
 }
 
-impl ShardCursor<'_> {
+impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
+    /// Opens shard `shard`'s pull on replica `m` under `limits`.
+    fn open(
+        db: &'a ShardedDb<D>,
+        shard: usize,
+        m: usize,
+        req: &'a TopkRequest,
+        sources: &'a [CountingSource<'a, 2>],
+        limits: QueryLimits,
+    ) -> Result<Self> {
+        Ok(Self {
+            iter: db.shards[shard]
+                .get(m)
+                .open_search(&sources[m], req, limits, NopSink)?,
+            rect_bound: db.rect_bound(shard, req),
+            db,
+            shard,
+            req,
+            sources,
+            limits,
+            tried: vec![m],
+            prior: SearchCounters::default(),
+            stepped: false,
+        })
+    }
+
     /// Lower bound on every result this shard can still emit; `None` once
     /// the shard is finished.
     fn bound(&self) -> Option<f64> {
         self.iter.frontier_bound().map(|fb| fb.max(self.rect_bound))
     }
 
-    /// I/O charged against this shard's budget slice so far, across every
-    /// attempt (the same `nodes_read + candidates_checked` unit the
-    /// limited iterators charge internally) — what a failover restart
-    /// subtracts from the slice so the shard as a whole stays within it.
-    fn consumed(&self) -> u64 {
-        let live = self.iter.counters();
-        self.prior.nodes_read
-            + self.prior.candidates_checked
-            + live.nodes_read
-            + live.candidates_checked
+    /// Advances at most to `limit` ([`next_within`](
+    /// BoundedSearch::next_within)). A [`StorageError`] fails the shard
+    /// over: its pull restarts from the root on the next replica under
+    /// the slice that survives — the deadline is an absolute instant, and
+    /// the I/O budget loses what the dead attempts charged (the
+    /// `nodes_read + candidates_checked` unit the limited iterators
+    /// charge) — and the step is `Pending`. The error comes back only
+    /// when the shard has no replica left to try. Hits a dead attempt
+    /// emitted stay where the caller put them: the restart re-emits them
+    /// and [`TopK`] drops repeats.
+    fn step(&mut self, limit: f64) -> Result<BoundedStep<2>> {
+        self.stepped = true;
+        let err = match self.iter.next_within(limit) {
+            Err(e) => e,
+            step => return step,
+        };
+        let set = &self.db.shards[self.shard];
+        let failed = self.tried[self.tried.len() - 1];
+        let Some(m) = set.fail_over(failed, &mut self.tried, &self.db.metrics) else {
+            return Err(err);
+        };
+        self.prior += self.iter.counters();
+        let consumed = self.prior.nodes_read + self.prior.candidates_checked;
+        let mut limits = self.limits;
+        limits.io_budget = limits.io_budget.map(|b| b.saturating_sub(consumed).max(1));
+        self.iter = set
+            .get(m)
+            .open_search(&self.sources[m], self.req, limits, NopSink)?;
+        Ok(BoundedStep::Pending)
+    }
+
+    /// Adds what every attempt of this pull counted to `tally`.
+    fn fold_into(&self, tally: &mut Tally) {
+        tally.counters += self.prior;
+        tally.counters += self.iter.counters();
+        tally.stepped[self.shard] |= self.stepped;
+    }
+
+    /// A parallel worker's pull: drains this shard into `shared` under
+    /// its threshold until the shard cannot improve the answer, or until
+    /// `won` says a racing drain of the same shard completed first, then
+    /// folds the cursor into `tally`. Returns whether this drain completed
+    /// first.
+    fn drain(mut self, shared: &Mutex<TopK>, won: &AtomicBool, tally: &mut Tally) -> Result<bool> {
+        let out = (|| {
+            while let Some(b) = self.bound() {
+                if won.load(Ordering::SeqCst) {
+                    return Ok(false);
+                }
+                // Snapshot the shared threshold (+∞ until k results are
+                // held) and advance only up to it. It only shrinks as
+                // siblings insert, so a stale snapshot is merely a looser
+                // — still sound — bound.
+                let limit = lock_top_k(shared)?.threshold();
+                if b > limit {
+                    break;
+                }
+                match self.step(limit)? {
+                    BoundedStep::Hit(obj, d) => lock_top_k(shared)?.insert(obj, d),
+                    BoundedStep::Pending => {}
+                    BoundedStep::Done => break,
+                }
+            }
+            Ok(!won.swap(true, Ordering::SeqCst))
+        })();
+        self.fold_into(tally);
+        out
     }
 }
 
@@ -411,6 +504,23 @@ impl<D: BlockDevice + 'static> ReplicaSet<D> {
             .find(|m| !tried.contains(m) && self.is_healthy(*m))
             .or_else(|| (0..self.len()).find(|m| !tried.contains(m)))
     }
+
+    /// The one failover: replica `failed` returned a storage error, so
+    /// later queries route away from it, and the pull moves to the
+    /// [`failover_candidate`](Self::failover_candidate), which joins
+    /// `tried`. `None` when every replica has been tried.
+    fn fail_over(
+        &self,
+        failed: usize,
+        tried: &mut Vec<usize>,
+        metrics: &MetricsRegistry,
+    ) -> Option<usize> {
+        self.mark_failed(failed);
+        let next = self.failover_candidate(tried)?;
+        tried.push(next);
+        metrics.add_counter("replica_failovers_total", 1);
+        Some(next)
+    }
 }
 
 /// The canonical bounded top-k: a max-heap of the k smallest `(distance,
@@ -478,54 +588,66 @@ impl TopK {
     }
 }
 
-/// What one merge produces before report assembly.
-struct Merged {
-    results: Vec<(SpatialObject<2>, f64)>,
-    counters: SearchCounters,
-    object_loads: u64,
-    outcome: Option<TruncateReason>,
-    /// Which shards did at least one unit of work (for `shard_*` metrics).
-    stepped: Vec<bool>,
-}
-
-impl Merged {
-    fn empty(s: usize) -> Self {
-        Self {
-            results: Vec::new(),
-            counters: SearchCounters::default(),
-            object_loads: 0,
-            outcome: None,
-            stepped: vec![false; s],
-        }
-    }
-}
-
-/// What one replica drain (or the sum of a shard's drains) contributes to
-/// a parallel gather's report.
+/// What a gather reports besides its answer and its object loads, summed
+/// over every thread, shard and replica attempt.
 #[derive(Default)]
-struct DrainOut {
+struct Tally {
     index_io: IoSnapshot,
     object_io: IoSnapshot,
     counters: SearchCounters,
-    loads: u64,
-    stepped: bool,
     retries: u64,
     backoff: Duration,
-    /// Whether the drain ran to its sound stopping point (frontier
-    /// exhausted or bound beat) — false only for a cancelled hedge loser.
-    complete: bool,
+    /// Which shards did at least one unit of work (for `shard_*` metrics).
+    stepped: Vec<bool>,
+    /// Which limit truncated the answer, if one did.
+    outcome: Option<TruncateReason>,
 }
 
-impl DrainOut {
-    fn add(&mut self, o: &DrainOut) {
-        self.index_io = self.index_io + o.index_io;
-        self.object_io = self.object_io + o.object_io;
-        sum_counters(&mut self.counters, o.counters);
-        self.loads += o.loads;
-        self.stepped |= o.stepped;
-        self.retries += o.retries;
-        self.backoff += o.backoff;
-        self.complete |= o.complete;
+impl Tally {
+    fn new(shards: usize) -> Self {
+        Self {
+            stepped: vec![false; shards],
+            ..Self::default()
+        }
+    }
+
+    /// Runs `f`, one thread's share of a gather, inside an [`IoScope`] and
+    /// a [`RetryScope`] of its own, and adds what they saw on the
+    /// replicas of `shards`. Scopes are thread-local and do not nest, so
+    /// every thread that reads a shard — the caller of a sequential merge,
+    /// a parallel worker, a hedge's primary — runs its drain through this.
+    fn scoped<D: BlockDevice + 'static, R>(
+        &mut self,
+        alg: Algorithm,
+        shards: &[ReplicaSet<D>],
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let scope = IoScope::enter();
+        let retry = RetryScope::enter();
+        let out = f(self);
+        let retried = retry.finish();
+        let seen = scope.finish();
+        for rep in shards.iter().flat_map(ReplicaSet::replicas) {
+            self.index_io = self.index_io + seen.for_stats(rep.stats_of(alg));
+            self.object_io = self.object_io + seen.for_stats(rep.objects_io_stats());
+        }
+        self.retries += retried.retries;
+        self.backoff += retried.backoff;
+        out
+    }
+}
+
+impl AddAssign for Tally {
+    fn add_assign(&mut self, t: Tally) {
+        self.index_io = self.index_io + t.index_io;
+        self.object_io = self.object_io + t.object_io;
+        self.counters += t.counters;
+        self.retries += t.retries;
+        self.backoff += t.backoff;
+        for (s, t) in self.stepped.iter_mut().zip(t.stepped) {
+            *s |= t;
+        }
+        self.outcome = self.outcome.or(t.outcome);
     }
 }
 
@@ -866,8 +988,8 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// provably beats everything unseen.
     ///
     /// I/O is attributed through [`IoScope`]s whatever the gather (the
-    /// sequential merge runs on the calling thread, gather workers each
-    /// scope their own drain), so concurrent callers get exact reports
+    /// sequential merge runs on the calling thread, gather workers and
+    /// hedges each scope their own drain), so concurrent callers get exact reports
     /// from `run` as well as from [`run_batch`](ShardedDb::run_batch).
     pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
         let (report, stepped) = self.execute(req)?;
@@ -928,329 +1050,9 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// asked.
     fn execute(&self, req: &TopkRequest) -> Result<(QueryReport, Vec<bool>)> {
         req.check(true)?;
-        let sequential_anyway = req.alg == Algorithm::Iio || req.k == 0;
-        match req.gather {
-            Gather::Parallel(threads)
-                if !sequential_anyway && (self.shards.len() > 1 || threads > 1) =>
-            {
-                self.gather_parallel(req, threads, None)
-            }
-            Gather::Hedged(delay) if !sequential_anyway => {
-                self.gather_parallel(req, self.shards.len(), Some(delay))
-            }
-            _ => self.gather_sequential(req),
-        }
-    }
-
-    /// MINDIST from the request's region to shard `i`'s bounding rect — a
-    /// lower bound on everything the shard holds, known before any I/O.
-    fn rect_bound(&self, i: usize, req: &TopkRequest) -> f64 {
-        self.bounds[i].map_or(f64::INFINITY, |r| req.region.min_dist(&r))
-    }
-
-    /// The parallel gather engine behind [`Gather::Parallel`] and
-    /// [`Gather::Hedged`]: one worker per shard drains into a shared
-    /// branch-and-bound top-k (a worker stops as soon as its shard's bound
-    /// exceeds the current k-th distance, which only shrinks — so every
-    /// stop is final and the gathered superset contains the exact top-k).
-    /// Each worker fails over across its shard's replicas on storage
-    /// errors; with `hedge` set it also races a second replica after the
-    /// delay.
-    fn gather_parallel(
-        &self,
-        req: &TopkRequest,
-        threads: usize,
-        hedge: Option<Duration>,
-    ) -> Result<(QueryReport, Vec<bool>)> {
         let t0 = Instant::now();
-        let shared = Mutex::new(TopK::new(req.k));
-        let idxs: Vec<usize> = (0..self.shards.len()).collect();
-        let outs = fan_out(&idxs, threads, |&i| match hedge {
-            Some(delay) if self.shards[i].len() > 1 => {
-                self.drain_shard_hedged(i, req, &shared, delay)
-            }
-            _ => self.drain_shard_failover(i, req, &shared),
-        })?;
-        let mut merged = Merged::empty(self.shards.len());
-        merged.results = shared
-            .into_inner()
-            .map_err(|_| poisoned_top_k())?
-            .into_sorted();
-        let mut total = DrainOut::default();
-        for (i, w) in outs.iter().enumerate() {
-            merged.stepped[i] = w.stepped;
-            total.add(w);
-        }
-        merged.object_loads = total.loads;
-        merged.counters = total.counters;
-        Ok(self.assemble(
-            merged,
-            total.index_io,
-            total.object_io,
-            total.retries,
-            total.backoff,
-            t0.elapsed(),
-        ))
-    }
-
-    /// Drains shard `i` for the parallel gather, failing over across its
-    /// replicas: partial inserts from a dead attempt are valid results
-    /// (the deduplicating top-k absorbs the survivor's re-emissions), so a
-    /// restart from the next replica loses nothing.
-    fn drain_shard_failover(
-        &self,
-        i: usize,
-        req: &TopkRequest,
-        shared: &Mutex<TopK>,
-    ) -> Result<DrainOut> {
-        let set = &self.shards[i];
-        let mut tried = Vec::new();
-        let mut m = set.primary_index();
-        let mut agg = DrainOut::default();
-        loop {
-            tried.push(m);
-            match self.drain_replica(i, m, req, shared, None) {
-                Ok(out) => {
-                    agg.add(&out);
-                    return Ok(agg);
-                }
-                Err(e) => {
-                    set.mark_failed(m);
-                    match set.failover_candidate(&tried) {
-                        Some(next) => {
-                            self.metrics.add_counter("replica_failovers_total", 1);
-                            m = next;
-                        }
-                        None => return Err(e),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains shard `i` with a hedge: primary on a scoped thread,
-    /// secondary inline after `delay` if the primary has not finished.
-    /// The first **complete** drain claims the win (CAS on `winner`; a
-    /// cancelled or failed drain never claims), and a secondary win
-    /// cancels the primary cooperatively. A primary error before the
-    /// hedge fires degrades to plain failover.
-    fn drain_shard_hedged(
-        &self,
-        i: usize,
-        req: &TopkRequest,
-        shared: &Mutex<TopK>,
-        delay: Duration,
-    ) -> Result<DrainOut> {
-        let set = &self.shards[i];
-        let primary = set.primary_index();
-        let secondary = set
-            .failover_candidate(&[primary])
-            .expect("hedged drain requires at least two replicas");
-        let cancel = AtomicBool::new(false);
-        let winner = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Result<DrainOut>>();
-        let mut agg = DrainOut::default();
-        std::thread::scope(|sc| -> Result<()> {
-            sc.spawn({
-                let tx = tx; // moved: a panic here disconnects the channel
-                let (cancel, winner) = (&cancel, &winner);
-                move || {
-                    let out = self.drain_replica(i, primary, req, shared, Some(cancel));
-                    if matches!(&out, Ok(o) if o.complete) {
-                        let _ = winner.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire);
-                    }
-                    let _ = tx.send(out);
-                }
-            });
-            let first = match rx.recv_timeout(delay) {
-                Ok(res) => Some(res),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                // The primary worker panicked before reporting; treat it
-                // like a failed replica and lean on the secondary.
-                Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(poisoned_top_k())),
-            };
-            match first {
-                Some(Ok(out)) => {
-                    // Primary finished inside the hedge window: no hedge.
-                    agg.add(&out);
-                    Ok(())
-                }
-                Some(Err(_)) => {
-                    // Primary *failed* (not merely slow): plain failover.
-                    set.mark_failed(primary);
-                    self.metrics.add_counter("replica_failovers_total", 1);
-                    let out = self.drain_replica(i, secondary, req, shared, None)?;
-                    agg.add(&out);
-                    Ok(())
-                }
-                None => {
-                    // Hedge fires: drain the secondary on this thread.
-                    self.metrics.add_counter("replica_hedges_total", 1);
-                    let sec = self.drain_replica(i, secondary, req, shared, None);
-                    if matches!(&sec, Ok(o) if o.complete)
-                        && winner
-                            .compare_exchange(0, 2, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                    {
-                        self.metrics.add_counter("replica_hedge_wins_total", 1);
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                    let prim = rx.recv().unwrap_or_else(|_| Err(poisoned_top_k()));
-                    match (prim, sec) {
-                        (Ok(p), Ok(s)) => {
-                            agg.add(&p);
-                            agg.add(&s);
-                            Ok(())
-                        }
-                        // Secondary died but the primary (never cancelled
-                        // in that case) covered the shard.
-                        (Ok(p), Err(_)) if p.complete => {
-                            set.mark_failed(secondary);
-                            agg.add(&p);
-                            Ok(())
-                        }
-                        (Ok(_), Err(e)) => Err(e),
-                        (Err(e), Ok(s)) => {
-                            set.mark_failed(primary);
-                            self.metrics.add_counter("replica_failovers_total", 1);
-                            if s.complete {
-                                agg.add(&s);
-                                Ok(())
-                            } else {
-                                Err(e)
-                            }
-                        }
-                        (Err(e), Err(_)) => Err(e),
-                    }
-                }
-            }
-        })?;
-        Ok(agg)
-    }
-
-    /// One replica's share of a parallel gather: drain shard `i`'s
-    /// frontier on replica `m` under the shared branch-and-bound
-    /// threshold, entering this thread's own I/O and retry scopes so the
-    /// drain is attributed to exactly the devices it touched. `cancel`
-    /// (hedging) is checked once per bounded step; a cancelled drain
-    /// returns `complete = false` and its partial inserts stand — they
-    /// are true results the winning drain re-emits anyway.
-    fn drain_replica(
-        &self,
-        i: usize,
-        m: usize,
-        req: &TopkRequest,
-        shared: &Mutex<TopK>,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<DrainOut> {
-        let rep = self.shards[i].get(m);
-        let rect_bound = self.rect_bound(i, req);
-        let scope = IoScope::enter();
-        let retry = RetryScope::enter();
-        let run = (|| {
-            let src = rep.counting_source();
-            let mut iter = rep.open_search(&src, req, QueryLimits::none(), NopSink)?;
-            let mut stepped = false;
-            let mut complete = true;
-            while let Some(b) = iter.frontier_bound().map(|fb| fb.max(rect_bound)) {
-                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    complete = false;
-                    break;
-                }
-                // Snapshot the shared threshold and advance only up to
-                // it (node-granular, like the sequential merge). The
-                // threshold only shrinks as siblings insert, so a
-                // stale snapshot is merely a looser — still sound —
-                // bound.
-                let limit = {
-                    let g = lock_top_k(shared)?;
-                    if g.is_full() {
-                        if b > g.threshold() {
-                            break;
-                        }
-                        g.threshold()
-                    } else {
-                        f64::INFINITY
-                    }
-                };
-                match iter.next_within(limit)? {
-                    BoundedStep::Hit(obj, d) => {
-                        lock_top_k(shared)?.insert(obj, d);
-                    }
-                    BoundedStep::Pending => {}
-                    BoundedStep::Done => {
-                        stepped = true;
-                        break;
-                    }
-                }
-                stepped = true;
-            }
-            Ok((iter.counters(), src.loads(), stepped, complete))
-        })();
-        let retry_stats = retry.finish();
-        let scoped = scope.finish();
-        run.map(|(counters, loads, stepped, complete)| DrainOut {
-            index_io: scoped.for_stats(rep.stats_of(req.alg)),
-            object_io: scoped.for_stats(rep.objects_io_stats()),
-            counters,
-            loads,
-            stepped,
-            retries: retry_stats.retries,
-            backoff: retry_stats.backoff,
-            complete,
-        })
-    }
-
-    /// The sequential gather, fully attributed: I/O through an
-    /// [`IoScope`] on the calling thread, loads through per-replica
-    /// [`CountingSource`]s, retry accounting through a [`RetryScope`] —
-    /// folded into one report.
-    fn gather_sequential(&self, req: &TopkRequest) -> Result<(QueryReport, Vec<bool>)> {
-        let t0 = Instant::now();
-        let scope = IoScope::enter();
-        let retry = RetryScope::enter();
-        let merged = if req.alg == Algorithm::Iio {
-            self.merge_iio(req)
-        } else {
-            self.merge_sequential(req)
-        };
-        let retry_stats = retry.finish();
-        let scoped = scope.finish();
-        let merged = merged?;
-        let (mut index_io, mut object_io) = (IoSnapshot::default(), IoSnapshot::default());
-        for set in &self.shards {
-            for rep in set.replicas() {
-                index_io = index_io + scoped.for_stats(rep.stats_of(req.alg));
-                object_io = object_io + scoped.for_stats(rep.objects_io_stats());
-            }
-        }
-        Ok(self.assemble(
-            merged,
-            index_io,
-            object_io,
-            retry_stats.retries,
-            retry_stats.backoff,
-            t0.elapsed(),
-        ))
-    }
-
-    /// The exact sequential merge (module docs): a global heap of shards
-    /// keyed by their current lower bound, lazily revalidated, always
-    /// stepping the minimum; stops when the k-th distance strictly beats
-    /// every remaining bound. A replica that errors mid-pull is failed
-    /// over: the shard restarts on the next replica under its surviving
-    /// limit slice (unchanged absolute deadline; I/O-budget slice less
-    /// what the dead attempts consumed), and the deduplicating top-k makes
-    /// the restart's re-emissions harmless.
-    fn merge_sequential(&self, req: &TopkRequest) -> Result<Merged> {
-        let s = self.shards.len();
-        let mut merged = Merged::empty(s);
-        if req.k == 0 {
-            return Ok(merged);
-        }
-        let per_shard = split_limits(&req.limits, s);
-        // One counting source per replica: a failover restart attributes
-        // its object loads to the replica actually serving them.
+        // One load counter per replica, shared by every attempt and every
+        // thread of the gather: a failover's dead attempt keeps its loads.
         let sources: Vec<Vec<CountingSource<'_, 2>>> = self
             .shards
             .iter()
@@ -1260,49 +1062,180 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     .collect()
             })
             .collect();
-        let open = |i: usize, m: usize, limits: QueryLimits| {
-            self.shards[i]
-                .get(m)
-                .open_search(&sources[i][m], req, limits, NopSink)
+        let mut tally = Tally::new(self.shards.len());
+        let sequential_anyway = req.alg == Algorithm::Iio || req.k == 0;
+        let results = match req.gather {
+            Gather::Parallel(threads)
+                if !sequential_anyway && (self.shards.len() > 1 || threads > 1) =>
+            {
+                self.gather_parallel(req, &sources, threads, None, &mut tally)?
+            }
+            Gather::Hedged(delay) if !sequential_anyway => {
+                let threads = self.shards.len();
+                self.gather_parallel(req, &sources, threads, Some(delay), &mut tally)?
+            }
+            _ => tally.scoped(req.alg, &self.shards, |t| {
+                if req.alg == Algorithm::Iio {
+                    self.merge_iio(req, &sources, t)
+                } else {
+                    self.merge_sequential(req, &sources, t)
+                }
+            })?,
         };
-        let mut cursors: Vec<ShardCursor<'_>> = Vec::with_capacity(s);
-        for (i, set) in self.shards.iter().enumerate() {
-            let m = set.primary_index();
-            cursors.push(ShardCursor {
-                iter: open(i, m, per_shard[i])?,
-                rect_bound: self.rect_bound(i, req),
-                replica: m,
-                tried: vec![m],
-                prior: SearchCounters::default(),
-                done: false,
-                stepped: false,
-            });
+        let io = tally.index_io + tally.object_io;
+        let report = QueryReport {
+            results,
+            index_io: tally.index_io,
+            object_io: tally.object_io,
+            io,
+            object_loads: sources.iter().flatten().map(|src| src.loads()).sum(),
+            counters: tally.counters,
+            pruning: TraceStats::default(),
+            simulated: self.config.cost_model.time(io),
+            wall: t0.elapsed(),
+            outcome: tally.outcome,
+            retries: tally.retries,
+            backoff: tally.backoff,
+        };
+        Ok((report, tally.stepped))
+    }
+
+    /// MINDIST from the request's region to shard `i`'s bounding rect — a
+    /// lower bound on everything the shard holds, known before any I/O.
+    fn rect_bound(&self, i: usize, req: &TopkRequest) -> f64 {
+        self.bounds[i].map_or(f64::INFINITY, |r| req.region.min_dist(&r))
+    }
+
+    /// The parallel gather behind [`Gather::Parallel`] and
+    /// [`Gather::Hedged`]: one worker per shard drains that shard's cursor
+    /// into a shared branch-and-bound top-k (a worker stops as soon as its
+    /// shard's bound exceeds the current k-th distance, which only shrinks
+    /// — so every stop is final and the gathered superset contains the
+    /// exact top-k). With `hedge` set a second cursor races the first
+    /// after the delay.
+    fn gather_parallel(
+        &self,
+        req: &TopkRequest,
+        sources: &[Vec<CountingSource<'_, 2>>],
+        threads: usize,
+        hedge: Option<Duration>,
+        tally: &mut Tally,
+    ) -> Result<Vec<(SpatialObject<2>, f64)>> {
+        let s = self.shards.len();
+        let shared = Mutex::new(TopK::new(req.k));
+        let idxs: Vec<usize> = (0..s).collect();
+        let tallies = fan_out(&idxs, threads, |&i| {
+            let set = &self.shards[i];
+            let mut t = Tally::new(s);
+            t.scoped(req.alg, std::slice::from_ref(set), |t| match hedge {
+                Some(delay) if set.len() > 1 => {
+                    self.drain_hedged(i, req, &sources[i], &shared, delay, t)
+                }
+                _ => {
+                    let m = set.primary_index();
+                    ShardCursor::open(self, i, m, req, &sources[i], QueryLimits::none())?
+                        .drain(&shared, &AtomicBool::new(false), t)
+                        .map(drop)
+                }
+            })?;
+            Ok(t)
+        })?;
+        for t in tallies {
+            *tally += t;
         }
+        Ok(shared
+            .into_inner()
+            .map_err(|_| poisoned_top_k())?
+            .into_sorted())
+    }
+
+    /// Shard `i`'s pull under a hedge: the primary's cursor drains on a
+    /// scoped thread, and if it has not completed within `delay` a second
+    /// cursor, on another replica, drains the same shard on this thread.
+    /// The first complete drain wins and the other stops at its next
+    /// bounded step; its partial inserts stand — they are true results.
+    /// Each cursor fails over by itself, so the shard fails only when
+    /// both drains fail.
+    fn drain_hedged(
+        &self,
+        i: usize,
+        req: &TopkRequest,
+        sources: &[CountingSource<'_, 2>],
+        shared: &Mutex<TopK>,
+        delay: Duration,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let set = &self.shards[i];
+        let primary = set.primary_index();
+        let won = AtomicBool::new(false);
+        let (ended, wait) = mpsc::channel::<()>();
+        std::thread::scope(|sc| {
+            let first = sc.spawn(|| {
+                // Dropped when the drain ends, panicking or not: that is
+                // what ends the wait below early.
+                let _ended = ended;
+                let mut t = Tally::new(self.shards.len());
+                let out = t.scoped(req.alg, std::slice::from_ref(set), |t| {
+                    ShardCursor::open(self, i, primary, req, sources, QueryLimits::none())?
+                        .drain(shared, &won, t)
+                });
+                (out, t)
+            });
+            let _ = wait.recv_timeout(delay);
+            if !won.load(Ordering::SeqCst) {
+                self.metrics.add_counter("replica_hedges_total", 1);
+                let m = set
+                    .failover_candidate(&[primary])
+                    .expect("a hedged shard has a second replica");
+                // An error here is the secondary's alone: the primary may
+                // still complete.
+                let second = ShardCursor::open(self, i, m, req, sources, QueryLimits::none())?;
+                if let Ok(true) = second.drain(shared, &won, tally) {
+                    self.metrics.add_counter("replica_hedge_wins_total", 1);
+                }
+            }
+            let (first, t) = first.join().map_err(|_| poisoned_top_k())?;
+            *tally += t;
+            // Unwon, both drains failed: report the primary's error.
+            match first {
+                Err(e) if !won.load(Ordering::SeqCst) => Err(e),
+                _ => Ok(()),
+            }
+        })
+    }
+
+    /// The exact sequential merge (module docs): a global heap of shards
+    /// keyed by their current lower bound, lazily revalidated, always
+    /// stepping the minimum; stops when the k-th distance strictly beats
+    /// every remaining bound. A cursor that fails over comes back
+    /// `Pending` with its frontier reset to the root, so it requeues at
+    /// its rect bound.
+    fn merge_sequential(
+        &self,
+        req: &TopkRequest,
+        sources: &[Vec<CountingSource<'_, 2>>],
+        tally: &mut Tally,
+    ) -> Result<Vec<(SpatialObject<2>, f64)>> {
+        if req.k == 0 {
+            return Ok(Vec::new());
+        }
+        let per_shard = split_limits(&req.limits, self.shards.len());
+        let mut cursors = (0..self.shards.len())
+            .map(|i| {
+                let m = self.shards[i].primary_index();
+                ShardCursor::open(self, i, m, req, &sources[i], per_shard[i])
+            })
+            .collect::<Result<Vec<_>>>()?;
 
         let mut topk = TopK::new(req.k);
-        // (shard index, reason, cut radius) per truncated shard.
-        let mut truncs: Vec<(usize, TruncateReason, f64)> = Vec::new();
         let mut order: BinaryHeap<Reverse<(OrderedF64, usize)>> = cursors
             .iter()
             .enumerate()
             .map(|(i, c)| Reverse((OrderedF64(c.rect_bound), i)))
             .collect();
-
-        let finish = |cursor: &mut ShardCursor<'_>,
-                      truncs: &mut Vec<(usize, TruncateReason, f64)>,
-                      i: usize| {
-            cursor.done = true;
-            if let Some(reason) = cursor.iter.truncation() {
-                truncs.push((i, reason, cursor.bound().unwrap_or(f64::INFINITY)));
-            }
-        };
-
+        // Each cursor has at most one heap entry; a finished one has none.
         while let Some(Reverse((OrderedF64(b), i))) = order.pop() {
-            if cursors[i].done {
-                continue;
-            }
             let Some(cur) = cursors[i].bound() else {
-                finish(&mut cursors[i], &mut truncs, i);
                 continue;
             };
             if cur > b {
@@ -1311,131 +1244,78 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                 continue;
             }
             // Strict `>`: ties at the k-th distance keep pulling so the
-            // canonical (distance, id) answer set is exact.
-            if topk.is_full() && cur > topk.threshold() {
+            // canonical (distance, id) answer set is exact. The threshold
+            // is +∞ until k results are held.
+            if cur > topk.threshold() {
                 break;
             }
             // Advance the shard at node granularity: never past the
             // next-best shard's bound (the point where another shard
             // should be stepped instead — this simulates one global
-            // priority queue across all shards), and once the top-k is
-            // full, never past the k-th distance (work beyond it would be
-            // discarded; `≤` keeps ties at the k-th distance flowing).
+            // priority queue across all shards), and never past the k-th
+            // distance (work beyond it would be discarded; `≤` keeps ties
+            // at the k-th distance flowing).
             let rival = order
                 .peek()
                 .map_or(f64::INFINITY, |&Reverse((OrderedF64(rb), _))| rb);
-            let limit = if topk.is_full() {
-                rival.min(topk.threshold())
-            } else {
-                rival
-            };
-            match cursors[i].iter.next_within(limit) {
-                Err(e) => {
-                    // Replica failure: fail over to the next replica with
-                    // the slice that survives, or give up if the shard is
-                    // out of replicas. The dead attempt's inserted hits
-                    // stay — they are true results the restart re-emits
-                    // (TopK dedups) — and its frontier is discarded: the
-                    // restart re-descends from the root, so its bound is
-                    // the rect bound again.
-                    let set = &self.shards[i];
-                    set.mark_failed(cursors[i].replica);
-                    let Some(m) = set.failover_candidate(&cursors[i].tried) else {
-                        return Err(e);
-                    };
-                    self.metrics.add_counter("replica_failovers_total", 1);
-                    let consumed = cursors[i].consumed();
-                    let dead = cursors[i].iter.counters();
-                    sum_counters(&mut cursors[i].prior, dead);
-                    let mut lim = per_shard[i];
-                    lim.io_budget = lim.io_budget.map(|b| b.saturating_sub(consumed).max(1));
-                    cursors[i].iter = open(i, m, lim)?;
-                    cursors[i].replica = m;
-                    cursors[i].tried.push(m);
-                    order.push(Reverse((OrderedF64(cursors[i].rect_bound), i)));
-                }
-                Ok(BoundedStep::Hit(obj, d)) => {
-                    cursors[i].stepped = true;
-                    topk.insert(obj, d);
-                    match cursors[i].bound() {
-                        Some(nb) => order.push(Reverse((OrderedF64(nb), i))),
-                        None => finish(&mut cursors[i], &mut truncs, i),
-                    }
-                }
-                Ok(BoundedStep::Pending) => {
-                    cursors[i].stepped = true;
-                    match cursors[i].bound() {
-                        Some(nb) => order.push(Reverse((OrderedF64(nb), i))),
-                        None => finish(&mut cursors[i], &mut truncs, i),
-                    }
-                }
-                Ok(BoundedStep::Done) => {
-                    cursors[i].stepped = true;
-                    finish(&mut cursors[i], &mut truncs, i);
-                }
+            match cursors[i].step(rival.min(topk.threshold()))? {
+                BoundedStep::Hit(obj, d) => topk.insert(obj, d),
+                BoundedStep::Pending => {}
+                BoundedStep::Done => continue,
+            }
+            if let Some(nb) = cursors[i].bound() {
+                order.push(Reverse((OrderedF64(nb), i)));
             }
         }
 
-        merged.results = topk.into_sorted();
-        if !truncs.is_empty() {
-            truncs.sort_by_key(|&(i, _, _)| i);
-            // Results are exact only within the smallest cut radius: a
-            // truncated shard guarantees nothing about distances at or
-            // beyond its bound at the moment it stopped.
-            let cut = truncs
-                .iter()
-                .map(|&(_, _, c)| c)
-                .fold(f64::INFINITY, f64::min);
-            merged.results.retain(|&(_, d)| d < cut);
-            merged.outcome = Some(truncs[0].1);
-        }
-        for (i, c) in cursors.iter().enumerate() {
-            merged.stepped[i] = c.stepped;
-            sum_counters(&mut merged.counters, c.prior);
-            sum_counters(&mut merged.counters, c.iter.counters());
-            for src in &sources[i] {
-                merged.object_loads += src.loads();
+        // A truncated search stops stepping, so its bound now is its cut
+        // radius: it guarantees nothing at or beyond it. Results are exact
+        // only within the smallest cut; the lowest truncated shard names
+        // the reason.
+        let mut cut = f64::INFINITY;
+        for c in &cursors {
+            c.fold_into(tally);
+            if let Some(reason) = c.iter.truncation() {
+                tally.outcome = tally.outcome.or(Some(reason));
+                cut = cut.min(c.bound().unwrap_or(f64::INFINITY));
             }
         }
-        Ok(merged)
+        let mut results = topk.into_sorted();
+        if tally.outcome.is_some() {
+            results.retain(|&(_, d)| d < cut);
+        }
+        Ok(results)
     }
 
     /// IIO across shards: the inverted index is non-incremental, so this
     /// is the documented fetch-k-from-every-shard over-read (each shard
     /// computes its own top-k, the union is re-ranked). Degrades
     /// all-or-nothing under limits, like the monolithic IIO.
-    fn merge_iio(&self, req: &TopkRequest) -> Result<Merged> {
-        let s = self.shards.len();
-        let mut merged = Merged::empty(s);
-        let per_shard = split_limits(&req.limits, s);
+    fn merge_iio(
+        &self,
+        req: &TopkRequest,
+        sources: &[Vec<CountingSource<'_, 2>>],
+        tally: &mut Tally,
+    ) -> Result<Vec<(SpatialObject<2>, f64)>> {
+        let per_shard = split_limits(&req.limits, self.shards.len());
         let mut topk = TopK::new(req.k);
         for (i, set) in self.shards.iter().enumerate() {
             // IIO is all-or-nothing per shard, so failover retries the
             // whole shard computation on the next replica with the full
             // slice (a partial attempt contributes nothing to reuse).
-            let mut tried = Vec::new();
-            let mut m = set.primary_index();
+            let mut tried = vec![set.primary_index()];
             let out = loop {
-                tried.push(m);
-                let rep = set.get(m);
-                let src = rep.counting_source();
-                let attempt = rep.iio_topk(&src, req, per_shard[i]);
-                merged.object_loads += src.loads();
-                match attempt {
+                let m = tried[tried.len() - 1];
+                match set.get(m).iio_topk(&sources[i][m], req, per_shard[i]) {
                     Ok(out) => break out,
                     Err(e) => {
-                        set.mark_failed(m);
-                        match set.failover_candidate(&tried) {
-                            Some(next) => {
-                                self.metrics.add_counter("replica_failovers_total", 1);
-                                m = next;
-                            }
-                            None => return Err(e),
+                        if set.fail_over(m, &mut tried, &self.metrics).is_none() {
+                            return Err(e);
                         }
                     }
                 }
             };
-            merged.stepped[i] = true;
+            tally.stepped[i] = true;
             match out {
                 ExecOutcome::Complete(hits) => {
                     for (obj, d) in hits {
@@ -1443,45 +1323,16 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     }
                 }
                 ExecOutcome::Truncated { reason, .. } => {
-                    merged.outcome = merged.outcome.or(Some(reason));
+                    tally.outcome = tally.outcome.or(Some(reason));
                 }
             }
         }
         // All-or-nothing: any truncated shard could have held the true
         // top-1, so a partial union would not be a prefix of the answer.
-        if merged.outcome.is_none() {
-            merged.results = topk.into_sorted();
-        }
-        Ok(merged)
-    }
-
-    /// One merge's outcome as the engine hands it on: the report, and
-    /// which shards did any work.
-    fn assemble(
-        &self,
-        merged: Merged,
-        index_io: IoSnapshot,
-        object_io: IoSnapshot,
-        retries: u64,
-        backoff: Duration,
-        wall: Duration,
-    ) -> (QueryReport, Vec<bool>) {
-        let io = index_io + object_io;
-        let report = QueryReport {
-            results: merged.results,
-            index_io,
-            object_io,
-            io,
-            object_loads: merged.object_loads,
-            counters: merged.counters,
-            pruning: TraceStats::default(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            outcome: merged.outcome,
-            retries,
-            backoff,
-        };
-        (report, merged.stepped)
+        Ok(match tally.outcome {
+            None => topk.into_sorted(),
+            Some(_) => Vec::new(),
+        })
     }
 
     /// Folds one finished query into the sharded registry: engine-level
@@ -1641,15 +1492,6 @@ impl ShardedDb<FileDevice> {
     pub fn open_dir<P: AsRef<Path>>(dir: P) -> Result<Self> {
         Self::open_dir_mapped(dir, |_role, d| d)
     }
-}
-
-fn sum_counters(into: &mut SearchCounters, c: SearchCounters) {
-    into.nodes_read += c.nodes_read;
-    into.pruned_by_signature += c.pruned_by_signature;
-    into.candidates_checked += c.candidates_checked;
-    into.false_positives += c.false_positives;
-    into.cache_hits += c.cache_hits;
-    into.cache_misses += c.cache_misses;
 }
 
 /// Typed error for a parallel-merge mutex poisoned by a sibling worker's

@@ -229,6 +229,70 @@ fn hedged_survives_a_dead_primary() {
 }
 
 #[test]
+fn hedged_gather_fails_over_past_every_dead_replica() {
+    let objects = scatter(240);
+    let mono =
+        SpatialKeywordDb::build(DeviceSet::in_memory(), objects.clone(), small_config()).unwrap();
+    let (db, kills) = killable_db(objects, 3, 3);
+    // Only the last replica of every shard survives: a hedge must keep
+    // failing over past both dead ones, as the sequential merge does.
+    for ks in &kills {
+        ks[0].kill();
+        ks[1].kill();
+    }
+    let q = DistanceFirstQuery::new([500.0, 500.0], &["pool"], 20);
+    let expect = mono.distance_first(Algorithm::Ir2, &q).unwrap();
+    for delay in [Duration::ZERO, Duration::from_secs(5)] {
+        let req = TopkRequest::from_query(Algorithm::Ir2, &q).gathered(Gather::Hedged(delay));
+        let got = db.run(&req).unwrap();
+        assert!(same_results(&expect.results, &got.results), "{delay:?}");
+    }
+}
+
+/// Block reads of every device of every replica so far.
+fn device_reads(db: &KilledDb) -> u64 {
+    db.replica_sets()
+        .iter()
+        .flat_map(|set| set.replicas())
+        .map(|rep| {
+            let (o, r, i, m, inv) = rep.io_totals();
+            [o, r, i, m, inv]
+                .iter()
+                .map(|s| s.random_reads + s.seq_reads)
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+#[test]
+fn a_failed_over_attempt_is_in_the_report() {
+    let objects = scatter(300);
+    let q = DistanceFirstQuery::new([480.0, 510.0], &[] as &[&str], 50);
+    let gathers = [
+        Gather::Sequential,
+        Gather::Parallel(2),
+        Gather::Hedged(Duration::ZERO),
+    ];
+    for gather in gathers {
+        for crash_delta in [0u64, 2, 5, 9] {
+            let (db, kills) = killable_db(objects.clone(), 4, 2);
+            let switch = &kills[1][0];
+            switch.kill_after(switch.ops() + crash_delta);
+            let before = device_reads(&db);
+            let req = TopkRequest::from_query(Algorithm::Ir2, &q).gathered(gather);
+            let report = db.run(&req).unwrap();
+            // A killed read counts on both sides: the tracking layer
+            // records an access before the device underneath refuses it.
+            assert_eq!(
+                report.io.random_reads + report.io.seq_reads,
+                device_reads(&db) - before,
+                "{gather:?}, killed {crash_delta} ops in"
+            );
+        }
+    }
+}
+
+#[test]
 fn single_replica_layout_is_byte_identical_to_legacy() {
     let root = std::env::temp_dir().join(format!("ir2tree-repl-legacy-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -390,6 +454,55 @@ proptest! {
             same_results(&expect.results, &got.results),
             "shard {} replica {} crash {}: {:?} vs {:?}",
             victim_shard, victim_replica, crash_delta,
+            expect.results.iter().map(|(o, d)| (o.id, *d)).collect::<Vec<_>>(),
+            got.results.iter().map(|(o, d)| (o.id, *d)).collect::<Vec<_>>()
+        );
+    }
+}
+
+// The same kill, landing inside a parallel worker's or a hedge's drain.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn killing_any_replica_mid_drain_is_invisible_under_every_gather(
+        docs in prop::collection::vec(arb_doc(), 8..40),
+        qpoint in prop::array::uniform2(-600.0f64..600.0),
+        kw in 0usize..WORDS.len(),
+        k in 1usize..10,
+        (victim, crash_delta, gather) in (
+            0usize..4,
+            0u64..120,
+            prop::sample::select(vec![
+                Gather::Sequential,
+                Gather::Parallel(2),
+                Gather::Hedged(Duration::ZERO),
+            ]),
+        ),
+    ) {
+        let (victim_shard, victim_replica) = (victim / 2, victim % 2);
+        let objects: Vec<SpatialObject<2>> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let text = d.words.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" ");
+                SpatialObject::new(i as u64, d.point, text)
+            })
+            .collect();
+        let q = DistanceFirstQuery::new(qpoint, &[WORDS[kw]], k);
+        let mono = SpatialKeywordDb::build(
+            DeviceSet::in_memory(), objects.clone(), small_config()).unwrap();
+        let expect = mono.distance_first(Algorithm::Ir2, &q).unwrap();
+
+        let (db, kills) = killable_db(objects, 2, 2);
+        let switch = &kills[victim_shard][victim_replica];
+        switch.kill_after(switch.ops() + crash_delta);
+        let req = TopkRequest::from_query(Algorithm::Ir2, &q).gathered(gather);
+        let got = db.run(&req).unwrap();
+        prop_assert!(
+            same_results(&expect.results, &got.results),
+            "{:?}, shard {} replica {} crash {}: {:?} vs {:?}",
+            gather, victim_shard, victim_replica, crash_delta,
             expect.results.iter().map(|(o, d)| (o.id, *d)).collect::<Vec<_>>(),
             got.results.iter().map(|(o, d)| (o.id, *d)).collect::<Vec<_>>()
         );

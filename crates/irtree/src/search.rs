@@ -32,6 +32,17 @@ pub struct SearchCounters {
     pub cache_misses: u64,
 }
 
+impl std::ops::AddAssign for SearchCounters {
+    fn add_assign(&mut self, c: SearchCounters) {
+        self.nodes_read += c.nodes_read;
+        self.pruned_by_signature += c.pruned_by_signature;
+        self.candidates_checked += c.candidates_checked;
+        self.false_positives += c.false_positives;
+        self.cache_hits += c.cache_hits;
+        self.cache_misses += c.cache_misses;
+    }
+}
+
 /// "if s matches w" for every entry of a visited node at once: bit `i` of
 /// `out` says whether entry `i`'s signature contains `query` (the query
 /// signature of the node's level).
