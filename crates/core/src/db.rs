@@ -10,14 +10,13 @@ use ir2_geo::Rect;
 use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
     collect_topk, general_topk_with, insert_object, BoundedSearch, DistanceFirstIter, GeneralQuery,
-    Ir2Payload, MirPayload, NopSink, RtreeBaselineIter, SearchCounters, StatsSink, TraceSink,
-    TraceStats,
+    Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload, StatsSink, TraceSink, TraceStats,
 };
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
     SpatialObject,
 };
-use ir2_rtree::{NodeCache, RTree, RTreeConfig, UnitPayload};
+use ir2_rtree::{NodeCache, PayloadOps, RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::{
     BlockDevice, FileDevice, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry, Result,
@@ -300,24 +299,15 @@ pub(crate) fn fan_out_isolated<Q: Sync, R: Send + Sync>(
         .collect()
 }
 
-/// Which of the two I/O attribution mechanisms fills a report. They model
-/// the disk arm differently, so the same query's random/sequential split —
-/// and with it the simulated time — depends on which one measured it. They
-/// are not unified on [`IoScope`] because a scope costs two hash-map
-/// updates per block access, and a cold full-scale query reads a thousand
-/// blocks in half a millisecond.
-#[derive(Clone, Copy)]
-enum Attribution {
-    /// Before/after difference of the devices' shared counters: accesses
-    /// are classified against the arm position earlier queries left
-    /// behind. What a single `run`, `run_traced` or `general_ranked`
-    /// reports.
-    Delta,
-    /// A thread-local [`IoScope`]: only this thread's accesses, classified
-    /// against a per-query arm position — deterministic under concurrency.
-    /// What a `run_batch` or `batch_general_topk` worker reports.
-    Scoped,
-}
+/// A tree's `(root, height, count)`, as the catalog records it.
+type TreeMeta = (Option<u64>, u16, u64);
+
+/// A database's three trees: the plain R-Tree, the IR²-Tree, the MIR²-Tree.
+type Trees<D> = (
+    RTree<2, TrackedDevice<D>, UnitPayload>,
+    RTree<2, TrackedDevice<D>, Ir2Payload>,
+    RTree<2, TrackedDevice<D>, MirPayload<2>>,
+);
 
 /// What [`SpatialKeywordDb::measure`] observed of one query.
 struct Measured {
@@ -432,49 +422,17 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             .unwrap_or(distinct_total as f64 / n as f64);
 
         // Index structures.
-        let tree_cfg = match config.capacity {
-            Some(c) => RTreeConfig::with_max(c),
-            None => RTreeConfig::for_dims::<2>(),
-        };
-        let ir2_scheme =
-            SignatureScheme::from_bytes_len(config.sig_bytes, config.sig_k, config.seed);
-        let mir_schemes = MultiLevelScheme::new(
-            config.sig_bytes,
-            config.sig_k,
-            config.seed,
-            tree_cfg.max_entries,
+        let (tree_cfg, (rtree, ir2, mir2)) = Self::trees(
+            &config,
             avg_words,
             vocab.len(),
-        );
-        let mut mir_payload =
-            MirPayload::new(mir_schemes, Arc::clone(&store) as Arc<dyn ObjectSource<2>>);
-        if config.mir_strict {
-            mir_payload = mir_payload.strict();
-        }
-
-        let mut rtree = RTree::create(
-            TrackedDevice::with_stats(devices.rtree, Arc::clone(&io.rtree)),
-            tree_cfg,
-            UnitPayload,
+            &store,
+            &io,
+            [devices.rtree, devices.ir2, devices.mir2],
+            None,
         )?;
-        let mut ir2 = RTree::create(
-            TrackedDevice::with_stats(devices.ir2, Arc::clone(&io.ir2)),
-            tree_cfg,
-            Ir2Payload::new(ir2_scheme),
-        )?;
-        let mut mir2 = RTree::create(
-            TrackedDevice::with_stats(devices.mir2, Arc::clone(&io.mir2)),
-            tree_cfg,
-            mir_payload,
-        )?;
-        // One cache per tree: block ids are device-local, so sharing a
-        // cache across trees would alias distinct nodes.
-        if config.node_cache > 0 {
-            rtree.set_node_cache(Arc::new(NodeCache::new(config.node_cache)));
-            ir2.set_node_cache(Arc::new(NodeCache::new(config.node_cache)));
-            mir2.set_node_cache(Arc::new(NodeCache::new(config.node_cache)));
-        }
-
+        let ir2_scheme = *ir2.ops().leaf_scheme();
+        let mir_leaf_scheme = *mir2.ops().leaf_scheme();
         let sign_leaf = |scheme: &SignatureScheme, ids: &[TermId]| -> Vec<u8> {
             let mut out = vec![0u8; scheme.byte_len()];
             scheme.sign_into(&mut out, ids.iter().map(|&t| vocab.name(t)));
@@ -491,7 +449,6 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
                     .map(|(p, pt, ids)| (p.0, Rect::from_point(*pt), sign_leaf(&ir2_scheme, ids)))
                     .collect(),
             )?;
-            let mir_leaf_scheme = *ir2_irtree::SigPayload::leaf_scheme(mir2.ops());
             mir2.bulk_load(
                 meta.iter()
                     .map(|(p, pt, ids)| {
@@ -500,7 +457,6 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
                     .collect(),
             )?;
         } else {
-            let mir_leaf_scheme = *ir2_irtree::SigPayload::leaf_scheme(mir2.ops());
             for (p, pt, ids) in &meta {
                 let rect = Rect::from_point(*pt);
                 rtree.insert(p.0, rect, &[])?;
@@ -543,6 +499,77 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         };
         db.save_catalog()?;
         Ok(db)
+    }
+
+    /// The one recipe for the three trees, shared by
+    /// [`build`](SpatialKeywordDb::build) and
+    /// [`open`](SpatialKeywordDb::open): the node capacity, the IR² scheme
+    /// and the MIR² ladder (strict if the config says so) derived from
+    /// `config`, and a node cache per tree. `metas` is `None` to create the
+    /// trees on empty devices, or the `(root, height, count)` the catalog
+    /// recorded for each tree to open them.
+    fn trees(
+        config: &DbConfig,
+        avg_words: f64,
+        vocab_len: usize,
+        store: &Arc<ObjectStore<2, TrackedDevice<D>>>,
+        io: &IoHandles,
+        [rtree, ir2, mir2]: [D; 3],
+        metas: Option<[TreeMeta; 3]>,
+    ) -> Result<(RTreeConfig, Trees<D>)> {
+        let cfg = match config.capacity {
+            Some(c) => RTreeConfig::with_max(c),
+            None => RTreeConfig::for_dims::<2>(),
+        };
+        let ir2_payload = Ir2Payload::new(SignatureScheme::from_bytes_len(
+            config.sig_bytes,
+            config.sig_k,
+            config.seed,
+        ));
+        let mir_schemes = MultiLevelScheme::new(
+            config.sig_bytes,
+            config.sig_k,
+            config.seed,
+            cfg.max_entries,
+            avg_words,
+            vocab_len,
+        );
+        let mut mir_payload =
+            MirPayload::new(mir_schemes, Arc::clone(store) as Arc<dyn ObjectSource<2>>);
+        if config.mir_strict {
+            mir_payload = mir_payload.strict();
+        }
+        fn tree<D: BlockDevice, P: PayloadOps>(
+            dev: TrackedDevice<D>,
+            cfg: RTreeConfig,
+            ops: P,
+            meta: Option<TreeMeta>,
+            node_cache: usize,
+        ) -> Result<RTree<2, TrackedDevice<D>, P>> {
+            let mut tree = match meta {
+                None => RTree::create(dev, cfg, ops)?,
+                Some((root, height, count)) => {
+                    RTree::open_with_meta(dev, cfg, ops, root, height, count)?
+                }
+            };
+            // One cache per tree: block ids are device-local, so sharing a
+            // cache across trees would alias distinct nodes.
+            if node_cache > 0 {
+                tree.set_node_cache(Arc::new(NodeCache::new(node_cache)));
+            }
+            Ok(tree)
+        }
+        let dev = |d: D, stats: &Arc<IoStats>| TrackedDevice::with_stats(d, Arc::clone(stats));
+        let meta = |i: usize| metas.map(|m| m[i]);
+        let cache = config.node_cache;
+        Ok((
+            cfg,
+            (
+                tree(dev(rtree, &io.rtree), cfg, UnitPayload, meta(0), cache)?,
+                tree(dev(ir2, &io.ir2), cfg, ir2_payload, meta(1), cache)?,
+                tree(dev(mir2, &io.mir2), cfg, mir_payload, meta(2), cache)?,
+            ),
+        ))
     }
 
     /// [`build`](SpatialKeywordDb::build) publishing into the caller's
@@ -673,7 +700,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         let f = |i: usize| f64::from_le_bytes(tail[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
         let (store_len, store_records) = (u(0), u(1));
         // Tree metadata: the catalog, not the superblocks, is authoritative.
-        let tree_meta = |base: usize| -> (Option<u64>, u16, u64) {
+        let tree_meta = |base: usize| -> TreeMeta {
             let root = u(base);
             (
                 (root != u64::MAX).then_some(root),
@@ -681,7 +708,6 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
                 u(base + 2),
             )
         };
-        let (rtree_meta, ir2_meta, mir2_meta) = (tree_meta(9), tree_meta(12), tree_meta(15));
         let build_stats = BuildStats {
             objects: u(2),
             unique_words: u(3),
@@ -705,56 +731,15 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             store_records,
         )?);
 
-        let tree_cfg = match config.capacity {
-            Some(c) => RTreeConfig::with_max(c),
-            None => RTreeConfig::for_dims::<2>(),
-        };
-        let ir2_scheme =
-            SignatureScheme::from_bytes_len(config.sig_bytes, config.sig_k, config.seed);
-        let mir_schemes = MultiLevelScheme::new(
-            config.sig_bytes,
-            config.sig_k,
-            config.seed,
-            tree_cfg.max_entries,
+        let (tree_cfg, (rtree, ir2, mir2)) = Self::trees(
+            &config,
             avg_words,
             vocab.len(),
-        );
-        let mut mir_payload =
-            MirPayload::new(mir_schemes, Arc::clone(&store) as Arc<dyn ObjectSource<2>>);
-        if config.mir_strict {
-            mir_payload = mir_payload.strict();
-        }
-
-        let mut rtree = RTree::open_with_meta(
-            TrackedDevice::with_stats(devices.rtree, Arc::clone(&io.rtree)),
-            tree_cfg,
-            UnitPayload,
-            rtree_meta.0,
-            rtree_meta.1,
-            rtree_meta.2,
+            &store,
+            &io,
+            [devices.rtree, devices.ir2, devices.mir2],
+            Some([tree_meta(9), tree_meta(12), tree_meta(15)]),
         )?;
-        let mut ir2 = RTree::open_with_meta(
-            TrackedDevice::with_stats(devices.ir2, Arc::clone(&io.ir2)),
-            tree_cfg,
-            Ir2Payload::new(ir2_scheme),
-            ir2_meta.0,
-            ir2_meta.1,
-            ir2_meta.2,
-        )?;
-        let mut mir2 = RTree::open_with_meta(
-            TrackedDevice::with_stats(devices.mir2, Arc::clone(&io.mir2)),
-            tree_cfg,
-            mir_payload,
-            mir2_meta.0,
-            mir2_meta.1,
-            mir2_meta.2,
-        )?;
-        // One cache per tree, as in `build` (device-local block ids).
-        if config.node_cache > 0 {
-            rtree.set_node_cache(Arc::new(NodeCache::new(config.node_cache)));
-            ir2.set_node_cache(Arc::new(NodeCache::new(config.node_cache)));
-            mir2.set_node_cache(Arc::new(NodeCache::new(config.node_cache)));
-        }
         let inverted = InvertedIndex::open(
             TrackedDevice::with_stats(devices.inverted, Arc::clone(&io.inverted)),
             &vocab,
@@ -862,14 +847,16 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// combinations [`TopkRequest`] lists are refused before anything is
     /// read.
     ///
-    /// A single `run` reports as its I/O what the devices' counters moved
-    /// by, which is exact when nothing else queries this database
-    /// meanwhile — concurrent callers use
-    /// [`run_batch`](SpatialKeywordDb::run_batch). Pruning statistics are
-    /// collected through a [`StatsSink`] and the query is published to the
+    /// The report's I/O is this thread's accesses inside an [`IoScope`],
+    /// classified against a disk arm of the query's own, so `run` reports
+    /// what the same request reports inside
+    /// [`run_batch`](SpatialKeywordDb::run_batch), whatever else queries
+    /// the database meanwhile. Scopes do not nest: `run` must not be called
+    /// inside another scope. Pruning statistics are collected through a
+    /// [`StatsSink`] and the query is published to the
     /// [`metrics`](SpatialKeywordDb::metrics) registry.
     pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
-        let report = self.run_measured(req, Attribution::Delta)?;
+        let report = self.run_measured(req)?;
         self.publish_query_metrics(req.alg, &report);
         Ok(report)
     }
@@ -881,7 +868,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// holds the sink and can derive richer statistics from it), and the
     /// query is *not* published to the metrics registry.
     pub fn run_traced<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
-        self.run_topk(req, Attribution::Delta, sink)
+        self.run_topk(req, sink)
     }
 
     /// Answers `reqs` concurrently on `threads` worker threads (the index
@@ -891,12 +878,12 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     ///
     /// Each report's I/O is *correctly attributed to that request* even
     /// though requests interleave on the shared devices: every request
-    /// runs entirely on one worker inside an [`IoScope`], which tallies
-    /// only that thread's accesses against a per-request disk-arm
-    /// position. A request's report here is therefore the same whatever
-    /// `threads` is (results byte-identical; I/O identical up to the
-    /// buffer pool's interleaving-dependent cache hits, i.e. exactly
-    /// identical in the paper's uncached configuration).
+    /// runs entirely on one worker inside an [`IoScope`], as in
+    /// [`run`](SpatialKeywordDb::run). A request's report here is
+    /// therefore the same whatever `threads` is, and the same as `run`'s
+    /// (results byte-identical; I/O identical up to the buffer pool's
+    /// interleaving-dependent cache hits, i.e. exactly identical in the
+    /// paper's uncached configuration).
     ///
     /// A request that errors or panics yields an `Err(`[`QueryError`]`)`
     /// in its own slot and **nothing else**: siblings run to completion,
@@ -913,8 +900,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         threads: usize,
     ) -> Vec<std::result::Result<QueryReport, QueryError>> {
         let outcomes = fan_out_isolated(reqs, threads, |req| {
-            self.run_measured(req, Attribution::Scoped)
-                .map_err(Into::into)
+            self.run_measured(req).map_err(Into::into)
         });
         // Metrics are folded in *after* the concurrent phase: workers touch
         // only their thread-local sinks, so the shared registry sees no
@@ -959,41 +945,35 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// [`run_topk`](Self::run_topk) with the pruning statistics folded
     /// into the report through a [`StatsSink`] — what `run` and a
     /// `run_batch` worker share.
-    fn run_measured(&self, req: &TopkRequest, attribution: Attribution) -> Result<QueryReport> {
+    fn run_measured(&self, req: &TopkRequest) -> Result<QueryReport> {
         let mut sink = StatsSink::new();
-        let mut report = self.run_topk(req, attribution, &mut sink)?;
+        let mut report = self.run_topk(req, &mut sink)?;
         report.pruning = sink.into_stats();
         Ok(report)
     }
 
-    /// Runs `run` and measures it on behalf of a report: I/O by the chosen
-    /// [`Attribution`], object loads through a query-local
+    /// Runs `run` and measures it on behalf of a report: I/O through an
+    /// [`IoScope`] (only this thread's accesses, classified against a
+    /// per-query arm position), object loads through a query-local
     /// [`CountingSource`] (the store's own counter is shared by every
     /// concurrent query), transient-fault recoveries through a
-    /// [`RetryScope`] — entered here and nowhere else in the facade, since
-    /// scopes do not nest — and wall time.
+    /// [`RetryScope`] — both scopes entered here and nowhere else in the
+    /// facade, since scopes do not nest — and wall time.
     fn measure<R>(
         &self,
         alg: Algorithm,
-        attribution: Attribution,
         run: impl FnOnce(&CountingSource<'_, 2>) -> Result<R>,
     ) -> Result<(R, Measured)> {
-        let (index, objects) = (self.stats_of(alg), &self.io.objects);
         let src = self.counting_source();
-        let before = (index.snapshot(), objects.snapshot());
-        let scope = matches!(attribution, Attribution::Scoped).then(IoScope::enter);
+        let scope = IoScope::enter();
         let retry = RetryScope::enter();
         let t0 = Instant::now();
         let out = run(&src);
         let wall = t0.elapsed();
         let retry = retry.finish();
-        let (index_io, object_io) = match scope {
-            Some(scope) => {
-                let scoped = scope.finish();
-                (scoped.for_stats(index), scoped.for_stats(objects))
-            }
-            None => (index.snapshot() - before.0, objects.snapshot() - before.1),
-        };
+        let seen = scope.finish();
+        let index_io = seen.for_stats(self.stats_of(alg));
+        let object_io = seen.for_stats(&self.io.objects);
         let io = index_io + object_io;
         let measured = Measured {
             index_io,
@@ -1013,14 +993,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// every other algorithm is the [`open_search`](Self::open_search)
     /// iterator drained by [`collect_topk`]. The report's `pruning` is
     /// left empty — the caller owns the sink.
-    fn run_topk<S: TraceSink>(
-        &self,
-        req: &TopkRequest,
-        attribution: Attribution,
-        sink: S,
-    ) -> Result<QueryReport> {
+    fn run_topk<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
         req.check(false)?;
-        let ((exec, counters), m) = self.measure(req.alg, attribution, |src| {
+        let ((exec, counters), m) = self.measure(req.alg, |src| {
             if req.alg == Algorithm::Iio {
                 return self
                     .iio_topk(src, req, req.limits)
@@ -1064,18 +1039,18 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         limits: QueryLimits,
         sink: S,
     ) -> Result<Box<dyn BoundedSearch<2> + 'a>> {
-        let keywords = req.keywords.clone();
-        Ok(match (req.alg, req.region) {
-            (Algorithm::Ir2, region) => Box::new(
+        let (region, keywords) = (req.region, req.keywords.clone());
+        Ok(match (req.alg, region) {
+            (Algorithm::Ir2, _) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.ir2, src, region, keywords, sink)
                     .limited(limits),
             ),
-            (Algorithm::Mir2, region) => Box::new(
+            (Algorithm::Mir2, _) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.mir2, src, region, keywords, sink)
                     .limited(limits),
             ),
-            (Algorithm::RTree, QueryRegion::Point(point)) => Box::new(
-                RtreeBaselineIter::with_sink(&self.rtree, src, point, keywords, sink)
+            (Algorithm::RTree, QueryRegion::Point(_)) => Box::new(
+                DistanceFirstIter::with_region_sink(&self.rtree, src, region, keywords, sink)
                     .limited(limits),
             ),
             (Algorithm::Iio, QueryRegion::Point(_)) => {
@@ -1120,7 +1095,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         threads: usize,
     ) -> Result<Vec<GeneralReport>> {
         fan_out(queries, threads, |query| {
-            self.run_general(alg, query, scorer, rank, Attribution::Scoped)
+            self.run_general(alg, query, scorer, rank)
         })
     }
 
@@ -1164,7 +1139,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         scorer: &dyn IrScorer,
         rank: &dyn RankingFn,
     ) -> Result<GeneralReport> {
-        self.run_general(alg, query, scorer, rank, Attribution::Delta)
+        self.run_general(alg, query, scorer, rank)
     }
 
     /// The one general-ranked plan, the analog of
@@ -1176,10 +1151,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         query: &GeneralQuery<2>,
         scorer: &dyn IrScorer,
         rank: &dyn RankingFn,
-        attribution: Attribution,
     ) -> Result<GeneralReport> {
         let (limits, vocab) = (QueryLimits::none(), &self.vocab);
-        let (results, m) = self.measure(alg, attribution, |src| {
+        let (results, m) = self.measure(alg, |src| {
             match alg {
                 Algorithm::Ir2 => {
                     general_topk_with(&self.ir2, src, vocab, scorer, rank, query, limits, NopSink)

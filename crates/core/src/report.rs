@@ -70,7 +70,9 @@ pub struct QueryReport {
     /// Trace-derived pruning statistics: per-level signature tallies, heap
     /// growth, entry scans; definitionally consistent with `counters` —
     /// see [`TraceStats::matches_counters`]. The monolithic engine
-    /// collects them on every query. [`ShardedDb`](crate::ShardedDb)
+    /// collects them on every query: on the R-Tree they hold its node
+    /// visits and object fetches and no signature test, and on IIO, which
+    /// traverses no tree, they stay empty. [`ShardedDb`](crate::ShardedDb)
     /// leaves them empty: one event per signature test cost its
     /// false-positive-bound Restaurants workload 9 % of its throughput.
     pub pruning: TraceStats,

@@ -72,9 +72,10 @@ fn queries() -> Vec<DistanceFirstQuery<2>> {
 ///   own `SearchCounters`;
 /// * the trace's object-fetch count equals the `CountingSource` /
 ///   object-store load count the report attributes to the query;
-/// * a query reports *bit-for-bit identical* measurements whether it runs
-///   alone (global snapshot deltas) or inside the concurrent batch engine
-///   (`IoScope` per-thread attribution + `CountingSource`).
+/// * a query reports *bit-for-bit identical* measurements — I/O split into
+///   random and sequential accesses and simulated time included — whether
+///   it runs alone or inside the concurrent batch engine: both measure
+///   through `IoScope` per-thread attribution + `CountingSource`.
 #[test]
 fn solo_and_batch_reports_are_identical_for_every_algorithm() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();
@@ -105,14 +106,13 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
                 assert_eq!(s.pruning.objects_fetched, s.object_loads, "{ctx}");
             }
             // Solo and concurrent execution agree on everything measured.
-            // (Block-access *totals* are compared: the random/sequential
-            // split depends on the disk-arm position, which is global for
-            // solo runs but per-thread inside the batch engine.)
             assert_eq!(s.counters, b.counters, "{ctx}");
             assert_eq!(s.pruning, b.pruning, "{ctx}");
             assert_eq!(s.object_loads, b.object_loads, "{ctx}");
-            assert_eq!(s.index_io.total(), b.index_io.total(), "{ctx}");
-            assert_eq!(s.object_io.total(), b.object_io.total(), "{ctx}");
+            assert_eq!(s.index_io, b.index_io, "{ctx}");
+            assert_eq!(s.object_io, b.object_io, "{ctx}");
+            assert_eq!(s.io, b.io, "{ctx}");
+            assert_eq!(s.simulated, b.simulated, "{ctx}");
             assert_eq!(s.results.len(), b.results.len(), "{ctx}");
             for (x, y) in s.results.iter().zip(&b.results) {
                 assert_eq!(x.0.id, y.0.id, "{ctx}");

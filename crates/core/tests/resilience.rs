@@ -12,8 +12,8 @@ use ir2tree::storage::testing::FlakyDevice;
 use ir2tree::storage::{BlockDevice, BlockId, MemDevice, MetricsRegistry, Result, BLOCK_SIZE};
 use ir2tree::text::SaturatingTfIdf;
 use ir2tree::{
-    Algorithm, DbConfig, DeviceSet, QueryError, QueryLimits, RetryDevice, RetryPolicy,
-    SpatialKeywordDb, TopkRequest, TruncateReason,
+    Algorithm, DbConfig, DeviceSet, QueryError, QueryLimits, QueryReport, RetryDevice, RetryPolicy,
+    ShardedDb, SpatialKeywordDb, TopkRequest, TruncateReason,
 };
 use proptest::prelude::*;
 
@@ -231,6 +231,45 @@ fn io_budget_sweep_yields_exact_prefixes_for_all_algorithms() {
         }
         assert!(saw_truncation, "{}: sweep never truncated", alg.label());
         assert!(saw_completion, "{}: sweep never completed", alg.label());
+    }
+}
+
+/// Every tree algorithm spends at most its I/O budget — node reads between
+/// two candidates included — and answers an exact prefix of its unlimited
+/// answer, on a height-4 tree and on three shards (sequential gather). The
+/// R-Tree baseline used to check its budget only between candidates: at
+/// budget 1 it read 7 nodes and loaded an object. A sharded budget is
+/// split across the shards with every slice floored at 1, so below 3 it
+/// may spend 3.
+#[test]
+fn every_tree_algorithm_stays_within_its_io_budget() {
+    let mono = SpatialKeywordDb::build(DeviceSet::in_memory(), town(600), small_config()).unwrap();
+    assert!(
+        mono.rtree().height() >= 4,
+        "height {}",
+        mono.rtree().height()
+    );
+    let sets = (0..3).map(|_| DeviceSet::in_memory()).collect();
+    let sharded = ShardedDb::build(sets, town(600), small_config()).unwrap();
+    type Run<'a> = &'a dyn Fn(&TopkRequest) -> Result<QueryReport>;
+    let engines: [(&str, u64, Run<'_>); 2] = [
+        ("monolithic", 0, &|req| mono.run(req)),
+        ("sharded", 3, &|req| sharded.run(req)),
+    ];
+    let q = DistanceFirstQuery::new([7.3, 3.1], &["coffee", "wifi"], 8);
+    for alg in [Algorithm::RTree, Algorithm::Ir2, Algorithm::Mir2] {
+        for (engine, floor, run) in engines {
+            let full = ids(&run(&TopkRequest::from_query(alg, &q)).unwrap().results);
+            for budget in 0..=32u64 {
+                let ctx = format!("{} {engine} @{budget}", alg.label());
+                let req = TopkRequest::from_query(alg, &q).limited(budgeted(budget));
+                let report = run(&req).unwrap();
+                let spent = report.counters.nodes_read + report.counters.candidates_checked;
+                assert!(spent <= budget.max(floor), "{ctx}: spent {spent}");
+                let got = ids(&report.results);
+                assert_eq!(got, full[..got.len()], "{ctx}: not a prefix");
+            }
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! The distance-first IR²-Tree algorithm (paper Figure 8: `IR2TopK` on top
-//! of `IR2NearestNeighbor`).
+//! of `IR2NearestNeighbor`), and on a plain R-Tree the paper's R-Tree
+//! baseline (Section 5.1).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -9,7 +10,7 @@ use ir2_model::{
     normalize_keywords, DistanceFirstQuery, ObjPtr, ObjectSource, QueryLimits, QueryRegion,
     SpatialObject, TruncateReason,
 };
-use ir2_rtree::RTree;
+use ir2_rtree::{CachedNode, PayloadOps, RTree, UnitPayload};
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
@@ -19,6 +20,73 @@ use crate::search::{
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
 
+/// The node test of a [`DistanceFirstIter`], picked by the tree's payload
+/// type: which of a visited node's entries go on the frontier.
+///
+/// A signature tree ([`SigPayload`]: the IR²- and MIR²-Tree) tests every
+/// entry against the query signature of the node's level — Figure 8's "if
+/// s matches w" — and reports the node's tests to the sink in one
+/// [`record_tests`](TraceSink::record_tests) call. The plain R-Tree
+/// ([`UnitPayload`]) has no signatures: it admits every entry and tests
+/// nothing, so the search is Figure 3's incremental NN with the keyword
+/// check done on each loaded candidate — the paper's R-Tree baseline.
+pub trait EntryFilter: PayloadOps {
+    /// Writes into `mask` one verdict per entry of `node` (set: admitted)
+    /// and returns how many entries a signature test pruned. `query_sigs`
+    /// is the search's query signature per level, built from `keywords` on
+    /// first use.
+    fn admit_into<const N: usize, S: TraceSink>(
+        &self,
+        node: &CachedNode<N>,
+        keywords: &[String],
+        query_sigs: &mut Vec<Option<Signature>>,
+        mask: &mut EntryMask,
+        sink: &mut S,
+    ) -> u64;
+}
+
+impl<P: SigPayload> EntryFilter for P {
+    #[inline]
+    fn admit_into<const N: usize, S: TraceSink>(
+        &self,
+        node: &CachedNode<N>,
+        keywords: &[String],
+        query_sigs: &mut Vec<Option<Signature>>,
+        mask: &mut EntryMask,
+        sink: &mut S,
+    ) -> u64 {
+        let level = node.level();
+        // Borrow the cached query signature for this level instead of
+        // cloning it per node (signatures are heap buffers; at hundreds of
+        // bits each, a clone per node read dominated small-query
+        // allocations).
+        let qsig = level_entry(query_sigs, level, || {
+            self.scheme_at(level)
+                .sign_terms(keywords.iter().map(String::as_str))
+        });
+        // Every entry's containment verdict, into the reusable bitmask,
+        // reported to the sink and counted once per node.
+        signature_mask_into(node, qsig, mask);
+        sink.record_tests(level, mask);
+        (mask.len() - mask.count_ones()) as u64
+    }
+}
+
+impl EntryFilter for UnitPayload {
+    #[inline]
+    fn admit_into<const N: usize, S: TraceSink>(
+        &self,
+        node: &CachedNode<N>,
+        _keywords: &[String],
+        _query_sigs: &mut Vec<Option<Signature>>,
+        mask: &mut EntryMask,
+        _sink: &mut S,
+    ) -> u64 {
+        mask.reset_all_set(node.len());
+        0
+    }
+}
+
 #[derive(PartialEq, Eq)]
 enum Item {
     Node(u64),
@@ -26,7 +94,7 @@ enum Item {
 }
 
 /// Incremental distance-first top-k spatial keyword search over an
-/// IR²-Tree or MIR²-Tree.
+/// IR²-Tree, a MIR²-Tree or a plain R-Tree.
 ///
 /// This is the paper's `IR2NearestNeighbor` (Figure 8) wrapped as an
 /// iterator: a best-first traversal ordered by MINDIST in which every
@@ -34,7 +102,10 @@ enum Item {
 /// query signature *of that node's level* ("if s matches w"). Each
 /// candidate object the traversal surfaces is loaded and verified against
 /// the actual keywords — signatures have false positives but no false
-/// negatives, so verified results emerge in exact distance order.
+/// negatives, so verified results emerge in exact distance order. The test
+/// is the payload type's [`EntryFilter`]: over a plain R-Tree every entry
+/// passes and the iterator is the R-Tree baseline, which loads every
+/// candidate the NN order surfaces.
 ///
 /// With an empty keyword list the query signature is empty, every entry
 /// matches, and the iterator degenerates to plain incremental NN — the
@@ -46,7 +117,7 @@ enum Item {
 /// per node visit with that node's containment mask; the default
 /// [`NopSink`] monomorphizes every call to an inlined empty body, so the
 /// untraced iterator is byte-for-byte the pre-instrumentation code.
-pub struct DistanceFirstIter<'a, const N: usize, D, P: SigPayload, S: TraceSink = NopSink> {
+pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink = NopSink> {
     tree: &'a RTree<N, D, P>,
     objects: &'a dyn ObjectSource<N>,
     region: QueryRegion<N>,
@@ -79,7 +150,7 @@ impl PartialOrd for Item {
     }
 }
 
-impl<'a, const N: usize, D: BlockDevice, P: SigPayload> DistanceFirstIter<'a, N, D, P> {
+impl<'a, const N: usize, D: BlockDevice, P: EntryFilter> DistanceFirstIter<'a, N, D, P> {
     /// Starts the incremental search (`U.Enqueue(R.RootNode, 0)`).
     pub fn new(
         tree: &'a RTree<N, D, P>,
@@ -110,7 +181,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload> DistanceFirstIter<'a, N,
     }
 }
 
-impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
+impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
     DistanceFirstIter<'a, N, D, P, S>
 {
     /// Starts an incremental search that reports every step to `sink`
@@ -248,50 +319,28 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                         entries: node.len(),
                         heap_size: self.heap.len(),
                     });
-                    // Borrow the cached query signature for this level
-                    // instead of cloning it per node (signatures are heap
-                    // buffers; at hundreds of bits each, a clone per node
-                    // read dominated small-query allocations). The
-                    // destructuring gives the cache a borrow disjoint from
-                    // the counters/heap the entry loop mutates.
-                    let Self {
-                        tree,
-                        region,
-                        keywords,
-                        query_sigs,
-                        heap,
-                        seq,
-                        counters,
-                        mask,
-                        sink,
-                        ..
-                    } = self;
-                    let level = node.level();
-                    let qsig = level_entry(query_sigs, level, || {
-                        tree.ops()
-                            .scheme_at(level)
-                            .sign_terms(keywords.iter().map(String::as_str))
-                    });
-                    // Every entry's containment verdict, into the reusable
-                    // bitmask, reported to the sink and counted once per
-                    // node.
-                    signature_mask_into(&node, qsig, mask);
-                    sink.record_tests(level, mask);
-                    counters.pruned_by_signature += (mask.len() - mask.count_ones()) as u64;
-                    // "if s matches w": only entries whose signature
-                    // contains the query signature go on the frontier, in
-                    // entry order.
+                    // The payload type's node test: "if s matches w" on a
+                    // signature tree, every entry on the plain R-Tree.
+                    self.counters.pruned_by_signature += self.tree.ops().admit_into(
+                        &node,
+                        &self.keywords,
+                        &mut self.query_sigs,
+                        &mut self.mask,
+                        &mut self.sink,
+                    );
+                    // Only admitted entries go on the frontier, in entry
+                    // order.
                     let is_leaf = node.is_leaf();
-                    for i in mask.ones() {
+                    for i in self.mask.ones() {
                         let child = node.child(i);
-                        let d = OrderedF64(region.min_dist(&node.rect(i)));
+                        let d = OrderedF64(self.region.min_dist(&node.rect(i)));
                         let item = if is_leaf {
                             Item::Object(child)
                         } else {
                             Item::Node(child)
                         };
-                        heap.push(Reverse((d, *seq, item)));
-                        *seq += 1;
+                        self.heap.push(Reverse((d, self.seq, item)));
+                        self.seq += 1;
                     }
                 }
             }
@@ -299,7 +348,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     }
 }
 
-impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> BoundedSearch<N>
+impl<const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink> BoundedSearch<N>
     for DistanceFirstIter<'_, N, D, P, S>
 {
     fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
@@ -319,7 +368,7 @@ impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> BoundedSearch<
     }
 }
 
-impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> Iterator
+impl<const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink> Iterator
     for DistanceFirstIter<'_, N, D, P, S>
 {
     type Item = Result<(SpatialObject<N>, f64)>;
@@ -332,8 +381,9 @@ impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> Iterator
 }
 
 /// Answers a distance-first top-k spatial keyword query over an IR²- or
-/// MIR²-Tree (the paper's `IR2TopK(R, Q)`), returning `(object, distance)`
-/// pairs in ascending distance together with the search counters.
+/// MIR²-Tree (the paper's `IR2TopK(R, Q)`) or, on a plain R-Tree, with the
+/// R-Tree baseline, returning `(object, distance)` pairs in ascending
+/// distance together with the search counters.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -359,7 +409,7 @@ impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> Iterator
 /// assert_eq!(hits[0].0.id, 0); // the nearest cafe first
 /// # Ok::<(), ir2_storage::StorageError>(())
 /// ```
-pub fn distance_first_topk<const N: usize, D: BlockDevice, P: SigPayload>(
+pub fn distance_first_topk<const N: usize, D: BlockDevice, P: EntryFilter>(
     tree: &RTree<N, D, P>,
     objects: &dyn ObjectSource<N>,
     query: &DistanceFirstQuery<N>,

@@ -1,8 +1,8 @@
 //! The general IR²-Tree algorithm (Section 5.3): results ranked by
 //! `f(distance(T.p, Q.p), IRscore(T.t, Q.t))`.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 use ir2_geo::{OrderedF64, Point};
 use ir2_model::{
@@ -69,6 +69,24 @@ enum GItem<const N: usize> {
     Node(u64),
     Candidate(u64),
     Loaded(Box<ScoredResult<N>>),
+}
+
+// Items only compare through (upper, seq), and seq is unique per push.
+impl<const N: usize> PartialEq for GItem<N> {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+impl<const N: usize> Eq for GItem<N> {}
+impl<const N: usize> Ord for GItem<N> {
+    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+impl<const N: usize> PartialOrd for GItem<N> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Answers a general top-k spatial keyword query over an IR²- or MIR²-Tree
@@ -151,28 +169,12 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
     let mut keyword_masks: Vec<EntryMask> = (0..term_ids.len()).map(|_| EntryMask::new()).collect();
     let mut matched: Vec<TermId> = Vec::with_capacity(term_ids.len());
 
-    let mut heap: BinaryHeap<(OrderedF64, std::cmp::Reverse<u64>, u64)> = BinaryHeap::new();
-    let mut items: HashMap<u64, GItem<N>> = HashMap::new();
+    // Highest upper bound first, then the earliest push.
+    let mut heap: BinaryHeap<(OrderedF64, Reverse<u64>, GItem<N>)> = BinaryHeap::new();
     let mut seq: u64 = 0;
-    let push = |heap: &mut BinaryHeap<_>,
-                items: &mut HashMap<u64, GItem<N>>,
-                seq: &mut u64,
-                upper: f64,
-                item: GItem<N>| {
-        let id = *seq;
-        *seq += 1;
-        items.insert(id, item);
-        heap.push((OrderedF64(upper), std::cmp::Reverse(id), id));
-    };
-
     if let Some(root) = tree.root() {
-        push(
-            &mut heap,
-            &mut items,
-            &mut seq,
-            f64::INFINITY,
-            GItem::Node(root),
-        );
+        heap.push((OrderedF64(f64::INFINITY), Reverse(seq), GItem::Node(root)));
+        seq += 1;
     }
 
     let mut out: Vec<ScoredResult<N>> = Vec::with_capacity(query.k);
@@ -184,9 +186,9 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
         // answer — established *before* the limit check, so a deadline or
         // budget that trips after the last unit of work cannot misreport a
         // finished query as truncated.
-        let Some(&(_, _, peek_id)) = heap.peek() else {
+        if heap.is_empty() {
             break;
-        };
+        }
         // Cooperative limit check; charged I/O is nodes read plus objects
         // loaded, mirroring `DistanceFirstIter`.
         if !limits.is_unlimited() {
@@ -195,9 +197,7 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                 break;
             }
         }
-        let (upper, _, id) = heap.pop().expect("peeked entry still present");
-        debug_assert_eq!(id, peek_id);
-        let item = items.remove(&id).expect("heap entry has an item");
+        let (upper, _, item) = heap.pop().expect("the heap is not empty");
         match item {
             GItem::Loaded(res) => out.push(*res),
             GItem::Candidate(child) => {
@@ -231,13 +231,9 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                 if score >= best_remaining {
                     out.push(res);
                 } else {
-                    push(
-                        &mut heap,
-                        &mut items,
-                        &mut seq,
-                        score,
-                        GItem::Loaded(Box::new(res)),
-                    );
+                    let item = GItem::Loaded(Box::new(res));
+                    heap.push((OrderedF64(score), Reverse(seq), item));
+                    seq += 1;
                 }
             }
             GItem::Node(node_id) => {
@@ -292,7 +288,8 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                     } else {
                         GItem::Node(child)
                     };
-                    push(&mut heap, &mut items, &mut seq, child_upper, item);
+                    heap.push((OrderedF64(child_upper), Reverse(seq), item));
+                    seq += 1;
                 }
             }
         }

@@ -23,15 +23,17 @@
 //! * the **general IR² algorithm** (Section 5.3) ranking by
 //!   `f(distance, IRscore)` with sound signature-derived upper bounds —
 //!   [`general_topk`];
-//! * the **R-Tree baseline** (Section 5.1) for comparison —
-//!   [`rtree_baseline_topk`].
+//! * the **R-Tree baseline** (Section 5.1) for comparison — the same
+//!   iterator over a plain [`RTree`](ir2_rtree::RTree) with
+//!   [`UnitPayload`](ir2_rtree::UnitPayload), whose [`EntryFilter`] admits
+//!   every entry, so every candidate the NN order surfaces is loaded.
 //!
 //! Both query algorithms "can also operate on MIR²-Trees with no
 //! modification" — they are generic over the payload via [`SigPayload`].
 //!
 //! # One query plan
 //!
-//! The three functions above are shorthands. A search is configured in
+//! The two functions above are shorthands. A search is configured in
 //! one way only — on the iterator, each axis by one call:
 //!
 //! * **anchor**: [`DistanceFirstIter::new`] (a point query) or
@@ -45,7 +47,7 @@
 //! * **limits**: `.limited(QueryLimits)` — a tripped limit stops the
 //!   iterator with the exact top-m prefix emitted.
 //!
-//! Both iterators implement [`BoundedSearch`] — `next_within`,
+//! The iterator implements [`BoundedSearch`] — `next_within`,
 //! `frontier_bound`, `counters`, `truncation` — the stepping contract the
 //! sharded merge pulls on, and [`collect_topk`] is the one k-collector
 //! over it (canonical `(distance, id)` ties; `Complete` or `Truncated`).
@@ -67,7 +69,6 @@
 //! tree without a cache hands over the page, and the entries are tested
 //! where they lie with nothing built. The masks are equal bit for bit.
 
-mod baseline;
 mod diagnostics;
 mod distance_first;
 mod general;
@@ -77,9 +78,8 @@ mod search;
 pub mod trace;
 mod window;
 
-pub use baseline::{rtree_baseline_topk, RtreeBaselineIter};
 pub use diagnostics::{density_profile, LevelDensity};
-pub use distance_first::{distance_first_topk, DistanceFirstIter};
+pub use distance_first::{distance_first_topk, DistanceFirstIter, EntryFilter};
 pub use general::{general_topk, general_topk_with, GeneralQuery, ScoredResult};
 pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};

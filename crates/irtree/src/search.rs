@@ -1,5 +1,5 @@
-//! The stepping contract shared by the incremental distance-first
-//! searches, and the one top-k collector built on it.
+//! The stepping contract of the incremental distance-first search, and
+//! the one top-k collector built on it.
 
 use ir2_model::{ExecOutcome, SpatialObject, TruncateReason};
 use ir2_rtree::CachedNode;
@@ -116,10 +116,10 @@ impl<const N: usize> BoundedStep<N> {
 /// An incremental distance-first search that emits verified results in
 /// non-decreasing distance and can be advanced under a distance bound —
 /// what [`collect_topk`] and the scatter-gather shard merge are written
-/// against. [`DistanceFirstIter`](crate::DistanceFirstIter) and
-/// [`RtreeBaselineIter`](crate::RtreeBaselineIter) implement it; region,
-/// sink and limits are chosen when the iterator is built, so every
-/// combination of them runs through the same four calls.
+/// against. [`DistanceFirstIter`](crate::DistanceFirstIter) implements it
+/// over every tree; region, sink and limits are chosen when the iterator
+/// is built, so every combination of them runs through the same four
+/// calls.
 pub trait BoundedSearch<const N: usize> {
     /// Advances to the next verified result, performing no work beyond
     /// `limit`; the search resumes where it stopped when called again with

@@ -24,8 +24,10 @@
 //! The derived [`TraceStats`] are definitionally consistent with the
 //! algorithms' own `SearchCounters` (`nodes_visited == nodes_read`,
 //! `objects_fetched == candidates_checked`, `sig_tests − sig_matched ==
-//! pruned_by_signature`) — an equivalence the core crate's observability
-//! integration test asserts bit-for-bit against `IoScope` attribution.
+//! pruned_by_signature`) for every distance-first search, the R-Tree
+//! baseline included: it visits nodes like the others and records no
+//! signature test. The core crate's observability integration test
+//! asserts the equivalence bit-for-bit against `IoScope` attribution.
 
 use ir2_sigfile::EntryMask;
 
@@ -287,8 +289,7 @@ impl TraceStats {
     }
 
     /// Entries pruned by signature mismatch (= `sig_tests − sig_matched`
-    /// = `SearchCounters::pruned_by_signature` for the signature-bearing
-    /// algorithms).
+    /// = `SearchCounters::pruned_by_signature`).
     pub fn pruned_by_signature(&self) -> u64 {
         self.sig_tests - self.sig_matched
     }
@@ -320,18 +321,15 @@ impl TraceStats {
     }
 
     /// True iff the aggregate is definitionally consistent with the
-    /// algorithm's own counters (see module docs for the mapping). The
-    /// pruning identity only binds when signature tests were recorded at
-    /// all — the plain R-Tree baseline performs none — and the node
-    /// identity only binds when node visits were recorded: the baseline's
-    /// visits happen inside the untraced NN iterator, yet its counters
-    /// surface the NN visit tally so `nodes_read == cache_hits +
-    /// cache_misses` stays conserved.
+    /// algorithm's own counters (see module docs for the mapping). Every
+    /// distance-first search traces its node visits; the plain R-Tree
+    /// baseline tests no signatures and prunes nothing, so both sides of
+    /// its pruning identity are zero.
     pub fn matches_counters(&self, c: &SearchCounters) -> bool {
-        (self.nodes_visited == 0 || self.nodes_visited == c.nodes_read)
+        self.nodes_visited == c.nodes_read
             && self.objects_fetched == c.candidates_checked
             && self.false_positives == c.false_positives
-            && (self.sig_tests == 0 || self.pruned_by_signature() == c.pruned_by_signature)
+            && self.pruned_by_signature() == c.pruned_by_signature
     }
 }
 

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use ir2_irtree::{
-    bulk_load_objects, distance_first_topk, general_topk, insert_object, rtree_baseline_topk,
-    DistanceFirstIter, GeneralQuery, Ir2Payload, MirPayload,
+    bulk_load_objects, distance_first_topk, general_topk, insert_object, DistanceFirstIter,
+    GeneralQuery, Ir2Payload, MirPayload,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig, UnitPayload};
@@ -149,7 +149,7 @@ fn baseline_agrees_with_ir2() {
     ] {
         let q = DistanceFirstQuery::new([30.5, 100.0], &keywords, 8);
         let (a, ca) = distance_first_topk(&ir2, f.store.as_ref(), &q).unwrap();
-        let (b, cb) = rtree_baseline_topk(&plain, f.store.as_ref(), &q).unwrap();
+        let (b, cb) = distance_first_topk(&plain, f.store.as_ref(), &q).unwrap();
         let ids_a: Vec<u64> = a.iter().map(|(o, _)| o.id).collect();
         let ids_b: Vec<u64> = b.iter().map(|(o, _)| o.id).collect();
         assert_eq!(ids_a, ids_b, "keywords {keywords:?}");

@@ -79,9 +79,8 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 }
 
 impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
-    /// Tree nodes read so far — the iterator's charged I/O, used by
-    /// limit-aware callers to meter the traversal. Counts node *visits*,
-    /// so budgets behave identically with or without a node cache.
+    /// Tree nodes read so far. Counts node *visits*, so the count is the
+    /// same with or without a node cache.
     pub fn nodes_read(&self) -> u64 {
         self.nodes_read
     }
@@ -98,47 +97,25 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses
     }
+}
 
-    /// Current search-frontier (priority queue) size.
-    pub fn frontier_len(&self) -> usize {
-        self.heap.len()
-    }
+impl<const N: usize, D: BlockDevice, P: PayloadOps> Iterator for NnIter<'_, N, D, P> {
+    type Item = Result<NnResult>;
 
-    /// Lower bound on the distance of every result this iterator can still
-    /// emit: the MINDIST key at the head of the frontier. Because the
-    /// best-first heap minimum is non-decreasing and MINDIST lower-bounds
-    /// everything inside an MBR, no future result can be closer than this.
-    /// `None` once the frontier is drained (nothing more will be emitted).
-    pub fn frontier_bound(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse((d, _, _))| d.0)
-    }
-
-    /// Like the iterator's `next`, but performs no work beyond `limit`:
-    /// frontier items are popped only while their key is ≤ `limit`, so a
-    /// caller holding a tighter bound (a scatter-gather merge's current
-    /// k-th distance, say) never pays for node reads or candidate pops it
-    /// would discard. Returns `Ok(None)` both when the head exceeds the
-    /// limit and when the frontier is drained — distinguish via
-    /// [`frontier_len`](NnIter::frontier_len); the scan resumes exactly
-    /// where it stopped when called again with a larger limit.
-    pub fn next_within(&mut self, limit: f64) -> Result<Option<NnResult>> {
-        while self
-            .heap
-            .peek()
-            .is_some_and(|Reverse((d, _, _))| d.0 <= limit)
-        {
-            let Some(Reverse((dist, _, item))) = self.heap.pop() else {
-                break;
-            };
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(Reverse((dist, _, item))) = self.heap.pop() {
             match item {
                 Item::Object(child) => {
-                    return Ok(Some(NnResult {
+                    return Some(Ok(NnResult {
                         child,
                         dist: dist.0,
                     }));
                 }
                 Item::Node(id) => {
-                    let (node, hit) = self.tree.read_node_cached(id)?;
+                    let (node, hit) = match self.tree.read_node_cached(id) {
+                        Ok(read) => read,
+                        Err(e) => return Some(Err(e)),
+                    };
                     self.nodes_read += 1;
                     self.cache_hits += u64::from(hit);
                     self.cache_misses += u64::from(!hit);
@@ -156,15 +133,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
                 }
             }
         }
-        Ok(None)
-    }
-}
-
-impl<const N: usize, D: BlockDevice, P: PayloadOps> Iterator for NnIter<'_, N, D, P> {
-    type Item = Result<NnResult>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_within(f64::INFINITY).transpose()
+        None
     }
 }
 
@@ -240,7 +209,6 @@ mod tests {
         assert_eq!(it.nodes_read(), 0);
         it.next().unwrap().unwrap();
         assert!(it.nodes_read() >= 1);
-        assert!(it.frontier_len() > 0);
         let total_after_first = it.nodes_read();
         it.by_ref().for_each(|r| {
             r.unwrap();

@@ -372,8 +372,8 @@ impl EntryMask {
 
     /// Resizes to `len` entries, all set (bits beyond `len` stay clear, so
     /// [`count_ones`](EntryMask::count_ones) counts entries only). Keeps
-    /// capacity.
-    fn reset_all_set(&mut self, len: usize) {
+    /// capacity. What a node with nothing to test admits: every entry.
+    pub fn reset_all_set(&mut self, len: usize) {
         self.words.clear();
         self.words.resize(len.div_ceil(64), !0);
         if len % 64 != 0 {
