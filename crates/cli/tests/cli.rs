@@ -731,6 +731,37 @@ fn helpful_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `--capacity` outside `4..=65535` is an error message and a failed exit,
+/// not a panic (below 4) or a tree whose nodes lose entries (above).
+#[test]
+fn build_refuses_a_capacity_a_node_cannot_hold() {
+    let dir = workdir("capacity");
+    std::fs::write(dir.join("pois.tsv"), "1\t0.5\t0.5\tcoffee wifi\n").unwrap();
+    for capacity in ["3", "70000"] {
+        let out = ir2(
+            &dir,
+            &[
+                "build",
+                "--tsv",
+                "pois.tsv",
+                "--db",
+                "db",
+                "--capacity",
+                capacity,
+            ],
+        );
+        assert!(!out.status.success(), "--capacity {capacity}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.starts_with("error: ")
+                && err.contains(&format!("node capacity {capacity} is outside 4..=65535")),
+            "--capacity {capacity}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn help_prints_usage() {
     let dir = workdir("help");

@@ -523,6 +523,13 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         metas: Option<[TreeMeta; 3]>,
     ) -> Result<(RTreeConfig, Trees<D>)> {
         let cfg = match config.capacity {
+            // What `RTreeConfig::with_max` accepts: two entries a side for a
+            // split, and a count the node header's `u16` can hold.
+            Some(c) if !(4..=usize::from(u16::MAX)).contains(&c) => {
+                return Err(StorageError::Unsupported(format!(
+                    "node capacity {c} is outside 4..=65535"
+                )))
+            }
             Some(c) => RTreeConfig::with_max(c),
             None => RTreeConfig::for_dims::<2>(),
         };

@@ -145,6 +145,33 @@ fn build_stats_match_input() {
     assert!(stats.unique_words > 10);
 }
 
+/// A node capacity the trees cannot take is an error, not a panic, and
+/// not a node header that silently counts its entries modulo 65 536.
+#[test]
+fn a_capacity_outside_what_a_node_header_holds_is_refused() {
+    for capacity in [0, 3, 65_536, 70_000] {
+        let config = DbConfig {
+            capacity: Some(capacity),
+            ..small_config()
+        };
+        match SpatialKeywordDb::build(DeviceSet::in_memory(), town(10), config) {
+            Err(StorageError::Unsupported(msg)) => {
+                assert!(msg.contains(&capacity.to_string()), "{msg}")
+            }
+            Err(e) => panic!("capacity {capacity}: {e}"),
+            Ok(_) => panic!("capacity {capacity} was accepted"),
+        }
+    }
+    for capacity in [4, 65_535] {
+        let config = DbConfig {
+            capacity: Some(capacity),
+            ..small_config()
+        };
+        let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(10), config).unwrap();
+        assert_eq!(db.rtree().config().max_entries, capacity);
+    }
+}
+
 #[test]
 fn insert_and_delete_maintain_all_trees() {
     let mut db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(60), small_config()).unwrap();

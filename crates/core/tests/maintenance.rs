@@ -117,3 +117,59 @@ fn deleting_under_a_dissolving_mir2_node_grows_the_device_by_a_few_paths() {
     assert!(!reference.results.is_empty());
     assert_eq!(ids(&mir2), ids(&reference));
 }
+
+/// The delete path's bytes: a fixed history of deletes on the 2 000-object
+/// build — one object from each leaf under the root's last level-1 node,
+/// a commit, then a leaf drained until its last delete dissolves it and
+/// re-inserts its five survivors — pins what every tree device holds. The
+/// commits between phases hand freed extents back, so the history also
+/// pins the order in which extents are allocated, freed and reused. The
+/// values were taken before the write path stopped decoding a page into
+/// an owned node.
+#[test]
+fn on_disk_bytes_of_a_fixed_delete_history_are_pinned() {
+    let (spec, config) = hotels(2_000);
+    let devices = DeviceSet::in_memory().map(|_, d| Arc::new(d));
+    let mut db = SpatialKeywordDb::build(devices.clone(), spec.generate(), config).unwrap();
+    let min_fill = db.mir2_tree().config().min_entries;
+    let (root, height) = (db.mir2_tree().root().unwrap(), db.mir2_tree().height());
+    assert_eq!((height, min_fill), (3, 6));
+    let node =
+        |db: &SpatialKeywordDb<Arc<MemDevice>>, id| db.mir2_tree().read_node_buf(id).unwrap();
+
+    let root_node = node(&db, root);
+    let last = node(&db, root_node.child(root_node.len() - 1));
+    let scattered: Vec<ObjPtr> = (0..last.len())
+        .map(|i| ObjPtr(node(&db, last.child(i)).child(0)))
+        .collect();
+    let first_leaf = |db: &SpatialKeywordDb<Arc<MemDevice>>| {
+        let root = node(db, db.mir2_tree().root().unwrap());
+        node(db, node(db, root.child(0)).child(0))
+    };
+    let drained: Vec<ObjPtr> = {
+        let leaf = first_leaf(&db);
+        (0..16 - min_fill + 1)
+            .map(|i| ObjPtr(leaf.child(i)))
+            .collect()
+    };
+
+    for &ptr in &scattered {
+        assert!(db.delete(ptr).unwrap());
+    }
+    db.save_catalog().unwrap();
+    let (last_victim, drain) = drained.split_last().unwrap();
+    for &ptr in drain {
+        assert!(db.delete(ptr).unwrap());
+    }
+    db.save_catalog().unwrap();
+    assert_eq!(first_leaf(&db).len(), min_fill, "the next delete dissolves");
+    assert!(db.delete(*last_victim).unwrap());
+    db.save_catalog().unwrap();
+    assert!(db.check_integrity().ok(), "{:?}", db.check_integrity());
+
+    assert_eq!(scattered.len(), 13);
+    let pinned = |dev: &MemDevice| (dev.num_blocks(), device_digest(dev));
+    assert_eq!(pinned(&devices.rtree), (174, 0x0b13_725d_ac1c_53e4));
+    assert_eq!(pinned(&devices.ir2), (174, 0x0b7b_6c6b_c8f7_3f8a));
+    assert_eq!(pinned(&devices.mir2), (545, 0xf1bf_b92a_7fd5_b939));
+}

@@ -7,14 +7,10 @@
 //! cost, not query-time behaviour: the result is a valid, well-packed tree
 //! maintained by the same Insert/Delete afterwards.
 
-use ir2_geo::Rect;
 use ir2_storage::{BlockDevice, Result, StorageError};
 
-use crate::node::{Entry, Node};
+use crate::node::{Item, NodeBuf};
 use crate::{PayloadOps, RTree};
-
-/// An item to bulk load: object reference, MBR, leaf payload.
-type Item<const N: usize> = (u64, Rect<N>, Vec<u8>);
 
 impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// Bulk loads `items` into an **empty** tree using sort-tile-recursive
@@ -40,48 +36,43 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         let n = items.len();
         str_tile(&mut items, 0, cap);
 
-        // Build the leaf level. Every node is packed full except the last
-        // of its level, so the subtree under the `j`-th node of a level is
-        // the `j`-th run of `cap^(level+1)` items: a node is summarized from
-        // the run it was packed from, never read back.
-        let mut level_entries: Vec<Entry<N>> = Vec::with_capacity(n.div_ceil(cap));
-        for run in items.chunks(cap) {
-            let id = self.alloc_node(0)?;
-            let node = Node {
-                id,
-                level: 0,
-                entries: run
-                    .iter()
-                    .map(|(c, r, p)| Entry::new(*c, *r, p.clone()))
-                    .collect(),
-            };
-            self.write_node(&node)?;
-            level_entries.push(Entry::new(id, node.mbr(), self.summary_of_run(&node, run)));
-        }
-
-        // Build internal levels until one node remains.
-        let mut level = 0u16;
-        let mut span = cap;
-        while level_entries.len() > 1 {
+        // Build the leaf level, then internal levels until one node
+        // remains. A level's parent entries are items of the level above.
+        let mut entries = self.pack_level(0, &items, &items, cap)?;
+        let (mut level, mut span) = (0u16, cap);
+        while entries.len() > 1 {
             level += 1;
             span *= cap;
-            let mut next: Vec<Entry<N>> = Vec::with_capacity(level_entries.len().div_ceil(cap));
-            for (chunk, run) in level_entries.chunks(cap).zip(items.chunks(span)) {
-                let id = self.alloc_node(level)?;
-                let node = Node {
-                    id,
-                    level,
-                    entries: chunk.to_vec(),
-                };
-                self.write_node(&node)?;
-                next.push(Entry::new(id, node.mbr(), self.summary_of_run(&node, run)));
-            }
-            level_entries = next;
+            entries = self.pack_level(level, &entries, &items, span)?;
         }
 
-        let root_id = level_entries[0].child;
-        self.set_meta_after_bulk(root_id, level + 1, n as u64);
+        self.set_meta_after_bulk(entries[0].0, level + 1, n as u64);
         Ok(())
+    }
+
+    /// Packs `entries` into nodes at `level`, `max_entries` to a node, and
+    /// returns the parent entry of each node. Every node is packed full
+    /// except the last of its level, so the subtree under the `j`-th node
+    /// is the `j`-th run of `span` leaf `items`: a node is summarized from
+    /// the run it was packed from, never read back.
+    fn pack_level(
+        &self,
+        level: u16,
+        entries: &[Item<N>],
+        items: &[Item<N>],
+        span: usize,
+    ) -> Result<Vec<Item<N>>> {
+        let cap = self.config().max_entries;
+        let mut parents = Vec::with_capacity(entries.len().div_ceil(cap));
+        for (chunk, run) in entries.chunks(cap).zip(items.chunks(span)) {
+            let mut node = self.empty_node(self.alloc_node(level)?, level);
+            for (child, rect, payload) in chunk {
+                node.push(*child, rect, payload);
+            }
+            self.write_node(&mut node)?;
+            parents.push((node.id(), node.mbr(), self.summary_of_run(&node, run)));
+        }
+        Ok(parents)
     }
 
     /// The parent-entry payload of the freshly packed `node`, whose subtree
@@ -89,10 +80,10 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// payloads where the payload scheme allows it, signed from the run's
     /// objects otherwise — what `summary_of_node` computes, minus reading
     /// the just-written subtree back to list those objects.
-    fn summary_of_run(&self, node: &Node<N>, run: &[Item<N>]) -> Vec<u8> {
+    fn summary_of_run(&self, node: &NodeBuf<N>, run: &[Item<N>]) -> Vec<u8> {
         self.fold_summary(node).unwrap_or_else(|| {
             self.ops()
-                .summarize_objects(node.level + 1, &mut run.iter().map(|(c, _, _)| *c))
+                .summarize_objects(node.level() + 1, &mut run.iter().map(|(c, _, _)| *c))
         })
     }
 }
@@ -134,7 +125,7 @@ fn sort_by_center_dim<const N: usize>(items: &mut [Item<N>], dim: usize) {
 mod tests {
     use super::*;
     use crate::{RTreeConfig, UnitPayload};
-    use ir2_geo::Point;
+    use ir2_geo::{Point, Rect};
     use ir2_storage::MemDevice;
 
     fn items(n: usize) -> Vec<Item<2>> {

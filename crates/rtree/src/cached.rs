@@ -186,20 +186,16 @@ pub type NodeCache<const N: usize> = DecodedCache<CachedNode<N>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Entry, Node};
     use crate::UnitPayload;
     use ir2_geo::Point;
 
     fn node(level: u16, count: u64) -> NodeBuf<2> {
-        let mut n = Node::new(7, level);
+        let mut n = NodeBuf::empty(7, level, 2);
         for i in 0..count {
-            n.entries.push(Entry::new(
-                100 + i,
-                Rect::from_point(Point::new([i as f64, 2.0])),
-                vec![0xAB, i as u8],
-            ));
+            let rect = Rect::from_point(Point::new([i as f64, 2.0]));
+            n.push(100 + i, &rect, &[0xAB, i as u8]);
         }
-        NodeBuf::decode(n.id, n.encode(2, 1), 2).unwrap()
+        NodeBuf::decode(n.id(), n.encode(1).to_vec(), 2).unwrap()
     }
 
     /// Slices a node's payloads into an owned copy of each.

@@ -59,9 +59,14 @@ impl RTreeConfig {
     ///
     /// # Panics
     /// Panics if `max < 4` (quadratic split needs at least two entries per
-    /// side).
+    /// side) or `max > 65 535` (a node header counts its entries in a
+    /// `u16`).
     pub fn with_max(max: usize) -> Self {
         assert!(max >= 4, "node capacity must be at least 4");
+        assert!(
+            max <= usize::from(u16::MAX),
+            "node capacity must be at most 65535, the node header's entry count"
+        );
         Self {
             max_entries: max,
             min_entries: (max * 2 / 5).max(2),
@@ -113,6 +118,17 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn tiny_capacity_rejected() {
         let _ = RTreeConfig::with_max(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535")]
+    fn a_capacity_past_the_header_count_is_rejected() {
+        let _ = RTreeConfig::with_max(70_000);
+    }
+
+    #[test]
+    fn the_largest_header_count_is_accepted() {
+        assert_eq!(RTreeConfig::with_max(65_535).max_entries, 65_535);
     }
 
     #[test]

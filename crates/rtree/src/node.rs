@@ -1,4 +1,4 @@
-//! On-disk node format.
+//! On-disk node format, and [`NodeBuf`], the one in-memory form of a node.
 //!
 //! A node occupies a fixed-size extent of consecutive blocks determined by
 //! its level (payload sizes may differ per level in the MIR²-Tree). Layout:
@@ -18,13 +18,26 @@
 //! verified where the device holds it instead of being copied into the
 //! node. The header's `nblocks` is the whole extent, and a read checks it
 //! against the level's extent size, and `count` against the capacity,
-//! before it trusts either.
+//! before it trusts either. `count` is a `u16`, so a tree's node capacity
+//! is at most 65 535 ([`RTreeConfig::with_max`](crate::RTreeConfig::with_max)
+//! refuses more).
+//!
+//! [`NodeBuf::decode`] is the one parser of these bytes and the tree's
+//! `write_node` the one writer: a query reads a page's entries where they
+//! lie, and a mutation edits that same page in place — push, remove, set a
+//! child, a rectangle or a payload, OR a signature into a payload — and
+//! hands it to the writer, which stamps the header and seals the bytes. No
+//! entry is ever copied into an owned form and back.
 
 use ir2_geo::Rect;
-use ir2_storage::{extent, Result, StorageError};
+use ir2_storage::{Result, StorageError};
 
 /// Identifier of a node: the first block of its extent.
 pub type NodeId = u64;
+
+/// An entry held outside a node — a bulk-load item, or the parent entry a
+/// split hands up: child reference, MBR, payload.
+pub(crate) type Item<const N: usize> = (u64, Rect<N>, Vec<u8>);
 
 /// Byte length of the node header.
 pub const NODE_HEADER_LEN: usize = 8;
@@ -35,117 +48,56 @@ pub const REF_LEN: usize = 8;
 const MAGIC: u8 = 0xB7;
 const VERSION: u8 = 1;
 
-/// One node entry: a child reference, its MBR, and its payload.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Entry<const N: usize> {
-    /// Object pointer (leaf) or child node id (internal).
-    pub child: u64,
-    /// Minimum bounding rectangle of the child.
-    pub rect: Rect<N>,
-    /// Augmentation payload (e.g. a signature). Length must equal the
-    /// tree's `entry_size` for the containing node's level.
-    pub payload: Vec<u8>,
+/// A node page: its extent's bytes in one buffer — the header, then the
+/// entries — served by offset, with no per-entry allocation.
+///
+/// This is the only in-memory form of a node. Query traversals (nearest
+/// neighbor, window search, signature pruning) read `child`, `rect` and a
+/// borrowed `payload` slice straight out of the buffer. The tree's
+/// mutations (insert, split, delete, bulk load) edit the same buffer
+/// through crate-private methods and hand it to the tree's writer, which
+/// stamps the header and seals these bytes: the page that was read is the
+/// page that is written.
+///
+/// The buffer always holds exactly the header and `len()` entries: a page
+/// decoded from a read keeps no padding and no spare capacity.
+#[derive(Debug, Clone)]
+pub struct NodeBuf<const N: usize> {
+    id: NodeId,
+    level: u16,
+    count: usize,
+    entry_len: usize,
+    payload_size: usize,
+    buf: Vec<u8>,
 }
 
-impl<const N: usize> Entry<N> {
-    /// Creates an entry.
-    pub fn new(child: u64, rect: Rect<N>, payload: Vec<u8>) -> Self {
-        Self {
-            child,
-            rect,
-            payload,
+impl<const N: usize> NodeBuf<N> {
+    /// Takes ownership of a node's extent bytes and validates the header
+    /// and entry region. The bytes past the last entry (an extent's
+    /// padding) are dropped, and the buffer is shrunk to what is left.
+    pub fn decode(id: NodeId, mut buf: Vec<u8>, payload_size: usize) -> Result<Self> {
+        let (level, count, _nblocks) = Self::decode_header(&buf)?;
+        let need = Self::encoded_len(count as usize, payload_size);
+        if buf.len() < need {
+            return Err(StorageError::Corrupt(format!(
+                "node {id}: {} bytes but {count} entries need {need}",
+                buf.len()
+            )));
         }
-    }
-}
-
-/// An in-memory node image.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Node<const N: usize> {
-    /// First block of the node's extent.
-    pub id: NodeId,
-    /// 0 for leaves; parents of level-`ℓ` nodes are level `ℓ + 1`.
-    pub level: u16,
-    /// The node's entries (≤ the tree's `max_entries`).
-    pub entries: Vec<Entry<N>>,
-}
-
-impl<const N: usize> Node<N> {
-    /// An empty node.
-    pub fn new(id: NodeId, level: u16) -> Self {
-        Self {
+        buf.truncate(need);
+        buf.shrink_to_fit();
+        Ok(Self {
             id,
             level,
-            entries: Vec::new(),
-        }
-    }
-
-    /// True for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        self.level == 0
-    }
-
-    /// The bounding rectangle of all entries.
-    ///
-    /// # Panics
-    /// Panics if the node has no entries (only a never-written root is
-    /// empty).
-    pub fn mbr(&self) -> Rect<N> {
-        let mut it = self.entries.iter();
-        let first = it.next().expect("mbr of empty node").rect;
-        it.fold(first, |acc, e| acc.union(&e.rect))
-    }
-
-    /// Byte length of one serialized entry at `level` given the payload
-    /// size for that level.
-    pub fn entry_encoded_len(payload_size: usize) -> usize {
-        REF_LEN + Rect::<N>::ENCODED_LEN + payload_size
-    }
-
-    /// Byte length of a serialized node of `count` entries: the header,
-    /// then the entries.
-    pub fn encoded_len(count: usize, payload_size: usize) -> usize {
-        NODE_HEADER_LEN + count * Self::entry_encoded_len(payload_size)
-    }
-
-    /// Serializes the node for its `nblocks`-block extent: the header, then
-    /// the entries, and nothing after — the writer seals these bytes and
-    /// pads the rest of the extent with the sealed zero page, so the full
-    /// extent is still written every time and stale entries cannot
-    /// resurface.
-    ///
-    /// `payload_size` is the tree's entry payload size at this node's
-    /// level; every entry's payload must have exactly that length.
-    ///
-    /// # Panics
-    /// Panics if the entries do not fit in `nblocks` blocks.
-    pub fn encode(&self, payload_size: usize, nblocks: u16) -> Vec<u8> {
-        let entry_len = Self::entry_encoded_len(payload_size);
-        let mut out = vec![0u8; Self::encoded_len(self.entries.len(), payload_size)];
-        assert!(
-            extent::sealed_blocks_for(out.len()) <= u32::from(nblocks),
-            "node {}: {} entries overflow {nblocks} blocks",
-            self.id,
-            self.entries.len()
-        );
-        out[0] = MAGIC;
-        out[1] = VERSION;
-        out[2..4].copy_from_slice(&self.level.to_le_bytes());
-        out[4..6].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        out[6..8].copy_from_slice(&nblocks.to_le_bytes());
-        let mut pos = NODE_HEADER_LEN;
-        for e in &self.entries {
-            debug_assert_eq!(e.payload.len(), payload_size, "payload size mismatch");
-            out[pos..pos + 8].copy_from_slice(&e.child.to_le_bytes());
-            e.rect
-                .encode(&mut out[pos + 8..pos + 8 + Rect::<N>::ENCODED_LEN]);
-            out[pos + 8 + Rect::<N>::ENCODED_LEN..pos + entry_len].copy_from_slice(&e.payload);
-            pos += entry_len;
-        }
-        out
+            count: count as usize,
+            entry_len: Self::entry_encoded_len(payload_size),
+            payload_size,
+            buf,
+        })
     }
 
     /// Parses the header of a serialized node: `(level, count, nblocks)`.
-    pub fn decode_header(buf: &[u8]) -> Result<(u16, u16, u16)> {
+    pub(crate) fn decode_header(buf: &[u8]) -> Result<(u16, u16, u16)> {
         if buf.len() < NODE_HEADER_LEN || buf[0] != MAGIC {
             return Err(StorageError::Corrupt("bad node magic".into()));
         }
@@ -155,82 +107,19 @@ impl<const N: usize> Node<N> {
                 buf[1]
             )));
         }
-        let level = u16::from_le_bytes(buf[2..4].try_into().expect("2 bytes"));
-        let count = u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes"));
-        let nblocks = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes"));
-        Ok((level, count, nblocks))
+        let field = |at: usize| u16::from_le_bytes([buf[at], buf[at + 1]]);
+        Ok((field(2), field(4), field(6)))
     }
 
-    /// Deserializes a node from its extent bytes.
-    pub fn decode(id: NodeId, buf: &[u8], payload_size: usize) -> Result<Self> {
-        let (level, count, _nblocks) = Self::decode_header(buf)?;
-        let entry_len = Self::entry_encoded_len(payload_size);
-        let need = Self::encoded_len(count as usize, payload_size);
-        if buf.len() < need {
-            return Err(StorageError::Corrupt(format!(
-                "node {id}: {} bytes but {count} entries need {need}",
-                buf.len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        let mut pos = NODE_HEADER_LEN;
-        for _ in 0..count {
-            let child = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
-            let rect = Rect::decode(&buf[pos + 8..pos + 8 + Rect::<N>::ENCODED_LEN]);
-            let payload = buf[pos + 8 + Rect::<N>::ENCODED_LEN..pos + entry_len].to_vec();
-            entries.push(Entry {
-                child,
-                rect,
-                payload,
-            });
-            pos += entry_len;
-        }
-        Ok(Self { id, level, entries })
+    /// Byte length of one serialized entry given the level's payload size.
+    pub(crate) fn entry_encoded_len(payload_size: usize) -> usize {
+        REF_LEN + Rect::<N>::ENCODED_LEN + payload_size
     }
-}
 
-/// A decoded node that keeps its extent bytes in one arena buffer and
-/// serves entries by offset — no per-entry `Vec<u8>` payload copies, no
-/// per-entry allocation at all.
-///
-/// This is the one node form outside the crate: query traversals (nearest
-/// neighbor, window search, signature pruning) only ever need indexed
-/// access to `child`, `rect`, and a borrowed `payload` slice, which
-/// [`NodeBuf`] provides straight out of the arena. Mutations go through
-/// the crate-private owned `Node`, decoded from the same bytes.
-#[derive(Debug, Clone)]
-pub struct NodeBuf<const N: usize> {
-    id: NodeId,
-    level: u16,
-    count: usize,
-    entry_len: usize,
-    payload_size: usize,
-    buf: Box<[u8]>,
-}
-
-impl<const N: usize> NodeBuf<N> {
-    /// Takes ownership of a node's extent bytes and validates the header
-    /// and entry region, exactly like the owned `Node::decode` — same error
-    /// messages, one allocation total (the buffer itself, which callers
-    /// typically already hold).
-    pub fn decode(id: NodeId, buf: Vec<u8>, payload_size: usize) -> Result<Self> {
-        let (level, count, _nblocks) = Node::<N>::decode_header(&buf)?;
-        let entry_len = Node::<N>::entry_encoded_len(payload_size);
-        let need = Node::<N>::encoded_len(count as usize, payload_size);
-        if buf.len() < need {
-            return Err(StorageError::Corrupt(format!(
-                "node {id}: {} bytes but {count} entries need {need}",
-                buf.len()
-            )));
-        }
-        Ok(Self {
-            id,
-            level,
-            count: count as usize,
-            entry_len,
-            payload_size,
-            buf: buf.into_boxed_slice(),
-        })
+    /// Byte length of a serialized node of `count` entries: the header,
+    /// then the entries.
+    pub(crate) fn encoded_len(count: usize, payload_size: usize) -> usize {
+        NODE_HEADER_LEN + count * Self::entry_encoded_len(payload_size)
     }
 
     /// First block of the node's extent.
@@ -270,14 +159,25 @@ impl<const N: usize> NodeBuf<N> {
     }
 
     #[inline]
-    fn entry_at(&self, i: usize) -> &[u8] {
+    fn entry_range(&self, i: usize) -> std::ops::Range<usize> {
         debug_assert!(
             i < self.count,
             "entry index {i} out of range {}",
             self.count
         );
         let pos = NODE_HEADER_LEN + i * self.entry_len;
-        &self.buf[pos..pos + self.entry_len]
+        pos..pos + self.entry_len
+    }
+
+    #[inline]
+    fn entry_at(&self, i: usize) -> &[u8] {
+        &self.buf[self.entry_range(i)]
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, i: usize) -> &mut [u8] {
+        let range = self.entry_range(i);
+        &mut self.buf[range]
     }
 
     /// Object pointer (leaf) or child node id (internal) of entry `i`.
@@ -325,123 +225,307 @@ impl<const N: usize> NodeBuf<N> {
         assert!(self.count > 0, "mbr of empty node");
         (1..self.count).fold(self.rect(0), |acc, i| acc.union(&self.rect(i)))
     }
+
+    // ------------------------------------------------------------------
+    // Edits: the write path's, in place on the page's bytes.
+    // ------------------------------------------------------------------
+
+    /// An empty node at `level` whose entries carry `payload_size` bytes.
+    pub(crate) fn empty(id: NodeId, level: u16, payload_size: usize) -> Self {
+        let mut buf = vec![0u8; NODE_HEADER_LEN];
+        buf[0] = MAGIC;
+        buf[1] = VERSION;
+        buf[2..4].copy_from_slice(&level.to_le_bytes());
+        Self {
+            id,
+            level,
+            count: 0,
+            entry_len: Self::entry_encoded_len(payload_size),
+            payload_size,
+            buf,
+        }
+    }
+
+    /// Moves the node to the extent at `id` (its bytes do not name it).
+    pub(crate) fn set_id(&mut self, id: NodeId) {
+        self.id = id;
+    }
+
+    /// Appends an entry.
+    pub(crate) fn push(&mut self, child: u64, rect: &Rect<N>, payload: &[u8]) {
+        self.buf.resize(self.buf.len() + self.entry_len, 0);
+        self.count += 1;
+        let last = self.count - 1;
+        self.set_child(last, child);
+        self.set_rect(last, rect);
+        self.set_payload(last, payload);
+    }
+
+    /// Removes entry `i`, shifting the entries after it down by one.
+    pub(crate) fn remove(&mut self, i: usize) {
+        let range = self.entry_range(i);
+        self.buf.copy_within(range.end.., range.start);
+        self.buf.truncate(self.buf.len() - self.entry_len);
+        self.count -= 1;
+    }
+
+    /// Sets entry `i`'s child reference.
+    pub(crate) fn set_child(&mut self, i: usize, child: u64) {
+        self.entry_mut(i)[..REF_LEN].copy_from_slice(&child.to_le_bytes());
+    }
+
+    /// Sets entry `i`'s MBR.
+    pub(crate) fn set_rect(&mut self, i: usize, rect: &Rect<N>) {
+        rect.encode(&mut self.entry_mut(i)[REF_LEN..REF_LEN + Rect::<N>::ENCODED_LEN]);
+    }
+
+    /// Sets entry `i`'s payload; `payload` must be the level's size.
+    pub(crate) fn set_payload(&mut self, i: usize, payload: &[u8]) {
+        self.payload_mut(i).copy_from_slice(payload);
+    }
+
+    /// Entry `i`'s payload, to edit in place.
+    pub(crate) fn payload_mut(&mut self, i: usize) -> &mut [u8] {
+        &mut self.entry_mut(i)[REF_LEN + Rect::<N>::ENCODED_LEN..]
+    }
+
+    /// The node's bytes for its `nblocks`-block extent: the header, with
+    /// its entry count and extent size stamped, then the entries, and
+    /// nothing after — the writer seals these bytes and pads the rest of
+    /// the extent with the sealed zero page, so the full extent is still
+    /// written every time and stale entries cannot resurface.
+    ///
+    /// # Panics
+    /// Panics if the entry count does not fit the header's `u16` (a tree
+    /// whose capacity fits never holds more).
+    pub(crate) fn encode(&mut self, nblocks: u16) -> &[u8] {
+        let count = u16::try_from(self.count).expect("node entry count fits the header's u16");
+        self.buf[4..6].copy_from_slice(&count.to_le_bytes());
+        self.buf[6..8].copy_from_slice(&nblocks.to_le_bytes());
+        &self.buf
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ir2_geo::Point;
+    use proptest::prelude::*;
+
+    type Model = Vec<(u64, Rect<2>, Vec<u8>)>;
 
     fn rect(a: f64, b: f64) -> Rect<2> {
         Rect::from_corners(Point::new([a, b]), Point::new([a + 1.0, b + 1.0]))
     }
 
+    /// A node pushed fresh, in order, from `model`.
+    fn pushed(id: NodeId, level: u16, payload_size: usize, model: &Model) -> NodeBuf<2> {
+        let mut node = NodeBuf::empty(id, level, payload_size);
+        for (child, rect, payload) in model {
+            node.push(*child, rect, payload);
+        }
+        node
+    }
+
+    fn seven_entries() -> Model {
+        (0..7u64)
+            .map(|i| (100 + i, rect(i as f64, -(i as f64)), vec![i as u8; 9]))
+            .collect()
+    }
+
+    fn assert_holds(node: &NodeBuf<2>, model: &Model) {
+        assert_eq!(node.len(), model.len());
+        assert_eq!(node.is_empty(), model.is_empty());
+        for (i, (child, rect, payload)) in model.iter().enumerate() {
+            assert_eq!(node.child(i), *child, "entry {i}");
+            assert_eq!(node.rect(i), *rect, "entry {i}");
+            assert_eq!(node.payload(i), payload.as_slice(), "entry {i}");
+        }
+    }
+
     #[test]
     fn encode_decode_roundtrip_with_payload() {
-        let mut node = Node::<2>::new(5, 1);
-        for i in 0..7u64 {
-            node.entries.push(Entry::new(
-                100 + i,
-                rect(i as f64, -(i as f64)),
-                vec![i as u8; 9],
-            ));
-        }
-        let bytes = node.encode(9, 2);
-        let back = Node::<2>::decode(5, &bytes, 9).unwrap();
-        assert_eq!(back, node);
+        let model = seven_entries();
+        let mut node = pushed(5, 1, 9, &model);
+        let back = NodeBuf::<2>::decode(5, node.encode(2).to_vec(), 9).unwrap();
+        assert_holds(&back, &model);
+        assert_eq!((back.id(), back.level()), (5, 1));
+    }
+
+    #[test]
+    fn nodebuf_accessors_match_the_pushed_entries() {
+        let model = seven_entries();
+        let node = pushed(5, 1, 9, &model);
+        assert_eq!(node.id(), 5);
+        assert_eq!(node.level(), 1);
+        assert!(!node.is_leaf());
+        assert_eq!(node.payload_size(), 9);
+        assert_holds(&node, &model);
+        let mbr = model[1..].iter().fold(model[0].1, |acc, e| acc.union(&e.1));
+        assert_eq!(node.mbr(), mbr);
+        assert!(node.children().eq(model.iter().map(|e| e.0)));
+        assert!(node.payloads().eq(model.iter().map(|e| e.2.as_slice())));
     }
 
     #[test]
     fn encode_decode_zero_payload() {
-        let mut node = Node::<2>::new(0, 0);
-        node.entries.push(Entry::new(42, rect(1.0, 2.0), vec![]));
-        let bytes = node.encode(0, 1);
-        let back = Node::<2>::decode(0, &bytes, 0).unwrap();
-        assert_eq!(back, node);
+        let model = vec![(42, rect(1.0, 2.0), vec![])];
+        let mut node = pushed(0, 0, 0, &model);
+        let back = NodeBuf::<2>::decode(0, node.encode(1).to_vec(), 0).unwrap();
+        assert_holds(&back, &model);
         assert!(back.is_leaf());
     }
 
     #[test]
     fn header_fields_survive() {
-        let node = Node::<2>::new(9, 3);
-        let bytes = node.encode(4, 7);
-        assert_eq!(Node::<2>::decode_header(&bytes).unwrap(), (3, 0, 7));
+        let mut node = NodeBuf::<2>::empty(9, 3, 4);
+        assert_eq!(
+            NodeBuf::<2>::decode_header(node.encode(7)).unwrap(),
+            (3, 0, 7)
+        );
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Node::<2>::decode(0, &[0u8; 16], 0).is_err());
-        let node = Node::<2>::new(0, 0);
-        let mut bytes = node.encode(0, 1);
+        assert!(NodeBuf::<2>::decode(0, vec![0u8; 16], 0).is_err());
+        let mut bytes = NodeBuf::<2>::empty(0, 0, 0).encode(1).to_vec();
         bytes[1] = 99; // bad version
-        assert!(Node::<2>::decode(0, &bytes, 0).is_err());
+        assert!(NodeBuf::<2>::decode(0, bytes, 0).is_err());
+    }
+
+    fn two_entries() -> Model {
+        vec![(1, rect(0.0, 0.0), vec![]), (2, rect(1.0, 1.0), vec![])]
     }
 
     #[test]
     fn decode_rejects_truncated_entries() {
-        let mut node = Node::<2>::new(0, 0);
-        node.entries.push(Entry::new(1, rect(0.0, 0.0), vec![]));
-        node.entries.push(Entry::new(2, rect(1.0, 1.0), vec![]));
-        let bytes = node.encode(0, 1);
-        let need = NODE_HEADER_LEN + 2 * Node::<2>::entry_encoded_len(0);
-        assert!(Node::<2>::decode(0, &bytes[..need], 0).is_ok());
-        assert!(Node::<2>::decode(0, &bytes[..need - 10], 0).is_err());
+        let bytes = pushed(0, 0, 0, &two_entries()).encode(1).to_vec();
+        let need = NodeBuf::<2>::encoded_len(2, 0);
+        assert_eq!(bytes.len(), need);
+        assert!(NodeBuf::<2>::decode(0, bytes[..need].to_vec(), 0).is_ok());
+        assert!(NodeBuf::<2>::decode(0, bytes[..need - 10].to_vec(), 0).is_err());
     }
 
     #[test]
-    fn nodebuf_accessors_match_owned_decode() {
-        let mut node = Node::<2>::new(5, 1);
-        for i in 0..7u64 {
-            node.entries.push(Entry::new(
-                100 + i,
-                rect(i as f64, -(i as f64)),
-                vec![i as u8; 9],
-            ));
-        }
-        let bytes = node.encode(9, 2);
-        let nb = NodeBuf::<2>::decode(5, bytes, 9).unwrap();
-        assert_eq!(nb.id(), 5);
-        assert_eq!(nb.level(), 1);
-        assert!(!nb.is_leaf());
-        assert_eq!(nb.len(), 7);
-        assert!(!nb.is_empty());
-        assert_eq!(nb.payload_size(), 9);
-        for (i, e) in node.entries.iter().enumerate() {
-            assert_eq!(nb.child(i), e.child);
-            assert_eq!(nb.rect(i), e.rect);
-            assert_eq!(nb.payload(i), e.payload.as_slice());
-        }
-        assert_eq!(nb.mbr(), node.mbr());
-        assert_eq!(
-            nb.children().collect::<Vec<_>>(),
-            node.entries.iter().map(|e| e.child).collect::<Vec<_>>()
-        );
-        assert_eq!(nb.payloads().count(), 7);
-    }
-
-    #[test]
-    fn nodebuf_rejects_what_node_rejects() {
-        assert!(NodeBuf::<2>::decode(0, vec![0u8; 16], 0).is_err());
-        let mut node = Node::<2>::new(0, 0);
-        node.entries.push(Entry::new(1, rect(0.0, 0.0), vec![]));
-        node.entries.push(Entry::new(2, rect(1.0, 1.0), vec![]));
-        let bytes = node.encode(0, 1);
-        let need = NODE_HEADER_LEN + 2 * Node::<2>::entry_encoded_len(0);
-        let truncated = bytes[..need - 10].to_vec();
-        assert!(NodeBuf::<2>::decode(0, truncated, 0).is_err());
-        let mut bad_ver = bytes.clone();
-        bad_ver[1] = 99;
-        assert!(NodeBuf::<2>::decode(0, bad_ver, 0).is_err());
+    fn decode_drops_the_padding_and_keeps_no_spare_capacity() {
+        let model = two_entries();
+        let bytes = pushed(0, 0, 0, &model).encode(1).to_vec();
+        let need = bytes.len();
+        let mut padded = bytes.clone();
+        padded.resize(ir2_storage::PAGE_PAYLOAD, 0);
+        let back = NodeBuf::<2>::decode(0, padded, 0).unwrap();
+        assert_holds(&back, &model);
+        assert_eq!(back.buf, bytes, "the padding is not kept");
+        assert_eq!(back.buf.capacity(), need, "nor spare capacity");
     }
 
     #[test]
     fn mbr_covers_all_entries() {
-        let mut node = Node::<2>::new(0, 0);
-        node.entries.push(Entry::new(1, rect(0.0, 0.0), vec![]));
-        node.entries.push(Entry::new(2, rect(5.0, -3.0), vec![]));
+        let model = vec![(1, rect(0.0, 0.0), vec![]), (2, rect(5.0, -3.0), vec![])];
+        let node = pushed(0, 0, 0, &model);
         let mbr = node.mbr();
-        for e in &node.entries {
-            assert!(mbr.contains(&e.rect));
+        assert!(model.iter().all(|(_, r, _)| mbr.contains(r)));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Push(u64, Rect<2>, u8),
+        Remove(usize),
+        SetChild(usize, u64),
+        SetRect(usize, Rect<2>),
+        SetPayload(usize, u8),
+        /// ORs a byte into every payload byte in place — the AdjustTree merge.
+        OrPayload(usize, u8),
+        SetId(NodeId),
+    }
+
+    fn arb_rect() -> impl Strategy<Value = Rect<2>> {
+        (
+            -100.0f64..100.0,
+            -100.0f64..100.0,
+            0.0f64..10.0,
+            0.0f64..10.0,
+        )
+            .prop_map(|(x, y, w, h)| {
+                Rect::from_corners(Point::new([x, y]), Point::new([x + w, y + h]))
+            })
+    }
+
+    fn arb_edit() -> impl Strategy<Value = Edit> {
+        let push =
+            || (any::<u64>(), arb_rect(), any::<u8>()).prop_map(|(c, r, b)| Edit::Push(c, r, b));
+        // Pushes listed thrice, so nodes grow while they are edited.
+        prop_oneof![
+            push(),
+            push(),
+            push(),
+            any::<usize>().prop_map(Edit::Remove),
+            (any::<usize>(), any::<u64>()).prop_map(|(i, c)| Edit::SetChild(i, c)),
+            (any::<usize>(), arb_rect()).prop_map(|(i, r)| Edit::SetRect(i, r)),
+            (any::<usize>(), any::<u8>()).prop_map(|(i, b)| Edit::SetPayload(i, b)),
+            (any::<usize>(), any::<u8>()).prop_map(|(i, b)| Edit::OrPayload(i, b)),
+            any::<u64>().prop_map(Edit::SetId),
+        ]
+    }
+
+    /// A payload of `size` bytes that differs per byte and per seed.
+    fn payload(size: usize, seed: u8) -> Vec<u8> {
+        (0..size).map(|j| seed.wrapping_add(j as u8)).collect()
+    }
+
+    proptest! {
+        /// Edits in place equal a node pushed fresh from the model, byte
+        /// for byte, and the bytes decode back to the model.
+        #[test]
+        fn edits_in_place_match_a_fresh_node(
+            size in prop::sample::select(vec![0usize, 9, 192]),
+            level in 0u16..4,
+            edits in prop::collection::vec(arb_edit(), 0..60),
+        ) {
+            let mut node = NodeBuf::<2>::empty(1, level, size);
+            let mut model: Model = Vec::new();
+            let mut id = 1;
+            for edit in edits {
+                let len = model.len();
+                match edit {
+                    Edit::Push(c, r, b) => {
+                        node.push(c, &r, &payload(size, b));
+                        model.push((c, r, payload(size, b)));
+                    }
+                    Edit::SetId(new) => {
+                        node.set_id(new);
+                        id = new;
+                    }
+                    _ if len == 0 => continue,
+                    Edit::Remove(i) => {
+                        node.remove(i % len);
+                        model.remove(i % len);
+                    }
+                    Edit::SetChild(i, c) => {
+                        node.set_child(i % len, c);
+                        model[i % len].0 = c;
+                    }
+                    Edit::SetRect(i, r) => {
+                        node.set_rect(i % len, &r);
+                        model[i % len].1 = r;
+                    }
+                    Edit::SetPayload(i, b) => {
+                        node.set_payload(i % len, &payload(size, b));
+                        model[i % len].2 = payload(size, b);
+                    }
+                    Edit::OrPayload(i, b) => {
+                        node.payload_mut(i % len).iter_mut().for_each(|x| *x |= b);
+                        model[i % len].2.iter_mut().for_each(|x| *x |= b);
+                    }
+                }
+            }
+            let sealed = node.encode(7).to_vec();
+            prop_assert_eq!(&sealed, pushed(9, level, size, &model).encode(7));
+            prop_assert_eq!(node.id(), id);
+            let back = NodeBuf::<2>::decode(id, sealed, size).unwrap();
+            prop_assert_eq!(NodeBuf::<2>::decode_header(&back.buf).unwrap(), (level, model.len() as u16, 7));
+            prop_assert_eq!((back.id(), back.level()), (id, level));
+            assert_holds(&back, &model);
         }
     }
 }

@@ -8,7 +8,7 @@ use ir2_storage::{extent, page, BlockDevice, Result, StorageError};
 use parking_lot::Mutex;
 
 use crate::cached::{CachedNode, NodeCache};
-use crate::node::{Entry, Node, NodeBuf, NodeId};
+use crate::node::{Item, NodeBuf, NodeId};
 use crate::{PayloadOps, RTreeConfig, SplitStrategy};
 
 const META_MAGIC: &[u8; 4] = b"IR2T";
@@ -319,9 +319,14 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// one block; payload-carrying nodes keep the fanout and spill onto
     /// additional blocks — the paper's "two or more disk blocks per node".
     /// Blocks are sealed, so each carries `PAGE_PAYLOAD` node bytes.
+    ///
+    /// # Panics
+    /// Panics if a full node at `level` spans more blocks than the node
+    /// header's `u16` can name.
     pub fn node_blocks(&self, level: u16) -> u16 {
-        let full = Node::<N>::encoded_len(self.cfg.max_entries, self.ops.entry_size(level));
-        extent::sealed_blocks_for(full) as u16
+        let full = NodeBuf::<N>::encoded_len(self.cfg.max_entries, self.ops.entry_size(level));
+        u16::try_from(extent::sealed_blocks_for(full))
+            .expect("a node extent's block count fits the node header's u16")
     }
 
     pub(crate) fn alloc_node(&self, level: u16) -> Result<NodeId> {
@@ -404,14 +409,14 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     fn read_node_bytes(&self, id: NodeId) -> Result<(Vec<u8>, usize)> {
         let mut buf = Vec::new();
         extent::read_extent_sealed_into(&self.dev, id, 1, &mut buf)?;
-        let (level, count, nblocks) = Node::<N>::decode_header(&buf)
+        let (level, count, nblocks) = NodeBuf::<N>::decode_header(&buf)
             .and_then(|header| self.check_header(header))
             .map_err(|e| match e {
                 StorageError::Corrupt(msg) => StorageError::Corrupt(format!("node {id}: {msg}")),
                 other => other,
             })?;
         let payload_size = self.ops.entry_size(level);
-        let filled = extent::sealed_blocks_for(Node::<N>::encoded_len(count, payload_size));
+        let filled = extent::sealed_blocks_for(NodeBuf::<N>::encoded_len(count, payload_size));
         if filled > 1 {
             extent::read_extent_sealed_into(&self.dev, id + 1, filled - 1, &mut buf)?;
         }
@@ -439,18 +444,11 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Reads the node at `id` (one random block access plus sequential ones
-    /// for multi-block nodes), verifying every block's checksum.
-    pub(crate) fn read_node(&self, id: NodeId) -> Result<Node<N>> {
-        let (buf, payload_size) = self.read_node_bytes(id)?;
-        Node::decode(id, &buf, payload_size)
-    }
-
-    /// Reads the node at `id` (one random block access plus sequential ones
     /// for multi-block nodes) into an arena-backed [`NodeBuf`], verifying
     /// every block's checksum. No per-entry allocation: the extent buffer
-    /// itself is the only heap traffic. Every query path (nearest neighbor,
-    /// window search, cached traversals) reads nodes in this form; the owned
-    /// form is the mutation path's and stays inside the crate.
+    /// itself is the only heap traffic. Every path reads nodes in this form:
+    /// queries (nearest neighbor, window search, cached traversals) and
+    /// mutations alike, which edit the page they read and write it back.
     pub fn read_node_buf(&self, id: NodeId) -> Result<NodeBuf<N>> {
         let (buf, payload_size) = self.read_node_bytes(id)?;
         NodeBuf::decode(id, buf, payload_size)
@@ -498,16 +496,23 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         Ok((node, false))
     }
 
-    pub(crate) fn write_node(&self, node: &Node<N>) -> Result<()> {
+    /// An empty node at `level`, to be written at the extent `id`.
+    pub(crate) fn empty_node(&self, id: NodeId, level: u16) -> NodeBuf<N> {
+        NodeBuf::empty(id, level, self.ops.entry_size(level))
+    }
+
+    /// Seals `node`'s bytes over its extent, padding the blocks its entries
+    /// do not fill with the sealed zero page.
+    pub(crate) fn write_node(&self, node: &mut NodeBuf<N>) -> Result<()> {
         debug_assert!(
-            node.entries.len() <= self.cfg.max_entries,
+            node.len() <= self.cfg.max_entries,
             "node {} overflows: {} entries",
-            node.id,
-            node.entries.len()
+            node.id(),
+            node.len()
         );
-        let nblocks = self.node_blocks(node.level);
-        let bytes = node.encode(self.ops.entry_size(node.level), nblocks);
-        extent::write_extent_sealed(&self.dev, node.id, &bytes, nblocks as u32)
+        let nblocks = self.node_blocks(node.level());
+        let id = node.id();
+        extent::write_extent_sealed(&self.dev, id, node.encode(nblocks), nblocks as u32)
     }
 
     /// Copy-on-write: writes `node` at a freshly allocated extent, staging
@@ -519,11 +524,11 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// CondenseTree's orphan reinsertion walks the same root path once per
     /// orphan; copying the root each time would allocate one root extent
     /// per orphan while freeing none before commit.
-    fn write_node_cow(&self, ctx: &mut MutCtx, node: &mut Node<N>) -> Result<()> {
-        if ctx.own_extent(node.id).is_none() {
-            let old = node.id;
-            node.id = self.alloc_node_ctx(ctx, node.level)?;
-            self.stage_free(ctx, old, node.level);
+    fn write_node_cow(&self, ctx: &mut MutCtx, node: &mut NodeBuf<N>) -> Result<()> {
+        if ctx.own_extent(node.id()).is_none() {
+            let old = node.id();
+            node.set_id(self.alloc_node_ctx(ctx, node.level())?);
+            self.stage_free(ctx, old, node.level());
         }
         self.write_node(node)
     }
@@ -531,48 +536,35 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// The parent-entry payload summarizing `node`, via entry folding when
     /// the payload scheme allows it and a subtree-object recomputation
     /// otherwise (the MIR²-Tree's expensive path).
-    pub(crate) fn summary_of_node(&self, node: &Node<N>) -> Result<Vec<u8>> {
+    pub(crate) fn summary_of_node(&self, node: &NodeBuf<N>) -> Result<Vec<u8>> {
         if let Some(summary) = self.fold_summary(node) {
             return Ok(summary);
         }
-        let objects = self.collect_objects(node)?;
+        let mut objects = Vec::new();
+        self.collect_objects(node, &mut objects)?;
         Ok(self
             .ops
-            .summarize_objects(node.level + 1, &mut objects.into_iter()))
+            .summarize_objects(node.level() + 1, &mut objects.into_iter()))
     }
 
     /// The summary of `node` folded from its entries' payloads, where the
     /// payload scheme allows that.
-    pub(crate) fn fold_summary(&self, node: &Node<N>) -> Option<Vec<u8>> {
-        let mut payloads = node.entries.iter().map(|e| e.payload.as_slice());
-        self.ops.summarize_entries(node.level, &mut payloads)
+    pub(crate) fn fold_summary(&self, node: &NodeBuf<N>) -> Option<Vec<u8>> {
+        self.ops
+            .summarize_entries(node.level(), &mut node.payloads())
     }
 
-    /// All object references in the subtree rooted at `node` (reads the
-    /// subtree's nodes — a real, tracked I/O cost).
-    pub(crate) fn collect_objects(&self, node: &Node<N>) -> Result<Vec<u64>> {
-        let mut out = Vec::new();
-        if node.is_leaf() {
-            out.extend(node.entries.iter().map(|e| e.child));
-        } else {
-            for e in &node.entries {
-                self.collect_subtree_objects(e.child, &mut out)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Appends the object references under the node at `id`, depth-first
-    /// in entry order, reading the subtree as pages: nothing is copied out
-    /// of an entry but its child reference.
-    fn collect_subtree_objects(&self, id: NodeId, out: &mut Vec<u64>) -> Result<()> {
-        let node = self.read_node_buf(id)?;
+    /// Appends the object references in the subtree rooted at `node`,
+    /// depth-first in entry order, reading the subtree's nodes (a real,
+    /// tracked I/O cost) as pages: nothing is copied out of an entry but
+    /// its child reference.
+    fn collect_objects(&self, node: &NodeBuf<N>, out: &mut Vec<u64>) -> Result<()> {
         if node.is_leaf() {
             out.extend(node.children());
             return Ok(());
         }
         for child in node.children() {
-            self.collect_subtree_objects(child, out)?;
+            self.collect_objects(&self.read_node_buf(child)?, out)?;
         }
         Ok(())
     }
@@ -633,27 +625,24 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             ctx.meta.count += 1;
         }
         let Some(root_id) = ctx.meta.root else {
-            let id = self.alloc_node_ctx(ctx, 0)?;
-            let mut node = Node::new(id, 0);
-            node.entries
-                .push(Entry::new(child, rect, leaf_payload.to_vec()));
-            self.write_node(&node)?;
-            ctx.meta.root = Some(id);
+            let mut node = self.empty_node(self.alloc_node_ctx(ctx, 0)?, 0);
+            node.push(child, &rect, leaf_payload);
+            self.write_node(&mut node)?;
+            ctx.meta.root = Some(node.id());
             ctx.meta.height = 1;
             return Ok(());
         };
 
         // ChooseLeaf: descend by least enlargement, recording the path.
-        let mut path: Vec<(Node<N>, usize)> = Vec::new();
-        let mut node = self.read_node(root_id)?;
+        let mut path: Vec<(NodeBuf<N>, usize)> = Vec::new();
+        let mut node = self.read_node_buf(root_id)?;
         while !node.is_leaf() {
             let idx = choose_subtree(&node, &rect);
-            let next = node.entries[idx].child;
+            let next = node.child(idx);
             path.push((node, idx));
-            node = self.read_node(next)?;
+            node = self.read_node_buf(next)?;
         }
-        node.entries
-            .push(Entry::new(child, rect, leaf_payload.to_vec()));
+        node.push(child, &rect, leaf_payload);
 
         // Resolve overflow at the leaf, then walk the path upward adjusting
         // MBRs and payloads (the paper's AdjustTree "modified to also
@@ -661,55 +650,58 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         // relocates every modified node, so each ancestor must be rewritten
         // with its child's new id — the old "stop when nothing changed"
         // shortcut no longer applies.
-        let mut pending_split: Option<(Entry<N>, Entry<N>)> = None;
-        if node.entries.len() > self.cfg.max_entries {
-            pending_split = Some(self.split_node(ctx, node.clone())?);
+        let mut pending_split = None;
+        if node.len() > self.cfg.max_entries {
+            pending_split = Some(self.split_node(ctx, &node)?);
         } else {
             self.write_node_cow(ctx, &mut node)?;
         }
         let mut below = node;
 
         while let Some((mut parent, idx)) = path.pop() {
-            if let Some((ea, eb)) = pending_split.take() {
-                parent.entries[idx] = ea;
-                parent.entries.push(eb);
-                if parent.entries.len() > self.cfg.max_entries {
-                    pending_split = Some(self.split_node(ctx, parent.clone())?);
-                    below = parent;
-                    continue;
+            if let Some(((child_a, rect_a, summary_a), (child_b, rect_b, summary_b))) =
+                pending_split.take()
+            {
+                parent.set_child(idx, child_a);
+                parent.set_rect(idx, &rect_a);
+                parent.set_payload(idx, &summary_a);
+                parent.push(child_b, &rect_b, &summary_b);
+                if parent.len() > self.cfg.max_entries {
+                    pending_split = Some(self.split_node(ctx, &parent)?);
+                } else {
+                    self.write_node_cow(ctx, &mut parent)?;
                 }
-                self.write_node_cow(ctx, &mut parent)?;
                 below = parent;
                 continue;
             }
 
-            // Plain adjustment: refresh the parent entry describing `below`.
-            let e = &mut parent.entries[idx];
-            e.child = below.id;
-            e.rect = below.mbr();
+            // Plain adjustment: refresh the parent entry describing `below`,
+            // OR-ing the object's lifted signature into it in place.
+            parent.set_child(idx, below.id());
+            parent.set_rect(idx, &below.mbr());
             if self.ops.strict_maintenance() {
-                e.payload = self.summary_of_node(&below)?;
+                parent.set_payload(idx, &self.summary_of_node(&below)?);
             } else {
-                let lifted = self.ops.lift_object(child, leaf_payload, parent.level);
-                self.ops.merge(parent.level, &mut e.payload, &lifted);
+                let level = parent.level();
+                let lifted = self.ops.lift_object(child, leaf_payload, level);
+                self.ops.merge(level, parent.payload_mut(idx), &lifted);
             }
             self.write_node_cow(ctx, &mut parent)?;
             below = parent;
         }
 
-        if let Some((ea, eb)) = pending_split {
+        if let Some(((child_a, rect_a, summary_a), (child_b, rect_b, summary_b))) = pending_split {
             // A split propagated past the old root: grow the tree.
             let level = ctx.meta.height; // old root level + 1
-            let id = self.alloc_node_ctx(ctx, level)?;
-            let mut new_root = Node::new(id, level);
-            new_root.entries.push(ea);
-            new_root.entries.push(eb);
-            self.write_node(&new_root)?;
-            ctx.meta.root = Some(id);
+            let mut new_root = self.empty_node(self.alloc_node_ctx(ctx, level)?, level);
+            new_root.push(child_a, &rect_a, &summary_a);
+            new_root.push(child_b, &rect_b, &summary_b);
+            self.write_node(&mut new_root)?;
+            ctx.meta.root = Some(new_root.id());
             ctx.meta.height += 1;
         } else {
             // The root was rewritten (copy-on-write) at a new extent.
-            ctx.meta.root = Some(below.id);
+            ctx.meta.root = Some(below.id());
         }
         Ok(())
     }
@@ -718,32 +710,28 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// into two *fresh* nodes (the overflowing extent is staged as freed),
     /// writes both, and returns the parent entries that describe them
     /// (with freshly computed summaries).
-    fn split_node(&self, ctx: &mut MutCtx, node: Node<N>) -> Result<(Entry<N>, Entry<N>)> {
-        let level = node.level;
-        self.stage_free(ctx, node.id, level);
+    fn split_node(&self, ctx: &mut MutCtx, node: &NodeBuf<N>) -> Result<(Item<N>, Item<N>)> {
+        let level = node.level();
+        self.stage_free(ctx, node.id(), level);
+        let rects: Vec<Rect<N>> = (0..node.len()).map(|i| node.rect(i)).collect();
         let (group_a, group_b) = match self.cfg.split {
-            SplitStrategy::Quadratic => quadratic_split(node.entries, self.cfg.min_entries),
-            SplitStrategy::Linear => linear_split(node.entries, self.cfg.min_entries),
+            SplitStrategy::Quadratic => quadratic_split(&rects, self.cfg.min_entries),
+            SplitStrategy::Linear => linear_split(&rects, self.cfg.min_entries),
         };
-
-        let id_a = self.alloc_node_ctx(ctx, level)?;
-        let node_a = Node {
-            id: id_a,
-            level,
-            entries: group_a,
+        let mut half = |group: Vec<usize>| -> Result<NodeBuf<N>> {
+            let mut out = self.empty_node(self.alloc_node_ctx(ctx, level)?, level);
+            for i in group {
+                out.push(node.child(i), &rects[i], node.payload(i));
+            }
+            Ok(out)
         };
-        let id_b = self.alloc_node_ctx(ctx, level)?;
-        let node_b = Node {
-            id: id_b,
-            level,
-            entries: group_b,
-        };
-        self.write_node(&node_a)?;
-        self.write_node(&node_b)?;
-
-        let ea = Entry::new(node_a.id, node_a.mbr(), self.summary_of_node(&node_a)?);
-        let eb = Entry::new(node_b.id, node_b.mbr(), self.summary_of_node(&node_b)?);
-        Ok((ea, eb))
+        let (mut a, mut b) = (half(group_a)?, half(group_b)?);
+        self.write_node(&mut a)?;
+        self.write_node(&mut b)?;
+        Ok((
+            (a.id(), a.mbr(), self.summary_of_node(&a)?),
+            (b.id(), b.mbr(), self.summary_of_node(&b)?),
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -782,115 +770,112 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         };
 
         // FindLeaf: DFS along entries whose MBR contains the object's.
-        let root = self.read_node(root_id)?;
-        let Some(mut path) = self.find_leaf(&root, child, rect)? else {
+        let root = self.read_node_buf(root_id)?;
+        let Some(path) = self.find_leaf(root, child, rect)? else {
             return Ok(false);
         };
-        let (mut leaf, entry_idx) = path.pop().expect("find_leaf returns the leaf last");
-        leaf.entries.remove(entry_idx);
+        let mut path = path.into_iter();
+        let (mut leaf, entry_idx) = path.next().expect("find_leaf returns the leaf first");
+        leaf.remove(entry_idx);
         ctx.meta.count -= 1;
 
         // CondenseTree, "modified to maintain the signatures of updated
-        // nodes": under-full nodes dissolve (their leaf entries are
+        // nodes": under-full nodes dissolve (their leaves' entries are
         // reinserted), surviving ancestors get recomputed MBRs and payloads
         // (bits cannot be un-OR-ed incrementally).
-        let mut orphaned: Vec<(u64, Rect<N>, Vec<u8>)> = Vec::new();
+        let mut orphaned: Vec<NodeBuf<N>> = Vec::new();
         let mut cur = leaf;
-        while let Some((mut parent, idx)) = path.pop() {
-            if cur.entries.len() < self.cfg.min_entries {
-                parent.entries.remove(idx);
-                self.gather_and_free(ctx, &cur, &mut orphaned)?;
+        for (mut parent, idx) in path {
+            if cur.len() < self.cfg.min_entries {
+                parent.remove(idx);
+                self.gather_and_free(ctx, cur, &mut orphaned)?;
             } else {
                 self.write_node_cow(ctx, &mut cur)?;
-                let e = &mut parent.entries[idx];
-                e.child = cur.id;
-                e.rect = cur.mbr();
-                e.payload = self.summary_of_node(&cur)?;
+                parent.set_child(idx, cur.id());
+                parent.set_rect(idx, &cur.mbr());
+                parent.set_payload(idx, &self.summary_of_node(&cur)?);
             }
             cur = parent;
         }
 
         // `cur` is the root. Shrink it as needed.
-        if cur.entries.is_empty() {
+        if cur.is_empty() {
             // Empty leaf root, or every child dissolved (the orphans below
             // will rebuild).
-            self.stage_free(ctx, cur.id, cur.level);
+            self.stage_free(ctx, cur.id(), cur.level());
             ctx.meta.root = None;
             ctx.meta.height = 0;
-        } else if !cur.is_leaf() && cur.entries.len() == 1 {
+        } else if !cur.is_leaf() && cur.len() == 1 {
             // The root chains down through single children: each such level
             // dissolves and the first real node becomes the root. The
             // surviving child already carries this op's updates (its entry
             // in `cur` was refreshed above), so only metadata changes.
             let mut node = cur;
-            while !node.is_leaf() && node.entries.len() == 1 {
-                let child_id = node.entries[0].child;
-                self.stage_free(ctx, node.id, node.level);
-                node = self.read_node(child_id)?;
+            while !node.is_leaf() && node.len() == 1 {
+                let child_id = node.child(0);
+                self.stage_free(ctx, node.id(), node.level());
+                node = self.read_node_buf(child_id)?;
                 ctx.meta.height -= 1;
             }
-            ctx.meta.root = Some(node.id);
+            ctx.meta.root = Some(node.id());
         } else {
             self.write_node_cow(ctx, &mut cur)?;
-            ctx.meta.root = Some(cur.id);
+            ctx.meta.root = Some(cur.id());
         }
 
-        // Reinsert orphaned objects (without recounting them).
-        for (c, r, payload) in orphaned {
-            self.insert_inner(ctx, c, r, &payload, false)?;
+        // Reinsert the dissolved leaves' entries (without recounting them).
+        for leaf in &orphaned {
+            for i in 0..leaf.len() {
+                self.insert_inner(ctx, leaf.child(i), leaf.rect(i), leaf.payload(i), false)?;
+            }
         }
         Ok(true)
     }
 
-    /// DFS for the leaf holding (`child`, `rect`); returns the descent path
-    /// as `(node, entry_index)` pairs ending with `(leaf, index_of_entry)`.
+    /// DFS for the leaf holding (`child`, `rect`) under `node`; returns the
+    /// descent path as `(node, entry_index)` pairs, leaf first — `(leaf,
+    /// index_of_entry)` — and `node` last. Each node on the path is the page
+    /// that was read, moved into the path, not copied.
     #[allow(clippy::type_complexity)]
     fn find_leaf(
         &self,
-        node: &Node<N>,
+        node: NodeBuf<N>,
         child: u64,
         rect: &Rect<N>,
-    ) -> Result<Option<Vec<(Node<N>, usize)>>> {
+    ) -> Result<Option<Vec<(NodeBuf<N>, usize)>>> {
         if node.is_leaf() {
-            for (i, e) in node.entries.iter().enumerate() {
-                if e.child == child && e.rect == *rect {
-                    return Ok(Some(vec![(node.clone(), i)]));
-                }
-            }
-            return Ok(None);
+            let found = (0..node.len()).find(|&i| node.child(i) == child && node.rect(i) == *rect);
+            return Ok(found.map(|i| vec![(node, i)]));
         }
-        for (i, e) in node.entries.iter().enumerate() {
-            if e.rect.contains(rect) {
-                let sub = self.read_node(e.child)?;
-                if let Some(mut path) = self.find_leaf(&sub, child, rect)? {
-                    let mut full = vec![(node.clone(), i)];
-                    full.append(&mut path);
-                    return Ok(Some(full));
+        for i in 0..node.len() {
+            if node.rect(i).contains(rect) {
+                let sub = self.read_node_buf(node.child(i))?;
+                if let Some(mut path) = self.find_leaf(sub, child, rect)? {
+                    path.push((node, i));
+                    return Ok(Some(path));
                 }
             }
         }
         Ok(None)
     }
 
-    /// Collects every leaf entry of the subtree rooted at `node` into
-    /// `out`, staging all subtree nodes for freeing.
+    /// Moves every leaf of the subtree rooted at `node` into `out`, staging
+    /// all subtree nodes for freeing.
     fn gather_and_free(
         &self,
         ctx: &mut MutCtx,
-        node: &Node<N>,
-        out: &mut Vec<(u64, Rect<N>, Vec<u8>)>,
+        node: NodeBuf<N>,
+        out: &mut Vec<NodeBuf<N>>,
     ) -> Result<()> {
+        let (id, level) = (node.id(), node.level());
         if node.is_leaf() {
-            for e in &node.entries {
-                out.push((e.child, e.rect, e.payload.clone()));
-            }
+            out.push(node);
         } else {
-            for e in &node.entries {
-                let sub = self.read_node(e.child)?;
-                self.gather_and_free(ctx, &sub, out)?;
+            for child in node.children() {
+                self.gather_and_free(ctx, self.read_node_buf(child)?, out)?;
             }
         }
-        self.stage_free(ctx, node.id, node.level);
+        self.stage_free(ctx, id, level);
         Ok(())
     }
 
@@ -928,11 +913,12 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
             }
             return Ok(0);
         };
-        let root = self.read_node(root_id)?;
-        if root.level + 1 != meta.height {
+        let root = self.read_node_buf(root_id)?;
+        if root.level() + 1 != meta.height {
             return Err(StorageError::Corrupt(format!(
                 "root level {} vs height {}",
-                root.level, meta.height
+                root.level(),
+                meta.height
             )));
         }
         let count = self.check_node(&root, true, enforce_fill, &mut check_payload)?;
@@ -947,50 +933,55 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 
     fn check_node(
         &self,
-        node: &Node<N>,
+        node: &NodeBuf<N>,
         is_root: bool,
         enforce_fill: bool,
         check_payload: &mut impl FnMut(u16, &[u8], &[u8]) -> bool,
     ) -> Result<u64> {
+        let len = node.len();
         let fill_ok = if is_root {
-            !node.entries.is_empty() || node.is_leaf()
+            len > 0 || node.is_leaf()
         } else if enforce_fill {
-            node.entries.len() >= self.cfg.min_entries && node.entries.len() <= self.cfg.max_entries
+            len >= self.cfg.min_entries && len <= self.cfg.max_entries
         } else {
-            !node.entries.is_empty() && node.entries.len() <= self.cfg.max_entries
+            len > 0 && len <= self.cfg.max_entries
         };
         if !fill_ok {
             return Err(StorageError::Corrupt(format!(
-                "node {} fill {} outside [{}, {}]",
-                node.id,
-                node.entries.len(),
+                "node {} fill {len} outside [{}, {}]",
+                node.id(),
                 self.cfg.min_entries,
                 self.cfg.max_entries
             )));
         }
         if node.is_leaf() {
-            return Ok(node.entries.len() as u64);
+            return Ok(len as u64);
         }
         let mut total = 0;
-        for e in &node.entries {
-            let child = self.read_node(e.child)?;
-            if child.level + 1 != node.level {
+        for i in 0..len {
+            let child = self.read_node_buf(node.child(i))?;
+            if child.level() + 1 != node.level() {
                 return Err(StorageError::Corrupt(format!(
                     "node {}: child {} at level {} under level {}",
-                    node.id, child.id, child.level, node.level
+                    node.id(),
+                    child.id(),
+                    child.level(),
+                    node.level()
                 )));
             }
-            if e.rect != child.mbr() {
+            if node.rect(i) != child.mbr() {
                 return Err(StorageError::Corrupt(format!(
                     "node {}: stale MBR for child {}",
-                    node.id, child.id
+                    node.id(),
+                    child.id()
                 )));
             }
             let summary = self.summary_of_node(&child)?;
-            if !check_payload(node.level, &e.payload, &summary) {
+            if !check_payload(node.level(), node.payload(i), &summary) {
                 return Err(StorageError::Corrupt(format!(
                     "node {}: payload invariant violated for child {}",
-                    node.id, child.id
+                    node.id(),
+                    child.id()
                 )));
             }
             total += self.check_node(&child, false, enforce_fill, check_payload)?;
@@ -1001,13 +992,14 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 
 /// Guttman's ChooseLeaf criterion: the entry needing least area enlargement
 /// (ties: smallest area, then lowest index for determinism).
-fn choose_subtree<const N: usize>(node: &Node<N>, rect: &Rect<N>) -> usize {
+fn choose_subtree<const N: usize>(node: &NodeBuf<N>, rect: &Rect<N>) -> usize {
     let mut best = 0;
     let mut best_enlargement = f64::INFINITY;
     let mut best_area = f64::INFINITY;
-    for (i, e) in node.entries.iter().enumerate() {
-        let enlargement = e.rect.enlargement(rect);
-        let area = e.rect.area();
+    for i in 0..node.len() {
+        let r = node.rect(i);
+        let enlargement = r.enlargement(rect);
+        let area = r.area();
         if enlargement < best_enlargement || (enlargement == best_enlargement && area < best_area) {
             best = i;
             best_enlargement = enlargement;
@@ -1017,21 +1009,21 @@ fn choose_subtree<const N: usize>(node: &Node<N>, rect: &Rect<N>) -> usize {
     best
 }
 
-/// Guttman's quadratic split: PickSeeds (the pair wasting the most area
-/// together) then PickNext (the entry with the greatest preference for one
-/// group), honoring the minimum fill by force-assignment.
+/// Guttman's quadratic split of the entries whose MBRs are `rects`:
+/// PickSeeds (the pair wasting the most area together) then PickNext (the
+/// entry with the greatest preference for one group), honoring the minimum
+/// fill by force-assignment. Returns the two groups as entry indexes, each
+/// in the order its entries joined it.
 fn quadratic_split<const N: usize>(
-    entries: Vec<Entry<N>>,
+    rects: &[Rect<N>],
     min_entries: usize,
-) -> (Vec<Entry<N>>, Vec<Entry<N>>) {
-    debug_assert!(entries.len() >= 2);
+) -> (Vec<usize>, Vec<usize>) {
+    debug_assert!(rects.len() >= 2);
     // PickSeeds.
     let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..entries.len() {
-        for j in i + 1..entries.len() {
-            let waste = entries[i].rect.union(&entries[j].rect).area()
-                - entries[i].rect.area()
-                - entries[j].rect.area();
+    for i in 0..rects.len() {
+        for j in i + 1..rects.len() {
+            let waste = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
             if waste > worst {
                 worst = waste;
                 seed_a = i;
@@ -1040,47 +1032,42 @@ fn quadratic_split<const N: usize>(
         }
     }
 
-    let mut remaining: Vec<Option<Entry<N>>> = entries.into_iter().map(Some).collect();
-    let mut group_a = vec![remaining[seed_a].take().expect("seed a")];
-    let mut group_b = vec![remaining[seed_b].take().expect("seed b")];
-    let mut mbr_a = group_a[0].rect;
-    let mut mbr_b = group_b[0].rect;
-    let mut left: usize = remaining.iter().flatten().count();
+    let mut taken = vec![false; rects.len()];
+    taken[seed_a] = true;
+    taken[seed_b] = true;
+    let mut group_a = vec![seed_a];
+    let mut group_b = vec![seed_b];
+    let mut mbr_a = rects[seed_a];
+    let mut mbr_b = rects[seed_b];
+    let mut left = rects.len() - 2;
 
     while left > 0 {
         // Force-assign when a group must take everything left to reach the
         // minimum fill.
         if group_a.len() + left == min_entries {
-            for e in remaining.iter_mut().filter_map(Option::take) {
-                mbr_a.union_in_place(&e.rect);
-                group_a.push(e);
-            }
+            group_a.extend((0..rects.len()).filter(|&i| !taken[i]));
             break;
         }
         if group_b.len() + left == min_entries {
-            for e in remaining.iter_mut().filter_map(Option::take) {
-                mbr_b.union_in_place(&e.rect);
-                group_b.push(e);
-            }
+            group_b.extend((0..rects.len()).filter(|&i| !taken[i]));
             break;
         }
         // PickNext: maximal |d_a − d_b|.
         let (mut pick, mut best_diff) = (usize::MAX, f64::NEG_INFINITY);
-        for (i, e) in remaining.iter().enumerate() {
-            if let Some(e) = e {
-                let da = mbr_a.enlargement(&e.rect);
-                let db = mbr_b.enlargement(&e.rect);
-                let diff = (da - db).abs();
-                if diff > best_diff {
-                    best_diff = diff;
-                    pick = i;
-                }
+        for i in (0..rects.len()).filter(|&i| !taken[i]) {
+            let da = mbr_a.enlargement(&rects[i]);
+            let db = mbr_b.enlargement(&rects[i]);
+            let diff = (da - db).abs();
+            if diff > best_diff {
+                best_diff = diff;
+                pick = i;
             }
         }
-        let e = remaining[pick].take().expect("picked entry");
+        taken[pick] = true;
         left -= 1;
-        let da = mbr_a.enlargement(&e.rect);
-        let db = mbr_b.enlargement(&e.rect);
+        let r = &rects[pick];
+        let da = mbr_a.enlargement(r);
+        let db = mbr_b.enlargement(r);
         // Resolve ties by smaller area, then smaller group.
         let to_a = match da.partial_cmp(&db).expect("finite enlargements") {
             std::cmp::Ordering::Less => true,
@@ -1094,26 +1081,24 @@ fn quadratic_split<const N: usize>(
             }
         };
         if to_a {
-            mbr_a.union_in_place(&e.rect);
-            group_a.push(e);
+            mbr_a.union_in_place(r);
+            group_a.push(pick);
         } else {
-            mbr_b.union_in_place(&e.rect);
-            group_b.push(e);
+            mbr_b.union_in_place(r);
+            group_b.push(pick);
         }
     }
     (group_a, group_b)
 }
 
-/// Guttman's linear split: per dimension, find the entry with the highest
-/// low side and the one with the lowest high side; the dimension with the
-/// greatest separation (normalized by its extent) supplies the two seeds.
-/// Remaining entries join the group needing least enlargement, with
-/// force-assignment to honor the minimum fill.
-fn linear_split<const N: usize>(
-    entries: Vec<Entry<N>>,
-    min_entries: usize,
-) -> (Vec<Entry<N>>, Vec<Entry<N>>) {
-    debug_assert!(entries.len() >= 2);
+/// Guttman's linear split of the entries whose MBRs are `rects`: per
+/// dimension, find the entry with the highest low side and the one with the
+/// lowest high side; the dimension with the greatest separation (normalized
+/// by its extent) supplies the two seeds. Remaining entries join the group
+/// needing least enlargement, with force-assignment to honor the minimum
+/// fill. Returns the two groups as entry indexes, each in joining order.
+fn linear_split<const N: usize>(rects: &[Rect<N>], min_entries: usize) -> (Vec<usize>, Vec<usize>) {
+    debug_assert!(rects.len() >= 2);
     let mut best_dim_sep = f64::NEG_INFINITY;
     let (mut seed_a, mut seed_b) = (0usize, 1usize);
     for d in 0..N {
@@ -1122,9 +1107,9 @@ fn linear_split<const N: usize>(
         // Entry with max low side, entry with min high side.
         let (mut max_lo_i, mut max_lo) = (0usize, f64::NEG_INFINITY);
         let (mut min_hi_i, mut min_hi) = (0usize, f64::INFINITY);
-        for (i, e) in entries.iter().enumerate() {
-            let lo = e.rect.lo().coord(d);
-            let hi = e.rect.hi().coord(d);
+        for (i, r) in rects.iter().enumerate() {
+            let lo = r.lo().coord(d);
+            let hi = r.hi().coord(d);
             lo_of_all = lo_of_all.min(lo);
             hi_of_all = hi_of_all.max(hi);
             if lo > max_lo {
@@ -1146,34 +1131,35 @@ fn linear_split<const N: usize>(
     }
     if seed_a == seed_b {
         // Degenerate (all rects identical): arbitrary distinct seeds.
-        seed_b = (seed_a + 1) % entries.len();
+        seed_b = (seed_a + 1) % rects.len();
     }
 
-    let mut remaining: Vec<Option<Entry<N>>> = entries.into_iter().map(Some).collect();
-    let mut group_a = vec![remaining[seed_a].take().expect("seed a")];
-    let mut group_b = vec![remaining[seed_b].take().expect("seed b")];
-    let mut mbr_a = group_a[0].rect;
-    let mut mbr_b = group_b[0].rect;
-    let mut left: usize = remaining.iter().flatten().count();
+    let mut group_a = vec![seed_a];
+    let mut group_b = vec![seed_b];
+    let mut mbr_a = rects[seed_a];
+    let mut mbr_b = rects[seed_b];
+    let mut left = rects.len() - 2;
 
-    for slot in remaining.iter_mut() {
-        let Some(e) = slot.take() else { continue };
+    for (i, r) in rects.iter().enumerate() {
+        if i == seed_a || i == seed_b {
+            continue;
+        }
         let to_a = if group_a.len() + left == min_entries {
             true
         } else if group_b.len() + left == min_entries {
             false
         } else {
-            let da = mbr_a.enlargement(&e.rect);
-            let db = mbr_b.enlargement(&e.rect);
+            let da = mbr_a.enlargement(r);
+            let db = mbr_b.enlargement(r);
             da < db || (da == db && group_a.len() <= group_b.len())
         };
         left -= 1;
         if to_a {
-            mbr_a.union_in_place(&e.rect);
-            group_a.push(e);
+            mbr_a.union_in_place(r);
+            group_a.push(i);
         } else {
-            mbr_b.union_in_place(&e.rect);
-            group_b.push(e);
+            mbr_b.union_in_place(r);
+            group_b.push(i);
         }
     }
     (group_a, group_b)
@@ -1308,27 +1294,27 @@ mod tests {
         assert!(tree.is_empty());
     }
 
+    /// Both groups together are every entry index exactly once.
+    fn assert_partition(a: &[usize], b: &[usize], n: usize) {
+        let mut ids: Vec<usize> = a.iter().chain(b).copied().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
+    }
+
     #[test]
     fn linear_split_respects_min_fill_and_partitions() {
-        let entries: Vec<Entry<2>> = (0..9)
-            .map(|i| Entry::new(i as u64, pt_rect(i as f64, (i % 3) as f64), vec![]))
-            .collect();
-        let (a, b) = linear_split(entries, 4);
-        assert_eq!(a.len() + b.len(), 9);
+        let rects: Vec<Rect<2>> = (0..9).map(|i| pt_rect(i as f64, (i % 3) as f64)).collect();
+        let (a, b) = linear_split(&rects, 4);
         assert!(a.len() >= 2 && b.len() >= 2);
-        let mut ids: Vec<u64> = a.iter().chain(b.iter()).map(|e| e.child).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..9).collect::<Vec<_>>());
+        assert_partition(&a, &b, 9);
     }
 
     #[test]
     fn linear_split_handles_identical_rects() {
-        let entries: Vec<Entry<2>> = (0..6)
-            .map(|i| Entry::new(i as u64, pt_rect(1.0, 1.0), vec![]))
-            .collect();
-        let (a, b) = linear_split(entries, 2);
-        assert_eq!(a.len() + b.len(), 6);
+        let rects = vec![pt_rect(1.0, 1.0); 6];
+        let (a, b) = linear_split(&rects, 2);
         assert!(!a.is_empty() && !b.is_empty());
+        assert_partition(&a, &b, 6);
     }
 
     #[test]
@@ -1353,13 +1339,11 @@ mod tests {
 
     #[test]
     fn quadratic_split_respects_min_fill() {
-        let entries: Vec<Entry<2>> = (0..9)
-            .map(|i| Entry::new(i as u64, pt_rect(i as f64, 0.0), vec![]))
-            .collect();
-        let (a, b) = quadratic_split(entries, 4);
+        let rects: Vec<Rect<2>> = (0..9).map(|i| pt_rect(i as f64, 0.0)).collect();
+        let (a, b) = quadratic_split(&rects, 4);
         assert!(a.len() >= 4 || b.len() >= 4);
         assert!(a.len() >= 2 && b.len() >= 2);
-        assert_eq!(a.len() + b.len(), 9);
+        assert_partition(&a, &b, 9);
     }
 
     #[test]
@@ -1444,10 +1428,10 @@ mod tests {
             for id in tree.node_ids().unwrap() {
                 reused += u64::from(freed.contains(&id));
                 let (image, _) = tree.read_node_cached(id).unwrap();
-                let on_disk = tree.read_node(id).unwrap();
-                assert_eq!(image.level(), on_disk.level, "node {id}, round {round}");
+                let on_disk = tree.read_node_buf(id).unwrap();
+                assert_eq!(image.level(), on_disk.level(), "node {id}, round {round}");
                 assert!(
-                    image.children().eq(on_disk.entries.iter().map(|e| e.child)),
+                    image.children().eq(on_disk.children()),
                     "node {id}, round {round}: stale image"
                 );
                 assert_eq!(image.mbr(), on_disk.mbr(), "node {id}, round {round}");

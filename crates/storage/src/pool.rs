@@ -57,6 +57,9 @@ struct PoolState {
     tail: usize,
     hits: u64,
     misses: u64,
+    /// Write-throughs installed in this shard so far: a read miss installs
+    /// its bytes only if none landed while it was at the device.
+    writes: u64,
 }
 
 impl PoolState {
@@ -68,6 +71,7 @@ impl PoolState {
             tail: NIL,
             hits: 0,
             misses: 0,
+            writes: 0,
         }
     }
 
@@ -259,7 +263,7 @@ impl<D: BlockDevice> BlockDevice for BufferPool<D> {
             return self.inner.read_block(id, buf);
         }
         let si = self.shard(id);
-        {
+        let writes = {
             let mut s = self.shards[si].lock();
             if let Some(&idx) = s.map.get(&id) {
                 buf.copy_from_slice(&*s.frames[idx].data);
@@ -268,16 +272,20 @@ impl<D: BlockDevice> BlockDevice for BufferPool<D> {
                 return Ok(());
             }
             s.misses += 1;
-        }
+            s.writes
+        };
         // Miss: fetch outside the lock (other shards — and this one — stay
-        // available to concurrent readers), then re-lock around the install
-        // with the freshly read data. A concurrent write-through of the
-        // same block may interleave; correctness only needs the cache to
-        // hold *some* post-write value, which `install` guarantees because
-        // the device read completed before the re-lock.
+        // available to concurrent readers), then re-lock to install the
+        // bytes read. A write-through that lands between the device read
+        // and the re-lock has already installed newer bytes, which the ones
+        // read would overwrite: the install happens only if the shard took
+        // no write meanwhile. The read returns what it read either way — a
+        // value the block held while it was being read.
         self.inner.read_block(id, buf)?;
         let mut s = self.shards[si].lock();
-        s.install(self.shard_capacities[si], id, buf);
+        if s.writes == writes {
+            s.install(self.shard_capacities[si], id, buf);
+        }
         Ok(())
     }
 
@@ -290,6 +298,7 @@ impl<D: BlockDevice> BlockDevice for BufferPool<D> {
         }
         let si = self.shard(id);
         let mut s = self.shards[si].lock();
+        s.writes += 1;
         s.install(self.shard_capacities[si], id, data);
         Ok(())
     }

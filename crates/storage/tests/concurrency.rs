@@ -3,14 +3,15 @@
 //! correspondence between pool misses and device reads, all under real
 //! contention from many reader/writer threads. And on the
 //! [`DecodedCache`]: a value decoded before a commit never outlives it.
-//! And on the [`RecordFile`]: readers racing the one appender.
+//! And on the [`RecordFile`]: readers racing the one appender. And on a
+//! pool read miss racing a write-through of its block.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use ir2_storage::{
-    BlockDevice, BufferPool, DecodedCache, MemDevice, RecordFile, RecordPtr, TrackedDevice,
-    BLOCK_SIZE,
+    BlockDevice, BlockId, BufferPool, DecodedCache, MemDevice, RecordFile, RecordPtr, Result,
+    TrackedDevice, BLOCK_SIZE,
 };
 
 const BLOCKS: u64 = 64;
@@ -262,4 +263,83 @@ fn readers_racing_append_see_whole_records() {
             });
         }
     });
+}
+
+/// A device whose next read, once armed, pauses after it has read its
+/// bytes: it meets `gate` once to say it has read, and once more before it
+/// returns them.
+struct PausingDevice {
+    inner: MemDevice,
+    armed: AtomicBool,
+    gate: Barrier,
+}
+
+impl BlockDevice for PausingDevice {
+    fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
+        self.inner.read_block(id, buf)?;
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.gate.wait();
+            self.gate.wait();
+        }
+        Ok(())
+    }
+
+    fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
+        self.inner.write_block(id, data)
+    }
+
+    fn allocate(&self, n: u64) -> Result<BlockId> {
+        self.inner.allocate(n)
+    }
+
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+}
+
+/// A read miss fetches old bytes, a write-through of the same block lands
+/// (device, then pool), and only then does the miss re-lock to install:
+/// the pool must keep the written bytes, not the ones the miss read.
+#[test]
+fn a_read_miss_never_installs_bytes_older_than_a_write_through() {
+    let block = |byte: u8| {
+        let mut b = ir2_storage::zeroed_block();
+        b.fill(byte);
+        b
+    };
+    let dev = PausingDevice {
+        inner: MemDevice::with_blocks(1),
+        armed: AtomicBool::new(true),
+        gate: Barrier::new(2),
+    };
+    dev.inner.write_block(0, &block(0xAA)).unwrap();
+    let pool = BufferPool::with_shards(dev, 4, 1);
+    let mut buf = ir2_storage::zeroed_block();
+
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut buf = ir2_storage::zeroed_block();
+            pool.read_block(0, &mut buf).unwrap();
+            buf
+        });
+        pool.inner().gate.wait(); // the miss has read 0xAA
+        pool.write_block(0, &block(0xBB)).unwrap();
+        pool.inner().gate.wait(); // let it re-lock
+        let read = reader.join().unwrap();
+        assert!(read == block(0xAA), "the miss returns what it read");
+    });
+
+    pool.inner().read_block(0, &mut buf).unwrap();
+    assert!(buf == block(0xBB), "the write reached the device");
+    pool.read_block(0, &mut buf).unwrap();
+    assert!(
+        buf == block(0xBB),
+        "the pool serves {:#04x} while the device holds 0xbb",
+        buf[0]
+    );
+    assert_eq!(
+        pool.hit_stats(),
+        (1, 1),
+        "the write-through's bytes were cached"
+    );
 }
