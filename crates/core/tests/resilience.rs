@@ -428,7 +428,7 @@ impl<D: BlockDevice> BlockDevice for PanickingDevice<D> {
     fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
         if self.armed.load(Ordering::Relaxed) {
             let n = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-            if n % self.period == 0 {
+            if n.is_multiple_of(self.period) {
                 panic!("injected read panic");
             }
         }

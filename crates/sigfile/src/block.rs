@@ -376,7 +376,7 @@ impl EntryMask {
     pub fn reset_all_set(&mut self, len: usize) {
         self.words.clear();
         self.words.resize(len.div_ceil(64), !0);
-        if len % 64 != 0 {
+        if !len.is_multiple_of(64) {
             *self.words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
         }
         self.len = len;
@@ -385,7 +385,7 @@ impl EntryMask {
     /// Appends one verdict.
     #[inline]
     fn push(&mut self, verdict: bool) {
-        if self.len % 64 == 0 {
+        if self.len.is_multiple_of(64) {
             self.words.push(0);
         }
         self.words[self.len / 64] |= u64::from(verdict) << (self.len % 64);

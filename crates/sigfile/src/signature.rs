@@ -147,7 +147,7 @@ impl Signature {
     /// other operation relies on).
     pub fn from_words(bits: usize, words: Vec<u64>) -> Self {
         assert_eq!(words.len(), bits.div_ceil(64), "signature word mismatch");
-        if bits % 64 != 0 {
+        if !bits.is_multiple_of(64) {
             let mask = (1u64 << (bits % 64)) - 1;
             assert_eq!(
                 words[bits / 64] & !mask,

@@ -102,16 +102,19 @@ impl MemDevice {
         }
     }
 
+    /// The byte offset of block `id` in a buffer of `len_bytes`. The id is
+    /// compared with the block count before any arithmetic, so an id past
+    /// the address space is out of bounds, never an alias of a real block.
     #[inline]
     fn check(&self, id: BlockId, len_bytes: usize) -> Result<usize> {
-        let off = id as usize * BLOCK_SIZE;
-        if off + BLOCK_SIZE > len_bytes {
-            return Err(StorageError::OutOfBounds {
+        let blocks = len_bytes / BLOCK_SIZE;
+        match usize::try_from(id) {
+            Ok(index) if index < blocks => Ok(index * BLOCK_SIZE),
+            _ => Err(StorageError::OutOfBounds {
                 block: id,
-                len: (len_bytes / BLOCK_SIZE) as u64,
-            });
+                len: blocks as u64,
+            }),
         }
-        Ok(off)
     }
 }
 
@@ -441,6 +444,48 @@ mod tests {
             assert!(matches!(missing, Err(StorageError::OutOfBounds { .. })));
             assert_eq!(calls, 1, "and never on an error");
         }
+    }
+
+    /// Ids whose byte offset passes `usize::MAX` must be refused by every
+    /// block call, not wrapped onto a block the device holds.
+    #[test]
+    fn an_id_past_the_address_space_is_out_of_bounds() {
+        let dir = std::env::temp_dir().join(format!("ir2-storage-far-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let devices: [Box<dyn BlockDevice>; 2] = [
+            Box::new(MemDevice::new()),
+            Box::new(FileDevice::create(dir.join("far.blocks")).unwrap()),
+        ];
+        for dev in &devices {
+            dev.allocate(2).unwrap();
+            dev.write_block(0, &[0x11; BLOCK_SIZE]).unwrap();
+            dev.write_block(1, &[0x22; BLOCK_SIZE]).unwrap();
+            for id in [1 << 52, (1 << 52) + 1, u64::MAX] {
+                let out_of_bounds = |r: Result<()>| matches!(r, Err(StorageError::OutOfBounds { block, len: 2 }) if block == id);
+                let mut buf = crate::zeroed_block();
+                assert!(
+                    out_of_bounds(dev.read_block(id, &mut buf)),
+                    "read_block({id})"
+                );
+                let mut lent = 0;
+                assert!(
+                    out_of_bounds(dev.with_block(id, &mut |_| lent += 1)),
+                    "with_block({id})"
+                );
+                assert_eq!(lent, 0, "with_block({id}) lent a block");
+                assert!(
+                    out_of_bounds(dev.write_block(id, &[0xEE; BLOCK_SIZE])),
+                    "write_block({id})"
+                );
+            }
+            for (id, byte) in [(0, 0x11), (1, 0x22)] {
+                let mut out = crate::zeroed_block();
+                dev.read_block(id, &mut out).unwrap();
+                assert!(out.iter().all(|&b| b == byte), "block {id} was overwritten");
+            }
+        }
+        drop(devices);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
