@@ -32,8 +32,8 @@ Databases are directories of 4096-byte block-device files; every query
 reports its (simulated) disk I/O alongside the results. A batch query
 file holds one `LAT,LON keywords…` query per line (# comments allowed);
 the batch runs concurrently with exact per-query I/O attribution and
-per-query fault isolation. A flag a command does not list above is an
-error, never ignored. `--deadline-ms` (batch-wide) and
+per-query fault isolation. A flag a command does not list above, or one
+given twice, is an error, never ignored. `--deadline-ms` (batch-wide) and
 `--io-budget` (per query) bound execution: a query that trips a limit
 is truncated, not failed — its results are the exact top-m prefix of
 the full answer. `--node-cache` keeps up to NODES decoded tree nodes
@@ -80,8 +80,9 @@ pub struct Flags {
 impl Flags {
     /// Parses the arguments of `ir2 <cmd>`: `--key value` for every key in
     /// `flags`, bare `--switch` for every key in `switches` (both
-    /// space-separated lists). Anything else is an error, so a misspelt or
-    /// retired flag is refused, not ignored.
+    /// space-separated lists), each at most once. Anything else is an
+    /// error, so a misspelt, retired or repeated flag is refused, not
+    /// ignored.
     pub fn parse(cmd: &str, args: &[String], flags: &str, switches: &str) -> Result<Self, String> {
         let listed = |list: &str, key: &str| list.split_whitespace().any(|k| k == key);
         let mut values = HashMap::new();
@@ -91,6 +92,9 @@ impl Flags {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{arg}`"));
             };
+            if values.contains_key(key) || given.iter().any(|g| g == key) {
+                return Err(format!("flag --{key} given twice"));
+            }
             if listed(switches, key) {
                 given.push(key.to_owned());
             } else if listed(flags, key) {
@@ -106,6 +110,11 @@ impl Flags {
             values,
             switches: given,
         })
+    }
+
+    /// The point a required `--key LAT,LON` flag names.
+    pub fn point(&self, key: &str) -> Result<[f64; 2], String> {
+        parse_point(self.required(key)?).map_err(|e| format!("bad --{key}: {e}"))
     }
 
     /// A required string flag.
@@ -138,37 +147,36 @@ impl Flags {
     }
 }
 
-/// Parses "lat,lon" into a coordinate pair.
+/// Parses "lat,lon" into a coordinate pair; both must be finite.
 pub fn parse_point(s: &str) -> Result<[f64; 2], String> {
-    let parts: Vec<&str> = s.split(',').collect();
-    if parts.len() != 2 {
-        return Err(format!("expected LAT,LON, got `{s}`"));
-    }
-    let lat = parts[0]
-        .trim()
-        .parse()
-        .map_err(|e| format!("bad latitude: {e}"))?;
-    let lon = parts[1]
-        .trim()
-        .parse()
-        .map_err(|e| format!("bad longitude: {e}"))?;
+    let [lat, lon] = parse_coords(s, "LAT,LON")?;
     Ok([lat, lon])
 }
 
-/// Parses "lat1,lon1,lat2,lon2" into rectangle corners.
+/// Parses "lat1,lon1,lat2,lon2" into rectangle corners; all four must be
+/// finite.
 pub fn parse_area(s: &str) -> Result<([f64; 2], [f64; 2]), String> {
-    let parts: Vec<&str> = s.split(',').collect();
-    if parts.len() != 4 {
-        return Err(format!("expected LAT1,LON1,LAT2,LON2, got `{s}`"));
+    let [lat1, lon1, lat2, lon2] = parse_coords(s, "LAT1,LON1,LAT2,LON2")?;
+    Ok(([lat1, lon1], [lat2, lon2]))
+}
+
+/// Exactly `N` comma-separated finite numbers: a NaN or infinite
+/// coordinate would be answered with distances that ignore it.
+fn parse_coords<const N: usize>(s: &str, form: &str) -> Result<[f64; N], String> {
+    let parts: Vec<&str> = s.split(',').map(str::trim).collect();
+    if parts.len() != N {
+        return Err(format!("expected {form}, got `{s}`"));
     }
-    let mut v = [0.0f64; 4];
-    for (slot, p) in v.iter_mut().zip(&parts) {
-        *slot = p
-            .trim()
+    let mut coords = [0.0f64; N];
+    for (c, p) in coords.iter_mut().zip(parts) {
+        *c = p
             .parse()
-            .map_err(|e| format!("bad coordinate: {e}"))?;
+            .map_err(|e| format!("bad coordinate `{p}`: {e}"))?;
+        if !c.is_finite() {
+            return Err(format!("coordinate `{p}` is not finite"));
+        }
     }
-    Ok(([v[0], v[1]], [v[2], v[3]]))
+    Ok(coords)
 }
 
 #[cfg(test)]
@@ -209,6 +217,14 @@ mod tests {
             "flag --k needs a value"
         );
         assert_eq!(parse(&["--db"]).unwrap_err(), "flag --db needs a value");
+        assert_eq!(
+            parse(&["--db", "dir", "--k", "3", "--k", "5"]).unwrap_err(),
+            "flag --k given twice"
+        );
+        assert_eq!(
+            parse(&["--incremental", "--db", "dir", "--incremental"]).unwrap_err(),
+            "flag --incremental given twice"
+        );
     }
 
     #[test]
@@ -219,5 +235,14 @@ mod tests {
         let (lo, hi) = parse_area("1,2,3,4").unwrap();
         assert_eq!((lo, hi), ([1.0, 2.0], [3.0, 4.0]));
         assert!(parse_area("1,2,3").is_err());
+        // A non-finite coordinate parses as an `f64` but is refused.
+        assert!(parse_point("nan,0").is_err());
+        assert!(parse_point("1,inf").is_err());
+        assert!(parse_area("0,0,-inf,1").is_err());
+        let f = Flags::parse("query", &args(&["--at", "nan,0"]), "at area", "").unwrap();
+        assert_eq!(
+            f.point("at").unwrap_err(),
+            "bad --at: coordinate `nan` is not finite"
+        );
     }
 }

@@ -324,6 +324,14 @@ pub fn query(args: &[String], out: &mut impl Write) -> CliResult {
         "db at area keywords k alg deadline-ms io-budget threads node-cache hedge-ms",
         "",
     )?;
+    let (region, anchor): (QueryRegion<2>, String) = if let Some(area) = f.optional("area") {
+        let (a, b) = parse_area(area).map_err(|e| format!("bad --area: {e}"))?;
+        let rect = Rect::from_corners(Point::new(a), Point::new(b));
+        (rect.into(), format!("in/near area {a:?}..{b:?}"))
+    } else {
+        let at = f.point("at")?;
+        (Point::new(at).into(), format!("near {at:?}"))
+    };
     let engine = open_engine(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
@@ -334,15 +342,6 @@ pub fn query(args: &[String], out: &mut impl Write) -> CliResult {
         Some(delay) => Gather::Hedged(delay),
         None if threads > 1 && limits.is_unlimited() => Gather::Parallel(threads),
         None => Gather::Sequential,
-    };
-
-    let (region, anchor): (QueryRegion<2>, String) = if let Some(area) = f.optional("area") {
-        let (a, b) = parse_area(area)?;
-        let rect = Rect::from_corners(Point::new(a), Point::new(b));
-        (rect.into(), format!("in/near area {a:?}..{b:?}"))
-    } else {
-        let at = parse_point(f.required("at")?)?;
-        (Point::new(at).into(), format!("near {at:?}"))
     };
     let replicas = match &engine {
         Engine::Sharded(db) if db.replica_count() > 1 => {
@@ -500,10 +499,10 @@ pub fn ranked(args: &[String], out: &mut impl Write) -> CliResult {
         "db at keywords k dist-weight node-cache",
         "",
     )?;
+    let at = f.point("at")?;
     let db = open_db(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
-    let at = parse_point(f.required("at")?)?;
     let dist_weight: f64 = f.get_or("dist-weight", 0.05)?;
 
     let q = GeneralQuery::new(at, &keywords, k);
@@ -549,11 +548,11 @@ pub fn ranked(args: &[String], out: &mut impl Write) -> CliResult {
 /// false-positive tables), then the usual result report.
 pub fn trace(args: &[String], out: &mut impl Write) -> CliResult {
     let f = Flags::parse("trace", args, "db at keywords k alg steps node-cache", "")?;
+    let at = f.point("at")?;
     let db = open_db(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
     let alg = parse_alg(&f)?;
-    let at = parse_point(f.required("at")?)?;
     let limit: usize = f.get_or("steps", 40)?;
 
     let q = DistanceFirstQuery::new(at, &keywords, k);

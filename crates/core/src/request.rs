@@ -38,11 +38,12 @@ pub enum Gather {
 /// [`ShardedDb`](crate::ShardedDb) both answer it through `run` (one
 /// request) and `run_batch` (many, concurrently and fault-isolated).
 ///
-/// Three combinations are refused with [`StorageError::Unsupported`]
-/// before anything is read: an [`Area`](QueryRegion::Area) region on an
-/// algorithm without signatures (the plain NN iterator and the inverted
-/// index are point-anchored), a `Parallel` or `Hedged` gather under
-/// limits, and a `Hedged` gather on a monolithic engine.
+/// Four requests are refused with [`StorageError::Unsupported`] before
+/// anything is read: a region with a NaN or infinite coordinate (every
+/// distance from it would be meaningless), an [`Area`](QueryRegion::Area)
+/// region on an algorithm without signatures (the plain NN iterator and
+/// the inverted index are point-anchored), a `Parallel` or `Hedged` gather
+/// under limits, and a `Hedged` gather on a monolithic engine.
 #[derive(Debug, Clone)]
 pub struct TopkRequest {
     /// Which access method answers.
@@ -112,11 +113,18 @@ impl TopkRequest {
     /// The rules of the type docs, checked by every engine before it
     /// touches a device.
     pub(crate) fn check(&self, sharded: bool) -> Result<()> {
+        let refuse = |msg: &str| Err(StorageError::Unsupported(msg.into()));
+        let finite = match &self.region {
+            QueryRegion::Point(p) => p.is_finite(),
+            QueryRegion::Area(a) => a.is_finite(),
+        };
+        if !finite {
+            return refuse("the query point or area has a non-finite coordinate");
+        }
         let on_signature_tree = matches!(self.alg, Algorithm::Ir2 | Algorithm::Mir2);
         if matches!(self.region, QueryRegion::Area(_)) && !on_signature_tree {
             return Err(needs_signature_tree("region queries", self.alg));
         }
-        let refuse = |msg: &str| Err(StorageError::Unsupported(msg.into()));
         match self.gather {
             Gather::Sequential => Ok(()),
             Gather::Hedged(_) if !sharded => refuse("a hedged gather needs a sharded database"),

@@ -383,6 +383,60 @@ fn k_zero_and_oversized_k() {
     assert_eq!(rep.results.len(), 10);
 }
 
+/// A query point or area with a NaN or infinite coordinate is refused by
+/// `run` and `run_batch` on both engines, for every algorithm: answering
+/// it would rank objects by distances that ignore the bad coordinate.
+#[test]
+fn a_non_finite_region_is_refused_by_both_engines() {
+    let mono = SpatialKeywordDb::build(DeviceSet::in_memory(), town(60), small_config()).unwrap();
+    let groups = (0..2)
+        .map(|_| vec![DeviceSet::in_memory().map(|_, d| Arc::new(d))])
+        .collect();
+    let sharded = ShardedDb::build_replicated(groups, town(60), small_config()).unwrap();
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let regions = [
+        QueryRegion::Point(Point::new([nan, 0.0])),
+        QueryRegion::Point(Point::new([1.0, inf])),
+        QueryRegion::Area(Rect::new(Point::new([0.0, 0.0]), Point::new([inf, 1.0]))),
+        QueryRegion::Area(Rect::new(Point::new([-inf, 0.0]), Point::new([1.0, 1.0]))),
+    ];
+    let refused =
+        |out: &Outcome| matches!(out, Err(QueryError::Storage(StorageError::Unsupported(_))));
+    for alg in Algorithm::ALL {
+        let reqs: Vec<TopkRequest> = regions
+            .iter()
+            .map(|&region| TopkRequest::new(alg, region, &["coffee"], 3))
+            .collect();
+        for req in &reqs {
+            let ctx = format!("{} {:?}", alg.label(), req.region);
+            assert!(
+                refused(&mono.run(req).map_err(Into::into)),
+                "monolithic {ctx}"
+            );
+            assert!(
+                refused(&sharded.run(req).map_err(Into::into)),
+                "sharded {ctx}"
+            );
+        }
+        for out in mono
+            .run_batch(&reqs, 2)
+            .iter()
+            .chain(&sharded.run_batch(&reqs, 2))
+        {
+            assert!(
+                refused(out),
+                "{} batch: {:?}",
+                alg.label(),
+                out.as_ref().map(|r| &r.results)
+            );
+        }
+    }
+    // A finite region still answers on both.
+    let req = TopkRequest::new(Algorithm::Ir2, Point::new([0.0, 0.0]), &["coffee"], 3);
+    assert_eq!(mono.run(&req).unwrap().results.len(), 3);
+    assert_eq!(sharded.run(&req).unwrap().results.len(), 3);
+}
+
 // ----------------------------------------------------------------------
 // One request, two engines: every cell of the request matrix.
 // ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use ir2_geo::{Point, Rect};
 use ir2_irtree::{
     bulk_load_objects, collect_topk, delete_object, distance_first_topk, general_topk,
-    insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, LimitedTopk, MirPayload, NopSink,
-    StatsSink, TraceSink,
+    insert_object, BoundedStep, DistanceFirstIter, EntryFilter, GeneralQuery, Ir2Payload,
+    LimitedTopk, MirPayload, NopSink, StatsSink, TraceSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
 use ir2_rtree::{NodeCache, RTree, RTreeConfig};
@@ -84,6 +84,24 @@ fn ir2_of(db: &Db, sig_bytes: usize, seed: u64) -> RTree<2, MemDevice, Ir2Payloa
         insert_object(&tree, *ptr, obj).unwrap();
     }
     tree
+}
+
+/// Sorted ids of every result an area search over `tree` yields at
+/// distance 0, stepped with `next_within(0.0)` until it stops.
+fn ids_within_zero<P: EntryFilter>(
+    tree: &RTree<2, MemDevice, P>,
+    db: &Db,
+    region: QueryRegion<2>,
+    kws: &[String],
+) -> Vec<u64> {
+    let mut search = DistanceFirstIter::with_region(tree, db.store.as_ref(), region, kws);
+    let mut ids = Vec::new();
+    while let BoundedStep::Hit(obj, d) = search.next_within(0.0).unwrap() {
+        assert_eq!(d, 0.0);
+        ids.push(obj.id);
+    }
+    ids.sort_unstable();
+    ids
 }
 
 fn mir2_of(db: &Db, sig_bytes: usize, seed: u64) -> RTree<2, MemDevice, MirPayload<2>> {
@@ -298,7 +316,14 @@ proptest! {
             .map(|(_, o)| o.id)
             .collect();
         want.sort_unstable();
-        prop_assert_eq!(got_ids, want);
+        prop_assert_eq!(&got_ids, &want);
+
+        // The window is the area search stepped to distance 0 (window ⊆
+        // region), on the IR² tree and on a MIR² tree.
+        let region = QueryRegion::Area(window);
+        prop_assert_eq!(&ids_within_zero(&tree, &db, region, &kws), &want);
+        let mir2 = mir2_of(&db, 2, seed);
+        prop_assert_eq!(&ids_within_zero(&mir2, &db, region, &kws), &want);
     }
 
     /// The signature density profile is monotone non-decreasing by level

@@ -1,14 +1,17 @@
-//! Decoded-object cache: a sharded LRU *above* the page layer, invalidated
+//! Decoded-object cache: the storage layer's one sharded LRU, invalidated
 //! key by key.
 //!
-//! The [`BufferPool`](crate::BufferPool) caches raw 4096-byte blocks, so a
-//! pool hit still pays the warm-path tax: checksum verification of every
-//! block of the node's extent plus a full entry/signature deserialization.
-//! On warm top-k workloads that decode cost dominates (the I/O the paper
-//! counts is already amortized). `DecodedCache<T>` closes the gap by
-//! caching the *decoded* value — an R-Tree node, its signatures already
-//! bit-sliced — keyed by the extent's first [`BlockId`], behind `Arc` so
-//! warm readers share one allocation.
+//! A cached block still pays the warm-path tax: checksum verification of
+//! every block of the node's extent plus a full entry/signature
+//! deserialization. On warm top-k workloads that decode cost dominates (the
+//! I/O the paper counts is already amortized). `DecodedCache<T>` closes the
+//! gap by caching the *decoded* value — an R-Tree node, its signatures
+//! already bit-sliced — keyed by the extent's first [`BlockId`], behind
+//! `Arc` so warm readers share one allocation. The
+//! [`BufferPool`](crate::BufferPool) is the same cache holding raw
+//! 4096-byte blocks (`T = [u8; BLOCK_SIZE]`) behind a `BlockDevice` face:
+//! a write-through there is `invalidate` of the block, then `insert` of its
+//! new bytes, so the stale-install rule below covers both.
 //!
 //! # Per-key invalidation
 //!
@@ -40,9 +43,11 @@
 //!
 //! # Sharding
 //!
-//! Same scheme as the buffer pool: `block % N` selects one of N
-//! independently locked shards, and the configured capacity is distributed
-//! exactly (first `capacity % N` shards take one extra slot). Capacity 0
+//! `block % N` selects one of N independently locked shards (adjacent
+//! blocks land on different locks, so a sequential scan round-robins them),
+//! and the configured capacity is distributed exactly (first `capacity % N`
+//! shards take one extra slot). Each shard counts its own hits and misses
+//! under the lock [`get`](DecodedCache::get) already holds. Capacity 0
 //! constructs a pass-through that never caches and never counts.
 
 use std::collections::HashMap;
@@ -55,8 +60,8 @@ use crate::BlockId;
 
 const NIL: usize = usize::MAX;
 
-/// Default shard count for [`DecodedCache::new`] — matches the buffer
-/// pool's so the two layers scale together under the batch engine.
+/// Default shard count for [`DecodedCache::new`] — the buffer pool's too,
+/// so the two layers scale together under the batch engine.
 pub const DEFAULT_DECODED_SHARDS: usize = 8;
 
 struct Slot<T> {
@@ -73,6 +78,9 @@ struct ShardState<T> {
     head: usize,
     /// Least recently used slot index.
     tail: usize,
+    /// Lookups in this shard that found / did not find their key.
+    hits: u64,
+    misses: u64,
 }
 
 impl<T> ShardState<T> {
@@ -82,10 +90,12 @@ impl<T> ShardState<T> {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
+            hits: 0,
+            misses: 0,
         }
     }
 
-    /// Drops every entry.
+    /// Drops every entry (the counters are kept).
     fn wipe(&mut self) {
         self.map.clear();
         self.slots.clear();
@@ -196,8 +206,6 @@ pub struct DecodedCache<T> {
     shards: Box<[Mutex<ShardState<T>>]>,
     /// Invalidations begun so far.
     epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     /// Values removed by [`invalidate`](DecodedCache::invalidate).
     invalidated: AtomicU64,
 }
@@ -229,8 +237,6 @@ impl<T> DecodedCache<T> {
                 .map(|_| Mutex::new(ShardState::new()))
                 .collect(),
             epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
         }
     }
@@ -278,13 +284,10 @@ impl<T> DecodedCache<T> {
         let mut s = self.shards[self.shard_of(key)].lock();
         if let Some(&idx) = s.map.get(&key) {
             s.touch(idx);
-            let value = Arc::clone(&s.slots[idx].value);
-            drop(s);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(value);
+            s.hits += 1;
+            return Some(Arc::clone(&s.slots[idx].value));
         }
-        drop(s);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        s.misses += 1;
         None
     }
 
@@ -310,6 +313,11 @@ impl<T> DecodedCache<T> {
         self.shard_capacities.iter().sum()
     }
 
+    /// Number of independent shards (0 when caching is disabled).
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
     /// Number of values currently resident, exactly: an invalidated or
     /// evicted value is gone from the count the moment the call returns.
     pub fn len(&self) -> usize {
@@ -331,12 +339,21 @@ impl<T> DecodedCache<T> {
         }
     }
 
-    /// Aggregate `(hits, misses)` observed by [`get`](Self::get) so far.
+    /// Aggregate `(hits, misses)` observed by [`get`](Self::get) so far,
+    /// summed over all shards.
     pub fn hit_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.shards.iter().fold((0, 0), |(h, m), shard| {
+            let s = shard.lock();
+            (h + s.hits, m + s.misses)
+        })
+    }
+
+    /// `(hits, misses)` of one shard (indexes follow `key % num_shards`).
+    ///
+    /// Panics if `shard >= num_shards()`.
+    pub fn shard_hit_stats(&self, shard: usize) -> (u64, u64) {
+        let s = self.shards[shard].lock();
+        (s.hits, s.misses)
     }
 
     /// Values removed by [`invalidate`](Self::invalidate) so far — per

@@ -17,9 +17,10 @@
 //! * [`CostModel`] — converts an I/O count delta into simulated disk time,
 //!   calibrated by default to the paper's hardware class (a 10 000 RPM
 //!   drive, circa 2004).
-//! * [`BufferPool`] — an LRU block cache layered over any device; the paper
-//!   runs uncached, so experiments use capacity 0, and the buffer-pool
-//!   ablation (`A2` in `DESIGN.md`) sweeps the capacity.
+//! * [`BufferPool`] — an LRU block cache layered over any device: a
+//!   [`BlockDevice`] face on a [`DecodedCache`] of raw blocks. The paper
+//!   runs uncached, so experiments use capacity 0 (a pass-through), and the
+//!   buffer-pool ablation (`A2` in `DESIGN.md`) sweeps the capacity.
 //! * [`extent`] — multi-block node I/O (IR²/MIR² nodes "occupy two or more
 //!   disk blocks"; reading one costs 1 random + (n−1) sequential accesses).
 //! * [`RecordFile`] — the append-only record store used as the paper's
@@ -31,10 +32,12 @@
 //!   backoff for transient faults ([`StorageError::is_transient`]) and a
 //!   per-block circuit breaker that quarantines persistently failing
 //!   blocks ([`StorageError::Quarantined`]).
-//! * [`DecodedCache`] — a sharded LRU of *decoded* objects above the page
-//!   layer (warm node visits skip checksum verification and
-//!   deserialization), invalidated wholesale by a mutation epoch bumped at
-//!   commit points.
+//! * [`DecodedCache`] — the crate's one sharded LRU, keyed by [`BlockId`]:
+//!   of *decoded* nodes above the page layer (warm node visits skip
+//!   checksum verification and deserialization), and of raw blocks inside
+//!   [`BufferPool`]. A commit invalidates exactly the keys it wrote; a read
+//!   that began before an invalidation cannot install what it read after
+//!   it.
 
 mod cost;
 mod decoded;

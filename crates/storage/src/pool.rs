@@ -1,146 +1,32 @@
-//! Sharded LRU buffer pool.
+//! LRU buffer pool: a [`BlockDevice`] face on a [`DecodedCache`] of raw
+//! blocks.
 //!
 //! The paper measures raw disk accesses with no caching, so the experiment
-//! defaults bypass the pool (capacity 0 constructs a pass-through). The
-//! buffer-pool ablation (A2 in `DESIGN.md`) layers this pool between the
-//! query algorithms and the tracked device to show how quickly a modest
-//! cache erodes the baseline algorithms' disadvantage.
+//! defaults bypass the pool (capacity 0 is a pass-through that allocates
+//! and counts nothing). The buffer-pool ablation (A2 in `DESIGN.md`) layers
+//! this pool between the query algorithms and the tracked device to show
+//! how quickly a modest cache erodes the baseline algorithms' disadvantage.
 //!
-//! Policy: least-recently-used eviction per shard, write-through (a write
-//! updates the cached copy and the device immediately), implemented with a
-//! hash map into a slab of frames linked in an intrusive LRU list — no
-//! per-access allocation.
+//! Policy: write-through (device first, then cache) over the decoded-node
+//! cache's LRU — its `block % N` shards, exact capacity split and per-shard
+//! counters. Eviction is therefore per shard; reads stay observationally
+//! equivalent to the bare device (property-tested in `tests/props.rs`), and
+//! `with_shards(.., 1)` gives exact global LRU.
 //!
-//! # Sharding
-//!
-//! The frame table is split into N independent shards, each behind its own
-//! mutex, selected by `block_id % N`. Concurrent readers touching different
-//! blocks therefore take different locks instead of serializing on one —
-//! the property the concurrent batch query engine
-//! (`SpatialKeywordDb::run_batch`) relies on. Adjacent block ids land in
-//! different shards, so a sequential scan round-robins the locks rather
-//! than hammering one.
-//!
-//! Sharding makes eviction *local*: each shard runs LRU over its own
-//! `capacity / N` frames, so the global eviction order can differ from a
-//! single LRU list (a hot shard evicts blocks that a colder shard would
-//! have kept). Reads remain observationally equivalent to the bare device
-//! — property-tested in `tests/props.rs` — and a single-shard pool
-//! (`with_shards(.., 1)`) reproduces exact global LRU for tests that need
-//! it.
+//! A read miss reads the device outside any lock, so a write-through of the
+//! same block may land before it installs. The cache's epoch rule settles
+//! that race: the miss snapshots the epoch before reading, and the write
+//! invalidates its block (advancing the epoch) before installing its own
+//! bytes, so the older ones are dropped. The read still returns what it
+//! read — a value the block held while it was being read.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::{BlockDevice, BlockId, Result, BLOCK_SIZE};
-
-const NIL: usize = usize::MAX;
+use crate::{BlockDevice, BlockId, DecodedCache, Result, BLOCK_SIZE};
 
 /// Default shard count for [`BufferPool::new`]: enough parallelism for the
 /// batch engine's default thread counts without splintering tiny pools.
-pub const DEFAULT_POOL_SHARDS: usize = 8;
-
-struct Frame {
-    block: BlockId,
-    data: Box<[u8; BLOCK_SIZE]>,
-    prev: usize,
-    next: usize,
-}
-
-struct PoolState {
-    map: HashMap<BlockId, usize>,
-    frames: Vec<Frame>,
-    /// Most recently used frame index.
-    head: usize,
-    /// Least recently used frame index.
-    tail: usize,
-    hits: u64,
-    misses: u64,
-    /// Write-throughs installed in this shard so far: a read miss installs
-    /// its bytes only if none landed while it was at the device.
-    writes: u64,
-}
-
-impl PoolState {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            map: HashMap::with_capacity(capacity),
-            frames: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            hits: 0,
-            misses: 0,
-            writes: 0,
-        }
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.frames[idx].prev, self.frames[idx].next);
-        if prev != NIL {
-            self.frames[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.frames[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.frames[idx].prev = NIL;
-        self.frames[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.frames[idx].prev = NIL;
-        self.frames[idx].next = self.head;
-        if self.head != NIL {
-            self.frames[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn touch(&mut self, idx: usize) {
-        if self.head != idx {
-            self.detach(idx);
-            self.push_front(idx);
-        }
-    }
-
-    /// Installs `data` as the cached copy of `block`, evicting this shard's
-    /// LRU victim if the shard is full.
-    fn install(&mut self, capacity: usize, block: BlockId, data: &[u8; BLOCK_SIZE]) {
-        if let Some(&idx) = self.map.get(&block) {
-            self.frames[idx].data.copy_from_slice(data);
-            self.touch(idx);
-            return;
-        }
-        let idx = if self.frames.len() < capacity {
-            self.frames.push(Frame {
-                block,
-                data: crate::zeroed_block(),
-                prev: NIL,
-                next: NIL,
-            });
-            self.frames.len() - 1
-        } else {
-            // Evict the LRU frame and reuse it.
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "capacity > 0 implies a tail");
-            self.detach(victim);
-            let old = self.frames[victim].block;
-            self.map.remove(&old);
-            self.frames[victim].block = block;
-            victim
-        };
-        self.frames[idx].data.copy_from_slice(data);
-        self.map.insert(block, idx);
-        self.push_front(idx);
-    }
-}
+pub const DEFAULT_POOL_SHARDS: usize = crate::DEFAULT_DECODED_SHARDS;
 
 /// A sharded LRU block cache in front of a [`BlockDevice`].
 ///
@@ -150,11 +36,7 @@ impl PoolState {
 /// serialize. Capacity is in blocks; capacity 0 disables caching.
 pub struct BufferPool<D> {
     inner: D,
-    /// Per-shard frame budgets, summing to exactly the requested capacity
-    /// (empty when caching is disabled).
-    shard_capacities: Box<[usize]>,
-    /// Empty when caching is disabled.
-    shards: Box<[Mutex<PoolState>]>,
+    cache: DecodedCache<[u8; BLOCK_SIZE]>,
 }
 
 impl<D: BlockDevice> BufferPool<D> {
@@ -165,33 +47,13 @@ impl<D: BlockDevice> BufferPool<D> {
     }
 
     /// Wraps `inner` with an LRU cache of exactly `capacity` blocks split
-    /// over `shards` independent locks.
-    ///
-    /// `shards` is clamped to `[1, capacity]` so every shard owns at least
-    /// one frame. The `capacity` frames are distributed evenly; when it does
-    /// not divide exactly, the first `capacity % shards` shards each take
-    /// one extra frame, so the budgets sum to exactly `capacity` (neither
-    /// rounding some shards down to zero frames nor inflating the pool past
-    /// its configured size). One shard gives exact global LRU; more shards
-    /// trade strict LRU order for lock independence.
+    /// over `shards` independent locks, clamped to `[1, capacity]` (see
+    /// [`DecodedCache::with_shards`]). One shard gives exact global LRU;
+    /// more shards trade strict LRU order for lock independence.
     pub fn with_shards(inner: D, capacity: usize, shards: usize) -> Self {
-        let nshards = if capacity == 0 {
-            0
-        } else {
-            shards.clamp(1, capacity)
-        };
-        let base = capacity.checked_div(nshards).unwrap_or(0);
-        let extra = capacity.checked_rem(nshards).unwrap_or(0);
-        let shard_capacities: Box<[usize]> = (0..nshards)
-            .map(|i| base + usize::from(i < extra))
-            .collect();
         Self {
             inner,
-            shards: shard_capacities
-                .iter()
-                .map(|&c| Mutex::new(PoolState::with_capacity(c)))
-                .collect(),
-            shard_capacities,
+            cache: DecodedCache::with_shards(capacity, shards),
         }
     }
 
@@ -202,29 +64,19 @@ impl<D: BlockDevice> BufferPool<D> {
 
     /// Number of independent shards (0 when caching is disabled).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.cache.num_shards()
     }
 
     /// Total frame capacity across shards — exactly the capacity the pool
     /// was constructed with.
     pub fn capacity(&self) -> usize {
-        self.shard_capacities.iter().sum()
-    }
-
-    #[inline]
-    fn shard(&self, block: BlockId) -> usize {
-        // Modulo keeps adjacent blocks on different locks (sequential scans
-        // round-robin the shards) and is trivially predictable in tests.
-        (block % self.shards.len() as u64) as usize
+        self.cache.capacity()
     }
 
     /// Aggregate `(hits, misses)` observed on reads so far, summed over all
     /// shards.
     pub fn hit_stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), shard| {
-            let s = shard.lock();
-            (h + s.hits, m + s.misses)
-        })
+        self.cache.hit_stats()
     }
 
     /// Fraction of reads served from the cache, in `[0.0, 1.0]`.
@@ -233,59 +85,35 @@ impl<D: BlockDevice> BufferPool<D> {
     /// served nothing has no hit rate, not a `NaN` one) — including the
     /// capacity-0 passthrough configuration, which never counts accesses.
     pub fn hit_rate(&self) -> f64 {
-        let (hits, misses) = self.hit_stats();
-        crate::metrics::ratio(hits, hits + misses)
+        self.cache.hit_rate()
     }
 
     /// `(hits, misses)` of one shard (indexes follow `block % num_shards`).
     ///
     /// Panics if `shard >= num_shards()`.
     pub fn shard_hit_stats(&self, shard: usize) -> (u64, u64) {
-        let s = self.shards[shard].lock();
-        (s.hits, s.misses)
+        self.cache.shard_hit_stats(shard)
     }
 
     /// Drops every cached block (counters are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            s.map.clear();
-            s.frames.clear();
-            s.head = NIL;
-            s.tail = NIL;
-        }
+        self.cache.clear();
     }
 }
 
 impl<D: BlockDevice> BlockDevice for BufferPool<D> {
     fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
-        if self.shards.is_empty() {
+        if self.cache.capacity() == 0 {
             return self.inner.read_block(id, buf);
         }
-        let si = self.shard(id);
-        let writes = {
-            let mut s = self.shards[si].lock();
-            if let Some(&idx) = s.map.get(&id) {
-                buf.copy_from_slice(&*s.frames[idx].data);
-                s.touch(idx);
-                s.hits += 1;
-                return Ok(());
-            }
-            s.misses += 1;
-            s.writes
-        };
-        // Miss: fetch outside the lock (other shards — and this one — stay
-        // available to concurrent readers), then re-lock to install the
-        // bytes read. A write-through that lands between the device read
-        // and the re-lock has already installed newer bytes, which the ones
-        // read would overwrite: the install happens only if the shard took
-        // no write meanwhile. The read returns what it read either way — a
-        // value the block held while it was being read.
-        self.inner.read_block(id, buf)?;
-        let mut s = self.shards[si].lock();
-        if s.writes == writes {
-            s.install(self.shard_capacities[si], id, buf);
+        if let Some(block) = self.cache.get(id) {
+            buf.copy_from_slice(&*block);
+            return Ok(());
         }
+        // Miss: installed only if no write began meanwhile (module docs).
+        let snapshot = self.cache.epoch();
+        self.inner.read_block(id, buf)?;
+        self.cache.insert(id, snapshot, Arc::new(*buf));
         Ok(())
     }
 
@@ -293,13 +121,10 @@ impl<D: BlockDevice> BlockDevice for BufferPool<D> {
         // Write-through: device first (so a device error leaves the cache
         // consistent with disk), then cache.
         self.inner.write_block(id, data)?;
-        if self.shards.is_empty() {
-            return Ok(());
+        if self.cache.capacity() > 0 {
+            self.cache.invalidate([id]);
+            self.cache.insert(id, self.cache.epoch(), Arc::new(*data));
         }
-        let si = self.shard(id);
-        let mut s = self.shards[si].lock();
-        s.writes += 1;
-        s.install(self.shard_capacities[si], id, data);
         Ok(())
     }
 

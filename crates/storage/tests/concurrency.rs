@@ -4,7 +4,9 @@
 //! contention from many reader/writer threads. And on the
 //! [`DecodedCache`]: a value decoded before a commit never outlives it.
 //! And on the [`RecordFile`]: readers racing the one appender. And on a
-//! pool read miss racing a write-through of its block.
+//! pool read miss racing a write-through of its block — the same race as
+//! the cache's, since the pool is a `DecodedCache` of raw blocks whose
+//! write-through invalidates its block before installing the new bytes.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
