@@ -500,10 +500,17 @@ pub fn ranked(args: &[String], out: &mut impl Write) -> CliResult {
         "",
     )?;
     let at = f.point("at")?;
+    // Section 5.3's bound `Upper(v)` needs a score that does not grow with
+    // distance: a negative or non-finite weight would rank out of order.
+    let dist_weight: f64 = f.get_or("dist-weight", 0.05)?;
+    if !(dist_weight.is_finite() && dist_weight >= 0.0) {
+        return Err(format!(
+            "bad --dist-weight: `{dist_weight}` is not a finite, non-negative weight"
+        ));
+    }
     let db = open_db(&f)?;
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
-    let dist_weight: f64 = f.get_or("dist-weight", 0.05)?;
 
     let q = GeneralQuery::new(at, &keywords, k);
     let rank = LinearRank {
@@ -607,18 +614,18 @@ pub fn trace(args: &[String], out: &mut impl Write) -> CliResult {
         );
     }
 
-    let stats = sink.stats();
+    let c = &report.counters;
     say!(
         out,
         "summary: {} nodes visited, {} entries scanned, {} signature tests \
          ({} pruned), {} objects fetched ({} false positives), max frontier {}",
-        stats.nodes_visited,
-        stats.entries_scanned,
-        stats.sig_tests,
-        stats.pruned_by_signature(),
-        stats.objects_fetched,
-        stats.false_positives,
-        stats.max_heap
+        c.nodes_read,
+        c.entries_scanned,
+        c.sig_tests(),
+        c.pruned_by_signature(),
+        c.candidates_checked,
+        c.false_positives,
+        c.max_heap
     );
 
     let profile = match alg {
@@ -632,7 +639,7 @@ pub fn trace(args: &[String], out: &mut impl Write) -> CliResult {
             "level  bits  density  predicted-fp  sig-tests  matched  observed"
         );
         for ld in &profile {
-            let lp = stats
+            let lp = c
                 .per_level
                 .get(ld.level as usize)
                 .copied()

@@ -136,7 +136,44 @@ fn full_pipeline() {
     assert!(String::from_utf8_lossy(&bad.stderr).contains("bad.txt:1"));
 
     // Traced query: step log plus the observed-vs-predicted pruning table.
-    for alg in ["ir2", "mir2", "rtree"] {
+    // The summary line and the per-level table are pinned byte for byte,
+    // as the fold of the query's event stream printed them.
+    let summary = |tests: &str, fetched: &str, frontier: u32| {
+        format!(
+            "summary: 5 nodes visited, 416 entries scanned, {tests}, {fetched}, \
+             max frontier {frontier}\n"
+        )
+    };
+    let table = |level1: &str| {
+        "level  bits  density  predicted-fp  sig-tests  matched  observed\n\
+         \x20   0    64   0.5737        0.1083        408      293    0.7181\n"
+            .to_owned()
+            + level1
+            + "\n"
+    };
+    let ir2_tests = "416 signature tests (115 pruned)";
+    let ir2_fetched = "3 objects fetched (0 false positives)";
+    let pinned = [
+        (
+            "ir2",
+            summary(ir2_tests, ir2_fetched, 221)
+                + &table("    1    64   1.0000        1.0000          8        8    1.0000"),
+        ),
+        (
+            "mir2",
+            summary(ir2_tests, ir2_fetched, 221)
+                + &table("    1  8216   0.3428        0.0138          8        8    1.0000"),
+        ),
+        (
+            "rtree",
+            summary(
+                "0 signature tests (0 pruned)",
+                "7 objects fetched (4 false positives)",
+                307,
+            ),
+        ),
+    ];
+    for (alg, want) in pinned {
         let t = ir2(
             &dir,
             &[
@@ -159,7 +196,9 @@ fn full_pipeline() {
             String::from_utf8_lossy(&t.stderr)
         );
         let s = stdout(&t);
-        assert!(s.contains("summary:"), "{alg}: {s}");
+        let from_summary = &s[s.find("summary:").expect("a summary line")..];
+        let tail_len = from_summary.find("  #").unwrap_or(from_summary.len());
+        assert_eq!(&from_summary[..tail_len], want, "{alg}");
         assert!(!s.contains("NaN"), "{alg}: {s}");
         if alg != "rtree" {
             assert!(s.contains("predicted-fp"), "{alg}: {s}");
@@ -351,6 +390,30 @@ fn full_pipeline() {
     );
     assert!(ranked.status.success());
     assert!(stdout(&ranked).contains("score"));
+
+    // A distance weight that would let the score grow with distance (or be
+    // NaN) breaks the general algorithm's bound: refused, nothing printed.
+    let ranked_with = |weight: &str| {
+        let args = ["ranked", "--db", "db", "--at", "0,0", "--keywords", "ba ce"];
+        ir2(
+            &dir,
+            &[&args[..], &["--k", "3", "--dist-weight", weight]].concat(),
+        )
+    };
+    for weight in ["-0.5", "nan", "inf", "-inf"] {
+        let out = ranked_with(weight);
+        assert!(!out.status.success(), "--dist-weight {weight}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.starts_with("error: bad --dist-weight: ")
+                && err.contains("is not a finite, non-negative weight"),
+            "--dist-weight {weight}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "--dist-weight {weight}");
+    }
+    let flat = ranked_with("0");
+    assert!(flat.status.success());
+    assert_eq!(stdout(&flat).matches("score").count(), 3);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

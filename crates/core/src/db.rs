@@ -10,7 +10,7 @@ use ir2_geo::Rect;
 use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
     collect_topk, general_topk_with, insert_object, BoundedSearch, DistanceFirstIter, GeneralQuery,
-    Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload, StatsSink, TraceSink, TraceStats,
+    Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload, TraceSink,
 };
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
@@ -20,12 +20,12 @@ use ir2_rtree::{NodeCache, PayloadOps, RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::{
     BlockDevice, FileDevice, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry, Result,
-    RetryScope, ShadowPair, StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
+    ShadowPair, StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
 };
 use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
 
 use crate::report::QueryError;
-use crate::request::needs_signature_tree;
+use crate::request::{check_finite, needs_signature_tree};
 use crate::{Algorithm, BuildStats, DbConfig, GeneralReport, IndexSizes, QueryReport, TopkRequest};
 
 /// One block device per structure (so sizes and I/O are attributable), plus
@@ -821,11 +821,11 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             .observe(r.counters.nodes_read);
         m.add_counter(
             &format!("signature_tests_total{{alg=\"{key}\"}}"),
-            r.pruning.sig_tests,
+            r.counters.sig_tests(),
         );
         m.add_counter(
             &format!("signature_prunes_total{{alg=\"{key}\"}}"),
-            r.pruning.pruned_by_signature(),
+            r.counters.pruned_by_signature(),
         );
         m.add_counter(
             &format!("object_false_positives_total{{alg=\"{key}\"}}"),
@@ -864,21 +864,18 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// what the same request reports inside
     /// [`run_batch`](SpatialKeywordDb::run_batch), whatever else queries
     /// the database meanwhile. Scopes do not nest: `run` must not be called
-    /// inside another scope. Pruning statistics are collected through a
-    /// [`StatsSink`] and the query is published to the
+    /// inside another scope. The query is published to the
     /// [`metrics`](SpatialKeywordDb::metrics) registry.
     pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
-        let report = self.run_measured(req)?;
+        let report = self.run_topk(req, NopSink)?;
         self.publish_query_metrics(req.alg, &report);
         Ok(report)
     }
 
     /// [`run`](SpatialKeywordDb::run) with every execution step streamed
-    /// to `sink` — the engine behind `ir2 trace`.
-    ///
-    /// The returned report's `pruning` field is left empty (the caller
-    /// holds the sink and can derive richer statistics from it), and the
-    /// query is *not* published to the metrics registry.
+    /// to `sink` — the engine behind `ir2 trace`. The report is the one
+    /// `run` returns; the query is *not* published to the metrics
+    /// registry.
     pub fn run_traced<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
         self.run_topk(req, sink)
     }
@@ -912,11 +909,11 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         threads: usize,
     ) -> Vec<std::result::Result<QueryReport, QueryError>> {
         let outcomes = fan_out_isolated(reqs, threads, |req| {
-            self.run_measured(req).map_err(Into::into)
+            self.run_topk(req, NopSink).map_err(Into::into)
         });
         // Metrics are folded in *after* the concurrent phase: workers touch
-        // only their thread-local sinks, so the shared registry sees no
-        // query-path contention.
+        // only their own reports, so the shared registry sees no query-path
+        // contention.
         for (req, out) in reqs.iter().zip(&outcomes) {
             match out {
                 Ok(r) => self.publish_query_metrics(req.alg, r),
@@ -954,23 +951,13 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         self.run_traced(&TopkRequest::from_query(alg, query), sink)
     }
 
-    /// [`run_topk`](Self::run_topk) with the pruning statistics folded
-    /// into the report through a [`StatsSink`] — what `run` and a
-    /// `run_batch` worker share.
-    fn run_measured(&self, req: &TopkRequest) -> Result<QueryReport> {
-        let mut sink = StatsSink::new();
-        let mut report = self.run_topk(req, &mut sink)?;
-        report.pruning = sink.into_stats();
-        Ok(report)
-    }
-
-    /// Runs `run` and measures it on behalf of a report: I/O through an
-    /// [`IoScope`] (only this thread's accesses, classified against a
-    /// per-query arm position), object loads through a query-local
-    /// [`CountingSource`] (the store's own counter is shared by every
-    /// concurrent query), transient-fault recoveries through a
-    /// [`RetryScope`] — both scopes entered here and nowhere else in the
-    /// facade, since scopes do not nest — and wall time.
+    /// Runs `run` and measures it on behalf of a report: I/O and
+    /// transient-fault recoveries through one [`IoScope`] (only this
+    /// thread's accesses and retries, classified against a per-query arm
+    /// position; entered here and nowhere else in the facade, since scopes
+    /// do not nest), object loads through a query-local [`CountingSource`]
+    /// (the store's own counter is shared by every concurrent query), and
+    /// wall time.
     fn measure<R>(
         &self,
         alg: Algorithm,
@@ -978,11 +965,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     ) -> Result<(R, Measured)> {
         let src = self.counting_source();
         let scope = IoScope::enter();
-        let retry = RetryScope::enter();
         let t0 = Instant::now();
         let out = run(&src);
         let wall = t0.elapsed();
-        let retry = retry.finish();
         let seen = scope.finish();
         let index_io = seen.for_stats(self.stats_of(alg));
         let object_io = seen.for_stats(&self.io.objects);
@@ -994,8 +979,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             object_loads: src.loads(),
             simulated: self.config.cost_model.time(io),
             wall,
-            retries: retry.retries,
-            backoff: retry.backoff,
+            retries: seen.retries,
+            backoff: seen.backoff,
         };
         Ok((out?, measured))
     }
@@ -1003,8 +988,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// The one distance-first plan: check the request, measure its search,
     /// assemble the report. IIO is not incremental and answers directly;
     /// every other algorithm is the [`open_search`](Self::open_search)
-    /// iterator drained by [`collect_topk`]. The report's `pruning` is
-    /// left empty — the caller owns the sink.
+    /// iterator drained by [`collect_topk`], whose counters are the
+    /// report's; `sink` sees its steps.
     fn run_topk<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
         req.check(false)?;
         let ((exec, counters), m) = self.measure(req.alg, |src| {
@@ -1024,7 +1009,6 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             io: m.io,
             object_loads: m.object_loads,
             counters,
-            pruning: TraceStats::default(),
             simulated: m.simulated,
             wall: m.wall,
             retries: m.retries,
@@ -1113,13 +1097,15 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
 
     /// Boolean keyword query within a window (Section 2's `Ans(Q_w)`
     /// restricted to a map area) on the IR²- or MIR²-Tree: every object in
-    /// `window` containing all `keywords`, unranked.
+    /// `window` containing all `keywords`, unranked. A window with a NaN or
+    /// infinite coordinate is refused, as [`run`](Self::run) refuses one.
     pub fn keyword_window(
         &self,
         alg: Algorithm,
         window: &Rect<2>,
         keywords: &[String],
     ) -> Result<Vec<SpatialObject<2>>> {
+        check_finite(&QueryRegion::Area(*window))?;
         let (hits, _) = match alg {
             Algorithm::Ir2 => ir2_irtree::keyword_window_query(
                 &self.ir2,
@@ -1143,7 +1129,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     ///
     /// Returns an error for [`Algorithm::RTree`] / [`Algorithm::Iio`]: the
     /// general algorithm needs node signatures for its IR-score upper
-    /// bounds.
+    /// bounds. A query point with a NaN or infinite coordinate is refused,
+    /// as [`run`](Self::run) refuses one.
     pub fn general_ranked(
         &self,
         alg: Algorithm,
@@ -1164,6 +1151,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         scorer: &dyn IrScorer,
         rank: &dyn RankingFn,
     ) -> Result<GeneralReport> {
+        check_finite(&QueryRegion::Point(query.point))?;
         let (limits, vocab) = (QueryLimits::none(), &self.vocab);
         let (results, m) = self.measure(alg, |src| {
             match alg {

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use ir2_irtree::{ScoredResult, SearchCounters, TraceStats};
+use ir2_irtree::{ScoredResult, SearchCounters};
 use ir2_model::{SpatialObject, TruncateReason};
 use ir2_storage::{IoSnapshot, StorageError};
 
@@ -65,17 +65,17 @@ pub struct QueryReport {
     pub io: IoSnapshot,
     /// Objects loaded (Figures 11b/14b plot object accesses).
     pub object_loads: u64,
-    /// Traversal counters (nodes read, signature prunes, false positives).
+    /// Everything the search counted: nodes read (and how many the node
+    /// cache served), entries scanned, the largest frontier, signature
+    /// tests and matches per tree level, candidates checked and the false
+    /// positives among them. The search keeps them as it works, so every
+    /// report carries them, however it was run: `run`, `run_batch` and
+    /// `run_traced` on either engine. A [`ShardedDb`](crate::ShardedDb)
+    /// report adds up every shard's and every failed-over attempt's counts
+    /// (`max_heap` is the largest of theirs). The R-Tree baseline tests no
+    /// signature, so its `per_level` is empty; IIO traverses no tree and
+    /// leaves every count at zero.
     pub counters: SearchCounters,
-    /// Trace-derived pruning statistics: per-level signature tallies, heap
-    /// growth, entry scans; definitionally consistent with `counters` —
-    /// see [`TraceStats::matches_counters`]. The monolithic engine
-    /// collects them on every query: on the R-Tree they hold its node
-    /// visits and object fetches and no signature test, and on IIO, which
-    /// traverses no tree, they stay empty. [`ShardedDb`](crate::ShardedDb)
-    /// leaves them empty: one event per signature test cost its
-    /// false-positive-bound Restaurants workload 9 % of its throughput.
-    pub pruning: TraceStats,
     /// Simulated disk time under the configured cost model — the
     /// hardware-independent stand-in for the paper's execution time.
     pub simulated: Duration,
@@ -87,7 +87,8 @@ pub struct QueryReport {
     /// degrades all-or-nothing).
     pub outcome: Option<TruncateReason>,
     /// Transient device faults absorbed by retry while this query ran
-    /// (attributed thread-locally; 0 when the devices have no retry layer).
+    /// (counted in the same [`IoScope`](ir2_storage::IoScope)s as the I/O;
+    /// 0 when the devices have no retry layer).
     pub retries: u64,
     /// Total time the query spent sleeping in retry backoff.
     pub backoff: Duration,

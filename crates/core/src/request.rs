@@ -113,14 +113,8 @@ impl TopkRequest {
     /// The rules of the type docs, checked by every engine before it
     /// touches a device.
     pub(crate) fn check(&self, sharded: bool) -> Result<()> {
+        check_finite(&self.region)?;
         let refuse = |msg: &str| Err(StorageError::Unsupported(msg.into()));
-        let finite = match &self.region {
-            QueryRegion::Point(p) => p.is_finite(),
-            QueryRegion::Area(a) => a.is_finite(),
-        };
-        if !finite {
-            return refuse("the query point or area has a non-finite coordinate");
-        }
         let on_signature_tree = matches!(self.alg, Algorithm::Ir2 | Algorithm::Mir2);
         if matches!(self.region, QueryRegion::Area(_)) && !on_signature_tree {
             return Err(needs_signature_tree("region queries", self.alg));
@@ -134,6 +128,23 @@ impl TopkRequest {
             ),
             _ => Ok(()),
         }
+    }
+}
+
+/// The finiteness rule of every query entry point: a point or area with a
+/// NaN or infinite coordinate is refused, since every distance from it (or
+/// every containment test against it) would ignore the bad coordinate.
+pub(crate) fn check_finite(region: &QueryRegion<2>) -> Result<()> {
+    let finite = match region {
+        QueryRegion::Point(p) => p.is_finite(),
+        QueryRegion::Area(a) => a.is_finite(),
+    };
+    if finite {
+        Ok(())
+    } else {
+        Err(StorageError::Unsupported(
+            "the query point or area has a non-finite coordinate".into(),
+        ))
     }
 }
 

@@ -67,13 +67,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ir2_geo::{OrderedF64, Rect};
-use ir2_irtree::{BoundedSearch, BoundedStep, NopSink, SearchCounters, TraceStats};
+use ir2_irtree::{BoundedSearch, BoundedStep, NopSink, SearchCounters};
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
 use ir2_storage::{
-    BlockDevice, FileDevice, IoScope, IoSnapshot, MemDevice, MetricsRegistry, Result, RetryScope,
-    StorageError,
+    BlockDevice, FileDevice, IoScope, IoSnapshot, MemDevice, MetricsRegistry, Result, StorageError,
 };
 
 use crate::db::{fan_out, fan_out_isolated, CountingSource};
@@ -368,7 +367,7 @@ impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
         let Some(m) = set.fail_over(failed, &mut self.tried, &self.db.metrics) else {
             return Err(err);
         };
-        self.prior += self.iter.counters();
+        self.prior += &self.iter.counters();
         let consumed = self.prior.nodes_read + self.prior.candidates_checked;
         let mut limits = self.limits;
         limits.io_budget = limits.io_budget.map(|b| b.saturating_sub(consumed).max(1));
@@ -380,8 +379,8 @@ impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
 
     /// Adds what every attempt of this pull counted to `tally`.
     fn fold_into(&self, tally: &mut Tally) {
-        tally.counters += self.prior;
-        tally.counters += self.iter.counters();
+        tally.counters += &self.prior;
+        tally.counters += &self.iter.counters();
         tally.stepped[self.shard] |= self.stepped;
     }
 
@@ -611,9 +610,9 @@ impl Tally {
         }
     }
 
-    /// Runs `f`, one thread's share of a gather, inside an [`IoScope`] and
-    /// a [`RetryScope`] of its own, and adds what they saw on the
-    /// replicas of `shards`. Scopes are thread-local and do not nest, so
+    /// Runs `f`, one thread's share of a gather, inside an [`IoScope`] of
+    /// its own, and adds what it saw on the replicas of `shards` and the
+    /// retries it counted. Scopes are thread-local and do not nest, so
     /// every thread that reads a shard — the caller of a sequential merge,
     /// a parallel worker, a hedge's primary — runs its drain through this.
     fn scoped<D: BlockDevice + 'static, R>(
@@ -623,16 +622,14 @@ impl Tally {
         f: impl FnOnce(&mut Self) -> R,
     ) -> R {
         let scope = IoScope::enter();
-        let retry = RetryScope::enter();
         let out = f(self);
-        let retried = retry.finish();
         let seen = scope.finish();
         for rep in shards.iter().flat_map(ReplicaSet::replicas) {
             self.index_io = self.index_io + seen.for_stats(rep.stats_of(alg));
             self.object_io = self.object_io + seen.for_stats(rep.objects_io_stats());
         }
-        self.retries += retried.retries;
-        self.backoff += retried.backoff;
+        self.retries += seen.retries;
+        self.backoff += seen.backoff;
         out
     }
 }
@@ -641,7 +638,7 @@ impl AddAssign for Tally {
     fn add_assign(&mut self, t: Tally) {
         self.index_io = self.index_io + t.index_io;
         self.object_io = self.object_io + t.object_io;
-        self.counters += t.counters;
+        self.counters += &t.counters;
         self.retries += t.retries;
         self.backoff += t.backoff;
         for (s, t) in self.stepped.iter_mut().zip(t.stepped) {
@@ -1090,7 +1087,6 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             io,
             object_loads: sources.iter().flatten().map(|src| src.loads()).sum(),
             counters: tally.counters,
-            pruning: TraceStats::default(),
             simulated: self.config.cost_model.time(io),
             wall: t0.elapsed(),
             outcome: tally.outcome,

@@ -5,6 +5,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ir2tree::geo::{Point, Rect};
+use ir2tree::irtree::GeneralQuery;
 use ir2tree::model::{DistanceFirstQuery, QueryRegion, SpatialObject};
 use ir2tree::storage::{MemDevice, StorageError};
 use ir2tree::text::{DecayRank, SaturatingTfIdf};
@@ -384,8 +385,9 @@ fn k_zero_and_oversized_k() {
 }
 
 /// A query point or area with a NaN or infinite coordinate is refused by
-/// `run` and `run_batch` on both engines, for every algorithm: answering
-/// it would rank objects by distances that ignore the bad coordinate.
+/// `run` and `run_batch` on both engines, for every algorithm, and by the
+/// general-ranked and keyword-window entry points: answering it would rank
+/// objects by distances (or test a window) that ignore the bad coordinate.
 #[test]
 fn a_non_finite_region_is_refused_by_both_engines() {
     let mono = SpatialKeywordDb::build(DeviceSet::in_memory(), town(60), small_config()).unwrap();
@@ -435,6 +437,43 @@ fn a_non_finite_region_is_refused_by_both_engines() {
     let req = TopkRequest::new(Algorithm::Ir2, Point::new([0.0, 0.0]), &["coffee"], 3);
     assert_eq!(mono.run(&req).unwrap().results.len(), 3);
     assert_eq!(sharded.run(&req).unwrap().results.len(), 3);
+
+    // The general and window entry points follow the same rule, with the
+    // same error.
+    let unsupported = |e: StorageError| matches!(e, StorageError::Unsupported(_));
+    let (scorer, rank) = (SaturatingTfIdf, DecayRank { scale: 20.0 });
+    for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+        for at in [[nan, 0.0], [inf, 1.0], [0.0, -inf]] {
+            let q = GeneralQuery::new(at, &["coffee"], 3);
+            let ctx = format!("{} general at {at:?}", alg.label());
+            let solo = mono.general_ranked(alg, &q, &scorer, &rank);
+            assert!(unsupported(solo.unwrap_err()), "{ctx}");
+            let batch = mono.batch_general_topk(alg, &[q], &scorer, &rank, 2);
+            assert!(unsupported(batch.unwrap_err()), "{ctx} (batch)");
+        }
+        for window in [
+            Rect::from_point(Point::new([nan, 0.0])),
+            Rect::new(Point::new([0.0, 0.0]), Point::new([inf, 5.0])),
+            Rect::new(Point::new([-inf, 0.0]), Point::new([5.0, 5.0])),
+        ] {
+            let ctx = format!("{} window {window:?}", alg.label());
+            let got = mono.keyword_window(alg, &window, &["coffee".into()]);
+            assert!(unsupported(got.unwrap_err()), "{ctx}");
+        }
+        let q = GeneralQuery::new([0.0, 0.0], &["coffee"], 3);
+        assert_eq!(
+            mono.general_ranked(alg, &q, &scorer, &rank)
+                .unwrap()
+                .results
+                .len(),
+            3
+        );
+        let window = Rect::new(Point::new([0.0, 0.0]), Point::new([5.0, 5.0]));
+        assert!(!mono
+            .keyword_window(alg, &window, &["coffee".into()])
+            .unwrap()
+            .is_empty());
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -465,9 +504,9 @@ proptest! {
     /// `Parallel`, `Hedged`} — on the monolithic engine and on a 3-shard ×
     /// 2-replica one returns the plain run's ids and distance bits (a
     /// tie-aware exact prefix of the full ranking when the budget
-    /// truncates it; nothing for IIO), with trace statistics that agree
-    /// with the counters where there are any (the sharded engine traces
-    /// into a `NopSink`); every illegal cell is refused with
+    /// truncates it; nothing for IIO), with counters on both engines in
+    /// which every candidate checked is one object load and a signature
+    /// tree's visits count their tests; every illegal cell is refused with
     /// `StorageError::Unsupported`, never a panic; and `run_batch` fills
     /// each slot with what `run` returns for that cell.
     #[test]
@@ -556,10 +595,18 @@ proptest! {
                         }
                         Ok(rep) => {
                             prop_assert!(legal, "{}: answered an illegal cell", ctx);
-                            prop_assert!(
-                                engine.sharded || rep.pruning.matches_counters(&rep.counters),
-                                "{}", ctx
-                            );
+                            // Both engines report the search's own
+                            // counts: every candidate checked is one load,
+                            // and a signature tree counts its tests.
+                            let c = &rep.counters;
+                            if alg != Algorithm::Iio {
+                                prop_assert_eq!(c.candidates_checked, rep.object_loads, "{}", ctx);
+                            }
+                            if on_signature_tree && c.nodes_read > 0 {
+                                prop_assert!(c.sig_tests() > 0, "{}: {:?}", ctx, c);
+                            } else {
+                                prop_assert!(c.per_level.is_empty(), "{}: {:?}", ctx, c);
+                            }
                             let got = hits(&rep.results);
                             if rep.outcome.is_none() {
                                 prop_assert_eq!(&got, &plain, "{}", ctx);

@@ -1,10 +1,10 @@
-//! Observability integration: the trace-derived statistics, the
-//! algorithms' own counters, and the storage layer's I/O attribution must
+//! Observability integration: the algorithms' own counters, the event
+//! streams of traced runs, and the storage layer's I/O attribution must
 //! all tell the same story — solo or inside the concurrent batch engine —
 //! and the metrics registry must aggregate them faithfully.
 
 use ir2_datagen::DatasetSpec;
-use ir2tree::irtree::{TraceEvent, TraceStats, VecSink};
+use ir2tree::irtree::{SearchCounters, TraceEvent, VecSink};
 use ir2tree::model::DistanceFirstQuery;
 use ir2tree::model::SpatialObject;
 use ir2tree::storage::MemDevice;
@@ -53,6 +53,16 @@ fn run_batch(
         .collect()
 }
 
+/// `c` without its cache split — what the folded event stream of the same
+/// search gives, since no event says where a node came from.
+fn uncached(c: &SearchCounters) -> SearchCounters {
+    SearchCounters {
+        cache_hits: 0,
+        cache_misses: 0,
+        ..c.clone()
+    }
+}
+
 fn queries() -> Vec<DistanceFirstQuery<2>> {
     let kws: [&[&str]; 3] = [&["coffee"], &["coffee", "wifi"], &["pool"]];
     (0..12)
@@ -68,9 +78,9 @@ fn queries() -> Vec<DistanceFirstQuery<2>> {
 
 /// The heart of the observability contract, across all four algorithms:
 ///
-/// * trace statistics are definitionally consistent with the algorithm's
-///   own `SearchCounters`;
-/// * the trace's object-fetch count equals the `CountingSource` /
+/// * a report's counters are what the event stream of the same query,
+///   traced, folds to;
+/// * the counters' candidate checks equal the `CountingSource` /
 ///   object-store load count the report attributes to the query;
 /// * a query reports *bit-for-bit identical* measurements — I/O split into
 ///   random and sequential accesses and simulated time included — whether
@@ -92,22 +102,24 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
 
         for (i, (s, b)) in solo.iter().zip(&batch).enumerate() {
             let ctx = format!("{} query {i}", alg.label());
-            // Internal consistency of each report.
-            assert!(
-                s.pruning.matches_counters(&s.counters),
-                "{ctx}: trace/counter divergence {:?} vs {:?}",
-                s.pruning,
-                s.counters
+            // The report's counters against the traced run's events.
+            let mut log = VecSink::new();
+            let traced = db
+                .run_traced(&TopkRequest::from_query(alg, &qs[i]), &mut log)
+                .unwrap();
+            assert_eq!(traced.counters, s.counters, "{ctx}: traced");
+            assert_eq!(
+                log.counters(),
+                uncached(&s.counters),
+                "{ctx}: trace/counter divergence"
             );
-            assert!(b.pruning.matches_counters(&b.counters), "{ctx} (batch)");
             if alg != Algorithm::Iio {
                 // Every object fetch the algorithm performed is one load on
-                // the object store — the trace and the I/O layer agree.
-                assert_eq!(s.pruning.objects_fetched, s.object_loads, "{ctx}");
+                // the object store — the counters and the I/O layer agree.
+                assert_eq!(s.counters.candidates_checked, s.object_loads, "{ctx}");
             }
             // Solo and concurrent execution agree on everything measured.
             assert_eq!(s.counters, b.counters, "{ctx}");
-            assert_eq!(s.pruning, b.pruning, "{ctx}");
             assert_eq!(s.object_loads, b.object_loads, "{ctx}");
             assert_eq!(s.index_io, b.index_io, "{ctx}");
             assert_eq!(s.object_io, b.object_io, "{ctx}");
@@ -178,7 +190,7 @@ fn metrics_registry_aggregates_query_counters_exactly() {
         delta.counter("queries_total{alg=\"mir2\"}"),
         2 * qs.len() as u64
     );
-    let expect_tests: u64 = solo.iter().map(|r| r.pruning.sig_tests).sum();
+    let expect_tests: u64 = solo.iter().map(|r| r.counters.sig_tests()).sum();
     assert_eq!(
         delta.counter("signature_tests_total{alg=\"mir2\"}"),
         2 * expect_tests,
@@ -211,13 +223,13 @@ fn fnv(digest: &mut u64, word: u64) {
     }
 }
 
-fn stats_digest(digest: &mut u64, s: &TraceStats) {
+fn stats_digest(digest: &mut u64, s: &SearchCounters) {
     for word in [
-        s.nodes_visited,
+        s.nodes_read,
         s.entries_scanned,
-        s.sig_tests,
-        s.sig_matched,
-        s.objects_fetched,
+        s.sig_tests(),
+        s.sig_matched(),
+        s.candidates_checked,
         s.false_positives,
         s.max_heap,
         s.per_level.len() as u64,
@@ -265,12 +277,12 @@ fn events_digest(digest: &mut u64, events: &[TraceEvent]) {
     }
 }
 
-/// `run` lends its search a `StatsSink`, which takes a visited node's
-/// signature tests in one tally; `run_traced` with a `VecSink` gets them as
-/// one event per entry. On a 1 %-scale Hotels database, for IR² and MIR²,
-/// the report's `pruning` is the folded stream, query for query, and both
-/// runs answer alike. The pruning statistics and the streams are pinned by
-/// digest: they are what the per-entry loop produced.
+/// `run`'s search counts a visited node's signature tests in one tally;
+/// `run_traced` with a `VecSink` gets them as one event per entry. On a
+/// 1 %-scale Hotels database, for IR² and MIR², the report's counters are
+/// the folded stream, query for query, and both runs answer alike. The
+/// counts and the streams are pinned by digest: they are what the
+/// per-entry loop produced.
 #[test]
 fn run_pruning_equals_the_folded_trace_of_run_traced() {
     let spec = DatasetSpec::hotels().scaled(0.01);
@@ -302,15 +314,14 @@ fn run_pruning_equals_the_folded_trace_of_run_traced() {
             let report = db.run(&req).unwrap();
             let mut log = VecSink::new();
             let traced = db.run_traced(&req, &mut log).unwrap();
-            assert_eq!(report.pruning, log.stats(), "{ctx}");
-            assert!(report.pruning.matches_counters(&report.counters), "{ctx}");
+            assert_eq!(uncached(&report.counters), log.counters(), "{ctx}");
             assert_eq!(report.counters, traced.counters, "{ctx}");
             let ids = |r: &QueryReport| -> Vec<(u64, u64)> {
                 r.results.iter().map(|(o, d)| (o.id, d.to_bits())).collect()
             };
             assert_eq!(ids(&report), ids(&traced), "{ctx}");
-            tested += report.pruning.sig_tests;
-            stats_digest(&mut digest, &report.pruning);
+            tested += report.counters.sig_tests();
+            stats_digest(&mut digest, &report.counters);
             events_digest(&mut digest, &log.events);
         }
         assert!(tested > 0, "{}: the queries test signatures", alg.label());
@@ -319,6 +330,6 @@ fn run_pruning_equals_the_folded_trace_of_run_traced() {
     // when the iterator recorded one event per entry.
     assert_eq!(
         digest, 0xa430_ec18_5a78_6aa6,
-        "pruning or trace differs from the per-entry loop's"
+        "counts or trace differ from the per-entry loop's"
     );
 }

@@ -14,10 +14,8 @@ use ir2_rtree::{CachedNode, PayloadOps, RTree, UnitPayload};
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::search::{
-    collect_topk, level_entry, signature_mask_into, BoundedSearch, BoundedStep, SearchCounters,
-};
-use crate::trace::{NopSink, TraceEvent, TraceSink};
+use crate::search::{collect_topk, level_entry, signature_mask_into, BoundedSearch, BoundedStep};
+use crate::trace::{NopSink, SearchCounters, TraceEvent, TraceSink};
 use crate::SigPayload;
 
 /// The node test of a [`DistanceFirstIter`], picked by the tree's payload
@@ -25,36 +23,34 @@ use crate::SigPayload;
 ///
 /// A signature tree ([`SigPayload`]: the IR²- and MIR²-Tree) tests every
 /// entry against the query signature of the node's level — Figure 8's "if
-/// s matches w" — and reports the node's tests to the sink in one
-/// [`record_tests`](TraceSink::record_tests) call. The plain R-Tree
+/// s matches w" — and the search counts the node's tests, and reports them
+/// to its sink, in one tally from the mask. The plain R-Tree
 /// ([`UnitPayload`]) has no signatures: it admits every entry and tests
 /// nothing, so the search is Figure 3's incremental NN with the keyword
 /// check done on each loaded candidate — the paper's R-Tree baseline.
 pub trait EntryFilter: PayloadOps {
     /// Writes into `mask` one verdict per entry of `node` (set: admitted)
-    /// and returns how many entries a signature test pruned. `query_sigs`
-    /// is the search's query signature per level, built from `keywords` on
-    /// first use.
-    fn admit_into<const N: usize, S: TraceSink>(
+    /// and returns whether the verdicts are signature tests — false when
+    /// every entry is admitted untested. `query_sigs` is the search's query
+    /// signature per level, built from `keywords` on first use.
+    fn admit_into<const N: usize>(
         &self,
         node: &CachedNode<N>,
         keywords: &[String],
         query_sigs: &mut Vec<Option<Signature>>,
         mask: &mut EntryMask,
-        sink: &mut S,
-    ) -> u64;
+    ) -> bool;
 }
 
 impl<P: SigPayload> EntryFilter for P {
     #[inline]
-    fn admit_into<const N: usize, S: TraceSink>(
+    fn admit_into<const N: usize>(
         &self,
         node: &CachedNode<N>,
         keywords: &[String],
         query_sigs: &mut Vec<Option<Signature>>,
         mask: &mut EntryMask,
-        sink: &mut S,
-    ) -> u64 {
+    ) -> bool {
         let level = node.level();
         // Borrow the cached query signature for this level instead of
         // cloning it per node (signatures are heap buffers; at hundreds of
@@ -64,26 +60,23 @@ impl<P: SigPayload> EntryFilter for P {
             self.scheme_at(level)
                 .sign_terms(keywords.iter().map(String::as_str))
         });
-        // Every entry's containment verdict, into the reusable bitmask,
-        // reported to the sink and counted once per node.
+        // Every entry's containment verdict, into the reusable bitmask.
         signature_mask_into(node, qsig, mask);
-        sink.record_tests(level, mask);
-        (mask.len() - mask.count_ones()) as u64
+        true
     }
 }
 
 impl EntryFilter for UnitPayload {
     #[inline]
-    fn admit_into<const N: usize, S: TraceSink>(
+    fn admit_into<const N: usize>(
         &self,
         node: &CachedNode<N>,
         _keywords: &[String],
         _query_sigs: &mut Vec<Option<Signature>>,
         mask: &mut EntryMask,
-        _sink: &mut S,
-    ) -> u64 {
+    ) -> bool {
         mask.reset_all_set(node.len());
-        0
+        false
     }
 }
 
@@ -112,11 +105,12 @@ enum Item {
 /// IR²-Tree "facilitates both top-k spatial queries and top-k spatial
 /// keyword queries".
 ///
-/// The `S` parameter is a [`TraceSink`] receiving one event per node visit
-/// and object fetch, and one [`record_tests`](TraceSink::record_tests) call
-/// per node visit with that node's containment mask; the default
-/// [`NopSink`] monomorphizes every call to an inlined empty body, so the
-/// untraced iterator is byte-for-byte the pre-instrumentation code.
+/// The iterator keeps the query's [`SearchCounters`] itself, traced or
+/// not. The `S` parameter is a [`TraceSink`] receiving one event per node
+/// visit and object fetch, and one
+/// [`record_tests`](TraceSink::record_tests) call per node visit with that
+/// node's containment mask; the default [`NopSink`] monomorphizes every
+/// call to an inlined empty body.
 pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink = NopSink> {
     tree: &'a RTree<N, D, P>,
     objects: &'a dyn ObjectSource<N>,
@@ -127,6 +121,7 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink
     query_sigs: Vec<Option<Signature>>,
     heap: BinaryHeap<Reverse<(OrderedF64, u64, Item)>>,
     seq: u64,
+    /// The query's one account, kept as the work happens.
     counters: SearchCounters,
     limits: QueryLimits,
     truncated: Option<TruncateReason>,
@@ -229,7 +224,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
 
     /// The search counters so far.
     pub fn counters(&self) -> SearchCounters {
-        self.counters
+        self.counters.clone()
     }
 
     /// Which limit stopped the search, if one did.
@@ -309,25 +304,28 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                 }
                 Item::Node(id) => {
                     let (node, hit) = self.tree.read_node_cached(id)?;
-                    self.counters.nodes_read += 1;
-                    self.counters.cache_hits += u64::from(hit);
-                    self.counters.cache_misses += u64::from(!hit);
+                    let level = node.level();
+                    self.counters.visit(node.len(), self.heap.len(), hit);
                     self.sink.record(&TraceEvent::NodeVisited {
                         node: id,
-                        level: node.level(),
+                        level,
                         mindist: dist.0,
                         entries: node.len(),
                         heap_size: self.heap.len(),
                     });
                     // The payload type's node test: "if s matches w" on a
-                    // signature tree, every entry on the plain R-Tree.
-                    self.counters.pruned_by_signature += self.tree.ops().admit_into(
+                    // signature tree, every entry on the plain R-Tree. A
+                    // tested node is counted and reported in one tally.
+                    let tested = self.tree.ops().admit_into(
                         &node,
                         &self.keywords,
                         &mut self.query_sigs,
                         &mut self.mask,
-                        &mut self.sink,
                     );
+                    if tested {
+                        self.counters.record_tests(level, &self.mask);
+                        self.sink.record_tests(level, &self.mask);
+                    }
                     // Only admitted entries go on the frontier, in entry
                     // order.
                     let is_leaf = node.is_leaf();

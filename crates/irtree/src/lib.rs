@@ -83,8 +83,8 @@ pub use distance_first::{distance_first_topk, DistanceFirstIter, EntryFilter};
 pub use general::{general_topk, general_topk_with, GeneralQuery, ScoredResult};
 pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};
-pub use search::{collect_topk, BoundedSearch, BoundedStep, LimitedTopk, SearchCounters};
-pub use trace::{LevelPruning, NopSink, StatsSink, TraceEvent, TraceSink, TraceStats, VecSink};
+pub use search::{collect_topk, BoundedSearch, BoundedStep, LimitedTopk};
+pub use trace::{LevelPruning, NopSink, SearchCounters, TraceEvent, TraceSink, VecSink};
 pub use window::keyword_window_query;
 
 /// An IR²-Tree: an augmented R-Tree with uniform signatures.

@@ -6,42 +6,7 @@ use ir2_rtree::CachedNode;
 use ir2_sigfile::{payloads_mask_into, EntryMask, Signature, SignatureBlock};
 use ir2_storage::Result;
 
-/// Counters the incremental search maintains, matching the metrics the
-/// paper's figures report per query.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SearchCounters {
-    /// Tree nodes read from disk.
-    pub nodes_read: u64,
-    /// Entries (node or object) pruned by a failed signature match.
-    pub pruned_by_signature: u64,
-    /// Candidate objects loaded and checked against the keywords.
-    pub candidates_checked: u64,
-    /// Candidates whose text did not actually contain all keywords —
-    /// signature false positives (line 21 of `IR2TopK` caught them).
-    pub false_positives: u64,
-    /// Of [`nodes_read`](SearchCounters::nodes_read), visits served from
-    /// the tree's decoded-node cache (no device I/O, no CRC verification,
-    /// no entry decode). Always 0 without an attached cache. `nodes_read`
-    /// keeps counting *visits* either way, so I/O budgets are deterministic
-    /// regardless of cache state.
-    pub cache_hits: u64,
-    /// Of [`nodes_read`](SearchCounters::nodes_read), visits that had to
-    /// decode the node (device read + CRC + entry decode) — including every
-    /// visit on a tree with no cache attached. The conservation identity
-    /// `nodes_read == cache_hits + cache_misses` holds for every report.
-    pub cache_misses: u64,
-}
-
-impl std::ops::AddAssign for SearchCounters {
-    fn add_assign(&mut self, c: SearchCounters) {
-        self.nodes_read += c.nodes_read;
-        self.pruned_by_signature += c.pruned_by_signature;
-        self.candidates_checked += c.candidates_checked;
-        self.false_positives += c.false_positives;
-        self.cache_hits += c.cache_hits;
-        self.cache_misses += c.cache_misses;
-    }
-}
+use crate::trace::SearchCounters;
 
 /// "if s matches w" for every entry of a visited node at once: bit `i` of
 /// `out` says whether entry `i`'s signature contains `query` (the query

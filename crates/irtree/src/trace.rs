@@ -1,37 +1,190 @@
-//! Per-query execution traces.
+//! Per-query accounts: the counts every search keeps, and the steps it can
+//! report.
 //!
 //! The paper's Section VI tables are *per-query counts*: node accesses,
-//! signature false positives per level, objects verified. A [`TraceSink`]
-//! receives one [`TraceEvent`] per algorithm step so those counts (and
-//! full step logs) can be derived at query time instead of re-running the
-//! offline `diagnostics` walk:
+//! signature false positives per level, objects verified. A search keeps
+//! them itself, in one [`SearchCounters`] per query: a visited node adds
+//! its entries, the frontier size and — one tally per node, from the
+//! containment mask its test built — its signature tests and matches at
+//! its level. Every report carries these counts, traced or not.
+//!
+//! A [`TraceSink`] receives the same work as one [`TraceEvent`] per
+//! algorithm step, for step logs:
 //!
 //! * [`NopSink`] — the default; every call is an inlined empty body, so
 //!   the traced code monomorphizes to exactly the untraced code.
 //! * [`VecSink`] — keeps every event, for the `ir2 trace` step log.
-//! * [`StatsSink`] — folds events into [`TraceStats`] counters and
-//!   per-level pruning tallies without storing events.
 //!
 //! A visited node's signature tests arrive in one call,
 //! [`TraceSink::record_tests`], with the node's containment mask. Its
 //! default replays the mask as one [`TraceEvent::SignatureTest`] per entry
 //! in entry order, so a sink that overrides only `record` sees the same
-//! stream it would per entry; [`NopSink`] ignores the call and
-//! [`StatsSink`] tallies the whole node at once (`ir2bench --trace 1`
-//! reports what each costs as `core.facade_overhead_us` and
-//! `irtree.trace_overhead_pct`).
+//! stream it would per entry.
 //!
-//! The derived [`TraceStats`] are definitionally consistent with the
-//! algorithms' own `SearchCounters` (`nodes_visited == nodes_read`,
-//! `objects_fetched == candidates_checked`, `sig_tests − sig_matched ==
-//! pruned_by_signature`) for every distance-first search, the R-Tree
-//! baseline included: it visits nodes like the others and records no
-//! signature test. The core crate's observability integration test
-//! asserts the equivalence bit-for-bit against `IoScope` attribution.
+//! The event stream is the reference the counts are checked against:
+//! [`VecSink::counters`] folds a distance-first search's events into the
+//! [`SearchCounters`] the search kept — every field but the cache split,
+//! which no event carries. That holds for the R-Tree baseline too: it
+//! visits nodes like the others and records no signature test.
 
 use ir2_sigfile::EntryMask;
 
-use crate::search::SearchCounters;
+/// What one search counted — the metrics the paper's figures report per
+/// query, kept by the search as it works.
+///
+/// Counters of several searches add with `+=` (a sharded query sums its
+/// shards' and its failed-over attempts'): every count adds, per-level
+/// tallies add level by level, and `max_heap` is the largest of them.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Tree nodes read (visited and expanded).
+    pub nodes_read: u64,
+    /// Entries of the visited nodes, all of them scanned.
+    pub entries_scanned: u64,
+    /// Candidate objects loaded and checked against the keywords.
+    pub candidates_checked: u64,
+    /// Candidates whose text did not actually contain all keywords —
+    /// signature false positives (line 21 of `IR2TopK` caught them).
+    pub false_positives: u64,
+    /// Of [`nodes_read`](SearchCounters::nodes_read), visits served from
+    /// the tree's decoded-node cache (no device I/O, no CRC verification,
+    /// no entry decode). Always 0 without an attached cache. `nodes_read`
+    /// keeps counting *visits* either way, so I/O budgets are deterministic
+    /// regardless of cache state.
+    pub cache_hits: u64,
+    /// Of [`nodes_read`](SearchCounters::nodes_read), visits that had to
+    /// decode the node (device read + CRC + entry decode) — including every
+    /// visit on a tree with no cache attached. The conservation identity
+    /// `nodes_read == cache_hits + cache_misses` holds for every report.
+    pub cache_misses: u64,
+    /// Largest frontier size seen when a node was expanded.
+    pub max_heap: u64,
+    /// Signature tests and matches per tree level, indexed by the level of
+    /// the tested node (0 = leaf entries). A level no test reached has no
+    /// slot past the last one that did; a tree without signatures (the
+    /// R-Tree baseline) leaves it empty.
+    pub per_level: Vec<LevelPruning>,
+}
+
+impl SearchCounters {
+    /// Signature tests performed, all levels.
+    pub fn sig_tests(&self) -> u64 {
+        self.per_level.iter().map(|l| l.tests).sum()
+    }
+
+    /// Signature tests that matched, all levels.
+    pub fn sig_matched(&self) -> u64 {
+        self.per_level.iter().map(|l| l.matched).sum()
+    }
+
+    /// Entries (node or object) pruned by a failed signature match:
+    /// tests − matches.
+    pub fn pruned_by_signature(&self) -> u64 {
+        self.sig_tests() - self.sig_matched()
+    }
+
+    /// Observed false-positive rate among checked candidates, `0.0` when
+    /// none was checked.
+    pub fn object_fp_rate(&self) -> f64 {
+        ir2_storage::ratio(self.false_positives, self.candidates_checked)
+    }
+
+    /// Counts one visited node of `entries` entries, expanded with
+    /// `frontier` items still queued; `hit` says it came from the node
+    /// cache.
+    #[inline]
+    pub(crate) fn visit(&mut self, entries: usize, frontier: usize, hit: bool) {
+        self.nodes_read += 1;
+        self.entries_scanned += entries as u64;
+        self.max_heap = self.max_heap.max(frontier as u64);
+        self.cache_hits += u64::from(hit);
+        self.cache_misses += u64::from(!hit);
+    }
+
+    /// Counts a visited node's signature tests at `level` in one tally:
+    /// its entries as tests, the set bits of its mask as matches.
+    #[inline]
+    pub(crate) fn record_tests(&mut self, level: u16, mask: &EntryMask) {
+        self.tally_tests(level, mask.len() as u64, mask.count_ones() as u64);
+    }
+
+    /// Adds `tests` signature tests at `level`, `matched` of which matched.
+    /// No tests leave `per_level` as it was.
+    #[inline]
+    pub(crate) fn tally_tests(&mut self, level: u16, tests: u64, matched: u64) {
+        if tests == 0 {
+            return;
+        }
+        let level = usize::from(level);
+        if self.per_level.len() <= level {
+            self.per_level.resize(level + 1, LevelPruning::default());
+        }
+        self.per_level[level].tests += tests;
+        self.per_level[level].matched += matched;
+    }
+
+    /// Folds one event into the counts — what the search itself counted
+    /// for the step the event reports, but the cache split.
+    fn absorb(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::NodeVisited {
+                entries, heap_size, ..
+            } => {
+                self.nodes_read += 1;
+                self.entries_scanned += entries as u64;
+                self.max_heap = self.max_heap.max(heap_size as u64);
+            }
+            TraceEvent::SignatureTest { level, matched } => {
+                self.tally_tests(level, 1, u64::from(matched));
+            }
+            TraceEvent::ObjectFetched { matched, .. } => {
+                self.candidates_checked += 1;
+                self.false_positives += u64::from(!matched);
+            }
+        }
+    }
+}
+
+impl std::ops::AddAssign<&SearchCounters> for SearchCounters {
+    fn add_assign(&mut self, c: &SearchCounters) {
+        self.nodes_read += c.nodes_read;
+        self.entries_scanned += c.entries_scanned;
+        self.candidates_checked += c.candidates_checked;
+        self.false_positives += c.false_positives;
+        self.cache_hits += c.cache_hits;
+        self.cache_misses += c.cache_misses;
+        self.max_heap = self.max_heap.max(c.max_heap);
+        if self.per_level.len() < c.per_level.len() {
+            self.per_level
+                .resize(c.per_level.len(), LevelPruning::default());
+        }
+        for (a, b) in self.per_level.iter_mut().zip(&c.per_level) {
+            a.tests += b.tests;
+            a.matched += b.matched;
+        }
+    }
+}
+
+/// Signature-test tallies for one tree level.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LevelPruning {
+    /// Signature tests performed at this level.
+    pub tests: u64,
+    /// Tests that matched (and therefore were descended / fetched).
+    pub matched: u64,
+}
+
+impl LevelPruning {
+    /// Fraction of tests that matched, `0.0` when no tests ran.
+    pub fn match_rate(&self) -> f64 {
+        ir2_storage::ratio(self.matched, self.tests)
+    }
+
+    /// Tests that failed — certain prunes.
+    pub fn pruned(&self) -> u64 {
+        self.tests - self.matched
+    }
+}
 
 /// One step of a spatial-keyword query's execution.
 ///
@@ -97,9 +250,8 @@ pub trait TraceSink {
     ///
     /// The default emits one [`TraceEvent::SignatureTest`] per entry, in
     /// entry order, through [`record`](TraceSink::record) — the stream a
-    /// per-entry caller would produce. A sink that only counts should
-    /// override it with one tally per node, as [`StatsSink`] does; the
-    /// override must leave the sink as the default's events would.
+    /// per-entry caller would produce. An override must leave the sink as
+    /// the default's events would.
     #[inline]
     fn record_tests(&mut self, level: u16, mask: &EntryMask) {
         for i in 0..mask.len() {
@@ -153,13 +305,15 @@ impl VecSink {
         Self::default()
     }
 
-    /// Folds the stored events into summary statistics.
-    pub fn stats(&self) -> TraceStats {
-        let mut stats = TraceStats::default();
+    /// The stored events folded into counts: for a distance-first search,
+    /// the [`SearchCounters`] it kept with `cache_hits` and `cache_misses`
+    /// left at 0, since no event says where a node came from.
+    pub fn counters(&self) -> SearchCounters {
+        let mut counters = SearchCounters::default();
         for e in &self.events {
-            stats.absorb(e);
+            counters.absorb(e);
         }
-        stats
+        counters
     }
 }
 
@@ -167,169 +321,6 @@ impl TraceSink for VecSink {
     #[inline]
     fn record(&mut self, event: &TraceEvent) {
         self.events.push(*event);
-    }
-}
-
-/// Folds events into [`TraceStats`] as they arrive, storing nothing else —
-/// cheap enough to leave on for whole batch runs.
-#[derive(Debug, Default, Clone)]
-pub struct StatsSink {
-    /// Aggregated statistics so far.
-    pub stats: TraceStats,
-}
-
-impl StatsSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the sink, returning the aggregate.
-    pub fn into_stats(self) -> TraceStats {
-        self.stats
-    }
-}
-
-impl TraceSink for StatsSink {
-    #[inline]
-    fn record(&mut self, event: &TraceEvent) {
-        self.stats.absorb(event);
-    }
-
-    /// One tally for the whole node: its entries as tests, its set bits as
-    /// matches.
-    #[inline]
-    fn record_tests(&mut self, level: u16, mask: &EntryMask) {
-        self.stats
-            .tally_tests(level, mask.len() as u64, mask.count_ones() as u64);
-    }
-}
-
-/// Signature-test tallies for one tree level.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LevelPruning {
-    /// Signature tests performed at this level.
-    pub tests: u64,
-    /// Tests that matched (and therefore were descended / fetched).
-    pub matched: u64,
-}
-
-impl LevelPruning {
-    /// Fraction of tests that matched, `0.0` when no tests ran.
-    pub fn match_rate(&self) -> f64 {
-        ir2_storage::ratio(self.matched, self.tests)
-    }
-
-    /// Tests that failed — certain prunes.
-    pub fn pruned(&self) -> u64 {
-        self.tests - self.matched
-    }
-}
-
-/// Aggregate statistics derived from a trace.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct TraceStats {
-    /// Nodes popped and expanded (= `SearchCounters::nodes_read`).
-    pub nodes_visited: u64,
-    /// Total entries scanned across visited nodes.
-    pub entries_scanned: u64,
-    /// Signature tests performed, all levels.
-    pub sig_tests: u64,
-    /// Signature tests that matched.
-    pub sig_matched: u64,
-    /// Objects fetched and verified (= `SearchCounters::candidates_checked`).
-    pub objects_fetched: u64,
-    /// Fetched objects that failed verification
-    /// (= `SearchCounters::false_positives`).
-    pub false_positives: u64,
-    /// Largest frontier (heap) size observed at a node expansion.
-    pub max_heap: u64,
-    /// Per-level signature tallies, indexed by tree level (0 = objects /
-    /// leaf entries). Missing levels were never tested.
-    pub per_level: Vec<LevelPruning>,
-}
-
-impl TraceStats {
-    /// Folds one event into the aggregate.
-    pub fn absorb(&mut self, event: &TraceEvent) {
-        match *event {
-            TraceEvent::NodeVisited {
-                entries, heap_size, ..
-            } => {
-                self.nodes_visited += 1;
-                self.entries_scanned += entries as u64;
-                self.max_heap = self.max_heap.max(heap_size as u64);
-            }
-            TraceEvent::SignatureTest { level, matched } => {
-                self.tally_tests(level, 1, u64::from(matched));
-            }
-            TraceEvent::ObjectFetched { matched, .. } => {
-                self.objects_fetched += 1;
-                if !matched {
-                    self.false_positives += 1;
-                }
-            }
-        }
-    }
-
-    /// Adds `tests` signature tests at `level`, `matched` of which matched.
-    /// No tests leave `per_level` as it was.
-    fn tally_tests(&mut self, level: u16, tests: u64, matched: u64) {
-        if tests == 0 {
-            return;
-        }
-        self.sig_tests += tests;
-        self.sig_matched += matched;
-        let level = level as usize;
-        if self.per_level.len() <= level {
-            self.per_level.resize(level + 1, LevelPruning::default());
-        }
-        self.per_level[level].tests += tests;
-        self.per_level[level].matched += matched;
-    }
-
-    /// Entries pruned by signature mismatch (= `sig_tests − sig_matched`
-    /// = `SearchCounters::pruned_by_signature`).
-    pub fn pruned_by_signature(&self) -> u64 {
-        self.sig_tests - self.sig_matched
-    }
-
-    /// Observed false-positive rate among fetched objects, `0.0` when no
-    /// object was fetched.
-    pub fn object_fp_rate(&self) -> f64 {
-        ir2_storage::ratio(self.false_positives, self.objects_fetched)
-    }
-
-    /// Merges another aggregate into this one (per-level tallies add
-    /// index-wise; used to fold per-thread sinks after a batch run).
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.entries_scanned += other.entries_scanned;
-        self.sig_tests += other.sig_tests;
-        self.sig_matched += other.sig_matched;
-        self.objects_fetched += other.objects_fetched;
-        self.false_positives += other.false_positives;
-        self.max_heap = self.max_heap.max(other.max_heap);
-        if self.per_level.len() < other.per_level.len() {
-            self.per_level
-                .resize(other.per_level.len(), LevelPruning::default());
-        }
-        for (a, b) in self.per_level.iter_mut().zip(&other.per_level) {
-            a.tests += b.tests;
-            a.matched += b.matched;
-        }
-    }
-
-    /// True iff the aggregate is definitionally consistent with the
-    /// algorithm's own counters (see module docs for the mapping). Every
-    /// distance-first search traces its node visits; the plain R-Tree
-    /// baseline tests no signatures and prunes nothing, so both sides of
-    /// its pruning identity are zero.
-    pub fn matches_counters(&self, c: &SearchCounters) -> bool {
-        self.nodes_visited == c.nodes_read
-            && self.objects_fetched == c.candidates_checked
-            && self.false_positives == c.false_positives
-            && self.pruned_by_signature() == c.pruned_by_signature
     }
 }
 
@@ -372,99 +363,118 @@ mod tests {
         ]
     }
 
+    /// Each event kind lands in the counts the search keeps for that step.
+    #[test]
+    fn counter_equivalence_mapping() {
+        let mut vs = VecSink::new();
+        for e in sample_events() {
+            vs.record(&e);
+        }
+        assert_eq!(vs.events.len(), 6);
+        let c = vs.counters();
+        assert_eq!(
+            c,
+            SearchCounters {
+                nodes_read: 1,
+                entries_scanned: 3,
+                candidates_checked: 2,
+                false_positives: 1,
+                cache_hits: 0,
+                cache_misses: 0,
+                max_heap: 1,
+                per_level: vec![LevelPruning {
+                    tests: 3,
+                    matched: 2
+                }],
+            }
+        );
+        assert_eq!((c.sig_tests(), c.sig_matched()), (3, 2));
+        assert_eq!(c.pruned_by_signature(), 1);
+        assert_eq!(c.per_level[0].pruned(), 1);
+        assert!((c.per_level[0].match_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(c.object_fp_rate(), 0.5);
+    }
+
+    /// The stats a search keeps itself, without a sink, agree with the
+    /// fold of the events a `VecSink` stored for the same steps.
     #[test]
     fn stats_sink_and_vec_sink_agree() {
         let mut vs = VecSink::new();
-        let mut ss = StatsSink::new();
         for e in sample_events() {
             vs.record(&e);
-            ss.record(&e);
         }
-        assert_eq!(vs.events.len(), 6);
-        assert_eq!(vs.stats(), ss.stats);
-        let s = ss.into_stats();
-        assert_eq!(s.nodes_visited, 1);
-        assert_eq!(s.entries_scanned, 3);
-        assert_eq!(s.sig_tests, 3);
-        assert_eq!(s.sig_matched, 2);
-        assert_eq!(s.pruned_by_signature(), 1);
-        assert_eq!(s.objects_fetched, 2);
-        assert_eq!(s.false_positives, 1);
-        assert_eq!(s.max_heap, 1);
-        assert_eq!(s.per_level.len(), 1);
-        assert_eq!(s.per_level[0].tests, 3);
-        assert_eq!(s.per_level[0].matched, 2);
-        assert_eq!(s.per_level[0].pruned(), 1);
-        assert!((s.per_level[0].match_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.object_fp_rate(), 0.5);
+        let c = vs.counters();
+        let mut kept = SearchCounters::default();
+        kept.visit(3, 1, false);
+        kept.tally_tests(0, 3, 2);
+        (kept.candidates_checked, kept.false_positives) = (2, 1);
+        assert_eq!(
+            kept,
+            SearchCounters {
+                cache_misses: 1,
+                ..c
+            }
+        );
     }
 
     #[test]
     fn empty_stats_rates_are_zero_not_nan() {
-        let s = TraceStats::default();
-        assert_eq!(s.object_fp_rate(), 0.0);
+        let c = SearchCounters::default();
+        assert_eq!(c.object_fp_rate(), 0.0);
+        assert_eq!(c.pruned_by_signature(), 0);
         assert_eq!(LevelPruning::default().match_rate(), 0.0);
     }
 
+    /// `+=` — how a sharded query folds its shards and a failover its dead
+    /// attempts — adds every count, adds `per_level` index by index
+    /// (extending the shorter side) and keeps the larger `max_heap`.
     #[test]
     fn merge_adds_and_extends_levels() {
-        let mut a = StatsSink::new();
-        a.record(&TraceEvent::SignatureTest {
-            level: 0,
-            matched: true,
-        });
-        let mut b = StatsSink::new();
-        b.record(&TraceEvent::SignatureTest {
-            level: 2,
-            matched: false,
-        });
-        b.record(&TraceEvent::NodeVisited {
-            node: 1,
-            level: 2,
-            mindist: 0.5,
-            entries: 10,
-            heap_size: 9,
-        });
-        let mut m = a.stats.clone();
-        m.merge(&b.stats);
-        assert_eq!(m.sig_tests, 2);
-        assert_eq!(m.per_level.len(), 3);
-        assert_eq!(m.per_level[0].matched, 1);
-        assert_eq!(m.per_level[2].tests, 1);
-        assert_eq!(m.max_heap, 9);
-        assert_eq!(m.nodes_visited, 1);
-    }
-
-    #[test]
-    fn counter_equivalence_mapping() {
-        let mut ss = StatsSink::new();
-        for e in sample_events() {
-            ss.record(&e);
-        }
-        let c = SearchCounters {
-            nodes_read: 1,
-            pruned_by_signature: 1,
-            candidates_checked: 2,
+        let level = |tests, matched| LevelPruning { tests, matched };
+        let a = SearchCounters {
+            nodes_read: 2,
+            entries_scanned: 9,
+            candidates_checked: 4,
             false_positives: 1,
-            cache_hits: 0,
+            cache_hits: 1,
             cache_misses: 1,
+            max_heap: 12,
+            per_level: vec![level(5, 3)],
         };
-        assert!(ss.stats.matches_counters(&c));
-        // The untested (R-Tree baseline) case binds only the object side.
-        let bare = TraceStats {
-            nodes_visited: 1,
-            objects_fetched: 2,
-            false_positives: 1,
-            ..Default::default()
-        };
-        assert!(bare.matches_counters(&SearchCounters {
-            nodes_read: 1,
-            pruned_by_signature: 0,
-            candidates_checked: 2,
-            false_positives: 1,
+        let b = SearchCounters {
+            nodes_read: 3,
+            entries_scanned: 20,
+            candidates_checked: 6,
+            false_positives: 2,
             cache_hits: 0,
-            cache_misses: 1,
-        }));
+            cache_misses: 3,
+            max_heap: 9,
+            per_level: vec![level(7, 1), level(0, 0), level(4, 4)],
+        };
+        let want = SearchCounters {
+            nodes_read: 5,
+            entries_scanned: 29,
+            candidates_checked: 10,
+            false_positives: 3,
+            cache_hits: 1,
+            cache_misses: 4,
+            max_heap: 12,
+            per_level: vec![level(12, 4), level(0, 0), level(4, 4)],
+        };
+        let mut ab = a.clone();
+        ab += &b;
+        assert_eq!(ab, want);
+        let mut ba = b.clone();
+        ba += &a;
+        assert_eq!(ba, want, "the fold is order-free");
+        let mut zero = SearchCounters::default();
+        zero += &a;
+        assert_eq!(zero, a);
+        assert_eq!(want.sig_tests(), a.sig_tests() + b.sig_tests());
+        assert_eq!(
+            want.pruned_by_signature(),
+            a.pruned_by_signature() + b.pruned_by_signature()
+        );
     }
 
     #[test]
@@ -520,36 +530,42 @@ mod tests {
         sink.record_tests(level, mask);
     }
 
+    /// The search's one tally per node equals folding the per-entry events
+    /// the default `record_tests` replays, whichever wrapper the sink is
+    /// lent through.
     #[test]
     fn a_node_tally_equals_absorbing_its_per_entry_events() {
         for len in [0usize, 1, 63, 64, 65, 130] {
             let mask = mask_of((0..len).map(|i| i % 3 == 0 || i == 64));
             for level in [0u16, 3] {
                 let ctx = format!("{len} entries at level {level}");
-                // The default: one event per entry, in entry order.
-                let mut events = VecSink::new();
-                events.record_tests(level, &mask);
                 let want: Vec<TraceEvent> = (0..len)
                     .map(|i| TraceEvent::SignatureTest {
                         level,
                         matched: mask.get(i),
                     })
                     .collect();
-                assert_eq!(events.events, want, "{ctx}");
-                let folded = events.stats();
+                let mut tally = SearchCounters::default();
+                tally.record_tests(level, &mask);
 
-                let mut direct = StatsSink::new();
+                let mut direct = VecSink::new();
                 direct.record_tests(level, &mask);
-                assert_eq!(direct.stats, folded, "{ctx}: direct");
-                let mut lent = StatsSink::new();
+                let mut lent = VecSink::new();
                 lend(&mut lent, level, &mask);
-                assert_eq!(lent.stats, folded, "{ctx}: &mut StatsSink");
-                let mut twice = StatsSink::new();
+                let mut twice = VecSink::new();
                 lend(&mut &mut twice, level, &mask);
-                assert_eq!(twice.stats, folded, "{ctx}: &mut &mut StatsSink");
-                let mut erased = StatsSink::new();
+                let mut erased = VecSink::new();
                 (&mut erased as &mut dyn TraceSink).record_tests(level, &mask);
-                assert_eq!(erased.stats, folded, "{ctx}: &mut dyn TraceSink");
+                for (sink, how) in [
+                    (direct, "direct"),
+                    (lent, "&mut VecSink"),
+                    (twice, "&mut &mut VecSink"),
+                    (erased, "&mut dyn TraceSink"),
+                ] {
+                    // The default: one event per entry, in entry order.
+                    assert_eq!(sink.events, want, "{ctx}: {how}");
+                    assert_eq!(sink.counters(), tally, "{ctx}: {how}");
+                }
             }
         }
     }

@@ -46,22 +46,26 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
         // uncached path allocates nothing per entry (and no longer clones
         // the query signature per node either).
         let node = tree.read_node_buf(id)?;
-        counters.nodes_read += 1;
-        counters.cache_misses += 1; // uncached read: every visit decodes
+        // An uncached read: every visit decodes.
+        counters.visit(node.len(), stack.len(), false);
         let level = node.level();
         let qsig = level_entry(&mut query_sigs, level, || {
             tree.ops()
                 .scheme_at(level)
                 .sign_terms(kws.iter().map(String::as_str))
         });
+        // Entries inside the window are tested; the node's tests and
+        // matches are counted in one tally after its scan.
+        let (mut tested, mut matched) = (0, 0);
         for i in 0..node.len() {
             if !window.intersects(&node.rect(i)) {
                 continue;
             }
+            tested += 1;
             if !payload_contains(node.payload(i), qsig) {
-                counters.pruned_by_signature += 1;
                 continue;
             }
+            matched += 1;
             if node.is_leaf() {
                 counters.candidates_checked += 1;
                 match objects.load_if_contains_all(ObjPtr(node.child(i)), &kws, &mut scratch)? {
@@ -72,6 +76,7 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
                 stack.push(node.child(i));
             }
         }
+        counters.tally_tests(level, tested, matched);
     }
     Ok((out, counters))
 }

@@ -320,10 +320,10 @@ fn in_place_and_block_masks_run_the_same_search() {
         }
     };
     let points = [[0.0, 0.0], [7.0, 4.0], [13.5, 8.0], [-3.0, 11.0]];
-    let level = |c: SearchCounters| SearchCounters {
+    let level = |c: &SearchCounters| SearchCounters {
         cache_hits: 0,
         cache_misses: 0,
-        ..c
+        ..c.clone()
     };
 
     let distance_first = |tree, q: &DistanceFirstQuery<2>| {
@@ -347,6 +347,11 @@ fn in_place_and_block_masks_run_the_same_search() {
             let (plain, pc, psink) = distance_first(&fx.cold, &q);
             assert_eq!((pc.cache_hits, pc.cache_misses), (0, pc.nodes_read));
             assert!(pc.nodes_read > 1, "the query descends");
+            assert_eq!(
+                psink.counters(),
+                level(&pc),
+                "the events fold to the counters"
+            );
 
             cache.clear();
             for pass in 0..3 {
@@ -354,8 +359,8 @@ fn in_place_and_block_masks_run_the_same_search() {
                 let hits = if pass == 0 { 0 } else { c.nodes_read };
                 assert_eq!((c.cache_hits, c.cache_misses), (hits, c.nodes_read - hits));
                 assert_identical(&got, &plain);
-                assert_eq!(level(c), level(pc), "pass {pass}");
-                assert_eq!(sink.stats(), psink.stats(), "pass {pass}");
+                assert_eq!(level(&c), level(&pc), "pass {pass}");
+                assert_eq!(sink.counters(), psink.counters(), "pass {pass}");
                 assert_forms(&visited(&sink));
             }
         }
@@ -394,7 +399,7 @@ fn in_place_and_block_masks_run_the_same_search() {
         for pass in 0..3 {
             let (got, sink) = general(&fx.warm, &q);
             assert_eq!(got, plain, "pass {pass}");
-            assert_eq!(sink.stats(), psink.stats(), "pass {pass}");
+            assert_eq!(sink.counters(), psink.counters(), "pass {pass}");
             assert_forms(&visited(&sink));
         }
     }

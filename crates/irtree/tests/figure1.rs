@@ -123,7 +123,7 @@ fn empty_keywords_degenerate_to_example_1_nn_order() {
     let ids: Vec<u64> = res.iter().map(|(o, _)| o.id).collect();
     assert_eq!(ids, vec![4, 3, 5, 8, 6, 1, 7, 2], "Example 1's NN order");
     assert_eq!(counters.false_positives, 0);
-    assert_eq!(counters.pruned_by_signature, 0);
+    assert_eq!(counters.pruned_by_signature(), 0);
 }
 
 #[test]
@@ -168,7 +168,7 @@ fn signature_pruning_saves_candidate_loads() {
     let (res, counters) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
     assert_eq!(res.len(), 3);
     assert!(
-        counters.pruned_by_signature > 0,
+        counters.pruned_by_signature() > 0,
         "expected signature pruning on a selective keyword"
     );
 }

@@ -5,16 +5,16 @@
 //! 2. Observed per-level signature false-positive rates (derived from a
 //!    query-time trace) validate the offline `density_profile` predictions
 //!    — the paper's Section VI false-positive story, measured live.
-//! 3. A visited node reports its signature tests in one call: the per-node
-//!    tally, the per-entry event stream and the untraced run tell the same
-//!    story, on both trees, with and without a node cache.
+//! 3. A visited node reports its signature tests in one call: the search's
+//!    per-node tally, the per-entry event stream and the untraced run tell
+//!    the same story, on both trees, with and without a node cache.
 
 use std::sync::Arc;
 
 use ir2_irtree::{
     bulk_load_objects, collect_topk, density_profile, distance_first_topk, insert_object,
-    DistanceFirstIter, Ir2Payload, MirPayload, SearchCounters, SigPayload, StatsSink, TraceEvent,
-    TraceSink, VecSink,
+    DistanceFirstIter, Ir2Payload, MirPayload, SearchCounters, SigPayload, TraceEvent, TraceSink,
+    VecSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, SpatialObject};
 use ir2_rtree::{NodeCache, RTree, RTreeConfig};
@@ -32,6 +32,16 @@ fn distance_first_topk_traced<P: SigPayload, S: TraceSink>(
         DistanceFirstIter::with_region_sink(tree, store, q.point.into(), q.keywords.clone(), sink);
     let (outcome, counters) = collect_topk(&mut iter, q.k)?;
     Ok((outcome.into_results(), counters))
+}
+
+/// `c` without its cache split — what the folded event stream of the same
+/// search gives, since no event says where a node came from.
+fn uncached(c: &SearchCounters) -> SearchCounters {
+    SearchCounters {
+        cache_hits: 0,
+        cache_misses: 0,
+        ..c.clone()
+    }
 }
 
 /// Distinct grid point per object id, so "query from the object's own
@@ -88,18 +98,18 @@ fn mir2_stays_exact_when_inserts_outgrow_the_scheme_ladder() {
     for o in objs.iter().step_by(7) {
         let word = o.token_set().iter().next().unwrap().to_string();
         let q = DistanceFirstQuery::new(*o.point.coords(), &[word.as_str()], 1);
-        let mut sink = StatsSink::new();
-        let (hits, counters) = distance_first_topk_traced(&tree, &*store, &q, &mut sink).unwrap();
+        let mut log = VecSink::new();
+        let (hits, counters) = distance_first_topk_traced(&tree, &*store, &q, &mut log).unwrap();
         assert_eq!(hits.len(), 1, "object {} not found via '{word}'", o.id);
         assert_eq!(hits[0].0.id, o.id, "wrong nearest match for '{word}'");
         assert_eq!(hits[0].1, 0.0);
-        assert!(
-            sink.stats.matches_counters(&counters),
-            "trace/counter divergence: {:?} vs {counters:?}",
-            sink.stats
+        assert_eq!(
+            log.counters(),
+            uncached(&counters),
+            "trace/counter divergence"
         );
-        // The trace must have seen every clamped level up to the root.
-        assert_eq!(sink.stats.per_level.len(), root_level as usize + 1);
+        // The search must have tested every clamped level up to the root.
+        assert_eq!(counters.per_level.len(), root_level as usize + 1);
     }
 }
 
@@ -128,29 +138,33 @@ fn traced_fp_rates_validate_density_profile_predictions() {
     // Query with keywords that exist in NO document: every signature match
     // is then a certain false positive, so the observed per-level match
     // rate estimates the level's false-positive rate directly.
-    let mut sink = StatsSink::new();
+    let mut stats = SearchCounters::default();
     for qi in 0..25u64 {
         let kw = format!("absentkeyword{qi}");
         let q = DistanceFirstQuery::new([(qi % 23) as f64, (qi % 17) as f64], &[kw.as_str()], 1);
-        let (hits, counters) = distance_first_topk_traced(&tree, &*store, &q, &mut sink).unwrap();
+        let (hits, counters) = distance_first_topk(&tree, &*store, &q).unwrap();
         assert!(hits.is_empty(), "absent keyword cannot produce results");
         assert_eq!(
             counters.candidates_checked, counters.false_positives,
             "every fetched candidate must be a false positive"
         );
+        stats += &counters;
     }
-    let stats = sink.into_stats();
-    assert_eq!(stats.objects_fetched, stats.false_positives);
+    assert_eq!(stats.candidates_checked, stats.false_positives);
     assert_eq!(
         stats.object_fp_rate(),
-        if stats.objects_fetched == 0 { 0.0 } else { 1.0 }
+        if stats.candidates_checked == 0 {
+            0.0
+        } else {
+            1.0
+        }
     );
 
     let profile = density_profile(&tree).unwrap();
     assert_eq!(
         stats.per_level.len(),
         profile.len(),
-        "trace saw a different number of levels than the offline walk"
+        "the searches tested a different number of levels than the offline walk"
     );
     for ld in &profile {
         let observed = &stats.per_level[ld.level as usize];
@@ -186,7 +200,7 @@ fn traced_fp_rates_validate_density_profile_predictions() {
 }
 
 #[test]
-fn nop_and_stats_sinks_agree_on_counters() {
+fn nop_and_vec_sinks_agree_on_counters() {
     let store = Arc::new(ObjectStore::<2, _>::create(MemDevice::new()));
     let tree = RTree::create(
         MemDevice::new(),
@@ -203,9 +217,9 @@ fn nop_and_stats_sinks_agree_on_counters() {
 
     let q = DistanceFirstQuery::new([4.0, 2.0], &["w3", "w8"], 5);
     let (plain_hits, plain_counters) = distance_first_topk(&tree, &*store, &q).unwrap();
-    let mut sink = StatsSink::new();
+    let mut log = VecSink::new();
     let (traced_hits, traced_counters) =
-        distance_first_topk_traced(&tree, &*store, &q, &mut sink).unwrap();
+        distance_first_topk_traced(&tree, &*store, &q, &mut log).unwrap();
 
     // Tracing must not change the query's behavior in any observable way.
     assert_eq!(plain_counters, traced_counters);
@@ -214,7 +228,11 @@ fn nop_and_stats_sinks_agree_on_counters() {
         assert_eq!(a.0.id, b.0.id);
         assert_eq!(a.1, b.1);
     }
-    assert!(sink.stats.matches_counters(&traced_counters));
+    assert_eq!(log.counters(), uncached(&traced_counters));
+    assert!(
+        traced_counters.pruned_by_signature() > 0,
+        "the query prunes"
+    );
 }
 
 /// splitmix64: the query generator's seeded stream.
@@ -311,8 +329,9 @@ fn assert_one_report_per_visit(events: &[TraceEvent], ctx: &str) {
     }
 }
 
-/// Runs every query untraced, through a `StatsSink` and through a
-/// `VecSink` on `tree`, asserts they agree, and returns the event streams.
+/// Runs every query untraced and through a `VecSink` on `tree`, asserts
+/// they agree and that the stream folds to the search's counters, and
+/// returns the event streams.
 fn traced_streams<P: SigPayload>(
     tree: &RTree<2, MemDevice, P>,
     store: &dyn ObjectSource<2>,
@@ -331,27 +350,18 @@ fn traced_streams<P: SigPayload>(
             // hits and misses.
             distance_first_topk(tree, store, q).unwrap();
             let (plain, plain_counters) = distance_first_topk(tree, store, q).unwrap();
-            let mut stats = StatsSink::new();
-            let (tallied, tallied_counters) =
-                distance_first_topk_traced(tree, store, q, &mut stats).unwrap();
             let mut log = VecSink::new();
             let (logged, logged_counters) =
                 distance_first_topk_traced(tree, store, q, &mut log).unwrap();
 
-            assert_eq!(ids(&tallied), ids(&plain), "{ctx}: StatsSink results");
             assert_eq!(ids(&logged), ids(&plain), "{ctx}: VecSink results");
-            assert_eq!(
-                tallied_counters, plain_counters,
-                "{ctx}: StatsSink counters"
-            );
             assert_eq!(logged_counters, plain_counters, "{ctx}: VecSink counters");
-            assert_eq!(stats.stats, log.stats(), "{ctx}: tally vs stream");
-            assert!(
-                stats.stats.matches_counters(&plain_counters),
-                "{ctx}: {:?} vs {plain_counters:?}",
-                stats.stats
+            assert_eq!(
+                log.counters(),
+                uncached(&plain_counters),
+                "{ctx}: tally vs stream"
             );
-            assert!(stats.stats.nodes_visited > 0, "{ctx}: the query visits");
+            assert!(plain_counters.nodes_read > 0, "{ctx}: the query visits");
             assert_one_report_per_visit(&log.events, &ctx);
             log.events
         })
@@ -373,11 +383,11 @@ fn packed<P: SigPayload>(
     tree
 }
 
-/// `DistanceFirstIter` hands a visited node's mask to the sink in one
-/// call. On IR² and MIR² trees, with and without a node cache, the
-/// `StatsSink` tally equals the folded `VecSink` stream, that stream has
-/// one test per entry right after each visit, and neither sink changes the
-/// results or counters of the untraced run. The streams of the uncached
+/// `DistanceFirstIter` counts a visited node's mask in one tally and hands
+/// it to the sink in one call. On IR² and MIR² trees, with and without a
+/// node cache, the search's counters equal the folded `VecSink` stream,
+/// that stream has one test per entry right after each visit, and tracing
+/// changes neither the results nor the counters of the untraced run. The streams of the uncached
 /// trees are pinned by digest: they are the per-entry loop's, event for
 /// event.
 #[test]

@@ -8,7 +8,7 @@ use ir2_geo::{Point, Rect};
 use ir2_irtree::{
     bulk_load_objects, collect_topk, delete_object, distance_first_topk, general_topk,
     insert_object, BoundedStep, DistanceFirstIter, EntryFilter, GeneralQuery, Ir2Payload,
-    LimitedTopk, MirPayload, NopSink, StatsSink, TraceSink,
+    LimitedTopk, MirPayload, NopSink, SearchCounters, TraceSink, VecSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
 use ir2_rtree::{NodeCache, RTree, RTreeConfig};
@@ -506,15 +506,26 @@ fn run_plan<S: TraceSink>(
     collect_topk(&mut iter, k).unwrap()
 }
 
+/// `c` without its cache split — what the folded event stream of the same
+/// search gives, since no event says where a node came from.
+fn uncached(c: &SearchCounters) -> SearchCounters {
+    SearchCounters {
+        cache_hits: 0,
+        cache_misses: 0,
+        ..c.clone()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every way of configuring a search is the same search: each cell of
     /// {point, area} × {no limits, generous limits, small I/O budget} ×
     /// {no cache, node cache} × {`NopSink`,
-    /// `StatsSink`} returns the plain run's results — or, when the budget
+    /// `VecSink`} returns the plain run's results — or, when the budget
     /// truncates it, a tie-aware exact prefix of the full ranking — with
-    /// the node-visit conservation identity intact.
+    /// the node-visit conservation identity intact and the counters the
+    /// traced run's events fold to.
     #[test]
     fn every_plan_cell_matches_the_plain_run(
         docs in arb_docs(),
@@ -560,12 +571,12 @@ proptest! {
 
             for limits in limit_sets {
                 for tree in [&cold, &cached] {
-                    let mut stats = StatsSink::new();
+                    let mut log = VecSink::new();
                     let cells = [
                         run_plan(tree, store, region, &kws, k, limits, NopSink),
-                        run_plan(tree, store, region, &kws, k, limits, &mut stats),
+                        run_plan(tree, store, region, &kws, k, limits, &mut log),
                     ];
-                    prop_assert!(stats.stats.matches_counters(&cells[1].1));
+                    prop_assert_eq!(log.counters(), uncached(&cells[1].1));
                     for (outcome, c) in &cells {
                         prop_assert_eq!(c.nodes_read, c.cache_hits + c.cache_misses);
                         let got = hits(outcome.results());
@@ -575,7 +586,7 @@ proptest! {
                             // never what the search visits.
                             prop_assert_eq!(c.nodes_read, plain_counters.nodes_read);
                             prop_assert_eq!(c.candidates_checked, plain_counters.candidates_checked);
-                            prop_assert_eq!(c.pruned_by_signature, plain_counters.pruned_by_signature);
+                            prop_assert_eq!(&c.per_level, &plain_counters.per_level);
                             continue;
                         }
                         prop_assert!(limits.io_budget == Some(budget), "only the small budget truncates");

@@ -63,7 +63,7 @@ pub use metrics::{
 pub use page::{PAGE_PAYLOAD, PAGE_TRAILER_LEN, PAGE_VERSION};
 pub use pool::{BufferPool, DEFAULT_POOL_SHARDS};
 pub use records::{RecordFile, RecordPtr, RECORD_HEADER_LEN};
-pub use retry::{RetryDevice, RetryPolicy, RetryScope, RetryStats};
+pub use retry::{RetryDevice, RetryPolicy};
 pub use shadow::ShadowPair;
 pub use tracking::{IoScope, IoSnapshot, IoStats, ScopedIo, TrackedDevice};
 

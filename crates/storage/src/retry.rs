@@ -15,10 +15,10 @@
 //!
 //! Retries and backoff are observable at two granularities: device-wide
 //! via the [`MetricsRegistry`] (see [`RetryDevice::with_metrics`]) and
-//! per-query via [`RetryScope`], the retry-layer sibling of
-//! [`IoScope`](crate::IoScope).
+//! per-query in the [`IoScope`](crate::IoScope) that measures the query's
+//! block accesses: a retry is counted in the scope of the thread that
+//! slept through it.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -246,7 +246,7 @@ impl<D: BlockDevice> RetryDevice<D> {
                         m.attempts.inc();
                         m.backoff_us.observe(delay.as_micros() as u64);
                     }
-                    scope_record(1, delay);
+                    crate::tracking::scope_record_retry(delay);
                     std::thread::sleep(delay);
                 }
                 Err(e) => {
@@ -287,80 +287,11 @@ impl<D: BlockDevice> BlockDevice for RetryDevice<D> {
     }
 }
 
-thread_local! {
-    /// Per-thread retry attribution, the sibling of `ACTIVE_SCOPE` in
-    /// `tracking.rs`.
-    static RETRY_SCOPE: RefCell<Option<RetryStats>> = const { RefCell::new(None) };
-}
-
-/// Feeds one retry into the current thread's scope, if any.
-#[inline]
-fn scope_record(retries: u64, backoff: Duration) {
-    RETRY_SCOPE.with(|cell| {
-        if let Some(stats) = cell.borrow_mut().as_mut() {
-            stats.retries += retries;
-            stats.backoff += backoff;
-        }
-    });
-}
-
-/// What one [`RetryScope`] observed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Retry attempts performed by this thread inside the scope.
-    pub retries: u64,
-    /// Total backoff this thread slept inside the scope.
-    pub backoff: Duration,
-}
-
-/// Per-thread, per-query retry attribution.
-///
-/// While a scope is active on a thread, every backoff sleep a
-/// [`RetryDevice`] performs *on that thread* is tallied into the scope —
-/// the same deterministic-attribution contract as
-/// [`IoScope`](crate::IoScope), and the mechanism `QueryReport` uses to
-/// report how much of a query's latency was retry stall.
-///
-/// Scopes do not nest; entering a second scope on the same thread panics.
-#[must_use = "a scope that is never finished records nothing useful"]
-pub struct RetryScope {
-    /// Prevents `Send`: the scope must be finished on the entering thread.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl RetryScope {
-    /// Starts attributing this thread's retries. Panics if a scope is
-    /// already active on this thread.
-    pub fn enter() -> Self {
-        RETRY_SCOPE.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            assert!(slot.is_none(), "RetryScope does not nest");
-            *slot = Some(RetryStats::default());
-        });
-        Self {
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    /// Ends the scope and returns everything it observed.
-    pub fn finish(self) -> RetryStats {
-        let stats = RETRY_SCOPE.with(|cell| cell.borrow_mut().take());
-        std::mem::forget(self); // Drop would otherwise clear an already-taken slot.
-        stats.expect("scope state present until finish")
-    }
-}
-
-impl Drop for RetryScope {
-    fn drop(&mut self) {
-        RETRY_SCOPE.with(|cell| cell.borrow_mut().take());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::FlakyDevice;
-    use crate::MemDevice;
+    use crate::{IoScope, MemDevice};
 
     fn fast_policy() -> RetryPolicy {
         RetryPolicy {
@@ -390,7 +321,7 @@ mod tests {
         let dev = RetryDevice::with_policy(flaky, fast_policy());
         dev.allocate(4).unwrap();
         let buf = crate::zeroed_block();
-        let scope = RetryScope::enter();
+        let scope = IoScope::enter();
         for i in 0..4 {
             dev.write_block(i, &buf).unwrap();
         }
@@ -430,15 +361,19 @@ mod tests {
         };
         let (faults_copied, faults_lent) = (faults(&copied), faults(&lent));
 
-        let scope = RetryScope::enter();
+        let scope = IoScope::enter();
         let mut buf = crate::zeroed_block();
         for id in [2, 3, 0, 1] {
             copied.read_block(id, &mut buf).unwrap();
             assert_eq!(buf[0], id as u8 + 1);
         }
-        let retries_copied = scope.finish().retries;
+        // One scope sees both: the blocks the tracked device read, and the
+        // retries the retry layer beneath it made.
+        let seen = scope.finish();
+        assert_eq!(seen.for_stats(&copied.stats()).total(), 4);
+        let retries_copied = seen.retries;
 
-        let scope = RetryScope::enter();
+        let scope = IoScope::enter();
         for id in [2, 3, 0, 1] {
             let mut calls = 0;
             lent.with_block(id, &mut |block| {
@@ -624,10 +559,19 @@ mod tests {
 
     #[test]
     fn dropped_scope_deactivates() {
+        let flaky = FlakyDevice::every_kth(MemDevice::new(), 2);
+        let dev = RetryDevice::with_policy(flaky, fast_policy());
+        dev.allocate(4).unwrap();
+        let buf = crate::zeroed_block();
         {
-            let _scope = RetryScope::enter();
+            let _scope = IoScope::enter();
+            for i in 0..4 {
+                dev.write_block(i, &buf).unwrap();
+            }
+            // Dropped without finish(): attribution simply stops.
         }
-        let scope = RetryScope::enter(); // must not panic
-        assert_eq!(scope.finish(), RetryStats::default());
+        let scope = IoScope::enter(); // must not panic
+        let seen = scope.finish();
+        assert_eq!((seen.retries, seen.backoff), (0, Duration::ZERO));
     }
 }

@@ -9,10 +9,17 @@
 //! disk arm model. Accessing block `b` right after block `b - 1` is
 //! sequential; anything else (including re-reading the same block) requires
 //! a seek and counts as random.
+//!
+//! A query's own share is measured in an [`IoScope`]: the one per-thread
+//! scope the storage layer keeps, which sees every block access the
+//! entering thread makes — per device, against an arm of its own — and
+//! every retry a [`RetryDevice`](crate::RetryDevice) sleeps through on that
+//! thread.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::{BlockDevice, BlockId, Result, BLOCK_SIZE};
 
@@ -172,8 +179,9 @@ impl std::iter::Sum for IoSnapshot {
 
 thread_local! {
     /// Per-thread attribution scope: one tally per device seen, so one
-    /// scope can observe several devices (index, objects, ...) at once.
-    static ACTIVE_SCOPE: RefCell<Option<Vec<DeviceTally>>> = const { RefCell::new(None) };
+    /// scope can observe several devices (index, objects, ...) at once,
+    /// plus the retries made on this thread.
+    static ACTIVE_SCOPE: RefCell<Option<ScopedIo>> = const { RefCell::new(None) };
 }
 
 /// What one scope has seen of one device. A scope sees a handful of
@@ -193,7 +201,8 @@ struct DeviceTally {
 fn scope_record(stats_addr: usize, id: BlockId, write: bool) {
     ACTIVE_SCOPE.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let Some(tallies) = slot.as_mut() else { return };
+        let Some(scope) = slot.as_mut() else { return };
+        let tallies = &mut scope.tallies;
         let i = tallies
             .iter()
             .position(|t| t.stats_addr == stats_addr)
@@ -217,16 +226,30 @@ fn scope_record(stats_addr: usize, id: BlockId, write: bool) {
     });
 }
 
+/// Feeds one retry, and the backoff slept before it, into the current
+/// thread's scope, if one is active.
+#[inline]
+pub(crate) fn scope_record_retry(backoff: Duration) {
+    ACTIVE_SCOPE.with(|cell| {
+        if let Some(scope) = cell.borrow_mut().as_mut() {
+            scope.retries += 1;
+            scope.backoff += backoff;
+        }
+    });
+}
+
 /// Deterministic per-thread I/O attribution.
 ///
 /// While a scope is active on a thread, every [`IoStats::record`] call made
 /// *from that thread* is additionally tallied into the scope, classified
-/// against a per-thread, per-device arm position. Other threads' traffic is
-/// invisible to the scope, so the delta returned by [`IoScope::finish`] is
-/// exactly the I/O the enclosed code performed — the property the batch
-/// query engine needs to attribute I/O to individual queries running
-/// concurrently (global before/after snapshot subtraction would lump every
-/// in-flight query together).
+/// against a per-thread, per-device arm position, and every backoff sleep a
+/// [`RetryDevice`](crate::RetryDevice) performs on that thread is counted.
+/// Other threads' traffic is invisible to the scope, so what
+/// [`IoScope::finish`] returns is exactly the I/O the enclosed code
+/// performed — the property the batch query engine needs to attribute I/O
+/// and retry stalls to individual queries running concurrently (global
+/// before/after snapshot subtraction would lump every in-flight query
+/// together).
 ///
 /// The trade-off: the per-thread arm model treats each thread as having
 /// its own disk arm, so a scoped query's random/sequential split matches
@@ -259,7 +282,7 @@ impl IoScope {
         ACTIVE_SCOPE.with(|cell| {
             let mut slot = cell.borrow_mut();
             assert!(slot.is_none(), "IoScope does not nest");
-            *slot = Some(Vec::new());
+            *slot = Some(ScopedIo::default());
         });
         Self {
             _not_send: std::marker::PhantomData,
@@ -268,11 +291,9 @@ impl IoScope {
 
     /// Ends the scope and returns everything it observed.
     pub fn finish(self) -> ScopedIo {
-        let tallies = ACTIVE_SCOPE.with(|cell| cell.borrow_mut().take());
+        let seen = ACTIVE_SCOPE.with(|cell| cell.borrow_mut().take());
         std::mem::forget(self); // Drop would otherwise clear an already-taken slot.
-        ScopedIo {
-            tallies: tallies.expect("scope state present until finish"),
-        }
+        seen.expect("scope state present until finish")
     }
 }
 
@@ -282,10 +303,14 @@ impl Drop for IoScope {
     }
 }
 
-/// The I/O observed by one [`IoScope`], broken down per device.
+/// What one [`IoScope`] observed: block accesses per device, and retries.
 #[derive(Debug, Default, Clone)]
 pub struct ScopedIo {
     tallies: Vec<DeviceTally>,
+    /// Transient faults retried on the scope's thread.
+    pub retries: u64,
+    /// Total backoff the scope's thread slept before those retries.
+    pub backoff: Duration,
 }
 
 impl ScopedIo {

@@ -60,7 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nServed 3 pages reading {} tree nodes; signatures pruned {} entries, \
          {} candidate(s) were false positives.",
-        counters.nodes_read, counters.pruned_by_signature, counters.false_positives
+        counters.nodes_read,
+        counters.pruned_by_signature(),
+        counters.false_positives
     );
 
     // Contrast: what the same first page costs each algorithm.

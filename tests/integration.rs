@@ -98,7 +98,7 @@ fn ir2_beats_rtree_on_object_accesses_for_selective_keywords() {
         ir2.object_loads,
         rtree.object_loads
     );
-    assert!(ir2.counters.pruned_by_signature > 0);
+    assert!(ir2.counters.pruned_by_signature() > 0);
 }
 
 #[test]
