@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use ir2_geo::OrderedF64;
 use ir2_model::{
@@ -131,6 +132,11 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink
     /// Reusable buffer a candidate record that spans blocks is assembled
     /// in; one that ends inside its first block is checked where it lies.
     scratch: Vec<u8>,
+    /// Reusable buffer a node no cache serves is read into. The visit's
+    /// page owns it while the node is tested and hands it back afterwards,
+    /// so a cold search allocates no node buffer after its first, and each
+    /// read writes into memory the previous one left in the CPU's cache.
+    page: Vec<u8>,
     sink: S,
 }
 
@@ -208,6 +214,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
             truncated: None,
             mask: EntryMask::new(),
             scratch: Vec::new(),
+            page: Vec::new(),
             sink,
         }
     }
@@ -303,7 +310,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                     self.counters.false_positives += 1;
                 }
                 Item::Node(id) => {
-                    let (node, hit) = self.tree.read_node_cached(id)?;
+                    let (node, hit) = self.tree.read_node_cached_into(id, &mut self.page)?;
                     let level = node.level();
                     self.counters.visit(node.len(), self.heap.len(), hit);
                     self.sink.record(&TraceEvent::NodeVisited {
@@ -340,8 +347,23 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                         self.heap.push(Reverse((d, self.seq, item)));
                         self.seq += 1;
                     }
+                    if !hit {
+                        self.reclaim(node);
+                    }
                 }
             }
+        }
+    }
+
+    /// Takes the page buffer back from a visited image that no cache
+    /// shares — the search's own page — so the next read goes into it.
+    /// Called after a miss only (a cached image never holds the search's
+    /// buffer), and kept out of line so the visit loop every cache hit
+    /// runs does not grow by it.
+    #[inline(never)]
+    fn reclaim(&mut self, node: Arc<CachedNode<N>>) {
+        if let Some(page) = Arc::into_inner(node).and_then(CachedNode::into_page) {
+            self.page = page.into_bytes();
         }
     }
 }

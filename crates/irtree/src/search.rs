@@ -1,5 +1,12 @@
-//! The stepping contract of the incremental distance-first search, and
-//! the one top-k collector built on it.
+//! The stepping contract of the incremental distance-first search, the one
+//! top-k collector built on it, and the signature test of a visited node.
+//!
+//! A visited node's test reads only what the query asks about: a cached
+//! image ANDs the bit-sliced columns of the query's set bits, and a page a
+//! search read without a cache — into the search's own reusable buffer —
+//! has its payloads tested where they lie, one non-zero query word at a
+//! time across the entries still live ([`payloads_mask_into`] over
+//! `NodeBuf::payload_region`).
 
 use ir2_model::{ExecOutcome, SpatialObject, TruncateReason};
 use ir2_rtree::CachedNode;
@@ -17,8 +24,9 @@ use crate::trace::SearchCounters;
 /// pays the transpose (8–13 µs for a Hotels-sized node) once, and the image
 /// then outlives every commit that does not rewrite its node — and a visit
 /// ANDs a handful of its columns. An image that kept its page (every visit
-/// of a tree without a cache) has its entries tested where they lie, and
-/// nothing is built. Both give the same mask.
+/// of a tree without a cache) has its entries tested where they lie, word
+/// by query word at the page's entry stride, and nothing is built. Both
+/// give the same mask.
 pub(crate) fn signature_mask_into<const N: usize>(
     node: &CachedNode<N>,
     query: &Signature,
@@ -30,7 +38,8 @@ pub(crate) fn signature_mask_into<const N: usize>(
             let page = node
                 .page()
                 .expect("an image without a signature block kept its page");
-            payloads_mask_into(page.payloads(), query, out);
+            let (region, stride) = page.payload_region();
+            payloads_mask_into(region, stride, page.len(), query, out);
         }
     }
 }

@@ -497,13 +497,14 @@ mod tests {
     }
 
     /// A mask whose entry `i` holds `verdicts[i]`, built the way a search
-    /// builds one: one-byte payloads tested against a one-bit query.
+    /// builds one: one-byte payloads, side by side, tested against a
+    /// one-bit query.
     fn mask_of(verdicts: impl IntoIterator<Item = bool>) -> EntryMask {
         let mut query = Signature::zero(8);
         query.set(0);
-        let payloads: Vec<[u8; 1]> = verdicts.into_iter().map(|v| [u8::from(v)]).collect();
+        let payloads: Vec<u8> = verdicts.into_iter().map(u8::from).collect();
         let mut mask = EntryMask::new();
-        payloads_mask_into(payloads.iter().map(|p| &p[..]), &query, &mut mask);
+        payloads_mask_into(&payloads, 1, payloads.len(), &query, &mut mask);
         mask
     }
 

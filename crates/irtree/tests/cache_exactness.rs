@@ -421,3 +421,66 @@ fn in_place_and_block_masks_run_the_same_search() {
         }
     }
 }
+
+/// A cold search reads every node into its one reused buffer and tests the
+/// page word by query word; a cached one ANDs the columns of the images it
+/// installed. On a three-level tree of three-block nodes that fill one to
+/// three of their blocks, with 189 B signatures (23 full words and a short
+/// one), both give the same results and the same counters, the cache split
+/// aside — from a cold cache and from a warm one.
+#[test]
+fn cold_and_cached_searches_agree_on_a_three_level_tree_of_multi_block_nodes() {
+    let store = Arc::new(ObjectStore::<2, _>::create(MemDevice::new()));
+    let scheme = SignatureScheme::from_bytes_len(189, 3, 11);
+    let tree = |cache: bool| {
+        let mut t = RTree::create(
+            MemDevice::new(),
+            RTreeConfig::with_max(40),
+            Ir2Payload::new(scheme),
+        )
+        .unwrap();
+        if cache {
+            t.set_node_cache(Arc::new(NodeCache::new(4096)));
+        }
+        t
+    };
+    let (cold, warm) = (tree(false), tree(true));
+    for i in 0..1500u64 {
+        let words = [WORDS[i as usize % 10], WORDS[(i as usize * 7 + 3) % 10]];
+        let point = [(i % 50) as f64 * 1.5, (i / 50) as f64];
+        let obj = SpatialObject::new(i, point, words.join(" "));
+        let ptr = store.append(&obj).unwrap();
+        insert_object(&cold, ptr, &obj).unwrap();
+        insert_object(&warm, ptr, &obj).unwrap();
+    }
+    store.flush().unwrap();
+    assert!(cold.height() >= 3, "height {}", cold.height());
+    assert_eq!(cold.node_blocks(0), 3);
+
+    let split_aside = |c: &SearchCounters| SearchCounters {
+        cache_hits: 0,
+        cache_misses: 0,
+        ..c.clone()
+    };
+    for (qi, point) in [[0.0, 0.0], [37.0, 12.5], [80.0, 31.0], [-5.0, 40.0]]
+        .iter()
+        .enumerate()
+    {
+        for kws in [
+            &[WORDS[qi]][..],
+            &[WORDS[qi], WORDS[(qi * 7 + 3) % 10]],
+            &[WORDS[qi], WORDS[qi + 1]],
+            &[],
+        ] {
+            let q = DistanceFirstQuery::new(*point, kws, 8);
+            let (plain, pc) = counted_topk(&cold, &store, &q);
+            assert_eq!((pc.cache_hits, pc.cache_misses), (0, pc.nodes_read));
+            assert!(pc.nodes_read > 3, "the query descends");
+            for pass in 0..2 {
+                let (got, c) = counted_topk(&warm, &store, &q);
+                assert_identical(&got, &plain);
+                assert_eq!(split_aside(&c), split_aside(&pc), "{kws:?} pass {pass}");
+            }
+        }
+    }
+}

@@ -56,8 +56,10 @@ impl<const N: usize> CachedNode<N> {
     }
 
     /// The image a node cache keeps of `page`: sliced by `ops` when its
-    /// payloads have a sliced form, the page itself otherwise.
-    pub fn sliced_by<P: PayloadOps + ?Sized>(page: NodeBuf<N>, ops: &P) -> Self {
+    /// payloads have a sliced form, the page itself otherwise — shrunk to
+    /// its bytes, since a page read into a search's buffer may carry the
+    /// capacity of a larger node.
+    pub fn sliced_by<P: PayloadOps + ?Sized>(mut page: NodeBuf<N>, ops: &P) -> Self {
         let payloads = ops.slice_payloads(page.level(), &mut page.payloads());
         match payloads {
             Some(payloads) => Self(Form::Sliced {
@@ -68,13 +70,25 @@ impl<const N: usize> CachedNode<N> {
                     .collect(),
                 payloads,
             }),
-            None => Self::new(page),
+            None => {
+                page.shrink_to_fit();
+                Self::new(page)
+            }
         }
     }
 
     /// The page, for an image that kept it: payloads are tested in place.
     pub fn page(&self) -> Option<&NodeBuf<N>> {
         match &self.0 {
+            Form::Page(page) => Some(page),
+            Form::Sliced { .. } => None,
+        }
+    }
+
+    /// The page back out of an image that kept it — for a search without a
+    /// node cache, whose buffer it is.
+    pub fn into_page(self) -> Option<NodeBuf<N>> {
+        match self.0 {
             Form::Page(page) => Some(page),
             Form::Sliced { .. } => None,
         }

@@ -28,6 +28,19 @@
 //! child, a rectangle or a payload, OR a signature into a payload — and
 //! hands it to the writer, which stamps the header and seals the bytes. No
 //! entry is ever copied into an owned form and back.
+//!
+//! The buffer a page lives in can outlast it. The tree's read appends the
+//! node's bytes into a `Vec` the caller owns
+//! ([`RTree::read_node_into`](crate::RTree::read_node_into)), and a caller
+//! that visits node after node — a search without a node cache — takes the
+//! bytes back with [`NodeBuf::into_bytes`] once it is done with the page,
+//! so the next read writes into memory that is already allocated and
+//! already in the CPU's cache. Such a buffer keeps the capacity of the
+//! largest node it held; a page a node cache installs is shrunk first.
+//!
+//! Entry `i`'s payload starts `i · stride` bytes into
+//! [`NodeBuf::payload_region`], so a kernel can walk one signature word
+//! across every entry without a per-entry slice.
 
 use ir2_geo::Rect;
 use ir2_storage::{Result, StorageError};
@@ -60,7 +73,7 @@ const VERSION: u8 = 1;
 /// page that is written.
 ///
 /// The buffer always holds exactly the header and `len()` entries: a page
-/// decoded from a read keeps no padding and no spare capacity.
+/// decoded from a read keeps no padding.
 #[derive(Debug, Clone)]
 pub struct NodeBuf<const N: usize> {
     id: NodeId,
@@ -74,7 +87,7 @@ pub struct NodeBuf<const N: usize> {
 impl<const N: usize> NodeBuf<N> {
     /// Takes ownership of a node's extent bytes and validates the header
     /// and entry region. The bytes past the last entry (an extent's
-    /// padding) are dropped, and the buffer is shrunk to what is left.
+    /// padding) are dropped; the buffer keeps its capacity.
     pub fn decode(id: NodeId, mut buf: Vec<u8>, payload_size: usize) -> Result<Self> {
         let (level, count, _nblocks) = Self::decode_header(&buf)?;
         let need = Self::encoded_len(count as usize, payload_size);
@@ -85,7 +98,6 @@ impl<const N: usize> NodeBuf<N> {
             )));
         }
         buf.truncate(need);
-        buf.shrink_to_fit();
         Ok(Self {
             id,
             level,
@@ -210,6 +222,29 @@ impl<const N: usize> NodeBuf<N> {
     /// Iterates all payload slices in entry order.
     pub fn payloads(&self) -> impl Iterator<Item = &[u8]> + '_ {
         (0..self.count).map(|i| self.payload(i))
+    }
+
+    /// Every payload at once, for a kernel that walks them word by word:
+    /// `(region, stride)`, where entry `i`'s payload is
+    /// `region[i * stride..i * stride + payload_size()]`. The region starts
+    /// at entry 0's payload and ends with the last entry's (it is empty for
+    /// a node without entries).
+    #[inline]
+    pub fn payload_region(&self) -> (&[u8], usize) {
+        let start = (NODE_HEADER_LEN + REF_LEN + Rect::<N>::ENCODED_LEN).min(self.buf.len());
+        (&self.buf[start..], self.entry_len)
+    }
+
+    /// The page's buffer, to read the next node into: its bytes are
+    /// overwritten by that read, its capacity is kept.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Drops spare capacity, for a page that is kept (one a node cache
+    /// installs) rather than read over.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.buf.shrink_to_fit();
     }
 
     /// Iterates all child references in entry order.
@@ -410,13 +445,33 @@ mod tests {
     fn decode_drops_the_padding_and_keeps_no_spare_capacity() {
         let model = two_entries();
         let bytes = pushed(0, 0, 0, &model).encode(1).to_vec();
-        let need = bytes.len();
         let mut padded = bytes.clone();
         padded.resize(ir2_storage::PAGE_PAYLOAD, 0);
         let back = NodeBuf::<2>::decode(0, padded, 0).unwrap();
         assert_holds(&back, &model);
         assert_eq!(back.buf, bytes, "the padding is not kept");
-        assert_eq!(back.buf.capacity(), need, "nor spare capacity");
+        // Spare capacity is kept: a search reads its next node into it. The
+        // image a node cache installs drops it (see the tree's test
+        // `an_image_a_node_cache_installs_keeps_no_spare_capacity`).
+        assert_eq!(back.into_bytes(), bytes, "the buffer goes back whole");
+    }
+
+    #[test]
+    fn the_payload_region_serves_every_payload_at_its_stride() {
+        for size in [0usize, 5, 9, 189] {
+            let model: Model = (0..5u64)
+                .map(|i| (i, rect(i as f64, 0.0), payload(size, i as u8)))
+                .collect();
+            let node = pushed(3, 0, size, &model);
+            let (region, stride) = node.payload_region();
+            assert_eq!(stride, NodeBuf::<2>::entry_encoded_len(size));
+            assert_eq!(region.len(), 4 * stride + size, "the last payload ends it");
+            for (i, (_, _, p)) in model.iter().enumerate() {
+                assert_eq!(&region[i * stride..i * stride + size], p.as_slice());
+            }
+            let empty = NodeBuf::<2>::empty(3, 0, size);
+            assert!(empty.payload_region().0.is_empty());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ir2_geo::Rect;
-use ir2_storage::{extent, page, BlockDevice, Result, StorageError};
+use ir2_storage::{extent, page, BlockDevice, Result, StorageError, PAGE_PAYLOAD};
 use parking_lot::Mutex;
 
 use crate::cached::{CachedNode, NodeCache};
@@ -396,32 +396,46 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Reads and checksum-verifies the extent of the node at `id` (one
-    /// random block access plus sequential ones for multi-block nodes),
-    /// returning the payloads of the blocks its entries fill and the
-    /// payload size of its level.
+    /// random block access plus sequential ones for multi-block nodes) into
+    /// `buf` — exactly the node's header and entries, whatever `buf` held
+    /// before — and returns the payload size of its level.
     ///
-    /// The first block's header says how many blocks follow and how many
-    /// of them the entries fill; both are checked against the tree's shape
-    /// before anything past block 0 is read. The filled blocks are read
-    /// straight into the one buffer; the padding after them is verified
-    /// where the device holds it, in the same ascending order, and not
-    /// copied. Every block of the extent is read and verified either way.
-    fn read_node_bytes(&self, id: NodeId) -> Result<(Vec<u8>, usize)> {
-        let mut buf = Vec::new();
-        extent::read_extent_sealed_into(&self.dev, id, 1, &mut buf)?;
-        let (level, count, nblocks) = NodeBuf::<N>::decode_header(&buf)
-            .and_then(|header| self.check_header(header))
-            .map_err(|e| match e {
-                StorageError::Corrupt(msg) => StorageError::Corrupt(format!("node {id}: {msg}")),
-                other => other,
-            })?;
-        let payload_size = self.ops.entry_size(level);
-        let filled = extent::sealed_blocks_for(NodeBuf::<N>::encoded_len(count, payload_size));
-        if filled > 1 {
-            extent::read_extent_sealed_into(&self.dev, id + 1, filled - 1, &mut buf)?;
+    /// One pass, in ascending block order. Each block is verified where the
+    /// device holds it, and the node bytes of a block the entries fill are
+    /// appended in the same lend ([`extent::with_sealed_payload`]), out of
+    /// a block the checksum has just brought into the CPU's cache. The
+    /// first block's header says how many blocks follow and how many of
+    /// them the entries fill; both are checked against the tree's shape
+    /// before anything past block 0 is read, and `buf` is then reserved
+    /// once, exactly, and never zero-filled. The padding after the filled
+    /// blocks is verified in place and not copied. Every block of the
+    /// extent is read and verified either way.
+    fn read_node_bytes(&self, id: NodeId, buf: &mut Vec<u8>) -> Result<usize> {
+        // A block's node bytes: its whole payload, or, in the last filled
+        // block, the part before the end of the last entry.
+        fn append(buf: &mut Vec<u8>, payload: &[u8; PAGE_PAYLOAD], need: usize) {
+            buf.extend_from_slice(&payload[..(need - buf.len()).min(PAGE_PAYLOAD)]);
+        }
+        buf.clear();
+        let (payload_size, need, nblocks) = extent::with_sealed_payload(&self.dev, id, |block| {
+            let (level, count, nblocks) =
+                NodeBuf::<N>::decode_header(block).and_then(|header| self.check_header(header))?;
+            let payload_size = self.ops.entry_size(level);
+            let need = NodeBuf::<N>::encoded_len(count, payload_size);
+            buf.reserve_exact(need);
+            append(buf, block, need);
+            Ok((payload_size, need, nblocks))
+        })?
+        .map_err(|e| match e {
+            StorageError::Corrupt(msg) => StorageError::Corrupt(format!("node {id}: {msg}")),
+            other => other,
+        })?;
+        let filled = extent::sealed_blocks_for(need);
+        for next in id + 1..id + filled as u64 {
+            extent::with_sealed_payload(&self.dev, next, |block| append(buf, block, need))?;
         }
         extent::verify_extent_sealed(&self.dev, id + filled as u64, nblocks - filled)?;
-        Ok((buf, payload_size))
+        Ok(payload_size)
     }
 
     /// A node header's `(level, count, nblocks)` if it fits this tree: the
@@ -445,13 +459,24 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 
     /// Reads the node at `id` (one random block access plus sequential ones
     /// for multi-block nodes) into an arena-backed [`NodeBuf`], verifying
-    /// every block's checksum. No per-entry allocation: the extent buffer
-    /// itself is the only heap traffic. Every path reads nodes in this form:
+    /// every block's checksum. No per-entry allocation: the node's one
+    /// buffer is the only heap traffic. Every path reads nodes this way:
     /// queries (nearest neighbor, window search, cached traversals) and
     /// mutations alike, which edit the page they read and write it back.
+    ///
+    /// The page is built in `buf`'s allocation, which it takes, leaving
+    /// `buf` empty; a caller reading node after node hands the bytes back
+    /// with [`NodeBuf::into_bytes`], and the next read allocates nothing.
+    /// On an error `buf` keeps its allocation and holds no node.
+    pub fn read_node_into(&self, id: NodeId, buf: &mut Vec<u8>) -> Result<NodeBuf<N>> {
+        let payload_size = self.read_node_bytes(id, buf)?;
+        NodeBuf::decode(id, std::mem::take(buf), payload_size)
+    }
+
+    /// [`read_node_into`](RTree::read_node_into) a fresh buffer, reserved
+    /// to the node's exact size.
     pub fn read_node_buf(&self, id: NodeId) -> Result<NodeBuf<N>> {
-        let (buf, payload_size) = self.read_node_bytes(id)?;
-        NodeBuf::decode(id, buf, payload_size)
+        self.read_node_into(id, &mut Vec::new())
     }
 
     /// Attaches a decoded-node cache. Call at construction time, before the
@@ -472,9 +497,11 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Reads the node at `id` through the decoded-node cache, returning the
-    /// shared image and whether it was a cache hit. Without an attached
-    /// cache this is [`read_node_buf`](RTree::read_node_buf) plus an
-    /// allocation: the image is the page, and nothing is built for it.
+    /// shared image and whether it was a cache hit. A miss reads into `buf`
+    /// ([`read_node_into`](RTree::read_node_into)). Without an attached
+    /// cache the image is that page and nothing is built for it: the caller
+    /// holds its only reference, and can take the page back
+    /// ([`CachedNode::into_page`]) and its bytes with it.
     ///
     /// On a miss the image is put in the form the cache keeps
     /// ([`CachedNode::sliced_by`] this tree's payload scheme) before it is
@@ -482,18 +509,31 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// cache's epoch is snapshotted *before* the device read: if a mutation
     /// commits while the node is being decoded, the image is dropped
     /// instead of installed.
-    pub fn read_node_cached(&self, id: NodeId) -> Result<(Arc<CachedNode<N>>, bool)> {
+    pub fn read_node_cached_into(
+        &self,
+        id: NodeId,
+        buf: &mut Vec<u8>,
+    ) -> Result<(Arc<CachedNode<N>>, bool)> {
         let Some(cache) = &self.node_cache else {
-            return Ok((Arc::new(CachedNode::new(self.read_node_buf(id)?)), false));
+            return Ok((
+                Arc::new(CachedNode::new(self.read_node_into(id, buf)?)),
+                false,
+            ));
         };
         if let Some(node) = cache.get(id) {
             return Ok((node, true));
         }
         let snapshot = cache.epoch();
-        let page = self.read_node_buf(id)?;
+        let page = self.read_node_into(id, buf)?;
         let node = Arc::new(CachedNode::sliced_by(page, &self.ops));
         cache.insert(id, snapshot, Arc::clone(&node));
         Ok((node, false))
+    }
+
+    /// [`read_node_cached_into`](RTree::read_node_cached_into) a fresh
+    /// buffer.
+    pub fn read_node_cached(&self, id: NodeId) -> Result<(Arc<CachedNode<N>>, bool)> {
+        self.read_node_cached_into(id, &mut Vec::new())
     }
 
     /// An empty node at `level`, to be written at the extent `id`.
@@ -1439,6 +1479,48 @@ mod tests {
         }
         assert!(reused > 0, "no freed extent was ever reused");
         assert!(cache.invalidated() > 0);
+    }
+
+    /// A page read into a search's roomy buffer keeps its capacity, but the
+    /// image a node cache installs of it is shrunk to the node's bytes: a
+    /// cache holds thousands of images for the tree's lifetime.
+    #[test]
+    fn an_image_a_node_cache_installs_keeps_no_spare_capacity() {
+        let mut tree = small_tree();
+        for i in 0..3u64 {
+            tree.insert(i, pt_rect(i as f64, 0.0), &[]).unwrap();
+        }
+        let root = tree.root().unwrap();
+        let want = tree.read_node_buf(root).unwrap().into_bytes();
+        assert_eq!(
+            want.capacity(),
+            want.len(),
+            "a fresh read is reserved exactly"
+        );
+
+        let mut roomy = Vec::with_capacity(64 * 1024);
+        let page = tree.read_node_into(root, &mut roomy).unwrap();
+        assert_eq!(
+            page.into_bytes().capacity(),
+            64 * 1024,
+            "a search's buffer is kept"
+        );
+
+        tree.set_node_cache(Arc::new(NodeCache::new(8)));
+        let mut roomy = Vec::with_capacity(64 * 1024);
+        let (image, hit) = tree.read_node_cached_into(root, &mut roomy).unwrap();
+        assert!(!hit);
+        tree.clear_node_cache(); // drops the cache and its reference
+        let bytes = Arc::into_inner(image)
+            .and_then(CachedNode::into_page)
+            .expect("a plain R-Tree's image is its page")
+            .into_bytes();
+        assert_eq!(bytes, want);
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "an installed image keeps no spare capacity"
+        );
     }
 
     #[test]

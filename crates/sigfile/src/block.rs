@@ -2,12 +2,18 @@
 //!
 //! The IR²-Tree's textual pruning power rests on one inner loop: "s
 //! matches w" containment tests over superimposed-coding signatures. A
-//! node's signatures can be tested where they lie on the page, one entry at
-//! a time ([`payloads_mask_into`]), or — for a node that is read again —
-//! through a [`SignatureBlock`], the bit-sliced organisation of the
-//! signature-file literature \[FC84\]: one bitmap over the node's entries per
-//! signature *bit*, so a query ANDs together only the bitmaps of the few
-//! bits it sets instead of fetching every entry's whole row.
+//! node's signatures can be tested where they lie on the page
+//! ([`payloads_mask_into`]), or — for a node that is read again — through a
+//! [`SignatureBlock`], the bit-sliced organisation of the signature-file
+//! literature \[FC84\]: one bitmap over the node's entries per signature
+//! *bit*, so a query ANDs together only the bitmaps of the few bits it sets
+//! instead of fetching every entry's whole row.
+//!
+//! Both kernels are query-major. The block ANDs one column per query bit;
+//! the in-place kernel walks one 64-bit query word at a time across the
+//! page's payloads, at the page's fixed entry stride, and tests it only in
+//! the entries that still match. A query word with no bits set costs
+//! nothing, and both stop as soon as no entry is left.
 //!
 //! Exactness contract: every kernel in this module computes *precisely*
 //! the per-entry scalar result ([`Signature::contains`]) — same bits, same
@@ -238,16 +244,6 @@ impl SignatureBlock {
         sig
     }
 
-    /// Batched containment: returns the bitmask of entries whose signature
-    /// contains `query`. Allocates a fresh mask; hot paths should hold a
-    /// reusable [`EntryMask`] and call
-    /// [`matches_mask_into`](SignatureBlock::matches_mask_into).
-    pub fn matches_mask(&self, query: &Signature) -> EntryMask {
-        let mut mask = EntryMask::default();
-        self.matches_mask_into(query, &mut mask);
-        mask
-    }
-
     /// Batched containment into a caller-owned mask (no allocation once
     /// the mask has grown to the block's size): start from "every entry
     /// matches" and AND in the column of each bit the query sets, stopping
@@ -297,22 +293,58 @@ pub fn payload_contains(sig_bytes: &[u8], query: &Signature) -> bool {
         .all(|(chunk, &q)| q == 0 || le_word(chunk) & q == q)
 }
 
-/// The containment mask of a node tested where it lies: `out` gets one
-/// verdict per payload, in order, from [`payload_contains`] — the same mask
-/// a [`SignatureBlock`] of these payloads would give, with nothing built
-/// and (once `out` has grown) nothing allocated. This is the path for a node
-/// that is not known to be read again.
+/// The containment mask of a node tested where it lies: bit `i` of `out`
+/// is [`payload_contains`] of entry `i`'s payload, the serialized
+/// signature at `region[i * stride..i * stride + query.byte_len()]` — the
+/// same mask a [`SignatureBlock`] of these payloads would give, with
+/// nothing built and (once `out` has grown) nothing allocated. This is the
+/// path for a node that is not known to be read again; a page hands over
+/// its payloads this way (`NodeBuf::payload_region` in `ir2-rtree`).
+///
+/// Word-major: starting from "every entry matches", each non-zero query
+/// word is loaded from the entries still live, and only from them, and the
+/// kernel stops once none is. A payload's last word may be short
+/// (`byte_len` not a multiple of 8); only its own bytes are read, so the
+/// last entry's payload may end the region.
 ///
 /// # Panics
-/// Panics if a payload's length is not `query.byte_len()`.
-pub fn payloads_mask_into<'a>(
-    payloads: impl IntoIterator<Item = &'a [u8]>,
+/// Panics if `count` payloads of `query.byte_len()` bytes at `stride` do
+/// not fit in `region`, or if `stride` is shorter than a payload.
+pub fn payloads_mask_into(
+    region: &[u8],
+    stride: usize,
+    count: usize,
     query: &Signature,
     out: &mut EntryMask,
 ) {
-    out.clear();
-    for p in payloads {
-        out.push(payload_contains(p, query));
+    let byte_len = query.byte_len();
+    assert!(
+        count == 0 || (stride >= byte_len && (count - 1) * stride + byte_len <= region.len()),
+        "{count} payloads of {byte_len} bytes at stride {stride} overrun a {}-byte region",
+        region.len()
+    );
+    out.reset_all_set(count);
+    for (w, &q) in query.words().iter().enumerate() {
+        if q == 0 {
+            continue;
+        }
+        let (at, width) = (8 * w, (byte_len - 8 * w).min(8));
+        let mut live = 0u64;
+        for (base, verdicts) in (0..).step_by(64).zip(out.words.iter_mut()) {
+            let mut rest = *verdicts;
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                let off = (base + bit as usize) * stride + at;
+                if le_word(&region[off..off + width]) & q != q {
+                    *verdicts &= !(1 << bit);
+                }
+            }
+            live |= *verdicts;
+        }
+        if live == 0 {
+            return;
+        }
     }
 }
 
@@ -364,12 +396,6 @@ impl EntryMask {
         Self::default()
     }
 
-    /// Empties the mask, keeping its capacity.
-    fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
-    }
-
     /// Resizes to `len` entries, all set (bits beyond `len` stay clear, so
     /// [`count_ones`](EntryMask::count_ones) counts entries only). Keeps
     /// capacity. What a node with nothing to test admits: every entry.
@@ -380,16 +406,6 @@ impl EntryMask {
             *self.words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
         }
         self.len = len;
-    }
-
-    /// Appends one verdict.
-    #[inline]
-    fn push(&mut self, verdict: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        self.words[self.len / 64] |= u64::from(verdict) << (self.len % 64);
-        self.len += 1;
     }
 
     /// Verdict for entry `i`.
@@ -436,6 +452,13 @@ mod tests {
                 scheme.sign_terms(terms.iter().map(String::as_str))
             })
             .collect()
+    }
+
+    /// The block's mask for `query`, into a fresh [`EntryMask`].
+    fn mask_of(block: &SignatureBlock, query: &Signature) -> EntryMask {
+        let mut mask = EntryMask::new();
+        block.matches_mask_into(query, &mut mask);
+        mask
     }
 
     fn block_of(bits: usize, sigs: &[Signature]) -> SignatureBlock {
@@ -492,7 +515,7 @@ mod tests {
             let scheme = SignatureScheme::new(bits, 4, 9);
             for probe in ["t3-0", "t10-1", "absent", "t64-2"] {
                 let q = scheme.sign_term(probe);
-                let mask = block.matches_mask(&q);
+                let mask = mask_of(&block, &q);
                 assert_eq!(mask.len(), sigs.len());
                 for (i, s) in sigs.iter().enumerate() {
                     assert_eq!(
@@ -517,7 +540,7 @@ mod tests {
         let block = SignatureBlock::from_payloads(bits, [payload.as_slice()]);
         assert_eq!(block.count_ones_at(0), 0, "padding bits must be masked");
         let q = Signature::zero(bits);
-        assert!(block.matches_mask(&q).get(0), "empty query always matches");
+        assert!(mask_of(&block, &q).get(0), "empty query always matches");
     }
 
     #[test]
@@ -526,7 +549,7 @@ mod tests {
         assert_eq!(block.len(), 2);
         assert_eq!(block.bits(), 0);
         let q = Signature::zero(0);
-        let mask = block.matches_mask(&q);
+        let mask = mask_of(&block, &q);
         assert!(mask.get(0) && mask.get(1));
         assert_eq!(mask.count_ones(), 2);
         assert_eq!(block.mean_density(), 0.0);
@@ -585,7 +608,7 @@ mod tests {
         let sigs = doc_sigs(bits, 130); // > 2 mask words
         let block = block_of(bits, &sigs);
         let q = SignatureScheme::new(bits, 4, 9).sign_term("t17-0");
-        let mask = block.matches_mask(&q);
+        let mask = mask_of(&block, &q);
         let from_iter: Vec<usize> = mask.ones().collect();
         let from_get: Vec<usize> = (0..mask.len()).filter(|&i| mask.get(i)).collect();
         assert_eq!(from_iter, from_get);
@@ -596,7 +619,7 @@ mod tests {
     fn empty_block_yields_empty_mask() {
         let block = SignatureBlock::from_payloads(64, std::iter::empty());
         assert!(block.is_empty());
-        let mask = block.matches_mask(&Signature::zero(64));
+        let mask = mask_of(&block, &Signature::zero(64));
         assert_eq!(mask.len(), 0);
         assert_eq!(mask.count_ones(), 0);
         assert_eq!(mask.ones().count(), 0);

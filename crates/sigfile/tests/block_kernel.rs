@@ -100,7 +100,7 @@ proptest! {
             prop_assert_eq!(&got, &want, "block");
             prop_assert_eq!(mask.count_ones(), want.iter().filter(|&&m| m).count());
         }
-        payloads_mask_into(payloads.iter().map(Vec::as_slice), &query, &mut mask);
+        payloads_mask_into(&payloads.concat(), query.byte_len(), count, &query, &mut mask);
         prop_assert_eq!(mask.len(), count);
         let got: Vec<bool> = (0..count).map(|i| mask.get(i)).collect();
         prop_assert_eq!(&got, &want, "in place");
@@ -119,6 +119,60 @@ proptest! {
             sigs.iter().map(|s| u64::from(s.count_ones())).sum::<u64>()
         );
         prop_assert_eq!(from_signatures.set_bits_total(), from_payloads.set_bits_total());
+    }
+
+    /// The word-major in-place kernel gives, entry by entry, the verdict
+    /// of `payload_contains` on that entry's payload: at entry counts
+    /// around and past the 64-entry mask word and at the full Hotels
+    /// fanout; for 5, 8, 16 and 189 B payloads (5 B and 189 B end in a
+    /// short word); for queries with no bits, bits only in the last word,
+    /// every bit, or a few; with other bytes between the payloads. The
+    /// region ends where the last payload does, so a read past it panics,
+    /// and the mask is reused from a larger node.
+    #[test]
+    fn word_major_mask_equals_payload_contains_per_entry(
+        count in prop::sample::select(vec![0usize, 1, 63, 64, 65, 102, 130]),
+        byte_len in prop::sample::select(vec![5usize, 8, 16, 189]),
+        pad in 0usize..8,
+        gap in prop::sample::select(vec![0usize, 3, 24]),
+        query_kind in 0usize..4,
+        seed in 1u64..u64::MAX,
+    ) {
+        let bits = 8 * byte_len - pad;
+        let stride = byte_len + gap;
+        let mut x = seed;
+        let len = match count {
+            0 => 0,
+            n => (n - 1) * stride + byte_len,
+        };
+        // Sparse, half-full, dense and saturated payloads side by side; the
+        // gap bytes are noise.
+        let region: Vec<u8> = (0..len)
+            .map(|at| {
+                let (r, s) = (xorshift(&mut x) as u8, xorshift(&mut x) as u8);
+                [r & s, r, r | s, 0xFF][at / stride % 4]
+            })
+            .collect();
+        let mut query = Signature::zero(bits);
+        let last_word = 64 * (bits.div_ceil(64) - 1);
+        match query_kind {
+            0 => {}
+            1 => (last_word..bits).step_by(3).for_each(|b| query.set(b)),
+            2 => (0..bits).for_each(|b| query.set(b)),
+            _ => (0..4).for_each(|_| query.set((xorshift(&mut x) % bits as u64) as usize)),
+        }
+
+        let mut mask = EntryMask::new();
+        payloads_mask_into(&[0xFF; 200 * 8], 8, 200, &Signature::zero(64), &mut mask);
+        payloads_mask_into(&region, stride, count, &query, &mut mask);
+        prop_assert_eq!(mask.len(), count);
+        for i in 0..count {
+            let payload = &region[i * stride..i * stride + byte_len];
+            prop_assert_eq!(mask.get(i), payload_contains(payload, &query), "entry {}", i);
+        }
+        let ones: Vec<usize> = mask.ones().collect();
+        prop_assert_eq!(ones.len(), mask.count_ones());
+        prop_assert!(ones.iter().all(|&i| i < count), "no verdict past the last entry");
     }
 
     #[test]

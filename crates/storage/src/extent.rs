@@ -7,8 +7,17 @@
 //! sequential ones. With a [`TrackedDevice`](crate::TrackedDevice)
 //! underneath, these helpers produce exactly that accounting because they
 //! touch blocks in ascending id order.
+//!
+//! Every sealed read goes through [`with_sealed_payload`]: the block is
+//! verified where the device holds it ([`BlockDevice::with_block`]) and its
+//! payload is lent to the caller in the same lend, so a caller that keeps
+//! the payload copies it once, out of a block the checksum has just pulled
+//! into the CPU's cache, and a caller that only checks it copies nothing.
+//! The tree's node read appends each filled block's payload this way into
+//! a buffer the search owns; [`read_extent_sealed_into`] and
+//! [`verify_extent_sealed`] are the same loop over a whole extent.
 
-use crate::page::{self, PAGE_PAYLOAD, PAGE_TRAILER_LEN};
+use crate::page::{self, PAGE_PAYLOAD};
 use crate::{BlockDevice, BlockId, Result, StorageError, BLOCK_SIZE};
 
 /// Number of blocks needed to hold `bytes` bytes (at least 1).
@@ -25,6 +34,27 @@ pub fn sealed_blocks_for(bytes: usize) -> u32 {
     (bytes.max(1)).div_ceil(PAGE_PAYLOAD) as u32
 }
 
+/// Reads sealed block `id` (one block access), verifies its checksum where
+/// the device holds it and, if it holds, lends the block's payload to `f`
+/// and returns what `f` returns. A block that fails the check is
+/// `Corrupt("block {id}: …")` and `f` never runs.
+pub fn with_sealed_payload<T>(
+    dev: &impl BlockDevice,
+    id: BlockId,
+    f: impl FnOnce(&[u8; PAGE_PAYLOAD]) -> T,
+) -> Result<T> {
+    let mut f = Some(f);
+    let mut out = None;
+    dev.with_block(id, &mut |block| {
+        out = Some(page::verify(block).map(|()| {
+            let payload = block.first_chunk::<PAGE_PAYLOAD>().expect("a payload");
+            (f.take().expect("a block is lent once"))(payload)
+        }));
+    })?;
+    out.expect("a successful read lends its block")
+        .map_err(|e| StorageError::Corrupt(format!("block {id}: {e}")))
+}
+
 /// Reads a sealed extent, verifying every block's checksum, and returns the
 /// concatenated payloads (`nblocks * PAGE_PAYLOAD` bytes).
 pub fn read_extent_sealed(dev: &impl BlockDevice, first: BlockId, nblocks: u32) -> Result<Vec<u8>> {
@@ -34,12 +64,12 @@ pub fn read_extent_sealed(dev: &impl BlockDevice, first: BlockId, nblocks: u32) 
 }
 
 /// Appends the payloads of a sealed extent (`nblocks * PAGE_PAYLOAD` bytes)
-/// to `buf`, verifying every block's checksum.
+/// to `buf`, verifying every block's checksum, in ascending order.
 ///
-/// Each block is read straight into its final position and verified there:
-/// its trailer lands where the next block's payload starts and is overwritten
-/// by that block's read, and the last trailer is cut off at the end. On an
-/// error `buf` is left as it was, so no partly read extent is ever visible.
+/// Each block is verified where the device holds it and its payload
+/// appended in the same lend ([`with_sealed_payload`]); `buf` grows by one
+/// exact reservation and nothing is zero-filled. On an error `buf` is left
+/// as it was, so no partly read extent is ever visible.
 pub fn read_extent_sealed_into(
     dev: &impl BlockDevice,
     first: BlockId,
@@ -47,18 +77,12 @@ pub fn read_extent_sealed_into(
     buf: &mut Vec<u8>,
 ) -> Result<()> {
     let base = buf.len();
-    let payloads = nblocks as usize * PAGE_PAYLOAD;
-    buf.resize(base + payloads + PAGE_TRAILER_LEN, 0);
-    let read = (0..nblocks as usize).try_for_each(|i| {
-        let at = base + i * PAGE_PAYLOAD;
-        let id = first + i as u64;
-        let block: &mut [u8; BLOCK_SIZE] = (&mut buf[at..at + BLOCK_SIZE])
-            .try_into()
-            .expect("exact block slice");
-        dev.read_block(id, block)?;
-        page::verify(block).map_err(|e| StorageError::Corrupt(format!("block {id}: {e}")))
-    });
-    buf.truncate(if read.is_ok() { base + payloads } else { base });
+    buf.reserve_exact(nblocks as usize * PAGE_PAYLOAD);
+    let read = (first..first + nblocks as u64)
+        .try_for_each(|id| with_sealed_payload(dev, id, |payload| buf.extend_from_slice(payload)));
+    if read.is_err() {
+        buf.truncate(base);
+    }
     read
 }
 
@@ -70,11 +94,7 @@ pub fn read_extent_sealed_into(
 /// checksum. The reads and errors are those of
 /// [`read_extent_sealed_into`].
 pub fn verify_extent_sealed(dev: &impl BlockDevice, first: BlockId, nblocks: u32) -> Result<()> {
-    (first..first + nblocks as u64).try_for_each(|id| {
-        let mut verified = Ok(());
-        dev.with_block(id, &mut |block| verified = page::verify(block))?;
-        verified.map_err(|e| StorageError::Corrupt(format!("block {id}: {e}")))
-    })
+    (first..first + nblocks as u64).try_for_each(|id| with_sealed_payload(dev, id, |_| ()))
 }
 
 /// Writes `data` over the first blocks of the `nblocks`-block extent at
@@ -108,73 +128,24 @@ pub fn write_extent_sealed(
     (filled..nblocks).try_for_each(|i| dev.write_block(first + i as u64, &page::SEALED_ZERO))
 }
 
-/// Allocates a sealed extent for `data` and writes it, returning the first
-/// block id and the block count.
-pub fn append_extent_sealed(dev: &impl BlockDevice, data: &[u8]) -> Result<(BlockId, u32)> {
-    let nblocks = sealed_blocks_for(data.len());
-    let first = dev.allocate(nblocks as u64)?;
-    write_extent_sealed(dev, first, data, nblocks)?;
-    Ok((first, nblocks))
-}
-
-/// Reads `nblocks` consecutive blocks starting at `first` into one buffer.
-pub fn read_extent(dev: &impl BlockDevice, first: BlockId, nblocks: u32) -> Result<Vec<u8>> {
-    let mut out = vec![0u8; nblocks as usize * BLOCK_SIZE];
-    read_extent_into(dev, first, nblocks, &mut out)?;
-    Ok(out)
-}
-
-/// Reads an extent into a caller-provided buffer (avoids allocation on hot
-/// paths such as tree traversal).
-///
-/// # Panics
-/// Panics if `buf` is shorter than `nblocks * BLOCK_SIZE`.
-pub fn read_extent_into(
-    dev: &impl BlockDevice,
-    first: BlockId,
-    nblocks: u32,
-    buf: &mut [u8],
-) -> Result<()> {
-    assert!(
-        buf.len() >= nblocks as usize * BLOCK_SIZE,
-        "extent buffer too small"
-    );
-    for i in 0..nblocks as usize {
-        let chunk: &mut [u8; BLOCK_SIZE] = (&mut buf[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE])
-            .try_into()
-            .expect("exact block slice");
-        dev.read_block(first + i as u64, chunk)?;
-    }
-    Ok(())
-}
-
-/// Writes `data` over the extent starting at `first`, zero-padding the last
-/// block. Returns the number of blocks written.
+/// Allocates an extent of `nblocks` and writes `data` into it as plain,
+/// unsealed blocks, zero-padding the last one; returns the first block id
+/// and the block count.
 ///
 /// Returns [`StorageError::Corrupt`] if `data` is empty — writing an empty
 /// extent is always a logic error in the callers.
-pub fn write_extent(dev: &impl BlockDevice, first: BlockId, data: &[u8]) -> Result<u32> {
+pub fn append_extent(dev: &impl BlockDevice, data: &[u8]) -> Result<(BlockId, u32)> {
     if data.is_empty() {
         return Err(StorageError::Corrupt("empty extent write".into()));
     }
     let nblocks = blocks_for(data.len());
+    let first = dev.allocate(nblocks as u64)?;
     let mut block = [0u8; BLOCK_SIZE];
-    for i in 0..nblocks as usize {
-        let start = i * BLOCK_SIZE;
-        let end = ((i + 1) * BLOCK_SIZE).min(data.len());
-        block[..end - start].copy_from_slice(&data[start..end]);
-        block[end - start..].fill(0);
+    for (i, chunk) in data.chunks(BLOCK_SIZE).enumerate() {
+        block[..chunk.len()].copy_from_slice(chunk);
+        block[chunk.len()..].fill(0);
         dev.write_block(first + i as u64, &block)?;
     }
-    Ok(nblocks)
-}
-
-/// Allocates an extent of `nblocks` and writes `data` into it, returning the
-/// first block id.
-pub fn append_extent(dev: &impl BlockDevice, data: &[u8]) -> Result<(BlockId, u32)> {
-    let nblocks = blocks_for(data.len());
-    let first = dev.allocate(nblocks as u64)?;
-    write_extent(dev, first, data)?;
     Ok((first, nblocks))
 }
 
@@ -193,13 +164,32 @@ mod tests {
         assert_eq!(blocks_for(3 * BLOCK_SIZE), 3);
     }
 
+    /// The raw bytes of `nblocks` blocks from `first`, one `read_block` each.
+    fn read_raw(dev: &impl BlockDevice, first: BlockId, nblocks: u32) -> Vec<u8> {
+        let mut block = crate::zeroed_block();
+        (first..first + nblocks as u64)
+            .flat_map(|id| {
+                dev.read_block(id, &mut block).unwrap();
+                *block
+            })
+            .collect()
+    }
+
+    /// Allocates a sealed extent for `data` and writes it.
+    fn append_sealed(dev: &impl BlockDevice, data: &[u8]) -> (BlockId, u32) {
+        let nblocks = sealed_blocks_for(data.len());
+        let first = dev.allocate(nblocks as u64).unwrap();
+        write_extent_sealed(dev, first, data, nblocks).unwrap();
+        (first, nblocks)
+    }
+
     #[test]
     fn extent_roundtrip_with_padding() {
         let dev = MemDevice::new();
         let data: Vec<u8> = (0..(BLOCK_SIZE + 100)).map(|i| (i % 251) as u8).collect();
         let (first, n) = append_extent(&dev, &data).unwrap();
         assert_eq!(n, 2);
-        let back = read_extent(&dev, first, n).unwrap();
+        let back = read_raw(&dev, first, n);
         assert_eq!(&back[..data.len()], &data[..]);
         assert!(back[data.len()..].iter().all(|&b| b == 0));
     }
@@ -207,9 +197,9 @@ mod tests {
     #[test]
     fn overwrite_clears_stale_tail() {
         let dev = MemDevice::new();
-        let (first, _) = append_extent(&dev, &[0xFFu8; 2000]).unwrap();
-        write_extent(&dev, first, &[0x11u8; 100]).unwrap();
-        let back = read_extent(&dev, first, 1).unwrap();
+        let (first, n) = append_sealed(&dev, &[0xFFu8; 2000]);
+        write_extent_sealed(&dev, first, &[0x11u8; 100], n).unwrap();
+        let back = read_extent_sealed(&dev, first, n).unwrap();
         assert!(back[..100].iter().all(|&b| b == 0x11));
         assert!(
             back[100..].iter().all(|&b| b == 0),
@@ -221,22 +211,23 @@ mod tests {
     fn empty_write_is_rejected() {
         let dev = MemDevice::new();
         dev.allocate(1).unwrap();
-        assert!(write_extent(&dev, 0, &[]).is_err());
+        assert!(write_extent_sealed(&dev, 0, &[], 1).is_err());
+        assert!(append_extent(&dev, &[]).is_err());
     }
 
     #[test]
     fn sealed_extent_roundtrip() {
         let dev = MemDevice::new();
         let data: Vec<u8> = (0..(PAGE_PAYLOAD + 77)).map(|i| (i % 253) as u8).collect();
-        let (first, n) = append_extent_sealed(&dev, &data).unwrap();
+        let (first, n) = append_sealed(&dev, &data);
         assert_eq!(n, 2);
         let back = read_extent_sealed(&dev, first, n).unwrap();
         assert_eq!(&back[..data.len()], &data[..]);
         assert!(back[data.len()..].iter().all(|&b| b == 0));
     }
 
-    /// The sealed-extent read as it was before blocks were read in place:
-    /// device -> bounce block -> verify -> copy into a pre-zeroed buffer.
+    /// The sealed-extent read at its plainest: device -> bounce block ->
+    /// verify -> copy into a pre-zeroed buffer.
     fn read_extent_sealed_bounce(
         dev: &impl BlockDevice,
         first: BlockId,
@@ -260,7 +251,7 @@ mod tests {
         let data: Vec<u8> = (0..nblocks * PAGE_PAYLOAD - 5)
             .map(|i| (i * 31 % 251) as u8)
             .collect();
-        append_extent_sealed(dev, &data).unwrap()
+        append_sealed(dev, &data)
     }
 
     #[test]
@@ -332,7 +323,7 @@ mod tests {
             let mut padded = data.clone();
             padded.resize(nblocks * PAGE_PAYLOAD, 0);
             let (want, got) = (MemDevice::new(), MemDevice::new());
-            append_extent_sealed(&want, &padded).unwrap();
+            append_sealed(&want, &padded);
             let first = got.allocate(nblocks as u64).unwrap();
             write_extent_sealed(&got, first, &data, nblocks as u32).unwrap();
             assert!(
@@ -370,8 +361,7 @@ mod tests {
     #[test]
     fn sealed_read_rejects_unsealed_blocks() {
         let dev = MemDevice::new();
-        let first = dev.allocate(1).unwrap();
-        write_extent(&dev, first, &[1u8; 64]).unwrap(); // plain, no trailer
+        let (first, _) = append_extent(&dev, &[1u8; 64]).unwrap(); // plain, no trailer
         assert!(matches!(
             read_extent_sealed(&dev, first, 1),
             Err(StorageError::Corrupt(_))
@@ -381,11 +371,10 @@ mod tests {
     #[test]
     fn extent_read_costs_one_random_plus_sequential() {
         let dev = TrackedDevice::new(MemDevice::new());
-        let data = vec![7u8; 3 * BLOCK_SIZE];
-        let (first, n) = append_extent(&dev, &data).unwrap();
+        let (first, n) = append_sealed(&dev, &[7u8; 3 * PAGE_PAYLOAD]);
         dev.stats().reset();
 
-        read_extent(&dev, first, n).unwrap();
+        read_extent_sealed(&dev, first, n).unwrap();
         let s = dev.stats().snapshot();
         assert_eq!(s.random_reads, 1, "first block of the extent seeks");
         assert_eq!(s.seq_reads, 2, "remaining blocks stream sequentially");
