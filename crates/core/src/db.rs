@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use ir2_geo::Rect;
 use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
-    collect_topk, general_topk_with, insert_object, BoundedSearch, DistanceFirstIter, GeneralQuery,
-    Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload, TraceSink,
+    collect_topk, general_topk_with, insert_object, BoundedSearch, BoundedStep, DistanceFirstIter,
+    GeneralQuery, Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload, TraceSink,
 };
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
@@ -1097,30 +1097,27 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
 
     /// Boolean keyword query within a window (Section 2's `Ans(Q_w)`
     /// restricted to a map area) on the IR²- or MIR²-Tree: every object in
-    /// `window` containing all `keywords`, unranked. A window with a NaN or
-    /// infinite coordinate is refused, as [`run`](Self::run) refuses one.
+    /// `window` containing all `keywords`, unranked. A window is the area
+    /// search stepped to distance 0: the iterator [`run`](Self::run) drains
+    /// for a request on `QueryRegion::Area(window)`, stepped with
+    /// `next_within(0.0)`, so it reads through the node cache like every
+    /// other query. The request rules [`run`](Self::run) applies refuse a
+    /// window with a NaN or infinite coordinate, and one on an algorithm
+    /// without signatures.
     pub fn keyword_window(
         &self,
         alg: Algorithm,
         window: &Rect<2>,
         keywords: &[String],
     ) -> Result<Vec<SpatialObject<2>>> {
-        check_finite(&QueryRegion::Area(*window))?;
-        let (hits, _) = match alg {
-            Algorithm::Ir2 => ir2_irtree::keyword_window_query(
-                &self.ir2,
-                self.objects.as_ref(),
-                window,
-                keywords,
-            )?,
-            Algorithm::Mir2 => ir2_irtree::keyword_window_query(
-                &self.mir2,
-                self.objects.as_ref(),
-                window,
-                keywords,
-            )?,
-            other => return Err(needs_signature_tree("window keyword queries", other)),
-        };
+        let req = TopkRequest::new(alg, *window, keywords, usize::MAX);
+        req.check(false)?;
+        let src = self.counting_source();
+        let mut search = self.open_search(&src, &req, req.limits, NopSink)?;
+        let mut hits = Vec::new();
+        while let BoundedStep::Hit(obj, _) = search.next_within(0.0)? {
+            hits.push(obj);
+        }
         Ok(hits)
     }
 

@@ -477,6 +477,145 @@ fn a_non_finite_region_is_refused_by_both_engines() {
 }
 
 // ----------------------------------------------------------------------
+// A window is the area search stepped to distance 0.
+// ----------------------------------------------------------------------
+
+/// 80 shops on a 10 × 8 grid, two of every four selling espresso.
+fn cafes() -> Vec<SpatialObject<2>> {
+    let themes = ["espresso bar", "book shop", "espresso roastery", "toy shop"];
+    (0..80u64)
+        .map(|i| {
+            let at = [(i % 10) as f64, (i / 10) as f64];
+            SpatialObject::new(i, at, themes[i as usize % themes.len()])
+        })
+        .collect()
+}
+
+/// Sorted ids of `db`'s answer to the window query on `alg`.
+fn window_ids(
+    db: &SpatialKeywordDb<MemDevice>,
+    alg: Algorithm,
+    window: &Rect<2>,
+    keywords: &[String],
+) -> Vec<u64> {
+    let mut ids: Vec<u64> = db
+        .keyword_window(alg, window, keywords)
+        .unwrap()
+        .iter()
+        .map(|o| o.id)
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Sorted ids of the objects inside `window` containing every keyword.
+fn window_brute_force(
+    objs: &[SpatialObject<2>],
+    window: &Rect<2>,
+    keywords: &[String],
+) -> Vec<u64> {
+    let mut ids: Vec<u64> = objs
+        .iter()
+        .filter(|o| window.contains_point(&o.point) && o.token_set().contains_all(keywords))
+        .map(|o| o.id)
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn window_keyword_query_matches_brute_force() {
+    let objs = cafes();
+    let db = SpatialKeywordDb::build(DeviceSet::in_memory(), objs.clone(), small_config()).unwrap();
+    let window = Rect::from_corners(Point::new([1.0, 1.0]), Point::new([6.0, 5.0]));
+    let espresso = ["espresso".to_string()];
+    let want = window_brute_force(&objs, &window, &espresso);
+    assert!(!want.is_empty());
+    for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+        assert_eq!(
+            window_ids(&db, alg, &window, &espresso),
+            want,
+            "{}",
+            alg.label()
+        );
+    }
+}
+
+#[test]
+fn empty_keywords_returns_window_contents() {
+    let objs = cafes();
+    let db = SpatialKeywordDb::build(DeviceSet::in_memory(), objs.clone(), small_config()).unwrap();
+    let window = Rect::from_corners(Point::new([0.0, 0.0]), Point::new([2.0, 2.0]));
+    let want = window_brute_force(&objs, &window, &[]);
+    assert_eq!(want.len(), 9);
+    for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+        assert_eq!(window_ids(&db, alg, &window, &[]), want, "{}", alg.label());
+    }
+}
+
+#[test]
+fn absent_keyword_prunes_everything_real() {
+    let db = SpatialKeywordDb::build(DeviceSet::in_memory(), cafes(), small_config()).unwrap();
+    let window = Rect::from_corners(Point::new([0.0, 0.0]), Point::new([9.0, 9.0]));
+    for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+        let got = db
+            .keyword_window(alg, &window, &["zeppelin".into()])
+            .unwrap();
+        assert!(got.is_empty(), "{}", alg.label());
+    }
+}
+
+/// A window reads nodes the way every other query does: without a node
+/// cache, and with one that holds the tree — cold, warm, and after an
+/// insert and a commit — it answers the brute-force set, and a warm pass is
+/// served from the cache alone.
+#[test]
+fn a_window_reads_through_the_node_cache() {
+    let window = Rect::new(Point::new([3.0, 1.0]), Point::new([17.5, 6.0]));
+    let coffee = ["coffee".to_string()];
+    let cache_of = |db: &SpatialKeywordDb<MemDevice>, alg: Algorithm| {
+        let stats = db.node_cache_stats();
+        stats.iter().find(|s| s.0 == alg.key()).map(|s| (s.1, s.2))
+    };
+    for nodes in [0, 4096] {
+        let mut objs = town(300);
+        let config = small_config().with_node_cache(nodes);
+        let mut db = SpatialKeywordDb::build(DeviceSet::in_memory(), objs.clone(), config).unwrap();
+        let want = window_brute_force(&objs, &window, &coffee);
+        assert!(!want.is_empty());
+        for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+            let ctx = format!("{} with {nodes} cached nodes", alg.label());
+            assert_eq!(window_ids(&db, alg, &window, &coffee), want, "{ctx}, cold");
+            let cold = cache_of(&db, alg);
+            assert_eq!(window_ids(&db, alg, &window, &coffee), want, "{ctx}, warm");
+            let warm = cache_of(&db, alg);
+            if nodes == 0 {
+                assert_eq!((cold, warm), (None, None), "{ctx}");
+            } else {
+                let ((cold_hits, cold_misses), (warm_hits, warm_misses)) =
+                    (cold.unwrap(), warm.unwrap());
+                assert!(cold_misses > 0, "{ctx}: the cold pass filled the cache");
+                assert!(warm_hits > cold_hits, "{ctx}: the warm pass hit the cache");
+                assert_eq!(
+                    warm_misses, cold_misses,
+                    "{ctx}: the warm pass read no node"
+                );
+            }
+        }
+        let added = SpatialObject::new(1000, [10.5, 2.5], "new coffee");
+        db.insert(&added).unwrap();
+        db.save_catalog().unwrap();
+        objs.push(added);
+        let want = window_brute_force(&objs, &window, &coffee);
+        assert!(want.contains(&1000));
+        for alg in [Algorithm::Ir2, Algorithm::Mir2] {
+            let ctx = format!("{} with {nodes} cached nodes, after a commit", alg.label());
+            assert_eq!(window_ids(&db, alg, &window, &coffee), want, "{ctx}");
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // One request, two engines: every cell of the request matrix.
 // ----------------------------------------------------------------------
 

@@ -34,10 +34,3 @@ mod rect;
 pub use ordered::OrderedF64;
 pub use point::Point;
 pub use rect::Rect;
-
-/// Convenient alias for the two-dimensional points used in the paper's
-/// running examples and experiments.
-pub type Point2 = Point<2>;
-
-/// Convenient alias for two-dimensional rectangles (MBRs).
-pub type Rect2 = Rect<2>;

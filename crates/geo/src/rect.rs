@@ -153,17 +153,35 @@ impl<const N: usize> Rect<N> {
     }
 
     /// Minimum Euclidean distance between this rectangle and `other`
-    /// (zero when they intersect) — the `Dist` of an *area* query, which
-    /// the paper permits in place of the query point.
+    /// (zero exactly when they intersect) — the `Dist` of an *area* query,
+    /// which the paper permits in place of the query point.
+    ///
+    /// Gaps below ≈ 1.5e-154 square to less than the smallest normal
+    /// `f64`, and under ≈ 1e-162 to zero, which would put a disjoint
+    /// rectangle at distance 0. When the sum of squares is not a normal
+    /// number the gaps are summed again scaled by 2^600 (exact, and far
+    /// from both ends of the range for every such gap).
     pub fn min_dist_rect(&self, other: &Self) -> f64 {
+        let gap = |d: usize| {
+            (self.lo.coord(d) - other.hi.coord(d))
+                .max(other.lo.coord(d) - self.hi.coord(d))
+                .max(0.0)
+        };
         let mut acc = 0.0;
         for d in 0..N {
-            let gap = (self.lo.coord(d) - other.hi.coord(d))
-                .max(other.lo.coord(d) - self.hi.coord(d))
-                .max(0.0);
-            acc += gap * gap;
+            let g = gap(d);
+            acc += g * g;
         }
-        acc.sqrt()
+        if acc >= f64::MIN_POSITIVE {
+            return acc.sqrt();
+        }
+        const SCALE: f64 = f64::from_bits((1023 + 600) << 52);
+        let mut scaled = 0.0;
+        for d in 0..N {
+            let g = gap(d) * SCALE;
+            scaled += g * g;
+        }
+        scaled.sqrt() / SCALE
     }
 
     /// MAXDIST: the maximum Euclidean distance from `p` to any point of the
@@ -264,6 +282,23 @@ mod tests {
         assert_eq!(a.min_dist(&Point::new([7.0, 2.0])), 3.0);
         // diagonal corner: 3-4-5 triangle
         assert_eq!(a.min_dist(&Point::new([7.0, 8.0])), 5.0);
+    }
+
+    /// A gap whose square underflows still gives a positive distance, the
+    /// one a scaled computation gives, and a normal sum is left as it was.
+    #[test]
+    fn a_tiny_gap_is_not_distance_zero() {
+        let window = r([-1.0, -1.0], [0.0, 0.0]);
+        let point = |x: f64, y: f64| Rect::from_point(Point::new([x, y]));
+        assert_eq!(window.min_dist_rect(&point(1e-200, -0.5)), 1e-200);
+        assert!(!window.intersects(&point(1e-200, -0.5)));
+        assert_eq!(window.min_dist_rect(&point(5e-324, -0.5)), 5e-324);
+        let two = window.min_dist_rect(&point(3e-170, 4e-170));
+        assert!((two / 5e-170 - 1.0).abs() < 1e-15, "{two}");
+        assert_eq!(window.min_dist_rect(&point(0.0, -0.5)), 0.0);
+        assert_eq!(window.min_dist_rect(&point(3.0, 4.0)), 5.0);
+        let normal = window.min_dist_rect(&point(1e-150, 2e-150));
+        assert_eq!(normal, (1e-150f64 * 1e-150 + 2e-150 * 2e-150).sqrt());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use ir2_geo::OrderedF64;
 use ir2_model::{
@@ -15,7 +14,9 @@ use ir2_rtree::{CachedNode, PayloadOps, RTree, UnitPayload};
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::search::{collect_topk, level_entry, signature_mask_into, BoundedSearch, BoundedStep};
+use crate::search::{
+    collect_topk, level_entry, reclaim, signature_mask_into, BoundedSearch, BoundedStep,
+};
 use crate::trace::{NopSink, SearchCounters, TraceEvent, TraceSink};
 use crate::SigPayload;
 
@@ -348,22 +349,10 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                         self.seq += 1;
                     }
                     if !hit {
-                        self.reclaim(node);
+                        reclaim(&mut self.page, node);
                     }
                 }
             }
-        }
-    }
-
-    /// Takes the page buffer back from a visited image that no cache
-    /// shares — the search's own page — so the next read goes into it.
-    /// Called after a miss only (a cached image never holds the search's
-    /// buffer), and kept out of line so the visit loop every cache hit
-    /// runs does not grow by it.
-    #[inline(never)]
-    fn reclaim(&mut self, node: Arc<CachedNode<N>>) {
-        if let Some(page) = Arc::into_inner(node).and_then(CachedNode::into_page) {
-            self.page = page.into_bytes();
         }
     }
 }

@@ -13,13 +13,15 @@ use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
 
-use crate::search::{level_entry, signature_mask_into};
+use crate::search::{level_entry, reclaim, signature_mask_into};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
 
 /// A general top-k spatial keyword query: keywords are *preferences*, not a
-/// conjunctive filter — an object containing only some (or none, if
-/// `require_match` is off) of them may rank highly if it is close enough.
+/// conjunctive filter — an object containing only some of them may rank
+/// highly if it is close enough. One containing none is not a result: an
+/// entry whose signature matches no query keyword is pruned — "check if
+/// there can be an object T with non-zero IR score".
 #[derive(Debug, Clone)]
 pub struct GeneralQuery<const N: usize> {
     /// `Q.p`: the query point.
@@ -28,10 +30,6 @@ pub struct GeneralQuery<const N: usize> {
     pub keywords: Vec<String>,
     /// `Q.k`: number of requested results.
     pub k: usize,
-    /// When true (the paper's default), entries whose signature matches no
-    /// query keyword are pruned — "check if there can be an object T with
-    /// non-zero IR score". Disable to admit results with zero IR score.
-    pub require_match: bool,
 }
 
 impl<const N: usize> GeneralQuery<N> {
@@ -41,14 +39,7 @@ impl<const N: usize> GeneralQuery<N> {
             point: point.into(),
             keywords: normalize_keywords(keywords),
             k,
-            require_match: true,
         }
-    }
-
-    /// Admits results with zero IR score (pure-distance fallback).
-    pub fn allow_unmatched(mut self) -> Self {
-        self.require_match = false;
-        self
     }
 }
 
@@ -168,6 +159,9 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
     // keywords, so steady-state per-keyword pruning allocates nothing.
     let mut keyword_masks: Vec<EntryMask> = (0..term_ids.len()).map(|_| EntryMask::new()).collect();
     let mut matched: Vec<TermId> = Vec::with_capacity(term_ids.len());
+    // The reusable buffer a node no cache serves is read into, as in
+    // `DistanceFirstIter`.
+    let mut page = Vec::new();
 
     // Highest upper bound first, then the earliest push.
     let mut heap: BinaryHeap<(OrderedF64, Reverse<u64>, GItem<N>)> = BinaryHeap::new();
@@ -212,8 +206,8 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                 });
                 // The verify-step analog of IR2TopK line 21: a signature
                 // false positive may surface an object that matches no
-                // query keyword; under `require_match` it is not a result.
-                if query.require_match && ir_score <= 0.0 {
+                // query keyword; it is not a result.
+                if ir_score <= 0.0 {
                     continue;
                 }
                 let score = rank.combine(distance, ir_score);
@@ -238,7 +232,7 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
             }
             GItem::Node(node_id) => {
                 nodes_read += 1;
-                let (node, _hit) = tree.read_node_cached(node_id)?;
+                let (node, hit) = tree.read_node_cached_into(node_id, &mut page)?;
                 let level = node.level();
                 sink.record(&TraceEvent::NodeVisited {
                     node: node_id,
@@ -276,7 +270,7 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                             matched.push(t);
                         }
                     }
-                    if matched.is_empty() && query.require_match {
+                    if matched.is_empty() {
                         continue;
                     }
                     let child = node.child(i);
@@ -290,6 +284,9 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                     };
                     heap.push((OrderedF64(child_upper), Reverse(seq), item));
                     seq += 1;
+                }
+                if !hit {
+                    reclaim(&mut page, node);
                 }
             }
         }

@@ -76,7 +76,6 @@ mod objects;
 mod payloads;
 mod search;
 pub mod trace;
-mod window;
 
 pub use diagnostics::{density_profile, LevelDensity};
 pub use distance_first::{distance_first_topk, DistanceFirstIter, EntryFilter};
@@ -85,10 +84,3 @@ pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};
 pub use search::{collect_topk, BoundedSearch, BoundedStep, LimitedTopk};
 pub use trace::{LevelPruning, NopSink, SearchCounters, TraceEvent, TraceSink, VecSink};
-pub use window::keyword_window_query;
-
-/// An IR²-Tree: an augmented R-Tree with uniform signatures.
-pub type Ir2Tree<const N: usize, D> = ir2_rtree::RTree<N, D, Ir2Payload>;
-
-/// A MIR²-Tree: an augmented R-Tree with per-level signature schemes.
-pub type Mir2Tree<const N: usize, D> = ir2_rtree::RTree<N, D, MirPayload<N>>;

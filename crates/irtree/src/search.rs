@@ -8,6 +8,8 @@
 //! time across the entries still live ([`payloads_mask_into`] over
 //! `NodeBuf::payload_region`).
 
+use std::sync::Arc;
+
 use ir2_model::{ExecOutcome, SpatialObject, TruncateReason};
 use ir2_rtree::CachedNode;
 use ir2_sigfile::{payloads_mask_into, EntryMask, Signature, SignatureBlock};
@@ -41,6 +43,18 @@ pub(crate) fn signature_mask_into<const N: usize>(
             let (region, stride) = page.payload_region();
             payloads_mask_into(region, stride, page.len(), query, out);
         }
+    }
+}
+
+/// Takes the page buffer back into `page` from a visited image that no
+/// cache shares — the search's own page — so the next read goes into it.
+/// Called after a miss only (a cached image never holds the search's
+/// buffer), and kept out of line so the visit loop every cache hit runs
+/// does not grow by it.
+#[inline(never)]
+pub(crate) fn reclaim<const N: usize>(page: &mut Vec<u8>, node: Arc<CachedNode<N>>) {
+    if let Some(image) = Arc::into_inner(node).and_then(CachedNode::into_page) {
+        *page = image.into_bytes();
     }
 }
 
@@ -168,8 +182,6 @@ pub fn collect_topk<const N: usize>(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use ir2_geo::{Point, Rect};
     use ir2_model::ObjectStore;
     use ir2_rtree::NodeBuf;

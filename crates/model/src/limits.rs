@@ -40,13 +40,6 @@ impl QueryLimits {
         self
     }
 
-    /// Sets a deadline at an absolute instant (e.g. a batch-wide deadline
-    /// shared by many queries).
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the I/O budget in charged units (nodes read + objects loaded).
     pub fn with_io_budget(mut self, budget: u64) -> Self {
         self.io_budget = Some(budget);
@@ -57,23 +50,6 @@ impl QueryLimits {
     pub fn with_max_heap_size(mut self, cap: usize) -> Self {
         self.max_heap_size = Some(cap);
         self
-    }
-
-    /// Tightens `self` by another set of limits: the earlier deadline, the
-    /// smaller budget, the smaller cap.
-    pub fn tightened_by(self, other: &QueryLimits) -> Self {
-        fn min_opt<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        }
-        Self {
-            deadline: min_opt(self.deadline, other.deadline),
-            io_budget: min_opt(self.io_budget, other.io_budget),
-            max_heap_size: min_opt(self.max_heap_size, other.max_heap_size),
-        }
     }
 
     /// The cooperative check run at the top of each search step: given the
@@ -220,22 +196,13 @@ mod tests {
 
     #[test]
     fn past_deadline_trips() {
-        let l = QueryLimits::none().with_deadline_at(Instant::now() - Duration::from_millis(1));
+        let l = QueryLimits {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..QueryLimits::none()
+        };
         assert_eq!(l.check(0, 0), Some(TruncateReason::Deadline));
         let far = QueryLimits::none().with_deadline(Duration::from_secs(3600));
         assert_eq!(far.check(0, 0), None);
-    }
-
-    #[test]
-    fn tightening_takes_the_stricter_side() {
-        let a = QueryLimits::none().with_io_budget(10);
-        let b = QueryLimits::none()
-            .with_io_budget(3)
-            .with_max_heap_size(100);
-        let t = a.tightened_by(&b);
-        assert_eq!(t.io_budget, Some(3));
-        assert_eq!(t.max_heap_size, Some(100));
-        assert!(t.deadline.is_none());
     }
 
     #[test]

@@ -65,7 +65,7 @@ const VERSION: u8 = 1;
 /// entries — served by offset, with no per-entry allocation.
 ///
 /// This is the only in-memory form of a node. Query traversals (nearest
-/// neighbor, window search, signature pruning) read `child`, `rect` and a
+/// neighbor, area search, signature pruning) read `child`, `rect` and a
 /// borrowed `payload` slice straight out of the buffer. The tree's
 /// mutations (insert, split, delete, bulk load) edit the same buffer
 /// through crate-private methods and hand it to the tree's writer, which

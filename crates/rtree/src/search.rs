@@ -1,6 +1,5 @@
-//! Window (range) queries and tree statistics.
+//! Whole-tree walks: the node ids and occupancy statistics.
 
-use ir2_geo::Rect;
 use ir2_storage::{BlockDevice, Result};
 
 use crate::{NodeId, PayloadOps, RTree};
@@ -19,50 +18,6 @@ pub struct TreeStats {
 }
 
 impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
-    /// Classic R-Tree window query: invokes `visit` for every leaf entry
-    /// whose MBR intersects `window`, pruning subtrees whose bounding
-    /// rectangles do not. `visit` receives `(child_ref, rect, payload)` and
-    /// returns `false` to stop the search early.
-    pub fn search_window(
-        &self,
-        window: &Rect<N>,
-        mut visit: impl FnMut(u64, &Rect<N>, &[u8]) -> bool,
-    ) -> Result<()> {
-        let Some(root) = self.root() else {
-            return Ok(());
-        };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            // Arena-backed decode: no per-entry payload allocation even on
-            // this uncached path.
-            let node = self.read_node_buf(id)?;
-            for i in 0..node.len() {
-                let rect = node.rect(i);
-                if !window.intersects(&rect) {
-                    continue;
-                }
-                if node.is_leaf() {
-                    if !visit(node.child(i), &rect, node.payload(i)) {
-                        return Ok(());
-                    }
-                } else {
-                    stack.push(node.child(i));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Collects all object references intersecting `window`.
-    pub fn window_objects(&self, window: &Rect<N>) -> Result<Vec<u64>> {
-        let mut out = Vec::new();
-        self.search_window(window, |child, _, _| {
-            out.push(child);
-            true
-        })?;
-        Ok(out)
-    }
-
     /// The id of every node of the tree, read past the node cache (which it
     /// neither fills nor counts against) — what a test of that cache
     /// compares before and after a commit to learn which nodes it wrote.
@@ -114,7 +69,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
 mod tests {
     use super::*;
     use crate::{RTreeConfig, UnitPayload};
-    use ir2_geo::Point;
+    use ir2_geo::{Point, Rect};
     use ir2_storage::MemDevice;
 
     fn grid_tree(n: u64) -> RTree<2, MemDevice, UnitPayload> {
@@ -127,42 +82,10 @@ mod tests {
     }
 
     #[test]
-    fn window_query_matches_brute_force() {
-        let tree = grid_tree(100);
-        let window = Rect::from_corners(Point::new([2.0, 3.0]), Point::new([5.0, 6.0]));
-        let mut got = tree.window_objects(&window).unwrap();
-        got.sort_unstable();
-        let want: Vec<u64> = (0..100u64)
-            .filter(|i| {
-                let (x, y) = ((i % 10) as f64, (i / 10) as f64);
-                (2.0..=5.0).contains(&x) && (3.0..=6.0).contains(&y)
-            })
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn window_query_early_stop() {
-        let tree = grid_tree(100);
-        let window = Rect::from_corners(Point::new([0.0, 0.0]), Point::new([9.0, 9.0]));
-        let mut seen = 0;
-        tree.search_window(&window, |_, _, _| {
-            seen += 1;
-            seen < 7
-        })
-        .unwrap();
-        assert_eq!(seen, 7);
-    }
-
-    #[test]
     fn empty_window_and_empty_tree() {
-        let tree = grid_tree(20);
-        let far = Rect::from_corners(Point::new([50.0, 50.0]), Point::new([60.0, 60.0]));
-        assert!(tree.window_objects(&far).unwrap().is_empty());
         let empty =
             RTree::<2, _, _>::create(MemDevice::new(), RTreeConfig::with_max(4), UnitPayload)
                 .unwrap();
-        assert!(empty.window_objects(&far).unwrap().is_empty());
         assert_eq!(empty.stats().unwrap(), TreeStats::default());
     }
 

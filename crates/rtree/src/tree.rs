@@ -461,7 +461,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// for multi-block nodes) into an arena-backed [`NodeBuf`], verifying
     /// every block's checksum. No per-entry allocation: the node's one
     /// buffer is the only heap traffic. Every path reads nodes this way:
-    /// queries (nearest neighbor, window search, cached traversals) and
+    /// queries (nearest neighbor, area search, cached traversals) and
     /// mutations alike, which edit the page they read and write it back.
     ///
     /// The page is built in `buf`'s allocation, which it takes, leaving

@@ -139,28 +139,6 @@ impl Signature {
         &self.words
     }
 
-    /// Builds a signature directly from backing words.
-    ///
-    /// # Panics
-    /// Panics if `words.len() != bits.div_ceil(64)` or if any bit beyond
-    /// `bits` is set in the last word (the zero-padding invariant every
-    /// other operation relies on).
-    pub fn from_words(bits: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), bits.div_ceil(64), "signature word mismatch");
-        if !bits.is_multiple_of(64) {
-            let mask = (1u64 << (bits % 64)) - 1;
-            assert_eq!(
-                words[bits / 64] & !mask,
-                0,
-                "bits beyond the signature length must be zero"
-            );
-        }
-        Self {
-            bits,
-            words: words.into_boxed_slice(),
-        }
-    }
-
     /// Deserializes a signature of `bits` bits from `buf`.
     ///
     /// # Panics

@@ -158,14 +158,6 @@ impl<D: BlockDevice> RetryDevice<D> {
         v
     }
 
-    /// Lifts every quarantine and forgets accumulated strikes (e.g. after
-    /// an operator replaced the medium).
-    pub fn clear_quarantine(&self) {
-        let mut b = self.breaker.lock();
-        b.strikes.clear();
-        b.quarantined.clear();
-    }
-
     /// The backoff before retry number `attempt` (1-based): exponential
     /// growth from the base, capped, with "equal jitter" — half the delay
     /// is fixed, half uniform random — so concurrent retriers against one
@@ -442,12 +434,9 @@ mod tests {
             other => panic!("expected fail-fast quarantine, got {other:?}"),
         }
         assert_eq!(dev.inner().faults_injected(), before);
-        // Other blocks are unaffected...
+        // Other blocks are unaffected.
         dev.allocate(8).unwrap();
         assert!(dev.read_block(0, &mut out).is_ok());
-        // ...and lifting the quarantine restores service.
-        dev.clear_quarantine();
-        assert!(dev.read_block(5, &mut out).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fault-injection test doubles.
 //!
 //! Real disks fail; a database library must surface those failures as
-//! errors, never panics or silent corruption. Two injectors live here (in
+//! errors, never panics or silent corruption. Three injectors live here (in
 //! the library, not `#[cfg(test)]`, so downstream crates' tests can use
 //! them too):
 //!
@@ -21,9 +21,6 @@
 //!   switch wraps all of one replica's devices, and when pulled (or when
 //!   an armed operation index is reached) every subsequent operation fails
 //!   **permanently** — the failure mode replica failover exists to absorb.
-//! * [`StallDevice`] models a *slow* device rather than a broken one: each
-//!   operation independently sleeps with a seeded probability, producing
-//!   the stalls that hedged reads cut.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -501,76 +498,6 @@ impl<D: BlockDevice> BlockDevice for KillableDevice<D> {
     }
 }
 
-/// A device that intermittently *stalls* instead of failing: each
-/// operation independently sleeps for `stall` with probability `p`, drawn
-/// from a seeded SplitMix64 stream. Results are always correct — this
-/// models a slow disk (or a deep queue) rather than a broken one, the
-/// workload hedged reads exist to cut. `Clone` shares the stream position,
-/// so clones of one `StallDevice` continue the same fault pattern.
-#[derive(Clone)]
-pub struct StallDevice<D> {
-    inner: D,
-    p: f64,
-    stall: std::time::Duration,
-    state: Arc<AtomicU64>,
-    stalls: Arc<AtomicU64>,
-}
-
-impl<D: BlockDevice> StallDevice<D> {
-    /// Wraps `inner`; each operation stalls for `stall` with probability
-    /// `p`, from a stream seeded with `seed` (distinct seeds give replicas
-    /// independent stall patterns).
-    pub fn new(inner: D, p: f64, stall: std::time::Duration, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be within [0, 1]");
-        Self {
-            inner,
-            p,
-            stall,
-            state: Arc::new(AtomicU64::new(seed)),
-            stalls: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Total stalls injected so far.
-    pub fn stalls_injected(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
-    }
-
-    fn maybe_stall(&self) {
-        let pos = self.state.fetch_add(1, Ordering::Relaxed);
-        let u = (splitmix64(pos) >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.p {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(self.stall);
-        }
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for StallDevice<D> {
-    fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
-        self.maybe_stall();
-        self.inner.read_block(id, buf)
-    }
-
-    fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
-        self.maybe_stall();
-        self.inner.write_block(id, data)
-    }
-
-    fn allocate(&self, n: u64) -> Result<BlockId> {
-        self.maybe_stall();
-        self.inner.allocate(n)
-    }
-
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.inner.sync()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,22 +690,5 @@ mod tests {
         dev.allocate(1).unwrap();
         ks.kill();
         assert!(twin.allocate(1).is_err());
-    }
-
-    #[test]
-    fn stall_device_is_transparent_and_counts_stalls() {
-        let mem = MemDevice::new();
-        // p = 1: every op stalls (for a nanoscopic duration) and is counted.
-        let dev = StallDevice::new(mem, 1.0, std::time::Duration::from_nanos(1), 7);
-        dev.allocate(2).unwrap();
-        dev.write_block(0, &[3u8; BLOCK_SIZE]).unwrap();
-        let mut buf = crate::zeroed_block();
-        dev.read_block(0, &mut buf).unwrap();
-        assert_eq!(buf[0], 3);
-        assert_eq!(dev.stalls_injected(), 3);
-        // p = 0: never stalls.
-        let calm = StallDevice::new(MemDevice::new(), 0.0, std::time::Duration::from_secs(1), 7);
-        calm.allocate(1).unwrap();
-        assert_eq!(calm.stalls_injected(), 0);
     }
 }
