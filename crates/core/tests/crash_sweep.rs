@@ -1,8 +1,16 @@
-//! Crash-point sweep: replay a build + insert + delete + save_catalog
-//! workload with a simulated power cut at *every* I/O index, and assert
-//! that reopening the database afterwards either recovers a committed
-//! pre-crash state or fails with a clean `StorageError::Corrupt` — never a
-//! panic, and never silently wrong results.
+//! Crash-point sweeps: replay a workload with a simulated power cut at
+//! *every* I/O index, and assert that reopening the database afterwards
+//! either recovers a committed pre-crash state or fails with a clean
+//! `StorageError::Corrupt` — never a panic, and never silently wrong
+//! results.
+//!
+//! * The monolithic layout runs build + insert + delete + save_catalog.
+//! * The replicated layout runs its one write path through a
+//!   `BlockDevice`, `ShardedDb::build_replicated`: each shard is built into
+//!   replica 0, copied block by block into the other replicas, verified
+//!   and opened. Scrub-repair and the `SHARDS` manifest write go through
+//!   `std::fs`, not a `BlockDevice`, so no fault plan reaches them and
+//!   they are not swept here.
 //!
 //! The torn write alternates between garbling and truncating the in-flight
 //! block, so both damage shapes hit every write site in the workload.
@@ -10,10 +18,10 @@
 use std::sync::Arc;
 
 use ir2tree::geo::{Point, Rect};
-use ir2tree::model::{ObjPtr, SpatialObject};
-use ir2tree::storage::testing::{CrashPoint, TornWrite, TornWriteDevice};
+use ir2tree::model::{DistanceFirstQuery, ObjPtr, SpatialObject};
+use ir2tree::storage::testing::{FaultDevice, FaultPlan, TornWrite};
 use ir2tree::storage::{MemDevice, StorageError};
-use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
+use ir2tree::{Algorithm, DbConfig, DeviceSet, ShardedDb, SpatialKeywordDb};
 
 const N_OBJECTS: u64 = 16;
 /// Unique marker word of the object the workload inserts after build.
@@ -43,53 +51,24 @@ fn config() -> DbConfig {
     }
 }
 
-struct RawDevices {
-    objects: Arc<MemDevice>,
-    rtree: Arc<MemDevice>,
-    ir2: Arc<MemDevice>,
-    mir2: Arc<MemDevice>,
-    inverted: Arc<MemDevice>,
-    catalog: Arc<MemDevice>,
+/// Six in-memory devices behind shared handles: one handle set goes into
+/// the fault plan's wrappers, the other reopens the same memory afterwards.
+fn raw_devices() -> DeviceSet<Arc<MemDevice>> {
+    DeviceSet::in_memory().map(|_, d| Arc::new(d))
 }
 
-impl RawDevices {
-    fn new() -> Self {
-        Self {
-            objects: Arc::new(MemDevice::new()),
-            rtree: Arc::new(MemDevice::new()),
-            ir2: Arc::new(MemDevice::new()),
-            mir2: Arc::new(MemDevice::new()),
-            inverted: Arc::new(MemDevice::new()),
-            catalog: Arc::new(MemDevice::new()),
-        }
-    }
-
-    fn wrapped(&self, cp: &CrashPoint) -> DeviceSet<TornWriteDevice<Arc<MemDevice>>> {
-        DeviceSet {
-            objects: cp.wrap(Arc::clone(&self.objects)),
-            rtree: cp.wrap(Arc::clone(&self.rtree)),
-            ir2: cp.wrap(Arc::clone(&self.ir2)),
-            mir2: cp.wrap(Arc::clone(&self.mir2)),
-            inverted: cp.wrap(Arc::clone(&self.inverted)),
-            catalog: cp.wrap(Arc::clone(&self.catalog)),
-        }
-    }
-
-    fn raw(&self) -> DeviceSet<Arc<MemDevice>> {
-        DeviceSet {
-            objects: Arc::clone(&self.objects),
-            rtree: Arc::clone(&self.rtree),
-            ir2: Arc::clone(&self.ir2),
-            mir2: Arc::clone(&self.mir2),
-            inverted: Arc::clone(&self.inverted),
-            catalog: Arc::clone(&self.catalog),
-        }
+/// The torn write alternates between the two damage shapes.
+fn torn_mode(crash_at: u64) -> TornWrite {
+    if crash_at.is_multiple_of(2) {
+        TornWrite::Garbled
+    } else {
+        TornWrite::Truncated
     }
 }
 
 /// Runs the full workload on crash-injected devices. Any step may fail —
 /// the sweep only cares that failures are errors, not panics.
-fn run_workload(devices: DeviceSet<TornWriteDevice<Arc<MemDevice>>>) {
+fn run_workload(devices: DeviceSet<FaultDevice<Arc<MemDevice>>>) {
     let Ok(mut db) = SpatialKeywordDb::build(devices, initial_objects(), config()) else {
         return;
     };
@@ -171,30 +150,128 @@ fn audit_recovered(db: &SpatialKeywordDb<Arc<MemDevice>>, crash_at: u64) {
 #[test]
 fn every_crash_point_recovers_or_fails_clean() {
     // Pass 1: count the workload's I/O operations without crashing.
-    let counter = CrashPoint::new(u64::MAX, TornWrite::Garbled);
-    run_workload(RawDevices::new().wrapped(&counter));
+    let counter = FaultPlan::crash_at(u64::MAX, TornWrite::Garbled);
+    run_workload(raw_devices().map(|_, d| counter.wrap(d)));
     let total = counter.ops();
     assert!(
-        !counter.crashed() && total > 100,
+        !counter.dead() && total > 100,
         "workload should run clean and do real I/O, did {total} ops"
     );
 
     // Pass 2: crash at every index.
     for crash_at in 0..total {
-        let mode = if crash_at % 2 == 0 {
-            TornWrite::Garbled
-        } else {
-            TornWrite::Truncated
-        };
-        let raw = RawDevices::new();
-        let cp = CrashPoint::new(crash_at, mode);
-        run_workload(raw.wrapped(&cp));
-        assert!(cp.crashed(), "crash {crash_at} never fired");
+        let raw = raw_devices();
+        let plan = FaultPlan::crash_at(crash_at, torn_mode(crash_at));
+        run_workload(raw.clone().map(|_, d| plan.wrap(d)));
+        assert!(plan.dead(), "crash {crash_at} never fired");
 
-        match SpatialKeywordDb::open(raw.raw()) {
+        match SpatialKeywordDb::open(raw) {
             Ok(db) => audit_recovered(&db, crash_at),
             Err(StorageError::Corrupt(_)) => {} // clean refusal
             Err(e) => panic!("crash {crash_at}: reopen failed with non-corrupt error: {e}"),
+        }
+    }
+}
+
+const SHARDS: usize = 2;
+const REPLICAS: usize = 2;
+
+/// Runs `ShardedDb::build_replicated` with every replica device of shard
+/// `s` behind `plans[s]`, and returns the raw devices, indexed
+/// `[shard][replica]`. A plan per shard, not one for all: shards build on
+/// parallel threads, so one shared op count would have no fixed order.
+fn build_replicated(plans: &[FaultPlan]) -> Vec<Vec<DeviceSet<Arc<MemDevice>>>> {
+    let raw: Vec<Vec<DeviceSet<Arc<MemDevice>>>> = plans
+        .iter()
+        .map(|_| (0..REPLICAS).map(|_| raw_devices()).collect())
+        .collect();
+    let groups = raw
+        .iter()
+        .zip(plans)
+        .map(|(group, plan)| {
+            group
+                .iter()
+                .map(|set| set.clone().map(|_, d| plan.wrap(d)))
+                .collect()
+        })
+        .collect();
+    // Bulk-loaded, as `ir2 build --shards S --replicas R` builds it.
+    let cfg = DbConfig {
+        bulk_load: true,
+        ..config()
+    };
+    let _ = ShardedDb::build_replicated(groups, initial_objects(), cfg);
+    raw
+}
+
+/// A fixed query's answer on every algorithm, as `(id, distance bits)`.
+fn answers(db: &SpatialKeywordDb<Arc<MemDevice>>) -> Vec<Vec<(u64, u64)>> {
+    let q = DistanceFirstQuery::new([4.2, 3.7], &["common"], 5);
+    Algorithm::ALL
+        .iter()
+        .map(|&alg| {
+            db.distance_first(alg, &q)
+                .unwrap_or_else(|e| panic!("{alg:?} on a reopened replica: {e}"))
+                .results
+                .iter()
+                .map(|(o, d)| (o.id, d.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn every_crash_point_of_a_replicated_build_recovers_or_fails_clean() {
+    // Pass 1: a clean build counts each shard's operations, and its
+    // primaries give every shard's reference answer.
+    let counters: Vec<FaultPlan> = (0..SHARDS)
+        .map(|_| FaultPlan::crash_at(u64::MAX, TornWrite::Garbled))
+        .collect();
+    let clean = build_replicated(&counters);
+    let reference: Vec<Vec<Vec<(u64, u64)>>> = clean
+        .into_iter()
+        .map(|mut group| answers(&SpatialKeywordDb::open(group.swap_remove(0)).unwrap()))
+        .collect();
+    for (s, counter) in counters.iter().enumerate() {
+        assert!(
+            !counter.dead() && counter.ops() > 20,
+            "shard {s} should build clean and do real I/O, did {} ops",
+            counter.ops()
+        );
+        assert!(reference[s].iter().all(|hits| !hits.is_empty()));
+    }
+
+    // Pass 2: crash each shard at every index of its own op stream; every
+    // replica of every shard reopens to the clean answer or is refused.
+    for (victim, counter) in counters.iter().enumerate() {
+        for crash_at in 0..counter.ops() {
+            let plans: Vec<FaultPlan> = (0..SHARDS)
+                .map(|s| {
+                    if s == victim {
+                        FaultPlan::crash_at(crash_at, torn_mode(crash_at))
+                    } else {
+                        FaultPlan::new()
+                    }
+                })
+                .collect();
+            let raw = build_replicated(&plans);
+            assert!(
+                plans[victim].dead(),
+                "shard {victim} crash {crash_at} never fired"
+            );
+            for (s, group) in raw.into_iter().enumerate() {
+                for (m, set) in group.into_iter().enumerate() {
+                    let at = format!("shard {victim} crash {crash_at}: shard {s} replica {m}");
+                    match SpatialKeywordDb::open(set) {
+                        Ok(db) => {
+                            assert!(db.check_integrity().ok(), "{at}: integrity check failed");
+                            assert_eq!(answers(&db), reference[s], "{at}: wrong answer");
+                        }
+                        Err(StorageError::Corrupt(_)) => {} // clean refusal
+                        Err(e) => panic!("{at}: reopen failed with non-corrupt error: {e}"),
+                    }
+                }
+            }
         }
     }
 }

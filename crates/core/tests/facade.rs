@@ -369,6 +369,25 @@ fn empty_build_is_rejected() {
     assert!(SpatialKeywordDb::build(DeviceSet::in_memory(), vec![], small_config()).is_err());
 }
 
+/// A gap whose square underflows is still a gap: an object 1e-200 from
+/// the query point ranks after the one at the point, at distance 1e-200,
+/// on every algorithm.
+#[test]
+fn an_object_1e_200_from_the_query_point_is_not_at_distance_0() {
+    let objects = vec![
+        SpatialObject::new(1, [1e-200, 0.0], "coffee"),
+        SpatialObject::new(5, [0.0, 0.0], "coffee"),
+        SpatialObject::new(9, [3.0, 4.0], "coffee"),
+    ];
+    let db = SpatialKeywordDb::build(DeviceSet::in_memory(), objects, small_config()).unwrap();
+    let q = DistanceFirstQuery::new([0.0, 0.0], &["coffee"], 2);
+    for alg in Algorithm::ALL {
+        let report = db.distance_first(alg, &q).unwrap();
+        let got: Vec<(u64, f64)> = report.results.iter().map(|(o, d)| (o.id, *d)).collect();
+        assert_eq!(got, [(5, 0.0), (1, 1e-200)], "{alg:?}");
+    }
+}
+
 #[test]
 fn k_zero_and_oversized_k() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(30), small_config()).unwrap();

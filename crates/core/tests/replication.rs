@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ir2tree::model::{DistanceFirstQuery, SpatialObject};
-use ir2tree::storage::testing::KillSwitch;
+use ir2tree::storage::testing::{FaultDevice, FaultPlan};
 use ir2tree::storage::MemDevice;
 use ir2tree::{
     scrub_dir, shard_layout, Algorithm, DbConfig, DeviceSet, Gather, RetryDevice, ShardedDb,
@@ -53,16 +53,16 @@ fn same_results(a: &[(SpatialObject<2>, f64)], b: &[(SpatialObject<2>, f64)]) ->
             .all(|((x, dx), (y, dy))| x.id == y.id && dx.to_bits() == dy.to_bits())
 }
 
-type KilledDb = ShardedDb<RetryDevice<ir2tree::storage::testing::KillableDevice<Arc<MemDevice>>>>;
+type KilledDb = ShardedDb<RetryDevice<FaultDevice<Arc<MemDevice>>>>;
 
 /// Builds a replicated in-memory database (shards × replicas) whose every
-/// replica answers to its own kill switch, plus the switches, indexed
+/// replica answers to its own fault plan, plus the plans, indexed
 /// `[shard][replica]`.
 fn killable_db(
     objects: Vec<SpatialObject<2>>,
     shards: usize,
     replicas: usize,
-) -> (KilledDb, Vec<Vec<KillSwitch>>) {
+) -> (KilledDb, Vec<Vec<FaultPlan>>) {
     let raw: Vec<Vec<DeviceSet<Arc<MemDevice>>>> = (0..shards)
         .map(|_| {
             (0..replicas)
@@ -71,10 +71,10 @@ fn killable_db(
         })
         .collect();
     // Populate (and byte-verify) through shared Arc handles; reopen the
-    // same memory behind the kill switches.
+    // same memory behind the fault plans.
     drop(ShardedDb::build_replicated(raw.clone(), objects, small_config()).unwrap());
-    let kills: Vec<Vec<KillSwitch>> = (0..shards)
-        .map(|_| (0..replicas).map(|_| KillSwitch::new()).collect())
+    let kills: Vec<Vec<FaultPlan>> = (0..shards)
+        .map(|_| (0..replicas).map(|_| FaultPlan::new()).collect())
         .collect();
     let groups = raw
         .into_iter()
@@ -131,7 +131,7 @@ fn failover_is_exact_when_primaries_die_between_queries() {
     for (qi, q) in queries.iter().enumerate() {
         if qi == queries.len() / 2 {
             for ks in &kills {
-                ks[0].kill();
+                ks[0].set_budget(0);
             }
         }
         for alg in [Algorithm::Ir2, Algorithm::Mir2, Algorithm::Iio] {
@@ -155,7 +155,7 @@ fn all_replicas_dead_shard_fails_per_slot_without_poisoning_siblings() {
     let (db, kills) = killable_db(objects.clone(), 4, 2);
     // Shard 2 loses every replica; the others stay healthy.
     for k in &kills[2] {
-        k.kill();
+        k.set_budget(0);
     }
     let queries: Vec<DistanceFirstQuery<2>> = (0..8)
         .map(|i| {
@@ -174,7 +174,7 @@ fn all_replicas_dead_shard_fails_per_slot_without_poisoning_siblings() {
     assert_eq!(outcomes.len(), queries.len());
     let failed = outcomes.iter().filter(|o| o.is_err()).count();
     assert!(failed > 0, "a dead shard must surface as per-slot errors");
-    // The database is not poisoned: killing no further switches, a fresh
+    // The database is not poisoned: killing no further replicas, a fresh
     // query that the dead shard cannot serve still fails cleanly, and
     // reviving is not needed for the healthy shards to keep answering
     // (k=1 near a healthy shard's tile can complete without shard 2).
@@ -219,7 +219,7 @@ fn hedged_survives_a_dead_primary() {
     let q = DistanceFirstQuery::new([300.0, 300.0], &["pool"], 8);
     let before = db.distance_first(Algorithm::Ir2, &q).unwrap();
     for ks in &kills {
-        ks[0].kill();
+        ks[0].set_budget(0);
     }
     let hedge = Gather::Hedged(Duration::from_millis(1));
     let after = db
@@ -237,8 +237,8 @@ fn hedged_gather_fails_over_past_every_dead_replica() {
     // Only the last replica of every shard survives: a hedge must keep
     // failing over past both dead ones, as the sequential merge does.
     for ks in &kills {
-        ks[0].kill();
-        ks[1].kill();
+        ks[0].set_budget(0);
+        ks[1].set_budget(0);
     }
     let q = DistanceFirstQuery::new([500.0, 500.0], &["pool"], 20);
     let expect = mono.distance_first(Algorithm::Ir2, &q).unwrap();
@@ -277,7 +277,7 @@ fn a_failed_over_attempt_is_in_the_report() {
         for crash_delta in [0u64, 2, 5, 9] {
             let (db, kills) = killable_db(objects.clone(), 4, 2);
             let switch = &kills[1][0];
-            switch.kill_after(switch.ops() + crash_delta);
+            switch.set_budget(crash_delta);
             let before = device_reads(&db);
             let req = TopkRequest::from_query(Algorithm::Ir2, &q).gathered(gather);
             let report = db.run(&req).unwrap();
@@ -448,7 +448,7 @@ proptest! {
         // Arm the victim to die `crash_delta` device operations into the
         // query (0 = dead before the first read).
         let switch = &kills[victim_shard][victim_replica];
-        switch.kill_after(switch.ops() + crash_delta);
+        switch.set_budget(crash_delta);
         let got = db.distance_first(Algorithm::Ir2, &q).unwrap();
         prop_assert!(
             same_results(&expect.results, &got.results),
@@ -496,7 +496,7 @@ proptest! {
 
         let (db, kills) = killable_db(objects, 2, 2);
         let switch = &kills[victim_shard][victim_replica];
-        switch.kill_after(switch.ops() + crash_delta);
+        switch.set_budget(crash_delta);
         let req = TopkRequest::from_query(Algorithm::Ir2, &q).gathered(gather);
         let got = db.run(&req).unwrap();
         prop_assert!(

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ir2tree::model::{DistanceFirstQuery, SpatialObject};
-use ir2tree::storage::testing::FlakyDevice;
+use ir2tree::storage::testing::FaultPlan;
 use ir2tree::storage::{BlockDevice, BlockId, MemDevice, MetricsRegistry, Result, BLOCK_SIZE};
 use ir2tree::text::SaturatingTfIdf;
 use ir2tree::{
@@ -77,7 +77,7 @@ fn requests(
 fn thousand_query_batch_survives_one_in_eight_faults() {
     let registry = Arc::new(MetricsRegistry::new());
     let devices = DeviceSet::in_memory()
-        .map(|_, d| FlakyDevice::every_kth(d, 8))
+        .map(|_, d| FaultPlan::every_kth(8).wrap(d))
         .map(|name, d| RetryDevice::with_metrics(d, RetryPolicy::default(), &registry, name));
     let db = SpatialKeywordDb::build_with_registry(
         devices,
@@ -128,7 +128,7 @@ fn thousand_query_batch_survives_one_in_eight_faults() {
 fn unlimited_path_reports_retries_like_the_limited_path() {
     let build = || {
         let devices = DeviceSet::in_memory()
-            .map(|_, d| FlakyDevice::every_kth(d, 5))
+            .map(|_, d| FaultPlan::every_kth(5).wrap(d))
             .map(|_, d| RetryDevice::new(d));
         SpatialKeywordDb::build(devices, town(400), small_config()).unwrap()
     };
@@ -503,19 +503,13 @@ fn panicking_query_is_isolated_and_pool_stays_usable() {
 #[test]
 fn permanent_faults_fill_slots_and_database_recovers() {
     // Budget mode: the first `budget` operations succeed, everything after
-    // fails *permanently*. Keep handles so the budget can be pulled out
-    // from under a running database.
-    let mut handles: Vec<Arc<FlakyDevice<MemDevice>>> = Vec::new();
-    let devices = DeviceSet::in_memory().map(|_, d| {
-        let dev = Arc::new(FlakyDevice::new(d, u64::MAX));
-        handles.push(Arc::clone(&dev));
-        dev
-    });
+    // fails *permanently*. One plan over every device, so the budget can be
+    // pulled out from under a running database.
+    let plan = FaultPlan::new();
+    let devices = DeviceSet::in_memory().map(|_, d| plan.wrap(d));
     let db = SpatialKeywordDb::build(devices, town(200), small_config()).unwrap();
 
-    for h in &handles {
-        h.refill(0);
-    }
+    plan.set_budget(0);
     let qs = queries(30, 5);
     let outcomes = db.run_batch(&requests(Algorithm::Ir2, &qs, QueryLimits::none()), 4);
     assert_eq!(outcomes.len(), 30, "one slot per query, batch never aborts");
@@ -532,9 +526,7 @@ fn permanent_faults_fill_slots_and_database_recovers() {
     );
 
     // Device heals → the same database answers again; nothing was poisoned.
-    for h in &handles {
-        h.refill(u64::MAX);
-    }
+    plan.set_budget(u64::MAX);
     let q = DistanceFirstQuery::new([7.3, 3.1], &["coffee"], 5);
     let after = db.distance_first(Algorithm::Ir2, &q).unwrap();
     assert!(!after.results.is_empty());

@@ -11,7 +11,16 @@
 //! * [`Rect::min_dist`] — the classical MINDIST lower bound between a query
 //!   point and an MBR, which makes the Hjaltason–Samet incremental
 //!   nearest-neighbor traversal correct: no object inside an MBR can be
-//!   closer to the query point than the MBR's MINDIST.
+//!   closer to the query point than the MBR's MINDIST;
+//! * [`Rect::min_dist_rect`] — the distance of an MBR from an *area* query.
+//!
+//! All three are one rule: the square root of Σ gap² over the dimensions,
+//! and zero only when every gap is. A gap below ≈ 1.5e-154 squares to less
+//! than the smallest normal `f64`, and under ≈ 1e-162 to zero, which would
+//! put an object 1e-200 away at distance 0. So when Σ gap² is not a normal
+//! number the gaps are summed again scaled by 2^600 (exact, and far from
+//! both ends of the range for every such gap); wherever Σ gap² is normal
+//! the result is its plain square root, bit for bit.
 //!
 //! Everything is generic over the compile-time dimensionality `N`. The
 //! paper's running examples are two-dimensional (latitude/longitude treated
@@ -34,3 +43,24 @@ mod rect;
 pub use ordered::OrderedF64;
 pub use point::Point;
 pub use rect::Rect;
+
+/// The Euclidean norm of the gaps `gap(0)`, …, `gap(N − 1)`: the crate's
+/// one distance rule (see the crate docs).
+#[inline]
+fn norm<const N: usize>(gap: impl Fn(usize) -> f64) -> f64 {
+    let mut acc = 0.0;
+    for d in 0..N {
+        let g = gap(d);
+        acc += g * g;
+    }
+    if acc >= f64::MIN_POSITIVE {
+        return acc.sqrt();
+    }
+    const SCALE: f64 = f64::from_bits((1023 + 600) << 52);
+    let mut scaled = 0.0;
+    for d in 0..N {
+        let g = gap(d) * SCALE;
+        scaled += g * g;
+    }
+    scaled.sqrt() / SCALE
+}

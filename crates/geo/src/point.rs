@@ -41,25 +41,11 @@ impl<const N: usize> Point<N> {
         &self.coords
     }
 
-    /// Squared Euclidean distance to `other`.
-    ///
-    /// Comparisons of distances can use the squared form to avoid the square
-    /// root; the query code uses true distances so that reported values are
-    /// directly comparable to the paper's traces.
-    #[inline]
-    pub fn distance_sq(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..N {
-            let diff = self.coords[d] - other.coords[d];
-            acc += diff * diff;
-        }
-        acc
-    }
-
-    /// Euclidean distance to `other` (the paper's `distance(T.p, Q.p)`).
+    /// Euclidean distance to `other` (the paper's `distance(T.p, Q.p)`);
+    /// zero only for equal points (see the crate docs).
     #[inline]
     pub fn distance(&self, other: &Self) -> f64 {
-        self.distance_sq(other).sqrt()
+        crate::norm::<N>(|d| self.coords[d] - other.coords[d])
     }
 
     /// True if every coordinate is finite (no NaN/inf).

@@ -123,65 +123,35 @@ impl<const N: usize> Rect<N> {
         (0..N).all(|d| self.lo.coord(d) <= p.coord(d) && p.coord(d) <= self.hi.coord(d))
     }
 
-    /// Squared MINDIST between a point and this rectangle.
+    /// MINDIST: the minimum Euclidean distance from `p` to any point of the
+    /// rectangle (zero exactly when `p` is inside). This is the `Dist(p,
+    /// MBR)` of the paper's Figure 3 and the lower bound that makes
+    /// best-first traversal produce neighbors in true distance order.
     #[inline]
-    pub fn min_dist_sq(&self, p: &Point<N>) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..N {
+    pub fn min_dist(&self, p: &Point<N>) -> f64 {
+        crate::norm::<N>(|d| {
             let c = p.coord(d);
             let lo = self.lo.coord(d);
             let hi = self.hi.coord(d);
-            let diff = if c < lo {
+            if c < lo {
                 lo - c
             } else if c > hi {
                 c - hi
             } else {
                 0.0
-            };
-            acc += diff * diff;
-        }
-        acc
-    }
-
-    /// MINDIST: the minimum Euclidean distance from `p` to any point of the
-    /// rectangle (zero when `p` is inside). This is the `Dist(p, MBR)` of
-    /// the paper's Figure 3 and the lower bound that makes best-first
-    /// traversal produce neighbors in true distance order.
-    #[inline]
-    pub fn min_dist(&self, p: &Point<N>) -> f64 {
-        self.min_dist_sq(p).sqrt()
+            }
+        })
     }
 
     /// Minimum Euclidean distance between this rectangle and `other`
     /// (zero exactly when they intersect) — the `Dist` of an *area* query,
     /// which the paper permits in place of the query point.
-    ///
-    /// Gaps below ≈ 1.5e-154 square to less than the smallest normal
-    /// `f64`, and under ≈ 1e-162 to zero, which would put a disjoint
-    /// rectangle at distance 0. When the sum of squares is not a normal
-    /// number the gaps are summed again scaled by 2^600 (exact, and far
-    /// from both ends of the range for every such gap).
     pub fn min_dist_rect(&self, other: &Self) -> f64 {
-        let gap = |d: usize| {
+        crate::norm::<N>(|d| {
             (self.lo.coord(d) - other.hi.coord(d))
                 .max(other.lo.coord(d) - self.hi.coord(d))
                 .max(0.0)
-        };
-        let mut acc = 0.0;
-        for d in 0..N {
-            let g = gap(d);
-            acc += g * g;
-        }
-        if acc >= f64::MIN_POSITIVE {
-            return acc.sqrt();
-        }
-        const SCALE: f64 = f64::from_bits((1023 + 600) << 52);
-        let mut scaled = 0.0;
-        for d in 0..N {
-            let g = gap(d) * SCALE;
-            scaled += g * g;
-        }
-        scaled.sqrt() / SCALE
+        })
     }
 
     /// MAXDIST: the maximum Euclidean distance from `p` to any point of the
@@ -299,6 +269,23 @@ mod tests {
         assert_eq!(window.min_dist_rect(&point(3.0, 4.0)), 5.0);
         let normal = window.min_dist_rect(&point(1e-150, 2e-150));
         assert_eq!(normal, (1e-150f64 * 1e-150 + 2e-150 * 2e-150).sqrt());
+
+        // The same rule for a point: its MINDIST and its distance to a point.
+        let p = |x: f64, y: f64| Point::new([x, y]);
+        let origin = p(0.0, 0.0);
+        assert_eq!(window.min_dist(&p(1e-200, -0.5)), 1e-200);
+        assert_eq!(window.min_dist(&p(5e-324, -0.5)), 5e-324);
+        assert_eq!(window.min_dist(&p(0.0, -0.5)), 0.0);
+        assert_eq!(window.min_dist(&p(3.0, 4.0)), 5.0);
+        assert_eq!(origin.distance(&p(1e-200, 0.0)), 1e-200);
+        assert_eq!(origin.distance(&p(0.0, -5e-324)), 5e-324);
+        let two = origin.distance(&p(3e-170, 4e-170));
+        assert!((two / 5e-170 - 1.0).abs() < 1e-15, "{two}");
+        assert_eq!(origin.distance(&origin), 0.0);
+        assert_eq!(origin.distance(&p(3.0, 4.0)), 5.0);
+        let normal = origin.distance(&p(1e-150, 2e-150));
+        assert_eq!(normal, (1e-150f64 * 1e-150 + 2e-150 * 2e-150).sqrt());
+        assert_eq!(window.min_dist(&p(1e-150, 2e-150)), normal);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use ir2_irtree::{collect_topk, insert_object, DistanceFirstIter, Ir2Payload};
 use ir2_model::{ObjectSource, ObjectStore, QueryRegion, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
-use ir2_storage::testing::FlakyDevice;
+use ir2_storage::testing::FaultPlan;
 use ir2_storage::{MemDevice, StorageError};
 
 fn grid_db() -> (
@@ -116,7 +116,7 @@ fn tree_device_failure_surfaces_as_error_not_panic() {
     // Build a healthy tree on a flaky device with a generous budget, then
     // exhaust the budget and query: the iterator must yield Err.
     let store = Arc::new(ObjectStore::<2, _>::create(MemDevice::new()));
-    let flaky = FlakyDevice::new(MemDevice::new(), u64::MAX / 2);
+    let flaky = FaultPlan::budget(u64::MAX / 2).wrap(MemDevice::new());
     let tree = RTree::create(
         flaky,
         RTreeConfig::with_max(4),
@@ -128,7 +128,7 @@ fn tree_device_failure_surfaces_as_error_not_panic() {
         let ptr = store.append(&obj).unwrap();
         insert_object(&tree, ptr, &obj).unwrap();
     }
-    tree.device().refill(0); // every further tree I/O fails
+    tree.device().plan().set_budget(0); // every further tree I/O fails
 
     let mut iter = DistanceFirstIter::new(
         &tree,
@@ -141,7 +141,7 @@ fn tree_device_failure_surfaces_as_error_not_panic() {
     }
 
     // Service restored: the same tree keeps working (no corruption).
-    tree.device().refill(u64::MAX / 2);
+    tree.device().plan().set_budget(u64::MAX / 2);
     let (hits, _) = ir2_irtree::distance_first_topk(
         &tree,
         store.as_ref(),
@@ -153,10 +153,9 @@ fn tree_device_failure_surfaces_as_error_not_panic() {
 
 #[test]
 fn object_store_failure_mid_verification_is_an_error() {
-    let flaky_store = Arc::new(ObjectStore::<2, _>::create(FlakyDevice::new(
-        MemDevice::new(),
-        u64::MAX / 2,
-    )));
+    let flaky_store = Arc::new(ObjectStore::<2, _>::create(
+        FaultPlan::budget(u64::MAX / 2).wrap(MemDevice::new()),
+    ));
     let tree = RTree::create(
         MemDevice::new(),
         RTreeConfig::with_max(4),
@@ -168,7 +167,7 @@ fn object_store_failure_mid_verification_is_an_error() {
         let ptr = flaky_store.append(&obj).unwrap();
         insert_object(&tree, ptr, &obj).unwrap();
     }
-    flaky_store.device().refill(0);
+    flaky_store.device().plan().set_budget(0);
     let res = ir2_irtree::distance_first_topk(
         &tree,
         flaky_store.as_ref(),
@@ -182,7 +181,7 @@ fn insert_failure_is_an_error_not_a_panic() {
     // Exhaust the budget mid-insert; subsequent operations must error
     // cleanly. (A failed insert may leave the tree partially updated — the
     // paper's structures have no WAL — but it must never panic.)
-    let flaky = FlakyDevice::new(MemDevice::new(), 30);
+    let flaky = FaultPlan::budget(30).wrap(MemDevice::new());
     let tree = RTree::create(
         flaky,
         RTreeConfig::with_max(4),

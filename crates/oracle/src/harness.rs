@@ -10,7 +10,7 @@ use ir2_grid::{GridConfig, GridIndex};
 use ir2_sigscan::SignatureFile;
 use ir2tree::model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
 use ir2tree::sigfile::SignatureScheme;
-use ir2tree::storage::testing::{FlakyDevice, KillSwitch};
+use ir2tree::storage::testing::FaultPlan;
 use ir2tree::storage::{MemDevice, StorageError};
 use ir2tree::text::tokenize;
 use ir2tree::{
@@ -450,7 +450,8 @@ impl Checker {
         // Transient faults on every device: the retry layer must absorb
         // them without changing a single answer.
         let flaky = SpatialKeywordDb::build(
-            DeviceSet::in_memory().map(|_role, d| RetryDevice::new(FlakyDevice::every_kth(d, 5))),
+            DeviceSet::in_memory()
+                .map(|_role, d| RetryDevice::new(FaultPlan::every_kth(5).wrap(d))),
             live.clone(),
             cfg.clone(),
         )
@@ -489,8 +490,8 @@ impl Checker {
                 ShardedDb::build_replicated(raw.clone(), live.clone(), cfg.clone())
                     .map_err(|e| self.build_fail("replicated", &e))?,
             );
-            let kills: Vec<Vec<KillSwitch>> = (0..s)
-                .map(|_| (0..r).map(|_| KillSwitch::new()).collect())
+            let kills: Vec<Vec<FaultPlan>> = (0..s)
+                .map(|_| (0..r).map(|_| FaultPlan::new()).collect())
                 .collect();
             let groups = raw
                 .into_iter()
@@ -501,7 +502,7 @@ impl Checker {
                         .zip(ks)
                         .map(|(set, k)| {
                             set.map(|_role, d| {
-                                RetryDevice::new(FlakyDevice::every_kth(k.wrap(d), 5))
+                                RetryDevice::new(FaultPlan::every_kth(5).wrap(k.wrap(d)))
                             })
                         })
                         .collect()
@@ -582,10 +583,10 @@ impl Checker {
             let expect = &full[..q.k.min(full.len())];
 
             if let Some((db, kills)) = &replicated {
-                // Mid-sweep: pull every primary replica's kill switch.
+                // Mid-sweep: kill every primary replica's devices.
                 if qi == sc.queries.len() / 2 {
                     for ks in kills {
-                        ks[0].kill();
+                        ks[0].set_budget(0);
                     }
                 }
                 self.check_report(

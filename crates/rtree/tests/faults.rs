@@ -14,7 +14,7 @@ use ir2_geo::{Point, Rect};
 use std::sync::Arc;
 
 use ir2_rtree::{NodeCache, RTree, RTreeConfig, UnitPayload};
-use ir2_storage::testing::FlakyDevice;
+use ir2_storage::testing::{FaultDevice, FaultPlan};
 use ir2_storage::{BlockDevice, MemDevice, StorageError};
 
 const N: usize = 24;
@@ -34,12 +34,12 @@ fn delete_is_atomic_at_every_io_failure_point() {
     let all = rects();
     let mut budget = 0u64;
     loop {
-        let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+        let dev = FaultPlan::new().wrap(MemDevice::new());
         let tree = RTree::create(dev, RTreeConfig::with_max(4), UnitPayload).unwrap();
         for (i, r) in all.iter().enumerate() {
             tree.insert(i as u64, *r, &[]).unwrap();
         }
-        tree.device().refill(budget);
+        tree.device().plan().set_budget(budget);
 
         let mut deleted: Vec<u64> = Vec::new();
         let mut failed = false;
@@ -55,7 +55,7 @@ fn delete_is_atomic_at_every_io_failure_point() {
         }
 
         // Restore the device and audit the survivors.
-        tree.device().refill(u64::MAX);
+        tree.device().plan().set_budget(u64::MAX);
         assert_eq!(
             tree.len(),
             (N - deleted.len()) as u64,
@@ -85,16 +85,16 @@ fn delete_is_atomic_at_every_io_failure_point() {
 #[test]
 fn failed_delete_can_be_retried() {
     let all = rects();
-    let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+    let dev = FaultPlan::new().wrap(MemDevice::new());
     let tree = RTree::create(dev, RTreeConfig::with_max(4), UnitPayload).unwrap();
     for (i, r) in all.iter().enumerate() {
         tree.insert(i as u64, *r, &[]).unwrap();
     }
 
     // Fail the delete somewhere in the middle of its I/O.
-    tree.device().refill(3);
+    tree.device().plan().set_budget(3);
     assert!(tree.delete(5, &all[5]).is_err());
-    tree.device().refill(u64::MAX);
+    tree.device().plan().set_budget(u64::MAX);
     assert_eq!(tree.len(), N as u64, "failed delete must not change count");
 
     assert!(tree.delete(5, &all[5]).unwrap());
@@ -104,8 +104,8 @@ fn failed_delete_can_be_retried() {
 
 /// A tree whose root is a single three-block leaf: 300 entries of 40 bytes
 /// need 12 008 node bytes, and a sealed block carries 4088.
-fn three_block_root() -> (RTree<2, FlakyDevice<MemDevice>, UnitPayload>, u64) {
-    let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+fn three_block_root() -> (RTree<2, FaultDevice<MemDevice>, UnitPayload>, u64) {
+    let dev = FaultPlan::new().wrap(MemDevice::new());
     let tree = RTree::create(dev, RTreeConfig::with_max(300), UnitPayload).unwrap();
     for (i, r) in rects().iter().enumerate() {
         tree.insert(i as u64, *r, &[]).unwrap();
@@ -143,7 +143,7 @@ fn flipped_byte_in_any_block_of_a_node_names_that_block() {
 /// Rewrites the header of the node at `root` through `forge` and re-seals
 /// its block, so only the header's fields can give it away.
 fn forge_header(
-    tree: &RTree<2, FlakyDevice<MemDevice>, UnitPayload>,
+    tree: &RTree<2, FaultDevice<MemDevice>, UnitPayload>,
     root: u64,
     forge: impl Fn(&mut [u8]),
 ) {
@@ -155,7 +155,7 @@ fn forge_header(
 }
 
 fn assert_corrupt_node(
-    tree: &RTree<2, FlakyDevice<MemDevice>, UnitPayload>,
+    tree: &RTree<2, FaultDevice<MemDevice>, UnitPayload>,
     root: u64,
     what: &str,
 ) {
@@ -199,13 +199,13 @@ fn a_header_claiming_more_entries_than_a_node_holds_is_corrupt() {
 fn read_failing_mid_node_returns_no_node() {
     let (tree, root) = three_block_root();
     for reads_allowed in 0..3 {
-        tree.device().refill(reads_allowed);
+        tree.device().plan().set_budget(reads_allowed);
         assert!(matches!(
             tree.read_node_buf(root),
             Err(StorageError::Io { .. })
         ));
     }
-    tree.device().refill(u64::MAX);
+    tree.device().plan().set_budget(u64::MAX);
     assert_eq!(tree.read_node_buf(root).unwrap().len(), N);
 }
 
@@ -217,7 +217,7 @@ fn read_failing_mid_node_returns_no_node() {
 #[test]
 fn failed_mutation_leaves_the_cache_serving_the_old_tree() {
     let all = rects();
-    let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+    let dev = FaultPlan::new().wrap(MemDevice::new());
     let mut tree = RTree::create(dev, RTreeConfig::with_max(4), UnitPayload).unwrap();
     tree.set_node_cache(Arc::new(NodeCache::new(256)));
     for (i, r) in all.iter().enumerate() {
@@ -229,16 +229,16 @@ fn failed_mutation_leaves_the_cache_serving_the_old_tree() {
     let mut invalidated = cache.invalidated();
 
     let probe = Rect::from_point(Point::new([4.5, 4.5]));
-    type Tree = RTree<2, FlakyDevice<MemDevice>, UnitPayload>;
+    type Tree = RTree<2, FaultDevice<MemDevice>, UnitPayload>;
     let mutations: [&dyn Fn(&Tree) -> bool; 2] = [&|t| t.insert(999, probe, &[]).is_ok(), &|t| {
         t.delete(7, &all[7]).is_ok()
     }];
     for (m, mutate) in mutations.iter().enumerate() {
         let mut failures = 0;
         for budget in 0.. {
-            tree.device().refill(budget);
+            tree.device().plan().set_budget(budget);
             let done = mutate(&tree);
-            tree.device().refill(u64::MAX);
+            tree.device().plan().set_budget(u64::MAX);
             if done {
                 break;
             }

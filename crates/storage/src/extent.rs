@@ -152,7 +152,7 @@ pub fn append_extent(dev: &impl BlockDevice, data: &[u8]) -> Result<(BlockId, u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::FlakyDevice;
+    use crate::testing::FaultPlan;
     use crate::{MemDevice, TrackedDevice};
 
     #[test]
@@ -298,10 +298,11 @@ mod tests {
 
     #[test]
     fn read_failing_mid_extent_leaves_the_buffer_as_it_was() {
-        let dev = FlakyDevice::new(MemDevice::new(), u64::MAX);
+        let plan = FaultPlan::new();
+        let dev = plan.wrap(MemDevice::new());
         let (first, n) = patterned_extent(&dev, 6);
         for reads_allowed in 0..n as u64 {
-            dev.refill(reads_allowed);
+            plan.set_budget(reads_allowed);
             let mut buf = b"head".to_vec();
             assert!(matches!(
                 read_extent_sealed_into(&dev, first, n, &mut buf),
@@ -309,7 +310,7 @@ mod tests {
             ));
             assert_eq!(buf, b"head", "failure after {reads_allowed} blocks");
         }
-        dev.refill(n as u64);
+        plan.set_budget(n as u64);
         assert_eq!(
             read_extent_sealed(&dev, first, n).unwrap().len(),
             n as usize * PAGE_PAYLOAD

@@ -261,14 +261,14 @@ mod tests {
         // Write-through ordering regression: the cache must never get ahead
         // of the disk, so a failed device write must not install the new
         // bytes in a frame.
-        use crate::testing::FlakyDevice;
+        use crate::testing::FaultPlan;
         let mem = std::sync::Arc::new(MemDevice::new());
-        let flaky = FlakyDevice::new(std::sync::Arc::clone(&mem), u64::MAX);
+        let flaky = FaultPlan::new().wrap(std::sync::Arc::clone(&mem));
         let pool = BufferPool::new(flaky, 4);
         pool.allocate(1).unwrap();
         pool.write_block(0, &block_of(0xAA)).unwrap(); // cached + on disk
 
-        pool.inner().refill(0);
+        pool.inner().plan().set_budget(0);
         assert!(pool.write_block(0, &block_of(0xBB)).is_err());
 
         // The cached copy still holds the last successfully written bytes…

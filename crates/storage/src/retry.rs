@@ -282,7 +282,7 @@ impl<D: BlockDevice> BlockDevice for RetryDevice<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::FlakyDevice;
+    use crate::testing::{FaultDevice, FaultPlan};
     use crate::{IoScope, MemDevice};
 
     fn fast_policy() -> RetryPolicy {
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn transient_faults_are_absorbed() {
         // Every 2nd op fails transiently; one retry always recovers.
-        let flaky = FlakyDevice::every_kth(MemDevice::new(), 2);
+        let flaky = FaultPlan::every_kth(2).wrap(MemDevice::new());
         let dev = RetryDevice::with_policy(flaky, fast_policy());
         dev.allocate(4).unwrap();
         let buf = crate::zeroed_block();
@@ -322,7 +322,7 @@ mod tests {
             dev.read_block(i, &mut out).unwrap();
         }
         let stats = scope.finish();
-        assert!(dev.inner().faults_injected() > 0);
+        assert!(dev.inner().plan().faults_injected() > 0);
         assert!(stats.retries > 0, "retries must be attributed to the scope");
         assert!(stats.backoff > Duration::ZERO);
         assert!(
@@ -338,7 +338,7 @@ mod tests {
     fn a_borrowed_read_is_retried_and_counted_like_read_block() {
         use crate::TrackedDevice;
         let stack = || {
-            let flaky = FlakyDevice::every_kth(MemDevice::new(), 2);
+            let flaky = FaultPlan::every_kth(2).wrap(MemDevice::new());
             let dev = TrackedDevice::new(RetryDevice::with_policy(flaky, fast_policy()));
             let first = dev.allocate(4).unwrap();
             for id in first..first + 4 {
@@ -348,8 +348,8 @@ mod tests {
             dev
         };
         let (copied, lent) = (stack(), stack());
-        let faults = |dev: &TrackedDevice<RetryDevice<FlakyDevice<MemDevice>>>| {
-            dev.inner().inner().faults_injected()
+        let faults = |dev: &TrackedDevice<RetryDevice<FaultDevice<MemDevice>>>| {
+            dev.inner().inner().plan().faults_injected()
         };
         let (faults_copied, faults_lent) = (faults(&copied), faults(&lent));
 
@@ -386,24 +386,28 @@ mod tests {
     #[test]
     fn transient_exhaustion_surfaces_the_error() {
         // p = 1.0: every attempt fails transiently; retries run out.
-        let flaky = FlakyDevice::with_probability(MemDevice::new(), 1.0, 7);
+        let flaky = FaultPlan::with_probability(1.0, 7).wrap(MemDevice::new());
         let dev = RetryDevice::with_policy(flaky, fast_policy());
         let err = dev.allocate(1).unwrap_err();
         assert!(err.is_transient());
         // Initial attempt + max_retries.
         assert_eq!(
-            dev.inner().faults_injected(),
+            dev.inner().plan().faults_injected(),
             1 + fast_policy().max_retries as u64
         );
     }
 
     #[test]
     fn permanent_failures_are_not_retried() {
-        let flaky = FlakyDevice::new(MemDevice::new(), 0); // fails everything, permanently
+        let flaky = FaultPlan::budget(0).wrap(MemDevice::new()); // fails everything, permanently
         let dev = RetryDevice::with_policy(flaky, fast_policy());
         let mut out = crate::zeroed_block();
         assert!(dev.read_block(0, &mut out).is_err());
-        assert_eq!(dev.inner().faults_injected(), 1, "exactly one attempt");
+        assert_eq!(
+            dev.inner().plan().faults_injected(),
+            1,
+            "exactly one attempt"
+        );
     }
 
     #[test]
@@ -412,7 +416,7 @@ mod tests {
             quarantine_after: 3,
             ..fast_policy()
         };
-        let flaky = FlakyDevice::new(MemDevice::new(), 0);
+        let flaky = FaultPlan::budget(0).wrap(MemDevice::new());
         let dev = RetryDevice::with_policy(flaky, policy);
         let mut out = crate::zeroed_block();
         for _ in 0..3 {
@@ -424,8 +428,8 @@ mod tests {
         assert_eq!(dev.quarantined_blocks(), vec![5]);
         // Even after the device heals, the quarantined block fails fast
         // without touching the inner device.
-        dev.inner().refill(100);
-        let before = dev.inner().faults_injected();
+        dev.inner().plan().set_budget(100);
+        let before = dev.inner().plan().faults_injected();
         match dev.read_block(5, &mut out) {
             Err(StorageError::Quarantined {
                 block: 5,
@@ -433,7 +437,7 @@ mod tests {
             }) => {}
             other => panic!("expected fail-fast quarantine, got {other:?}"),
         }
-        assert_eq!(dev.inner().faults_injected(), before);
+        assert_eq!(dev.inner().plan().faults_injected(), before);
         // Other blocks are unaffected.
         dev.allocate(8).unwrap();
         assert!(dev.read_block(0, &mut out).is_ok());
@@ -445,14 +449,14 @@ mod tests {
             quarantine_after: 2,
             ..fast_policy()
         };
-        let flaky = FlakyDevice::new(MemDevice::new(), 0);
+        let flaky = FaultPlan::budget(0).wrap(MemDevice::new());
         let dev = RetryDevice::with_policy(flaky, policy);
         let mut out = crate::zeroed_block();
         assert!(dev.read_block(3, &mut out).is_err()); // strike 1
-        dev.inner().refill(10);
+        dev.inner().plan().set_budget(10);
         dev.allocate(8).unwrap();
         assert!(dev.read_block(3, &mut out).is_ok()); // strikes cleared
-        dev.inner().refill(0);
+        dev.inner().plan().set_budget(0);
         assert!(dev.read_block(3, &mut out).is_err()); // strike 1 again
         assert!(dev.quarantined_blocks().is_empty());
     }
@@ -460,7 +464,7 @@ mod tests {
     #[test]
     fn metrics_are_published() {
         let registry = MetricsRegistry::new();
-        let flaky = FlakyDevice::every_kth(MemDevice::new(), 2);
+        let flaky = FaultPlan::every_kth(2).wrap(MemDevice::new());
         let dev = RetryDevice::with_metrics(flaky, fast_policy(), &registry, "objects");
         dev.allocate(2).unwrap();
         let buf = crate::zeroed_block();
@@ -548,7 +552,7 @@ mod tests {
 
     #[test]
     fn dropped_scope_deactivates() {
-        let flaky = FlakyDevice::every_kth(MemDevice::new(), 2);
+        let flaky = FaultPlan::every_kth(2).wrap(MemDevice::new());
         let dev = RetryDevice::with_policy(flaky, fast_policy());
         dev.allocate(4).unwrap();
         let buf = crate::zeroed_block();

@@ -226,7 +226,7 @@ impl<D: BlockDevice> ShadowPair<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::FlakyDevice;
+    use crate::testing::FaultPlan;
     use crate::MemDevice;
     use std::sync::Arc;
 
@@ -306,7 +306,7 @@ mod tests {
         for budget in 0..12u64 {
             let snapshot = Arc::new(MemDevice::new());
             copy_device(&dev, &snapshot);
-            let flaky = FlakyDevice::new(Arc::clone(&snapshot), budget);
+            let flaky = FaultPlan::budget(budget).wrap(Arc::clone(&snapshot));
             // The open itself may exhaust the budget; that writes nothing.
             if let Ok((pair, _)) = ShadowPair::open(&flaky) {
                 let _ = pair.save(&vec![9u8; 2 * PAGE_PAYLOAD + 5]);

@@ -1,56 +1,90 @@
-//! Fault-injection test doubles.
+//! Fault injection: one device wrapper over one shared plan.
 //!
 //! Real disks fail; a database library must surface those failures as
-//! errors, never panics or silent corruption. Three injectors live here (in
-//! the library, not `#[cfg(test)]`, so downstream crates' tests can use
-//! them too):
+//! errors, never panics or silent corruption. A [`FaultPlan`] decides, in
+//! one place, whether each read, write and allocate of every
+//! [`FaultDevice`] it wraps passes, fails transiently, fails permanently,
+//! tears the write in flight, or finds the plan dead. The plan counts those
+//! operations across all its devices, so a whole replica's or database's
+//! I/O stream has one op index, and a clone of the plan is the same plan.
+//! (It lives in the library, not `#[cfg(test)]`, so downstream crates'
+//! tests can use it too.) Its rules:
 //!
-//! * [`FlakyDevice`] wraps one device and injects faults in one of three
-//!   modes: a hard budget cutoff (every op after the first `budget` fails
-//!   permanently — exercising every error path), and two *intermittent*
-//!   modes (every k-th op, or each op with probability `p` from a seeded
-//!   RNG) that inject **transient** errors a retry layer is expected to
+//! * **Permanent failure from op `n`** ([`FaultPlan::budget`], moved by
+//!   [`FaultPlan::set_budget`]): the next `n` operations pass and every
+//!   later one fails with a permanent [`StorageError::Io`], the error a
+//!   retry layer gives up on at once. A spent budget can be set again (the
+//!   device heals); `set_budget(0)` kills a replica now, `set_budget(d)`
+//!   arms its death `d` operations ahead.
+//! * **Transient failure on every k-th op** ([`FaultPlan::every_kth`]),
+//!   counted per calling thread: the recoverable fault a retry layer must
 //!   absorb.
-//! * [`CrashPoint`] / [`TornWriteDevice`] simulate a *crash*: at a chosen
-//!   global I/O index the in-flight write is torn (truncated or garbled)
-//!   and every subsequent operation fails, as if the machine lost power.
-//!   One `CrashPoint` can wrap several devices that share the operation
-//!   counter, so a whole database's I/O stream has a single crash index —
-//!   the basis of the crash-point sweep harness.
-//! * [`KillSwitch`] / [`KillableDevice`] model a *replica death*: the
-//!   switch wraps all of one replica's devices, and when pulled (or when
-//!   an armed operation index is reached) every subsequent operation fails
-//!   **permanently** — the failure mode replica failover exists to absorb.
+//! * **Transient failure with probability `p`**
+//!   ([`FaultPlan::with_probability`]) from a seeded SplitMix64 stream.
+//! * **A torn write at op `n`, then death** ([`FaultPlan::crash_at`]): a
+//!   power cut. The write at index `n` reaches the inner device truncated
+//!   or garbled ([`TornWrite`]) and fails, and so does every later
+//!   operation — the basis of the crash-point sweeps.
+//!
+//! The plan is dead while it refuses every operation permanently
+//! ([`FaultPlan::dead`]); an operation it refuses for that is not counted.
+//! `sync` is never counted either: it passes while the plan is alive and
+//! fails once it is dead.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
 use crate::{BlockDevice, BlockId, Result, StorageError, BLOCK_SIZE};
 
-/// How a [`FlakyDevice`] decides which operations fail.
-enum FaultMode {
-    /// Every operation after the first `budget` fails *permanently*.
-    Budget(AtomicU64),
-    /// Every `period`-th operation *of each calling thread* (its
-    /// `period`-th, `2·period`-th, …) fails with a *transient* error.
-    EveryKth {
-        period: u64,
-        /// Operations seen from all threads (where a thread's own count
-        /// starts when it first touches the device), and each thread's.
-        counts: Mutex<(u64, HashMap<ThreadId, u64>)>,
-    },
-    /// Each operation fails with probability `p`, drawn from a seeded
-    /// SplitMix64 stream, with a *transient* error.
-    Probability { p: f64, state: AtomicU64 },
+/// How the in-flight write is damaged when a crash fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TornWrite {
+    /// Only the first half of the block reaches the disk; the rest keeps
+    /// its previous contents.
+    Truncated,
+    /// The block lands whole but with a burst of flipped bits.
+    Garbled,
 }
 
-/// A fault-injecting device wrapper; see the module docs for the modes.
-pub struct FlakyDevice<D> {
-    inner: D,
-    mode: FaultMode,
-    injected: AtomicU64,
+/// A plan's transient rule.
+enum Transient {
+    Never,
+    /// Every `period`-th operation *of each calling thread* fails. A
+    /// thread's count starts at the plan's op count when it first calls.
+    EveryKth {
+        period: u64,
+        per_thread: HashMap<ThreadId, u64>,
+    },
+    /// Operation `i` fails when SplitMix64 output `seed + i`, as a uniform
+    /// double in [0, 1), is below `p`.
+    Probability {
+        p: f64,
+        seed: u64,
+    },
+}
+
+struct PlanState {
+    /// Operations counted so far across every wrapped device.
+    ops: u64,
+    /// Index of the first operation refused permanently.
+    fail_from: u64,
+    /// The operation a crash tears, and how.
+    torn: Option<(u64, TornWrite)>,
+    transient: Transient,
+    injected: u64,
+}
+
+/// The one decision over a set of [`FaultDevice`]s; see the module docs.
+#[derive(Clone)]
+pub struct FaultPlan {
+    state: Arc<Mutex<PlanState>>,
+}
+
+impl Default for FaultPlan {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// One SplitMix64 output for a given stream position.
@@ -61,21 +95,46 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl<D: BlockDevice> FlakyDevice<D> {
-    /// Wraps `inner`; the first `budget` read/write/allocate calls succeed,
-    /// everything after fails with a **permanent** [`StorageError::Io`].
-    pub fn new(inner: D, budget: u64) -> Self {
+/// An injected failure; `transient` ones carry `ErrorKind::Interrupted`.
+fn injected(transient: bool) -> StorageError {
+    let source = if transient {
+        std::io::Error::new(std::io::ErrorKind::Interrupted, "injected transient fault")
+    } else {
+        std::io::Error::other("injected device failure")
+    };
+    StorageError::Io {
+        op: crate::IoOp::Other,
+        block: None,
+        source,
+    }
+}
+
+impl FaultPlan {
+    fn with(fail_from: u64, torn: Option<(u64, TornWrite)>, transient: Transient) -> Self {
         Self {
-            inner,
-            mode: FaultMode::Budget(AtomicU64::new(budget)),
-            injected: AtomicU64::new(0),
+            state: Arc::new(Mutex::new(PlanState {
+                ops: 0,
+                fail_from,
+                torn,
+                transient,
+                injected: 0,
+            })),
         }
     }
 
-    /// Wraps `inner`; every `period`-th operation fails with a
-    /// **transient** error (`ErrorKind::Interrupted`). The failed
-    /// operation does not reach the inner device, so an immediate retry
-    /// lands on a fresh count and succeeds — the deterministic
+    /// A plan that passes every operation until its budget is set.
+    pub fn new() -> Self {
+        Self::budget(u64::MAX)
+    }
+
+    /// The first `n` operations pass; every later one fails permanently.
+    pub fn budget(n: u64) -> Self {
+        Self::with(n, None, Transient::Never)
+    }
+
+    /// Every `period`-th operation fails with a **transient** error. The
+    /// failed operation does not reach the inner device, so an immediate
+    /// retry lands on a fresh count and succeeds — the deterministic
     /// recoverable-fault workload. `period` must be ≥ 1; `period == 1`
     /// fails every operation.
     ///
@@ -83,277 +142,157 @@ impl<D: BlockDevice> FlakyDevice<D> {
     /// fresh count" holds under concurrency too: with one shared count,
     /// other threads' operations between a fault and its retries could put
     /// every retry on a multiple of `period` again. A thread's count starts
-    /// at the number of operations the device has seen so far, so threads
-    /// that use the device one after another see the fault positions of a
+    /// at the number of operations the plan has seen so far, so threads
+    /// that use the devices one after another see the fault positions of a
     /// single counter.
-    pub fn every_kth(inner: D, period: u64) -> Self {
+    pub fn every_kth(period: u64) -> Self {
         assert!(period >= 1, "period must be at least 1");
-        Self {
-            inner,
-            mode: FaultMode::EveryKth {
-                period,
-                counts: Mutex::new((0, HashMap::new())),
-            },
-            injected: AtomicU64::new(0),
-        }
+        let per_thread = HashMap::new();
+        Self::with(u64::MAX, None, Transient::EveryKth { period, per_thread })
     }
 
-    /// Wraps `inner`; each operation independently fails with probability
-    /// `p` (a **transient** error), drawn from a SplitMix64 stream seeded
-    /// with `seed` — the same seed replays the same fault pattern for a
-    /// serial workload.
-    pub fn with_probability(inner: D, p: f64, seed: u64) -> Self {
+    /// Each operation independently fails with probability `p` (a
+    /// **transient** error), drawn from a SplitMix64 stream seeded with
+    /// `seed` — the same seed replays the same fault pattern for a serial
+    /// workload.
+    pub fn with_probability(p: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be within [0, 1]");
-        Self {
+        Self::with(u64::MAX, None, Transient::Probability { p, seed })
+    }
+
+    /// A crash at operation index `n` (0-based): if it is a write, a torn
+    /// version of the block reaches the inner device; the operation and
+    /// every later one fail. `u64::MAX` never crashes (useful for counting
+    /// a workload's operations).
+    pub fn crash_at(n: u64, mode: TornWrite) -> Self {
+        Self::with(n.saturating_add(1), Some((n, mode)), Transient::Never)
+    }
+
+    /// Wraps a device; every device a plan wraps shares its op count and
+    /// its fate.
+    pub fn wrap<D>(&self, inner: D) -> FaultDevice<D> {
+        FaultDevice {
             inner,
-            mode: FaultMode::Probability {
-                p,
-                state: AtomicU64::new(seed),
-            },
-            injected: AtomicU64::new(0),
+            plan: self.clone(),
         }
     }
 
-    /// Restores `budget` further successful operations (budget mode only;
-    /// a no-op for the intermittent modes).
-    pub fn refill(&self, budget: u64) {
-        if let FaultMode::Budget(remaining) = &self.mode {
-            remaining.store(budget, Ordering::Relaxed);
-        }
+    /// Lets the next `n` operations pass and fails every later one
+    /// permanently: `set_budget(0)` kills the devices now.
+    pub fn set_budget(&self, n: u64) {
+        let mut s = self.lock();
+        s.fail_from = s.ops.saturating_add(n);
     }
 
-    /// Operations left before failures begin. Intermittent modes never
-    /// run out, so they report `u64::MAX`.
-    pub fn remaining(&self) -> u64 {
-        match &self.mode {
-            FaultMode::Budget(remaining) => remaining.load(Ordering::Relaxed),
-            _ => u64::MAX,
-        }
+    /// Operations counted so far across every wrapped device.
+    pub fn ops(&self) -> u64 {
+        self.lock().ops
     }
 
-    /// Total faults injected so far, across all modes.
+    /// Operations failed so far, under every rule.
     pub fn faults_injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        self.lock().injected
     }
 
-    fn transient() -> StorageError {
-        StorageError::Io {
-            op: crate::IoOp::Other,
-            block: None,
-            source: std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "injected transient fault",
-            ),
+    /// Whether the plan refuses every operation permanently.
+    pub fn dead(&self) -> bool {
+        let s = self.lock();
+        s.ops >= s.fail_from
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PlanState> {
+        self.state.lock().expect("no panic while deciding")
+    }
+
+    /// Decides the next operation: `Ok(None)` passes it, `Ok(Some(mode))`
+    /// makes this write the crash, `Err` fails it.
+    fn decide(&self, write: bool) -> Result<Option<TornWrite>> {
+        let mut guard = self.lock();
+        let s = &mut *guard;
+        if s.ops >= s.fail_from {
+            s.injected += 1;
+            return Err(injected(false));
         }
-    }
-
-    fn spend(&self) -> Result<()> {
-        let fail = match &self.mode {
-            FaultMode::Budget(remaining) => {
-                // Decrement-if-positive; at zero, fail permanently.
-                let mut cur = remaining.load(Ordering::Relaxed);
-                loop {
-                    if cur == 0 {
-                        self.injected.fetch_add(1, Ordering::Relaxed);
-                        return Err(StorageError::Io {
-                            op: crate::IoOp::Other,
-                            block: None,
-                            source: std::io::Error::other("injected device failure"),
-                        });
-                    }
-                    match remaining.compare_exchange_weak(
-                        cur,
-                        cur - 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return Ok(()),
-                        Err(seen) => cur = seen,
-                    }
-                }
-            }
-            FaultMode::EveryKth { period, counts } => {
-                let mut counts = counts.lock().expect("no panic while counting");
-                let (total, per_thread) = &mut *counts;
-                let n = per_thread
-                    .entry(std::thread::current().id())
-                    .or_insert(*total);
-                *total += 1;
+        let i = s.ops;
+        s.ops += 1;
+        if let Some((_, mode)) = s.torn.filter(|&(at, _)| at == i) {
+            s.injected += 1;
+            return if write {
+                Ok(Some(mode))
+            } else {
+                Err(injected(false))
+            };
+        }
+        let fault = match &mut s.transient {
+            Transient::Never => false,
+            Transient::EveryKth { period, per_thread } => {
+                let n = per_thread.entry(std::thread::current().id()).or_insert(i);
                 *n += 1;
-                *n % period == 0
+                *n % *period == 0
             }
-            FaultMode::Probability { p, state } => {
-                let pos = state.fetch_add(1, Ordering::Relaxed);
+            Transient::Probability { p, seed } => {
                 // Top 53 bits → a uniform double in [0, 1).
-                let u = (splitmix64(pos) >> 11) as f64 / (1u64 << 53) as f64;
+                let u = (splitmix64(seed.wrapping_add(i)) >> 11) as f64 / (1u64 << 53) as f64;
                 u < *p
             }
         };
-        if fail {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(Self::transient());
+        if fault {
+            s.injected += 1;
+            return Err(injected(true));
         }
-        Ok(())
+        Ok(None)
     }
 }
 
-impl<D: BlockDevice> BlockDevice for FlakyDevice<D> {
-    fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
-        self.spend()?;
-        self.inner.read_block(id, buf)
-    }
-
-    fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
-        self.spend()?;
-        self.inner.write_block(id, data)
-    }
-
-    fn allocate(&self, n: u64) -> Result<BlockId> {
-        self.spend()?;
-        self.inner.allocate(n)
-    }
-
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.inner.sync()
-    }
-}
-
-/// How the in-flight write is damaged when the crash point fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornWrite {
-    /// Only the first half of the block reaches the disk; the rest keeps
-    /// its previous contents.
-    Truncated,
-    /// The block lands whole but with a burst of flipped bits.
-    Garbled,
-}
-
-struct CrashState {
-    next_op: AtomicU64,
-    crash_at: u64,
-    mode: TornWrite,
-    dead: AtomicBool,
-}
-
-/// A simulated power-cut shared by any number of [`TornWriteDevice`]s.
-///
-/// Counts read/write/allocate operations across every wrapped device; the
-/// operation with global index `crash_at` (0-based) is the crash: if it is
-/// a write, a torn version of the block reaches the inner device, then the
-/// operation — and all later ones — fail with [`StorageError::Io`].
-pub struct CrashPoint {
-    state: Arc<CrashState>,
-}
-
-impl CrashPoint {
-    /// A crash at global operation index `crash_at`; `u64::MAX` never
-    /// crashes (useful for counting a workload's operations).
-    pub fn new(crash_at: u64, mode: TornWrite) -> Self {
-        Self {
-            state: Arc::new(CrashState {
-                next_op: AtomicU64::new(0),
-                crash_at,
-                mode,
-                dead: AtomicBool::new(false),
-            }),
-        }
-    }
-
-    /// Wraps a device; all wrappers from one `CrashPoint` share the
-    /// operation counter and die together.
-    pub fn wrap<D: BlockDevice>(&self, inner: D) -> TornWriteDevice<D> {
-        TornWriteDevice {
-            inner,
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    /// Operations observed so far.
-    pub fn ops(&self) -> u64 {
-        self.state.next_op.load(Ordering::Relaxed)
-    }
-
-    /// Whether the crash point has fired.
-    pub fn crashed(&self) -> bool {
-        self.state.dead.load(Ordering::Relaxed)
-    }
-}
-
-/// A device wrapped by a [`CrashPoint`]; see there.
-pub struct TornWriteDevice<D> {
+/// A device whose reads, writes and allocations its [`FaultPlan`] decides.
+/// `Clone` (when `D` is) shares the inner device handle and the plan.
+#[derive(Clone)]
+pub struct FaultDevice<D> {
     inner: D,
-    state: Arc<CrashState>,
+    plan: FaultPlan,
 }
 
-impl<D: BlockDevice> TornWriteDevice<D> {
-    fn injected() -> StorageError {
-        StorageError::Io {
-            op: crate::IoOp::Other,
-            block: None,
-            source: std::io::Error::other("injected crash"),
-        }
-    }
-
-    /// `Ok(true)` means "this operation is the crash"; `Err` means the
-    /// device already died.
-    fn step(&self) -> Result<bool> {
-        if self.state.dead.load(Ordering::Relaxed) {
-            return Err(Self::injected());
-        }
-        let n = self.state.next_op.fetch_add(1, Ordering::Relaxed);
-        if n >= self.state.crash_at {
-            self.state.dead.store(true, Ordering::Relaxed);
-            if n == self.state.crash_at {
-                return Ok(true);
-            }
-            return Err(Self::injected());
-        }
-        Ok(false)
+impl<D> FaultDevice<D> {
+    /// The plan this device answers to.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 }
 
-impl<D: BlockDevice> BlockDevice for TornWriteDevice<D> {
+impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
-        if self.step()? {
-            return Err(Self::injected());
-        }
+        self.plan.decide(false)?;
         self.inner.read_block(id, buf)
     }
 
     fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
-        if self.step()? {
-            // The crash lands mid-write: a damaged version of the block
-            // reaches the platter before the error is reported.
-            let mut torn = *data;
-            match self.state.mode {
-                TornWrite::Truncated => {
-                    let mut old = [0u8; BLOCK_SIZE];
-                    if self.inner.read_block(id, &mut old).is_ok() {
-                        torn[BLOCK_SIZE / 2..].copy_from_slice(&old[BLOCK_SIZE / 2..]);
-                    } else {
-                        torn[BLOCK_SIZE / 2..].fill(0);
-                    }
-                }
-                TornWrite::Garbled => {
-                    for b in &mut torn[256..272] {
-                        *b ^= 0xA5;
-                    }
+        let Some(mode) = self.plan.decide(true)? else {
+            return self.inner.write_block(id, data);
+        };
+        // The crash lands mid-write: a damaged version of the block
+        // reaches the platter before the error is reported.
+        let mut torn = *data;
+        match mode {
+            TornWrite::Truncated => {
+                let mut old = [0u8; BLOCK_SIZE];
+                if self.inner.read_block(id, &mut old).is_ok() {
+                    torn[BLOCK_SIZE / 2..].copy_from_slice(&old[BLOCK_SIZE / 2..]);
+                } else {
+                    torn[BLOCK_SIZE / 2..].fill(0);
                 }
             }
-            let _ = self.inner.write_block(id, &torn);
-            return Err(Self::injected());
+            TornWrite::Garbled => {
+                for b in &mut torn[256..272] {
+                    *b ^= 0xA5;
+                }
+            }
         }
-        self.inner.write_block(id, data)
+        let _ = self.inner.write_block(id, &torn);
+        Err(injected(false))
     }
 
     fn allocate(&self, n: u64) -> Result<BlockId> {
-        if self.step()? {
-            return Err(Self::injected());
-        }
+        self.plan.decide(false)?;
         self.inner.allocate(n)
     }
 
@@ -362,137 +301,8 @@ impl<D: BlockDevice> BlockDevice for TornWriteDevice<D> {
     }
 
     fn sync(&self) -> Result<()> {
-        if self.state.dead.load(Ordering::Relaxed) {
-            return Err(Self::injected());
-        }
-        self.inner.sync()
-    }
-}
-
-struct KillState {
-    ops: AtomicU64,
-    kill_at: AtomicU64,
-    dead: AtomicBool,
-}
-
-/// A remote kill switch for a replica's devices.
-///
-/// One `KillSwitch` wraps any number of devices (typically the six devices
-/// of one replica's `DeviceSet`); they share an operation counter and die
-/// together, like [`CrashPoint`] — but the death is commanded, not fixed at
-/// construction: [`kill`](KillSwitch::kill) fails every operation from now
-/// on, [`kill_after`](KillSwitch::kill_after) arms a death at a chosen
-/// global operation index (a "crash point" for replica-failover sweeps).
-/// Errors are **permanent** (`StorageError::Io`, not transient), so a retry
-/// layer gives up immediately and the failure surfaces to the replica
-/// router.
-#[derive(Clone)]
-pub struct KillSwitch {
-    state: Arc<KillState>,
-}
-
-impl Default for KillSwitch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KillSwitch {
-    /// A switch that is alive until told otherwise.
-    pub fn new() -> Self {
-        Self {
-            state: Arc::new(KillState {
-                ops: AtomicU64::new(0),
-                kill_at: AtomicU64::new(u64::MAX),
-                dead: AtomicBool::new(false),
-            }),
-        }
-    }
-
-    /// Wraps a device; all wrappers from one switch share the operation
-    /// counter and die together.
-    pub fn wrap<D: BlockDevice>(&self, inner: D) -> KillableDevice<D> {
-        KillableDevice {
-            inner,
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    /// Kills every wrapped device immediately.
-    pub fn kill(&self) {
-        self.state.dead.store(true, Ordering::Relaxed);
-    }
-
-    /// Arms a death at global operation index `n` (0-based): the `n`-th
-    /// and every later operation fail.
-    pub fn kill_after(&self, n: u64) {
-        self.state.kill_at.store(n, Ordering::Relaxed);
-    }
-
-    /// Whether the switch has fired (or was killed directly).
-    pub fn killed(&self) -> bool {
-        self.state.dead.load(Ordering::Relaxed)
-    }
-
-    /// Operations observed so far across all wrapped devices.
-    pub fn ops(&self) -> u64 {
-        self.state.ops.load(Ordering::Relaxed)
-    }
-}
-
-/// A device wrapped by a [`KillSwitch`]; see there. `Clone` shares both
-/// the inner device handle and the switch, so a cloned replica set keeps
-/// answering to the same switch.
-#[derive(Clone)]
-pub struct KillableDevice<D> {
-    inner: D,
-    state: Arc<KillState>,
-}
-
-impl<D: BlockDevice> KillableDevice<D> {
-    fn check(&self) -> Result<()> {
-        let n = self.state.ops.fetch_add(1, Ordering::Relaxed);
-        if self.state.dead.load(Ordering::Relaxed)
-            || n >= self.state.kill_at.load(Ordering::Relaxed)
-        {
-            self.state.dead.store(true, Ordering::Relaxed);
-            return Err(StorageError::Io {
-                op: crate::IoOp::Other,
-                block: None,
-                source: std::io::Error::other("replica killed"),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for KillableDevice<D> {
-    fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
-        self.check()?;
-        self.inner.read_block(id, buf)
-    }
-
-    fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
-        self.check()?;
-        self.inner.write_block(id, data)
-    }
-
-    fn allocate(&self, n: u64) -> Result<BlockId> {
-        self.check()?;
-        self.inner.allocate(n)
-    }
-
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn sync(&self) -> Result<()> {
-        if self.state.dead.load(Ordering::Relaxed) {
-            return Err(StorageError::Io {
-                op: crate::IoOp::Other,
-                block: None,
-                source: std::io::Error::other("replica killed"),
-            });
+        if self.plan.dead() {
+            return Err(injected(false));
         }
         self.inner.sync()
     }
@@ -505,7 +315,8 @@ mod tests {
 
     #[test]
     fn fails_exactly_after_budget() {
-        let dev = FlakyDevice::new(MemDevice::new(), 3);
+        let plan = FaultPlan::budget(3);
+        let dev = plan.wrap(MemDevice::new());
         dev.allocate(4).unwrap(); // 1
         let buf = crate::zeroed_block();
         dev.write_block(0, &buf).unwrap(); // 2
@@ -514,13 +325,14 @@ mod tests {
         let err = dev.read_block(0, &mut out).unwrap_err();
         assert!(matches!(err, StorageError::Io { .. }));
         assert!(!err.is_transient(), "budget cutoff is permanent");
-        assert_eq!(dev.remaining(), 0);
-        assert_eq!(dev.faults_injected(), 1);
+        assert!(plan.dead());
+        assert_eq!(plan.faults_injected(), 1);
     }
 
     #[test]
     fn every_kth_fails_transiently_and_recovers() {
-        let dev = FlakyDevice::every_kth(MemDevice::new(), 3);
+        let plan = FaultPlan::every_kth(3);
+        let dev = plan.wrap(MemDevice::new());
         dev.allocate(1).unwrap(); // op 1
         let mut out = crate::zeroed_block();
         dev.read_block(0, &mut out).unwrap(); // op 2
@@ -528,19 +340,20 @@ mod tests {
         assert!(err.is_transient(), "{err}");
         // The very next attempt (op 4) succeeds: the fault is recoverable.
         dev.read_block(0, &mut out).unwrap();
-        assert_eq!(dev.faults_injected(), 1);
-        assert_eq!(dev.remaining(), u64::MAX);
+        assert_eq!(plan.faults_injected(), 1);
+        assert!(!plan.dead());
     }
 
     /// The interleaving that broke retries under one shared count: between
     /// a thread's fault and its retry, another thread performs exactly
     /// `period − 1` operations. The retry must still succeed — and a thread
-    /// that arrives later continues the count the device has seen, so
+    /// that arrives later continues the count the plan has seen, so
     /// handing the device from thread to thread keeps one counter's fault
     /// positions.
     #[test]
     fn every_kth_retry_succeeds_whatever_other_threads_do() {
-        let dev = FlakyDevice::every_kth(MemDevice::new(), 4);
+        let plan = FaultPlan::every_kth(4);
+        let dev = plan.wrap(MemDevice::new());
         dev.allocate(1).unwrap(); // op 1
         let mut out = crate::zeroed_block();
         dev.read_block(0, &mut out).unwrap(); // op 2
@@ -548,28 +361,29 @@ mod tests {
         assert!(dev.read_block(0, &mut out).is_err()); // op 4: fault
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                // Continues the device's count at 5, 6, 7: no fault.
+                // Continues the plan's count at 5, 6, 7: no fault.
                 let mut out = crate::zeroed_block();
                 for _ in 0..3 {
                     dev.read_block(0, &mut out).unwrap();
                 }
             });
         });
-        // The device's 8th operation, but this thread's 5th.
+        // The plan's 8th operation, but this thread's 5th.
         dev.read_block(0, &mut out).unwrap();
-        assert_eq!(dev.faults_injected(), 1);
+        assert_eq!(plan.faults_injected(), 1);
     }
 
     #[test]
     fn probability_mode_is_seeded_and_transient() {
         let run = |seed| {
-            let dev = FlakyDevice::with_probability(MemDevice::new(), 0.5, seed);
+            let plan = FaultPlan::with_probability(0.5, seed);
+            let dev = plan.wrap(MemDevice::new());
             dev.allocate(1).unwrap_or(0);
             let mut out = crate::zeroed_block();
             let pattern: Vec<bool> = (0..64)
                 .map(|_| dev.read_block(0, &mut out).is_ok())
                 .collect();
-            (pattern, dev.faults_injected())
+            (pattern, plan.faults_injected())
         };
         let (a, faults_a) = run(42);
         let (b, _) = run(42);
@@ -581,18 +395,19 @@ mod tests {
             "p=0.5 over 65 ops: {faults_a}"
         );
 
-        let dev = FlakyDevice::with_probability(MemDevice::new(), 1.0, 0);
+        let dev = FaultPlan::with_probability(1.0, 0).wrap(MemDevice::new());
         let err = dev.allocate(1).unwrap_err();
         assert!(err.is_transient());
     }
 
     #[test]
     fn refill_restores_service() {
-        let dev = FlakyDevice::new(MemDevice::new(), 1);
+        let plan = FaultPlan::budget(1);
+        let dev = plan.wrap(MemDevice::new());
         dev.allocate(1).unwrap();
         let mut out = crate::zeroed_block();
         assert!(dev.read_block(0, &mut out).is_err());
-        dev.refill(2);
+        plan.set_budget(2);
         assert!(dev.read_block(0, &mut out).is_ok());
     }
 
@@ -603,10 +418,10 @@ mod tests {
         mem.write_block(0, &[0xFFu8; BLOCK_SIZE]).unwrap();
 
         // Op 0 is the write: it must land truncated and fail.
-        let cp = CrashPoint::new(0, TornWrite::Truncated);
-        let dev = cp.wrap(Arc::clone(&mem));
+        let plan = FaultPlan::crash_at(0, TornWrite::Truncated);
+        let dev = plan.wrap(Arc::clone(&mem));
         assert!(dev.write_block(0, &[0x11u8; BLOCK_SIZE]).is_err());
-        assert!(cp.crashed());
+        assert!(plan.dead());
         let mut out = crate::zeroed_block();
         assert!(dev.read_block(0, &mut out).is_err(), "device is dead");
         assert!(dev.sync().is_err(), "sync after the crash fails too");
@@ -620,8 +435,7 @@ mod tests {
     fn garble_mode_flips_a_burst() {
         let mem = Arc::new(MemDevice::new());
         mem.allocate(1).unwrap();
-        let cp = CrashPoint::new(0, TornWrite::Garbled);
-        let dev = cp.wrap(Arc::clone(&mem));
+        let dev = FaultPlan::crash_at(0, TornWrite::Garbled).wrap(Arc::clone(&mem));
         assert!(dev.write_block(0, &[0u8; BLOCK_SIZE]).is_err());
         let mut out = crate::zeroed_block();
         mem.read_block(0, &mut out).unwrap();
@@ -631,37 +445,37 @@ mod tests {
 
     #[test]
     fn wrappers_share_one_op_counter() {
-        let cp = CrashPoint::new(2, TornWrite::Garbled);
-        let a = cp.wrap(MemDevice::new());
-        let b = cp.wrap(MemDevice::new());
+        let plan = FaultPlan::crash_at(2, TornWrite::Garbled);
+        let a = plan.wrap(MemDevice::new());
+        let b = plan.wrap(MemDevice::new());
         a.allocate(1).unwrap(); // op 0
         b.allocate(1).unwrap(); // op 1
         assert!(a.allocate(1).is_err()); // op 2: crash
         assert!(b.allocate(1).is_err()); // dead: rejected without counting
-        assert_eq!(cp.ops(), 3);
+        assert_eq!(plan.ops(), 3);
     }
 
     #[test]
     fn max_crash_index_never_fires() {
-        let cp = CrashPoint::new(u64::MAX, TornWrite::Garbled);
-        let dev = cp.wrap(MemDevice::new());
+        let plan = FaultPlan::crash_at(u64::MAX, TornWrite::Garbled);
+        let dev = plan.wrap(MemDevice::new());
         dev.allocate(8).unwrap();
         for i in 0..8 {
             dev.write_block(i, &[i as u8; BLOCK_SIZE]).unwrap();
         }
-        assert!(!cp.crashed());
-        assert_eq!(cp.ops(), 9);
+        assert!(!plan.dead());
+        assert_eq!(plan.ops(), 9);
     }
 
     #[test]
     fn kill_switch_is_alive_until_pulled() {
-        let ks = KillSwitch::new();
-        let dev = ks.wrap(MemDevice::new());
+        let plan = FaultPlan::new();
+        let dev = plan.wrap(MemDevice::new());
         dev.allocate(2).unwrap();
         dev.write_block(0, &[7u8; BLOCK_SIZE]).unwrap();
-        assert!(!ks.killed());
-        ks.kill();
-        assert!(ks.killed());
+        assert!(!plan.dead());
+        plan.set_budget(0);
+        assert!(plan.dead());
         let mut buf = crate::zeroed_block();
         let err = dev.read_block(0, &mut buf).unwrap_err();
         assert!(!err.is_transient(), "kill must be permanent: {err}");
@@ -671,24 +485,24 @@ mod tests {
 
     #[test]
     fn kill_after_fires_at_the_armed_op_and_spans_wrappers() {
-        let ks = KillSwitch::new();
-        let a = ks.wrap(MemDevice::new());
-        let b = ks.wrap(MemDevice::new());
-        ks.kill_after(2);
+        let plan = FaultPlan::new();
+        let a = plan.wrap(MemDevice::new());
+        let b = plan.wrap(MemDevice::new());
+        plan.set_budget(2);
         a.allocate(1).unwrap(); // op 0
         b.allocate(1).unwrap(); // op 1
         assert!(a.allocate(1).is_err()); // op 2: dead from here on
         assert!(b.allocate(1).is_err());
-        assert!(ks.killed());
+        assert!(plan.dead());
     }
 
     #[test]
     fn kill_switch_clone_shares_fate() {
-        let ks = KillSwitch::new();
-        let dev = ks.wrap(Arc::new(MemDevice::new()));
+        let plan = FaultPlan::new();
+        let dev = plan.wrap(Arc::new(MemDevice::new()));
         let twin = dev.clone();
         dev.allocate(1).unwrap();
-        ks.kill();
+        plan.set_budget(0);
         assert!(twin.allocate(1).is_err());
     }
 }
