@@ -1416,10 +1416,13 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     }
 
     /// Cumulative decoded-node cache `(tree, hits, misses, invalidated)`
-    /// per tree, in `("rtree", "ir2", "mir2")` order; `invalidated` counts
-    /// the images commits removed — per commit, as many of the nodes it
-    /// wrote as were cached. Empty when the cache is disabled
-    /// (`DbConfig::node_cache == 0`).
+    /// per tree, in `("rtree", "ir2", "mir2")` order. The cache counts a
+    /// miss as it happens, and as `invalidated` the images commits dropped
+    /// — per commit, as many of the nodes it wrote or freed as were cached.
+    /// Hits are tallied by each search and added to the cache once, when
+    /// the search's node reader is dropped: once per query, never once per
+    /// visit, so a search still open has not yet reported its hits. Empty
+    /// when the cache is disabled (`DbConfig::node_cache == 0`).
     pub fn node_cache_stats(&self) -> Vec<(&'static str, u64, u64, u64)> {
         [
             ("rtree", self.rtree.node_cache()),

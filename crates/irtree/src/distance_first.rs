@@ -10,13 +10,11 @@ use ir2_model::{
     normalize_keywords, DistanceFirstQuery, ObjPtr, ObjectSource, QueryLimits, QueryRegion,
     SpatialObject, TruncateReason,
 };
-use ir2_rtree::{CachedNode, PayloadOps, RTree, UnitPayload};
+use ir2_rtree::{CachedNode, NodeReader, PayloadOps, RTree, UnitPayload};
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::search::{
-    collect_topk, level_entry, reclaim, signature_mask_into, BoundedSearch, BoundedStep,
-};
+use crate::search::{collect_topk, level_entry, signature_mask_into, BoundedSearch, BoundedStep};
 use crate::trace::{NopSink, SearchCounters, TraceEvent, TraceSink};
 use crate::SigPayload;
 
@@ -133,11 +131,10 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink
     /// Reusable buffer a candidate record that spans blocks is assembled
     /// in; one that ends inside its first block is checked where it lies.
     scratch: Vec<u8>,
-    /// Reusable buffer a node no cache serves is read into. The visit's
-    /// page owns it while the node is tested and hands it back afterwards,
-    /// so a cold search allocates no node buffer after its first, and each
-    /// read writes into memory the previous one left in the CPU's cache.
-    page: Vec<u8>,
+    /// The search's nodes: the tree's root and image table as of the
+    /// search's start, and the one page every node no image serves is read
+    /// into, so a cold search allocates no node buffer after its first.
+    nodes: NodeReader<'a, N, D, P>,
     sink: S,
 }
 
@@ -198,8 +195,9 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
         keywords: Vec<String>,
         sink: S,
     ) -> Self {
+        let nodes = tree.reader();
         let mut heap = BinaryHeap::new();
-        if let Some(root) = tree.root() {
+        if let Some(root) = nodes.root() {
             heap.push(Reverse((OrderedF64(0.0), 0, Item::Node(root))));
         }
         Self {
@@ -215,7 +213,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
             truncated: None,
             mask: EntryMask::new(),
             scratch: Vec::new(),
-            page: Vec::new(),
+            nodes,
             sink,
         }
     }
@@ -311,7 +309,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                     self.counters.false_positives += 1;
                 }
                 Item::Node(id) => {
-                    let (node, hit) = self.tree.read_node_cached_into(id, &mut self.page)?;
+                    let (node, hit) = self.nodes.read(id)?;
                     let level = node.level();
                     self.counters.visit(node.len(), self.heap.len(), hit);
                     self.sink.record(&TraceEvent::NodeVisited {
@@ -325,7 +323,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                     // signature tree, every entry on the plain R-Tree. A
                     // tested node is counted and reported in one tally.
                     let tested = self.tree.ops().admit_into(
-                        &node,
+                        node,
                         &self.keywords,
                         &mut self.query_sigs,
                         &mut self.mask,
@@ -347,9 +345,6 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                         };
                         self.heap.push(Reverse((d, self.seq, item)));
                         self.seq += 1;
-                    }
-                    if !hit {
-                        reclaim(&mut self.page, node);
                     }
                 }
             }

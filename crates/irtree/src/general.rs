@@ -13,7 +13,7 @@ use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
 use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
 
-use crate::search::{level_entry, reclaim, signature_mask_into};
+use crate::search::{level_entry, signature_mask_into};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::SigPayload;
 
@@ -159,14 +159,13 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
     // keywords, so steady-state per-keyword pruning allocates nothing.
     let mut keyword_masks: Vec<EntryMask> = (0..term_ids.len()).map(|_| EntryMask::new()).collect();
     let mut matched: Vec<TermId> = Vec::with_capacity(term_ids.len());
-    // The reusable buffer a node no cache serves is read into, as in
-    // `DistanceFirstIter`.
-    let mut page = Vec::new();
+    // The search's nodes, read as `DistanceFirstIter` reads them.
+    let mut nodes = tree.reader();
 
     // Highest upper bound first, then the earliest push.
     let mut heap: BinaryHeap<(OrderedF64, Reverse<u64>, GItem<N>)> = BinaryHeap::new();
     let mut seq: u64 = 0;
-    if let Some(root) = tree.root() {
+    if let Some(root) = nodes.root() {
         heap.push((OrderedF64(f64::INFINITY), Reverse(seq), GItem::Node(root)));
         seq += 1;
     }
@@ -232,7 +231,7 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
             }
             GItem::Node(node_id) => {
                 nodes_read += 1;
-                let (node, hit) = tree.read_node_cached_into(node_id, &mut page)?;
+                let (node, _) = nodes.read(node_id)?;
                 let level = node.level();
                 sink.record(&TraceEvent::NodeVisited {
                     node: node_id,
@@ -255,7 +254,7 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                 // bitmask with every entry's verdict (a cached node's block
                 // is shared with `DistanceFirstIter`).
                 for (s, m) in sigs.iter().zip(keyword_masks.iter_mut()) {
-                    signature_mask_into(&node, s, m);
+                    signature_mask_into(node, s, m);
                 }
                 for i in 0..node.len() {
                     // One event per (entry, keyword) probe, entry-major.
@@ -284,9 +283,6 @@ pub fn general_topk_with<const N: usize, D: BlockDevice, P: SigPayload, S: Trace
                     };
                     heap.push((OrderedF64(child_upper), Reverse(seq), item));
                     seq += 1;
-                }
-                if !hit {
-                    reclaim(&mut page, node);
                 }
             }
         }

@@ -60,14 +60,16 @@
 //!
 //! Both algorithms test a visited node's entries in one call that fills
 //! an [`EntryMask`](ir2_sigfile::EntryMask). What it reads depends on the
-//! image [`RTree::read_node_cached`](ir2_rtree::RTree::read_node_cached)
-//! handed over, never on a setting: an image out of the tree's node cache
-//! holds the node's signatures only as the bit-sliced
+//! image the search's [`NodeReader`](ir2_rtree::NodeReader) handed over,
+//! never on a setting: an image out of the tree's node cache holds the
+//! node's signatures only as the bit-sliced
 //! [`SignatureBlock`](ir2_sigfile::SignatureBlock) the payloads'
 //! [`slice_payloads`](ir2_rtree::PayloadOps::slice_payloads) built when
 //! the image was installed, and the visit ANDs a few of its columns; a
-//! tree without a cache hands over the page, and the entries are tested
-//! where they lie with nothing built. The masks are equal bit for bit.
+//! node read past the cache (a tree without one, or a miss a full cache
+//! does not take) is handed over as the reader's page, and the entries are
+//! tested where they lie with nothing built. The masks are equal bit for
+//! bit.
 
 mod diagnostics;
 mod distance_first;

@@ -3,12 +3,10 @@
 //!
 //! A visited node's test reads only what the query asks about: a cached
 //! image ANDs the bit-sliced columns of the query's set bits, and a page a
-//! search read without a cache — into the search's own reusable buffer —
-//! has its payloads tested where they lie, one non-zero query word at a
+//! search read past its image table — into the search's own reusable
+//! buffer — has its payloads tested where they lie, one non-zero query word at a
 //! time across the entries still live ([`payloads_mask_into`] over
 //! `NodeBuf::payload_region`).
-
-use std::sync::Arc;
 
 use ir2_model::{ExecOutcome, SpatialObject, TruncateReason};
 use ir2_rtree::CachedNode;
@@ -22,13 +20,14 @@ use crate::trace::SearchCounters;
 /// signature of the node's level).
 ///
 /// An image out of the node cache holds its signatures as the bit-sliced
-/// [`SignatureBlock`] the tree built when it installed the image — a miss
-/// pays the transpose (8–13 µs for a Hotels-sized node) once, and the image
-/// then outlives every commit that does not rewrite its node — and a visit
-/// ANDs a handful of its columns. An image that kept its page (every visit
-/// of a tree without a cache) has its entries tested where they lie, word
-/// by query word at the page's entry stride, and nothing is built. Both
-/// give the same mask.
+/// [`SignatureBlock`] the reader built when it installed the image — the
+/// miss that installs it pays the transpose (8–13 µs for a Hotels-sized
+/// node) once, and the image then outlives every commit that neither
+/// rewrites nor frees its node — and a visit ANDs a handful of its columns.
+/// A page (every visit of a tree without a cache, and every miss a full
+/// cache does not take) has its entries tested where they lie, word by
+/// query word at the page's entry stride, and nothing is built. Both give
+/// the same mask.
 pub(crate) fn signature_mask_into<const N: usize>(
     node: &CachedNode<N>,
     query: &Signature,
@@ -43,18 +42,6 @@ pub(crate) fn signature_mask_into<const N: usize>(
             let (region, stride) = page.payload_region();
             payloads_mask_into(region, stride, page.len(), query, out);
         }
-    }
-}
-
-/// Takes the page buffer back into `page` from a visited image that no
-/// cache shares — the search's own page — so the next read goes into it.
-/// Called after a miss only (a cached image never holds the search's
-/// buffer), and kept out of line so the visit loop every cache hit runs
-/// does not grow by it.
-#[inline(never)]
-pub(crate) fn reclaim<const N: usize>(page: &mut Vec<u8>, node: Arc<CachedNode<N>>) {
-    if let Some(image) = Arc::into_inner(node).and_then(CachedNode::into_page) {
-        *page = image.into_bytes();
     }
 }
 
@@ -182,6 +169,8 @@ pub fn collect_topk<const N: usize>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use ir2_geo::{Point, Rect};
     use ir2_model::ObjectStore;
     use ir2_rtree::NodeBuf;
@@ -240,7 +229,7 @@ mod tests {
                         .collect();
                     let page = page(level, &payloads);
                     let in_place = CachedNode::new(page.clone());
-                    let sliced = CachedNode::sliced_by(page, ops);
+                    let sliced = CachedNode::sliced_by(&page, ops);
                     let block = sliced
                         .sliced::<SignatureBlock>()
                         .expect("a signature payload slices into a block");

@@ -484,3 +484,117 @@ fn cold_and_cached_searches_agree_on_a_three_level_tree_of_multi_block_nodes() {
         }
     }
 }
+
+/// Two readers query while a writer inserts, each insert a commit that
+/// publishes a new image table — with a cache that holds the tree and with
+/// one that holds a few of its nodes. Every answer equals the brute-force
+/// answer over the objects some commit between the query's start and end
+/// had inserted, and every query's visits split into hits and misses.
+/// (No flush: freed extents stay pending, so each committed tree stays
+/// whole on the device while a reader may still be inside it.)
+#[test]
+fn readers_racing_commits_see_a_committed_tree() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    const INITIAL: usize = 150;
+    const TOTAL: usize = 300;
+    // Distinct coordinates, so no two objects tie on distance.
+    let objects: Vec<SpatialObject<2>> = (0..TOTAL)
+        .map(|i| {
+            let (x, y) = (
+                (i * 37 % 101) as f64,
+                (i * 53 % 97) as f64 + i as f64 / 1000.0,
+            );
+            let words = [WORDS[i % 10], WORDS[(i * 3 + 1) % 10]];
+            SpatialObject::new(i as u64, [x, y], words.join(" "))
+        })
+        .collect();
+    let store = Arc::new(ObjectStore::<2, _>::create(MemDevice::new()));
+    let ptrs: Vec<ObjPtr> = objects.iter().map(|o| store.append(o).unwrap()).collect();
+    store.flush().unwrap();
+    let queries: Vec<DistanceFirstQuery<2>> = (0..12)
+        .map(|i| {
+            let point = [(i * 29 % 100) as f64, (i * 17 % 90) as f64];
+            DistanceFirstQuery::new(point, &[WORDS[i % 10]], 5)
+        })
+        .collect();
+    // The answer over the first `n` objects: (id, distance bits) in order.
+    let brute = |q: &DistanceFirstQuery<2>, n: usize| -> Vec<(u64, u64)> {
+        let region = QueryRegion::Point(q.point);
+        let mut hits: Vec<(f64, u64)> = objects[..n]
+            .iter()
+            .filter(|o| o.contains_all(&q.keywords))
+            .map(|o| (region.min_dist(&ir2_geo::Rect::from_point(o.point)), o.id))
+            .collect();
+        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        hits.truncate(q.k);
+        hits.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+    };
+
+    for capacity in [4096, 6] {
+        let mut tree = RTree::create(
+            MemDevice::new(),
+            RTreeConfig::with_max(6),
+            Ir2Payload::new(SignatureScheme::from_bytes_len(4, 3, 5)),
+        )
+        .unwrap();
+        tree.set_node_cache(Arc::new(NodeCache::new(capacity)));
+        for (ptr, obj) in ptrs.iter().zip(&objects).take(INITIAL) {
+            insert_object(&tree, *ptr, obj).unwrap();
+        }
+        let committed = AtomicUsize::new(INITIAL);
+        let done = AtomicBool::new(false);
+        let answered = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for reader in 0..2 {
+                let (tree, store, queries) = (&tree, &store, &queries);
+                let (committed, done, answered) = (&committed, &done, &answered);
+                s.spawn(move || {
+                    let mut asked = 0;
+                    while !done.load(Ordering::Acquire) || asked < 2 * queries.len() {
+                        let q = &queries[(reader + asked) % queries.len()];
+                        asked += 1;
+                        let lo = committed.load(Ordering::Acquire);
+                        let (got, c) = counted_topk(tree, store, q);
+                        let hi = (committed.load(Ordering::Acquire) + 1).min(TOTAL);
+                        assert_eq!(
+                            c.nodes_read,
+                            c.cache_hits + c.cache_misses,
+                            "capacity {capacity}"
+                        );
+                        let got: Vec<(u64, u64)> =
+                            got.iter().map(|(o, d)| (o.id, d.to_bits())).collect();
+                        assert!(
+                            (lo..=hi).any(|n| brute(q, n) == got),
+                            "capacity {capacity}: {got:?} is no commit's answer in {lo}..={hi}"
+                        );
+                        answered.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            // The commits start once both readers are inside the tree.
+            while answered.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            for (ptr, obj) in ptrs.iter().zip(&objects).skip(INITIAL) {
+                insert_object(&tree, *ptr, obj).unwrap();
+                committed.fetch_add(1, Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert!(answered.load(Ordering::Relaxed) >= 4 * queries.len());
+        let cache = tree.node_cache().unwrap();
+        assert!(cache.len() <= capacity);
+        let (hits, misses) = cache.hit_stats();
+        assert!(
+            hits > 0 && misses > 0,
+            "capacity {capacity}: {hits} / {misses}"
+        );
+        // After the last commit, a full pass agrees with the whole data.
+        for q in &queries {
+            let (got, _) = counted_topk(&tree, &store, q);
+            let got: Vec<(u64, u64)> = got.iter().map(|(o, d)| (o.id, d.to_bits())).collect();
+            assert_eq!(got, brute(q, TOTAL));
+        }
+    }
+}

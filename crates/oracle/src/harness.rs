@@ -180,12 +180,39 @@ fn hits_of(results: &[(SpatialObject<2>, f64)]) -> Hits {
     results.iter().map(|(o, d)| (o.id, *d)).collect()
 }
 
-/// Bitwise result equality: same ids, same distance bits, same order.
+/// Bitwise result equality: same ids, same distance bits, same order —
+/// what two engines' answers to one query must show.
 fn same_hits(a: &[(u64, f64)], b: &[(u64, f64)]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
             .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
+/// How far, in units in the last place, an engine's distance may lie from
+/// the reference's own ([`reference_distance`](crate::reference::reference_distance)).
+const DISTANCE_ULPS: u64 = 4;
+
+/// Whether an engine's distance `got` agrees with the reference's `want`:
+/// equal, or both finite and non-negative and at most [`DISTANCE_ULPS`]
+/// apart (the bits of non-negative doubles are ordered like the values).
+fn close(want: f64, got: f64) -> bool {
+    want == got
+        || want >= 0.0
+            && got >= 0.0
+            && want.is_finite()
+            && got.is_finite()
+            && want.to_bits().abs_diff(got.to_bits()) <= DISTANCE_ULPS
+}
+
+/// An answer agrees with the reference's: the same ids in the same order,
+/// and every distance [`close`] to the reference's.
+fn agrees(want: &[(u64, f64)], got: &[(u64, f64)]) -> bool {
+    want.len() == got.len()
+        && want
+            .iter()
+            .zip(got)
+            .all(|(w, g)| w.0 == g.0 && close(w.1, g.1))
 }
 
 fn fmt_hits(h: &[(u64, f64)]) -> String {
@@ -244,7 +271,8 @@ impl Checker {
         )
     }
 
-    /// Exact oracle equality on a plain result list.
+    /// Oracle agreement on a plain result list: the reference's ids in its
+    /// order, each distance within a few ulps of the reference's own.
     fn exact(
         &mut self,
         engine: &str,
@@ -254,7 +282,7 @@ impl Checker {
     ) -> Result<(), Box<Divergence>> {
         self.checks += 1;
         match got {
-            Ok(h) if same_hits(expected, &h) => Ok(()),
+            Ok(h) if agrees(expected, &h) => Ok(()),
             Ok(h) => Err(self.diverge(
                 engine,
                 "oracle-exact",
@@ -316,8 +344,8 @@ impl Checker {
     }
 
     /// Tie-aware truncated-prefix invariant: a truncated answer's
-    /// distance sequence is an exact prefix of the full canonical
-    /// ranking; entries strictly below the boundary distance match the
+    /// distance sequence is a prefix of the full canonical ranking (each
+    /// distance within a few ulps of the reference's); entries strictly below the boundary distance match the
     /// canonical ranking exactly, entries tied at the boundary need only
     /// belong to the oracle's tie group (a budget that trips mid-drain
     /// cannot canonicalize the cut tie group's membership).
@@ -341,7 +369,7 @@ impl Checker {
             )
         };
         if rep.outcome.is_none() {
-            return if same_hits(&full[..limit], &got) {
+            return if agrees(&full[..limit], &got) {
                 Ok(())
             } else {
                 Err(fail(self, "completed run must equal the exact top-k"))
@@ -353,7 +381,7 @@ impl Checker {
         let boundary = got.last().map(|&(_, d)| d.to_bits());
         let mut seen = std::collections::HashSet::new();
         for (i, &(id, d)) in got.iter().enumerate() {
-            if d.to_bits() != full[i].1.to_bits() {
+            if !close(full[i].1, d) {
                 return Err(fail(self, "distance sequence is not a ranking prefix"));
             }
             if !seen.insert(id) {
@@ -363,10 +391,7 @@ impl Checker {
                 if id != full[i].0 {
                     return Err(fail(self, "below-boundary entry is not canonical"));
                 }
-            } else if !full
-                .iter()
-                .any(|&(fid, fd)| fid == id && fd.to_bits() == d.to_bits())
-            {
+            } else if !full.iter().any(|&(fid, fd)| fid == id && close(fd, d)) {
                 return Err(fail(self, "boundary entry outside the oracle tie group"));
             }
         }
@@ -419,7 +444,7 @@ impl Checker {
         }
         let expect = reference_ranking(now, &scan);
         let got = hits_of(&rep.results);
-        if !same_hits(&expect, &got) {
+        if !agrees(&expect, &got) {
             return Err(self.diverge(
                 "ir2(mutated)",
                 "oracle-exact",
@@ -788,7 +813,7 @@ impl Checker {
                         let ok = if rep.outcome.is_some() {
                             rep.results.is_empty()
                         } else {
-                            same_hits(expect, &hits_of(&rep.results))
+                            agrees(expect, &hits_of(&rep.results))
                         };
                         if !ok {
                             return Err(self.diverge(
@@ -853,5 +878,49 @@ impl Checker {
         }
 
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference::reference_topk;
+
+    /// An engine that measures an object 1e-200 from the query point at
+    /// distance 0 (a rule that squares the gap and underflows) diverges
+    /// from the reference, whichever way it then breaks the tie; the true
+    /// distance, or one a few ulps off, agrees.
+    #[test]
+    fn a_zero_distance_for_a_tiny_gap_is_a_divergence() {
+        let objects = vec![
+            SpatialObject::new(1, [1e-200, 0.0], "cafe"),
+            SpatialObject::new(2, [0.0, 0.0], "cafe"),
+        ];
+        let q = DistanceFirstQuery::new([0.0, 0.0], &["cafe"], 2);
+        let want = reference_topk(&objects, &q);
+        assert_eq!(want, vec![(2, 0.0), (1, 1e-200)]);
+
+        let off = f64::from_bits(1e-200f64.to_bits() + DISTANCE_ULPS);
+        assert!(agrees(&want, &[(2, 0.0), (1, 1e-200)]));
+        assert!(agrees(&want, &[(2, 0.0), (1, off)]));
+        assert!(!agrees(
+            &want,
+            &[(2, 0.0), (1, f64::from_bits(off.to_bits() + 1))]
+        ));
+        for underflowed in [vec![(1, 0.0), (2, 0.0)], vec![(2, 0.0), (1, 0.0)]] {
+            assert!(!agrees(&want, &underflowed), "{underflowed:?}");
+            let mut checker = Checker {
+                seed: 0,
+                iter: 0,
+                caps: Caps::default(),
+                inject: false,
+                checks: 0,
+            };
+            let caught = checker
+                .exact("ir2(cold)", &q, &want, Ok(underflowed))
+                .unwrap_err();
+            assert_eq!(caught.invariant, "oracle-exact");
+            assert_eq!(checker.checks, 1);
+        }
     }
 }

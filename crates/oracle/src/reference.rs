@@ -11,9 +11,10 @@ use ir2tree::model::{DistanceFirstQuery, SpatialObject};
 use ir2tree::text::tokenize;
 
 /// The full ranking of every matching object, in the canonical
-/// `(distance, id)` order. Distances come from the same
-/// [`Point::distance`](ir2tree::geo::Point::distance) every engine uses,
-/// so comparisons downstream can demand bitwise equality.
+/// `(distance, id)` order. Distances come from [`reference_distance`], not
+/// from the engines' geometry, so a fault in their one distance rule is a
+/// divergence; downstream, an engine's distance must agree with it to
+/// within a few ulps.
 pub fn reference_ranking(
     objects: &[SpatialObject<2>],
     query: &DistanceFirstQuery<2>,
@@ -21,7 +22,12 @@ pub fn reference_ranking(
     let mut hits: Vec<(u64, f64)> = objects
         .iter()
         .filter(|o| matches(o, &query.keywords))
-        .map(|o| (o.id, o.point.distance(&query.point)))
+        .map(|o| {
+            (
+                o.id,
+                reference_distance(o.point.coords(), query.point.coords()),
+            )
+        })
         .collect();
     hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     hits
@@ -35,6 +41,37 @@ pub fn reference_topk(
     let mut hits = reference_ranking(objects, query);
     hits.truncate(query.k);
     hits
+}
+
+/// The Euclidean distance between `a` and `b`, computed here and nowhere
+/// else. While the sum of the squared gaps is a normal number it is
+/// `√(dx² + dy²)` — on the scenarios' integer grid an exact sum, so ties
+/// are bitwise. A sum that underflows (gaps below ≈ 1e-154) or overflows is
+/// recomputed on gaps scaled by powers of two until the larger one is near
+/// 1, which is exact, and scaled back.
+pub fn reference_distance(a: &[f64; 2], b: &[f64; 2]) -> f64 {
+    let (mut dx, mut dy) = ((a[0] - b[0]).abs(), (a[1] - b[1]).abs());
+    let (sum, larger) = (dx * dx + dy * dy, dx.max(dy));
+    if sum.is_normal() || larger == 0.0 || larger.is_infinite() {
+        return sum.sqrt();
+    }
+    const UP: f64 = 1.3407807929942597e154; // 2^512
+    const DOWN: f64 = 7.458340731200207e-155; // 2^-512
+    let mut steps = 0i32;
+    while dx.max(dy) < DOWN {
+        (dx, dy, steps) = (dx * UP, dy * UP, steps + 1);
+    }
+    while dx.max(dy) > UP {
+        (dx, dy, steps) = (dx * DOWN, dy * DOWN, steps - 1);
+    }
+    let mut d = (dx * dx + dy * dy).sqrt();
+    for _ in 0..steps {
+        d *= DOWN;
+    }
+    for _ in steps..0 {
+        d *= UP;
+    }
+    d
 }
 
 /// Conjunctive keyword containment, re-derived from the raw text rather
@@ -64,6 +101,28 @@ mod tests {
             top.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
             vec![2, 5]
         );
+    }
+
+    /// The reference's own distance: exact on the grid, and a gap whose
+    /// square underflows or overflows is still measured, not rounded to 0
+    /// or infinity.
+    #[test]
+    fn the_reference_distance_survives_tiny_and_huge_gaps() {
+        assert_eq!(reference_distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
+        assert_eq!(reference_distance(&[1.0, 7.0], &[0.0, 0.0]), 50f64.sqrt());
+        assert_eq!(reference_distance(&[2.0, 2.0], &[2.0, 2.0]), 0.0);
+        for gap in [1e-200, 1e-160, 5e-324] {
+            assert_eq!(reference_distance(&[0.0, 0.0], &[gap, 0.0]), gap);
+        }
+        for gap in [1e-200, 1e-160] {
+            let d = reference_distance(&[0.0, 0.0], &[gap, gap]);
+            assert!(
+                (d / gap - std::f64::consts::SQRT_2).abs() < 1e-12,
+                "{gap}: {d}"
+            );
+        }
+        assert_eq!(reference_distance(&[-1e300, 0.0], &[1e300, 0.0]), 2e300);
+        assert!(reference_distance(&[0.0, 0.0], &[f64::INFINITY, 0.0]).is_infinite());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! ([`RTree::bulk_load`]) used to build large experimental trees quickly,
 //! and an optional decoded-node cache ([`RTree::set_node_cache`]) that
 //! serves warm traversals without re-verifying checksums or re-decoding
-//! entries; a commit invalidates the images of the nodes it wrote and no
-//! others.
+//! entries: each commit publishes an image table without the nodes it
+//! wrote or freed, and a search reads every node from the table it took
+//! when it opened ([`RTree::reader`]).
 
 mod bulk;
 mod cached;
@@ -43,7 +44,7 @@ mod payload;
 mod search;
 mod tree;
 
-pub use cached::{CachedNode, NodeCache};
+pub use cached::{CachedNode, NodeCache, NodeReader};
 pub use config::{RTreeConfig, SplitStrategy};
 pub use nn::{NnIter, NnResult};
 pub use node::{NodeBuf, NodeId};

@@ -7,7 +7,7 @@ use std::collections::BinaryHeap;
 use ir2_geo::{OrderedF64, Point};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::{PayloadOps, RTree};
+use crate::{NodeReader, PayloadOps, RTree};
 
 /// One nearest-neighbor result: an object reference and its distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +38,7 @@ enum Item {
 /// search never visits). Dequeue-time loading is Hjaltason & Samet's actual
 /// algorithm and touches strictly fewer blocks.
 pub struct NnIter<'a, const N: usize, D, P> {
-    tree: &'a RTree<N, D, P>,
+    nodes: NodeReader<'a, N, D, P>,
     query: Point<N>,
     heap: BinaryHeap<Reverse<(OrderedF64, u64, Item)>>,
     seq: u64,
@@ -62,12 +62,13 @@ impl PartialOrd for Item {
 impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     /// Starts an incremental nearest-neighbor scan from `query`.
     pub fn nearest(&self, query: Point<N>) -> NnIter<'_, N, D, P> {
+        let nodes = self.reader();
         let mut heap = BinaryHeap::new();
-        if let Some(root) = self.root() {
+        if let Some(root) = nodes.root() {
             heap.push(Reverse((OrderedF64(0.0), 0, Item::Node(root))));
         }
         NnIter {
-            tree: self,
+            nodes,
             query,
             heap,
             seq: 1,
@@ -112,7 +113,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> Iterator for NnIter<'_, N, D
                     }));
                 }
                 Item::Node(id) => {
-                    let (node, hit) = match self.tree.read_node_cached(id) {
+                    let (node, hit) = match self.nodes.read(id) {
                         Ok(read) => read,
                         Err(e) => return Some(Err(e)),
                     };

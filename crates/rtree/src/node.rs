@@ -241,12 +241,6 @@ impl<const N: usize> NodeBuf<N> {
         self.buf
     }
 
-    /// Drops spare capacity, for a page that is kept (one a node cache
-    /// installs) rather than read over.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.buf.shrink_to_fit();
-    }
-
     /// Iterates all child references in entry order.
     pub fn children(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.count).map(|i| self.child(i))

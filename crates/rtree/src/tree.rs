@@ -7,7 +7,7 @@ use ir2_geo::Rect;
 use ir2_storage::{extent, page, BlockDevice, Result, StorageError, PAGE_PAYLOAD};
 use parking_lot::Mutex;
 
-use crate::cached::{CachedNode, NodeCache};
+use crate::cached::{CachedNode, NodeCache, NodeReader};
 use crate::node::{Item, NodeBuf, NodeId};
 use crate::{PayloadOps, RTreeConfig, SplitStrategy};
 
@@ -106,9 +106,9 @@ pub struct RTree<const N: usize, D, P> {
     meta: Mutex<Meta>,
     /// Freed node extents by extent size, reused before growing the device.
     free: Mutex<FreeLists>,
-    /// Optional decoded-node cache; every commit removes from it the
-    /// images of the extents the mutation wrote, so no image outlives the
-    /// bytes it was decoded from.
+    /// Optional decoded-node cache; every commit publishes its image table
+    /// without the images of the extents the mutation wrote or freed, so no
+    /// image outlives the bytes it was decoded from.
     node_cache: Option<Arc<NodeCache<N>>>,
 }
 
@@ -365,23 +365,24 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
     }
 
     /// Publishes a successful mutation: its metadata becomes the tree's,
-    /// its freed extents become pending, and the node cache drops the
-    /// images of the extents it **wrote** — `ctx.allocated`, every one of
-    /// which may be a recycled id whose previous life is still cached.
-    /// Those are the only stale images there can be: copy-on-write leaves
-    /// the bytes of every other committed extent alone, and an extent this
-    /// commit frees keeps its bytes until a later mutation reuses it, which
-    /// then lists it here. (Rollback and [`commit_frees`](Self::commit_frees)
-    /// therefore invalidate nothing.)
+    /// its freed extents become pending, and the node cache publishes the
+    /// commit's image table — the current one without the images of the
+    /// extents the mutation **wrote** (`ctx.allocated`, every one of which
+    /// may be a recycled id) or **freed** (no longer part of the tree).
+    /// Copy-on-write leaves the bytes of every other committed extent
+    /// alone, so every image that stays is exact. Called with the metadata
+    /// lock held, so a search opening a reader takes the new root with the
+    /// new table or the old root with the old one. (Rollback and
+    /// [`commit_frees`](Self::commit_frees) therefore publish nothing.)
     fn commit_ctx(&self, ctx: MutCtx, meta: &mut Meta) {
         *meta = ctx.meta;
+        if let Some(cache) = &self.node_cache {
+            let written = ctx.allocated.iter().chain(&ctx.freed);
+            cache.publish(self.dev.num_blocks(), written.map(|&(id, _)| id));
+        }
         let mut free = self.free.lock();
         for (id, nblocks) in ctx.freed {
             free.pending.entry(nblocks).or_default().push(id);
-        }
-        drop(free);
-        if let Some(cache) = &self.node_cache {
-            cache.invalidate(ctx.allocated.iter().map(|&(id, _)| id));
         }
     }
 
@@ -479,10 +480,12 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         self.read_node_into(id, &mut Vec::new())
     }
 
-    /// Attaches a decoded-node cache. Call at construction time, before the
-    /// tree is shared; each commit afterward invalidates exactly the nodes
-    /// it wrote.
+    /// Attaches a decoded-node cache, publishing an empty image table
+    /// sized to the device. Call at construction time, before the tree is
+    /// shared; each commit afterward publishes a table without the nodes it
+    /// wrote or freed.
     pub fn set_node_cache(&mut self, cache: Arc<NodeCache<N>>) {
+        cache.restart(self.dev.num_blocks());
         self.node_cache = Some(cache);
     }
 
@@ -496,44 +499,23 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         self.node_cache.as_ref()
     }
 
-    /// Reads the node at `id` through the decoded-node cache, returning the
-    /// shared image and whether it was a cache hit. A miss reads into `buf`
-    /// ([`read_node_into`](RTree::read_node_into)). Without an attached
-    /// cache the image is that page and nothing is built for it: the caller
-    /// holds its only reference, and can take the page back
-    /// ([`CachedNode::into_page`]) and its bytes with it.
-    ///
-    /// On a miss the image is put in the form the cache keeps
-    /// ([`CachedNode::sliced_by`] this tree's payload scheme) before it is
-    /// installed, so the visit that paid for the read already uses it. The
-    /// cache's epoch is snapshotted *before* the device read: if a mutation
-    /// commits while the node is being decoded, the image is dropped
-    /// instead of installed.
-    pub fn read_node_cached_into(
-        &self,
-        id: NodeId,
-        buf: &mut Vec<u8>,
-    ) -> Result<(Arc<CachedNode<N>>, bool)> {
-        let Some(cache) = &self.node_cache else {
-            return Ok((
-                Arc::new(CachedNode::new(self.read_node_into(id, buf)?)),
-                false,
-            ));
-        };
-        if let Some(node) = cache.get(id) {
-            return Ok((node, true));
-        }
-        let snapshot = cache.epoch();
-        let page = self.read_node_into(id, buf)?;
-        let node = Arc::new(CachedNode::sliced_by(page, &self.ops));
-        cache.insert(id, snapshot, Arc::clone(&node));
-        Ok((node, false))
+    /// Opens a reader on the tree as it stands: its root and, with a node
+    /// cache, the cache's current image table, taken under the metadata
+    /// lock so the two belong to one commit. Every search reads its nodes
+    /// through one reader ([`NodeReader::read`]).
+    pub fn reader(&self) -> NodeReader<'_, N, D, P> {
+        let meta = self.meta.lock();
+        NodeReader::open(self, meta.root, self.node_cache.as_deref())
     }
 
-    /// [`read_node_cached_into`](RTree::read_node_cached_into) a fresh
-    /// buffer.
+    /// Reads the node at `id` through a reader of its own, returning the
+    /// image as a shared value and whether the node cache served it. A miss
+    /// installs the node's image while the cache has room; the hit or miss
+    /// is counted as one query's.
     pub fn read_node_cached(&self, id: NodeId) -> Result<(Arc<CachedNode<N>>, bool)> {
-        self.read_node_cached_into(id, &mut Vec::new())
+        let mut reader = self.reader();
+        let (_, hit) = reader.read(id)?;
+        Ok((reader.into_shared(id), hit))
     }
 
     /// An empty node at `level`, to be written at the extent `id`.
@@ -615,11 +597,10 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
         meta.root = Some(root);
         meta.height = height;
         meta.count = count;
-        drop(meta);
         // Every extent the load wrote may be a recycled id; the tree was
-        // empty, so no reader is inside it and a plain wipe is enough.
+        // empty, so no reader is inside it and an empty table is enough.
         if let Some(cache) = &self.node_cache {
-            cache.clear();
+            cache.restart(self.dev.num_blocks());
         }
     }
 
@@ -1431,10 +1412,10 @@ mod tests {
         assert!(after_it.cache_hits() > 0, "the commit kept the cache");
     }
 
-    /// The reuse hazard: an extent freed by one commit keeps its cached
-    /// image (its bytes have not changed), becomes reusable at the next
-    /// flush, and is written over by a later commit — from which moment a
-    /// cached read of that id must return the new node.
+    /// The reuse hazard: an extent freed by one commit becomes reusable at
+    /// the next flush and is written over by a later commit — from which
+    /// moment a cached read of that id must return the new node. The commit
+    /// that frees an extent already publishes a table without its image.
     #[test]
     fn a_reused_extent_is_not_served_from_its_previous_life() {
         let mut tree = small_tree();
@@ -1451,7 +1432,8 @@ mod tests {
             // Every node of the current tree is cached...
             assert!(tree.nearest(q).all(|r| r.is_ok()));
             let before = tree.node_ids().unwrap();
-            // ...a delete frees its root path, whose images stay...
+            assert!(before.iter().all(|&id| cache.get(id).is_some()));
+            // ...a delete frees its root path, whose images go with it...
             assert!(tree
                 .delete(round, &pt_rect((round % 7) as f64, (round / 7) as f64))
                 .unwrap());
@@ -1459,7 +1441,8 @@ mod tests {
                 let now = tree.node_ids().unwrap();
                 before.into_iter().filter(|id| !now.contains(id)).collect()
             };
-            assert!(freed.iter().all(|&id| cache.get(id).is_some()));
+            assert!(!freed.is_empty());
+            assert!(freed.iter().all(|&id| cache.get(id).is_none()));
             // ...the flush hands the extents back, and the insert takes
             // them again.
             tree.flush().unwrap();
@@ -1482,8 +1465,8 @@ mod tests {
     }
 
     /// A page read into a search's roomy buffer keeps its capacity, but the
-    /// image a node cache installs of it is shrunk to the node's bytes: a
-    /// cache holds thousands of images for the tree's lifetime.
+    /// image a node cache installs of it is a copy of exactly the node's
+    /// bytes: a cache holds thousands of images for the tree's lifetime.
     #[test]
     fn an_image_a_node_cache_installs_keeps_no_spare_capacity() {
         let mut tree = small_tree();
@@ -1507,8 +1490,7 @@ mod tests {
         );
 
         tree.set_node_cache(Arc::new(NodeCache::new(8)));
-        let mut roomy = Vec::with_capacity(64 * 1024);
-        let (image, hit) = tree.read_node_cached_into(root, &mut roomy).unwrap();
+        let (image, hit) = tree.read_node_cached(root).unwrap();
         assert!(!hit);
         tree.clear_node_cache(); // drops the cache and its reference
         let bytes = Arc::into_inner(image)

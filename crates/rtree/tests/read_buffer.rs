@@ -1,10 +1,13 @@
-//! A search without a node cache reads node after node into one buffer of
-//! its own (`RTree::read_node_into`, then `NodeBuf::into_bytes`). Whatever
-//! that buffer held before — a larger node, or the first blocks of a read
-//! that failed — must never show through in the next node read into it.
+//! A search reads every node its node cache does not serve into one buffer
+//! of its own (`RTree::read_node_into`, then `NodeBuf::into_bytes`).
+//! Whatever that buffer held before — a larger node, or the first blocks of
+//! a read that failed — must never show through in the next node read into
+//! it; and a miss a full cache does not take keeps the buffer.
+
+use std::sync::Arc;
 
 use ir2_geo::{Point, Rect};
-use ir2_rtree::{NodeBuf, RTree, RTreeConfig, UnitPayload};
+use ir2_rtree::{NodeBuf, NodeCache, RTree, RTreeConfig, UnitPayload};
 use ir2_storage::{BlockDevice, FileDevice, MemDevice, StorageError};
 
 /// 300 entries of 40 bytes fill three sealed blocks (12 008 node bytes, a
@@ -97,4 +100,62 @@ fn a_reused_buffer_never_leaks_a_page_on_a_file_device() {
     let path = dir.join("tree.blocks");
     a_reused_buffer_never_leaks_a_page(FileDevice::create(&path).unwrap());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// With a node cache smaller than the tree, a search's reader installs the
+/// nodes it misses until the cache is full, then reads every other miss
+/// into its one page: the page is served in place, equal to a fresh read,
+/// and each such miss reuses the buffer of the one before (largest node
+/// first, so no later read needs more room). Nothing more is installed.
+/// After each read the test takes an allocation of the page's size, which
+/// a buffer freed between reads would most likely hand it, so that a read
+/// into a fresh buffer would land at a new address.
+#[test]
+fn a_miss_a_full_cache_does_not_take_reuses_the_search_buffer() {
+    let mut tree = RTree::create(
+        MemDevice::new(),
+        RTreeConfig::with_max(CAPACITY),
+        UnitPayload,
+    )
+    .unwrap();
+    for i in 0..3 * CAPACITY {
+        tree.insert(i as u64, point(i), &[]).unwrap();
+    }
+    tree.set_node_cache(Arc::new(NodeCache::new(1)));
+    let cache = Arc::clone(tree.node_cache().unwrap());
+    let mut leaves: Vec<(usize, u64)> = {
+        let root = tree.read_node_buf(tree.root().unwrap()).unwrap();
+        assert!(
+            !root.is_leaf() && root.len() >= 4,
+            "a tree of several leaves"
+        );
+        root.children()
+            .map(|id| (tree.read_node_buf(id).unwrap().len(), id))
+            .collect()
+    };
+    leaves.sort_unstable_by(|a, b| b.cmp(a));
+
+    let mut reader = tree.reader();
+    let root = reader.root().unwrap();
+    let (image, hit) = reader.read(root).unwrap();
+    assert!(!hit && image.page().is_some());
+    assert!(cache.get(root).is_some(), "the first miss fills the cache");
+    let mut buffer = None;
+    let mut held: Vec<Vec<u8>> = Vec::new();
+    for pass in 0..2 {
+        for &(_, leaf) in &leaves {
+            let (image, hit) = reader.read(leaf).unwrap();
+            assert!(!hit, "pass {pass}: leaf {leaf} is never installed");
+            let page = image.page().expect("a miss is served as the page");
+            let at = page.payload_region().0.as_ptr();
+            assert_eq!(*buffer.get_or_insert(at), at, "pass {pass}: leaf {leaf}");
+            let read = contents(page.clone());
+            held.push(Vec::with_capacity(read.3.len()));
+            assert_eq!(read, contents(tree.read_node_buf(leaf).unwrap()));
+        }
+        assert!(reader.read(root).unwrap().1, "pass {pass}: the root is");
+    }
+    drop(reader);
+    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.hit_stats(), (2, 1 + 2 * leaves.len() as u64));
 }

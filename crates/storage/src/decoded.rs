@@ -1,31 +1,20 @@
-//! Decoded-object cache: the storage layer's one sharded LRU, invalidated
-//! key by key.
+//! Decoded-value cache: the storage layer's one sharded LRU, invalidated
+//! key by key — the engine of the [`BufferPool`](crate::BufferPool).
 //!
-//! A cached block still pays the warm-path tax: checksum verification of
-//! every block of the node's extent plus a full entry/signature
-//! deserialization. On warm top-k workloads that decode cost dominates (the
-//! I/O the paper counts is already amortized). `DecodedCache<T>` closes the
-//! gap by caching the *decoded* value — an R-Tree node, its signatures
-//! already bit-sliced — keyed by the extent's first [`BlockId`], behind
-//! `Arc` so warm readers share one allocation. The
-//! [`BufferPool`](crate::BufferPool) is the same cache holding raw
-//! 4096-byte blocks (`T = [u8; BLOCK_SIZE]`) behind a `BlockDevice` face:
-//! a write-through there is `invalidate` of the block, then `insert` of its
-//! new bytes, so the stale-install rule below covers both.
+//! `DecodedCache<T>` holds values keyed by [`BlockId`] behind `Arc`, so
+//! readers share one allocation. The buffer pool is this cache holding raw
+//! 4096-byte blocks (`T = [u8; BLOCK_SIZE]`) behind a `BlockDevice` face: a
+//! write-through there is `invalidate` of the block, then `insert` of its
+//! new bytes. (A tree's decoded-node cache is not this type: it keeps one
+//! image table per commit, `ir2_rtree::NodeCache`, and needs none of the
+//! rules below.)
 //!
 //! # Per-key invalidation
 //!
-//! Copy-on-write storage never changes the bytes of a committed extent:
-//! they stay what they are until the extent is freed *and handed out
-//! again*, and the mutation that reuses it writes it. So the only keys a
-//! commit can have made stale are the extents that commit **wrote**, and
-//! [`DecodedCache::invalidate`] takes exactly those; every other value
-//! stays resident across the commit. (An extent a commit merely freed
-//! keeps its bytes, so its value is not wrong, only unreferenced — and a
-//! reader still descending the previous tree image may re-install it at
-//! any time, which is why correctness cannot lean on removing it.)
+//! [`DecodedCache::invalidate`] removes exactly the keys it is given — the
+//! blocks a write changed — and every other value stays resident.
 //!
-//! A value decoded *before* a commit must not slip in *after* the commit
+//! A value read *before* a write must not slip in *after* the write
 //! removed its key. The cache counts invalidations in an **epoch**:
 //! a reader snapshots it before reading the device and hands the snapshot
 //! to [`DecodedCache::insert`], which compares it *under the key's shard
@@ -193,12 +182,11 @@ impl<T> ShardState<T> {
     }
 }
 
-/// A sharded LRU cache of decoded values keyed by [`BlockId`], invalidated
-/// key by key; see the module docs.
+/// A sharded LRU cache of values keyed by [`BlockId`], invalidated key by
+/// key; see the module docs.
 ///
-/// `T` is the decoded representation (e.g. an R-Tree node with its parsed
-/// signatures). Values are shared out as `Arc<T>`, so a hit is one clone —
-/// no checksum pass, no deserialization, no allocation.
+/// `T` is the cached representation (the buffer pool's raw block). Values
+/// are shared out as `Arc<T>`, so a hit is one clone — no allocation.
 pub struct DecodedCache<T> {
     /// Per-shard slot budgets, summing to exactly the requested capacity
     /// (empty when caching is disabled).
@@ -211,7 +199,7 @@ pub struct DecodedCache<T> {
 }
 
 impl<T> DecodedCache<T> {
-    /// A cache of `capacity` decoded values over
+    /// A cache of `capacity` values over
     /// [`DEFAULT_DECODED_SHARDS`] shards (fewer for tiny capacities;
     /// capacity 0 disables caching entirely).
     pub fn new(capacity: usize) -> Self {
@@ -246,8 +234,8 @@ impl<T> DecodedCache<T> {
     }
 
     /// How many invalidations have begun. Snapshot it *before* reading the
-    /// device and pass the snapshot to [`insert`](Self::insert) so a commit
-    /// that lands mid-decode cannot publish a stale value.
+    /// device and pass the snapshot to [`insert`](Self::insert) so a write
+    /// that lands mid-read cannot publish a stale value.
     ///
     /// `Acquire`, pairing with the `Release` increment in
     /// [`invalidate`](Self::invalidate); the comparison that decides an
@@ -257,7 +245,7 @@ impl<T> DecodedCache<T> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Removes the values under `keys` — the extents a commit wrote — and
+    /// Removes the values under `keys` — the blocks a write changed — and
     /// nothing else; LRU order and capacity of the rest are untouched.
     /// Advances the epoch *before* taking any shard lock, so a value
     /// decoded before this call can no longer be installed once its key
@@ -331,8 +319,7 @@ impl<T> DecodedCache<T> {
 
     /// Drops every cached value immediately (counters are kept; the epoch
     /// is unchanged, so this does not stop a concurrent reader installing
-    /// what it decoded before the call). For a tree no reader can be
-    /// inside: one being bulk loaded, which must be empty.
+    /// what it read before the call).
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().wipe();
@@ -357,7 +344,7 @@ impl<T> DecodedCache<T> {
     }
 
     /// Values removed by [`invalidate`](Self::invalidate) so far — per
-    /// commit, the part of its written set that was resident.
+    /// call, the part of its keys that was resident.
     pub fn invalidated(&self) -> u64 {
         self.invalidated.load(Ordering::Relaxed)
     }

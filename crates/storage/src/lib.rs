@@ -33,11 +33,9 @@
 //!   per-block circuit breaker that quarantines persistently failing
 //!   blocks ([`StorageError::Quarantined`]).
 //! * [`DecodedCache`] — the crate's one sharded LRU, keyed by [`BlockId`]:
-//!   of *decoded* nodes above the page layer (warm node visits skip
-//!   checksum verification and deserialization), and of raw blocks inside
-//!   [`BufferPool`]. A commit invalidates exactly the keys it wrote; a read
-//!   that began before an invalidation cannot install what it read after
-//!   it.
+//!   of raw blocks inside [`BufferPool`]. A write-through invalidates
+//!   exactly the block it wrote; a read that began before an invalidation
+//!   cannot install what it read after it.
 
 mod cost;
 mod decoded;
