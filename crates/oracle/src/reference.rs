@@ -7,8 +7,8 @@
 
 use std::collections::HashSet;
 
-use ir2tree::model::{DistanceFirstQuery, SpatialObject};
-use ir2tree::text::tokenize;
+use ir2tree::model::{DistanceFirstQuery, QueryRegion, SpatialObject};
+use ir2tree::text::{tokenize, IrScorer, RankingFn, TokenCounts, Vocabulary};
 
 /// The full ranking of every matching object, in the canonical
 /// `(distance, id)` order. Distances come from [`reference_distance`], not
@@ -41,6 +41,49 @@ pub fn reference_topk(
     let mut hits = reference_ranking(objects, query);
     hits.truncate(query.k);
     hits
+}
+
+/// The exact answer of the §5.3 general query: every object with a
+/// positive IR score for `keywords`, ranked by `rank.combine(distance,
+/// IRscore)` in the canonical order — score descending, then id
+/// ascending — and cut at `k`. Scores come from the engine's own
+/// `vocab` (its document frequencies) and `scorer`, since the score is the
+/// query's definition; the distance from `region` is the reference's own
+/// ([`reference_distance`]; a point inside an area is at distance 0).
+pub fn reference_general(
+    objects: &[SpatialObject<2>],
+    region: &QueryRegion<2>,
+    keywords: &[String],
+    k: usize,
+    vocab: &Vocabulary,
+    scorer: &dyn IrScorer,
+    rank: &dyn RankingFn,
+) -> Vec<(u64, f64)> {
+    let terms: Vec<_> = keywords.iter().filter_map(|w| vocab.term_id(w)).collect();
+    let mut hits: Vec<(u64, f64)> = objects
+        .iter()
+        .filter_map(|o| {
+            let ir = scorer.score(vocab, &terms, &TokenCounts::from_text(&o.text));
+            (ir > 0.0).then(|| (o.id, rank.combine(region_distance(region, o), ir)))
+        })
+        .collect();
+    hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    hits.truncate(k);
+    hits
+}
+
+/// The distance from `region` to `o`: to the query point, or to the
+/// nearest point of the area (`o` clamped into it).
+fn region_distance(region: &QueryRegion<2>, o: &SpatialObject<2>) -> f64 {
+    let p = o.point.coords();
+    match region {
+        QueryRegion::Point(q) => reference_distance(p, q.coords()),
+        QueryRegion::Area(a) => {
+            let (lo, hi) = (a.lo().coords(), a.hi().coords());
+            let nearest = [p[0].clamp(lo[0], hi[0]), p[1].clamp(lo[1], hi[1])];
+            reference_distance(p, &nearest)
+        }
+    }
 }
 
 /// The Euclidean distance between `a` and `b`, computed here and nowhere
