@@ -18,13 +18,13 @@ use std::time::Instant;
 
 use ir2_bench::{build_db, run_distance_first, workload, BenchDb, Measurement};
 use ir2_datagen::DatasetSpec;
-use ir2tree::irtree::{distance_first_topk, insert_object, GeneralQuery, Ir2Payload, MirPayload};
+use ir2tree::irtree::{distance_first_topk, insert_object, Ir2Payload, MirPayload};
 use ir2tree::model::{ObjectSource, ObjectStore, SpatialObject};
 use ir2tree::rtree::{RTree, RTreeConfig};
 use ir2tree::sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2tree::storage::{BufferPool, CostModel, MemDevice, TrackedDevice};
 use ir2tree::text::{LinearRank, SaturatingTfIdf};
-use ir2tree::{Algorithm, IndexSizes};
+use ir2tree::{Algorithm, IndexSizes, TopkRequest};
 
 const K_SWEEP: [usize; 5] = [1, 5, 10, 20, 50];
 const KW_SWEEP: [usize; 5] = [1, 2, 3, 4, 5];
@@ -682,7 +682,6 @@ fn ablation_general(bench: &BenchDb, queries: usize) {
         "distance-first", m.random, m.sequential, m.object_loads
     );
 
-    let scorer = SaturatingTfIdf;
     let rank = LinearRank {
         ir_weight: 1.0,
         dist_weight: 0.05,
@@ -691,11 +690,8 @@ fn ablation_general(bench: &BenchDb, queries: usize) {
     let mut seq = 0.0;
     let mut loads = 0.0;
     for q in &w {
-        let gq = GeneralQuery::new(q.point, &q.keywords, q.k);
-        let rep = bench
-            .db
-            .general_ranked(Algorithm::Ir2, &gq, &scorer, &rank)
-            .unwrap();
+        let req = TopkRequest::from_query(Algorithm::Ir2, q).ranked(SaturatingTfIdf, rank);
+        let rep = bench.db.run(&req).unwrap();
         random += rep.io.random() as f64;
         seq += rep.io.sequential() as f64;
         loads += rep.object_loads as f64;

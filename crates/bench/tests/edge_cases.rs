@@ -9,12 +9,11 @@ use std::sync::Arc;
 
 use ir2_grid::{GridConfig, GridIndex};
 use ir2_sigscan::SignatureFile;
-use ir2tree::irtree::GeneralQuery;
 use ir2tree::model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
 use ir2tree::sigfile::SignatureScheme;
 use ir2tree::storage::MemDevice;
 use ir2tree::text::{tokenize, LinearRank, SaturatingTfIdf};
-use ir2tree::{Algorithm, DbConfig, DeviceSet, ShardedDb, SpatialKeywordDb};
+use ir2tree::{Algorithm, DbConfig, DeviceSet, ShardedDb, SpatialKeywordDb, TopkRequest};
 
 /// Every engine under test, answering one distance-first query as a
 /// `(id, distance)` list.
@@ -129,15 +128,13 @@ fn k_zero_is_empty_on_every_engine() {
     }
     // The general ranked path too (both trees), and the sharded engine on
     // every algorithm.
-    let gq = GeneralQuery::new([17.3, 42.9], &["pool"], 0);
     let rank = LinearRank {
         ir_weight: 1.0,
         dist_weight: 0.05,
     };
     for alg in [Algorithm::Ir2, Algorithm::Mir2] {
-        let rep =
-            e.db.general_ranked(alg, &gq, &SaturatingTfIdf, &rank)
-                .unwrap();
+        let req = TopkRequest::from_query(alg, &q).ranked(SaturatingTfIdf, rank);
+        let rep = e.db.run(&req).unwrap();
         assert!(rep.results.is_empty(), "general {}", alg.label());
     }
     for alg in [

@@ -6,10 +6,10 @@ use std::time::Duration;
 
 use ir2_datagen::DatasetSpec;
 use ir2tree::geo::{Point, Rect};
-use ir2tree::irtree::{density_profile, GeneralQuery, TraceEvent, VecSink};
+use ir2tree::irtree::{density_profile, TraceEvent, VecSink};
 use ir2tree::model::{tsv, DistanceFirstQuery, QueryRegion};
 use ir2tree::storage::{FileDevice, MetricsRegistry};
-use ir2tree::text::{LinearRank, SaturatingTfIdf};
+use ir2tree::text::{IrScorer, LinearRank, SaturatingTfIdf};
 use ir2tree::{
     scrub_dir, shard_layout, sharded_manifest, Algorithm, DbConfig, DeviceSet, Gather, IndexSizes,
     QueryError, QueryLimits, QueryReport, RetryDevice, RetryPolicy, ShardedDb, SpatialKeywordDb,
@@ -512,27 +512,31 @@ pub fn ranked(args: &[String], out: &mut impl Write) -> CliResult {
     let keywords = keywords_of(&f)?;
     let k: usize = f.get_or("k", 10)?;
 
-    let q = GeneralQuery::new(at, &keywords, k);
     let rank = LinearRank {
         ir_weight: 1.0,
         dist_weight,
     };
-    let report = db
-        .general_ranked(Algorithm::Ir2, &q, &SaturatingTfIdf, &rank)
-        .map_err(io_err)?;
+    let req = TopkRequest::new(Algorithm::Ir2, at, &keywords, k).ranked(SaturatingTfIdf, rank);
+    let report = db.run(&req).map_err(io_err)?;
     say!(
         out,
         "ranked top-{k} {keywords:?} near {at:?} (relevance − {dist_weight}·distance):"
     );
-    for r in &report.results {
-        let preview: String = r.object.text.chars().take(50).collect();
+    let vocab = db.vocab();
+    let terms: Vec<_> = req
+        .keywords
+        .iter()
+        .filter_map(|w| vocab.term_id(w))
+        .collect();
+    for (obj, score) in &report.results {
+        let preview: String = obj.text.chars().take(50).collect();
         say!(
             out,
             "  #{:<8} score {:>7.3} (dist {:>8.3}, rel {:>5.2})  {preview}",
-            r.object.id,
-            r.score,
-            r.distance,
-            r.ir_score
+            obj.id,
+            score,
+            obj.point.distance(&Point::new(at)),
+            SaturatingTfIdf.score(vocab, &terms, &obj.token_counts())
         );
     }
     if report.results.is_empty() {

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use ir2_geo::Rect;
 use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
-    collect_topk, general_topk_with, insert_object, BoundedSearch, BoundedStep, DistanceFirstIter,
-    GeneralQuery, Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload, TraceSink,
+    collect_topk, insert_object, BoundedSearch, BoundedStep, DistanceFirstIter, Ir2Payload,
+    MirPayload, NopSink, ScoreOrder, SearchCounters, SigPayload, TraceSink,
 };
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
@@ -25,8 +25,8 @@ use ir2_storage::{
 use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
 
 use crate::report::QueryError;
-use crate::request::{check_finite, needs_signature_tree};
-use crate::{Algorithm, BuildStats, DbConfig, GeneralReport, IndexSizes, QueryReport, TopkRequest};
+use crate::request::needs_signature_tree;
+use crate::{Algorithm, BuildStats, DbConfig, IndexSizes, QueryReport, Ranking, TopkRequest};
 
 /// One block device per structure (so sizes and I/O are attributable), plus
 /// a catalog device holding the cross-structure metadata.
@@ -853,8 +853,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
-    /// Answers one distance-first top-k request, reporting results plus
-    /// the I/O metrics the paper plots. Every field of `req` is honoured
+    /// Answers one top-k request, reporting results plus the I/O metrics
+    /// the paper plots. Every field of `req` is honoured
     /// (`Parallel` gathers like `Sequential`: there is one frontier); the
     /// combinations [`TopkRequest`] lists are refused before anything is
     /// read.
@@ -985,11 +985,12 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         Ok((out?, measured))
     }
 
-    /// The one distance-first plan: check the request, measure its search,
-    /// assemble the report. IIO is not incremental and answers directly;
-    /// every other algorithm is the [`open_search`](Self::open_search)
-    /// iterator drained by [`collect_topk`], whose counters are the
-    /// report's; `sink` sees its steps.
+    /// The one query plan: check the request, measure its search, assemble
+    /// the report. IIO is not incremental and answers directly; every
+    /// other algorithm is the [`open_search`](Self::open_search) iterator
+    /// drained by [`collect_topk`], whose counters are the report's; `sink`
+    /// sees its steps. A ranked search's keys are negated scores, turned
+    /// back into scores here.
     fn run_topk<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
         req.check(false)?;
         let ((exec, counters), m) = self.measure(req.alg, |src| {
@@ -1001,9 +1002,16 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             let mut search = self.open_search(src, req, req.limits, sink)?;
             collect_topk(&mut *search, req.k)
         })?;
+        let outcome = exec.truncation();
+        let mut results = exec.into_results();
+        if let Ranking::Scored { .. } = req.ranking {
+            for (_, key) in &mut results {
+                *key = -*key;
+            }
+        }
         Ok(QueryReport {
-            outcome: exec.truncation(),
-            results: exec.into_results(),
+            outcome,
+            results,
             index_io: m.index_io,
             object_io: m.object_io,
             io: m.io,
@@ -1022,39 +1030,48 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>)
     }
 
-    /// The one place an incremental distance-first search is opened:
-    /// `req.alg`'s iterator over `req.region` and `req.keywords`, loading
-    /// objects through `src`, under `limits` (a shard's slice of
+    /// The one place an incremental search is opened: `req.alg`'s iterator
+    /// over `req.region` and `req.keywords` in `req.ranking`'s order,
+    /// loading objects through `src`, under `limits` (a shard's slice of
     /// `req.limits`, or all of them), reporting to `sink`. The monolithic
     /// plan and every shard cursor of the scatter-gather merge are this
     /// call.
     pub(crate) fn open_search<'a, S: TraceSink + 'a>(
         &'a self,
         src: &'a CountingSource<'a, 2>,
-        req: &TopkRequest,
+        req: &'a TopkRequest,
         limits: QueryLimits,
         sink: S,
     ) -> Result<Box<dyn BoundedSearch<2> + 'a>> {
         let (region, keywords) = (req.region, req.keywords.clone());
-        Ok(match (req.alg, region) {
-            (Algorithm::Ir2, _) => Box::new(
+        let scored = |scorer: &'a Arc<dyn IrScorer>, rank: &'a Arc<dyn RankingFn>| {
+            ScoreOrder::new(region, keywords.as_slice(), &self.vocab, &**scorer, &**rank)
+        };
+        Ok(match (req.alg, &req.ranking, region) {
+            (Algorithm::Ir2, Ranking::Distance, _) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.ir2, src, region, keywords, sink)
                     .limited(limits),
             ),
-            (Algorithm::Mir2, _) => Box::new(
+            (Algorithm::Mir2, Ranking::Distance, _) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.mir2, src, region, keywords, sink)
                     .limited(limits),
             ),
-            (Algorithm::RTree, QueryRegion::Point(_)) => Box::new(
+            (Algorithm::RTree, Ranking::Distance, QueryRegion::Point(_)) => Box::new(
                 DistanceFirstIter::with_region_sink(&self.rtree, src, region, keywords, sink)
                     .limited(limits),
             ),
-            (Algorithm::Iio, QueryRegion::Point(_)) => {
+            (Algorithm::Ir2, Ranking::Scored { scorer, rank }, _) => Box::new(
+                DistanceFirstIter::with_order_sink(&self.ir2, src, scored(scorer, rank), sink)
+                    .limited(limits),
+            ),
+            (Algorithm::Mir2, Ranking::Scored { scorer, rank }, _) => Box::new(
+                DistanceFirstIter::with_order_sink(&self.mir2, src, scored(scorer, rank), sink)
+                    .limited(limits),
+            ),
+            (Algorithm::Iio, ..) => {
                 unreachable!("IIO is not incremental: both engines answer it with iio_topk")
             }
-            (other, QueryRegion::Area(_)) => {
-                return Err(needs_signature_tree("region queries", other))
-            }
+            (other, ..) => return Err(needs_signature_tree("region and ranked queries", other)),
         })
     }
 
@@ -1075,24 +1092,6 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             k: req.k,
         };
         iio_topk_limited(&self.inverted, &self.vocab, src, &query, limits)
-    }
-
-    /// Answers a batch of general (ranked) top-k queries concurrently, with
-    /// the per-query I/O attribution of
-    /// [`run_batch`](SpatialKeywordDb::run_batch) (the first error ends the
-    /// batch). Signature-tree algorithms only, like
-    /// [`general_ranked`](SpatialKeywordDb::general_ranked).
-    pub fn batch_general_topk(
-        &self,
-        alg: Algorithm,
-        queries: &[GeneralQuery<2>],
-        scorer: &dyn IrScorer,
-        rank: &dyn RankingFn,
-        threads: usize,
-    ) -> Result<Vec<GeneralReport>> {
-        fan_out(queries, threads, |query| {
-            self.run_general(alg, query, scorer, rank)
-        })
     }
 
     /// Boolean keyword query within a window (Section 2's `Ans(Q_w)`
@@ -1119,56 +1118,6 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             hits.push(obj);
         }
         Ok(hits)
-    }
-
-    /// Answers a general (ranked) top-k spatial keyword query on the IR²-
-    /// or MIR²-Tree.
-    ///
-    /// Returns an error for [`Algorithm::RTree`] / [`Algorithm::Iio`]: the
-    /// general algorithm needs node signatures for its IR-score upper
-    /// bounds. A query point with a NaN or infinite coordinate is refused,
-    /// as [`run`](Self::run) refuses one.
-    pub fn general_ranked(
-        &self,
-        alg: Algorithm,
-        query: &GeneralQuery<2>,
-        scorer: &dyn IrScorer,
-        rank: &dyn RankingFn,
-    ) -> Result<GeneralReport> {
-        self.run_general(alg, query, scorer, rank)
-    }
-
-    /// The one general-ranked plan, the analog of
-    /// [`run_topk`](Self::run_topk): measure [`general_topk_with`] on
-    /// `alg`'s signature tree, assemble the report.
-    fn run_general(
-        &self,
-        alg: Algorithm,
-        query: &GeneralQuery<2>,
-        scorer: &dyn IrScorer,
-        rank: &dyn RankingFn,
-    ) -> Result<GeneralReport> {
-        check_finite(&QueryRegion::Point(query.point))?;
-        let (limits, vocab) = (QueryLimits::none(), &self.vocab);
-        let (results, m) = self.measure(alg, |src| {
-            match alg {
-                Algorithm::Ir2 => {
-                    general_topk_with(&self.ir2, src, vocab, scorer, rank, query, limits, NopSink)
-                }
-                Algorithm::Mir2 => {
-                    general_topk_with(&self.mir2, src, vocab, scorer, rank, query, limits, NopSink)
-                }
-                other => Err(needs_signature_tree("general ranked queries", other)),
-            }
-            .map(ExecOutcome::into_results)
-        })?;
-        Ok(GeneralReport {
-            results,
-            io: m.io,
-            object_loads: m.object_loads,
-            simulated: m.simulated,
-            wall: m.wall,
-        })
     }
 
     // ------------------------------------------------------------------

@@ -79,8 +79,8 @@ mod shard;
 
 pub use config::DbConfig;
 pub use db::{DeviceSet, IntegrityReport, SpatialKeywordDb, StructureCheck};
-pub use report::{Algorithm, BuildStats, GeneralReport, IndexSizes, QueryError, QueryReport};
-pub use request::{Gather, TopkRequest};
+pub use report::{Algorithm, BuildStats, IndexSizes, QueryError, QueryReport};
+pub use request::{Gather, Ranking, TopkRequest};
 pub use scrub::{scrub_dir, ScrubReport, Scrubber};
 pub use shard::{
     shard_layout, sharded_manifest, ReplicaSet, ShardLayout, ShardedDb, SHARD_MANIFEST,

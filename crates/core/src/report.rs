@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use ir2_irtree::{ScoredResult, SearchCounters};
+use ir2_irtree::SearchCounters;
 use ir2_model::{SpatialObject, TruncateReason};
 use ir2_storage::{IoSnapshot, StorageError};
 
@@ -51,11 +51,14 @@ impl Algorithm {
     }
 }
 
-/// The outcome of one distance-first query: results plus every metric the
-/// paper's evaluation reports.
+/// The outcome of one top-k query: results plus every metric the paper's
+/// evaluation reports.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
-    /// `(object, distance)` in ascending distance.
+    /// `(object, distance)` in ascending distance — or, for a request
+    /// ranked by score ([`Ranking::Scored`](crate::Ranking::Scored)),
+    /// `(object, combined score)` in descending score. Ties are by
+    /// ascending id either way.
     pub results: Vec<(SpatialObject<2>, f64)>,
     /// Block accesses on the index structure used.
     pub index_io: IoSnapshot,
@@ -138,21 +141,6 @@ impl From<StorageError> for QueryError {
     fn from(e: StorageError) -> Self {
         QueryError::Storage(e)
     }
-}
-
-/// The outcome of a general (ranked) top-k query.
-#[derive(Debug, Clone)]
-pub struct GeneralReport {
-    /// Results in non-increasing combined-score order.
-    pub results: Vec<ScoredResult<2>>,
-    /// Combined block accesses.
-    pub io: IoSnapshot,
-    /// Objects loaded.
-    pub object_loads: u64,
-    /// Simulated disk time.
-    pub simulated: Duration,
-    /// Wall-clock time.
-    pub wall: Duration,
 }
 
 /// Sizes of every structure in bytes — the reproduction of Table 2.

@@ -1,9 +1,12 @@
-//! The one distance-first request both engines execute.
+//! The one top-k request both engines execute.
 
+use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ir2_model::{normalize_keywords, DistanceFirstQuery, QueryLimits, QueryRegion};
 use ir2_storage::{Result, StorageError};
+use ir2_text::{IrScorer, RankingFn};
 
 use crate::Algorithm;
 
@@ -31,19 +34,54 @@ pub enum Gather {
     Hedged(Duration),
 }
 
-/// A distance-first top-k spatial keyword request — the paper's query
+/// What a top-k request ranks its results by.
+#[derive(Clone, Default)]
+pub enum Ranking {
+    /// The paper's distance-first query (`IR2TopK`): the `k` objects
+    /// nearest the region that contain every keyword, by ascending
+    /// distance.
+    #[default]
+    Distance,
+    /// The general query of Section 5.3: objects with a positive IR score
+    /// for the keywords, by descending `rank.combine(distance, IRscore)`,
+    /// where `scorer` computes the IR score from the database's term
+    /// statistics.
+    Scored {
+        /// `IRscore(T.t, Q.t)` and its signature-derived upper bound.
+        scorer: Arc<dyn IrScorer>,
+        /// `f(distance, IRscore)`, decreasing in distance and increasing
+        /// in IR score.
+        rank: Arc<dyn RankingFn>,
+    },
+}
+
+impl fmt::Debug for Ranking {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Ranking::Distance => "Distance",
+            Ranking::Scored { .. } => "Scored",
+        })
+    }
+}
+
+/// A top-k spatial keyword request — the paper's distance-first query
 /// (`IR2TopK`: the `k` objects nearest the query point containing all the
-/// keywords) with every way this workspace can vary its execution carried
-/// as a field. [`SpatialKeywordDb`](crate::SpatialKeywordDb) and
+/// keywords) or, by its [`ranking`](Self::ranking), its general query —
+/// with every way this workspace can vary its execution carried as a
+/// field. [`SpatialKeywordDb`](crate::SpatialKeywordDb) and
 /// [`ShardedDb`](crate::ShardedDb) both answer it through `run` (one
 /// request) and `run_batch` (many, concurrently and fault-isolated).
 ///
-/// Four requests are refused with [`StorageError::Unsupported`] before
+/// Six requests are refused with [`StorageError::Unsupported`] before
 /// anything is read: a region with a NaN or infinite coordinate (every
 /// distance from it would be meaningless), an [`Area`](QueryRegion::Area)
 /// region on an algorithm without signatures (the plain NN iterator and
-/// the inverted index are point-anchored), a `Parallel` or `Hedged` gather
-/// under limits, and a `Hedged` gather on a monolithic engine.
+/// the inverted index are point-anchored), a [`Scored`](Ranking::Scored)
+/// ranking on an algorithm without signatures (its bounds come from them)
+/// or on a sharded engine (each shard's vocabulary keeps its own document
+/// frequencies, so the shards' scores do not compare), a `Parallel` or
+/// `Hedged` gather under limits, and a `Hedged` gather on a monolithic
+/// engine.
 #[derive(Debug, Clone)]
 pub struct TopkRequest {
     /// Which access method answers.
@@ -52,7 +90,8 @@ pub struct TopkRequest {
     /// "an area could be used instead" — a rectangle, whose inside is at
     /// distance zero.
     pub region: QueryRegion<2>,
-    /// Keywords every result must contain, normalized as
+    /// Keywords every result must contain (under the `Scored` ranking: the
+    /// terms the IR score counts), normalized as
     /// [`normalize_keywords`] leaves them ([`new`](Self::new) does it).
     pub keywords: Vec<String>,
     /// Number of results wanted.
@@ -65,6 +104,9 @@ pub struct TopkRequest {
     pub limits: QueryLimits,
     /// How a sharded engine gathers.
     pub gather: Gather,
+    /// What the results are ranked by. A report's result carries its
+    /// distance under `Distance`, its combined score under `Scored`.
+    pub ranking: Ranking,
 }
 
 impl TopkRequest {
@@ -82,6 +124,7 @@ impl TopkRequest {
             k,
             limits: QueryLimits::none(),
             gather: Gather::Sequential,
+            ranking: Ranking::Distance,
         }
     }
 
@@ -95,6 +138,7 @@ impl TopkRequest {
             k: query.k,
             limits: QueryLimits::none(),
             gather: Gather::Sequential,
+            ranking: Ranking::Distance,
         }
     }
 
@@ -110,14 +154,48 @@ impl TopkRequest {
         self
     }
 
+    /// This request ranked by `rank.combine(distance, IRscore)`, with
+    /// `scorer` computing the IR score — the general query of Section 5.3.
+    pub fn ranked(
+        mut self,
+        scorer: impl IrScorer + 'static,
+        rank: impl RankingFn + 'static,
+    ) -> Self {
+        self.ranking = Ranking::Scored {
+            scorer: Arc::new(scorer),
+            rank: Arc::new(rank),
+        };
+        self
+    }
+
     /// The rules of the type docs, checked by every engine before it
     /// touches a device.
     pub(crate) fn check(&self, sharded: bool) -> Result<()> {
-        check_finite(&self.region)?;
         let refuse = |msg: &str| Err(StorageError::Unsupported(msg.into()));
+        // Every distance from a NaN or infinite coordinate (or every
+        // containment test against it) would ignore the bad coordinate.
+        let finite = match self.region {
+            QueryRegion::Point(p) => p.is_finite(),
+            QueryRegion::Area(a) => a.is_finite(),
+        };
+        if !finite {
+            return refuse("the query point or area has a non-finite coordinate");
+        }
         let on_signature_tree = matches!(self.alg, Algorithm::Ir2 | Algorithm::Mir2);
         if matches!(self.region, QueryRegion::Area(_)) && !on_signature_tree {
             return Err(needs_signature_tree("region queries", self.alg));
+        }
+        if let Ranking::Scored { .. } = self.ranking {
+            if !on_signature_tree {
+                return Err(needs_signature_tree("ranked queries", self.alg));
+            }
+            if sharded {
+                return refuse(
+                    "ranked queries are not supported on a sharded database: each shard's \
+                     vocabulary keeps its own document frequencies, so per-shard scores do \
+                     not compare",
+                );
+            }
         }
         match self.gather {
             Gather::Sequential => Ok(()),
@@ -128,23 +206,6 @@ impl TopkRequest {
             ),
             _ => Ok(()),
         }
-    }
-}
-
-/// The finiteness rule of every query entry point: a point or area with a
-/// NaN or infinite coordinate is refused, since every distance from it (or
-/// every containment test against it) would ignore the bad coordinate.
-pub(crate) fn check_finite(region: &QueryRegion<2>) -> Result<()> {
-    let finite = match region {
-        QueryRegion::Point(p) => p.is_finite(),
-        QueryRegion::Area(a) => a.is_finite(),
-    };
-    if finite {
-        Ok(())
-    } else {
-        Err(StorageError::Unsupported(
-            "the query point or area has a non-finite coordinate".into(),
-        ))
     }
 }
 

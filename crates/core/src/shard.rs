@@ -534,10 +534,13 @@ struct TopK {
 
 impl TopK {
     fn new(k: usize) -> Self {
+        // Room for k + 1 without an allocation sized by k alone: a request
+        // may ask for far more results than exist (`usize::MAX` for "all").
+        let room = k.min(1024) + 1;
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
-            kept: HashMap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(room),
+            kept: HashMap::with_capacity(room),
         }
     }
 

@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ir2tree::geo::{Point, Rect};
-use ir2tree::irtree::GeneralQuery;
 use ir2tree::model::{DistanceFirstQuery, QueryRegion, SpatialObject};
 use ir2tree::storage::{MemDevice, StorageError};
 use ir2tree::text::{DecayRank, SaturatingTfIdf};
@@ -82,25 +81,55 @@ fn reports_contain_io_accounting() {
     assert!(base.object_loads >= rep.object_loads);
 }
 
+/// A ranked request answers alike on both signature trees, and is refused
+/// on the algorithms without signatures and on a sharded engine, whose
+/// shards' vocabularies keep their own document frequencies.
 #[test]
 fn general_ranked_queries_work_on_both_trees() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(120), small_config()).unwrap();
-    let q = ir2tree::irtree::GeneralQuery::new([3.0, 1.0], &["coffee", "music"], 6);
-    let scorer = SaturatingTfIdf;
-    let rank = DecayRank { scale: 20.0 };
-    let a = db
-        .general_ranked(Algorithm::Ir2, &q, &scorer, &rank)
-        .unwrap();
-    let b = db
-        .general_ranked(Algorithm::Mir2, &q, &scorer, &rank)
-        .unwrap();
-    assert_eq!(a.results.len(), b.results.len());
-    for (x, y) in a.results.iter().zip(b.results.iter()) {
-        assert!((x.score - y.score).abs() < 1e-9);
+    let ranked = |alg| {
+        TopkRequest::new(alg, Point::new([3.0, 1.0]), &["coffee", "music"], 6)
+            .ranked(SaturatingTfIdf, DecayRank { scale: 20.0 })
+    };
+    let a = db.run(&ranked(Algorithm::Ir2)).unwrap();
+    let b = db.run(&ranked(Algorithm::Mir2)).unwrap();
+    assert_eq!(a.results.len(), 6);
+    assert_eq!(hits(&a.results), hits(&b.results));
+    for alg in [Algorithm::RTree, Algorithm::Iio] {
+        let err = db.run(&ranked(alg)).unwrap_err();
+        assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
     }
-    assert!(db
-        .general_ranked(Algorithm::Iio, &q, &scorer, &rank)
-        .is_err());
+    let groups = (0..2).map(|_| DeviceSet::in_memory()).collect();
+    let sharded = ShardedDb::build(groups, town(120), small_config()).unwrap();
+    match sharded.run(&ranked(Algorithm::Ir2)) {
+        Err(StorageError::Unsupported(msg)) => assert!(msg.contains("vocabulary"), "{msg}"),
+        other => panic!("a sharded ranked request must be refused: {other:?}"),
+    }
+}
+
+/// A request may ask for more results than exist — `usize::MAX` for
+/// "every match" — and no collector sizes a buffer by `k`: every slot of a
+/// batch on the sharded engine (every algorithm), and IIO and a ranked
+/// request on the monolithic one, returns every match.
+#[test]
+fn a_batch_asking_for_every_match_gets_every_match() {
+    let mono = SpatialKeywordDb::build(DeviceSet::in_memory(), town(120), small_config()).unwrap();
+    let groups = (0..2).map(|_| DeviceSet::in_memory()).collect();
+    let sharded = ShardedDb::build(groups, town(120), small_config()).unwrap();
+    let all = |alg| TopkRequest::new(alg, Point::new([3.0, 1.0]), &["coffee"], usize::MAX);
+    // 2 of 6 themes contain "coffee": 40 of 120 objects.
+    let reqs: Vec<TopkRequest> = Algorithm::ALL.into_iter().map(all).collect();
+    for (alg, out) in Algorithm::ALL.iter().zip(sharded.run_batch(&reqs, 2)) {
+        let report = out.unwrap_or_else(|e| panic!("sharded {}: {e}", alg.label()));
+        assert_eq!(report.results.len(), 40, "sharded {}", alg.label());
+    }
+    let reqs = [
+        all(Algorithm::Iio),
+        all(Algorithm::Ir2).ranked(SaturatingTfIdf, DecayRank { scale: 20.0 }),
+    ];
+    for out in mono.run_batch(&reqs, 2) {
+        assert_eq!(out.unwrap().results.len(), 40);
+    }
 }
 
 #[test]
@@ -404,8 +433,8 @@ fn k_zero_and_oversized_k() {
 }
 
 /// A query point or area with a NaN or infinite coordinate is refused by
-/// `run` and `run_batch` on both engines, for every algorithm, and by the
-/// general-ranked and keyword-window entry points: answering it would rank
+/// `run` and `run_batch` on both engines, for every algorithm, ranked or
+/// not, and by the keyword-window entry point: answering it would rank
 /// objects by distances (or test a window) that ignore the bad coordinate.
 #[test]
 fn a_non_finite_region_is_refused_by_both_engines() {
@@ -457,18 +486,19 @@ fn a_non_finite_region_is_refused_by_both_engines() {
     assert_eq!(mono.run(&req).unwrap().results.len(), 3);
     assert_eq!(sharded.run(&req).unwrap().results.len(), 3);
 
-    // The general and window entry points follow the same rule, with the
-    // same error.
+    // Ranked requests and the window entry point follow the same rule,
+    // with the same error.
     let unsupported = |e: StorageError| matches!(e, StorageError::Unsupported(_));
-    let (scorer, rank) = (SaturatingTfIdf, DecayRank { scale: 20.0 });
+    let ranked = |alg, region| {
+        TopkRequest::new(alg, region, &["coffee"], 3)
+            .ranked(SaturatingTfIdf, DecayRank { scale: 20.0 })
+    };
     for alg in [Algorithm::Ir2, Algorithm::Mir2] {
-        for at in [[nan, 0.0], [inf, 1.0], [0.0, -inf]] {
-            let q = GeneralQuery::new(at, &["coffee"], 3);
-            let ctx = format!("{} general at {at:?}", alg.label());
-            let solo = mono.general_ranked(alg, &q, &scorer, &rank);
-            assert!(unsupported(solo.unwrap_err()), "{ctx}");
-            let batch = mono.batch_general_topk(alg, &[q], &scorer, &rank, 2);
-            assert!(unsupported(batch.unwrap_err()), "{ctx} (batch)");
+        let reqs: Vec<TopkRequest> = regions.iter().map(|&r| ranked(alg, r)).collect();
+        for (req, batch) in reqs.iter().zip(mono.run_batch(&reqs, 2)) {
+            let ctx = format!("{} ranked at {:?}", alg.label(), req.region);
+            assert!(unsupported(mono.run(req).unwrap_err()), "{ctx}");
+            assert!(refused(&batch), "{ctx} (batch)");
         }
         for window in [
             Rect::from_point(Point::new([nan, 0.0])),
@@ -479,14 +509,8 @@ fn a_non_finite_region_is_refused_by_both_engines() {
             let got = mono.keyword_window(alg, &window, &["coffee".into()]);
             assert!(unsupported(got.unwrap_err()), "{ctx}");
         }
-        let q = GeneralQuery::new([0.0, 0.0], &["coffee"], 3);
-        assert_eq!(
-            mono.general_ranked(alg, &q, &scorer, &rank)
-                .unwrap()
-                .results
-                .len(),
-            3
-        );
+        let finite = ranked(alg, QueryRegion::Point(Point::new([0.0, 0.0])));
+        assert_eq!(mono.run(&finite).unwrap().results.len(), 3);
         let window = Rect::new(Point::new([0.0, 0.0]), Point::new([5.0, 5.0]));
         assert!(!mono
             .keyword_window(alg, &window, &["coffee".into()])

@@ -8,6 +8,7 @@ use ir2tree::irtree::{SearchCounters, TraceEvent, VecSink};
 use ir2tree::model::DistanceFirstQuery;
 use ir2tree::model::SpatialObject;
 use ir2tree::storage::MemDevice;
+use ir2tree::text::{LinearRank, SaturatingTfIdf};
 use ir2tree::{Algorithm, DbConfig, DeviceSet, QueryReport, SpatialKeywordDb, TopkRequest};
 
 fn small_config() -> DbConfig {
@@ -36,6 +37,14 @@ fn town(n: usize) -> Vec<SpatialObject<2>> {
         .collect()
 }
 
+/// The request each query stands for on `alg`.
+fn requests(alg: Algorithm, queries: &[DistanceFirstQuery<2>]) -> Vec<TopkRequest> {
+    queries
+        .iter()
+        .map(|q| TopkRequest::from_query(alg, q))
+        .collect()
+}
+
 /// The batch engine's report for every query, none failed.
 fn run_batch(
     db: &SpatialKeywordDb<MemDevice>,
@@ -43,11 +52,7 @@ fn run_batch(
     queries: &[DistanceFirstQuery<2>],
     threads: usize,
 ) -> Vec<QueryReport> {
-    let reqs: Vec<TopkRequest> = queries
-        .iter()
-        .map(|q| TopkRequest::from_query(alg, q))
-        .collect();
-    db.run_batch(&reqs, threads)
+    db.run_batch(&requests(alg, queries), threads)
         .into_iter()
         .map(|r| r.expect("no query fails on healthy devices"))
         .collect()
@@ -76,12 +81,14 @@ fn queries() -> Vec<DistanceFirstQuery<2>> {
         .collect()
 }
 
-/// The heart of the observability contract, across all four algorithms:
+/// The heart of the observability contract, across all four algorithms
+/// and, on the signature trees, the general (ranked) order too:
 ///
 /// * a report's counters are what the event stream of the same query,
 ///   traced, folds to;
 /// * the counters' candidate checks equal the `CountingSource` /
-///   object-store load count the report attributes to the query;
+///   object-store load count the report attributes to the query, and
+///   every visited node was a cache hit or a miss;
 /// * a query reports *bit-for-bit identical* measurements — I/O split into
 ///   random and sequential accesses and simulated time included — whether
 ///   it runs alone or inside the concurrent batch engine: both measure
@@ -91,32 +98,50 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();
     db.reset_io();
     let qs = queries();
+    let rank = LinearRank {
+        ir_weight: 1.0,
+        dist_weight: 0.05,
+    };
+    let ranked = |alg| {
+        qs.iter()
+            .map(|q| TopkRequest::from_query(alg, q).ranked(SaturatingTfIdf, rank))
+            .collect::<Vec<_>>()
+    };
+    let inputs = Algorithm::ALL
+        .iter()
+        .map(|&alg| (alg.label(), requests(alg, &qs)))
+        .chain([
+            ("IR2-Tree ranked", ranked(Algorithm::Ir2)),
+            ("MIR2-Tree ranked", ranked(Algorithm::Mir2)),
+        ]);
 
-    for alg in Algorithm::ALL {
-        let solo: Vec<_> = qs
-            .iter()
-            .map(|q| db.distance_first(alg, q).unwrap())
+    for (label, reqs) in inputs {
+        let solo: Vec<_> = reqs.iter().map(|req| db.run(req).unwrap()).collect();
+        let batch: Vec<_> = db
+            .run_batch(&reqs, 4)
+            .into_iter()
+            .map(|r| r.expect("no query fails on healthy devices"))
             .collect();
-        let batch = run_batch(&db, alg, &qs, 4);
         assert_eq!(solo.len(), batch.len());
 
         for (i, (s, b)) in solo.iter().zip(&batch).enumerate() {
-            let ctx = format!("{} query {i}", alg.label());
+            let ctx = format!("{label} query {i}");
             // The report's counters against the traced run's events.
             let mut log = VecSink::new();
-            let traced = db
-                .run_traced(&TopkRequest::from_query(alg, &qs[i]), &mut log)
-                .unwrap();
+            let traced = db.run_traced(&reqs[i], &mut log).unwrap();
             assert_eq!(traced.counters, s.counters, "{ctx}: traced");
             assert_eq!(
                 log.counters(),
                 uncached(&s.counters),
                 "{ctx}: trace/counter divergence"
             );
-            if alg != Algorithm::Iio {
+            let c = &s.counters;
+            assert_eq!(c.nodes_read, c.cache_hits + c.cache_misses, "{ctx}");
+            if reqs[i].alg != Algorithm::Iio {
                 // Every object fetch the algorithm performed is one load on
                 // the object store — the counters and the I/O layer agree.
-                assert_eq!(s.counters.candidates_checked, s.object_loads, "{ctx}");
+                assert_eq!(c.candidates_checked, s.object_loads, "{ctx}");
+                assert!(c.nodes_read > 0, "{ctx}");
             }
             // Solo and concurrent execution agree on everything measured.
             assert_eq!(s.counters, b.counters, "{ctx}");

@@ -273,44 +273,28 @@ fn every_tree_algorithm_stays_within_its_io_budget() {
     }
 }
 
-/// The same property for the general (ranked) algorithm, through its
-/// full-form entry `general_topk_with`.
+/// The same property for the general (ranked) algorithm: a ranked request
+/// under an I/O budget answers the exact top-m prefix of its full answer.
 #[test]
 fn general_algorithm_truncates_to_exact_prefixes() {
-    use ir2tree::irtree::{general_topk, general_topk_with, GeneralQuery, NopSink};
     use ir2tree::text::LinearRank;
 
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(300), small_config()).unwrap();
-    let q = GeneralQuery::new([7.3, 3.1], &["coffee", "music"], 6);
     let rank = LinearRank {
         ir_weight: 1.0,
         dist_weight: 0.05,
     };
-    let full = general_topk(
-        db.ir2_tree(),
-        db.object_store(),
-        db.vocab(),
-        &SaturatingTfIdf,
-        &rank,
-        &q,
-    )
-    .unwrap();
-    let full_ids: Vec<u64> = full.iter().map(|r| r.object.id).collect();
+    let req = TopkRequest::new(Algorithm::Ir2, [7.3, 3.1], &["coffee", "music"], 6)
+        .ranked(SaturatingTfIdf, rank);
+    let full = db.run(&req).unwrap();
+    assert_eq!(full.outcome, None);
+    let full_ids: Vec<u64> = full.results.iter().map(|(o, _)| o.id).collect();
     let mut saw_truncation = false;
     for budget in 0..=400u64 {
-        let out = general_topk_with(
-            db.ir2_tree(),
-            db.object_store(),
-            db.vocab(),
-            &SaturatingTfIdf,
-            &rank,
-            &q,
-            QueryLimits::none().with_io_budget(budget),
-            NopSink,
-        )
-        .unwrap();
-        saw_truncation |= out.is_truncated();
-        let got: Vec<u64> = out.results().iter().map(|r| r.object.id).collect();
+        let limits = QueryLimits::none().with_io_budget(budget);
+        let out = db.run(&req.clone().limited(limits)).unwrap();
+        saw_truncation |= out.outcome.is_some();
+        let got: Vec<u64> = out.results.iter().map(|(o, _)| o.id).collect();
         assert_eq!(got, full_ids[..got.len()], "budget {budget}");
     }
     assert!(saw_truncation);

@@ -144,7 +144,7 @@ impl<D: BlockDevice> GridIndex<D> {
         query: &DistanceFirstQuery<2>,
     ) -> Result<(Vec<(SpatialObject<2>, f64)>, GridQueryCounters)> {
         let mut counters = GridQueryCounters::default();
-        let mut out: Vec<(SpatialObject<2>, f64)> = Vec::with_capacity(query.k);
+        let mut out: Vec<(SpatialObject<2>, f64)> = Vec::with_capacity(query.k.min(1024));
         if query.k == 0 {
             return Ok((out, counters));
         }

@@ -87,7 +87,9 @@ pub fn iio_topk_limited<const N: usize, D: BlockDevice>(
 
     // Lines 4-9: load candidates, keep the k nearest in a bounded max-heap
     // (objects are retained so line 10 needs no second disk pass).
-    let mut heap: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(query.k + 1);
+    // Capped like the tree searches' collector: `k` may exceed every
+    // possible answer (`usize::MAX` for "all").
+    let mut heap: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(query.k.min(1024) + 1);
     let mut kept: std::collections::HashMap<u64, SpatialObject<N>> =
         std::collections::HashMap::new();
     for ptr in candidates {

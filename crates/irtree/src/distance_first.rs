@@ -1,6 +1,8 @@
-//! The distance-first IR²-Tree algorithm (paper Figure 8: `IR2TopK` on top
-//! of `IR2NearestNeighbor`), and on a plain R-Tree the paper's R-Tree
-//! baseline (Section 5.1).
+//! The one best-first search of the IR²-Tree: the distance-first
+//! algorithm (paper Figure 8: `IR2TopK` on top of `IR2NearestNeighbor`), on
+//! a plain R-Tree the paper's R-Tree baseline (Section 5.1), and the
+//! general algorithm of Section 5.3, which is the same traversal keyed by
+//! a score bound instead of a distance.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -13,13 +15,15 @@ use ir2_model::{
 use ir2_rtree::{CachedNode, NodeReader, PayloadOps, RTree, UnitPayload};
 use ir2_sigfile::{EntryMask, Signature};
 use ir2_storage::{BlockDevice, Result};
+use ir2_text::{IrScorer, RankingFn, TermId, Vocabulary};
 
 use crate::search::{collect_topk, level_entry, signature_mask_into, BoundedSearch, BoundedStep};
 use crate::trace::{NopSink, SearchCounters, TraceEvent, TraceSink};
 use crate::SigPayload;
 
-/// The node test of a [`DistanceFirstIter`], picked by the tree's payload
-/// type: which of a visited node's entries go on the frontier.
+/// The node test of a distance-ordered [`DistanceFirstIter`], picked by the
+/// tree's payload type: which of a visited node's entries go on the
+/// frontier.
 ///
 /// A signature tree ([`SigPayload`]: the IR²- and MIR²-Tree) tests every
 /// entry against the query signature of the node's level — Figure 8's "if
@@ -80,30 +84,268 @@ impl EntryFilter for UnitPayload {
     }
 }
 
-#[derive(PartialEq, Eq)]
-enum Item {
-    Node(u64),
-    Object(u64),
+/// What a [`DistanceFirstIter`] orders its frontier by: the search pops the
+/// smallest key first, and a key never falls below the key of the item it
+/// was pushed from, so results come out in ascending key. An order is the
+/// search's two per-visit hooks.
+///
+/// * [`DistanceOrder`] (the default): a key is MINDIST from the query
+///   region, an entry is admitted by the payload's [`EntryFilter`], and a
+///   candidate is a result when its text contains every keyword — its key
+///   is its distance.
+/// * [`ScoreOrder`]: Section 5.3's general algorithm. A key is `−Upper(v)`,
+///   the negated bound on `f(distance, IRscore)` of everything under the
+///   entry; a candidate's exact key is its negated score, and a candidate
+///   whose exact key lies past the frontier head goes back on the frontier
+///   to be emitted in its turn.
+pub trait SearchOrder<const N: usize, P> {
+    /// The root's key.
+    fn root_key(&self) -> f64;
+
+    /// The node test: writes into `mask` one verdict per entry of `node`
+    /// (set: the entry goes on the frontier) and returns whether the
+    /// verdicts are signature tests, which the search then counts and
+    /// reports.
+    fn admit_into(&mut self, ops: &P, node: &CachedNode<N>, mask: &mut EntryMask) -> bool;
+
+    /// The key of entry `i` of `node`, admitted by the last
+    /// [`admit_into`](SearchOrder::admit_into); `key` is the node's own.
+    fn child_key(&mut self, node: &CachedNode<N>, i: usize, key: f64) -> f64;
+
+    /// The candidate check: the object at `ptr`, popped at `key`, and its
+    /// exact key if it is a result; `None` if it is not (a signature false
+    /// positive).
+    fn check(
+        &mut self,
+        objects: &dyn ObjectSource<N>,
+        ptr: ObjPtr,
+        key: f64,
+    ) -> Result<Option<(SpatialObject<N>, f64)>>;
 }
 
-/// Incremental distance-first top-k spatial keyword search over an
-/// IR²-Tree, a MIR²-Tree or a plain R-Tree.
+/// The distance-first order: MINDIST from the query region, the payload's
+/// node test, and a conjunctive keyword check on each candidate.
+pub struct DistanceOrder<const N: usize> {
+    region: QueryRegion<N>,
+    keywords: Vec<String>,
+    /// Query signature per node level, indexed by level and built lazily
+    /// (levels differ only in the MIR²-Tree).
+    query_sigs: Vec<Option<Signature>>,
+    /// Reusable buffer a candidate record that spans blocks is assembled
+    /// in; one that ends inside its first block is checked where it lies.
+    scratch: Vec<u8>,
+}
+
+impl<const N: usize, P: EntryFilter> SearchOrder<N, P> for DistanceOrder<N> {
+    #[inline]
+    fn root_key(&self) -> f64 {
+        0.0
+    }
+
+    #[inline]
+    fn admit_into(&mut self, ops: &P, node: &CachedNode<N>, mask: &mut EntryMask) -> bool {
+        ops.admit_into(node, &self.keywords, &mut self.query_sigs, mask)
+    }
+
+    #[inline]
+    fn child_key(&mut self, node: &CachedNode<N>, i: usize, _key: f64) -> f64 {
+        self.region.min_dist(&node.rect(i))
+    }
+
+    /// Line 20-21 of IR2TopK: load and verify (false positives are
+    /// possible). A verified candidate's key is the distance it was pushed
+    /// at.
+    #[inline]
+    fn check(
+        &mut self,
+        objects: &dyn ObjectSource<N>,
+        ptr: ObjPtr,
+        key: f64,
+    ) -> Result<Option<(SpatialObject<N>, f64)>> {
+        let verified = objects.load_if_contains_all(ptr, &self.keywords, &mut self.scratch)?;
+        Ok(verified.map(|obj| (obj, key)))
+    }
+}
+
+/// The general order of Section 5.3: results ranked by
+/// `f(distance(T.p, Q.p), IRscore(T.t, Q.t))`, highest first.
 ///
-/// This is the paper's `IR2NearestNeighbor` (Figure 8) wrapped as an
-/// iterator: a best-first traversal ordered by MINDIST in which every
-/// entry must additionally pass the signature containment test against the
-/// query signature *of that node's level* ("if s matches w"). Each
-/// candidate object the traversal surfaces is loaded and verified against
-/// the actual keywords — signatures have false positives but no false
-/// negatives, so verified results emerge in exact distance order. The test
-/// is the payload type's [`EntryFilter`]: over a plain R-Tree every entry
-/// passes and the iterator is the R-Tree baseline, which loads every
-/// candidate the NN order surfaces.
+/// Keywords are *preferences*, not a conjunctive filter: an object
+/// containing only some of them may rank highly if it is close enough. One
+/// containing none is not a result.
+///
+/// * Each query keyword has its own signature `Signature(wᵢ)`, and a
+///   visited node is tested against each of them to find every entry's
+///   *matched subset*; an entry matching no keyword is pruned — "check if
+///   there can be an object T with non-zero IR score". The node's tests
+///   are counted and reported as the union of the keywords' verdicts.
+/// * An entry's key is `−Upper(v)`, with
+///   `Upper(v) = min(f(MINDIST(v), UpperBound(IRscore)), Upper(parent))`,
+///   the IR bound coming from the "imaginary object" that contains every
+///   matched keyword ([`IrScorer::upper_bound`]).
+/// * A candidate is loaded and scored; its exact key is `−f(distance,
+///   IRscore)`, and a candidate scoring no more than the best bound left
+///   on the frontier is put back on it "to be considered later".
+///
+/// Soundness rests on two monotonicities, both property-tested in this
+/// workspace: signatures have no false negatives (a node's matched set
+/// contains every descendant's) and `f` is decreasing in distance /
+/// increasing in IR score. So keys ascend, and the search's limits, tie
+/// drain and frontier bound hold as they do for distances.
+pub struct ScoreOrder<'a, const N: usize> {
+    region: QueryRegion<N>,
+    vocab: &'a Vocabulary,
+    scorer: &'a dyn IrScorer,
+    rank: &'a dyn RankingFn,
+    /// Query terms present in the corpus (absent terms can never
+    /// contribute to any document's score).
+    terms: Vec<TermId>,
+    /// Per-keyword query signatures, indexed by level and built lazily.
+    keyword_sigs: Vec<Option<Vec<Signature>>>,
+    /// One reusable verdict mask per keyword, filled once per visit.
+    keyword_masks: Vec<EntryMask>,
+    /// An entry's matched keywords, reused entry to entry.
+    matched: Vec<TermId>,
+}
+
+impl<'a, const N: usize> ScoreOrder<'a, N> {
+    /// The order of a general query anchored at `region` (a point, or an
+    /// area whose inside is at distance zero) over `keywords` (normalized
+    /// here), scored by `scorer` with `vocab`'s term statistics and ranked
+    /// by `rank`.
+    pub fn new<W: AsRef<str>>(
+        region: impl Into<QueryRegion<N>>,
+        keywords: &[W],
+        vocab: &'a Vocabulary,
+        scorer: &'a dyn IrScorer,
+        rank: &'a dyn RankingFn,
+    ) -> Self {
+        let terms: Vec<TermId> = normalize_keywords(keywords)
+            .iter()
+            .filter_map(|w| vocab.term_id(w))
+            .collect();
+        Self {
+            region: region.into(),
+            vocab,
+            scorer,
+            rank,
+            keyword_masks: vec![EntryMask::new(); terms.len()],
+            matched: Vec::with_capacity(terms.len()),
+            terms,
+            keyword_sigs: Vec::new(),
+        }
+    }
+}
+
+impl<const N: usize, P: SigPayload> SearchOrder<N, P> for ScoreOrder<'_, N> {
+    fn root_key(&self) -> f64 {
+        f64::NEG_INFINITY
+    }
+
+    fn admit_into(&mut self, ops: &P, node: &CachedNode<N>, mask: &mut EntryMask) -> bool {
+        let level = node.level();
+        let (terms, vocab) = (&self.terms, self.vocab);
+        let sigs = level_entry(&mut self.keyword_sigs, level, || {
+            let scheme = ops.scheme_at(level);
+            terms
+                .iter()
+                .map(|&t| scheme.sign_term(vocab.name(t)))
+                .collect()
+        });
+        mask.reset_none_set(node.len());
+        for (sig, m) in sigs.iter().zip(&mut self.keyword_masks) {
+            signature_mask_into(node, sig, m);
+            mask.union_with(m);
+        }
+        true
+    }
+
+    fn child_key(&mut self, node: &CachedNode<N>, i: usize, key: f64) -> f64 {
+        self.matched.clear();
+        for (&t, m) in self.terms.iter().zip(&self.keyword_masks) {
+            if m.get(i) {
+                self.matched.push(t);
+            }
+        }
+        let bound = self.scorer.upper_bound(self.vocab, &self.matched);
+        let dist = self.region.min_dist(&node.rect(i));
+        let upper = self.rank.combine(dist, bound).min(-key);
+        -upper
+    }
+
+    /// The verify-step analog of IR2TopK line 21: a signature false
+    /// positive may surface an object that matches no query keyword; it is
+    /// not a result.
+    fn check(
+        &mut self,
+        objects: &dyn ObjectSource<N>,
+        ptr: ObjPtr,
+        _key: f64,
+    ) -> Result<Option<(SpatialObject<N>, f64)>> {
+        let obj = objects.load(ptr)?;
+        let ir_score = self
+            .scorer
+            .score(self.vocab, &self.terms, &obj.token_counts());
+        if ir_score <= 0.0 {
+            return Ok(None);
+        }
+        let score = self
+            .rank
+            .combine(self.region.distance(&obj.point), ir_score);
+        Ok(Some((obj, -score)))
+    }
+}
+
+enum Item<const N: usize> {
+    Node(u64),
+    Object(u64),
+    /// A result whose exact key lay past the frontier head when it was
+    /// checked.
+    Loaded(Box<SpatialObject<N>>),
+}
+
+// Items only compare through (key, seq), and seq is unique per push.
+impl<const N: usize> PartialEq for Item<N> {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+impl<const N: usize> Eq for Item<N> {}
+impl<const N: usize> Ord for Item<N> {
+    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+impl<const N: usize> PartialOrd for Item<N> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The best-first top-k spatial keyword search over an IR²-Tree, a
+/// MIR²-Tree or a plain R-Tree, as an incremental iterator.
+///
+/// In its default [`DistanceOrder`] this is the paper's
+/// `IR2NearestNeighbor` (Figure 8): a best-first traversal ordered by
+/// MINDIST in which every entry must additionally pass the signature
+/// containment test against the query signature *of that node's level*
+/// ("if s matches w"). Each candidate object the traversal surfaces is
+/// loaded and verified against the actual keywords — signatures have false
+/// positives but no false negatives, so verified results emerge in exact
+/// distance order. The test is the payload type's [`EntryFilter`]: over a
+/// plain R-Tree every entry passes and the iterator is the R-Tree baseline,
+/// which loads every candidate the NN order surfaces.
 ///
 /// With an empty keyword list the query signature is empty, every entry
 /// matches, and the iterator degenerates to plain incremental NN — the
 /// IR²-Tree "facilitates both top-k spatial queries and top-k spatial
 /// keyword queries".
+///
+/// In a [`ScoreOrder`] ([`with_order_sink`](Self::with_order_sink)) it is
+/// the general algorithm of Section 5.3 on a signature tree: the same loop,
+/// keyed by `−Upper(v)`, yielding `(object, −f(distance, IRscore))` in
+/// descending score. Whatever the order, a yielded key is the object's
+/// exact key, and keys never decrease.
 ///
 /// The iterator keeps the query's [`SearchCounters`] itself, traced or
 /// not. The `S` parameter is a [`TraceSink`] receiving one event per node
@@ -111,15 +353,11 @@ enum Item {
 /// [`record_tests`](TraceSink::record_tests) call per node visit with that
 /// node's containment mask; the default [`NopSink`] monomorphizes every
 /// call to an inlined empty body.
-pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink = NopSink> {
+pub struct DistanceFirstIter<'a, const N: usize, D, P, S = NopSink, O = DistanceOrder<N>> {
     tree: &'a RTree<N, D, P>,
     objects: &'a dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: Vec<String>,
-    /// Query signature per node level, indexed by level and built lazily
-    /// (levels differ only in the MIR²-Tree).
-    query_sigs: Vec<Option<Signature>>,
-    heap: BinaryHeap<Reverse<(OrderedF64, u64, Item)>>,
+    order: O,
+    heap: BinaryHeap<Reverse<(OrderedF64, u64, Item<N>)>>,
     seq: u64,
     /// The query's one account, kept as the work happens.
     counters: SearchCounters,
@@ -128,25 +366,11 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: EntryFilter, S: TraceSink
     /// Reusable per-node containment bitmask: every entry's verdict is
     /// written here in one pass, so steady-state pruning allocates nothing.
     mask: EntryMask,
-    /// Reusable buffer a candidate record that spans blocks is assembled
-    /// in; one that ends inside its first block is checked where it lies.
-    scratch: Vec<u8>,
     /// The search's nodes: the tree's root and image table as of the
     /// search's start, and the one page every node no image serves is read
     /// into, so a cold search allocates no node buffer after its first.
     nodes: NodeReader<'a, N, D, P>,
     sink: S,
-}
-
-impl Ord for Item {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl<'a, const N: usize, D: BlockDevice, P: EntryFilter> DistanceFirstIter<'a, N, D, P> {
@@ -185,8 +409,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
 {
     /// Starts an incremental search that reports every step to `sink`
     /// (pass `&mut sink` to keep ownership — sinks are usable by
-    /// reference). This is the full-form constructor the others delegate
-    /// to: `keywords` are taken as given, so they must already be
+    /// reference). `keywords` are taken as given, so they must already be
     /// normalized ([`normalize_keywords`]; a [`DistanceFirstQuery`]'s are).
     pub fn with_region_sink(
         tree: &'a RTree<N, D, P>,
@@ -195,24 +418,43 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
         keywords: Vec<String>,
         sink: S,
     ) -> Self {
+        let order = DistanceOrder {
+            region,
+            keywords,
+            query_sigs: Vec::new(),
+            scratch: Vec::new(),
+        };
+        Self::with_order_sink(tree, objects, order, sink)
+    }
+}
+
+impl<'a, const N: usize, D: BlockDevice, P: PayloadOps, S: TraceSink, O: SearchOrder<N, P>>
+    DistanceFirstIter<'a, N, D, P, S, O>
+{
+    /// Starts a search in `order` that reports every step to `sink` — the
+    /// full-form constructor the others delegate to, and the one that
+    /// starts a [`ScoreOrder`] search.
+    pub fn with_order_sink(
+        tree: &'a RTree<N, D, P>,
+        objects: &'a dyn ObjectSource<N>,
+        order: O,
+        sink: S,
+    ) -> Self {
         let nodes = tree.reader();
         let mut heap = BinaryHeap::new();
         if let Some(root) = nodes.root() {
-            heap.push(Reverse((OrderedF64(0.0), 0, Item::Node(root))));
+            heap.push(Reverse((OrderedF64(order.root_key()), 0, Item::Node(root))));
         }
         Self {
             tree,
             objects,
-            region,
-            keywords,
-            query_sigs: Vec::new(),
+            order,
             heap,
             seq: 1,
             counters: SearchCounters::default(),
             limits: QueryLimits::none(),
             truncated: None,
             mask: EntryMask::new(),
-            scratch: Vec::new(),
             nodes,
             sink,
         }
@@ -221,8 +463,7 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
     /// Applies execution limits: once a limit trips, the iterator stops
     /// yielding ([`truncation`](Self::truncation) reports why). Everything
     /// yielded before the cut is still the exact top-m prefix of the full
-    /// answer, because the traversal emits verified results in distance
-    /// order.
+    /// answer, because the traversal emits results in key order.
     pub fn limited(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
         self
@@ -238,14 +479,15 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
         self.truncated
     }
 
-    /// Lower bound on the distance of every result this iterator can still
-    /// emit: the MINDIST key at the head of the frontier. The best-first
-    /// heap minimum is non-decreasing and MINDIST lower-bounds everything
-    /// inside an MBR, so nothing closer can appear later — this is the
-    /// per-shard bound a scatter-gather merge compares against its current
-    /// k-th distance. `None` once the frontier is drained (and, for a
-    /// truncated search, the bound at the moment of the cut is the radius
-    /// within which the emitted prefix is exact).
+    /// Lower bound on the key of every result this iterator can still
+    /// emit — under [`DistanceOrder`], on its distance: the key at the
+    /// head of the frontier. The best-first heap minimum is non-decreasing
+    /// and MINDIST lower-bounds everything inside an MBR, so nothing closer
+    /// can appear later — this is the per-shard bound a scatter-gather
+    /// merge compares against its current k-th distance. `None` once the
+    /// frontier is drained (and, for a truncated search, the bound at the
+    /// moment of the cut is the radius within which the emitted prefix is
+    /// exact).
     pub fn frontier_bound(&self) -> Option<f64> {
         self.heap.peek().map(|Reverse((d, _, _))| d.0)
     }
@@ -256,13 +498,14 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
     }
 
     /// Like the iterator's `next`, but performs no work beyond `limit`:
-    /// each unit of work (node expansion or candidate verification) runs
-    /// only while the frontier head's MINDIST key is ≤ `limit`. A caller
-    /// holding a tighter bound — a scatter-gather merge comparing shards
-    /// against its current k-th distance, say — never pays for reads whose
-    /// results it would discard. [`BoundedStep::Pending`] means the head
-    /// now exceeds the limit; the search resumes exactly where it stopped
-    /// when called again with a larger limit.
+    /// each unit of work (node expansion or candidate check) runs only
+    /// while the frontier head's key is ≤ `limit`, and a result is yielded
+    /// only at a key ≤ `limit`. A caller holding a tighter bound — a
+    /// scatter-gather merge comparing shards against its current k-th
+    /// distance, say — never pays for reads whose results it would
+    /// discard. [`BoundedStep::Pending`] means the head now exceeds the
+    /// limit; the search resumes exactly where it stopped when called
+    /// again with a larger limit.
     pub fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
         loop {
             // A drained frontier means everything already emitted is the
@@ -285,29 +528,39 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
             if self.truncated.is_some() {
                 return Ok(BoundedStep::Done);
             }
-            let Some(Reverse((dist, _, item))) = self.heap.pop() else {
+            let Some(Reverse((key, _, item))) = self.heap.pop() else {
                 return Ok(BoundedStep::Done);
             };
             match item {
                 Item::Object(child) => {
-                    // Line 20-21 of IR2TopK: load and verify (false
-                    // positives are possible).
                     self.counters.candidates_checked += 1;
-                    let verified = self.objects.load_if_contains_all(
-                        ObjPtr(child),
-                        &self.keywords,
-                        &mut self.scratch,
-                    )?;
+                    let checked = self.order.check(self.objects, ObjPtr(child), key.0)?;
                     self.sink.record(&TraceEvent::ObjectFetched {
                         ptr: child,
-                        distance: dist.0,
-                        matched: verified.is_some(),
+                        distance: key.0,
+                        matched: checked.is_some(),
                     });
-                    if let Some(obj) = verified {
-                        return Ok(BoundedStep::Hit(obj, dist.0));
+                    let Some((obj, exact)) = checked else {
+                        self.counters.false_positives += 1;
+                        continue;
+                    };
+                    // A result is yielded once nothing left on the frontier
+                    // can come before it: at once if its exact key is the
+                    // key it was popped at (always, under `DistanceOrder`),
+                    // which no head or limit is below; otherwise it waits on
+                    // the frontier, loaded, until it is the head.
+                    let first = || {
+                        let head = self.heap.peek();
+                        head.is_none_or(|Reverse((head, _, _))| exact <= head.0)
+                    };
+                    if exact <= key.0 || exact <= limit && first() {
+                        return Ok(BoundedStep::Hit(obj, exact));
                     }
-                    self.counters.false_positives += 1;
+                    let item = Item::Loaded(Box::new(obj));
+                    self.heap.push(Reverse((OrderedF64(exact), self.seq, item)));
+                    self.seq += 1;
                 }
+                Item::Loaded(obj) => return Ok(BoundedStep::Hit(*obj, key.0)),
                 Item::Node(id) => {
                     let (node, hit) = self.nodes.read(id)?;
                     let level = node.level();
@@ -315,19 +568,15 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                     self.sink.record(&TraceEvent::NodeVisited {
                         node: id,
                         level,
-                        mindist: dist.0,
+                        mindist: key.0,
                         entries: node.len(),
                         heap_size: self.heap.len(),
                     });
-                    // The payload type's node test: "if s matches w" on a
-                    // signature tree, every entry on the plain R-Tree. A
-                    // tested node is counted and reported in one tally.
-                    let tested = self.tree.ops().admit_into(
-                        node,
-                        &self.keywords,
-                        &mut self.query_sigs,
-                        &mut self.mask,
-                    );
+                    // The order's node test: "if s matches w" on a
+                    // signature tree, every entry on the plain R-Tree, any
+                    // keyword's signature under the general order. A tested
+                    // node is counted and reported in one tally.
+                    let tested = self.order.admit_into(self.tree.ops(), node, &mut self.mask);
                     if tested {
                         self.counters.record_tests(level, &self.mask);
                         self.sink.record_tests(level, &self.mask);
@@ -337,13 +586,13 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
                     let is_leaf = node.is_leaf();
                     for i in self.mask.ones() {
                         let child = node.child(i);
-                        let d = OrderedF64(self.region.min_dist(&node.rect(i)));
+                        let k = OrderedF64(self.order.child_key(node, i, key.0));
                         let item = if is_leaf {
                             Item::Object(child)
                         } else {
                             Item::Node(child)
                         };
-                        self.heap.push(Reverse((d, self.seq, item)));
+                        self.heap.push(Reverse((k, self.seq, item)));
                         self.seq += 1;
                     }
                 }
@@ -352,8 +601,8 @@ impl<'a, const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink>
     }
 }
 
-impl<const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink> BoundedSearch<N>
-    for DistanceFirstIter<'_, N, D, P, S>
+impl<const N: usize, D: BlockDevice, P: PayloadOps, S: TraceSink, O: SearchOrder<N, P>>
+    BoundedSearch<N> for DistanceFirstIter<'_, N, D, P, S, O>
 {
     fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
         DistanceFirstIter::next_within(self, limit)
@@ -372,8 +621,8 @@ impl<const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink> BoundedSearch
     }
 }
 
-impl<const N: usize, D: BlockDevice, P: EntryFilter, S: TraceSink> Iterator
-    for DistanceFirstIter<'_, N, D, P, S>
+impl<const N: usize, D: BlockDevice, P: PayloadOps, S: TraceSink, O: SearchOrder<N, P>> Iterator
+    for DistanceFirstIter<'_, N, D, P, S, O>
 {
     type Item = Result<(SpatialObject<N>, f64)>;
 

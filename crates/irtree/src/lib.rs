@@ -22,7 +22,7 @@
 //!   [`DistanceFirstIter`] / [`distance_first_topk`];
 //! * the **general IR² algorithm** (Section 5.3) ranking by
 //!   `f(distance, IRscore)` with sound signature-derived upper bounds —
-//!   [`general_topk`];
+//!   the same iterator in a [`ScoreOrder`];
 //! * the **R-Tree baseline** (Section 5.1) for comparison — the same
 //!   iterator over a plain [`RTree`](ir2_rtree::RTree) with
 //!   [`UnitPayload`](ir2_rtree::UnitPayload), whose [`EntryFilter`] admits
@@ -33,11 +33,17 @@
 //!
 //! # One query plan
 //!
-//! The two functions above are shorthands. A search is configured in
-//! one way only — on the iterator, each axis by one call:
+//! [`distance_first_topk`] is a shorthand. A search is configured in one
+//! way only — on the iterator, each axis by one call:
 //!
 //! * **anchor**: [`DistanceFirstIter::new`] (a point query) or
 //!   [`DistanceFirstIter::with_region`] (a point or an area);
+//! * **order**: a [`SearchOrder`] — the two per-visit hooks of the one
+//!   best-first loop: the node test with each admitted child's key, and
+//!   the candidate check. [`DistanceOrder`] (the default) keys by MINDIST;
+//!   [`ScoreOrder`], passed to [`DistanceFirstIter::with_order_sink`],
+//!   keys by `−Upper(v)` and re-queues a loaded candidate at its negated
+//!   score. Keys ascend either way, so everything below holds for both;
 //! * **sink**: the `*_sink` constructors take a [`TraceSink`] that
 //!   receives one [`TraceEvent`] per node visit and object fetch, and a
 //!   visited node's signature tests in one
@@ -50,11 +56,10 @@
 //! The iterator implements [`BoundedSearch`] — `next_within`,
 //! `frontier_bound`, `counters`, `truncation` — the stepping contract the
 //! sharded merge pulls on, and [`collect_topk`] is the one k-collector
-//! over it (canonical `(distance, id)` ties; `Complete` or `Truncated`).
-//! Every combination of region × sink × limits is therefore the same
-//! code path, property-tested cell by cell in `tests/props.rs`. The
-//! general algorithm is not incremental; its full form with a sink and
-//! limits is [`general_topk_with`].
+//! over it (canonical `(key, id)` ties: distance ascending, or score
+//! descending; `Complete` or `Truncated`). Every combination of region ×
+//! order × sink × limits is therefore the same code path,
+//! property-tested cell by cell in `tests/props.rs`.
 //!
 //! # One signature form per node image
 //!
@@ -73,15 +78,15 @@
 
 mod diagnostics;
 mod distance_first;
-mod general;
 mod objects;
 mod payloads;
 mod search;
 pub mod trace;
 
 pub use diagnostics::{density_profile, LevelDensity};
-pub use distance_first::{distance_first_topk, DistanceFirstIter, EntryFilter};
-pub use general::{general_topk, general_topk_with, GeneralQuery, ScoredResult};
+pub use distance_first::{
+    distance_first_topk, DistanceFirstIter, DistanceOrder, EntryFilter, ScoreOrder, SearchOrder,
+};
 pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};
 pub use search::{collect_topk, BoundedSearch, BoundedStep, LimitedTopk};

@@ -1,4 +1,4 @@
-//! The stepping contract of the incremental distance-first search, the one
+//! The stepping contract of the incremental best-first search, the one
 //! top-k collector built on it, and the signature test of a visited node.
 //!
 //! A visited node's test reads only what the query asks about: a cached
@@ -67,7 +67,8 @@ pub type LimitedTopk<const N: usize> = (ExecOutcome<Vec<(SpatialObject<N>, f64)>
 /// Outcome of one bounded best-first step ([`BoundedSearch::next_within`]).
 #[derive(Debug)]
 pub enum BoundedStep<const N: usize> {
-    /// A verified result at distance ≤ the step's limit.
+    /// A verified result at a key ≤ the step's limit: its distance, or its
+    /// negated score under the general order.
     Hit(SpatialObject<N>, f64),
     /// The frontier minimum now exceeds the limit: every remaining result
     /// is farther than the limit, and no work beyond it was performed.
@@ -88,8 +89,9 @@ impl<const N: usize> BoundedStep<N> {
     }
 }
 
-/// An incremental distance-first search that emits verified results in
-/// non-decreasing distance and can be advanced under a distance bound —
+/// An incremental best-first search that emits verified results in
+/// non-decreasing key (distance, or negated score) and can be advanced
+/// under a key bound —
 /// what [`collect_topk`] and the scatter-gather shard merge are written
 /// against. [`DistanceFirstIter`](crate::DistanceFirstIter) implements it
 /// over every tree; region, sink and limits are chosen when the iterator
@@ -101,7 +103,7 @@ pub trait BoundedSearch<const N: usize> {
     /// a larger limit.
     fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>>;
 
-    /// Lower bound on the distance of every result still to come; `None`
+    /// Lower bound on the key of every result still to come; `None`
     /// once the frontier is drained.
     fn frontier_bound(&self) -> Option<f64>;
 
@@ -113,7 +115,8 @@ pub trait BoundedSearch<const N: usize> {
 }
 
 /// Collects the top `k` results of `search` in the workspace-wide canonical
-/// `(distance, id)` order. A search stopped by its limits yields
+/// `(key, id)` order: `(distance, id)`, or score descending and then id
+/// under the general order. A search stopped by its limits yields
 /// [`ExecOutcome::Truncated`] whose results are the exact top-m prefix of
 /// the full answer; an unlimited search never sets
 /// [`truncation`](BoundedSearch::truncation), so it always comes back

@@ -200,9 +200,9 @@ pub enum TraceEvent {
         node: u64,
         /// Tree level (0 = leaf).
         level: u16,
-        /// Pop priority of the node: MINDIST from the query region for
-        /// the distance-first algorithms, the score upper bound `Upper(v)`
-        /// (infinite at the root) for the general algorithm.
+        /// Pop key of the node: MINDIST from the query region for the
+        /// distance-first algorithms, the negated score bound `−Upper(v)`
+        /// (−∞ at the root) for the general algorithm.
         mindist: f64,
         /// Number of entries scanned in the node.
         entries: usize,
@@ -222,11 +222,14 @@ pub enum TraceEvent {
         matched: bool,
     },
     /// A candidate object was fetched from the object file and verified
-    /// against the actual keyword set.
+    /// against the actual keyword set (scored, under the general
+    /// algorithm).
     ObjectFetched {
         /// Record pointer of the object (block ⊕ slot encoding).
         ptr: u64,
-        /// Euclidean distance from the query point.
+        /// Key the candidate was popped at: its distance from the query
+        /// region, or `−Upper` of its leaf entry under the general
+        /// algorithm.
         distance: f64,
         /// Whether verification succeeded (false ⇒ the fetch was a
         /// signature false positive).
@@ -240,8 +243,7 @@ pub enum TraceEvent {
 /// tracing is opt-in per call and free when unused.
 pub trait TraceSink {
     /// Receives one event. Implementations must be cheap: this is called
-    /// on the query hot path (once per node visit and per object fetch,
-    /// and by the general algorithm once per keyword probe of an entry).
+    /// on the query hot path (once per node visit and per object fetch).
     fn record(&mut self, event: &TraceEvent);
 
     /// Receives the signature tests of one visited node: bit `i` of `mask`

@@ -7,11 +7,10 @@ use std::sync::Arc;
 
 use ir2_geo::Point;
 use ir2_irtree::{
-    collect_topk, delete_object, distance_first_topk, general_topk, general_topk_with,
-    insert_object, DistanceFirstIter, GeneralQuery, Ir2Payload, SearchCounters, TraceEvent,
-    VecSink,
+    collect_topk, delete_object, distance_first_topk, insert_object, DistanceFirstIter, Ir2Payload,
+    NopSink, ScoreOrder, SearchCounters, TraceEvent, TraceSink, VecSink,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryRegion, SpatialObject};
 use ir2_rtree::{NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::{SignatureBlock, SignatureScheme};
 use ir2_storage::MemDevice;
@@ -77,6 +76,29 @@ struct Fixture {
     warm: RTree<2, MemDevice, Ir2Payload>,
     /// No cache — ground truth.
     cold: RTree<2, MemDevice, Ir2Payload>,
+}
+
+/// The general (ranked) top-k of Section 5.3 on `tree` — the best-first
+/// search in a [`ScoreOrder`] — as `(id, score bits)` by descending score,
+/// with the search's counters and its sink.
+fn general<S: TraceSink>(
+    fx: &Fixture,
+    tree: &RTree<2, MemDevice, Ir2Payload>,
+    point: [f64; 2],
+    keywords: &[&str],
+    k: usize,
+    sink: S,
+) -> (Vec<(u64, u64)>, SearchCounters, S) {
+    let rank = LinearRank {
+        ir_weight: 1.0,
+        dist_weight: 0.02,
+    };
+    let order = ScoreOrder::new(point, keywords, &fx.vocab, &SaturatingTfIdf, &rank);
+    let mut search = DistanceFirstIter::with_order_sink(tree, fx.store.as_ref(), order, sink);
+    let (outcome, counters) = collect_topk(&mut search, k).unwrap();
+    let results = outcome.into_results();
+    let bits = results.iter().map(|(o, key)| (o.id, (-key).to_bits()));
+    (bits.collect(), counters, search.into_sink())
 }
 
 fn build_fixture(docs: &[Doc], seed: u64) -> Fixture {
@@ -206,22 +228,11 @@ proptest! {
         seed in 0u64..500,
     ) {
         let fx = build_fixture(&docs, seed);
-        let scorer = SaturatingTfIdf;
-        let rank = LinearRank { ir_weight: 1.0, dist_weight: 0.02 };
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
-        let q = GeneralQuery::new(qpoint, &kws, k);
-        let cold = general_topk(
-            &fx.cold, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q).unwrap();
+        let (cold, _, _) = general(&fx, &fx.cold, qpoint, &kws, k, NopSink);
         for _pass in 0..2 {
-            let warm = general_topk(
-                &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q).unwrap();
-            prop_assert_eq!(warm.len(), cold.len());
-            for (w, c) in warm.iter().zip(cold.iter()) {
-                prop_assert_eq!(w.object.id, c.object.id);
-                prop_assert_eq!(w.score.to_bits(), c.score.to_bits());
-                prop_assert_eq!(w.distance.to_bits(), c.distance.to_bits());
-                prop_assert_eq!(w.ir_score.to_bits(), c.ir_score.to_bits());
-            }
+            let (warm, _, _) = general(&fx, &fx.warm, qpoint, &kws, k, NopSink);
+            prop_assert_eq!(&warm, &cold);
         }
     }
 }
@@ -366,39 +377,20 @@ fn in_place_and_block_masks_run_the_same_search() {
         }
     }
 
-    let scorer = SaturatingTfIdf;
-    let rank = LinearRank {
-        ir_weight: 1.0,
-        dist_weight: 0.02,
-    };
-    let general = |tree, q: &GeneralQuery<2>| {
-        let mut sink = VecSink::new();
-        let results = general_topk_with(
-            tree,
-            fx.store.as_ref(),
-            &fx.vocab,
-            &scorer,
-            &rank,
-            q,
-            QueryLimits::none(),
-            &mut sink,
-        )
-        .unwrap()
-        .into_results();
-        let bits: Vec<(u64, u64, u64)> = results
-            .iter()
-            .map(|r| (r.object.id, r.distance.to_bits(), r.score.to_bits()))
-            .collect();
-        (bits, sink)
-    };
     for (qi, point) in points.iter().enumerate() {
-        let q = GeneralQuery::new(*point, &[WORDS[qi], WORDS[qi + 4], WORDS[qi + 5]], 5);
-        let (plain, psink) = general(&fx.cold, &q);
+        let kws = [WORDS[qi], WORDS[qi + 4], WORDS[qi + 5]];
+        let (plain, pc, psink) = general(&fx, &fx.cold, *point, &kws, 5, VecSink::new());
         assert!(!plain.is_empty() && visited(&psink).len() > 1);
+        assert_eq!(
+            psink.counters(),
+            level(&pc),
+            "the events fold to the counters"
+        );
         cache.clear();
         for pass in 0..3 {
-            let (got, sink) = general(&fx.warm, &q);
+            let (got, c, sink) = general(&fx, &fx.warm, *point, &kws, 5, VecSink::new());
             assert_eq!(got, plain, "pass {pass}");
+            assert_eq!(level(&c), level(&pc), "pass {pass}");
             assert_eq!(sink.counters(), psink.counters(), "pass {pass}");
             assert_forms(&visited(&sink));
         }

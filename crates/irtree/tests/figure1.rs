@@ -4,14 +4,14 @@
 use std::sync::Arc;
 
 use ir2_irtree::{
-    bulk_load_objects, distance_first_topk, general_topk, insert_object, DistanceFirstIter,
-    GeneralQuery, Ir2Payload, MirPayload,
+    bulk_load_objects, collect_topk, distance_first_topk, insert_object, DistanceFirstIter,
+    Ir2Payload, MirPayload, NopSink, ScoreOrder, SigPayload,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::MemDevice;
-use ir2_text::{tokenize, DecayRank, SaturatingTfIdf, Vocabulary};
+use ir2_text::{tokenize, DecayRank, RankingFn, SaturatingTfIdf, Vocabulary};
 
 const HOTELS: [(f64, f64, &str); 8] = [
     (
@@ -198,14 +198,29 @@ fn k_exceeding_matches_and_absent_keyword() {
     assert!(res.is_empty());
 }
 
+/// The general (ranked) top-k of Section 5.3: the best-first search in a
+/// [`ScoreOrder`], as `(object, score)` by descending score.
+fn ranked<P: SigPayload>(
+    tree: &RTree<2, MemDevice, P>,
+    f: &Fixture,
+    rank: &dyn RankingFn,
+    keywords: &[&str],
+    k: usize,
+) -> Vec<(SpatialObject<2>, f64)> {
+    let order = ScoreOrder::new([30.5, 100.0], keywords, &f.vocab, &SaturatingTfIdf, rank);
+    let mut search = DistanceFirstIter::with_order_sink(tree, f.store.as_ref(), order, NopSink);
+    let (outcome, _) = collect_topk(&mut search, k).unwrap();
+    let results = outcome.into_results();
+    results.into_iter().map(|(o, key)| (o, -key)).collect()
+}
+
 #[test]
 fn general_topk_ranks_by_combined_score() {
     let f = fixture();
     let tree = ir2_tree(&f);
     let scorer = SaturatingTfIdf;
     let rank = DecayRank { scale: 100.0 };
-    let q = GeneralQuery::new([30.5, 100.0], &["internet", "pool"], 8);
-    let res = general_topk(&tree, f.store.as_ref(), &f.vocab, &scorer, &rank, &q).unwrap();
+    let res = ranked(&tree, &f, &rank, &["internet", "pool"], 8);
 
     // Brute force over all hotels with the same scorer/ranker.
     let mut brute: Vec<(u64, f64)> = HOTELS
@@ -228,15 +243,15 @@ fn general_topk_ranks_by_combined_score() {
     assert_eq!(res.len(), brute.len());
     for (got, want) in res.iter().zip(brute.iter()) {
         assert!(
-            (got.score - want.1).abs() < 1e-9,
+            (got.1 - want.1).abs() < 1e-9,
             "score sequence mismatch: got {} want {}",
-            got.score,
+            got.1,
             want.1
         );
     }
     // Scores are non-increasing.
     for w in res.windows(2) {
-        assert!(w[0].score >= w[1].score - 1e-12);
+        assert!(w[0].1 >= w[1].1 - 1e-12);
     }
 }
 
@@ -245,13 +260,12 @@ fn general_topk_on_mir2_matches_ir2() {
     let f = fixture();
     let ir2 = ir2_tree(&f);
     let mir2 = mir2_tree(&f);
-    let scorer = SaturatingTfIdf;
     let rank = DecayRank { scale: 50.0 };
-    let q = GeneralQuery::new([30.5, 100.0], &["spa", "pool", "internet"], 5);
-    let a = general_topk(&ir2, f.store.as_ref(), &f.vocab, &scorer, &rank, &q).unwrap();
-    let b = general_topk(&mir2, f.store.as_ref(), &f.vocab, &scorer, &rank, &q).unwrap();
-    let sa: Vec<f64> = a.iter().map(|r| r.score).collect();
-    let sb: Vec<f64> = b.iter().map(|r| r.score).collect();
+    let keywords = ["spa", "pool", "internet"];
+    let a = ranked(&ir2, &f, &rank, &keywords, 5);
+    let b = ranked(&mir2, &f, &rank, &keywords, 5);
+    let sa: Vec<f64> = a.iter().map(|r| r.1).collect();
+    let sb: Vec<f64> = b.iter().map(|r| r.1).collect();
     assert_eq!(sa.len(), sb.len());
     for (x, y) in sa.iter().zip(sb.iter()) {
         assert!((x - y).abs() < 1e-9);

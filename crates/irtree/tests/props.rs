@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use ir2_geo::{Point, Rect};
 use ir2_irtree::{
-    bulk_load_objects, collect_topk, delete_object, distance_first_topk, general_topk,
-    insert_object, BoundedStep, DistanceFirstIter, EntryFilter, GeneralQuery, Ir2Payload,
-    LimitedTopk, MirPayload, NopSink, SearchCounters, TraceSink, VecSink,
+    bulk_load_objects, collect_topk, delete_object, distance_first_topk, insert_object,
+    BoundedStep, DistanceFirstIter, EntryFilter, Ir2Payload, LimitedTopk, MirPayload, NopSink,
+    ScoreOrder, SearchCounters, SigPayload, TraceSink, VecSink,
 };
 use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
 use ir2_rtree::{NodeCache, RTree, RTreeConfig};
@@ -159,6 +159,26 @@ fn mir2_of(db: &Db, sig_bytes: usize, seed: u64) -> RTree<2, MemDevice, MirPaylo
 
 /// Brute-force distance-first: ids of objects containing all keywords,
 /// sorted by (distance, id).
+/// The general (ranked) top-k of Section 5.3 — the best-first search in a
+/// [`ScoreOrder`] — as `(id, score)` by descending score.
+fn ranked_topk<P: SigPayload>(
+    tree: &RTree<2, MemDevice, P>,
+    db: &Db,
+    rank: &dyn RankingFn,
+    qpoint: [f64; 2],
+    keywords: &[&str],
+    k: usize,
+) -> Vec<(u64, f64)> {
+    let order = ScoreOrder::new(qpoint, keywords, &db.vocab, &SaturatingTfIdf, rank);
+    let mut search = DistanceFirstIter::with_order_sink(tree, db.store.as_ref(), order, NopSink);
+    let (outcome, _) = collect_topk(&mut search, k).unwrap();
+    outcome
+        .results()
+        .iter()
+        .map(|(o, key)| (o.id, -key))
+        .collect()
+}
+
 fn brute_distance_first(db: &Db, q: &DistanceFirstQuery<2>) -> Vec<(u64, f64)> {
     let mut v: Vec<(u64, f64)> = db
         .objects
@@ -273,11 +293,11 @@ proptest! {
         let scorer = SaturatingTfIdf;
         let rank = LinearRank { ir_weight: 1.0, dist_weight: 0.02 };
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
-        let q = GeneralQuery::new(qpoint, &kws, k);
-        let got = general_topk(&tree, db.store.as_ref(), &db.vocab, &scorer, &rank, &q).unwrap();
+        let got = ranked_topk(&tree, &db, &rank, qpoint, &kws, k);
 
         // Brute force: score every object with ≥1 matching keyword.
-        let term_ids: Vec<_> = q.keywords.iter().filter_map(|w| db.vocab.term_id(w)).collect();
+        let keywords = ir2_model::normalize_keywords(&kws);
+        let term_ids: Vec<_> = keywords.iter().filter_map(|w| db.vocab.term_id(w)).collect();
         let qp = Point::new(qpoint);
         let mut brute: Vec<f64> = db.objects.iter().filter_map(|(_, o)| {
             let ir = scorer.score(&db.vocab, &term_ids, &o.token_counts());
@@ -289,11 +309,11 @@ proptest! {
 
         prop_assert_eq!(got.len(), brute.len());
         for (g, w) in got.iter().zip(brute.iter()) {
-            prop_assert!((g.score - w).abs() < 1e-9, "score {} vs {}", g.score, w);
+            prop_assert!((g.1 - w).abs() < 1e-9, "score {} vs {}", g.1, w);
         }
         // Emitted in non-increasing score order.
         for pair in got.windows(2) {
-            prop_assert!(pair[0].score >= pair[1].score - 1e-12);
+            prop_assert!(pair[0].1 >= pair[1].1 - 1e-12);
         }
     }
 
@@ -384,16 +404,12 @@ proptest! {
         let db = build_db(&docs);
         let ir2 = ir2_of(&db, 2, seed);
         let mir2 = mir2_of(&db, 2, seed);
-        let scorer = SaturatingTfIdf;
         let rank = LinearRank { ir_weight: 1.0, dist_weight: 0.02 };
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
-        let q = GeneralQuery::new(qpoint, &kws, k);
-        let a = general_topk(&ir2, db.store.as_ref(), &db.vocab, &scorer, &rank, &q).unwrap();
-        let b = general_topk(&mir2, db.store.as_ref(), &db.vocab, &scorer, &rank, &q).unwrap();
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert!((x.score - y.score).abs() < 1e-9);
-        }
+        let a = ranked_topk(&ir2, &db, &rank, qpoint, &kws, k);
+        let b = ranked_topk(&mir2, &db, &rank, qpoint, &kws, k);
+        // The canonical order makes the answers equal, ties included.
+        prop_assert_eq!(a, b);
     }
 }
 
@@ -517,17 +533,28 @@ proptest! {
     }
 }
 
-/// One cell of the plan matrix: the iterator built for `region` with
-/// `sink` and `limits`, drained by the one collector.
+/// One cell of the plan matrix: the iterator built for `region` in the
+/// distance order or, `ranked`, the general order, with `sink` and
+/// `limits`, drained by the one collector.
 fn run_plan<S: TraceSink>(
     tree: &RTree<2, MemDevice, Ir2Payload>,
-    store: &ObjectStore<2, MemDevice>,
-    region: QueryRegion<2>,
+    db: &Db,
+    (region, ranked): (QueryRegion<2>, bool),
     keywords: &[&str],
     k: usize,
     limits: QueryLimits,
     sink: S,
 ) -> LimitedTopk<2> {
+    let store = db.store.as_ref();
+    if ranked {
+        let rank = LinearRank {
+            ir_weight: 1.0,
+            dist_weight: 0.02,
+        };
+        let order = ScoreOrder::new(region, keywords, &db.vocab, &SaturatingTfIdf, &rank);
+        let mut iter = DistanceFirstIter::with_order_sink(tree, store, order, sink).limited(limits);
+        return collect_topk(&mut iter, k).unwrap();
+    }
     let keywords = ir2_model::normalize_keywords(keywords);
     let mut iter =
         DistanceFirstIter::with_region_sink(tree, store, region, keywords, sink).limited(limits);
@@ -548,12 +575,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every way of configuring a search is the same search: each cell of
-    /// {point, area} × {no limits, generous limits, small I/O budget} ×
-    /// {no cache, node cache} × {`NopSink`,
-    /// `VecSink`} returns the plain run's results — or, when the budget
-    /// truncates it, a tie-aware exact prefix of the full ranking — with
-    /// the node-visit conservation identity intact and the counters the
-    /// traced run's events fold to.
+    /// {point, area} × {distance order, general order} × {no limits,
+    /// generous limits, small I/O budget} × {no cache, node cache} ×
+    /// {`NopSink`, `VecSink`} returns the plain run's results — or, when
+    /// the budget truncates it, a tie-aware exact prefix of the full
+    /// ranking (by key: distance, or negated score) — with the node-visit
+    /// conservation identity intact and the counters the traced run's
+    /// events fold to.
     #[test]
     fn every_plan_cell_matches_the_plain_run(
         docs in arb_docs(),
@@ -567,13 +595,11 @@ proptest! {
         let cold = ir2_of(&db, 2, seed);
         let mut cached = ir2_of(&db, 2, seed);
         cached.set_node_cache(Arc::new(NodeCache::new(64)));
-        let store = db.store.as_ref();
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let corner = [qpoint[0] + extent[0], qpoint[1] + extent[1]];
-        let regions = [
-            QueryRegion::Point(Point::new(qpoint)),
-            QueryRegion::Area(Rect::from_corners(Point::new(qpoint), Point::new(corner))),
-        ];
+        let point = QueryRegion::Point(Point::new(qpoint));
+        let area = QueryRegion::Area(Rect::from_corners(Point::new(qpoint), Point::new(corner)));
+        let plans = [(point, false), (area, false), (point, true), (area, true)];
         let generous = QueryLimits::none()
             .with_io_budget(1 << 40)
             .with_max_heap_size(1 << 30)
@@ -587,12 +613,12 @@ proptest! {
             r.iter().map(|(o, d)| (o.id, d.to_bits())).collect()
         };
 
-        for region in regions {
+        for plan in plans {
             // The plain run, and the full ranking it is a prefix of.
             let none = QueryLimits::none();
-            let (full, _) = run_plan(&cold, store, region, &kws, docs.len(), none, NopSink);
+            let (full, _) = run_plan(&cold, &db, plan, &kws, docs.len(), none, NopSink);
             let full = hits(full.results());
-            let (plain, plain_counters) = run_plan(&cold, store, region, &kws, k, none, NopSink);
+            let (plain, plain_counters) = run_plan(&cold, &db, plan, &kws, k, none, NopSink);
             prop_assert!(!plain.is_truncated());
             let plain = hits(plain.results());
             prop_assert_eq!(&plain[..], &full[..k.min(full.len())]);
@@ -601,8 +627,8 @@ proptest! {
                 for tree in [&cold, &cached] {
                     let mut log = VecSink::new();
                     let cells = [
-                        run_plan(tree, store, region, &kws, k, limits, NopSink),
-                        run_plan(tree, store, region, &kws, k, limits, &mut log),
+                        run_plan(tree, &db, plan, &kws, k, limits, NopSink),
+                        run_plan(tree, &db, plan, &kws, k, limits, &mut log),
                     ];
                     prop_assert_eq!(log.counters(), uncached(&cells[1].1));
                     for (outcome, c) in &cells {

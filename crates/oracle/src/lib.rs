@@ -25,7 +25,12 @@
 //!   prefix of top-(k+1); truncated results are a tie-aware prefix of
 //!   the full ranking; counter conservation
 //!   `nodes_read == cache_hits + cache_misses` on every report; and
-//!   delete + reinsert leaves answers unchanged. Each commit of the
+//!   delete + reinsert leaves answers unchanged. The general (ranked)
+//!   query of §5.3 is checked on the IR²/MIR² trees of the cold, warm and
+//!   mutated databases, at the query point and at an area, against
+//!   [`reference::reference_general`] (`oracle-ranked`), and a
+//!   one-keyword query ranked by distance alone must answer like
+//!   distance-first (`ranked-equals-distance-first`). Each commit of the
 //!   insert/delete tail must also have cost the mutated (warm) database's
 //!   node cache exactly the nodes it wrote.
 //! - A failing case is shrunk by the minimizer to the smallest

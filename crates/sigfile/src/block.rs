@@ -408,6 +408,26 @@ impl EntryMask {
         self.len = len;
     }
 
+    /// Resizes to `len` entries, none set. Keeps capacity. Where a union of
+    /// verdicts starts ([`union_with`](EntryMask::union_with)).
+    pub fn reset_none_set(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
+    /// Sets every entry `other` sets: entry `i` is then admitted by either
+    /// verdict.
+    ///
+    /// # Panics
+    /// Panics if the masks cover different numbers of entries.
+    pub fn union_with(&mut self, other: &EntryMask) {
+        assert_eq!(self.len, other.len, "masks over different entry counts");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
     /// Verdict for entry `i`.
     ///
     /// # Panics

@@ -185,7 +185,8 @@ impl<D: BlockDevice> SignatureFile<D> {
         let mut candidates = Vec::new();
         counters.signatures_scanned = self.scan_matches(&qsig, |ptr| candidates.push(ptr))?;
 
-        let mut heap: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(query.k + 1);
+        let mut heap: BinaryHeap<(OrderedF64, u64)> =
+            BinaryHeap::with_capacity(query.k.min(1024) + 1);
         let mut kept: std::collections::HashMap<u64, SpatialObject<2>> =
             std::collections::HashMap::new();
         let mut scratch = Vec::new();

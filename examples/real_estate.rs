@@ -11,10 +11,10 @@
 //!
 //! Run with: `cargo run --release --example real_estate`
 
-use ir2tree::irtree::GeneralQuery;
+use ir2tree::geo::Point;
 use ir2tree::model::SpatialObject;
-use ir2tree::text::{DecayRank, LinearRank, RankingFn, SaturatingTfIdf};
-use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
+use ir2tree::text::{DecayRank, IrScorer, LinearRank, RankingFn, SaturatingTfIdf};
+use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb, TopkRequest};
 
 fn listings() -> Vec<SpatialObject<2>> {
     let features = [
@@ -41,15 +41,22 @@ fn listings() -> Vec<SpatialObject<2>> {
 fn show(
     db: &SpatialKeywordDb<ir2tree::storage::MemDevice>,
     name: &str,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<2>,
+    rank: impl RankingFn + 'static,
+    query: &TopkRequest,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let report = db.general_ranked(Algorithm::Ir2, query, &SaturatingTfIdf, rank)?;
+    let report = db.run(&query.clone().ranked(SaturatingTfIdf, rank))?;
+    let terms: Vec<_> = query
+        .keywords
+        .iter()
+        .filter_map(|w| db.vocab().term_id(w))
+        .collect();
     println!("Ranking with {name}:");
-    for r in &report.results {
+    for (listing, score) in &report.results {
+        let distance = listing.point.distance(&Point::new([5.0, 5.0]));
+        let relevance = SaturatingTfIdf.score(db.vocab(), &terms, &listing.token_counts());
         println!(
-            "  listing #{:<4} score {:>6.3}  (distance {:>5.2}, relevance {:>5.2})  {}",
-            r.object.id, r.score, r.distance, r.ir_score, r.object.text
+            "  listing #{:<4} score {score:>6.3}  (distance {distance:>5.2}, relevance {relevance:>5.2})  {}",
+            listing.id, listing.text
         );
     }
     println!(
@@ -75,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A buyer at (5.0, 5.0) wants a garden, a pool, and a garage — rarely
     // all in one listing.
-    let query = GeneralQuery::new([5.0, 5.0], &["garden", "pool", "garage"], 5);
+    let query = TopkRequest::new(Algorithm::Ir2, [5.0, 5.0], &["garden", "pool", "garage"], 5);
     println!(
         "Buyer at [5.0, 5.0], preferences {:?}, top-{}:\n",
         query.keywords, query.k
@@ -85,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     show(
         &db,
         "LinearRank (relevance − 0.1·distance)",
-        &LinearRank {
+        LinearRank {
             ir_weight: 1.0,
             dist_weight: 0.1,
         },
@@ -96,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     show(
         &db,
         "DecayRank (relevance / (1 + distance/3))",
-        &DecayRank { scale: 3.0 },
+        DecayRank { scale: 3.0 },
         &query,
     )?;
 

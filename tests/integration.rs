@@ -348,38 +348,43 @@ fn batch_topk_attribution_matches_sequential() {
     }
 }
 
+/// Ranked (general top-k) requests answer the same in a batch as alone,
+/// and a ranked request on an algorithm without signatures fails in its own
+/// slot only.
 #[test]
 fn batch_general_topk_matches_general_ranked() {
     use ir2tree::text::{LinearRank, SaturatingTfIdf};
     let (db, spec) = build_sample(2_000, 8);
-    let scorer = SaturatingTfIdf;
-    let rank = LinearRank::default();
-    let queries: Vec<ir2tree::irtree::GeneralQuery<2>> = (0..6)
-        .map(|i| {
-            ir2tree::irtree::GeneralQuery::new(
-                [(i * 9 % 30) as f64, (i * 17 % 30) as f64],
-                &[spec.keyword_of_rank(4 + i), spec.keyword_of_rank(25 + i)],
-                5,
-            )
-        })
-        .collect();
+    let ranked = |alg| -> Vec<TopkRequest> {
+        (0..6)
+            .map(|i| {
+                let at = [(i * 9 % 30) as f64, (i * 17 % 30) as f64];
+                let kws = [spec.keyword_of_rank(4 + i), spec.keyword_of_rank(25 + i)];
+                TopkRequest::new(alg, at, &kws, 5).ranked(SaturatingTfIdf, LinearRank::default())
+            })
+            .collect()
+    };
     for alg in [Algorithm::Ir2, Algorithm::Mir2] {
-        let batch = db
-            .batch_general_topk(alg, &queries, &scorer, &rank, 4)
-            .unwrap();
-        for (q, got) in queries.iter().zip(&batch) {
-            let seq = db.general_ranked(alg, q, &scorer, &rank).unwrap();
+        let reqs = ranked(alg);
+        let batch = db.run_batch(&reqs, 4);
+        for (req, got) in reqs.iter().zip(batch) {
+            let got = got.unwrap();
+            let seq = db.run(req).unwrap();
             assert_eq!(got.results.len(), seq.results.len(), "{}", alg.label());
             for (a, b) in got.results.iter().zip(&seq.results) {
-                assert_eq!(a.object.id, b.object.id, "{}", alg.label());
-                assert!((a.score - b.score).abs() < 1e-12, "{}", alg.label());
+                assert_eq!(a.0.id, b.0.id, "{}", alg.label());
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "{}", alg.label());
             }
-            assert_eq!(got.io.total(), seq.io.total(), "{}", alg.label());
+            assert_eq!(got.io, seq.io, "{}", alg.label());
+            assert_eq!(got.counters, seq.counters, "{}", alg.label());
         }
     }
-    assert!(db
-        .batch_general_topk(Algorithm::RTree, &queries, &scorer, &rank, 2)
-        .is_err());
+    let mut reqs = ranked(Algorithm::Ir2);
+    reqs[2].alg = Algorithm::RTree;
+    let batch = db.run_batch(&reqs, 2);
+    for (i, out) in batch.iter().enumerate() {
+        assert_eq!(out.is_err(), i == 2, "slot {i}");
+    }
 }
 
 #[test]
