@@ -59,7 +59,7 @@
 //! same dedup reason.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 use ir2_geo::{OrderedF64, Rect};
 use ir2_irtree::{BoundedSearch, BoundedStep, NopSink, SearchCounters};
 use ir2_model::{
-    DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
+    DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TopK, TruncateReason,
 };
 use ir2_storage::{
     BlockDevice, FileDevice, IoScope, IoSnapshot, MemDevice, MetricsRegistry, Result, StorageError,
@@ -389,7 +389,12 @@ impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
     /// `won` says a racing drain of the same shard completed first, then
     /// folds the cursor into `tally`. Returns whether this drain completed
     /// first.
-    fn drain(mut self, shared: &Mutex<TopK>, won: &AtomicBool, tally: &mut Tally) -> Result<bool> {
+    fn drain(
+        mut self,
+        shared: &Mutex<TopK<2>>,
+        won: &AtomicBool,
+        tally: &mut Tally,
+    ) -> Result<bool> {
         let out = (|| {
             while let Some(b) = self.bound() {
                 if won.load(Ordering::SeqCst) {
@@ -519,74 +524,6 @@ impl<D: BlockDevice + 'static> ReplicaSet<D> {
         tried.push(next);
         metrics.add_counter("replica_failovers_total", 1);
         Some(next)
-    }
-}
-
-/// The canonical bounded top-k: a max-heap of the k smallest `(distance,
-/// id)` keys. The `(distance, id)` order makes the kept *set* (and the
-/// final order) independent of arrival order — which shard emitted a
-/// result first, or which worker thread inserted it first.
-struct TopK {
-    k: usize,
-    heap: BinaryHeap<(OrderedF64, u64)>,
-    kept: HashMap<u64, SpatialObject<2>>,
-}
-
-impl TopK {
-    fn new(k: usize) -> Self {
-        // Room for k + 1 without an allocation sized by k alone: a request
-        // may ask for far more results than exist (`usize::MAX` for "all").
-        let room = k.min(1024) + 1;
-        Self {
-            k,
-            heap: BinaryHeap::with_capacity(room),
-            kept: HashMap::with_capacity(room),
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
-    }
-
-    /// Current k-th distance, or +∞ while fewer than k results are held.
-    fn threshold(&self) -> f64 {
-        if self.is_full() {
-            self.heap.peek().map(|&(d, _)| d.0).unwrap_or(f64::INFINITY)
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn insert(&mut self, obj: SpatialObject<2>, d: f64) {
-        // Replication can present the same object twice: a failover
-        // restart re-emits the dead attempt's hits, and a hedged loser's
-        // partial drain overlaps the winner's. An id determines its
-        // distance, so dropping repeats is exact — and necessary: pushing
-        // a duplicate key would make `heap` and `kept` disagree on
-        // occupancy and silently shrink the answer below k.
-        if self.kept.contains_key(&obj.id) {
-            return;
-        }
-        let key = (OrderedF64(d), obj.id);
-        if self.is_full() {
-            match self.heap.peek() {
-                Some(&worst) if key < worst => {
-                    self.heap.pop();
-                    self.kept.remove(&worst.1);
-                }
-                _ => return,
-            }
-        }
-        self.kept.insert(obj.id, obj);
-        self.heap.push(key);
-    }
-
-    fn into_sorted(mut self) -> Vec<(SpatialObject<2>, f64)> {
-        let mut keys = self.heap.into_vec();
-        keys.sort_unstable();
-        keys.into_iter()
-            .filter_map(|(d, id)| self.kept.remove(&id).map(|o| (o, d.0)))
-            .collect()
     }
 }
 
@@ -1160,7 +1097,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         i: usize,
         req: &TopkRequest,
         sources: &[CountingSource<'_, 2>],
-        shared: &Mutex<TopK>,
+        shared: &Mutex<TopK<2>>,
         delay: Duration,
         tally: &mut Tally,
     ) -> Result<()> {
@@ -1500,7 +1437,7 @@ fn poisoned_top_k() -> StorageError {
     StorageError::Corrupt("sharded merge state poisoned by a worker panic".into())
 }
 
-fn lock_top_k(m: &Mutex<TopK>) -> Result<std::sync::MutexGuard<'_, TopK>> {
+fn lock_top_k(m: &Mutex<TopK<2>>) -> Result<std::sync::MutexGuard<'_, TopK<2>>> {
     m.lock().map_err(|_| poisoned_top_k())
 }
 

@@ -1,9 +1,7 @@
 //! The uniform grid index.
 
-use std::collections::BinaryHeap;
-
-use ir2_geo::{OrderedF64, Point, Rect};
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectSource, SpatialObject};
+use ir2_geo::{Point, Rect};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectSource, SpatialObject, TopK};
 use ir2_sigfile::{kernel_contains, Signature, SignatureScheme};
 use ir2_storage::{BlockDevice, RecordFile, RecordPtr, Result, StorageError};
 
@@ -144,9 +142,8 @@ impl<D: BlockDevice> GridIndex<D> {
         query: &DistanceFirstQuery<2>,
     ) -> Result<(Vec<(SpatialObject<2>, f64)>, GridQueryCounters)> {
         let mut counters = GridQueryCounters::default();
-        let mut out: Vec<(SpatialObject<2>, f64)> = Vec::with_capacity(query.k.min(1024));
         if query.k == 0 {
-            return Ok((out, counters));
+            return Ok((Vec::new(), counters));
         }
         let qsig = self
             .cfg
@@ -155,14 +152,9 @@ impl<D: BlockDevice> GridIndex<D> {
         let g = self.cfg.cells_per_axis as isize;
         let (qcx, qcy) = cell_coords(&self.bbox, self.cfg.cells_per_axis, &query.point);
 
-        // Candidates verified so far, as a max-heap of size k keyed by the
-        // canonical `(distance, id)` order every engine shares — keying by
-        // record pointer instead made the *choice* of tied tail diverge
-        // from the tree engines whenever an equal-distance cluster
-        // straddled the k boundary (append order is not id order).
-        let mut heap: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::new();
-        let mut kept: std::collections::HashMap<u64, SpatialObject<2>> =
-            std::collections::HashMap::new();
+        // Candidates verified so far, keyed by the canonical `(distance,
+        // id)` order every engine shares.
+        let mut topk = TopK::new(query.k);
 
         let mut scratch = Vec::new();
         let mut ring = 0isize;
@@ -170,14 +162,11 @@ impl<D: BlockDevice> GridIndex<D> {
             // Termination: once k results are held and even the nearest
             // point of the next ring is farther than the k-th best, no
             // closer result can exist.
-            // (`k == 0` returns above; still, never assume a full heap is
-            // non-empty — peek instead of expecting.)
-            if heap.len() >= query.k {
-                if let Some(&(OrderedF64(kth), _)) = heap.peek() {
-                    if ring > 0 && self.ring_min_dist(qcx, qcy, ring, &query.point) > kth {
-                        break;
-                    }
-                }
+            if topk.is_full()
+                && ring > 0
+                && self.ring_min_dist(qcx, qcy, ring, &query.point) > topk.threshold()
+            {
+                break;
             }
             let mut any_cell_in_range = false;
             for (cx, cy) in ring_cells(qcx, qcy, ring) {
@@ -203,9 +192,7 @@ impl<D: BlockDevice> GridIndex<D> {
                     let p = Point::<2>::decode(&entry[8..24]);
                     let d = p.distance(&query.point);
                     // Candidate only if it could enter the top-k.
-                    if heap.len() >= query.k
-                        && heap.peek().is_some_and(|&(OrderedF64(kth), _)| d > kth)
-                    {
+                    if d > topk.threshold() {
                         continue;
                     }
                     counters.candidates_checked += 1;
@@ -215,14 +202,7 @@ impl<D: BlockDevice> GridIndex<D> {
                         counters.false_positives += 1;
                         continue;
                     };
-                    let id = obj.id;
-                    kept.insert(id, obj);
-                    heap.push((OrderedF64(d), id));
-                    if heap.len() > query.k {
-                        if let Some((_, evicted)) = heap.pop() {
-                            kept.remove(&evicted);
-                        }
-                    }
+                    topk.insert(obj, d);
                 }
             }
             if !any_cell_in_range && ring > g {
@@ -231,12 +211,7 @@ impl<D: BlockDevice> GridIndex<D> {
             ring += 1;
         }
 
-        let mut picked: Vec<(OrderedF64, u64)> = heap.into_vec();
-        picked.sort_by_key(|&(d, id)| (d, id));
-        for (d, id) in picked {
-            out.push((kept.remove(&id).expect("kept candidate"), d.0));
-        }
-        Ok((out, counters))
+        Ok((topk.into_sorted(), counters))
     }
 
     /// Conservative lower bound on the distance from the query point to

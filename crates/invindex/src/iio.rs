@@ -1,9 +1,6 @@
 //! The IIO algorithm (paper Figure 7).
 
-use std::collections::BinaryHeap;
-
-use ir2_geo::OrderedF64;
-use ir2_model::{DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject};
+use ir2_model::{DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TopK};
 use ir2_storage::{BlockDevice, Result, StorageError};
 use ir2_text::Vocabulary;
 
@@ -42,8 +39,8 @@ pub fn iio_topk<const N: usize, D: BlockDevice>(
 /// [`ExecOutcome::Truncated`] with an **empty** result set (trivially a
 /// prefix of the full answer; partial candidates would not be the true
 /// top-m). Charged I/O is one unit per postings list retrieved plus one
-/// per candidate object loaded; the frontier cap meters the bounded top-k
-/// heap, which never exceeds `k + 1`.
+/// per candidate object loaded; the frontier cap meters the bounded top-k,
+/// which never holds more than `k`.
 pub fn iio_topk_limited<const N: usize, D: BlockDevice>(
     index: &InvertedIndex<D>,
     vocab: &Vocabulary,
@@ -85,15 +82,12 @@ pub fn iio_topk_limited<const N: usize, D: BlockDevice>(
     }
     let candidates = intersect_sorted(lists);
 
-    // Lines 4-9: load candidates, keep the k nearest in a bounded max-heap
-    // (objects are retained so line 10 needs no second disk pass).
-    // Capped like the tree searches' collector: `k` may exceed every
-    // possible answer (`usize::MAX` for "all").
-    let mut heap: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(query.k.min(1024) + 1);
-    let mut kept: std::collections::HashMap<u64, SpatialObject<N>> =
-        std::collections::HashMap::new();
+    // Lines 4-9: load candidates, keep the k nearest in a bounded top-k
+    // (objects are retained so line 10 needs no second disk pass), keyed
+    // by the canonical `(distance, id)` order.
+    let mut topk = TopK::new(query.k);
     for ptr in candidates {
-        if let Some(reason) = limits.check(io_used, heap.len()) {
+        if let Some(reason) = limits.check(io_used, topk.len()) {
             return Ok(ExecOutcome::Truncated {
                 reason,
                 results_so_far: Vec::new(),
@@ -102,33 +96,11 @@ pub fn iio_topk_limited<const N: usize, D: BlockDevice>(
         io_used += 1;
         let obj = objects.load(ptr)?;
         let d = obj.point.distance(&query.point);
-        // Canonical `(distance, id)` tie order: keying the bounded heap by
-        // record pointer made the tied tail at the k boundary diverge from
-        // the tree engines (append order is not id order).
-        let id = obj.id;
-        kept.insert(id, obj);
-        heap.push((OrderedF64(d), id));
-        if heap.len() > query.k {
-            if let Some((_, evicted)) = heap.pop() {
-                kept.remove(&evicted);
-            }
-        }
+        topk.insert(obj, d);
     }
 
     // Line 10: ascending by distance (ties by id for determinism).
-    let mut picked: Vec<(OrderedF64, u64)> = heap.into_vec();
-    picked.sort_by_key(|&(d, id)| (d, id));
-    Ok(ExecOutcome::Complete(
-        picked
-            .into_iter()
-            .map(|(d, id)| {
-                (
-                    kept.remove(&id).expect("kept object for every heap entry"),
-                    d.0,
-                )
-            })
-            .collect(),
-    ))
+    Ok(ExecOutcome::Complete(topk.into_sorted()))
 }
 
 /// A convenience wrapper returning only `(object id, distance)` pairs.

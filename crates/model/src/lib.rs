@@ -17,12 +17,17 @@
 //! the query algorithms and the MIR²-Tree's signature recomputation depend
 //! on it rather than on the concrete store, and it additionally counts
 //! object loads (the paper's object-access metric).
+//!
+//! [`TopK`] is the one bounded top-k of the engines that meet their
+//! candidates out of distance order (IIO, the signature file, the grid and
+//! the sharded merge).
 
 mod limits;
 mod object;
 mod query;
 mod region;
 mod store;
+mod topk;
 pub mod tsv;
 
 pub use limits::{ExecOutcome, QueryLimits, TruncateReason};
@@ -30,6 +35,7 @@ pub use object::SpatialObject;
 pub use query::{normalize_keywords, DistanceFirstQuery};
 pub use region::QueryRegion;
 pub use store::{ObjectSource, ObjectStore};
+pub use topk::TopK;
 
 /// Pointer to an object in the object file — the paper's `ObjPtr`.
 pub use ir2_storage::RecordPtr as ObjPtr;

@@ -1,9 +1,6 @@
 //! The sequential signature file structure and its query.
 
-use std::collections::BinaryHeap;
-
-use ir2_geo::OrderedF64;
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectSource, SpatialObject};
+use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectSource, SpatialObject, TopK};
 use ir2_sigfile::{payload_contains, Signature, SignatureScheme};
 use ir2_storage::{BlockDevice, Result, StorageError};
 
@@ -185,10 +182,7 @@ impl<D: BlockDevice> SignatureFile<D> {
         let mut candidates = Vec::new();
         counters.signatures_scanned = self.scan_matches(&qsig, |ptr| candidates.push(ptr))?;
 
-        let mut heap: BinaryHeap<(OrderedF64, u64)> =
-            BinaryHeap::with_capacity(query.k.min(1024) + 1);
-        let mut kept: std::collections::HashMap<u64, SpatialObject<2>> =
-            std::collections::HashMap::new();
+        let mut topk = TopK::new(query.k);
         let mut scratch = Vec::new();
         for ptr in candidates {
             counters.candidates_checked += 1;
@@ -198,26 +192,9 @@ impl<D: BlockDevice> SignatureFile<D> {
                 continue;
             };
             let d = obj.point.distance(&query.point);
-            // The bounded max-heap is keyed by the canonical `(distance,
-            // id)` order every engine shares; keying by record pointer
-            // made the choice of tied tail diverge from the tree engines
-            // under equal-distance clusters at the k boundary.
-            let id = obj.id;
-            kept.insert(id, obj);
-            heap.push((OrderedF64(d), id));
-            if heap.len() > query.k {
-                if let Some((_, evicted)) = heap.pop() {
-                    kept.remove(&evicted);
-                }
-            }
+            topk.insert(obj, d);
         }
-        let mut picked: Vec<(OrderedF64, u64)> = heap.into_vec();
-        picked.sort_by_key(|&(d, id)| (d, id));
-        let out = picked
-            .into_iter()
-            .map(|(d, id)| (kept.remove(&id).expect("kept candidate"), d.0))
-            .collect();
-        Ok((out, counters))
+        Ok((topk.into_sorted(), counters))
     }
 }
 

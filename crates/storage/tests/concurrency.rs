@@ -1,19 +1,18 @@
 //! Multi-threaded stress tests on the sharded [`BufferPool`]: counter
 //! integrity (no lost updates), write-through visibility, and the 1:1
 //! correspondence between pool misses and device reads, all under real
-//! contention from many reader/writer threads. And on the
-//! [`DecodedCache`]: a value decoded before a commit never outlives it.
-//! And on the [`RecordFile`]: readers racing the one appender. And on a
-//! pool read miss racing a write-through of its block — the same race as
-//! the cache's, since the pool is a `DecodedCache` of raw blocks whose
-//! write-through invalidates its block before installing the new bytes.
+//! contention from many reader/writer threads; and bytes a miss read
+//! before a write-through never outlive it. And on the [`RecordFile`]:
+//! readers racing the one appender. And, step by step, on a pool read miss
+//! racing a write-through: of its own block, which drops the install, and
+//! of a block in another shard, which does not.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use ir2_storage::{
-    BlockDevice, BlockId, BufferPool, DecodedCache, MemDevice, RecordFile, RecordPtr, Result,
-    TrackedDevice, BLOCK_SIZE,
+    BlockDevice, BlockId, BufferPool, MemDevice, RecordFile, RecordPtr, Result, TrackedDevice,
+    BLOCK_SIZE,
 };
 
 const BLOCKS: u64 = 64;
@@ -142,18 +141,57 @@ fn contended_pool_full_capacity_all_hits_after_warmup() {
     assert_eq!(device_stats.snapshot().total(), 0);
 }
 
-/// The reader protocol of a cached tree (miss, snapshot the epoch, read the
-/// device, insert) racing the writer's (write the extent, then invalidate
-/// its key): once `invalidate` has returned, no `get` may see a value read
-/// before the write — whichever side of the key's removal the racing
-/// insert fell on.
+/// A device whose reads take a while, and not always the same while, so
+/// that write-throughs land while a miss is reading.
+struct DawdlingDevice {
+    inner: MemDevice,
+    reads: AtomicU32,
+}
+
+impl BlockDevice for DawdlingDevice {
+    fn read_block(&self, id: BlockId, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
+        self.inner.read_block(id, buf)?;
+        for _ in 0..self.reads.fetch_add(1, Ordering::Relaxed) % 256 {
+            std::hint::spin_loop();
+        }
+        Ok(())
+    }
+
+    fn write_block(&self, id: BlockId, data: &[u8; BLOCK_SIZE]) -> Result<()> {
+        self.inner.write_block(id, data)
+    }
+
+    fn allocate(&self, n: u64) -> Result<BlockId> {
+        self.inner.allocate(n)
+    }
+
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+}
+
+/// Readers miss, read the device outside the shard lock and install what
+/// they read, racing a writer that writes each round's bytes through and
+/// then clears the pool, so that the readers miss again: the first read
+/// after that must see the round's bytes — also when a reader was in the
+/// middle of a miss at the write, and installs after the clear.
 #[test]
 fn no_pre_commit_value_survives_its_invalidation() {
-    const KEY: u64 = 11;
+    const BLOCK: u64 = 11;
     const ROUNDS: u64 = 5_000;
-    let cache: DecodedCache<u64> = DecodedCache::new(8);
-    // What the "extent" under KEY currently holds.
-    let device = AtomicU64::new(0);
+    let round_bytes = |round: u64| {
+        let mut b = ir2_storage::zeroed_block();
+        b[..8].copy_from_slice(&round.to_le_bytes());
+        b
+    };
+    let round_of = |b: &[u8; BLOCK_SIZE]| u64::from_le_bytes(b[..8].try_into().unwrap());
+    let pool = BufferPool::new(
+        DawdlingDevice {
+            inner: MemDevice::with_blocks(BLOCK + 1),
+            reads: AtomicU32::new(0),
+        },
+        8,
+    );
     let done = AtomicBool::new(false);
     let start = Barrier::new(3);
     let mut stale = None;
@@ -161,39 +199,22 @@ fn no_pre_commit_value_survives_its_invalidation() {
         for _ in 0..2 {
             s.spawn(|| {
                 start.wait();
-                let mut decodes = 0u32;
+                let mut buf = ir2_storage::zeroed_block();
                 while !done.load(Ordering::Acquire) {
-                    if cache.get(KEY).is_none() {
-                        let snapshot = cache.epoch();
-                        let read = device.load(Ordering::Acquire);
-                        // "Decoding" takes a while, and not always the same
-                        // while: commits land inside it.
-                        decodes = decodes.wrapping_add(1);
-                        for _ in 0..decodes % 256 {
-                            std::hint::spin_loop();
-                        }
-                        cache.insert(KEY, snapshot, Arc::new(read));
-                    }
+                    pool.read_block(BLOCK, &mut buf).unwrap();
                 }
             });
         }
         start.wait();
         // The verdict is asserted outside the scope: a panic in here would
         // leave the readers spinning and the scope waiting for them.
+        let mut buf = ir2_storage::zeroed_block();
         for round in 1..=ROUNDS {
-            device.store(round, Ordering::Release);
-            cache.invalidate([KEY]);
-            // Until the next store every reader decodes `round`, so that is
-            // what the first value a reader gets in must be — also when that
-            // reader was in the middle of a decode at the commit.
-            let seen = loop {
-                match cache.get(KEY) {
-                    Some(seen) => break *seen,
-                    None => std::hint::spin_loop(),
-                }
-            };
-            if seen != round {
-                stale = Some((round, seen));
+            pool.write_block(BLOCK, &round_bytes(round)).unwrap();
+            pool.clear();
+            pool.read_block(BLOCK, &mut buf).unwrap();
+            if round_of(&buf) != round {
+                stale = Some((round, round_of(&buf)));
                 break;
             }
         }
@@ -201,12 +222,9 @@ fn no_pre_commit_value_survives_its_invalidation() {
     });
     assert_eq!(
         stale, None,
-        "(round, value): a pre-commit value outlived its invalidation"
+        "(round, value): bytes read before a write-through outlived it"
     );
-    assert!(
-        cache.invalidated() > 0,
-        "the readers never installed a value"
-    );
+    assert!(pool.hit_stats().0 > 0, "no read was served from a frame");
 }
 
 /// Readers race the appender over every pointer it has published — some
@@ -343,5 +361,38 @@ fn a_read_miss_never_installs_bytes_older_than_a_write_through() {
         pool.hit_stats(),
         (1, 1),
         "the write-through's bytes were cached"
+    );
+}
+
+/// A miss of block 2 (shard 0 of 2) reads the device, a write-through of
+/// block 1 (shard 1) lands, and only then does the miss re-lock: a write
+/// counts against its own shard only, so the miss still installs and the
+/// next read of block 2 is a hit.
+#[test]
+fn a_write_through_keeps_a_miss_in_another_shard() {
+    let dev = PausingDevice {
+        inner: MemDevice::with_blocks(3),
+        armed: AtomicBool::new(true),
+        gate: Barrier::new(2),
+    };
+    let pool = BufferPool::with_shards(dev, 4, 2);
+    let mut buf = ir2_storage::zeroed_block();
+
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut buf = ir2_storage::zeroed_block();
+            pool.read_block(2, &mut buf).unwrap();
+        });
+        pool.inner().gate.wait(); // the miss of block 2 has read
+        pool.write_block(1, &content(1)).unwrap();
+        pool.inner().gate.wait(); // let it re-lock
+        reader.join().unwrap();
+    });
+
+    pool.read_block(2, &mut buf).unwrap();
+    assert_eq!(
+        pool.shard_hit_stats(0),
+        (1, 1),
+        "the miss of block 2 was installed despite the write to block 1"
     );
 }
