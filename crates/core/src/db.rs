@@ -2,7 +2,7 @@
 //! queries — the paper's experimental apparatus as a library.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,7 +10,7 @@ use ir2_geo::Rect;
 use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
     collect_topk, insert_object, BoundedSearch, BoundedStep, DistanceFirstIter, Ir2Payload,
-    MirPayload, NopSink, ScoreOrder, SearchCounters, SigPayload, TraceSink,
+    MirPayload, NopSink, ScoreOrder, SigPayload, TraceSink,
 };
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion,
@@ -19,12 +19,12 @@ use ir2_model::{
 use ir2_rtree::{NodeCache, PayloadOps, RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2_storage::{
-    BlockDevice, FileDevice, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry, Result,
-    ShadowPair, StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
+    BlockDevice, FileDevice, IoSnapshot, IoStats, MemDevice, MetricsRegistry, Result, ShadowPair,
+    StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
 };
 use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
 
-use crate::report::QueryError;
+use crate::report::{QueryError, Tally};
 use crate::request::needs_signature_tree;
 use crate::{Algorithm, BuildStats, DbConfig, IndexSizes, QueryReport, Ranking, TopkRequest};
 
@@ -150,49 +150,6 @@ struct IoHandles {
     inverted: Arc<IoStats>,
 }
 
-/// An [`ObjectSource`] adapter that counts loads locally, so a query
-/// running inside the batch engine gets an exact per-query load count
-/// (the store's own counter is shared by every concurrent query).
-pub(crate) struct CountingSource<'a, const N: usize> {
-    inner: &'a dyn ObjectSource<N>,
-    count: AtomicU64,
-}
-
-impl<'a, const N: usize> CountingSource<'a, N> {
-    pub(crate) fn new(inner: &'a dyn ObjectSource<N>) -> Self {
-        Self {
-            inner,
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<const N: usize> ObjectSource<N> for CountingSource<'_, N> {
-    fn load(&self, ptr: ObjPtr) -> Result<SpatialObject<N>> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.load(ptr)
-    }
-
-    fn load_if_contains_all(
-        &self,
-        ptr: ObjPtr,
-        keywords: &[String],
-        scratch: &mut Vec<u8>,
-    ) -> Result<Option<SpatialObject<N>>> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.load_if_contains_all(ptr, keywords, scratch)
-    }
-
-    fn with_text(&self, ptr: ObjPtr, scratch: &mut Vec<u8>, f: &mut dyn FnMut(&str)) -> Result<()> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.with_text(ptr, scratch, f)
-    }
-
-    fn loads(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
 /// Fans `queries` over `threads` scoped workers (work-stealing: each worker
 /// claims the next unclaimed index) and returns per-query outputs in input
 /// order. The first query error aborts the claiming of further work and is
@@ -258,50 +215,32 @@ pub(crate) fn fan_out<Q: Sync, R: Send + Sync>(
         .collect()
 }
 
-/// [`fan_out`] with per-query fault isolation: a query that errors — or
-/// *panics* — produces its own [`QueryError`] slot and the batch marches
-/// on; siblings are never aborted and the shared structures stay usable
-/// (the buffer pool's locks come from `parking_lot`, which does not
-/// poison, and the thread-local I/O and retry scopes clear themselves on
-/// unwind).
+/// [`fan_out`] with per-query fault isolation: each query runs under a
+/// panic catch, so one that errors — or *panics* — fills its own
+/// [`QueryError`] slot and the fan-out never sees an error; siblings are
+/// never aborted and the shared structures stay usable (the buffer pool's
+/// locks come from `parking_lot`, which does not poison, and the
+/// thread-local I/O scope clears itself on unwind).
 pub(crate) fn fan_out_isolated<Q: Sync, R: Send + Sync>(
     queries: &[Q],
     threads: usize,
     run: impl Fn(&Q) -> std::result::Result<R, QueryError> + Sync,
 ) -> Vec<std::result::Result<R, QueryError>> {
-    let threads = threads.clamp(1, queries.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<std::sync::OnceLock<std::result::Result<R, QueryError>>> = (0..queries.len())
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let out =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&queries[i])))
-                        .unwrap_or_else(|payload| {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".into());
-                            Err(QueryError::Panic(msg))
-                        });
-                let inserted = slots[i].set(out).is_ok();
-                debug_assert!(inserted, "each query index runs once");
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every query ran"))
-        .collect()
+    fan_out(queries, threads, |q| {
+        Ok(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(q))).unwrap_or_else(
+                |payload| {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".into());
+                    Err(QueryError::Panic(msg))
+                },
+            ),
+        )
+    })
+    .expect("an isolated query fills its slot and never stops the fan-out")
 }
 
 /// A tree's `(root, height, count)`, as the catalog records it.
@@ -313,18 +252,6 @@ type Trees<D> = (
     RTree<2, TrackedDevice<D>, Ir2Payload>,
     RTree<2, TrackedDevice<D>, MirPayload<2>>,
 );
-
-/// What [`SpatialKeywordDb::measure`] observed of one query.
-struct Measured {
-    index_io: IoSnapshot,
-    object_io: IoSnapshot,
-    io: IoSnapshot,
-    object_loads: u64,
-    simulated: Duration,
-    wall: Duration,
-    retries: u64,
-    backoff: Duration,
-}
 
 /// A spatial keyword database: the object file plus all four access
 /// methods of the paper's evaluation, instrumented for I/O accounting.
@@ -800,8 +727,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
-    /// The object file's I/O statistics handle (for scoped attribution of
-    /// cross-shard merges running outside this facade).
+    /// The object file's I/O statistics handle, which
+    /// [`Tally::scoped`] attributes a query's object reads against.
     pub(crate) fn objects_io_stats(&self) -> &Arc<IoStats> {
         &self.io.objects
     }
@@ -859,12 +786,12 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     /// combinations [`TopkRequest`] lists are refused before anything is
     /// read.
     ///
-    /// The report's I/O is this thread's accesses inside an [`IoScope`],
-    /// classified against a disk arm of the query's own, so `run` reports
-    /// what the same request reports inside
-    /// [`run_batch`](SpatialKeywordDb::run_batch), whatever else queries
-    /// the database meanwhile. Scopes do not nest: `run` must not be called
-    /// inside another scope. The query is published to the
+    /// The report's I/O is this thread's accesses inside an
+    /// [`IoScope`](ir2_storage::IoScope), classified against a disk arm of
+    /// the query's own, so `run` reports what the same request reports
+    /// inside [`run_batch`](SpatialKeywordDb::run_batch), whatever else
+    /// queries the database meanwhile. Scopes do not nest: `run` must not
+    /// be called inside another scope. The query is published to the
     /// [`metrics`](SpatialKeywordDb::metrics) registry.
     pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
         let report = self.run_topk(req, NopSink)?;
@@ -887,7 +814,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     ///
     /// Each report's I/O is *correctly attributed to that request* even
     /// though requests interleave on the shared devices: every request
-    /// runs entirely on one worker inside an [`IoScope`], as in
+    /// runs entirely on one worker inside an
+    /// [`IoScope`](ir2_storage::IoScope), as in
     /// [`run`](SpatialKeywordDb::run). A request's report here is
     /// therefore the same whatever `threads` is, and the same as `run`'s
     /// (results byte-identical; I/O identical up to the buffer pool's
@@ -951,99 +879,53 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         self.run_traced(&TopkRequest::from_query(alg, query), sink)
     }
 
-    /// Runs `run` and measures it on behalf of a report: I/O and
-    /// transient-fault recoveries through one [`IoScope`] (only this
-    /// thread's accesses and retries, classified against a per-query arm
-    /// position; entered here and nowhere else in the facade, since scopes
-    /// do not nest), object loads through a query-local [`CountingSource`]
-    /// (the store's own counter is shared by every concurrent query), and
-    /// wall time.
-    fn measure<R>(
-        &self,
-        alg: Algorithm,
-        run: impl FnOnce(&CountingSource<'_, 2>) -> Result<R>,
-    ) -> Result<(R, Measured)> {
-        let src = self.counting_source();
-        let scope = IoScope::enter();
-        let t0 = Instant::now();
-        let out = run(&src);
-        let wall = t0.elapsed();
-        let seen = scope.finish();
-        let index_io = seen.for_stats(self.stats_of(alg));
-        let object_io = seen.for_stats(&self.io.objects);
-        let io = index_io + object_io;
-        let measured = Measured {
-            index_io,
-            object_io,
-            io,
-            object_loads: src.loads(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            retries: seen.retries,
-            backoff: seen.backoff,
-        };
-        Ok((out?, measured))
-    }
-
-    /// The one query plan: check the request, measure its search, assemble
-    /// the report. IIO is not incremental and answers directly; every
-    /// other algorithm is the [`open_search`](Self::open_search) iterator
-    /// drained by [`collect_topk`], whose counters are the report's; `sink`
-    /// sees its steps. A ranked search's keys are negated scores, turned
-    /// back into scores here.
+    /// The one query plan: check the request, run its search in one
+    /// [`Tally::scoped`] measurement (scopes do not nest, so it is entered
+    /// here and nowhere else in the facade), and turn the tally into the
+    /// report. IIO is not incremental and answers directly, counting its
+    /// own loads; every other algorithm is the
+    /// [`open_search`](Self::open_search) iterator drained by
+    /// [`collect_topk`], whose counters are the report's; `sink` sees its
+    /// steps. A ranked search's keys are negated scores, turned back into
+    /// scores here.
     fn run_topk<S: TraceSink>(&self, req: &TopkRequest, sink: S) -> Result<QueryReport> {
         req.check(false)?;
-        let ((exec, counters), m) = self.measure(req.alg, |src| {
+        let mut tally = Tally::default();
+        let t0 = Instant::now();
+        let exec = tally.scoped(req.alg, [self], |t| {
             if req.alg == Algorithm::Iio {
-                return self
-                    .iio_topk(src, req, req.limits)
-                    .map(|r| (r, SearchCounters::default()));
+                return self.iio_topk(req, req.limits, &mut t.iio_loads);
             }
-            let mut search = self.open_search(src, req, req.limits, sink)?;
-            collect_topk(&mut *search, req.k)
+            let mut search = self.open_search(req, req.limits, sink)?;
+            let (exec, counters) = collect_topk(&mut *search, req.k)?;
+            t.counters = counters;
+            Ok(exec)
         })?;
-        let outcome = exec.truncation();
+        let wall = t0.elapsed();
+        tally.outcome = exec.truncation();
         let mut results = exec.into_results();
         if let Ranking::Scored { .. } = req.ranking {
             for (_, key) in &mut results {
                 *key = -*key;
             }
         }
-        Ok(QueryReport {
-            outcome,
-            results,
-            index_io: m.index_io,
-            object_io: m.object_io,
-            io: m.io,
-            object_loads: m.object_loads,
-            counters,
-            simulated: m.simulated,
-            wall: m.wall,
-            retries: m.retries,
-            backoff: m.backoff,
-        })
-    }
-
-    /// A load counter over this database's object file, for one query (or
-    /// one shard's share of one).
-    pub(crate) fn counting_source(&self) -> CountingSource<'_, 2> {
-        CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>)
+        Ok(tally.report(results, &self.config.cost_model, wall))
     }
 
     /// The one place an incremental search is opened: `req.alg`'s iterator
     /// over `req.region` and `req.keywords` in `req.ranking`'s order,
-    /// loading objects through `src`, under `limits` (a shard's slice of
-    /// `req.limits`, or all of them), reporting to `sink`. The monolithic
-    /// plan and every shard cursor of the scatter-gather merge are this
-    /// call.
+    /// loading objects from this database's object file, under `limits`
+    /// (a shard's slice of `req.limits`, or all of them), reporting to
+    /// `sink`. The monolithic plan and every shard cursor of the
+    /// scatter-gather merge are this call.
     pub(crate) fn open_search<'a, S: TraceSink + 'a>(
         &'a self,
-        src: &'a CountingSource<'a, 2>,
         req: &'a TopkRequest,
         limits: QueryLimits,
         sink: S,
     ) -> Result<Box<dyn BoundedSearch<2> + 'a>> {
         let (region, keywords) = (req.region, req.keywords.clone());
+        let src = self.objects.as_ref() as &dyn ObjectSource<2>;
         let scored = |scorer: &'a Arc<dyn IrScorer>, rank: &'a Arc<dyn RankingFn>| {
             ScoreOrder::new(region, keywords.as_slice(), &self.vocab, &**scorer, &**rank)
         };
@@ -1076,12 +958,14 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     }
 
     /// IIO's answer to `req` under `limits`: all of it or, truncated,
-    /// nothing. [`TopkRequest::check`] has refused area regions.
+    /// nothing. Every object load it attempts is added to `loads`, so a
+    /// failed attempt's loads stay counted. [`TopkRequest::check`] has
+    /// refused area regions.
     pub(crate) fn iio_topk(
         &self,
-        src: &CountingSource<'_, 2>,
         req: &TopkRequest,
         limits: QueryLimits,
+        loads: &mut u64,
     ) -> Result<ExecOutcome<Vec<(SpatialObject<2>, f64)>>> {
         let QueryRegion::Point(point) = req.region else {
             return Err(needs_signature_tree("region queries", req.alg));
@@ -1091,7 +975,14 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
             keywords: req.keywords.clone(),
             k: req.k,
         };
-        iio_topk_limited(&self.inverted, &self.vocab, src, &query, limits)
+        iio_topk_limited(
+            &self.inverted,
+            &self.vocab,
+            self.objects.as_ref(),
+            &query,
+            limits,
+            loads,
+        )
     }
 
     /// Boolean keyword query within a window (Section 2's `Ans(Q_w)`
@@ -1111,8 +1002,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
     ) -> Result<Vec<SpatialObject<2>>> {
         let req = TopkRequest::new(alg, *window, keywords, usize::MAX);
         req.check(false)?;
-        let src = self.counting_source();
-        let mut search = self.open_search(&src, &req, req.limits, NopSink)?;
+        let mut search = self.open_search(&req, req.limits, NopSink)?;
         let mut hits = Vec::new();
         while let BoundedStep::Hit(obj, _) = search.next_within(0.0)? {
             hits.push(obj);

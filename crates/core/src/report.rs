@@ -1,11 +1,14 @@
 //! Query reports: results plus the measurements the paper's figures plot.
 
 use std::fmt;
+use std::ops::AddAssign;
 use std::time::Duration;
 
 use ir2_irtree::SearchCounters;
 use ir2_model::{SpatialObject, TruncateReason};
-use ir2_storage::{IoSnapshot, StorageError};
+use ir2_storage::{BlockDevice, CostModel, IoScope, IoSnapshot, StorageError};
+
+use crate::SpatialKeywordDb;
 
 /// Which access method answers a query — the four contenders of Section 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,7 +69,10 @@ pub struct QueryReport {
     pub object_io: IoSnapshot,
     /// Combined block accesses (what Figures 9b/12b plot).
     pub io: IoSnapshot,
-    /// Objects loaded (Figures 11b/14b plot object accesses).
+    /// Objects loaded (Figures 11b/14b plot object accesses): the
+    /// candidates the search checked (`counters.candidates_checked`, one
+    /// load each), or for IIO, which keeps no counters, the objects it
+    /// loaded itself. Failed-over attempts count on both engines.
     pub object_loads: u64,
     /// Everything the search counted: nodes read (and how many the node
     /// cache served), entries scanned, the largest frontier, signature
@@ -95,6 +101,86 @@ pub struct QueryReport {
     pub retries: u64,
     /// Total time the query spent sleeping in retry backoff.
     pub backoff: Duration,
+}
+
+/// A query's account while it runs, on either engine: everything its
+/// [`QueryReport`] carries besides the answer, summed over every thread,
+/// shard and replica attempt that worked on it. [`report`](Tally::report)
+/// is the one place a report is assembled.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) index_io: IoSnapshot,
+    pub(crate) object_io: IoSnapshot,
+    /// What the tree searches counted, their object loads included.
+    pub(crate) counters: SearchCounters,
+    /// Objects IIO loaded: it traverses no tree, so it counts them itself.
+    pub(crate) iio_loads: u64,
+    pub(crate) retries: u64,
+    pub(crate) backoff: Duration,
+    /// Which limit truncated the answer, if one did.
+    pub(crate) outcome: Option<TruncateReason>,
+}
+
+impl Tally {
+    /// Runs `f`, one thread's share of a query, inside an [`IoScope`] of
+    /// its own, and adds what it saw on the `alg` index device and the
+    /// object device of each of `dbs`, and the retries it counted. Scopes
+    /// are thread-local and do not nest, so every thread that reads for a
+    /// query — a monolithic run, the caller of a sequential merge, a
+    /// parallel worker, a hedge's primary — runs its work through this.
+    pub(crate) fn scoped<'d, D: BlockDevice + 'static, R>(
+        &mut self,
+        alg: Algorithm,
+        dbs: impl IntoIterator<Item = &'d SpatialKeywordDb<D>>,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let scope = IoScope::enter();
+        let out = f(self);
+        let seen = scope.finish();
+        for db in dbs {
+            self.index_io = self.index_io + seen.for_stats(db.stats_of(alg));
+            self.object_io = self.object_io + seen.for_stats(db.objects_io_stats());
+        }
+        self.retries += seen.retries;
+        self.backoff += seen.backoff;
+        out
+    }
+
+    /// The report of a query that answered `results` in `wall`, its
+    /// block accesses priced under `cost`.
+    pub(crate) fn report(
+        self,
+        results: Vec<(SpatialObject<2>, f64)>,
+        cost: &CostModel,
+        wall: Duration,
+    ) -> QueryReport {
+        let io = self.index_io + self.object_io;
+        QueryReport {
+            results,
+            index_io: self.index_io,
+            object_io: self.object_io,
+            io,
+            object_loads: self.counters.candidates_checked + self.iio_loads,
+            counters: self.counters,
+            simulated: cost.time(io),
+            wall,
+            outcome: self.outcome,
+            retries: self.retries,
+            backoff: self.backoff,
+        }
+    }
+}
+
+impl AddAssign for Tally {
+    fn add_assign(&mut self, t: Tally) {
+        self.index_io = self.index_io + t.index_io;
+        self.object_io = self.object_io + t.object_io;
+        self.counters += &t.counters;
+        self.iio_loads += t.iio_loads;
+        self.retries += t.retries;
+        self.backoff += t.backoff;
+        self.outcome = self.outcome.or(t.outcome);
+    }
 }
 
 /// Why one request of a

@@ -16,8 +16,9 @@
 //! 3. **Compare**: every device file of every other replica is diffed
 //!    block-for-block against the reference (raw bytes — a page whose CRC
 //!    still validates but whose bytes differ is still divergence).
-//! 4. **Repair** (opt-in): differing files are re-copied whole from the
-//!    reference, then re-verified. Pages are sealed (CRC-trailed, written
+//! 4. **Repair** (opt-in): differing files are re-created and copied
+//!    block by block from the reference, then re-verified — the same copy
+//!    a replicated build makes. Pages are sealed (CRC-trailed, written
 //!    once) and the catalog commits by shadow-paged epoch flip, so a
 //!    file-granularity copy from a quiescent healthy peer cannot tear.
 //!
@@ -34,7 +35,7 @@ use std::time::Duration;
 
 use ir2_storage::{diff_blocks, BlockDevice, FileDevice, MetricsRegistry, Result, StorageError};
 
-use crate::shard::{shard_layout, SHARD_MANIFEST};
+use crate::shard::{copy_verified, shard_layout, SHARD_MANIFEST};
 use crate::{DeviceSet, SpatialKeywordDb};
 
 /// Outcome of one scrub pass over a sharded directory.
@@ -175,15 +176,12 @@ pub fn scrub_dir<P: AsRef<Path>>(
             }
             if repair {
                 std::fs::create_dir_all(&dirs[m])?;
-                for name in &bad_files {
-                    std::fs::copy(dirs[r0].join(name), dirs[m].join(name))?;
-                    report.repairs += 1;
-                }
                 let mut still = 0u64;
                 for name in &bad_files {
                     let src = FileDevice::open(dirs[r0].join(name))?;
-                    let dst = FileDevice::open(dirs[m].join(name))?;
-                    still += diff_blocks(&src, &dst)?.len() as u64;
+                    let dst = FileDevice::create(dirs[m].join(name))?;
+                    still += copy_verified(&src, &dst)?.len() as u64;
+                    report.repairs += 1;
                 }
                 report.unrepaired += still;
                 report.details.push(format!(

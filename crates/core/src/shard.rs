@@ -60,7 +60,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -68,15 +67,14 @@ use std::time::{Duration, Instant};
 
 use ir2_geo::{OrderedF64, Rect};
 use ir2_irtree::{BoundedSearch, BoundedStep, NopSink, SearchCounters};
-use ir2_model::{
-    DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TopK, TruncateReason,
-};
+use ir2_model::{DistanceFirstQuery, ExecOutcome, QueryLimits, SpatialObject, TopK};
 use ir2_storage::{
-    BlockDevice, FileDevice, IoScope, IoSnapshot, MemDevice, MetricsRegistry, Result, StorageError,
+    copy_blocks, diff_blocks, BlockDevice, BlockId, FileDevice, MemDevice, MetricsRegistry, Result,
+    StorageError,
 };
 
-use crate::db::{fan_out, fan_out_isolated, CountingSource};
-use crate::report::QueryError;
+use crate::db::{fan_out, fan_out_isolated};
+use crate::report::{QueryError, Tally};
 use crate::{Algorithm, DbConfig, DeviceSet, Gather, QueryReport, SpatialKeywordDb, TopkRequest};
 
 /// Name of the manifest file marking a directory as a sharded database.
@@ -232,18 +230,8 @@ fn str_partition(mut objects: Vec<SpatialObject<2>>, s: usize) -> Vec<Vec<Spatia
     out
 }
 
-/// Bounding rectangle of a partition (`None` when empty).
-fn rect_of(objects: &[SpatialObject<2>]) -> Option<Rect<2>> {
-    let mut it = objects.iter();
-    let mut r = Rect::from_point(it.next()?.point);
-    for o in it {
-        r.union_in_place(&Rect::from_point(o.point));
-    }
-    Some(r)
-}
-
-/// Bounding rectangle of a shard's R-Tree (union of root entry MBRs), for
-/// reopened databases where the build-time partition is not in memory.
+/// Bounding rectangle of a shard's R-Tree (union of root entry MBRs):
+/// the shard bounds of a built or a reopened database alike.
 fn tree_mbr<D: BlockDevice + 'static>(db: &SpatialKeywordDb<D>) -> Result<Option<Rect<2>>> {
     let tree = db.rtree();
     let Some(root) = tree.root() else {
@@ -254,6 +242,31 @@ fn tree_mbr<D: BlockDevice + 'static>(db: &SpatialKeywordDb<D>) -> Result<Option
         return Ok(None);
     }
     Ok(Some(node.mbr()))
+}
+
+/// Copies `src` onto `dst` block by block and returns the blocks that
+/// still differ: the one way a replica's device is written, whether a
+/// build populates it or a scrub repairs it.
+pub(crate) fn copy_verified<S, T>(src: &S, dst: &T) -> Result<Vec<BlockId>>
+where
+    S: BlockDevice + ?Sized,
+    T: BlockDevice + ?Sized,
+{
+    copy_blocks(src, dst)?;
+    diff_blocks(src, dst)
+}
+
+/// Populates replica `dst` from replica 0's devices `src`; a device that
+/// does not verify fails the build.
+fn copy_replica<E: BlockDevice>(src: &DeviceSet<E>, dst: &DeviceSet<E>) -> Result<()> {
+    for ((name, s), (_, d)) in src.as_refs().into_iter().zip(dst.as_refs()) {
+        if !copy_verified(s, d)?.is_empty() {
+            return Err(StorageError::Corrupt(format!(
+                "replica verification failed: `{name}` differs from replica 0 after copy"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Splits one query's limits across `s` shards: the **deadline** is shared
@@ -296,9 +309,6 @@ struct ShardCursor<'a, D: BlockDevice + 'static> {
     db: &'a ShardedDb<D>,
     shard: usize,
     req: &'a TopkRequest,
-    /// One load counter per replica of this shard, owned by the gather so
-    /// that the loads of an attempt that died stay counted.
-    sources: &'a [CountingSource<'a, 2>],
     /// This shard's slice of the request's limits.
     limits: QueryLimits,
     /// MINDIST from the query region to the shard's bounding rect — a constant
@@ -309,7 +319,8 @@ struct ShardCursor<'a, D: BlockDevice + 'static> {
     /// Replicas attempted, the one serving now last — a failover never
     /// retries a replica that failed this pull.
     tried: Vec<usize>,
-    /// Search counters of the attempts that died mid-pull.
+    /// Search counters of the attempts that died mid-pull, their object
+    /// loads included.
     prior: SearchCounters,
     stepped: bool,
 }
@@ -321,18 +332,14 @@ impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
         shard: usize,
         m: usize,
         req: &'a TopkRequest,
-        sources: &'a [CountingSource<'a, 2>],
         limits: QueryLimits,
     ) -> Result<Self> {
         Ok(Self {
-            iter: db.shards[shard]
-                .get(m)
-                .open_search(&sources[m], req, limits, NopSink)?,
+            iter: db.shards[shard].get(m).open_search(req, limits, NopSink)?,
             rect_bound: db.rect_bound(shard, req),
             db,
             shard,
             req,
-            sources,
             limits,
             tried: vec![m],
             prior: SearchCounters::default(),
@@ -371,29 +378,29 @@ impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
         let consumed = self.prior.nodes_read + self.prior.candidates_checked;
         let mut limits = self.limits;
         limits.io_budget = limits.io_budget.map(|b| b.saturating_sub(consumed).max(1));
-        self.iter = set
-            .get(m)
-            .open_search(&self.sources[m], self.req, limits, NopSink)?;
+        self.iter = set.get(m).open_search(self.req, limits, NopSink)?;
         Ok(BoundedStep::Pending)
     }
 
-    /// Adds what every attempt of this pull counted to `tally`.
-    fn fold_into(&self, tally: &mut Tally) {
+    /// Adds what every attempt of this pull counted to `tally`, and
+    /// whether it did any work to `stepped`.
+    fn fold_into(&self, tally: &mut Tally, stepped: &mut bool) {
         tally.counters += &self.prior;
         tally.counters += &self.iter.counters();
-        tally.stepped[self.shard] |= self.stepped;
+        *stepped |= self.stepped;
     }
 
     /// A parallel worker's pull: drains this shard into `shared` under
     /// its threshold until the shard cannot improve the answer, or until
     /// `won` says a racing drain of the same shard completed first, then
-    /// folds the cursor into `tally`. Returns whether this drain completed
-    /// first.
+    /// folds the cursor into `tally` and `stepped`. Returns whether this
+    /// drain completed first.
     fn drain(
         mut self,
         shared: &Mutex<TopK<2>>,
         won: &AtomicBool,
         tally: &mut Tally,
+        stepped: &mut bool,
     ) -> Result<bool> {
         let out = (|| {
             while let Some(b) = self.bound() {
@@ -416,7 +423,7 @@ impl<'a, D: BlockDevice + 'static> ShardCursor<'a, D> {
             }
             Ok(!won.swap(true, Ordering::SeqCst))
         })();
-        self.fold_into(tally);
+        self.fold_into(tally, stepped);
         out
     }
 }
@@ -527,67 +534,6 @@ impl<D: BlockDevice + 'static> ReplicaSet<D> {
     }
 }
 
-/// What a gather reports besides its answer and its object loads, summed
-/// over every thread, shard and replica attempt.
-#[derive(Default)]
-struct Tally {
-    index_io: IoSnapshot,
-    object_io: IoSnapshot,
-    counters: SearchCounters,
-    retries: u64,
-    backoff: Duration,
-    /// Which shards did at least one unit of work (for `shard_*` metrics).
-    stepped: Vec<bool>,
-    /// Which limit truncated the answer, if one did.
-    outcome: Option<TruncateReason>,
-}
-
-impl Tally {
-    fn new(shards: usize) -> Self {
-        Self {
-            stepped: vec![false; shards],
-            ..Self::default()
-        }
-    }
-
-    /// Runs `f`, one thread's share of a gather, inside an [`IoScope`] of
-    /// its own, and adds what it saw on the replicas of `shards` and the
-    /// retries it counted. Scopes are thread-local and do not nest, so
-    /// every thread that reads a shard — the caller of a sequential merge,
-    /// a parallel worker, a hedge's primary — runs its drain through this.
-    fn scoped<D: BlockDevice + 'static, R>(
-        &mut self,
-        alg: Algorithm,
-        shards: &[ReplicaSet<D>],
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        let scope = IoScope::enter();
-        let out = f(self);
-        let seen = scope.finish();
-        for rep in shards.iter().flat_map(ReplicaSet::replicas) {
-            self.index_io = self.index_io + seen.for_stats(rep.stats_of(alg));
-            self.object_io = self.object_io + seen.for_stats(rep.objects_io_stats());
-        }
-        self.retries += seen.retries;
-        self.backoff += seen.backoff;
-        out
-    }
-}
-
-impl AddAssign for Tally {
-    fn add_assign(&mut self, t: Tally) {
-        self.index_io = self.index_io + t.index_io;
-        self.object_io = self.object_io + t.object_io;
-        self.counters += &t.counters;
-        self.retries += t.retries;
-        self.backoff += t.backoff;
-        for (s, t) in self.stepped.iter_mut().zip(t.stepped) {
-            *s |= t;
-        }
-        self.outcome = self.outcome.or(t.outcome);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The sharded database.
 // ---------------------------------------------------------------------
@@ -598,9 +544,9 @@ impl AddAssign for Tally {
 ///
 /// Shards are fully isolated: separate devices, buffer pools, decoded-node
 /// caches, vocabularies, and metric registries. The merge attributes I/O
-/// per shard through the same [`IoScope`] machinery the batch engine uses
-/// and folds everything into one [`QueryReport`], so a sharded query's
-/// report is comparable with a monolithic one.
+/// per shard through the same [`IoScope`](ir2_storage::IoScope) machinery
+/// the batch engine uses and folds everything into one [`QueryReport`],
+/// so a sharded query's report is comparable with a monolithic one.
 ///
 /// Object ids are assumed unique across the dataset (the generators and
 /// the CLI guarantee this); the canonical result order is `(distance,
@@ -648,7 +594,6 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             )));
         }
         let parts = str_partition(objects, s);
-        let bounds: Vec<Option<Rect<2>>> = parts.iter().map(|p| rect_of(p)).collect();
         let mut slots: Vec<Option<Result<SpatialKeywordDb<D>>>> = (0..s).map(|_| None).collect();
         std::thread::scope(|scope| {
             for ((set, part), slot) in device_sets.into_iter().zip(parts).zip(slots.iter_mut()) {
@@ -669,13 +614,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                 .and_then(|db| ReplicaSet::new(vec![db]))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            shards,
-            bounds,
-            config,
-            metrics: Arc::new(MetricsRegistry::new()),
-            dir: None,
-        })
+        Self::from_replica_sets(shards)
     }
 
     /// Builds a replicated sharded database over `groups[i][m]` = devices
@@ -689,7 +628,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// handles are cloned for the build (device handles are cheap shared
     /// references — e.g. `Arc<MemDevice>`). On-disk databases use
     /// [`create_in_dir_replicated`](ShardedDb::create_in_dir_replicated),
-    /// which copies files instead.
+    /// which copies between files the same way.
     pub fn build_replicated(
         groups: Vec<Vec<DeviceSet<D>>>,
         objects: impl IntoIterator<Item = SpatialObject<2>>,
@@ -710,28 +649,14 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             ));
         }
         let primaries: Vec<DeviceSet<D>> = groups.iter().map(|g| g[0].clone()).collect();
-        let built = Self::build(primaries, objects, config)?;
-        let bounds = built.bounds.clone();
-        let config = built.config.clone();
-        drop(built); // flushed; reopen every replica from its own devices
+        // Flushed on drop; every replica reopens from its own devices.
+        drop(Self::build(primaries, objects, config)?);
         for group in &groups {
-            let src = &group[0];
             for rep in &group[1..] {
-                for ((name, s), (_, d)) in src.as_refs().iter().zip(rep.as_refs().iter()) {
-                    ir2_storage::copy_blocks(*s, *d)?;
-                    if !ir2_storage::diff_blocks(*s, *d)?.is_empty() {
-                        return Err(StorageError::Corrupt(format!(
-                            "replica verification failed: `{name}` differs from replica 0 \
-                             after copy"
-                        )));
-                    }
-                }
+                copy_replica(&group[0], rep)?;
             }
         }
-        let mut db = Self::from_replica_groups(groups)?;
-        db.bounds = bounds;
-        db.config = config;
-        Ok(db)
+        Self::from_replica_groups(groups)
     }
 
     /// Opens a replicated sharded database from already-opened devices:
@@ -924,10 +849,11 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// the smallest truncated shard's cut radius — every reported result
     /// provably beats everything unseen.
     ///
-    /// I/O is attributed through [`IoScope`]s whatever the gather (the
-    /// sequential merge runs on the calling thread, gather workers and
-    /// hedges each scope their own drain), so concurrent callers get exact reports
-    /// from `run` as well as from [`run_batch`](ShardedDb::run_batch).
+    /// I/O is attributed through [`IoScope`](ir2_storage::IoScope)s
+    /// whatever the gather (the sequential merge runs on the calling
+    /// thread, gather workers and hedges each scope their own drain), so
+    /// concurrent callers get exact reports from `run` as well as from
+    /// [`run_batch`](ShardedDb::run_batch).
     pub fn run(&self, req: &TopkRequest) -> Result<QueryReport> {
         let (report, stepped) = self.execute(req)?;
         self.publish(req.alg, &report, &stepped);
@@ -988,52 +914,32 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     fn execute(&self, req: &TopkRequest) -> Result<(QueryReport, Vec<bool>)> {
         req.check(true)?;
         let t0 = Instant::now();
-        // One load counter per replica, shared by every attempt and every
-        // thread of the gather: a failover's dead attempt keeps its loads.
-        let sources: Vec<Vec<CountingSource<'_, 2>>> = self
-            .shards
-            .iter()
-            .map(|set| {
-                set.replicas()
-                    .map(SpatialKeywordDb::counting_source)
-                    .collect()
-            })
-            .collect();
-        let mut tally = Tally::new(self.shards.len());
+        let mut tally = Tally::default();
+        let mut stepped = vec![false; self.shards.len()];
         let sequential_anyway = req.alg == Algorithm::Iio || req.k == 0;
         let results = match req.gather {
             Gather::Parallel(threads)
                 if !sequential_anyway && (self.shards.len() > 1 || threads > 1) =>
             {
-                self.gather_parallel(req, &sources, threads, None, &mut tally)?
+                self.gather_parallel(req, threads, None, &mut tally, &mut stepped)?
             }
             Gather::Hedged(delay) if !sequential_anyway => {
                 let threads = self.shards.len();
-                self.gather_parallel(req, &sources, threads, Some(delay), &mut tally)?
+                self.gather_parallel(req, threads, Some(delay), &mut tally, &mut stepped)?
             }
-            _ => tally.scoped(req.alg, &self.shards, |t| {
-                if req.alg == Algorithm::Iio {
-                    self.merge_iio(req, &sources, t)
-                } else {
-                    self.merge_sequential(req, &sources, t)
-                }
-            })?,
+            _ => {
+                let replicas = self.shards.iter().flat_map(ReplicaSet::replicas);
+                tally.scoped(req.alg, replicas, |t| {
+                    if req.alg == Algorithm::Iio {
+                        self.merge_iio(req, t, &mut stepped)
+                    } else {
+                        self.merge_sequential(req, t, &mut stepped)
+                    }
+                })?
+            }
         };
-        let io = tally.index_io + tally.object_io;
-        let report = QueryReport {
-            results,
-            index_io: tally.index_io,
-            object_io: tally.object_io,
-            io,
-            object_loads: sources.iter().flatten().map(|src| src.loads()).sum(),
-            counters: tally.counters,
-            simulated: self.config.cost_model.time(io),
-            wall: t0.elapsed(),
-            outcome: tally.outcome,
-            retries: tally.retries,
-            backoff: tally.backoff,
-        };
-        Ok((report, tally.stepped))
+        let report = tally.report(results, &self.config.cost_model, t0.elapsed());
+        Ok((report, stepped))
     }
 
     /// MINDIST from the request's region to shard `i`'s bounding rect — a
@@ -1052,32 +958,32 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     fn gather_parallel(
         &self,
         req: &TopkRequest,
-        sources: &[Vec<CountingSource<'_, 2>>],
         threads: usize,
         hedge: Option<Duration>,
         tally: &mut Tally,
+        stepped: &mut [bool],
     ) -> Result<Vec<(SpatialObject<2>, f64)>> {
-        let s = self.shards.len();
         let shared = Mutex::new(TopK::new(req.k));
-        let idxs: Vec<usize> = (0..s).collect();
+        let idxs: Vec<usize> = (0..self.shards.len()).collect();
         let tallies = fan_out(&idxs, threads, |&i| {
             let set = &self.shards[i];
-            let mut t = Tally::new(s);
-            t.scoped(req.alg, std::slice::from_ref(set), |t| match hedge {
+            let (mut t, mut st) = (Tally::default(), false);
+            t.scoped(req.alg, set.replicas(), |t| match hedge {
                 Some(delay) if set.len() > 1 => {
-                    self.drain_hedged(i, req, &sources[i], &shared, delay, t)
+                    self.drain_hedged(i, req, &shared, delay, t, &mut st)
                 }
                 _ => {
                     let m = set.primary_index();
-                    ShardCursor::open(self, i, m, req, &sources[i], QueryLimits::none())?
-                        .drain(&shared, &AtomicBool::new(false), t)
+                    ShardCursor::open(self, i, m, req, QueryLimits::none())?
+                        .drain(&shared, &AtomicBool::new(false), t, &mut st)
                         .map(drop)
                 }
             })?;
-            Ok(t)
+            Ok((t, st))
         })?;
-        for t in tallies {
+        for ((t, st), stepped) in tallies.into_iter().zip(stepped) {
             *tally += t;
+            *stepped = st;
         }
         Ok(shared
             .into_inner()
@@ -1096,10 +1002,10 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         &self,
         i: usize,
         req: &TopkRequest,
-        sources: &[CountingSource<'_, 2>],
         shared: &Mutex<TopK<2>>,
         delay: Duration,
         tally: &mut Tally,
+        stepped: &mut bool,
     ) -> Result<()> {
         let set = &self.shards[i];
         let primary = set.primary_index();
@@ -1110,12 +1016,12 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                 // Dropped when the drain ends, panicking or not: that is
                 // what ends the wait below early.
                 let _ended = ended;
-                let mut t = Tally::new(self.shards.len());
-                let out = t.scoped(req.alg, std::slice::from_ref(set), |t| {
-                    ShardCursor::open(self, i, primary, req, sources, QueryLimits::none())?
-                        .drain(shared, &won, t)
+                let (mut t, mut st) = (Tally::default(), false);
+                let out = t.scoped(req.alg, set.replicas(), |t| {
+                    ShardCursor::open(self, i, primary, req, QueryLimits::none())?
+                        .drain(shared, &won, t, &mut st)
                 });
-                (out, t)
+                (out, t, st)
             });
             let _ = wait.recv_timeout(delay);
             if !won.load(Ordering::SeqCst) {
@@ -1125,13 +1031,14 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     .expect("a hedged shard has a second replica");
                 // An error here is the secondary's alone: the primary may
                 // still complete.
-                let second = ShardCursor::open(self, i, m, req, sources, QueryLimits::none())?;
-                if let Ok(true) = second.drain(shared, &won, tally) {
+                let second = ShardCursor::open(self, i, m, req, QueryLimits::none())?;
+                if let Ok(true) = second.drain(shared, &won, tally, stepped) {
                     self.metrics.add_counter("replica_hedge_wins_total", 1);
                 }
             }
-            let (first, t) = first.join().map_err(|_| poisoned_top_k())?;
+            let (first, t, st) = first.join().map_err(|_| poisoned_top_k())?;
             *tally += t;
+            *stepped |= st;
             // Unwon, both drains failed: report the primary's error.
             match first {
                 Err(e) if !won.load(Ordering::SeqCst) => Err(e),
@@ -1149,8 +1056,8 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     fn merge_sequential(
         &self,
         req: &TopkRequest,
-        sources: &[Vec<CountingSource<'_, 2>>],
         tally: &mut Tally,
+        stepped: &mut [bool],
     ) -> Result<Vec<(SpatialObject<2>, f64)>> {
         if req.k == 0 {
             return Ok(Vec::new());
@@ -1159,7 +1066,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         let mut cursors = (0..self.shards.len())
             .map(|i| {
                 let m = self.shards[i].primary_index();
-                ShardCursor::open(self, i, m, req, &sources[i], per_shard[i])
+                ShardCursor::open(self, i, m, req, per_shard[i])
             })
             .collect::<Result<Vec<_>>>()?;
 
@@ -1209,8 +1116,8 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
         // only within the smallest cut; the lowest truncated shard names
         // the reason.
         let mut cut = f64::INFINITY;
-        for c in &cursors {
-            c.fold_into(tally);
+        for (c, stepped) in cursors.iter().zip(stepped) {
+            c.fold_into(tally, stepped);
             if let Some(reason) = c.iter.truncation() {
                 tally.outcome = tally.outcome.or(Some(reason));
                 cut = cut.min(c.bound().unwrap_or(f64::INFINITY));
@@ -1226,12 +1133,13 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
     /// IIO across shards: the inverted index is non-incremental, so this
     /// is the documented fetch-k-from-every-shard over-read (each shard
     /// computes its own top-k, the union is re-ranked). Degrades
-    /// all-or-nothing under limits, like the monolithic IIO.
+    /// all-or-nothing under limits, like the monolithic IIO. Every
+    /// attempt's object loads count, a failed-over one's included.
     fn merge_iio(
         &self,
         req: &TopkRequest,
-        sources: &[Vec<CountingSource<'_, 2>>],
         tally: &mut Tally,
+        stepped: &mut [bool],
     ) -> Result<Vec<(SpatialObject<2>, f64)>> {
         let per_shard = split_limits(&req.limits, self.shards.len());
         let mut topk = TopK::new(req.k);
@@ -1242,7 +1150,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
             let mut tried = vec![set.primary_index()];
             let out = loop {
                 let m = tried[tried.len() - 1];
-                match set.get(m).iio_topk(&sources[i][m], req, per_shard[i]) {
+                match set.get(m).iio_topk(req, per_shard[i], &mut tally.iio_loads) {
                     Ok(out) => break out,
                     Err(e) => {
                         if set.fail_over(m, &mut tried, &self.metrics).is_none() {
@@ -1251,7 +1159,7 @@ impl<D: BlockDevice + 'static> ShardedDb<D> {
                     }
                 }
             };
-            tally.stepped[i] = true;
+            stepped[i] = true;
             match out {
                 ExecOutcome::Complete(hits) => {
                     for (obj, d) in hits {
@@ -1359,13 +1267,13 @@ impl ShardedDb<FileDevice> {
     /// Creates a replicated sharded database under `dir`. With `replicas
     /// == 1` the layout is exactly
     /// [`create_in_dir`](ShardedDb::create_in_dir)'s (`shard-NNN/` device
-    /// dirs, no replica level, no `replicas` manifest line). With more, each shard is built
-    /// once into `shard-NNN/replica-0/`, then copied file-by-file to
-    /// `replica-1..R-1` and **byte-verified** block-for-block against
-    /// replica 0. The manifest is written last either way: a crash at any
-    /// point of build, copy, or verification leaves a directory that is
-    /// not recognized as a sharded database rather than one that opens
-    /// half-built.
+    /// dirs, no replica level, no `replicas` manifest line). With more,
+    /// each shard is built once into `shard-NNN/replica-0/`, then copied
+    /// block by block into fresh device files in `replica-1..R-1` and
+    /// **byte-verified** against replica 0. The manifest is written last
+    /// either way: a crash at any point of build, copy, or verification
+    /// leaves a directory that is not recognized as a sharded database
+    /// rather than one that opens half-built.
     pub fn create_in_dir_replicated<P: AsRef<Path>>(
         dir: P,
         objects: impl IntoIterator<Item = SpatialObject<2>>,
@@ -1402,19 +1310,9 @@ impl ShardedDb<FileDevice> {
         drop(db);
         for i in 0..shards {
             let dirs = layout.replica_dirs(dir, i);
+            let src = DeviceSet::open_dir(&dirs[0])?;
             for rep_dir in &dirs[1..] {
-                std::fs::create_dir_all(rep_dir)?;
-                for name in DeviceSet::<FileDevice>::file_names() {
-                    std::fs::copy(dirs[0].join(name), rep_dir.join(name))?;
-                    let src = FileDevice::open(dirs[0].join(name))?;
-                    let dst = FileDevice::open(rep_dir.join(name))?;
-                    if !ir2_storage::diff_blocks(&src, &dst)?.is_empty() {
-                        return Err(StorageError::Corrupt(format!(
-                            "replica verification failed: {} differs from replica 0 after copy",
-                            rep_dir.join(name).display()
-                        )));
-                    }
-                }
+                copy_replica(&src, &DeviceSet::create_in_dir(rep_dir)?)?;
             }
         }
         std::fs::write(

@@ -6,7 +6,7 @@
 use ir2_datagen::DatasetSpec;
 use ir2tree::irtree::{SearchCounters, TraceEvent, VecSink};
 use ir2tree::model::DistanceFirstQuery;
-use ir2tree::model::SpatialObject;
+use ir2tree::model::{ObjectSource, SpatialObject};
 use ir2tree::storage::MemDevice;
 use ir2tree::text::{LinearRank, SaturatingTfIdf};
 use ir2tree::{Algorithm, DbConfig, DeviceSet, QueryReport, SpatialKeywordDb, TopkRequest};
@@ -86,13 +86,15 @@ fn queries() -> Vec<DistanceFirstQuery<2>> {
 ///
 /// * a report's counters are what the event stream of the same query,
 ///   traced, folds to;
-/// * the counters' candidate checks equal the `CountingSource` /
-///   object-store load count the report attributes to the query, and
-///   every visited node was a cache hit or a miss;
+/// * a report's object loads are its search's candidate checks (IIO's
+///   own count on IIO), and they equal what the object store's own load
+///   counter — an independent tally, kept where the record is read —
+///   moved over the solo call; every visited node was a cache hit or a
+///   miss;
 /// * a query reports *bit-for-bit identical* measurements — I/O split into
 ///   random and sequential accesses and simulated time included — whether
 ///   it runs alone or inside the concurrent batch engine: both measure
-///   through `IoScope` per-thread attribution + `CountingSource`.
+///   through `IoScope` per-thread attribution.
 #[test]
 fn solo_and_batch_reports_are_identical_for_every_algorithm() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();
@@ -116,7 +118,20 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
         ]);
 
     for (label, reqs) in inputs {
-        let solo: Vec<_> = reqs.iter().map(|req| db.run(req).unwrap()).collect();
+        let solo: Vec<_> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
+                let before = db.object_store().loads();
+                let report = db.run(req).unwrap();
+                let loaded = db.object_store().loads() - before;
+                assert_eq!(
+                    report.object_loads, loaded,
+                    "{label} query {i}: store loads"
+                );
+                report
+            })
+            .collect();
         let batch: Vec<_> = db
             .run_batch(&reqs, 4)
             .into_iter()

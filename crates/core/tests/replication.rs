@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ir2tree::model::{DistanceFirstQuery, SpatialObject};
+use ir2tree::model::{DistanceFirstQuery, ObjectSource, SpatialObject};
 use ir2tree::storage::testing::{FaultDevice, FaultPlan};
 use ir2tree::storage::MemDevice;
 use ir2tree::{
@@ -264,30 +264,52 @@ fn device_reads(db: &KilledDb) -> u64 {
         .sum()
 }
 
+/// Object loads of every replica's store so far: the store counts each
+/// load where the record is read, independently of any report.
+fn store_loads(db: &KilledDb) -> u64 {
+    db.replica_sets()
+        .iter()
+        .flat_map(|set| set.replicas())
+        .map(|rep| rep.object_store().loads())
+        .sum()
+}
+
 #[test]
 fn a_failed_over_attempt_is_in_the_report() {
     let objects = scatter(300);
     let q = DistanceFirstQuery::new([480.0, 510.0], &[] as &[&str], 50);
+    // IIO needs a keyword; its failover reruns the whole shard.
+    let q_iio = DistanceFirstQuery::new([480.0, 510.0], &["pool"], 50);
     let gathers = [
         Gather::Sequential,
         Gather::Parallel(2),
         Gather::Hedged(Duration::ZERO),
     ];
     for gather in gathers {
-        for crash_delta in [0u64, 2, 5, 9] {
-            let (db, kills) = killable_db(objects.clone(), 4, 2);
-            let switch = &kills[1][0];
-            switch.set_budget(crash_delta);
-            let before = device_reads(&db);
-            let req = TopkRequest::from_query(Algorithm::Ir2, &q).gathered(gather);
-            let report = db.run(&req).unwrap();
-            // A killed read counts on both sides: the tracking layer
-            // records an access before the device underneath refuses it.
-            assert_eq!(
-                report.io.random_reads + report.io.seq_reads,
-                device_reads(&db) - before,
-                "{gather:?}, killed {crash_delta} ops in"
-            );
+        for (alg, q) in [(Algorithm::Ir2, &q), (Algorithm::Iio, &q_iio)] {
+            for crash_delta in [0u64, 2, 5, 9] {
+                let (db, kills) = killable_db(objects.clone(), 4, 2);
+                let switch = &kills[1][0];
+                switch.set_budget(crash_delta);
+                let (before, loads_before) = (device_reads(&db), store_loads(&db));
+                let req = TopkRequest::from_query(alg, q).gathered(gather);
+                let report = db.run(&req).unwrap();
+                let ctx = format!("{alg:?}, {gather:?}, killed {crash_delta} ops in");
+                // A killed read counts on both sides: the tracking layer
+                // records an access before the device underneath refuses it.
+                assert_eq!(
+                    report.io.random_reads + report.io.seq_reads,
+                    device_reads(&db) - before,
+                    "{ctx}"
+                );
+                // So does a killed load: the store counts it before the
+                // read, the search or IIO before the call.
+                assert_eq!(
+                    report.object_loads,
+                    store_loads(&db) - loads_before,
+                    "{ctx}: loads"
+                );
+            }
         }
     }
 }

@@ -267,13 +267,16 @@ fn persistence_roundtrip_on_disk() {
     let _ = std::fs::remove_dir_all(&dir);
     let objects = scatter(120);
     let q = DistanceFirstQuery::new([210.9, 330.4], &["spa", "suite"], 6);
-    let before = {
+    let (before, built_bounds) = {
         let db = ShardedDb::create_in_dir(&dir, objects.clone(), small_config(), 3).unwrap();
-        db.distance_first(Algorithm::Ir2, &q).unwrap()
+        let report = db.distance_first(Algorithm::Ir2, &q).unwrap();
+        (report, db.bounds().to_vec())
     };
     assert_eq!(sharded_manifest(&dir).unwrap(), Some(3));
     let db = ShardedDb::open_dir(&dir).unwrap();
     assert_eq!(db.shard_count(), 3);
+    // A build and a reopen take the shard bounds from the same place.
+    assert_eq!(built_bounds, db.bounds());
     assert_eq!(db.total_objects(), 120);
     for alg in [
         Algorithm::RTree,

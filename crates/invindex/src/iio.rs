@@ -29,7 +29,7 @@ pub fn iio_topk<const N: usize, D: BlockDevice>(
     objects: &impl ObjectSource<N>,
     query: &DistanceFirstQuery<N>,
 ) -> Result<Vec<(SpatialObject<N>, f64)>> {
-    iio_topk_limited(index, vocab, objects, query, QueryLimits::none())
+    iio_topk_limited(index, vocab, objects, query, QueryLimits::none(), &mut 0)
         .map(ExecOutcome::into_results)
 }
 
@@ -41,12 +41,17 @@ pub fn iio_topk<const N: usize, D: BlockDevice>(
 /// top-m). Charged I/O is one unit per postings list retrieved plus one
 /// per candidate object loaded; the frontier cap meters the bounded top-k,
 /// which never holds more than `k`.
+///
+/// Every object load attempted is added to `loads` as it starts, a load
+/// that fails included, so a caller that retries the query elsewhere
+/// keeps counting what the failed attempt read.
 pub fn iio_topk_limited<const N: usize, D: BlockDevice>(
     index: &InvertedIndex<D>,
     vocab: &Vocabulary,
     objects: &impl ObjectSource<N>,
     query: &DistanceFirstQuery<N>,
     limits: QueryLimits,
+    loads: &mut u64,
 ) -> Result<ExecOutcome<Vec<(SpatialObject<N>, f64)>>> {
     if query.keywords.is_empty() {
         // IIO has no spatial access path: with no keywords the candidate set
@@ -94,6 +99,7 @@ pub fn iio_topk_limited<const N: usize, D: BlockDevice>(
             });
         }
         io_used += 1;
+        *loads += 1;
         let obj = objects.load(ptr)?;
         let d = obj.point.distance(&query.point);
         topk.insert(obj, d);
@@ -235,6 +241,7 @@ mod tests {
                 &store,
                 &q,
                 QueryLimits::none().with_io_budget(budget),
+                &mut 0,
             )
             .unwrap();
             assert!(out.is_truncated(), "budget {budget} must truncate");
@@ -243,15 +250,18 @@ mod tests {
                 "IIO degrades all-or-nothing: truncation yields no results"
             );
         }
+        let mut loads = 0;
         let out = iio_topk_limited(
             &idx,
             &vocab,
             &store,
             &q,
             QueryLimits::none().with_io_budget(4),
+            &mut loads,
         )
         .unwrap();
         assert!(!out.is_truncated(), "full budget completes");
         assert_eq!(out.results().len(), 2);
+        assert_eq!(loads, 2, "one load per candidate, counted for the caller");
     }
 }
